@@ -16,9 +16,12 @@
       {!Compose}, {!Transform} — gate-level circuits
       ([minflo_netlist]);
     - {!Tech}, {!Gate_model}, {!Elmore}, {!Transistor}, {!Delay_model} —
-      electrical models at gate or transistor granularity ([minflo_tech]);
-    - {!Sta}, {!Balance} — timing analysis and FSDU delay balancing
-      ([minflo_timing]);
+      electrical models at gate or transistor granularity ([minflo_tech]).
+      {!Delay_model.make} builds the one timing representation: flat CSR
+      adjacency, coefficient and loader rows, topological order and
+      elimination blocks, read directly by every timing hot loop;
+    - {!Sta}, {!Incremental}, {!Balance} — batch and incremental timing
+      analysis and FSDU delay balancing ([minflo_timing]);
     - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Dinic}, {!Diff_lp},
       {!Bellman_ford} — the network-flow substrate ([minflo_flow]);
     - {!Tilos}, {!Wphase}, {!Dphase}, {!Sensitivity}, {!Minflotransit},
@@ -101,7 +104,6 @@ module Transistor = Minflo_tech.Transistor
 module Model_cache = Minflo_tech.Model_cache
 
 (* timing *)
-module Arena = Minflo_timing.Arena
 module Sta = Minflo_timing.Sta
 module Incremental = Minflo_timing.Incremental
 module Balance = Minflo_timing.Balance

@@ -1,5 +1,3 @@
-module Digraph = Minflo_graph.Digraph
-module Topo = Minflo_graph.Topo
 module Delay_model = Minflo_tech.Delay_model
 module Tech = Minflo_tech.Tech
 module Gate_model = Minflo_tech.Gate_model
@@ -34,46 +32,34 @@ type t = {
 }
 
 let compute (model : Delay_model.t) =
-  let g = model.Delay_model.graph in
-  let n = Delay_model.num_vertices model in
-  let order = Topo.sort g in
+  let n = model.n in
   let d_lo = Array.make n 0.0 and d_hi = Array.make n 0.0 in
-  let xmin = model.Delay_model.min_size
-  and xmax = model.Delay_model.max_size in
+  let xmin = model.min_size and xmax = model.max_size in
   for i = 0 to n - 1 do
-    let cmin = ref model.Delay_model.b.(i)
-    and cmax = ref model.Delay_model.b.(i) in
-    Array.iter
-      (fun (_, a) ->
-        cmin := !cmin +. (a *. xmin);
-        cmax := !cmax +. (a *. xmax))
-      model.Delay_model.a_coeffs.(i);
-    d_lo.(i) <- model.Delay_model.a_self.(i) +. (!cmin /. xmax);
-    d_hi.(i) <- model.Delay_model.a_self.(i) +. (!cmax /. xmin)
+    let cmin = ref model.b.(i) and cmax = ref model.b.(i) in
+    for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+      cmin := !cmin +. (model.coeff_a.(c) *. xmin);
+      cmax := !cmax +. (model.coeff_a.(c) *. xmax)
+    done;
+    d_lo.(i) <- model.a_self.(i) +. (!cmin /. xmax);
+    d_hi.(i) <- model.a_self.(i) +. (!cmax /. xmin)
   done;
   (* forward: arrival bounds, following the Sta convention (AT at the input
      of a vertex, 0 at sources) *)
   let at_lo = Array.make n 0.0 and at_hi = Array.make n 0.0 in
-  Array.iter
-    (fun i ->
-      let rl = at_lo.(i) +. d_lo.(i) and rh = at_hi.(i) +. d_hi.(i) in
-      List.iter
-        (fun j ->
-          if rl > at_lo.(j) then at_lo.(j) <- rl;
-          if rh > at_hi.(j) then at_hi.(j) <- rh)
-        (Digraph.succ g i))
-    order;
+  Delay_model.arrivals_into model ~delays:d_lo at_lo;
+  Delay_model.arrivals_into model ~delays:d_hi at_hi;
   (* backward: longest downstream continuation after the vertex's own delay
      (0 at every vertex, since the circuit delay is max_i AT(i) + delay(i)) *)
   let tail_lo = Array.make n 0.0 and tail_hi = Array.make n 0.0 in
   for k = n - 1 downto 0 do
-    let i = order.(k) in
-    List.iter
-      (fun j ->
-        let tl = d_lo.(j) +. tail_lo.(j) and th = d_hi.(j) +. tail_hi.(j) in
-        if tl > tail_lo.(i) then tail_lo.(i) <- tl;
-        if th > tail_hi.(i) then tail_hi.(i) <- th)
-      (Digraph.succ g i)
+    let i = model.topo.(k) in
+    for c = model.fanout_off.(i) to model.fanout_off.(i + 1) - 1 do
+      let j = model.fanout.(c) in
+      let tl = d_lo.(j) +. tail_lo.(j) and th = d_hi.(j) +. tail_hi.(j) in
+      if tl > tail_lo.(i) then tail_lo.(i) <- tl;
+      if th > tail_hi.(i) then tail_hi.(i) <- th
+    done
   done;
   let cp_lo = ref 0.0 and cp_hi = ref 0.0 in
   for i = 0 to n - 1 do
@@ -87,7 +73,6 @@ let through_lo t i = t.at_lo.(i) +. t.d_lo.(i) +. t.tail_lo.(i)
 let through_hi t i = t.at_hi.(i) +. t.d_hi.(i) +. t.tail_hi.(i)
 
 let witness_path (model : Delay_model.t) t =
-  let g = model.Delay_model.graph in
   let finish = ref 0 and best = ref neg_infinity in
   Array.iteri
     (fun i a ->
@@ -99,19 +84,19 @@ let witness_path (model : Delay_model.t) t =
     t.at_lo;
   let rec back i acc =
     let acc = i :: acc in
-    if t.at_lo.(i) = 0.0 && Digraph.in_degree g i = 0 then acc
+    if t.at_lo.(i) = 0.0 && Delay_model.is_source model i then acc
     else begin
-      let pick =
-        List.fold_left
-          (fun best_j j ->
-            match best_j with
-            | Some bj
-              when t.at_lo.(bj) +. t.d_lo.(bj) >= t.at_lo.(j) +. t.d_lo.(j) ->
-              best_j
-            | _ -> Some j)
-          None (Digraph.pred g i)
-      in
-      match pick with None -> acc | Some j -> back j acc
+      (* the fanin realizing AT(i); the first in fanin order wins ties *)
+      let pick = ref (-1) and pick_f = ref neg_infinity in
+      for c = model.fanin_off.(i) to model.fanin_off.(i + 1) - 1 do
+        let j = model.fanin.(c) in
+        let f = t.at_lo.(j) +. t.d_lo.(j) in
+        if !pick < 0 || not (!pick_f >= f) then begin
+          pick_f := f;
+          pick := j
+        end
+      done;
+      if !pick < 0 then acc else back !pick acc
     end
   in
   back !finish []

@@ -1,5 +1,4 @@
 module Delay_model = Minflo_tech.Delay_model
-module Arena = Minflo_timing.Arena
 module Balance = Minflo_timing.Balance
 module Sta = Minflo_timing.Sta
 module Diff_lp = Minflo_flow.Diff_lp
@@ -49,9 +48,9 @@ type lp_build = {
   weights : float array;
 }
 
-let build_lp ?(options = default_options) model ~sizes ~delays ~deadline =
-  let n = Delay_model.num_vertices model in
-  let arena = Arena.of_model model in
+let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
+    ~delays ~deadline =
+  let n = model.n in
   let sta = Sta.analyze model ~delays ~deadline in
   if not (Sta.is_safe ~eps:1e-6 sta) then
     Error (Diag.Unsafe_timing { cp = sta.critical_path; deadline })
@@ -76,7 +75,7 @@ let build_lp ?(options = default_options) model ~sizes ~delays ~deadline =
     let q x = max 0 (int_of_float (floor (x *. s))) in
     let lp =
       Diff_lp.create ~vars_hint:((2 * n) + 1)
-        ~cons_hint:((2 * n) + arena.Arena.m + n)
+        ~cons_hint:((2 * n) + model.m + n)
         ()
     in
     let r = Array.init n (fun _ -> Diff_lp.var lp) in
@@ -94,15 +93,15 @@ let build_lp ?(options = default_options) model ~sizes ~delays ~deadline =
       Diff_lp.add_objective lp r.(i) (-iw.(i))
     done;
     (* causality: displaced FSDUs on real edges stay non-negative *)
-    for e = 0 to arena.Arena.m - 1 do
-      let i = arena.Arena.edge_src.(e) and j = arena.Arena.edge_dst.(e) in
+    for e = 0 to model.m - 1 do
+      let i = model.edge_src.(e) and j = model.edge_dst.(e) in
       (* FSDU_e + r(j) - r(Dmy i) >= 0 *)
       Diff_lp.add_le lp rdmy.(i) r.(j) (q bal.edge_fsdu.(e))
     done;
     (* virtual input edges (ground -> source) and output edges
        (sink -> ground), with ground pinned: Corollary 1 *)
     for i = 0 to n - 1 do
-      if Arena.is_source arena i then
+      if Delay_model.is_source model i then
         Diff_lp.add_le lp ground r.(i) (q bal.source_fsdu.(i));
       if model.Delay_model.is_sink.(i) then
         Diff_lp.add_le lp rdmy.(i) ground (q bal.sink_fsdu.(i))

@@ -1,5 +1,3 @@
-module Digraph = Minflo_graph.Digraph
-module Topo = Minflo_graph.Topo
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
 
@@ -25,59 +23,74 @@ type result = {
    inflow(v) = outflow(v) for every non-source vertex, where outflow counts
    the virtual edge. mu_i (the price of vertex i's delay) is outflow(i). *)
 type multipliers = {
-  edge : float array;  (* per Digraph edge id *)
+  edge : float array;  (* per edge, indexed by its slot in the fanout rows *)
   sink : float array;  (* per vertex; only sinks meaningful *)
 }
 
-let conserve model lam =
-  let g = model.Delay_model.graph in
-  let order = Topo.sort g in
+(* [in_slot.(c)]: the fanout slot of the edge at fanin slot [c]. Both row
+   sets list edges in ascending id, so every sum below runs in edge-id
+   order. *)
+let in_slots (model : Delay_model.t) =
+  let in_slot = Array.make model.m 0 in
+  let out_cur = Array.sub model.fanout_off 0 model.n in
+  let in_cur = Array.sub model.fanin_off 0 model.n in
+  for e = 0 to model.m - 1 do
+    let u = model.edge_src.(e) and v = model.edge_dst.(e) in
+    in_slot.(in_cur.(v)) <- out_cur.(u);
+    out_cur.(u) <- out_cur.(u) + 1;
+    in_cur.(v) <- in_cur.(v) + 1
+  done;
+  in_slot
+
+let outflow (model : Delay_model.t) lam v =
+  let acc = ref lam.sink.(v) in
+  for c = model.fanout_off.(v) to model.fanout_off.(v + 1) - 1 do
+    acc := !acc +. lam.edge.(c)
+  done;
+  !acc
+
+let conserve (model : Delay_model.t) in_slot lam =
   Array.iter
     (fun v ->
-      let inflow =
-        List.fold_left (fun acc e -> acc +. lam.edge.(e)) 0.0 (Digraph.in_edges g v)
-      in
-      if Digraph.in_degree g v > 0 then begin
-        let outflow =
-          List.fold_left (fun acc e -> acc +. lam.edge.(e)) lam.sink.(v)
-            (Digraph.out_edges g v)
-        in
+      if not (Delay_model.is_source model v) then begin
+        let inflow = ref 0.0 in
+        for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+          inflow := !inflow +. lam.edge.(in_slot.(c))
+        done;
+        let outflow = outflow model lam v in
         if outflow > 0.0 then begin
-          let s = inflow /. outflow in
-          List.iter (fun e -> lam.edge.(e) <- lam.edge.(e) *. s) (Digraph.out_edges g v);
+          let s = !inflow /. outflow in
+          for c = model.fanout_off.(v) to model.fanout_off.(v + 1) - 1 do
+            lam.edge.(c) <- lam.edge.(c) *. s
+          done;
           lam.sink.(v) <- lam.sink.(v) *. s
         end
       end)
-    order
+    model.topo
 
-let mu_of model lam =
-  let g = model.Delay_model.graph in
-  Array.init (Delay_model.num_vertices model) (fun v ->
-      List.fold_left (fun acc e -> acc +. lam.edge.(e)) lam.sink.(v)
-        (Digraph.out_edges g v))
+let mu_of (model : Delay_model.t) lam = Array.init model.n (outflow model lam)
 
 (* Coordinate descent on L(x) = sum_i w_i x_i + mu_i d_i(x): the stationary
    point of x_i balances its own area + the load it presents to its fanins
    against the 1/x_i term it scales. *)
-let size_subproblem options model ~mu x =
-  let n = Delay_model.num_vertices model in
-  let loaders = Array.make n [] in
-  Array.iteri
-    (fun k coeffs ->
-      Array.iter (fun (j, a) -> loaders.(j) <- (k, a) :: loaders.(j)) coeffs)
-    model.Delay_model.a_coeffs;
+let size_subproblem options (model : Delay_model.t) ~mu x =
   for _ = 1 to options.inner_sweeps do
-    for i = 0 to n - 1 do
-      let load = ref model.Delay_model.b.(i) in
-      Array.iter (fun (j, a) -> load := !load +. (a *. x.(j))) model.Delay_model.a_coeffs.(i);
-      let denom = ref model.Delay_model.area_weight.(i) in
-      List.iter (fun (k, a) -> denom := !denom +. (mu.(k) *. a /. x.(k))) loaders.(i);
+    for i = 0 to model.n - 1 do
+      let load = ref model.b.(i) in
+      for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+        load := !load +. (model.coeff_a.(c) *. x.(model.coeff_j.(c)))
+      done;
+      let denom = ref model.area_weight.(i) in
+      for c = model.loader_off.(i) to model.loader_off.(i + 1) - 1 do
+        let k = model.loader_k.(c) in
+        denom := !denom +. (mu.(k) *. model.loader_a.(c) /. x.(k))
+      done;
       let xi = sqrt (mu.(i) *. !load /. !denom) in
-      x.(i) <- min model.Delay_model.max_size (max model.Delay_model.min_size xi)
+      x.(i) <- min model.max_size (max model.min_size xi)
     done
   done
 
-let size ?(options = default_options) model ~target =
+let size ?(options = default_options) (model : Delay_model.t) ~target =
   let seed = Tilos.size model ~target in
   if not seed.met then
     { sizes = seed.sizes;
@@ -86,12 +99,11 @@ let size ?(options = default_options) model ~target =
       met = false;
       outer_iterations = 0 }
   else begin
-    let g = model.Delay_model.graph in
-    let n = Delay_model.num_vertices model in
+    let n = model.n in
+    let in_slot = in_slots model in
     let lam =
-      { edge = Array.make (Digraph.edge_count g) 1.0;
-        sink =
-          Array.init n (fun v -> if model.Delay_model.is_sink.(v) then 1.0 else 0.0) }
+      { edge = Array.make model.m 1.0;
+        sink = Array.init n (fun v -> if model.is_sink.(v) then 1.0 else 0.0) }
     in
     let x = Array.copy seed.sizes in
     let best = ref (Array.copy seed.sizes) in
@@ -99,7 +111,7 @@ let size ?(options = default_options) model ~target =
     let outer = ref 0 in
     for _ = 1 to options.iterations do
       incr outer;
-      conserve model lam;
+      conserve model in_slot lam;
       let mu0 = mu_of model lam in
       (* global multiplier scale: bisect so the subproblem solution lands
          at the deadline (CP is monotone decreasing in the scale) *)
@@ -172,17 +184,20 @@ let size ?(options = default_options) model ~target =
         (* negative slack = violated/tight: grow; generous slack: shrink *)
         exp (step *. (-.slack) /. (mean_delay +. 1e-30))
       in
-      Digraph.iter_edges g (fun e ->
-          let i = Digraph.src g e and j = Digraph.dst g e in
+      for i = 0 to n - 1 do
+        for c = model.fanout_off.(i) to model.fanout_off.(i + 1) - 1 do
+          let j = model.fanout.(c) in
           let slack = sta.Sta.required.(j) -. sta.Sta.arrival.(i) -. delays.(i) in
-          lam.edge.(e) <- max 1e-12 (lam.edge.(e) *. min 8.0 (bump slack)));
+          lam.edge.(c) <- max 1e-12 (lam.edge.(c) *. min 8.0 (bump slack))
+        done
+      done;
       Array.iteri
         (fun v s ->
           if s then begin
             let slack = target -. (sta.Sta.arrival.(v) +. delays.(v)) in
             lam.sink.(v) <- max 1e-12 (lam.sink.(v) *. min 8.0 (bump slack))
           end)
-        model.Delay_model.is_sink
+        model.is_sink
     done;
     let delays = Delay_model.delays model !best in
     { sizes = !best;

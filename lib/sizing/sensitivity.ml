@@ -1,22 +1,19 @@
 module Delay_model = Minflo_tech.Delay_model
-module Arena = Minflo_timing.Arena
 
-let weights model ~sizes ~delays =
-  let n = Delay_model.num_vertices model in
+let weights (model : Delay_model.t) ~sizes ~delays =
+  let n = model.n in
   (* the reverse coefficient index ([loader] rows: the (i, a_ij) with i
-     loading j) and the elimination blocks come precomputed from the arena;
+     loading j) and the elimination blocks come precomputed with the model;
      loader rows iterate in the exact order the historical cons-built lists
      did, keeping the float accumulation bit-identical *)
-  let arena = Arena.of_model model in
   let diag i =
-    let d = delays.(i) -. model.Delay_model.a_self.(i) in
+    let d = delays.(i) -. model.a_self.(i) in
     if d <= 1e-12 then
       invalid_arg
         (Printf.sprintf "Sensitivity.weights: delay at vertex %d not above intrinsic" i);
     d
   in
   let y = Array.make n 0.0 in
-  let blocks = Arena.blocks arena in
   (* forward elimination order: y_j needs y_i of upstream references, which
      live in earlier blocks; in-block mutual references iterate locally *)
   Array.iter
@@ -28,10 +25,9 @@ let weights model ~sizes ~delays =
         incr rounds;
         Array.iter
           (fun j ->
-            let acc = ref model.Delay_model.area_weight.(j) in
-            for c = arena.Arena.loader_off.(j)
-                to arena.Arena.loader_off.(j + 1) - 1 do
-              acc := !acc +. (arena.Arena.loader_a.(c) *. y.(arena.Arena.loader_k.(c)))
+            let acc = ref model.area_weight.(j) in
+            for c = model.loader_off.(j) to model.loader_off.(j + 1) - 1 do
+              acc := !acc +. (model.loader_a.(c) *. y.(model.loader_k.(c)))
             done;
             let ny = !acc /. diag j in
             if abs_float (ny -. y.(j)) > 1e-12 *. (1.0 +. abs_float ny) then begin
@@ -40,5 +36,5 @@ let weights model ~sizes ~delays =
             end)
           block
       done)
-    blocks;
+    model.blocks;
   Array.init n (fun i -> y.(i) *. sizes.(i))

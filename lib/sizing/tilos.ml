@@ -1,5 +1,4 @@
 module Delay_model = Minflo_tech.Delay_model
-module Arena = Minflo_timing.Arena
 module Sta = Minflo_timing.Sta
 module Inc = Minflo_timing.Incremental
 
@@ -16,30 +15,30 @@ type result = {
    fanin's delay grows because its load grows — per unit of added area.
    This is the classic TILOS figure of merit.
 
-   Fanins come from the arena's CSR rows — shared with the incremental
-   engine, zero per-call allocation, and in exactly [Digraph.pred] order so
-   the strict-[>] best-fanin tie-break is unchanged. *)
-let sensitivity model eng bump (arena : Arena.t) i =
+   Fanins come from the model's CSR rows — shared with the incremental
+   engine, zero per-call allocation, and in edge insertion order so the
+   strict-[>] best-fanin tie-break is stable. *)
+let sensitivity (model : Delay_model.t) eng bump i =
   let old_xi = Inc.size eng i in
-  let new_xi = min (old_xi *. bump) model.Delay_model.max_size in
+  let new_xi = min (old_xi *. bump) model.max_size in
   if new_xi <= old_xi then neg_infinity
   else begin
     let d_new =
       (* delay of i with the larger size: only the 1/x_i part shrinks.
-         Coefficients come from the arena's flat CSR (same row order as
-         [a_coeffs], so the float sum is bit-identical). *)
-      let acc = ref model.Delay_model.b.(i) in
-      for c = arena.Arena.coeff_off.(i) to arena.Arena.coeff_off.(i + 1) - 1 do
-        acc := !acc +. (arena.Arena.coeff_a.(c) *. Inc.size eng (arena.Arena.coeff_j.(c)))
+         The coefficient row is summed in its stored order, the same
+         rounding sequence as [Delay_model.delay]. *)
+      let acc = ref model.b.(i) in
+      for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+        acc := !acc +. (model.coeff_a.(c) *. Inc.size eng model.coeff_j.(c))
       done;
-      model.Delay_model.a_self.(i) +. (!acc /. new_xi)
+      model.a_self.(i) +. (!acc /. new_xi)
     in
     let own_gain = Inc.delay eng i -. d_new in
     (* critical fanin k: the one realizing AT(i); its delay grows by
        a_ki * (new_xi - old_xi) / x_k *)
     let best = ref (-1) and best_f = ref neg_infinity in
-    for c = arena.Arena.fanin_off.(i) to arena.Arena.fanin_off.(i + 1) - 1 do
-      let k = arena.Arena.fanin.(c) in
+    for c = model.fanin_off.(i) to model.fanin_off.(i + 1) - 1 do
+      let k = model.fanin.(c) in
       let f = Inc.finish eng k in
       if f > !best_f then begin
         best_f := f;
@@ -51,13 +50,13 @@ let sensitivity model eng bump (arena : Arena.t) i =
       else begin
         let k = !best in
         let a_ki = ref 0.0 in
-        for c = arena.Arena.coeff_off.(k) to arena.Arena.coeff_off.(k + 1) - 1 do
-          if arena.Arena.coeff_j.(c) = i then a_ki := !a_ki +. arena.Arena.coeff_a.(c)
+        for c = model.coeff_off.(k) to model.coeff_off.(k + 1) - 1 do
+          if model.coeff_j.(c) = i then a_ki := !a_ki +. model.coeff_a.(c)
         done;
         !a_ki *. (new_xi -. old_xi) /. Inc.size eng k
       end
     in
-    let darea = model.Delay_model.area_weight.(i) *. (new_xi -. old_xi) in
+    let darea = model.area_weight.(i) *. (new_xi -. old_xi) in
     (own_gain -. fanin_penalty) /. darea
   end
 
@@ -73,7 +72,6 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
         x0
   in
   let eng = Inc.create model ~sizes:start in
-  let arena = Arena.of_model model in
   let bumps = ref 0 in
   let finished = ref false in
   let met = ref false in
@@ -98,7 +96,7 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
       let best = ref (-1) and best_s = ref 0.0 in
       List.iter
         (fun i ->
-          let s = sensitivity model eng bump arena i in
+          let s = sensitivity model eng bump i in
           if s > !best_s then begin
             best_s := s;
             best := i

@@ -1,5 +1,4 @@
 module Delay_model = Minflo_tech.Delay_model
-module Arena = Minflo_timing.Arena
 module Diag = Minflo_robust.Diag
 
 type result = {
@@ -9,8 +8,8 @@ type result = {
   sweeps : int;
 }
 
-let solve ?fault model ~budgets =
-  let n = Delay_model.num_vertices model in
+let solve ?fault (model : Delay_model.t) ~budgets =
+  let n = model.n in
   match Option.bind fault (fun f -> Minflo_robust.Fault.fire f ~site:"wphase") with
   | Some (Minflo_robust.Fault.Fail e) -> Error e
   | (Some (Minflo_robust.Fault.Perturb _) | None) as fired ->
@@ -23,28 +22,26 @@ let solve ?fault model ~budgets =
     let bad = ref None in
     Array.iteri
       (fun i d ->
-        if d <= model.Delay_model.a_self.(i) +. 1e-12 && !bad = None then
+        if d <= model.a_self.(i) +. 1e-12 && !bad = None then
           bad :=
             Some
               (Diag.Infeasible_budget
                  { vertex = i;
-                   label = model.Delay_model.labels.(i);
+                   label = model.labels.(i);
                    budget = d;
-                   intrinsic = model.Delay_model.a_self.(i) }))
+                   intrinsic = model.a_self.(i) }))
       budgets;
     match !bad with
     | Some e -> Error e
     | None ->
-      let arena = Arena.of_model model in
-      let blocks = Arena.blocks arena in
-      let x = Array.make n model.Delay_model.min_size in
+      let blocks = model.blocks in
+      let x = Array.make n model.min_size in
       let required i =
-        let acc = ref model.Delay_model.b.(i) in
-        for c = arena.Arena.coeff_off.(i) to arena.Arena.coeff_off.(i + 1) - 1
-        do
-          acc := !acc +. (arena.Arena.coeff_a.(c) *. x.(arena.Arena.coeff_j.(c)))
+        let acc = ref model.b.(i) in
+        for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+          acc := !acc +. (model.coeff_a.(c) *. x.(model.coeff_j.(c)))
         done;
-        !acc /. (budgets.(i) -. model.Delay_model.a_self.(i))
+        !acc /. (budgets.(i) -. model.a_self.(i))
       in
       let tol = 1e-9 in
       let sweeps = ref 0 in
@@ -65,9 +62,7 @@ let solve ?fault model ~budgets =
         if Array.length block = 1 then begin
           let i = block.(0) in
           let r = required i in
-          let nx =
-            min model.Delay_model.max_size (max model.Delay_model.min_size r)
-          in
+          let nx = min model.max_size (max model.min_size r) in
           if nx > x.(i) +. tol then x.(i) <- nx;
           sweeps := max !sweeps 1
         end
@@ -87,16 +82,13 @@ let solve ?fault model ~budgets =
                 if dirty.(i) then begin
                   dirty.(i) <- false;
                   let r = required i in
-                  let nx =
-                    min model.Delay_model.max_size
-                      (max model.Delay_model.min_size r)
-                  in
+                  let nx = min model.max_size (max model.min_size r) in
                   if nx > x.(i) +. tol then begin
                     x.(i) <- nx;
                     local := true;
-                    for c = arena.Arena.loader_off.(i)
-                        to arena.Arena.loader_off.(i + 1) - 1 do
-                      let k = arena.Arena.loader_k.(c) in
+                    for c = model.loader_off.(i)
+                        to model.loader_off.(i + 1) - 1 do
+                      let k = model.loader_k.(c) in
                       if member.(k) = bi then dirty.(k) <- true
                     done
                   end
@@ -116,7 +108,7 @@ let solve ?fault model ~budgets =
          invariant checks exist to catch *)
       (match perturb with
       | Some mag when n > 0 ->
-        x.(0) <- max model.Delay_model.min_size (x.(0) /. (1.0 +. abs_float mag))
+        x.(0) <- max model.min_size (x.(0) /. (1.0 +. abs_float mag))
       | _ -> ());
       Ok { sizes = x; feasible = !violated = []; violated = List.rev !violated; sweeps = !sweeps }
   end

@@ -1,5 +1,4 @@
 module Netlist = Minflo_netlist.Netlist
-module Digraph = Minflo_graph.Digraph
 
 let gate_vertex nl =
   let map = Hashtbl.create (Netlist.node_count nl) in
@@ -15,8 +14,7 @@ let of_netlist_with
   Netlist.validate nl;
   let v_of = gate_vertex nl in
   let n = Netlist.gate_count nl in
-  let graph = Digraph.create ~nodes_hint:n () in
-  if n > 0 then ignore (Digraph.add_nodes graph n);
+  let edges = ref [] in
   let a_self = Array.make n 0.0 in
   let a_acc : (int, float) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 4) in
   let b = Array.make n 0.0 in
@@ -51,23 +49,14 @@ let of_netlist_with
           let add = m.r_drive *. mw.c_input *. float_of_int pins in
           Hashtbl.replace a_acc.(i) j
             (add +. Option.value ~default:0.0 (Hashtbl.find_opt a_acc.(i) j));
-          if Digraph.find_edge graph i j = None then ignore (Digraph.add_edge graph i j))
+          edges := (i, j) :: !edges)
         (List.sort_uniq compare fanouts);
       (* gates also load the primary inputs driving them, but PIs carry no
          sizing variable: nothing to record on that side *)
       ignore (Netlist.fanins nl v));
-  let a_coeffs =
-    Array.map
-      (fun h -> Array.of_seq (Seq.map (fun (j, a) -> (j, a)) (Hashtbl.to_seq h)))
-      a_acc
-  in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b; area_weight; is_sink;
-      block = Array.init n Fun.id; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  Delay_model.make ~n ~edges:(List.rev !edges) ~a_self ~coeffs:a_acc ~b
+    ~area_weight ~is_sink ~block:(Array.init n Fun.id) ~labels
+    ~min_size:tech.min_size ~max_size:tech.max_size
 
 let of_netlist tech nl = of_netlist_with ~model_of:(Gate_model.of_gate tech) tech nl
 
@@ -78,8 +67,7 @@ let with_wires (tech : Tech.t) nl =
   let n = 2 * ngates in
   (* gate k's wire is vertex ngates + k *)
   let wire_of v = ngates + Hashtbl.find v_of v in
-  let graph = Digraph.create ~nodes_hint:n () in
-  if n > 0 then ignore (Digraph.add_nodes graph n);
+  let edges = ref [] in
   let a_self = Array.make n 0.0 in
   let a_acc : (int, float) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 4) in
   let b = Array.make n 0.0 in
@@ -112,7 +100,7 @@ let with_wires (tech : Tech.t) nl =
          capacitance, and the receiver pins through the wire *)
       a_self.(i) <- m.r_drive *. m.c_parasitic;
       add_a i w (m.r_drive *. tech.c_wire *. pins_f);
-      ignore (Digraph.add_edge graph i w);
+      edges := (i, w) :: !edges;
       if Netlist.is_output nl v then b.(w) <- tech.r_wire *. pins_f *. tech.c_load;
       (* wire vertex: distributed RC — its resistance sees half its own
          capacitance plus everything downstream *)
@@ -128,15 +116,10 @@ let with_wires (tech : Tech.t) nl =
           let pin_cap = mj.c_input *. float_of_int npins in
           add_a i j (m.r_drive *. pin_cap);
           add_a w j (tech.r_wire *. pins_f *. pin_cap);
-          if Digraph.find_edge graph w j = None then ignore (Digraph.add_edge graph w j))
+          edges := (w, j) :: !edges)
         (List.sort_uniq compare fanouts);
       (* the driver's resistance also charges the pad load behind the wire *)
       if Netlist.is_output nl v then b.(i) <- b.(i) +. (m.r_drive *. tech.c_load));
-  let a_coeffs = Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b; area_weight; is_sink;
-      block = Array.init n Fun.id; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  Delay_model.make ~n ~edges:(List.rev !edges) ~a_self ~coeffs:a_acc ~b
+    ~area_weight ~is_sink ~block:(Array.init n Fun.id) ~labels
+    ~min_size:tech.min_size ~max_size:tech.max_size

@@ -1,6 +1,5 @@
 module Netlist = Minflo_netlist.Netlist
 module Gate = Minflo_netlist.Gate
-module Digraph = Minflo_graph.Digraph
 
 type network = Device of int | Series of network list | Parallel of network list
 
@@ -76,8 +75,8 @@ let vertices_of_gate (_ : Tech.t) nl v =
 let of_netlist (tech : Tech.t) nl =
   Netlist.validate nl;
   let base, n = layout nl in
-  let graph = Digraph.create ~nodes_hint:n () in
-  if n > 0 then ignore (Digraph.add_nodes graph n);
+  let edges = ref [] in
+  let add_edge u v = edges := (u, v) :: !edges in
   let a_self = Array.make n 0.0 in
   let a_acc : (int, float) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 4) in
   let b = Array.make n 0.0 in
@@ -182,7 +181,7 @@ let of_netlist (tech : Tech.t) nl =
         | Chain pins ->
           let arr = Array.of_list pins in
           for j = 0 to Array.length arr - 2 do
-            ignore (Digraph.add_edge graph (vertex_of arr.(j)) (vertex_of arr.(j + 1)))
+            add_edge (vertex_of arr.(j)) (vertex_of arr.(j + 1))
           done
       in
       chain_edges pd nv;
@@ -202,31 +201,21 @@ let of_netlist (tech : Tech.t) nl =
                   (fun src_pin ->
                     List.iter
                       (fun dst_pin ->
-                        ignore
-                          (Digraph.add_edge graph (nmos_vertex base nl v src_pin)
-                             (pmos_vertex base nl w dst_pin)))
+                        add_edge (nmos_vertex base nl v src_pin)
+                          (pmos_vertex base nl w dst_pin))
                       (reach_roots wpu pin))
                   (leaves pd);
                 List.iter
                   (fun src_pin ->
                     List.iter
                       (fun dst_pin ->
-                        ignore
-                          (Digraph.add_edge graph (pmos_vertex base nl v src_pin)
-                             (nmos_vertex base nl w dst_pin)))
+                        add_edge (pmos_vertex base nl v src_pin)
+                          (nmos_vertex base nl w dst_pin))
                       (reach_roots wpd pin))
                   (leaves pu)
               end)
             (Netlist.fanins nl w))
         (List.sort_uniq compare (Netlist.fanouts nl v)));
-  let a_coeffs =
-    Array.map (fun h -> Array.of_seq (Hashtbl.to_seq h)) a_acc
-  in
-  let model : Delay_model.t =
-    { graph; a_self; a_coeffs; b;
-      area_weight = Array.make n 1.0;
-      is_sink; block; labels;
-      min_size = tech.min_size; max_size = tech.max_size }
-  in
-  Delay_model.validate model;
-  model
+  Delay_model.make ~n ~edges:(List.rev !edges) ~a_self ~coeffs:a_acc ~b
+    ~area_weight:(Array.make n 1.0) ~is_sink ~block ~labels
+    ~min_size:tech.min_size ~max_size:tech.max_size

@@ -1,4 +1,3 @@
-module Digraph = Minflo_graph.Digraph
 module Delay_model = Minflo_tech.Delay_model
 
 type t = {
@@ -9,20 +8,19 @@ type t = {
   deadline : float;
 }
 
-let of_potential model ~delays ~deadline p =
-  let a = Arena.of_model model in
-  let n = a.Arena.n in
+let of_potential (model : Delay_model.t) ~delays ~deadline p =
+  let n = model.n in
   let edge_fsdu =
-    Array.init a.Arena.m (fun e ->
-        let i = a.Arena.edge_src.(e) and j = a.Arena.edge_dst.(e) in
+    Array.init model.m (fun e ->
+        let i = model.edge_src.(e) and j = model.edge_dst.(e) in
         p.(j) -. p.(i) -. delays.(i))
   in
   let source_fsdu =
-    Array.init n (fun i -> if Arena.is_source a i then p.(i) else 0.0)
+    Array.init n (fun i -> if Delay_model.is_source model i then p.(i) else 0.0)
   in
   let sink_fsdu =
     Array.init n (fun i ->
-        if model.Delay_model.is_sink.(i) then deadline -. p.(i) -. delays.(i) else 0.0)
+        if model.is_sink.(i) then deadline -. p.(i) -. delays.(i) else 0.0)
   in
   { potential = p; edge_fsdu; source_fsdu; sink_fsdu; deadline }
 
@@ -52,14 +50,13 @@ let balance ?(mode = `Alap) ?sta model ~delays ~deadline =
   in
   of_potential model ~delays ~deadline p
 
-let check model ~delays t =
-  let g = model.Delay_model.graph in
+let check (model : Delay_model.t) ~delays t =
   let bad = ref None in
   let eps = 1e-6 in
   let report fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
   Array.iteri
     (fun e f ->
-      let i = Digraph.src g e and j = Digraph.dst g e in
+      let i = model.edge_src.(e) and j = model.edge_dst.(e) in
       if f < -.eps then report "edge %d->%d has negative FSDU %g" i j f;
       (* balance identity: fsdu must match the potential difference *)
       let expect = t.potential.(j) -. t.potential.(i) -. delays.(i) in
@@ -68,7 +65,7 @@ let check model ~delays t =
     t.edge_fsdu;
   Array.iteri
     (fun i f ->
-      if Digraph.in_degree g i = 0 then begin
+      if Delay_model.is_source model i then begin
         if f < -.eps then report "source %d has negative FSDU %g" i f;
         if abs_float (f -. t.potential.(i)) > eps then
           report "source %d FSDU %g inconsistent with potential %g" i f t.potential.(i)
@@ -76,7 +73,7 @@ let check model ~delays t =
     t.source_fsdu;
   Array.iteri
     (fun i f ->
-      if model.Delay_model.is_sink.(i) then begin
+      if model.is_sink.(i) then begin
         if f < -.eps then report "sink %d has negative FSDU %g" i f;
         let expect = t.deadline -. t.potential.(i) -. delays.(i) in
         if abs_float (f -. expect) > eps then
@@ -90,23 +87,22 @@ let check model ~delays t =
 
 let displacement_between a b = Array.map2 (fun pb pa -> pb -. pa) b.potential a.potential
 
-let displace model t r =
-  let g = model.Delay_model.graph in
+let displace (model : Delay_model.t) t r =
   let n = Array.length t.potential in
   if Array.length r <> n then invalid_arg "Balance.displace: wrong r length";
   { t with
     potential = Array.init n (fun i -> t.potential.(i) +. r.(i));
     edge_fsdu =
       Array.mapi
-        (fun e f -> f +. r.(Digraph.dst g e) -. r.(Digraph.src g e))
+        (fun e f -> f +. r.(model.edge_dst.(e)) -. r.(model.edge_src.(e)))
         t.edge_fsdu;
     (* virtual endpoints (primary inputs and the output dummy O) are pinned
        at r = 0, per Corollary 1 *)
     source_fsdu =
       Array.mapi
-        (fun i f -> if Digraph.in_degree g i = 0 then f +. r.(i) else f)
+        (fun i f -> if Delay_model.is_source model i then f +. r.(i) else f)
         t.source_fsdu;
     sink_fsdu =
       Array.mapi
-        (fun i f -> if model.Delay_model.is_sink.(i) then f -. r.(i) else f)
+        (fun i f -> if model.is_sink.(i) then f -. r.(i) else f)
         t.sink_fsdu }

@@ -19,7 +19,7 @@
 
 type t = {
   potential : float array;
-  edge_fsdu : float array;    (** per {!Minflo_graph.Digraph} edge id *)
+  edge_fsdu : float array;    (** per timing edge id *)
   source_fsdu : float array;  (** meaningful at vertices with no fanin *)
   sink_fsdu : float array;    (** meaningful at sink vertices *)
   deadline : float;

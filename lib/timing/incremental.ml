@@ -2,7 +2,6 @@ module Delay_model = Minflo_tech.Delay_model
 module Perf = Minflo_robust.Perf
 
 type t = {
-  arena : Arena.t;
   model : Delay_model.t;
   x : float array;
   delays : float array;
@@ -20,18 +19,16 @@ type t = {
   mutable epoch : int;
 }
 
-let create model ~sizes =
-  let arena = Arena.of_model model in
-  let n = arena.Arena.n in
+let create (model : Delay_model.t) ~sizes =
+  let n = model.n in
   if Array.length sizes <> n then
     invalid_arg "Incremental.create: wrong sizes length";
   let x = Array.copy sizes in
   let delays = Array.make n 0.0 in
-  Arena.delays_into arena x delays;
+  Delay_model.delays_into model x delays;
   let at = Array.make n 0.0 in
-  Arena.arrivals_into arena ~delays at;
-  { arena;
-    model;
+  Delay_model.arrivals_into model ~delays at;
+  { model;
     x;
     delays;
     at;
@@ -49,7 +46,7 @@ let arrival t i = t.at.(i)
 let finish t i = t.at.(i) +. t.delays.(i)
 
 let push t v =
-  let p = t.arena.Arena.pos.(v) in
+  let p = t.model.pos.(v) in
   if not t.dirty.(p) then begin
     t.dirty.(p) <- true;
     if p < t.lo then t.lo <- p;
@@ -64,76 +61,74 @@ let push t v =
    every step); fanouts sit at strictly greater positions, so each vertex is
    processed at most once with all its fanins final. *)
 let settle t =
-  let a = t.arena in
+  let m = t.model in
   let p = ref t.lo in
   while !p <= t.hi do
     if t.dirty.(!p) then begin
       t.dirty.(!p) <- false;
-      let v = a.Arena.topo.(!p) in
+      let v = m.topo.(!p) in
       Perf.tick_incr_update ();
       let fresh = ref 0.0 in
-      for c = a.Arena.fanin_off.(v) to a.Arena.fanin_off.(v + 1) - 1 do
-        let u = a.Arena.fanin.(c) in
+      for c = m.fanin_off.(v) to m.fanin_off.(v + 1) - 1 do
+        let u = m.fanin.(c) in
         let f = t.at.(u) +. t.delays.(u) in
         if f > !fresh then fresh := f
       done;
       if !fresh <> t.at.(v) then begin
         t.at.(v) <- !fresh;
-        for c = a.Arena.fanout_off.(v) to a.Arena.fanout_off.(v + 1) - 1 do
-          push t a.Arena.fanout.(c)
+        for c = m.fanout_off.(v) to m.fanout_off.(v + 1) - 1 do
+          push t m.fanout.(c)
         done
       end
     end;
     incr p
   done;
-  t.lo <- a.Arena.n;
+  t.lo <- m.n;
   t.hi <- -1
 
 let set_size t i nx =
-  let nx =
-    min t.model.Delay_model.max_size (max t.model.Delay_model.min_size nx)
-  in
+  let nx = min t.model.max_size (max t.model.min_size nx) in
   if nx <> t.x.(i) then begin
     t.x.(i) <- nx;
-    let a = t.arena in
+    let m = t.model in
     let refresh v =
-      let d = Arena.delay a t.x v in
+      let d = Delay_model.delay m t.x v in
       if d <> t.delays.(v) then begin
         t.delays.(v) <- d;
         (* the vertex's own finish moved: its arrival is unchanged but its
            fanouts must re-max *)
-        for c = a.Arena.fanout_off.(v) to a.Arena.fanout_off.(v + 1) - 1 do
-          push t a.Arena.fanout.(c)
+        for c = m.fanout_off.(v) to m.fanout_off.(v + 1) - 1 do
+          push t m.fanout.(c)
         done
       end
     in
     refresh i;
-    for c = a.Arena.loader_off.(i) to a.Arena.loader_off.(i + 1) - 1 do
-      refresh a.Arena.loader_k.(c)
+    for c = m.loader_off.(i) to m.loader_off.(i + 1) - 1 do
+      refresh m.loader_k.(c)
     done;
     Perf.tick_full_sweep_avoided ();
     settle t
   end
 
 let critical_path t =
-  let a = t.arena in
+  let m = t.model in
   let best = ref 0.0 in
-  for k = 0 to Array.length a.Arena.sinks - 1 do
-    let f = finish t a.Arena.sinks.(k) in
+  for k = 0 to Array.length m.sinks - 1 do
+    let f = finish t m.sinks.(k) in
     if f > !best then best := f
   done;
   !best
 
 let total_violation t ~target =
-  let a = t.arena in
+  let m = t.model in
   let acc = ref 0.0 in
-  for k = 0 to Array.length a.Arena.sinks - 1 do
-    acc := !acc +. max 0.0 (finish t a.Arena.sinks.(k) -. target)
+  for k = 0 to Array.length m.sinks - 1 do
+    acc := !acc +. max 0.0 (finish t m.sinks.(k) -. target)
   done;
   !acc
 
 let critical_set ?(eps_rel = 1e-9) t =
-  let a = t.arena in
+  let m = t.model in
   let cp = critical_path t in
   let eps = eps_rel *. (1.0 +. cp) in
   t.epoch <- t.epoch + 1;
@@ -143,15 +138,15 @@ let critical_set ?(eps_rel = 1e-9) t =
     if seen.(v) <> ep then begin
       seen.(v) <- ep;
       acc := v :: !acc;
-      for c = a.Arena.fanin_off.(v) to a.Arena.fanin_off.(v + 1) - 1 do
-        let u = a.Arena.fanin.(c) in
+      for c = m.fanin_off.(v) to m.fanin_off.(v + 1) - 1 do
+        let u = m.fanin.(c) in
         (* edge u -> v is tight when u's finish realizes v's arrival *)
         if abs_float (t.at.(u) +. t.delays.(u) -. t.at.(v)) <= eps then visit u
       done
     end
   in
-  for k = 0 to Array.length a.Arena.sinks - 1 do
-    let v = a.Arena.sinks.(k) in
+  for k = 0 to Array.length m.sinks - 1 do
+    let v = m.sinks.(k) in
     if abs_float (finish t v -. cp) <= eps then visit v
   done;
   List.rev !acc

@@ -5,7 +5,7 @@
     neighborhood. This engine keeps delays and arrival times current under
     {!set_size}: the bumped vertex and the fanins it loads get fresh
     delays, and the arrival change is propagated through a topologically
-    ordered worklist over the {!Arena} CSR that stops as soon as values
+    ordered worklist over the delay model's CSR rows that stops as soon as values
     settle. Propagation is EXACT — a vertex re-propagates whenever its
     recomputed arrival differs at all, not merely beyond a tolerance — so
     after every update the engine's delays and arrivals are bit-identical

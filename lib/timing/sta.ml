@@ -10,9 +10,8 @@ type t = {
 
 let arrivals model ~delays =
   Minflo_robust.Perf.tick_sweep ();
-  let a = Arena.of_model model in
-  let at = Array.make a.Arena.n 0.0 in
-  Arena.arrivals_into a ~delays at;
+  let at = Array.make model.Delay_model.n 0.0 in
+  Delay_model.arrivals_into model ~delays at;
   at
 
 let critical_path_only model ~delays =
@@ -21,29 +20,27 @@ let critical_path_only model ~delays =
   Array.iteri (fun i a -> if a +. delays.(i) > !cp then cp := a +. delays.(i)) at;
   !cp
 
-let analyze model ~delays ~deadline =
-  let a = Arena.of_model model in
-  let n = a.Arena.n in
+let analyze (model : Delay_model.t) ~delays ~deadline =
+  let n = model.n in
   let at = arrivals model ~delays in
   let cp = ref 0.0 in
   Array.iteri (fun i a -> if a +. delays.(i) > !cp then cp := a +. delays.(i)) at;
   Minflo_robust.Perf.tick_sweep ();
   let rt = Array.make n infinity in
   for k = n - 1 downto 0 do
-    let i = a.Arena.topo.(k) in
-    if model.Delay_model.is_sink.(i) then
+    let i = model.topo.(k) in
+    if model.is_sink.(i) then
       rt.(i) <- min rt.(i) (deadline -. delays.(i));
-    for c = a.Arena.fanout_off.(i) to a.Arena.fanout_off.(i + 1) - 1 do
-      let j = a.Arena.fanout.(c) in
+    for c = model.fanout_off.(i) to model.fanout_off.(i + 1) - 1 do
+      let j = model.fanout.(c) in
       rt.(i) <- min rt.(i) (rt.(j) -. delays.(i))
     done
   done;
   let slack = Array.init n (fun i -> rt.(i) -. at.(i)) in
   { arrival = at; required = rt; slack; critical_path = !cp; deadline }
 
-let edge_slack t ~delays model e =
-  let a = Arena.of_model model in
-  let i = a.Arena.edge_src.(e) and j = a.Arena.edge_dst.(e) in
+let edge_slack t ~delays (model : Delay_model.t) e =
+  let i = model.edge_src.(e) and j = model.edge_dst.(e) in
   t.required.(j) -. t.arrival.(i) -. delays.(i)
 
 let is_safe ?(eps = 1e-9) t = Array.for_all (fun s -> s >= -.eps) t.slack
@@ -54,8 +51,7 @@ let critical_vertices ?(eps = 1e-9) t =
   Array.iteri (fun i s -> if s <= worst +. eps then acc := i :: !acc) t.slack;
   List.rev !acc
 
-let worst_path model ~delays =
-  let a = Arena.of_model model in
+let worst_path (model : Delay_model.t) ~delays =
   let at = arrivals model ~delays in
   (* find the vertex finishing the critical path, then backtrace greedily *)
   let finish = ref 0 and best = ref neg_infinity in
@@ -69,13 +65,13 @@ let worst_path model ~delays =
     at;
   let rec back i acc =
     let acc = i :: acc in
-    if at.(i) = 0.0 && Arena.is_source a i then acc
+    if at.(i) = 0.0 && Delay_model.is_source model i then acc
     else begin
       (* pick the fanin realizing AT(i): first fanin wins ties, in pred
-         order, matching the historical fold over [Digraph.pred] *)
+         order *)
       let pick = ref (-1) and pick_f = ref neg_infinity in
-      for c = a.Arena.fanin_off.(i) to a.Arena.fanin_off.(i + 1) - 1 do
-        let j = a.Arena.fanin.(c) in
+      for c = model.fanin_off.(i) to model.fanin_off.(i + 1) - 1 do
+        let j = model.fanin.(c) in
         let f = at.(j) +. delays.(j) in
         if f > !pick_f then begin
           pick_f := f;

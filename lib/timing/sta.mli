@@ -28,7 +28,8 @@ val critical_path_only : Minflo_tech.Delay_model.t -> delays:float array -> floa
 (** Just [CP(G)] — cheaper when required times are not needed. *)
 
 val edge_slack : t -> delays:float array -> Minflo_tech.Delay_model.t ->
-  Minflo_graph.Digraph.edge -> float
+  int -> float
+(** Slack of the edge with the given id. *)
 
 val is_safe : ?eps:float -> t -> bool
 (** All vertex slacks non-negative — the paper's "safe circuit". (Vertex

@@ -1,20 +1,24 @@
-(* The arena/incremental bit-identity contract.
+(* The delay-model layout and incremental bit-identity contract.
 
-   The whole PR-10 performance story rests on one claim: the flat CSR
-   arena and the incremental arrival engine are *bitwise* equivalent to
-   the structures they replaced — same fanin/fanout orders as the
-   Digraph, same coefficient sum order as [a_coeffs], and after any
-   sequence of size mutations the engine's delays/arrivals/critical path
-   are the floats a from-scratch batch STA would produce. These tests
-   enforce that claim with exact [=] on floats, never a tolerance. *)
+   The engine's trajectories rest on one claim: the delay model's flat CSR
+   rows keep fixed iteration orders (fanin/fanout rows in edge insertion
+   order, coefficient rows in accumulator order, loader rows descending,
+   the FIFO Kahn topological order), and after any sequence of size
+   mutations the incremental engine's delays/arrivals/critical path are the
+   floats a from-scratch batch STA would produce. Golden digests pin the
+   whole layout of three c432 models; the differentials use exact [=] on
+   floats, never a tolerance. *)
 
-module Netlist = Minflo_netlist.Netlist
 module Gen = Minflo_netlist.Generators
+module Iscas85 = Minflo_netlist.Iscas85
+module Transform = Minflo_netlist.Transform
 module Tech = Minflo_tech.Tech
 module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
+module Transistor = Minflo_tech.Transistor
+module Model_cache = Minflo_tech.Model_cache
 module Digraph = Minflo_graph.Digraph
-module Arena = Minflo_timing.Arena
+module Topo = Minflo_graph.Topo
 module Sta = Minflo_timing.Sta
 module Inc = Minflo_timing.Incremental
 module Rng = Minflo_util.Rng
@@ -31,96 +35,133 @@ let random_sizes rng model =
   Array.init (DM.num_vertices model) (fun _ ->
       model.DM.min_size +. Rng.float rng 7.0)
 
-(* ---------- arena structure ---------- *)
+let row off tbl v = List.init (off.(v + 1) - off.(v)) (fun k -> tbl.(off.(v) + k))
 
-(* every CSR row must reproduce the Digraph adjacency in its exact
-   (insertion) order — the strict-[>] tie-breaks in TILOS and the STA
-   backtraces depend on it *)
-let test_csr_matches_digraph () =
+(* ---------- layout ---------- *)
+
+(* FNV-1a over every order-carrying array of the model: CSR adjacency,
+   coefficient and loader rows (floats as exact [%h]), topological order,
+   sinks and elimination blocks *)
+let layout_digest (m : DM.t) =
+  let b = Buffer.create 4096 in
+  let ints name xs =
+    Buffer.add_string b name;
+    Array.iter
+      (fun x ->
+        Buffer.add_string b (string_of_int x);
+        Buffer.add_char b ',')
+      xs;
+    Buffer.add_char b '|'
+  in
+  let floats name xs =
+    Buffer.add_string b name;
+    Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h," x)) xs;
+    Buffer.add_char b '|'
+  in
+  ints "fo" m.fanout_off;
+  ints "f" m.fanout;
+  ints "fio" m.fanin_off;
+  ints "fi" m.fanin;
+  ints "co" m.coeff_off;
+  ints "cj" m.coeff_j;
+  floats "ca" m.coeff_a;
+  ints "lo" m.loader_off;
+  ints "lk" m.loader_k;
+  floats "la" m.loader_a;
+  ints "t" m.topo;
+  ints "s" m.sinks;
+  Array.iter (ints "b") m.blocks;
+  Printf.sprintf "%016Lx" (Model_cache.fnv1a64 (Buffer.contents b))
+
+(* golden digests of the layouts the list-and-memo representation produced
+   for c432; any change to a row order, a coefficient bit or the block
+   order moves them *)
+let test_layout_digest build expect () =
+  check Alcotest.string "c432 layout digest" expect
+    (layout_digest (build (Iscas85.circuit "c432")))
+
+(* every CSR row lists its edges in ascending edge id *)
+let test_csr_rows_follow_edge_ids () =
   for seed = 0 to 19 do
     let model = random_model seed in
-    let a = Arena.of_model model in
-    let g = model.DM.graph in
-    for v = 0 to a.Arena.n - 1 do
-      let row off tbl =
-        List.init (off.(v + 1) - off.(v)) (fun k -> tbl.(off.(v) + k))
-      in
+    let edges_where f = List.filter f (List.init model.DM.m Fun.id) in
+    for v = 0 to model.DM.n - 1 do
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "seed %d fanout of %d" seed v)
-        (Digraph.succ g v)
-        (row a.Arena.fanout_off a.Arena.fanout);
+        (List.map
+           (fun e -> model.DM.edge_dst.(e))
+           (edges_where (fun e -> model.DM.edge_src.(e) = v)))
+        (row model.DM.fanout_off model.DM.fanout v);
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "seed %d fanin of %d" seed v)
-        (Digraph.pred g v)
-        (row a.Arena.fanin_off a.Arena.fanin)
+        (List.map
+           (fun e -> model.DM.edge_src.(e))
+           (edges_where (fun e -> model.DM.edge_dst.(e) = v)))
+        (row model.DM.fanin_off model.DM.fanin v)
     done
   done
 
-let test_coeff_rows_match_model () =
+(* the stored order is [Topo.sort] over the same edges *)
+let test_topo_matches_topo_sort () =
   for seed = 0 to 19 do
     let model = random_model seed in
-    let a = Arena.of_model model in
-    for v = 0 to a.Arena.n - 1 do
-      let expect =
-        Array.to_list model.DM.a_coeffs.(v)
-        |> List.map (fun (j, c) -> (j, c))
-      in
-      let got =
-        List.init
-          (a.Arena.coeff_off.(v + 1) - a.Arena.coeff_off.(v))
-          (fun k ->
-            let c = a.Arena.coeff_off.(v) + k in
-            (a.Arena.coeff_j.(c), a.Arena.coeff_a.(c)))
-      in
-      check
-        (Alcotest.list (Alcotest.pair Alcotest.int (Alcotest.float 0.0)))
-        (Printf.sprintf "seed %d coeff row of %d" seed v)
-        expect got
-    done
+    let g = Digraph.create () in
+    ignore (Digraph.add_nodes g model.DM.n);
+    for e = 0 to model.DM.m - 1 do
+      ignore (Digraph.add_edge g model.DM.edge_src.(e) model.DM.edge_dst.(e))
+    done;
+    check (Alcotest.array Alcotest.int)
+      (Printf.sprintf "seed %d topo" seed)
+      (Topo.sort g) model.DM.topo
   done
 
 let test_sinks_ascending () =
   for seed = 0 to 19 do
     let model = random_model seed in
-    let a = Arena.of_model model in
     let expect = ref [] in
     Array.iteri (fun i s -> if s then expect := i :: !expect) model.DM.is_sink;
     check (Alcotest.list Alcotest.int)
       (Printf.sprintf "seed %d sinks" seed)
       (List.rev !expect)
-      (Array.to_list a.Arena.sinks)
+      (Array.to_list model.DM.sinks)
   done
 
-let test_of_model_memoized () =
-  let model = random_model 3 in
-  Alcotest.(check bool)
-    "same model record gives the same arena" true
-    (Arena.of_model model == Arena.of_model model)
-
-(* arena delay/arrival kernels agree bitwise with the model-level code *)
+(* the delay kernels agree bitwise with the scalar delay, and the topo
+   arrival sweep with a relaxation over the plain edge list to its
+   fixpoint (max is order-independent, so the floats must match) *)
 let test_arena_kernels_exact () =
   for seed = 0 to 19 do
     let model = random_model seed in
-    let a = Arena.of_model model in
+    let n = model.DM.n in
     let rng = Rng.create (seed * 11 + 1) in
     let x = random_sizes rng model in
-    let d_ref = DM.delays model x in
-    let d = Array.make a.Arena.n nan in
-    Arena.delays_into a x d;
-    check (Alcotest.array (Alcotest.float 0.0))
-      (Printf.sprintf "seed %d delays" seed)
-      d_ref d;
-    for v = 0 to a.Arena.n - 1 do
-      if Arena.delay a x v <> d_ref.(v) then
-        Alcotest.failf "seed %d: Arena.delay %d = %h, model says %h" seed v
-          (Arena.delay a x v) d_ref.(v)
+    let d = Array.make n nan in
+    DM.delays_into model x d;
+    for v = 0 to n - 1 do
+      if DM.delay model x v <> d.(v) then
+        Alcotest.failf "seed %d: delays_into %d = %h, delay says %h" seed v
+          d.(v) (DM.delay model x v)
     done;
-    let at_ref = Sta.arrivals model ~delays:d_ref in
-    let at = Array.make a.Arena.n nan in
-    Arena.arrivals_into a ~delays:d at;
+    let at_ref = Array.make n 0.0 in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for e = 0 to model.DM.m - 1 do
+        let i = model.DM.edge_src.(e) and j = model.DM.edge_dst.(e) in
+        if at_ref.(i) +. d.(i) > at_ref.(j) then begin
+          at_ref.(j) <- at_ref.(i) +. d.(i);
+          changed := true
+        end
+      done
+    done;
+    let at = Array.make n nan in
+    DM.arrivals_into model ~delays:d at;
     check (Alcotest.array (Alcotest.float 0.0))
       (Printf.sprintf "seed %d arrivals" seed)
-      at_ref at
+      at_ref at;
+    check (Alcotest.array (Alcotest.float 0.0))
+      (Printf.sprintf "seed %d Sta.arrivals" seed)
+      at_ref (Sta.arrivals model ~delays:d)
   done
 
 (* ---------- the 200-seed mutation differential ---------- *)
@@ -200,10 +241,20 @@ let test_rollback_exact () =
   done
 
 let suite =
-  [ ("csr-matches-digraph", `Quick, test_csr_matches_digraph);
-    ("coeff-rows-match-model", `Quick, test_coeff_rows_match_model);
+  [ ( "layout-digest-elmore",
+      `Quick,
+      test_layout_digest (Elmore.of_netlist tech) "32d3dfdebb14df82" );
+    ( "layout-digest-wires",
+      `Quick,
+      test_layout_digest (Elmore.with_wires tech) "fe8ea7a70e60a029" );
+    ( "layout-digest-transistor",
+      `Quick,
+      test_layout_digest
+        (fun nl -> Transistor.of_netlist tech (Transform.to_nand_inv nl))
+        "13ae8f420f49e093" );
+    ("csr-rows-follow-edge-ids", `Quick, test_csr_rows_follow_edge_ids);
+    ("topo-matches-topo-sort", `Quick, test_topo_matches_topo_sort);
     ("sinks-ascending", `Quick, test_sinks_ascending);
-    ("of-model-memoized", `Quick, test_of_model_memoized);
     ("arena-kernels-exact", `Quick, test_arena_kernels_exact);
     ("mutation-differential-200-seeds", `Quick, test_mutation_differential);
     ("rollback-exact", `Quick, test_rollback_exact) ]

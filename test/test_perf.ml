@@ -1,8 +1,9 @@
-(* Tests for the warm-start/perf layer of PR 5: basis reuse correctness on
+(* Tests for the warm-start/perf layer: basis reuse correctness on
    cost-perturbed networks, pivot-count monotonicity, the engine-level
    warm-vs-cold trajectory identity with its >=30% pivot reduction, parallel
    batch bit-equality (journal, checkpoints, summary) including a mid-run
-   SIGKILL of a worker, and counter determinism. *)
+   SIGKILL of a worker, counter determinism, and a flat live heap across
+   many fresh models in one process. *)
 
 module Rng = Minflo_util.Rng
 module Diag = Minflo_robust.Diag
@@ -15,6 +16,7 @@ module Generators = Minflo_netlist.Generators
 module Bench_format = Minflo_netlist.Bench_format
 module Iscas85 = Minflo_netlist.Iscas85
 module Tech = Minflo_tech.Tech
+module Elmore = Minflo_tech.Elmore
 module Model_cache = Minflo_tech.Model_cache
 module Delay_model = Minflo_tech.Delay_model
 module Tilos = Minflo_sizing.Tilos
@@ -496,6 +498,28 @@ let test_parallel_checkpoints_bit_identical () =
   check bool "at least one interrupted checkpoint compared" true (!compared > 0);
   List.iter rm_rf [ src; d1; d4 ]
 
+(* ---------- heap: dropped models are collectable ---------- *)
+
+(* A long-lived process (a serve daemon, a batch worker) sizes one fresh
+   model per job. Once a job drops its model nothing may keep it reachable,
+   so the live heap after the 12th model must stay within 10 % of the live
+   heap after the 2nd. *)
+let test_dropped_models_collected () =
+  let live_after_job seed =
+    (let nl =
+       Generators.random_dag ~gates:2000 ~inputs:64 ~outputs:32 ~seed ()
+     in
+     let model = Elmore.of_netlist Tech.default_130nm nl in
+     let target = 0.9 *. Sweep.dmin model in
+     ignore (Tilos.size model ~target));
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live = Array.init 12 (fun k -> live_after_job (k + 1)) in
+  if float_of_int live.(11) > 1.1 *. float_of_int live.(1) then
+    Alcotest.failf "live words grew from %d after model 2 to %d after model 12"
+      live.(1) live.(11)
+
 let () =
   Alcotest.run "perf"
     [ ( "warm-flow",
@@ -521,4 +545,7 @@ let () =
           Alcotest.test_case "mid-run SIGKILL of a worker" `Quick
             test_parallel_sigkill_bit_identical;
           Alcotest.test_case "checkpoints bit-identical" `Quick
-            test_parallel_checkpoints_bit_identical ] ) ]
+            test_parallel_checkpoints_bit_identical ] );
+      ( "heap",
+        [ Alcotest.test_case "dropped models are collected" `Quick
+            test_dropped_models_collected ] ) ]

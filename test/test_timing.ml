@@ -8,7 +8,6 @@ module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Sta = Minflo_timing.Sta
 module Balance = Minflo_timing.Balance
-module Digraph = Minflo_graph.Digraph
 module Rng = Minflo_util.Rng
 
 let check = Alcotest.check
@@ -23,31 +22,27 @@ let random_sizes rng model =
   Array.init (DM.num_vertices model) (fun _ ->
       model.DM.min_size +. Rng.float rng 7.0)
 
+(* the ids of the edges leaving [v], ascending *)
+let out_edges (model : DM.t) v =
+  List.filter (fun e -> model.edge_src.(e) = v) (List.init model.m Fun.id)
+
 (* ---------- STA ---------- *)
 
 let test_sta_paper_example () =
   (* the DAG of figure 3: delays and expected AT/RT/slack triplets *)
-  let g = Digraph.create () in
-  (* vertices: 0..6 with delays 2,1,4,2,2,1,3 wired per the figure spirit:
-     a small reconvergent DAG with CP = 8 *)
-  ignore (Digraph.add_nodes g 5);
-  (* chain: 0(d2) -> 1(d2) -> 2(d4) and side 3(d1) -> 2 ; 4(d3) -> 1 *)
-  ignore (Digraph.add_edge g 0 1);
-  ignore (Digraph.add_edge g 1 2);
-  ignore (Digraph.add_edge g 3 2);
-  ignore (Digraph.add_edge g 4 1);
+  (* vertices: 0..4 with delays 2,2,4,1,3 wired per the figure spirit:
+     a small reconvergent DAG with CP = 9.
+     chain: 0(d2) -> 1(d2) -> 2(d4) and side 3(d1) -> 2 ; 4(d3) -> 1 *)
   let delays = [| 2.0; 2.0; 4.0; 1.0; 3.0 |] in
-  let model : DM.t =
-    { graph = g;
-      a_self = Array.make 5 0.0;
-      a_coeffs = Array.make 5 [||];
-      b = Array.make 5 0.0;
-      area_weight = Array.make 5 1.0;
-      is_sink = [| false; false; true; false; false |];
-      block = Array.init 5 Fun.id;
-      labels = Array.init 5 string_of_int;
-      min_size = 1.0;
-      max_size = 16.0 }
+  let model =
+    DM.make ~n:5
+      ~edges:[ (0, 1); (1, 2); (3, 2); (4, 1) ]
+      ~a_self:(Array.make 5 0.0)
+      ~coeffs:(Array.init 5 (fun _ -> Hashtbl.create 1))
+      ~b:(Array.make 5 0.0) ~area_weight:(Array.make 5 1.0)
+      ~is_sink:[| false; false; true; false; false |]
+      ~block:(Array.init 5 Fun.id) ~labels:(Array.init 5 string_of_int)
+      ~min_size:1.0 ~max_size:16.0
   in
   let sta = Sta.analyze model ~delays ~deadline:9.0 in
   check (Alcotest.float 1e-9) "cp" 9.0 sta.critical_path;
@@ -70,21 +65,24 @@ let prop_sta_invariants =
       let delays = DM.delays model x in
       let deadline = 1.2 *. Sta.critical_path_only model ~delays in
       let sta = Sta.analyze model ~delays ~deadline in
-      let g = model.DM.graph in
       let ok = ref true in
       (* AT(j) >= AT(i) + delay(i) along edges, with equality for some
          fanin; RT(i) <= RT(j) - delay(i); edge slack >= min vertex slack *)
-      Digraph.iter_edges g (fun e ->
-          let i = Digraph.src g e and j = Digraph.dst g e in
-          if sta.arrival.(j) +. 1e-6 < sta.arrival.(i) +. delays.(i) then ok := false;
-          if sta.required.(i) > sta.required.(j) -. delays.(i) +. 1e-6 then ok := false;
-          if Sta.edge_slack sta ~delays model e < -1e-6 then ok := false);
+      for e = 0 to model.DM.m - 1 do
+        let i = model.DM.edge_src.(e) and j = model.DM.edge_dst.(e) in
+        if sta.arrival.(j) +. 1e-6 < sta.arrival.(i) +. delays.(i) then ok := false;
+        if sta.required.(i) > sta.required.(j) -. delays.(i) +. 1e-6 then ok := false;
+        if Sta.edge_slack sta ~delays model e < -1e-6 then ok := false
+      done;
       (* sources have AT = 0 *)
-      Digraph.iter_nodes g (fun v ->
-          if Digraph.in_degree g v = 0 && sta.arrival.(v) <> 0.0 then ok := false);
+      for v = 0 to model.DM.n - 1 do
+        if DM.is_source model v && sta.arrival.(v) <> 0.0 then ok := false
+      done;
       (* CP equals the max finish time *)
       let cp = ref 0.0 in
-      Digraph.iter_nodes g (fun v -> cp := max !cp (sta.arrival.(v) +. delays.(v)));
+      for v = 0 to model.DM.n - 1 do
+        cp := max !cp (sta.arrival.(v) +. delays.(v))
+      done;
       if abs_float (!cp -. sta.critical_path) > 1e-6 then ok := false;
       !ok)
 
@@ -152,28 +150,25 @@ let prop_theorem2_path_invariance =
       in
       let moved = Balance.displace model bal r in
       (* walk a few random source-to-sink paths and compare content *)
-      let g = model.DM.graph in
       let content (b : Balance.t) path_edges src snk =
         b.source_fsdu.(src) +. b.sink_fsdu.(snk)
         +. List.fold_left
-             (fun acc e -> acc +. b.edge_fsdu.(e) +. delays.(Digraph.src g e))
+             (fun acc e -> acc +. b.edge_fsdu.(e) +. delays.(model.DM.edge_src.(e)))
              0.0 path_edges
         +. delays.(snk)
       in
       let sources =
-        List.filter (fun v -> Digraph.in_degree g v = 0)
+        List.filter (DM.is_source model)
           (List.init (DM.num_vertices model) Fun.id)
       in
       let rec random_walk v acc =
-        if model.DM.is_sink.(v) && (Digraph.out_degree g v = 0 || Rng.bool rng) then
-          Some (List.rev acc, v)
-        else begin
-          match Digraph.out_edges g v with
-          | [] -> if model.DM.is_sink.(v) then Some (List.rev acc, v) else None
-          | edges ->
-            let e = List.nth edges (Rng.int rng (List.length edges)) in
-            random_walk (Digraph.dst g e) (e :: acc)
-        end
+        match out_edges model v with
+        | [] when model.DM.is_sink.(v) -> Some (List.rev acc, v)
+        | _ when model.DM.is_sink.(v) && Rng.bool rng -> Some (List.rev acc, v)
+        | [] -> None
+        | edges ->
+          let e = List.nth edges (Rng.int rng (List.length edges)) in
+          random_walk model.DM.edge_dst.(e) (e :: acc)
       in
       let ok = ref true in
       List.iter

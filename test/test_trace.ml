@@ -1,11 +1,15 @@
 (* Tests for proof-carrying engine traces (MF210-MF215): an untampered
-   c432 trace audits clean, and every class of single-field tamper — a
+   c432 trace audits clean, every class of single-field tamper — a
    claimed area, one flow value, one arc cost, the schema version, a
-   truncated file — surfaces as the right typed finding. *)
+   truncated file — surfaces as the right typed finding, and the c432
+   trace bytes at both granularities are pinned. *)
 
 module Iscas85 = Minflo_netlist.Iscas85
+module Netlist = Minflo_netlist.Netlist
+module Transform = Minflo_netlist.Transform
 module Tech = Minflo_tech.Tech
 module Elmore = Minflo_tech.Elmore
+module Transistor = Minflo_tech.Transistor
 module Sweep = Minflo_sizing.Sweep
 module Minflotransit = Minflo_sizing.Minflotransit
 module Trace = Minflo_lint.Trace
@@ -28,34 +32,61 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* one engine run and the NDJSON bytes of its trace, written the way
+   [minflo size --trace] writes them *)
+let traced_run ?options model ~circuit ~target =
+  let steps = ref [] in
+  let result =
+    Minflotransit.optimize ?options model ~target ~on_step:(fun s ->
+        steps := s :: !steps)
+  in
+  let path = Filename.temp_file "minflo-trace" ".jsonl" in
+  let sink =
+    match Minflo_robust.Io.create_sink path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "create_sink: %s" (Minflo_robust.Diag.to_string e)
+  in
+  let w = Trace.create sink model ~circuit ~target in
+  Trace.record_tilos w result.Minflotransit.tilos;
+  List.iter (Trace.record_step w) (List.rev !steps);
+  Trace.record_result w result;
+  (match Trace.error w with
+  | None -> ()
+  | Some e -> Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
+  Minflo_robust.Io.sink_close sink;
+  let content = read_file path in
+  Sys.remove path;
+  content
+
 (* one real engine run, traced once and shared by every test *)
 let fixture =
   lazy
     (let nl = Iscas85.circuit "c432" in
      let model = Elmore.of_netlist Tech.default_130nm nl in
      let target = 0.5 *. Sweep.dmin model in
-     let steps = ref [] in
-     let result =
-       Minflotransit.optimize model ~target ~on_step:(fun s ->
-           steps := s :: !steps)
-     in
-     let path = Filename.temp_file "minflo-trace" ".jsonl" in
-     let sink =
-       match Minflo_robust.Io.create_sink path with
-       | Ok s -> s
-       | Error e -> Alcotest.failf "create_sink: %s" (Minflo_robust.Diag.to_string e)
-     in
-     let w = Trace.create sink model ~circuit:"c432" ~target in
-     Trace.record_tilos w result.Minflotransit.tilos;
-     List.iter (Trace.record_step w) (List.rev !steps);
-     Trace.record_result w result;
-     (match Trace.error w with
-     | None -> ()
-     | Some e -> Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
-     Minflo_robust.Io.sink_close sink;
-     let content = read_file path in
-     Sys.remove path;
-     (model, target, content))
+     (model, target, traced_run model ~circuit:"c432" ~target))
+
+(* ---------- byte-identity pins ---------- *)
+
+(* The exact bytes of [minflo size c432 --factor 0.6 --warm-start --trace
+   FILE], at gate granularity (file sha256 81aaa5d7298f6890...) and with
+   [--granularity transistor] (bc3cb4388538b951...). Every float sum and
+   tie-break of the engine feeds these files, so any change in an
+   iteration order moves the digest. *)
+let test_trace_bytes_pinned granularity expect () =
+  let nl = Iscas85.circuit "c432" in
+  let tech = Tech.default_130nm in
+  let model =
+    match granularity with
+    | `Gate -> Elmore.of_netlist tech nl
+    | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
+  in
+  let target = 0.6 *. Sweep.dmin model in
+  let options =
+    { Minflotransit.default_options with solver = `Auto; warm_start = true }
+  in
+  let content = traced_run ~options model ~circuit:(Netlist.name nl) ~target in
+  check Alcotest.string "trace md5" expect (Digest.to_hex (Digest.string content))
 
 (* ---------- tamper machinery over the NDJSON lines ---------- *)
 
@@ -241,4 +272,10 @@ let () =
             test_truncated_trace;
           Alcotest.test_case "foreign target -> MF210" `Quick
             test_wrong_target_rejected;
-          Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected ] ) ]
+          Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected ] );
+      ( "pins",
+        [ Alcotest.test_case "c432 gate trace bytes" `Quick
+            (test_trace_bytes_pinned `Gate "a2986a32b16c712d51140d817232208c");
+          Alcotest.test_case "c432 transistor trace bytes" `Quick
+            (test_trace_bytes_pinned `Transistor
+               "4b3a8ded96382bcc49bf551eab3cc18b") ] ) ]
