@@ -160,7 +160,78 @@ let lint_stage sink nl =
    mutation sequence (the property TILOS and the W-phase hot paths lean
    on); drive it through a schedule derived deterministically from the
    case itself and compare with exact float [=] — one ulp of drift in any
-   delay, arrival or the critical path is a finding. *)
+   delay, arrival or the critical path is a finding. So is a critical
+   fanin other than the first-max fanin of the batch arrivals, or a
+   critical set (members and order) other than a fresh engine's. A second
+   schedule of TILOS-style 1.1 bumps from uniform minimum sizes keeps many
+   finishes bitwise tied, where the first-max rule and the set's order
+   matter. *)
+let check_incremental sink model eng =
+  let n = Delay_model.num_vertices model in
+  let d_ref = Delay_model.delays model (Incremental.sizes eng) in
+  let at_ref = Sta.arrivals model ~delays:d_ref in
+  let bad = ref None in
+  for v = n - 1 downto 0 do
+    if
+      Incremental.delay eng v <> d_ref.(v)
+      || Incremental.arrival eng v <> at_ref.(v)
+    then bad := Some v
+  done;
+  (match !bad with
+  | Some v ->
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"vertex" ())
+      "incremental engine drifted from batch STA at vertex %d: delay %h vs \
+       %h, arrival %h vs %h"
+      v (Incremental.delay eng v) d_ref.(v) (Incremental.arrival eng v)
+      at_ref.(v)
+  | None -> ());
+  let cp = Sta.critical_path_only model ~delays:d_ref in
+  if Incremental.critical_path eng <> cp then
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-path" ())
+      "incremental critical path %h, batch %h"
+      (Incremental.critical_path eng)
+      cp;
+  let bad_fanin = ref None in
+  for v = n - 1 downto 0 do
+    let best = ref (-1) and best_f = ref neg_infinity in
+    for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+      let u = model.fanin.(c) in
+      if at_ref.(u) +. d_ref.(u) > !best_f then begin
+        best_f := at_ref.(u) +. d_ref.(u);
+        best := u
+      end
+    done;
+    if Incremental.critical_fanin eng v <> !best then
+      bad_fanin := Some (v, !best)
+  done;
+  (match !bad_fanin with
+  | Some (v, expect) ->
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-fanin" ())
+      "critical fanin of vertex %d is %d, batch arrivals give %d" v
+      (Incremental.critical_fanin eng v)
+      expect
+  | None -> ());
+  let members e =
+    List.init
+      (Incremental.critical_set ~eps_rel:1e-7 e)
+      (Incremental.critical_vertex e)
+  in
+  let mine = members eng
+  and fresh = members (Incremental.create model ~sizes:(Incremental.sizes eng)) in
+  if mine <> fresh then
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-set" ())
+      "incremental critical set differs from a fresh engine's (%d vs %d \
+       members)"
+      (List.length mine) (List.length fresh)
+
 let incremental_stage sink model =
   ignore
     (guard sink ~phase:"sta" (fun () ->
@@ -181,33 +252,16 @@ let incremental_stage sink model =
              in
              Incremental.set_size eng v s
            done;
-           let d_ref = Delay_model.delays model (Incremental.sizes eng) in
-           let at_ref = Sta.arrivals model ~delays:d_ref in
-           let bad = ref None in
-           for v = n - 1 downto 0 do
-             if
-               Incremental.delay eng v <> d_ref.(v)
-               || Incremental.arrival eng v <> at_ref.(v)
-             then bad := Some v
+           check_incremental sink model eng;
+           let tied =
+             Incremental.create model
+               ~sizes:(Delay_model.uniform_sizes model model.Delay_model.min_size)
+           in
+           for _ = 1 to 12 do
+             let v = Rng.int rng n in
+             Incremental.set_size tied v (Incremental.size tied v *. 1.1)
            done;
-           (match !bad with
-           | Some v ->
-             flag sink
-               (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
-                  ~detail:"vertex" ())
-               "incremental engine drifted from batch STA at vertex %d: \
-                delay %h vs %h, arrival %h vs %h"
-               v (Incremental.delay eng v) d_ref.(v)
-               (Incremental.arrival eng v) at_ref.(v)
-           | None -> ());
-           let cp = Sta.critical_path_only model ~delays:d_ref in
-           if Incremental.critical_path eng <> cp then
-             flag sink
-               (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
-                  ~detail:"critical-path" ())
-               "incremental critical path %h, batch %h"
-               (Incremental.critical_path eng)
-               cp
+           check_incremental sink model tied
          end))
 
 type leg = {

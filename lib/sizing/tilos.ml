@@ -15,9 +15,11 @@ type result = {
    fanin's delay grows because its load grows — per unit of added area.
    This is the classic TILOS figure of merit.
 
-   Fanins come from the model's CSR rows — shared with the incremental
-   engine, zero per-call allocation, and in edge insertion order so the
-   strict-[>] best-fanin tie-break is stable. *)
+   The critical fanin is the engine's: the first fanin in CSR order with
+   the largest finish, kept exact by every settle. The merit reads only
+   i's size, the sizes i's delay reads, that fanin and its size — exactly
+   what bumps i's {!Inc.version} — so [size] caches it per vertex and
+   recomputes only when the version moved. *)
 let sensitivity (model : Delay_model.t) eng bump i =
   let old_xi = Inc.size eng i in
   let new_xi = min (old_xi *. bump) model.max_size in
@@ -36,19 +38,10 @@ let sensitivity (model : Delay_model.t) eng bump i =
     let own_gain = Inc.delay eng i -. d_new in
     (* critical fanin k: the one realizing AT(i); its delay grows by
        a_ki * (new_xi - old_xi) / x_k *)
-    let best = ref (-1) and best_f = ref neg_infinity in
-    for c = model.fanin_off.(i) to model.fanin_off.(i + 1) - 1 do
-      let k = model.fanin.(c) in
-      let f = Inc.finish eng k in
-      if f > !best_f then begin
-        best_f := f;
-        best := k
-      end
-    done;
+    let k = Inc.critical_fanin eng i in
     let fanin_penalty =
-      if !best < 0 then 0.0
+      if k < 0 then 0.0
       else begin
-        let k = !best in
         let a_ki = ref 0.0 in
         for c = model.coeff_off.(k) to model.coeff_off.(k + 1) - 1 do
           if model.coeff_j.(c) = i then a_ki := !a_ki +. model.coeff_a.(c)
@@ -72,6 +65,9 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
         x0
   in
   let eng = Inc.create model ~sizes:start in
+  (* sensitivity cache: [sens.(i)] is current while [seen.(i)] equals i's
+     engine version *)
+  let sens = Array.make n 0.0 and seen = Array.make n (-1) in
   let bumps = ref 0 in
   let finished = ref false in
   let met = ref false in
@@ -92,16 +88,20 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
     else begin
       (* candidates: vertices on a maximal-finish path, via the incremental
          engine's tight-edge backtrace *)
-      let crit = Inc.critical_set ~eps_rel:1e-7 eng in
+      let len = Inc.critical_set ~eps_rel:1e-7 eng in
       let best = ref (-1) and best_s = ref 0.0 in
-      List.iter
-        (fun i ->
-          let s = sensitivity model eng bump i in
-          if s > !best_s then begin
-            best_s := s;
-            best := i
-          end)
-        crit;
+      for k = 0 to len - 1 do
+        let i = Inc.critical_vertex eng k in
+        let v = Inc.version eng i in
+        if seen.(i) <> v then begin
+          sens.(i) <- sensitivity model eng bump i;
+          seen.(i) <- v
+        end;
+        if sens.(i) > !best_s then begin
+          best_s := sens.(i);
+          best := i
+        end
+      done;
       (* The local estimate can be blind when parallel paths tie or loads
          are shared; before giving up, evaluate candidates exactly (trial
          bump, measure total sink violation, roll back) and take the best
@@ -110,20 +110,20 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
       if !best < 0 then begin
         let base = Inc.total_violation eng ~target in
         let best_v = ref base in
-        List.iter
-          (fun i ->
-            let old_xi = Inc.size eng i in
-            let new_xi = min (old_xi *. bump) model.Delay_model.max_size in
-            if new_xi > old_xi then begin
-              Inc.set_size eng i new_xi;
-              let v = Inc.total_violation eng ~target in
-              Inc.set_size eng i old_xi;
-              if v < !best_v -. 1e-9 then begin
-                best_v := v;
-                best := i
-              end
-            end)
-          crit
+        for k = 0 to len - 1 do
+          let i = Inc.critical_vertex eng k in
+          let old_xi = Inc.size eng i in
+          let new_xi = min (old_xi *. bump) model.Delay_model.max_size in
+          if new_xi > old_xi then begin
+            Inc.set_size eng i new_xi;
+            let v = Inc.total_violation eng ~target in
+            Inc.set_size eng i old_xi;
+            if v < !best_v -. 1e-9 then begin
+              best_v := v;
+              best := i
+            end
+          end
+        done
       end;
       if !best < 0 then
         (* no critical vertex improves the path: greedy is stuck *)

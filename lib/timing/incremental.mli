@@ -15,7 +15,9 @@
     differential in the test suite and by the fuzz oracle's
     [sta/incremental-mismatch] stage. Each worklist pop ticks the
     [incr_updates] perf counter; each {!set_size} that settles ticks
-    [full_sweeps_avoided]. *)
+    [full_sweeps_avoided]. Alongside the arrivals the engine keeps each
+    vertex's {!critical_fanin} and a {!version} stamp, which TILOS keys
+    its sensitivity cache on. *)
 
 type t
 
@@ -37,6 +39,20 @@ val arrival : t -> int -> float
 val finish : t -> int -> float
 (** [arrival + delay]. *)
 
+val critical_fanin : t -> int -> int
+(** The fanin realizing the vertex's arrival: the first in CSR order with
+    the largest finish (strict [>], starting from [neg_infinity]) — the
+    rule of {!Sta.worst_path}. [-1] at a source. Exact after
+    every update, like the arrivals. *)
+
+val version : t -> int -> int
+(** A per-vertex stamp that never decreases and moves whenever an input of
+    the vertex's TILOS merit may have changed: its own size, a size its
+    delay reads (it loads the resized vertex), its critical fanin's size
+    (it is a fanout of the resized vertex), or its critical fanin itself
+    (refreshed during settling). A value cached against an unchanged stamp
+    is still the value a recompute would give. *)
+
 val set_size : t -> int -> float -> unit
 (** Clamped to the model's bounds. *)
 
@@ -46,7 +62,16 @@ val critical_path : t -> float
 val total_violation : t -> target:float -> float
 (** Sum over sinks of [max 0 (finish - target)]. *)
 
-val critical_set : ?eps_rel:float -> t -> int list
+val critical_set : ?eps_rel:float -> t -> int
 (** Vertices on some maximal-finish path: backward traversal from the
     worst sinks along tight edges ([arrival j = finish i] within a relative
-    tolerance). Equals the minimum-slack vertex set of the batch STA. *)
+    tolerance). Equals the minimum-slack vertex set of the batch STA.
+
+    The walk fills an engine-owned buffer without allocating and returns
+    its length; read it with {!critical_vertex}. Members come in
+    depth-first preorder — sinks ascending, fanins in CSR order — and the
+    next call overwrites the buffer. *)
+
+val critical_vertex : t -> int -> int
+(** [critical_vertex t k] is the [k]-th member of the last {!critical_set}.
+    @raise Invalid_argument unless [0 <= k <] that set's length. *)

@@ -166,17 +166,91 @@ let test_arena_kernels_exact () =
 
 (* ---------- the 200-seed mutation differential ---------- *)
 
+(* the critical fanin recomputed from batch floats: the first fanin in CSR
+   order with the largest finish, strict [>] from [neg_infinity] *)
+let batch_critical_fanin (model : DM.t) ~at ~d v =
+  let best = ref (-1) and best_f = ref neg_infinity in
+  for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+    let u = model.fanin.(c) in
+    if at.(u) +. d.(u) > !best_f then begin
+      best_f := at.(u) +. d.(u);
+      best := u
+    end
+  done;
+  !best
+
+(* the recursive critical-set backtrace the engine used before its walk
+   became iterative, kept verbatim as the order reference: preorder from
+   the worst sinks (ascending) along tight edges, fanins in CSR order *)
+let reference_critical_set ?(eps_rel = 1e-9) (model : DM.t) eng =
+  let m = model in
+  let cp = Inc.critical_path eng in
+  let eps = eps_rel *. (1.0 +. cp) in
+  let seen = Array.make m.n false in
+  let acc = ref [] in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      acc := v :: !acc;
+      for c = m.fanin_off.(v) to m.fanin_off.(v + 1) - 1 do
+        let u = m.fanin.(c) in
+        (* edge u -> v is tight when u's finish realizes v's arrival *)
+        if abs_float (Inc.finish eng u -. Inc.arrival eng v) <= eps then
+          visit u
+      done
+    end
+  in
+  for k = 0 to Array.length m.sinks - 1 do
+    let v = m.sinks.(k) in
+    if abs_float (Inc.finish eng v -. cp) <= eps then visit v
+  done;
+  List.rev !acc
+
+let buffered_critical_set ?eps_rel eng =
+  let len = Inc.critical_set ?eps_rel eng in
+  List.init len (Inc.critical_vertex eng)
+
+(* the derived engine state after a mutation: every critical fanin equals
+   its batch recompute, no version went backwards, and the buffered
+   critical set is the reference traversal at both tolerances in use *)
+let check_derived_state what (model : DM.t) eng ~versions =
+  let n = model.n in
+  let d = DM.delays model (Inc.sizes eng) in
+  let at = Sta.arrivals model ~delays:d in
+  for v = 0 to n - 1 do
+    let expect = batch_critical_fanin model ~at ~d v in
+    if Inc.critical_fanin eng v <> expect then
+      Alcotest.failf "%s: critical fanin of %d is %d, batch says %d" what v
+        (Inc.critical_fanin eng v) expect;
+    if Inc.version eng v < versions.(v) then
+      Alcotest.failf "%s: version of %d went %d -> %d" what v versions.(v)
+        (Inc.version eng v);
+    versions.(v) <- Inc.version eng v
+  done;
+  List.iter
+    (fun eps_rel ->
+      check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "%s critical set (eps_rel %g)" what eps_rel)
+        (reference_critical_set ~eps_rel model eng)
+        (buffered_critical_set ~eps_rel eng))
+    [ 1e-9; 1e-7 ]
+
 (* Drive the incremental engine through a random mutation schedule, then
    demand bit-identity against a from-scratch batch pass at the final
    sizes: delays, arrivals, critical path — and the critical set against
    a freshly created engine (whose state IS a batch pass). Exact float
-   [=] throughout: one ulp of drift anywhere is a failure. *)
+   [=] throughout: one ulp of drift anywhere is a failure. After every
+   mutation the critical fanins, versions and buffered critical set are
+   checked too. *)
 let differential_one_seed seed =
   let model = random_model seed in
   let n = DM.num_vertices model in
   let rng = Rng.create (seed * 7919 + 13) in
   let x0 = random_sizes rng model in
   let eng = Inc.create model ~sizes:x0 in
+  let versions = Array.make n 0 in
+  let what = Printf.sprintf "seed %d" seed in
+  check_derived_state what model eng ~versions;
   let mutations = 8 + Rng.int rng 17 in
   for _ = 1 to mutations do
     let v = Rng.int rng n in
@@ -184,7 +258,20 @@ let differential_one_seed seed =
       if Rng.bool rng then Inc.size eng v *. (1.0 +. Rng.float rng 0.5)
       else model.DM.min_size +. Rng.float rng 7.0
     in
-    Inc.set_size eng v s
+    Inc.set_size eng v s;
+    check_derived_state what model eng ~versions
+  done;
+  (* random sizes almost never tie; uniform sizes with TILOS-style 1.1
+     bumps leave many bitwise-equal finishes, so the strict-[>] fanin
+     choice and the critical set's fanin order are exercised on ties *)
+  let tied = Inc.create model ~sizes:(DM.uniform_sizes model model.DM.min_size) in
+  let tied_versions = Array.make n 0 in
+  let what = Printf.sprintf "seed %d (uniform)" seed in
+  check_derived_state what model tied ~versions:tied_versions;
+  for _ = 1 to mutations do
+    let v = Rng.int rng n in
+    Inc.set_size tied v (Inc.size tied v *. 1.1);
+    check_derived_state what model tied ~versions:tied_versions
   done;
   let x = Inc.sizes eng in
   let d_ref = DM.delays model x in
@@ -210,8 +297,8 @@ let differential_one_seed seed =
   let fresh = Inc.create model ~sizes:x in
   check (Alcotest.list Alcotest.int)
     (Printf.sprintf "seed %d critical set" seed)
-    (Inc.critical_set fresh)
-    (Inc.critical_set eng)
+    (buffered_critical_set fresh)
+    (buffered_critical_set eng)
 
 let test_mutation_differential () =
   for seed = 0 to 199 do
@@ -228,11 +315,15 @@ let test_rollback_exact () =
     let x0 = random_sizes rng model in
     let eng = Inc.create model ~sizes:x0 in
     let at0 = Array.init n (Inc.arrival eng) in
+    let versions = Array.make n 0 in
+    let what = Printf.sprintf "seed %d" seed in
     for _ = 1 to 10 do
       let v = Rng.int rng n in
       let old = Inc.size eng v in
       Inc.set_size eng v (old *. 1.3);
-      Inc.set_size eng v old
+      check_derived_state (what ^ " bump") model eng ~versions;
+      Inc.set_size eng v old;
+      check_derived_state (what ^ " rollback") model eng ~versions
     done;
     for v = 0 to n - 1 do
       if Inc.arrival eng v <> at0.(v) then

@@ -58,6 +58,138 @@ let prop_tilos_monotone_area =
       let tight = Tilos.size model ~target:(0.6 *. d0) in
       (not (loose.met && tight.met)) || tight.area >= loose.area -. 1e-9)
 
+(* The TILOS loop as it ran before sensitivities were cached: every bump
+   rescans each critical vertex's fanins for its critical fanin and
+   recomputes every sensitivity, through the public engine API only. The
+   cached [Tilos.size] must retrace it bump for bump. *)
+let reference_tilos ?(bump = 1.1) (model : DM.t) ~target =
+  let module Inc = Minflo_timing.Incremental in
+  let sensitivity eng i =
+    let old_xi = Inc.size eng i in
+    let new_xi = min (old_xi *. bump) model.max_size in
+    if new_xi <= old_xi then neg_infinity
+    else begin
+      let d_new =
+        let acc = ref model.b.(i) in
+        for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
+          acc := !acc +. (model.coeff_a.(c) *. Inc.size eng model.coeff_j.(c))
+        done;
+        model.a_self.(i) +. (!acc /. new_xi)
+      in
+      let own_gain = Inc.delay eng i -. d_new in
+      let best = ref (-1) and best_f = ref neg_infinity in
+      for c = model.fanin_off.(i) to model.fanin_off.(i + 1) - 1 do
+        let k = model.fanin.(c) in
+        let f = Inc.finish eng k in
+        if f > !best_f then begin
+          best_f := f;
+          best := k
+        end
+      done;
+      let fanin_penalty =
+        if !best < 0 then 0.0
+        else begin
+          let k = !best in
+          let a_ki = ref 0.0 in
+          for c = model.coeff_off.(k) to model.coeff_off.(k + 1) - 1 do
+            if model.coeff_j.(c) = i then a_ki := !a_ki +. model.coeff_a.(c)
+          done;
+          !a_ki *. (new_xi -. old_xi) /. Inc.size eng k
+        end
+      in
+      (own_gain -. fanin_penalty) /. (model.area_weight.(i) *. (new_xi -. old_xi))
+    end
+  in
+  let eng = Inc.create model ~sizes:(DM.uniform_sizes model model.min_size) in
+  let bumps = ref 0 and finished = ref false in
+  while not !finished do
+    if Inc.critical_path eng <= target then finished := true
+    else begin
+      let crit =
+        List.init (Inc.critical_set ~eps_rel:1e-7 eng) (Inc.critical_vertex eng)
+      in
+      let best = ref (-1) and best_s = ref 0.0 in
+      List.iter
+        (fun i ->
+          let s = sensitivity eng i in
+          if s > !best_s then begin
+            best_s := s;
+            best := i
+          end)
+        crit;
+      if !best < 0 then begin
+        let best_v = ref (Inc.total_violation eng ~target) in
+        List.iter
+          (fun i ->
+            let old_xi = Inc.size eng i in
+            let new_xi = min (old_xi *. bump) model.max_size in
+            if new_xi > old_xi then begin
+              Inc.set_size eng i new_xi;
+              let v = Inc.total_violation eng ~target in
+              Inc.set_size eng i old_xi;
+              if v < !best_v -. 1e-9 then begin
+                best_v := v;
+                best := i
+              end
+            end)
+          crit
+      end;
+      if !best < 0 then finished := true
+      else begin
+        Inc.set_size eng !best (min (Inc.size eng !best *. bump) model.max_size);
+        incr bumps
+      end
+    end
+  done;
+  (!bumps, Inc.sizes eng)
+
+let hex_sizes x = Array.to_list (Array.map (Printf.sprintf "%h") x)
+
+let test_tilos_matches_uncached_loop () =
+  for seed = 0 to 49 do
+    let model =
+      model_of
+        (Gen.random_dag ~gates:(20 + (seed mod 40)) ~inputs:5 ~outputs:4
+           ~seed:(seed + 7100) ())
+    in
+    let rng = Rng.create (seed + 31) in
+    let target = (0.35 +. Rng.float rng 0.6) *. Sweep.dmin model in
+    let r = Tilos.size model ~target in
+    let bumps, sizes = reference_tilos model ~target in
+    check Alcotest.int (Printf.sprintf "seed %d bumps" seed) bumps r.bumps;
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "seed %d sizes" seed)
+      (hex_sizes sizes) (hex_sizes r.sizes)
+  done
+
+(* bump counts and exact areas at 0.6 Dmin, as the uncached loop produced
+   them *)
+let test_tilos_pins () =
+  List.iter
+    (fun (name, build, bumps, area) ->
+      let model = build () in
+      let r = Tilos.size model ~target:(0.6 *. Sweep.dmin model) in
+      check Alcotest.int (name ^ " bumps") bumps r.bumps;
+      check Alcotest.string (name ^ " area") area (Printf.sprintf "%h" r.area))
+    [ ( "c432",
+        (fun () -> model_of (Iscas85.circuit "c432")),
+        317,
+        "0x1.3aa29d1a56b7p+10" );
+      ( "c6288",
+        (fun () -> model_of (Iscas85.circuit "c6288")),
+        11170,
+        "0x1.00b372d0ce29fp+14" );
+      ( "rca64",
+        (fun () -> model_of (Gen.ripple_carry_adder ~bits:64 ())),
+        948,
+        "0x1.757858bae1af1p+11" );
+      ( "c432-transistor",
+        (fun () ->
+          Transistor.of_netlist tech
+            (Transform.to_nand_inv (Iscas85.circuit "c432"))),
+        1666,
+        "0x1.e0141d2e3537cp+10" ) ]
+
 (* ---------- W-phase ---------- *)
 
 let prop_wphase_meets_budgets =
@@ -428,7 +560,9 @@ let () =
         [ tc "meets target" `Quick test_tilos_meets_target;
           tc "trivial target" `Quick test_tilos_trivial_target;
           tc "impossible target" `Quick test_tilos_impossible_target;
-          QCheck_alcotest.to_alcotest prop_tilos_monotone_area ] );
+          QCheck_alcotest.to_alcotest prop_tilos_monotone_area;
+          tc "cached equals uncached loop" `Quick test_tilos_matches_uncached_loop;
+          tc "bump and area pins" `Quick test_tilos_pins ] );
       ( "wphase",
         [ QCheck_alcotest.to_alcotest prop_wphase_meets_budgets;
           QCheck_alcotest.to_alcotest prop_wphase_minimal;
