@@ -1533,9 +1533,9 @@ let serve_cmd =
 
 (* map a daemon response to the CLI's stable exit codes *)
 let client_exit_code response =
-  if Serve_json.bool_field "ok" response = Some true then 0
+  if Json.bool_field "ok" response = Some true then 0
   else
-    match Serve_json.str_field "code" response with
+    match Json.str_field "code" response with
     | Some ("bad-request" | "unknown-job") -> 2
     | Some ("internal" | "storage-error") -> 3
     | _ -> 1
@@ -1628,7 +1628,7 @@ let client_cmd =
     with
     | Error e -> Diag.fail e
     | Ok response ->
-      print_endline (Serve_json.to_string response);
+      print_endline (Json.to_string response);
       let code = client_exit_code response in
       if code > 0 then exit code
   in
@@ -1706,7 +1706,7 @@ let loadgen_cmd =
           deadline_seconds = deadline }
     with
     | Error e -> Diag.fail e
-    | Ok summary -> print_endline (Serve_json.to_string summary)
+    | Ok summary -> print_endline (Json.to_string summary)
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -2024,7 +2024,7 @@ let torture_cmd =
         (fun journal ->
           List.iter
             (fun (_event, line) ->
-              match Serve_json.parse line with
+              match Json.parse line with
               | Ok _ -> ()
               | Error msg ->
                 add "%s: surviving line does not parse (%s): %s" journal msg

@@ -1,58 +1,16 @@
-(* Beyond sizing: the same machinery, three neighboring problems.
+(* Beyond sizing: the switching-power view of a sizing solution.
 
-   The D-phase of MINFLOTRANSIT is an FSDU-displacement LP — the dual of a
-   min-cost flow — borrowed from retiming [10] and buffer redistribution
-   [13]. This example exercises the repository's implementations of those
-   neighbors on their home turf:
-
-   1. retiming a synchronous pipeline to its minimum clock period (and
-      minimizing registers via the same network-simplex dual);
-   2. van Ginneken buffer insertion on an interconnect tree;
-   3. the switching-power view of a sizing solution.
+   MINFLOTRANSIT minimizes area under a delay target; this example sizes
+   c432 to half its minimum delay and reports what that sizing costs in
+   dynamic power, from Monte-Carlo switching activity, against the
+   minimum-size circuit.
 
    Run with: dune exec examples/beyond_sizing.exe *)
 
 open Minflo
 
 let () =
-  (* --- 1. retiming -------------------------------------------------- *)
-  let t = Retiming.create ~name:"dsp-loop" () in
-  let inp = Retiming.add_node t ~delay:1.0 "in" in
-  let mul = Retiming.add_node t ~delay:8.0 "mul" in
-  let add = Retiming.add_node t ~delay:4.0 "add" in
-  let out = Retiming.add_node t ~delay:1.0 "out" in
-  Retiming.add_edge t inp mul ~registers:0;
-  Retiming.add_edge t mul add ~registers:0;
-  Retiming.add_edge t add out ~registers:0;
-  Retiming.add_edge t add add ~registers:1;
-  Printf.printf "pipeline period before retiming: %.1f\n" (Retiming.clock_period t);
-  let p = Retiming.min_period t in
-  (match Retiming.min_registers t ~period:p with
-  | Ok r ->
-    let t' = Retiming.apply t r in
-    Printf.printf
-      "after retiming (min-cost-flow dual): period %.1f with %d registers\n"
-      (Retiming.clock_period t') (Retiming.total_registers t')
-  | Error e -> Printf.printf "retiming failed: %s\n" e);
-
-  (* --- 2. buffer insertion ------------------------------------------ *)
   let tech = Tech.default_130nm in
-  let buf = Van_ginneken.buffer_of_tech tech in
-  let rec line k =
-    if k = 0 then Van_ginneken.Sink { name = "load"; cap = 6.0; rat = 0.0 }
-    else Van_ginneken.Wire ({ Van_ginneken.r = 400.0; c = 8.0 }, line (k - 1))
-  in
-  let net = line 16 in
-  let bare = Van_ginneken.unbuffered_rat ~driver_r:2000.0 net in
-  (match Van_ginneken.best_rat ~driver_r:2000.0 (Van_ginneken.solve ~buffers:[ buf ] net) with
-  | Some (best, cand) ->
-    Printf.printf
-      "16-segment wire: required time improves %.3g -> %.3g with %d buffers\n"
-      bare best
-      (List.length cand.placements)
-  | None -> print_endline "no buffering candidates");
-
-  (* --- 3. power ------------------------------------------------------ *)
   let nl = Iscas85.circuit "c432" in
   let model = Elmore.of_netlist tech nl in
   let target = 0.5 *. Sweep.dmin model in

@@ -12,28 +12,47 @@
     ]}
 
     Layers (each also usable as its own library):
-    - {!Netlist}, {!Gate}, {!Bench_format}, {!Generators}, {!Iscas85},
-      {!Compose}, {!Transform} — gate-level circuits
-      ([minflo_netlist]);
-    - {!Tech}, {!Gate_model}, {!Elmore}, {!Transistor}, {!Delay_model} —
-      electrical models at gate or transistor granularity ([minflo_tech]).
-      {!Delay_model.make} builds the one timing representation: flat CSR
-      adjacency, coefficient and loader rows, topological order and
-      elimination blocks, read directly by every timing hot loop;
+    - {!Vec}, {!Heap}, {!Rng}, {!Stats}, {!Table}, {!Bitset},
+      {!Union_find}, {!Json} — containers, statistics and the one JSON
+      dialect shared by the serve protocol, traces and bench reports
+      ([minflo_util]);
+    - {!Diag}, {!Budget}, {!Fallback}, {!Invariants}, {!Fault}, {!Io},
+      {!Torture}, {!Perf} — typed diagnostics, run budgets, solver
+      fallback, fault injection and the instrumented storage layer
+      ([minflo_robust]);
+    - {!Digraph}, {!Topo}, {!Traverse}, {!Dot} — graphs ([minflo_graph]);
+    - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Cost_scaling}, {!Dinic},
+      {!Bellman_ford}, {!Diff_lp} — the network-flow substrate
+      ([minflo_flow]);
+    - {!Gate}, {!Netlist}, {!Raw}, {!Bench_format}, {!Verilog_format},
+      {!Generators}, {!Compose}, {!Transform}, {!Iscas85}, {!Mutate} —
+      gate-level circuits ([minflo_netlist]);
+    - {!Bdd}, {!Check}, {!Aig}, {!Sat}, {!Cnf} — equivalence checking
+      ([minflo_bdd], [minflo_aig], [minflo_sat]);
+    - {!Tech}, {!Gate_model}, {!Delay_model}, {!Elmore}, {!Transistor},
+      {!Model_cache} — electrical models at gate or transistor granularity
+      ([minflo_tech]). {!Delay_model.make} builds the one timing
+      representation: flat CSR adjacency, coefficient and loader rows,
+      topological order and elimination blocks, read directly by every
+      timing hot loop;
     - {!Sta}, {!Incremental}, {!Balance} — batch and incremental timing
       analysis and FSDU delay balancing ([minflo_timing]);
-    - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Dinic}, {!Diff_lp},
-      {!Bellman_ford} — the network-flow substrate ([minflo_flow]);
-    - {!Tilos}, {!Wphase}, {!Dphase}, {!Sensitivity}, {!Minflotransit},
-      {!Sweep} — the sizing engines ([minflo_sizing]);
-    - {!Lint}, {!Bounds}, {!Audit}, {!Trace}, {!Sarif}, {!Lint_report} —
-      the static analyzer, interval bound analysis, flow-certificate
-      auditor and proof-carrying trace auditor ([minflo_lint]);
+    - {!Activity}, {!Power} — switching activity and dynamic power
+      ([minflo_power]);
+    - {!Tilos}, {!Wphase}, {!Dphase}, {!Sensitivity}, {!Lagrangian},
+      {!Optimality}, {!Minflotransit}, {!Sweep} — the sizing engines
+      ([minflo_sizing]);
+    - {!Lint_rule}, {!Lint_finding}, {!Lint}, {!Bounds}, {!Audit},
+      {!Trace}, {!Sarif}, {!Lint_report} — the static analyzer, interval
+      bound analysis, flow-certificate auditor and proof-carrying trace
+      auditor ([minflo_lint]);
     - {!Job}, {!Checkpoint}, {!Journal}, {!Supervisor}, {!Differential},
-      {!Batch} — the crash-safe batch runner ([minflo_runner]);
+      {!Batch}, {!Benchmarks} — the crash-safe batch runner
+      ([minflo_runner]);
     - {!Serve}, {!Serve_protocol}, {!Serve_transport}, {!Serve_client},
-      {!Loadgen}, {!Chaosproxy} — the sizing-as-a-service daemon, its
-      retrying clients and the network chaos proxy ([minflo_serve]);
+      {!Serve_result_cache}, {!Loadgen}, {!Chaosproxy} — the
+      sizing-as-a-service daemon, its retrying clients and the network
+      chaos proxy ([minflo_serve]);
     - {!Fingerprint}, {!Gen_mut}, {!Oracle}, {!Shrink}, {!Corpus},
       {!Campaign} — the differential fuzzing harness ([minflo_fuzz]). *)
 
@@ -45,6 +64,7 @@ module Stats = Minflo_util.Stats
 module Table = Minflo_util.Table
 module Bitset = Minflo_util.Bitset
 module Union_find = Minflo_util.Union_find
+module Json = Minflo_util.Json
 
 (* resilience: structured diagnostics, run budgets, solver fallback,
    post-phase invariant checks, deterministic fault injection *)
@@ -97,7 +117,6 @@ module Cnf = Minflo_sat.Cnf
 (* tech *)
 module Tech = Minflo_tech.Tech
 module Gate_model = Minflo_tech.Gate_model
-module Liberty = Minflo_tech.Liberty
 module Delay_model = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
@@ -112,19 +131,12 @@ module Balance = Minflo_timing.Balance
 module Activity = Minflo_power.Activity
 module Power = Minflo_power.Power
 
-(* interconnect buffering (the physical counterpart of [13]) *)
-module Van_ginneken = Minflo_buffering.Van_ginneken
-
-(* retiming (the D-phase machinery's original application) *)
-module Retiming = Minflo_retiming.Retiming
-
 (* sizing *)
 module Tilos = Minflo_sizing.Tilos
 module Wphase = Minflo_sizing.Wphase
 module Dphase = Minflo_sizing.Dphase
 module Sensitivity = Minflo_sizing.Sensitivity
 module Lagrangian = Minflo_sizing.Lagrangian
-module Discrete = Minflo_sizing.Discrete
 module Optimality = Minflo_sizing.Optimality
 module Minflotransit = Minflo_sizing.Minflotransit
 module Sweep = Minflo_sizing.Sweep
@@ -153,7 +165,6 @@ module Benchmarks = Minflo_runner.Benchmarks
 (* sizing-as-a-service daemon: admission control, crash recovery,
    graceful drain, health probes over unix sockets and TCP, retrying
    clients, byte-budgeted result cache, network chaos proxy *)
-module Serve_json = Minflo_serve.Json
 module Serve_protocol = Minflo_serve.Protocol
 module Serve = Minflo_serve.Server
 module Serve_transport = Minflo_serve.Transport

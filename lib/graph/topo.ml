@@ -67,16 +67,3 @@ let levels g =
 let depth g =
   let l = levels g in
   Array.fold_left max 0 l
-
-let longest_path_to g ~weight =
-  let order = sort g in
-  let n = Digraph.node_count g in
-  let dist = Array.make n 0.0 in
-  Array.iter
-    (fun u ->
-      let from_preds =
-        List.fold_left (fun acc p -> max acc dist.(p)) 0.0 (Digraph.pred g u)
-      in
-      dist.(u) <- from_preds +. weight u)
-    order;
-  dist

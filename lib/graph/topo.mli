@@ -21,8 +21,3 @@ val levels : Digraph.t -> int array
 
 val depth : Digraph.t -> int
 (** Longest path length (in edges); 0 for an edgeless graph. *)
-
-val longest_path_to : Digraph.t -> weight:(Digraph.node -> float) -> float array
-(** [longest_path_to g ~weight] computes, for every node, the maximum of
-    [sum of weight] over paths ending at (and including) that node —
-    i.e. a node-weighted longest-path/arrival-time computation. *)

@@ -20,7 +20,7 @@ val severity_to_string : severity -> string
 
 type error =
   | Parse_error of { file : string option; line : int; col : int; msg : string }
-      (** Malformed [.bench] / [.v] / liberty input, with source location
+      (** Malformed [.bench] / [.v] input, with source location
           ([col] is 1-based; 0 when the column is unknown). *)
   | Lint_error of { rule : string; file : string option; line : int; msg : string }
       (** A static-analysis finding of error severity (see

@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Rng = Minflo_util.Rng
 
 (* ---------- one connection ---------- *)

@@ -25,7 +25,8 @@ val connect :
     deadlines on the connection, so every later {!request} on it is
     bounded too. *)
 
-val request : conn -> Json.t -> (Json.t, Minflo_robust.Diag.error) result
+val request :
+  conn -> Minflo_util.Json.t -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
 (** Send one request, await its one-line response. Failure modes:
     [Net_timeout] past the deadline, [Torn_response] when the connection
     closes mid-line or the line does not parse, [Io_error] otherwise.
@@ -53,7 +54,8 @@ val session : ?retry:retry -> Transport.endpoint -> session
     redialed after any failure (the old connection's state is unknowable
     — half a response may be in flight — so it is always dropped). *)
 
-val rpc : session -> Json.t -> (Json.t, Minflo_robust.Diag.error) result
+val rpc :
+  session -> Minflo_util.Json.t -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
 (** {!request} with the session's retry policy. Delay before retry [k]
     is [backoff_base * 2^(k-1)], jittered multiplicatively in
     [\[0.5, 1.5)] from the seeded stream. The final error reports how
@@ -64,6 +66,6 @@ val close_session : session -> unit
 val one_shot :
   ?retry:retry ->
   endpoint:Transport.endpoint ->
-  Json.t ->
-  (Json.t, Minflo_robust.Diag.error) result
+  Minflo_util.Json.t ->
+  (Minflo_util.Json.t, Minflo_robust.Diag.error) result
 (** [session], one {!rpc}, [close_session]. *)

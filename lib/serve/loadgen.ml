@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Job = Minflo_runner.Job
 module Stats = Minflo_util.Stats
 

@@ -33,7 +33,7 @@ type config = {
 
 val default_config : config
 
-val run : config -> (Json.t, Minflo_robust.Diag.error) result
+val run : config -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
 (** [Error] only on transport failure that survived the retry budget, or
     on the polling deadline; rejections by the daemon are data, counted
     in the summary. *)

@@ -1,5 +1,6 @@
 module Job = Minflo_runner.Job
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 
 type submit = {
   circuit : string;

@@ -34,16 +34,18 @@ val job_key : submit -> string
     custom budget or sleep. Submitting the same key twice is idempotent:
     the daemon answers the second from its result cache. *)
 
-val request_to_json : request -> Json.t
-val request_of_json : Json.t -> (request, string) result
+val request_to_json : request -> Minflo_util.Json.t
+val request_of_json : Minflo_util.Json.t -> (request, string) result
 
-val ok : (string * Json.t) list -> Json.t
+val ok : (string * Minflo_util.Json.t) list -> Minflo_util.Json.t
 (** [{"ok": true, ...fields}]. *)
 
 val error_response :
-  ?fields:(string * Json.t) list -> Minflo_robust.Diag.error -> Json.t
+  ?fields:(string * Minflo_util.Json.t) list ->
+  Minflo_robust.Diag.error ->
+  Minflo_util.Json.t
 (** [{"ok": false, "code": ..., "message": ..., "error": {...}}]. *)
 
-val bad_request : string -> Json.t
+val bad_request : string -> Minflo_util.Json.t
 (** Protocol-level failure (unparsable line, unknown op): code
     ["bad-request"]. *)

@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Io = Minflo_robust.Io
 module Perf = Minflo_robust.Perf
 module Mono = Minflo_robust.Mono

@@ -8,9 +8,12 @@ let gate_vertex nl =
       incr next);
   map
 
-let of_netlist_with
-    ~(model_of : Minflo_netlist.Gate.kind -> arity:int -> Gate_model.t)
-    (tech : Tech.t) nl =
+let gate_model tech nl v =
+  match Netlist.kind nl v with
+  | Netlist.Gate k -> Gate_model.of_gate tech k ~arity:(List.length (Netlist.fanins nl v))
+  | Netlist.Input -> assert false
+
+let of_netlist (tech : Tech.t) nl =
   Netlist.validate nl;
   let v_of = gate_vertex nl in
   let n = Netlist.gate_count nl in
@@ -21,11 +24,7 @@ let of_netlist_with
   let area_weight = Array.make n 1.0 in
   let is_sink = Array.make n false in
   let labels = Array.make n "" in
-  let model v =
-    match Netlist.kind nl v with
-    | Netlist.Gate k -> model_of k ~arity:(List.length (Netlist.fanins nl v))
-    | Netlist.Input -> assert false
-  in
+  let model = gate_model tech nl in
   Netlist.iter_gates nl (fun v ->
       let i = Hashtbl.find v_of v in
       let m = model v in
@@ -58,8 +57,6 @@ let of_netlist_with
     ~area_weight ~is_sink ~block:(Array.init n Fun.id) ~labels
     ~min_size:tech.min_size ~max_size:tech.max_size
 
-let of_netlist tech nl = of_netlist_with ~model_of:(Gate_model.of_gate tech) tech nl
-
 let with_wires (tech : Tech.t) nl =
   Netlist.validate nl;
   let v_of = gate_vertex nl in
@@ -78,11 +75,7 @@ let with_wires (tech : Tech.t) nl =
     Hashtbl.replace a_acc.(i) j
       (x +. Option.value ~default:0.0 (Hashtbl.find_opt a_acc.(i) j))
   in
-  let gmodel v =
-    match Netlist.kind nl v with
-    | Netlist.Gate k -> Gate_model.of_gate tech k ~arity:(List.length (Netlist.fanins nl v))
-    | Netlist.Input -> assert false
-  in
+  let gmodel = gate_model tech nl in
   Netlist.iter_gates nl (fun v ->
       let i = Hashtbl.find v_of v in
       let w = wire_of v in

@@ -14,15 +14,6 @@ val of_netlist : Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 val gate_vertex : Minflo_netlist.Netlist.t -> (int, int) Hashtbl.t
 (** Netlist node id -> timing vertex id, for gate nodes. *)
 
-val of_netlist_with :
-  model_of:(Minflo_netlist.Gate.kind -> arity:int -> Gate_model.t) ->
-  Tech.t ->
-  Minflo_netlist.Netlist.t ->
-  Delay_model.t
-(** Like {!of_netlist} but with caller-supplied per-gate electrical models
-    — e.g. from a parsed {!Liberty} library. The [Tech.t] still provides
-    wire and output-load values. *)
-
 val with_wires : Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 (** Simultaneous gate and wire sizing (Section 2.1): every gate-output net
     gets its own sized vertex, inserted between the driver and its

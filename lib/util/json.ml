@@ -75,6 +75,12 @@ let to_string v =
 
 exception Bad of string
 
+let hex_digit = function
+  | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+  | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+  | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
+  | _ -> None
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -125,8 +131,18 @@ let parse (s : string) : (t, string) result =
              | 'u' ->
                if !pos + 4 >= n then fail "truncated \\u escape"
                else begin
-                 let hex = String.sub s (!pos + 1) 4 in
-                 (match int_of_string_opt ("0x" ^ hex) with
+                 (* exactly four hex digits: [int_of_string] would also
+                    take OCaml's [_] digit separator *)
+                 let code =
+                   String.fold_left
+                     (fun acc c ->
+                       match (acc, hex_digit c) with
+                       | Some a, Some d -> Some ((a lsl 4) lor d)
+                       | _ -> None)
+                     (Some 0)
+                     (String.sub s (!pos + 1) 4)
+                 in
+                 (match code with
                  | None -> fail "bad \\u escape"
                  | Some code when code < 0x80 ->
                    Buffer.add_char buf (Char.chr code)

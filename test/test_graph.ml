@@ -77,14 +77,6 @@ let test_levels_depth () =
   check int "level sink" 2 levels.(3);
   check int "depth" 2 (Topo.depth g)
 
-let test_longest_path_weighted () =
-  let g = diamond () in
-  let weight = function 0 -> 1.0 | 1 -> 5.0 | 2 -> 2.0 | _ -> 1.0 in
-  let dist = Topo.longest_path_to g ~weight in
-  check (Alcotest.float 1e-9) "src" 1.0 dist.(0);
-  check (Alcotest.float 1e-9) "via heavy" 6.0 dist.(1);
-  check (Alcotest.float 1e-9) "sink" 7.0 dist.(3)
-
 let test_dfs_post () =
   let g = diamond () in
   let post = Traverse.dfs_post g ~roots:[ 0 ] in
@@ -174,7 +166,6 @@ let () =
         [ tc "diamond" `Quick test_topo_diamond;
           tc "cycle" `Quick test_topo_cycle;
           tc "levels/depth" `Quick test_levels_depth;
-          tc "longest path" `Quick test_longest_path_weighted;
           QCheck_alcotest.to_alcotest prop_random_dag_topo;
           QCheck_alcotest.to_alcotest prop_levels_monotone ] );
       ( "traverse",

@@ -3,7 +3,7 @@
    including the acceptance scenario (SIGKILL with in-flight jobs, restart
    on the same run directory, bit-identical recovered results). *)
 
-module Json = Minflo_serve.Json
+module Json = Minflo_util.Json
 module Protocol = Minflo_serve.Protocol
 module Bounded_queue = Minflo_serve.Bounded_queue
 module Server = Minflo_serve.Server
@@ -52,12 +52,18 @@ let test_json_roundtrip () =
     match Json.parse (Json.to_string j) with
     | Ok j2 -> check string "reprint stable" (Json.to_string j) (Json.to_string j2)
     | Error e -> Alcotest.failf "reparse: %s" e);
-  (match Json.parse {|{"a": 1} trailing|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "trailing garbage accepted");
-  match Json.parse {|{"a": }|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed object accepted"
+  (match Json.parse {|"\u00e9\u0041\u20AC"|} with
+  | Ok (Json.Str s) -> check string "\\u decoded as UTF-8" "\xc3\xa9A\xe2\x82\xac" s
+  | _ -> Alcotest.fail "\\u escapes not decoded");
+  (* network input: malformed values are refused, and a \u escape takes
+     exactly four hex digits *)
+  List.iter
+    (fun src ->
+      match Json.parse src with
+      | Error _ -> ()
+      | Ok j -> Alcotest.failf "%s accepted as %s" src (Json.to_string j))
+    [ {|{"a": 1} trailing|}; {|{"a": }|}; {|"\u1_23"|}; {|"\u_123"|};
+      {|"\u12"|}; {|"\u12g4"|}; {|"\u 123"|} ]
 
 let test_json_number_bits () =
   (* the daemon's bit-identical recovery rides on numbers surviving

@@ -428,61 +428,6 @@ let prop_probe_never_breaks_timing =
           <= target *. (1.0 +. 1e-6)
       end)
 
-(* ---------- discretization ---------- *)
-
-let test_geometric_grid () =
-  let g = Minflo_sizing.Discrete.geometric ~ratio:2.0 ~min:1.0 ~max:16.0 in
-  check bool "ladder" true (g = [ 1.0; 2.0; 4.0; 8.0; 16.0 ]);
-  check (Alcotest.float 1e-9) "snap within" 4.0
-    (Minflo_sizing.Discrete.snap_up g 3.1);
-  check (Alcotest.float 1e-9) "snap exact" 2.0
-    (Minflo_sizing.Discrete.snap_up g 2.0);
-  check (Alcotest.float 1e-9) "snap above top" 16.0
-    (Minflo_sizing.Discrete.snap_up g 40.0)
-
-let test_discretize_feasible_with_penalty () =
-  let model = model_of (Iscas85.circuit "c432") in
-  let d0 = Sweep.dmin model in
-  let target = 0.5 *. d0 in
-  let r = Minflotransit.optimize model ~target in
-  check bool "continuous met" true r.met;
-  let grid =
-    Minflo_sizing.Discrete.geometric ~ratio:1.5 ~min:1.0
-      ~max:model.Minflo_tech.Delay_model.max_size
-  in
-  let d = Minflo_sizing.Discrete.discretize model ~target ~continuous:r.sizes grid in
-  check bool "discrete met" true d.met;
-  check bool "snapped to grid" true
-    (Array.for_all (fun x -> List.exists (fun g -> abs_float (g -. x) < 1e-9) grid) d.sizes);
-  check bool "penalty non-negative" true (d.area_penalty_pct >= -1e-9)
-
-let prop_finer_grid_smaller_penalty =
-  QCheck.Test.make
-    ~name:"refining the drive ladder does not increase the snap penalty"
-    ~count:10 QCheck.small_nat (fun seed ->
-      let model = random_model (seed + 8001) in
-      let d0 = Sweep.dmin model in
-      let target = 0.65 *. d0 in
-      let r = Minflotransit.optimize model ~target in
-      if not r.met then true
-      else begin
-        let penalty ratio =
-          let grid =
-            Minflo_sizing.Discrete.geometric ~ratio ~min:1.0
-              ~max:model.Minflo_tech.Delay_model.max_size
-          in
-          let d =
-            Minflo_sizing.Discrete.discretize model ~target ~continuous:r.sizes grid
-          in
-          if d.met then Some d.area_penalty_pct else None
-        in
-        (* greedy repair adds noise, so allow a small tolerance: the trend,
-           not strict monotonicity, is the property *)
-        match (penalty 2.0, penalty 1.2) with
-        | Some coarse, Some fine -> fine <= coarse +. 0.5
-        | _ -> true
-      end)
-
 (* ---------- Lagrangian baseline ---------- *)
 
 let test_lagrangian_feasible_and_no_worse () =
@@ -585,10 +530,6 @@ let () =
       ( "optimality",
         [ tc "converged solution stable" `Quick test_optimality_probe_converged;
           QCheck_alcotest.to_alcotest prop_probe_never_breaks_timing ] );
-      ( "discrete",
-        [ tc "geometric grid" `Quick test_geometric_grid;
-          tc "feasible with penalty" `Slow test_discretize_feasible_with_penalty;
-          QCheck_alcotest.to_alcotest prop_finer_grid_smaller_penalty ] );
       ( "lagrangian",
         [ tc "feasible, no worse" `Quick test_lagrangian_feasible_and_no_worse;
           tc "beats TILOS on c432" `Slow test_lagrangian_beats_tilos_on_c432;
