@@ -5,13 +5,28 @@
    - Cunningham's rule for the leaving arc (last blocking arc met when the
      cycle is traversed in its own orientation starting at the apex), which
      keeps the tree strongly feasible and prevents cycling;
-   - explicit child lists (first_child / next_sib / prev_sib), so re-hanging
-     a subtree and refreshing its depths/potentials costs O(subtree);
+   - the spanning tree as an augmented thread index (parent / thread /
+     rev_thread / succ_num / last_succ, the scheme of LEMON's
+     NetworkSimplex; Kiraly & Kovacs, arXiv 1207.6381). The thread is a
+     preorder of the tree kept as a cyclic doubly linked list starting at
+     the root, so the subtree of v is the contiguous segment
+     [v, last_succ v] of succ_num v nodes. A pivot re-roots the cut subtree
+     by splicing the thread along the stem, in O(stem + the two paths to
+     the apex), with no traversal of the subtree itself;
+   - potential updates on the smaller side of the cut: a pivot shifts the
+     cut subtree's potentials by one offset [dpi]; when that subtree holds
+     more than half of the n+1 nodes, the complement is shifted by [-dpi]
+     instead. Both leave every potential difference the same. Pricing only
+     reads differences, and every returned potential is [pi v - pi root],
+     so the root may drift. OCaml ints wrap modulo 2^63, so a difference
+     that fits in an int stays exact even if the drifting potentials wrap;
    - an optional reusable [state]: across calls that keep the network shape
      (same nodes, same arc endpoints) the optimal spanning-tree basis of the
      previous solve seeds the next one, so a solve after a small cost/supply
      change needs only the pivots that repair optimality, not the full climb
-     out of the artificial basis.
+     out of the artificial basis. The repair re-hangs nodes by their parent
+     pointers alone and then rebuilds the thread index and the potentials
+     from the parents in one O(n) pass.
 
    All arithmetic is on OCaml ints; capacities are clamped to
    Mcf.infinite_capacity so sums cannot overflow 63-bit ints. *)
@@ -33,26 +48,78 @@ type t = {
   flow : int array;
   state : int array;
   (* tree structure, indexed by node (0..n, root = n) *)
-  parent : int array;
+  parent : int array;  (* -1 for root *)
   parc : int array;    (* arc to parent, -1 for root *)
-  depth : int array;
-  pi : int array;
-  first_child : int array;
-  next_sib : int array;
-  prev_sib : int array;
+  pi : int array;      (* potentials, up to one additive constant *)
+  thread : int array;  (* preorder successor, cyclic through the root *)
+  rev_thread : int array;
+  succ_num : int array; (* subtree size *)
+  last_succ : int array; (* last node of the subtree in thread order *)
   mutable scan_pos : int; (* block-search cursor *)
   block_size : int;
   (* preallocated pivot scratch: the two tree paths of the current cycle
-     (walk order: entering-endpoint first, apex-side last) and a DFS stack
-     for subtree refreshes. Depth is at most n+1, so n+1 slots suffice. *)
+     (walk order: entering-endpoint first, apex-side last) and the nodes
+     whose thread successor a re-root changed. A path or the stem holds at
+     most n+1 nodes, so n+1 slots suffice. Between pivots the int arrays
+     are idle; [rewarm] borrows them. *)
   ts_arc : int array;
   ts_inc : bool array;
   ts_below : int array;
   hs_arc : int array;
   hs_inc : bool array;
   hs_below : int array;
-  dfs_stack : int array;
+  dirty : int array;
 }
+
+(* Rebuild the thread index and the potentials from [parent]/[parc] alone,
+   in O(n) and without allocating: child lists go into the idle scratch
+   ([ts_below] heads, [hs_below] next siblings, [ts_arc] preorder
+   positions), then one stackless preorder walk threads the nodes, sets
+   each potential from its parent's (root at 0), and closes
+   [succ_num]/[last_succ] of every subtree the walk climbs out of. *)
+let rebuild_tree t =
+  let root = t.n in
+  let head = t.ts_below and next = t.hs_below and pos = t.ts_arc in
+  Array.fill head 0 (root + 1) (-1);
+  for v = root - 1 downto 0 do
+    let par = t.parent.(v) in
+    next.(v) <- head.(par);
+    head.(par) <- v
+  done;
+  t.pi.(root) <- 0;
+  pos.(root) <- 0;
+  let count = ref 1 and prev = ref root in
+  let close z =
+    t.succ_num.(z) <- !count - pos.(z);
+    t.last_succ.(z) <- !prev
+  in
+  let x = ref head.(root) in
+  while !x <> -1 do
+    let v = !x in
+    t.thread.(!prev) <- v;
+    t.rev_thread.(v) <- !prev;
+    prev := v;
+    pos.(v) <- !count;
+    incr count;
+    let par = t.parent.(v) and a = t.parc.(v) in
+    t.pi.(v) <-
+      (if t.dst.(a) = v then t.pi.(par) - t.cost.(a)
+       else t.pi.(par) + t.cost.(a));
+    if head.(v) <> -1 then x := head.(v)
+    else begin
+      (* a leaf ends its own subtree and those it is the last node of *)
+      let z = ref v in
+      close v;
+      while !z <> root && next.(!z) = -1 do
+        z := t.parent.(!z);
+        close !z
+      done;
+      x := if !z = root then -1 else next.(!z)
+    end
+  done;
+  t.thread.(!prev) <- root;
+  t.rev_thread.(root) <- !prev;
+  close root
 
 let create (p : Mcf.problem) =
   let n = p.num_nodes in
@@ -74,52 +141,46 @@ let create (p : Mcf.problem) =
   let big_m = ((n + 1) * !max_cost) + 1 in
   let parent = Array.make (n + 1) (-1) in
   let parc = Array.make (n + 1) (-1) in
-  let depth = Array.make (n + 1) 0 in
-  let pi = Array.make (n + 1) 0 in
-  let first_child = Array.make (n + 1) (-1) in
-  let next_sib = Array.make (n + 1) (-1) in
-  let prev_sib = Array.make (n + 1) (-1) in
   let root = n in
   for v = 0 to n - 1 do
     let a = m_real + v in
     let b = p.supply.(v) in
+    (* supply rides v -> root, demand root -> v: a zero-flow artificial arc
+       points toward the root, which keeps the tree strongly feasible. Every
+       artificial arc gets reduced cost 0 from [rebuild_tree]'s potentials
+       (pi v = +-big_m). *)
     if b >= 0 then begin
-      (* arc v -> root carrying the supply (points toward the root, so a
-         zero-flow artificial arc keeps the tree strongly feasible) *)
       src.(a) <- v;
       dst.(a) <- root;
-      flow.(a) <- b;
-      pi.(v) <- big_m
-      (* reduced cost 0: cost - pi(v) + pi(root) = big_m - big_m + 0 *)
+      flow.(a) <- b
     end
     else begin
       src.(a) <- root;
       dst.(a) <- v;
-      flow.(a) <- -b;
-      pi.(v) <- -big_m
+      flow.(a) <- -b
     end;
     cap.(a) <- Mcf.infinite_capacity;
     cost.(a) <- big_m;
     state.(a) <- state_tree;
     parent.(v) <- root;
-    parc.(v) <- a;
-    depth.(v) <- 1;
-    (* push onto root's child list *)
-    let h = first_child.(root) in
-    next_sib.(v) <- h;
-    if h <> -1 then prev_sib.(h) <- v;
-    first_child.(root) <- v
+    parc.(v) <- a
   done;
-  { n; m_real; m; src; dst; cap; cost; flow; state; parent; parc; depth; pi;
-    first_child; next_sib; prev_sib; scan_pos = 0;
-    block_size = max 64 (1 + int_of_float (sqrt (float_of_int m)));
-    ts_arc = Array.make (n + 1) 0;
-    ts_inc = Array.make (n + 1) false;
-    ts_below = Array.make (n + 1) 0;
-    hs_arc = Array.make (n + 1) 0;
-    hs_inc = Array.make (n + 1) false;
-    hs_below = Array.make (n + 1) 0;
-    dfs_stack = Array.make (n + 1) 0 }
+  let nodes () = Array.make (n + 1) 0 in
+  let t =
+    { n; m_real; m; src; dst; cap; cost; flow; state; parent; parc;
+      pi = nodes (); thread = nodes (); rev_thread = nodes ();
+      succ_num = nodes (); last_succ = nodes (); scan_pos = 0;
+      block_size = max 64 (1 + int_of_float (sqrt (float_of_int m)));
+      ts_arc = nodes ();
+      ts_inc = Array.make (n + 1) false;
+      ts_below = nodes ();
+      hs_arc = nodes ();
+      hs_inc = Array.make (n + 1) false;
+      hs_below = nodes ();
+      dirty = nodes () }
+  in
+  rebuild_tree t;
+  t
 
 let reduced_cost t a = t.cost.(a) - t.pi.(t.src.(a)) + t.pi.(t.dst.(a))
 
@@ -152,66 +213,126 @@ let find_entering t =
   t.scan_pos <- !pos;
   !best
 
-let detach t v =
-  let p = t.prev_sib.(v) and nx = t.next_sib.(v) in
-  if p = -1 then t.first_child.(t.parent.(v)) <- nx else t.next_sib.(p) <- nx;
-  if nx <> -1 then t.prev_sib.(nx) <- p;
-  t.prev_sib.(v) <- -1;
-  t.next_sib.(v) <- -1
-
-let attach t v par =
-  let h = t.first_child.(par) in
-  t.next_sib.(v) <- h;
-  t.prev_sib.(v) <- -1;
-  if h <> -1 then t.prev_sib.(h) <- v;
-  t.first_child.(par) <- v;
-  t.parent.(v) <- par
-
-(* Refresh depth and potential of the subtree rooted at [q] (its parent data
-   must already be correct). Iterative DFS over child lists, on the
-   preallocated stack (a tree on n+1 nodes never overflows it). *)
-let refresh_subtree t q =
-  let stack = t.dfs_stack in
-  stack.(0) <- q;
-  let top = ref 1 in
-  while !top > 0 do
-    decr top;
-    let v = stack.(!top) in
-    let par = t.parent.(v) in
-    let a = t.parc.(v) in
-    t.depth.(v) <- t.depth.(par) + 1;
-    t.pi.(v) <-
-      (if t.dst.(a) = v then t.pi.(par) - t.cost.(a)
-       else t.pi.(par) + t.cost.(a));
-    let c = ref t.first_child.(v) in
-    while !c <> -1 do
-      stack.(!top) <- !c;
-      incr top;
-      c := t.next_sib.(!c)
+(* Re-root the subtree under [u_out] at [u_in] and hang it from [v_in] via
+   the entering arc [e]; [join] is the cycle's apex. LEMON's
+   updateTreeStructure: the thread is spliced stem node by stem node (each
+   stem node's remaining subtree, then the next stem node's), parents and
+   arcs to parents are reversed along the stem, and [succ_num]/[last_succ]
+   are patched on the stem and on the paths from [v_in] and from the old
+   parent of [u_out] up to [join]. *)
+let update_tree t ~join ~u_in ~v_in ~u_out ~e =
+  let parent = t.parent and thread = t.thread and rev = t.rev_thread in
+  let succ = t.succ_num and last = t.last_succ in
+  let old_rev_thread = rev.(u_out) in
+  let old_succ_num = succ.(u_out) in
+  let old_last_succ = last.(u_out) in
+  let v_out = parent.(u_out) in
+  (* the cut segment is re-threaded right after v_in; when it already
+     follows v_in it stays in place *)
+  let thread_continue =
+    if old_rev_thread = v_in then thread.(old_last_succ) else thread.(v_in)
+  in
+  let stem = ref u_in and par_stem = ref v_in in
+  let last_ = ref last.(u_in) in
+  let after = ref thread.(!last_) in
+  thread.(v_in) <- u_in;
+  let dirty = t.dirty in
+  dirty.(0) <- v_in;
+  let nd = ref 1 in
+  while !stem <> u_out do
+    (* the next stem node follows the current one's subtree ... *)
+    let next_stem = parent.(!stem) in
+    thread.(!last_) <- next_stem;
+    dirty.(!nd) <- !last_;
+    incr nd;
+    (* ... which leaves its old place in the thread *)
+    let before = rev.(!stem) in
+    thread.(before) <- !after;
+    rev.(!after) <- before;
+    parent.(!stem) <- !par_stem;
+    par_stem := !stem;
+    stem := next_stem;
+    last_ :=
+      if last.(!stem) = last.(!par_stem) then rev.(!par_stem)
+      else last.(!stem);
+    after := thread.(!last_)
+  done;
+  parent.(u_out) <- !par_stem;
+  thread.(!last_) <- thread_continue;
+  rev.(thread_continue) <- !last_;
+  last.(u_out) <- !last_;
+  if old_rev_thread <> v_in then begin
+    thread.(old_rev_thread) <- !after;
+    rev.(!after) <- old_rev_thread
+  end;
+  for i = 0 to !nd - 1 do
+    let u = dirty.(i) in
+    rev.(thread.(u)) <- u
+  done;
+  (* arcs to parents, subtree sizes and last nodes along the new stem,
+     from u_out up to u_in *)
+  let sc = ref 0 and ls = last.(u_out) in
+  let u = ref u_out in
+  while !u <> u_in do
+    let p = parent.(!u) in
+    t.parc.(!u) <- t.parc.(p);
+    sc := !sc + succ.(!u) - succ.(p);
+    succ.(!u) <- !sc;
+    last.(p) <- ls;
+    u := p
+  done;
+  t.parc.(u_in) <- e;
+  succ.(u_in) <- old_succ_num;
+  (* last_succ from v_in towards the root *)
+  let up_limit_out = if last.(join) = v_in then join else -1 in
+  let last_succ_out = last.(u_out) in
+  let u = ref v_in in
+  while !u <> -1 && last.(!u) = v_in do
+    last.(!u) <- last_succ_out;
+    u := parent.(!u)
+  done;
+  (* last_succ from v_out towards the root *)
+  let fix_from_v_out ls =
+    let u = ref v_out in
+    while !u <> up_limit_out && last.(!u) = old_last_succ do
+      last.(!u) <- ls;
+      u := parent.(!u)
     done
+  in
+  if join <> old_rev_thread && v_in <> old_rev_thread then
+    fix_from_v_out old_rev_thread
+  else if last_succ_out <> old_last_succ then fix_from_v_out last_succ_out;
+  (* succ_num on both paths up to join *)
+  let u = ref v_in in
+  while !u <> join do
+    succ.(!u) <- succ.(!u) + old_succ_num;
+    u := parent.(!u)
+  done;
+  let u = ref v_out in
+  while !u <> join do
+    succ.(!u) <- succ.(!u) - old_succ_num;
+    u := parent.(!u)
   done
 
-(* Pivot-path variant: a pivot re-hangs a subtree without touching any arc
-   cost, so every potential inside it moves by the SAME offset (tree arcs
-   pin relative potentials, whichever end is the parent). Depths still need
-   the parent chase; potentials just add [dpi] — exactly the ints
-   [refresh_subtree] would recompute, one read instead of three. *)
-let shift_subtree t q dpi =
-  let stack = t.dfs_stack in
-  stack.(0) <- q;
-  let top = ref 1 in
-  while !top > 0 do
-    decr top;
-    let v = stack.(!top) in
-    t.depth.(v) <- t.depth.(t.parent.(v)) + 1;
-    t.pi.(v) <- t.pi.(v) + dpi;
-    let c = ref t.first_child.(v) in
-    while !c <> -1 do
-      stack.(!top) <- !c;
-      incr top;
-      c := t.next_sib.(!c)
+(* Shift the potentials of the subtree under [q] by [dpi] — or, when it
+   holds more than half of the nodes, the complement by [-dpi]: the same
+   potential differences from fewer writes (see the header comment). *)
+let shift_potentials t q dpi =
+  let stop = t.thread.(t.last_succ.(q)) in
+  if 2 * t.succ_num.(q) <= t.n + 1 then begin
+    let u = ref q in
+    while !u <> stop do
+      t.pi.(!u) <- t.pi.(!u) + dpi;
+      u := t.thread.(!u)
     done
-  done
+  end
+  else begin
+    let u = ref stop in
+    while !u <> q do
+      t.pi.(!u) <- t.pi.(!u) - dpi;
+      u := t.thread.(!u)
+    done
+  end
 
 exception Unbounded_exn
 
@@ -220,11 +341,14 @@ exception Aborted_exn
 (* Pivot from the current (strongly feasible) basis to optimality.
 
    The cycle lives in the preallocated [ts_*]/[hs_*] scratch, filled in walk
-   order (entering-arc endpoint first). Cycle orientation starts at the
-   apex: tail side reversed (apex -> tail), then the entering arc, then the
-   head side in fill order (head -> apex) — the same sequence the historical
-   list-based code produced, so the Cunningham last-blocking-arc choice (and
-   with it the whole pivot trajectory) is unchanged. *)
+   order (entering-arc endpoint first). The apex search climbs from
+   whichever side has the smaller subtree — that side cannot be the apex —
+   but each side's arcs are still recorded endpoint first, so the cycle is
+   the same sequence whatever the climbing order. Cycle orientation starts
+   at the apex: tail side reversed (apex -> tail), then the entering arc,
+   then the head side in fill order (head -> apex) — the same sequence the
+   historical list-based code produced, so the Cunningham last-blocking-arc
+   choice (and with it the whole pivot trajectory) is unchanged. *)
 let run_pivots ?budget t =
   let tick () =
     Perf.tick_pivot ();
@@ -245,40 +369,30 @@ let run_pivots ?budget t =
       let head = if s = state_lower then t.dst.(e) else t.src.(e) in
       (* walk up to the apex, collecting both paths *)
       let ts_len = ref 0 and hs_len = ref 0 in
-      let push_t a inc below =
-        t.ts_arc.(!ts_len) <- a;
-        t.ts_inc.(!ts_len) <- inc;
-        t.ts_below.(!ts_len) <- below;
-        incr ts_len
-      and push_h a inc below =
-        t.hs_arc.(!hs_len) <- a;
-        t.hs_inc.(!hs_len) <- inc;
-        t.hs_below.(!hs_len) <- below;
-        incr hs_len
-      in
       let u = ref tail and v = ref head in
-      while t.depth.(!u) > t.depth.(!v) do
-        let a = t.parc.(!u) in
-        (* cycle orientation crosses a as parent(u) -> u on the tail
-           side: increases flow iff the arc points down to u *)
-        push_t a (t.dst.(a) = !u) !u;
-        u := t.parent.(!u)
-      done;
-      while t.depth.(!v) > t.depth.(!u) do
-        let a = t.parc.(!v) in
-        (* head side is traversed v -> parent(v): increases flow iff the
-           arc points up from v *)
-        push_h a (t.src.(a) = !v) !v;
-        v := t.parent.(!v)
-      done;
       while !u <> !v do
-        let a = t.parc.(!u) in
-        push_t a (t.dst.(a) = !u) !u;
-        u := t.parent.(!u);
-        let b = t.parc.(!v) in
-        push_h b (t.src.(b) = !v) !v;
-        v := t.parent.(!v)
+        if t.succ_num.(!u) < t.succ_num.(!v) then begin
+          (* cycle orientation crosses a as parent(u) -> u on the tail
+             side: increases flow iff the arc points down to u *)
+          let a = t.parc.(!u) in
+          t.ts_arc.(!ts_len) <- a;
+          t.ts_inc.(!ts_len) <- t.dst.(a) = !u;
+          t.ts_below.(!ts_len) <- !u;
+          incr ts_len;
+          u := t.parent.(!u)
+        end
+        else begin
+          (* head side is traversed v -> parent(v): increases flow iff the
+             arc points up from v *)
+          let a = t.parc.(!v) in
+          t.hs_arc.(!hs_len) <- a;
+          t.hs_inc.(!hs_len) <- t.src.(a) = !v;
+          t.hs_below.(!hs_len) <- !v;
+          incr hs_len;
+          v := t.parent.(!v)
+        end
       done;
+      let join = !u in
       let residual a inc = if inc then t.cap.(a) - t.flow.(a) else t.flow.(a) in
       let e_inc = s = state_lower in
       let delta = ref (residual e e_inc) in
@@ -331,31 +445,14 @@ let run_pivots ?budget t =
         (* the subtree under [lv_below] is cut; the entering-arc endpoint
            inside it is [tail] if the leaving arc is on the tail side *)
         let on_tail_side = !lv_side = 0 in
-        let lv_arc = !lv_arc and lv_below = !lv_below in
+        let lv_arc = !lv_arc in
         let q = if on_tail_side then tail else head in
         let pnode = if on_tail_side then head else tail in
         (* leaving arc becomes nonbasic *)
         t.state.(lv_arc) <-
           (if t.flow.(lv_arc) = 0 then state_lower else state_upper);
         t.state.(e) <- state_tree;
-        (* re-root the cut subtree at q, hanging it from pnode via e *)
-        let cur = ref q in
-        let new_parent = ref pnode and new_parc = ref e in
-        let stop = lv_below in
-        let finished = ref false in
-        while not !finished do
-          let c = !cur in
-          let old_parent = t.parent.(c) and old_parc = t.parc.(c) in
-          detach t c;
-          attach t c !new_parent;
-          t.parc.(c) <- !new_parc;
-          if c = stop then finished := true
-          else begin
-            new_parent := c;
-            new_parc := old_parc;
-            cur := old_parent
-          end
-        done;
+        update_tree t ~join ~u_in:q ~v_in:pnode ~u_out:!lv_below ~e;
         (* no cost changed, so the re-hung subtree's potentials shift
            uniformly by the entering arc's potential discontinuity at q *)
         let dpi =
@@ -363,10 +460,13 @@ let run_pivots ?budget t =
            else t.pi.(pnode) + t.cost.(e))
           - t.pi.(q)
         in
-        shift_subtree t q dpi
+        shift_potentials t q dpi
       end
     end
   done
+
+(* potentials normalized to the root, which smaller-side shifts move *)
+let potentials t = Array.init t.n (fun v -> t.pi.(v) - t.pi.(t.n))
 
 let solution_of t p : Mcf.solution =
   (* optimality reached; check artificial arcs *)
@@ -375,7 +475,7 @@ let solution_of t p : Mcf.solution =
     if t.flow.(a) > 0 then infeasible := true
   done;
   let flow = Array.sub t.flow 0 t.m_real in
-  let potential = Array.sub t.pi 0 t.n in
+  let potential = potentials t in
   if !infeasible then { status = Infeasible; flow; potential; objective = 0 }
   else { status = Optimal; flow; potential; objective = Mcf.flow_cost p flow }
 
@@ -387,12 +487,12 @@ let run ?budget t p : Mcf.solution =
   | Unbounded_exn ->
     { status = Unbounded;
       flow = Array.make t.m_real 0;
-      potential = Array.sub t.pi 0 t.n;
+      potential = potentials t;
       objective = 0 }
   | Aborted_exn ->
     { status = Aborted;
       flow = Array.make t.m_real 0;
-      potential = Array.sub t.pi 0 t.n;
+      potential = potentials t;
       objective = 0 }
 
 let unbalanced p : Mcf.solution =
@@ -445,7 +545,13 @@ let compatible t (p : Mcf.problem) =
      anti-cycling guarantee) — is cut, and the node below it is re-hung
      directly on the root via its own artificial arc, re-oriented along the
      excess it must carry. The result is a strongly feasible basis whatever
-     the new data; big-M pivots then drive any artificial flow back out. *)
+     the new data; big-M pivots then drive any artificial flow back out.
+
+   The accumulation walks the old thread backwards (children before
+   parents). A cut only rewrites the node's parent pointers, which the
+   backward walk never reads again; [rebuild_tree] then derives the new
+   thread index and potentials from the parents. Node excess lives in the
+   idle [dirty] scratch, so a warm solve allocates no per-node arrays. *)
 let rewarm t (p : Mcf.problem) =
   let n = t.n and m_real = t.m_real in
   let root = n in
@@ -473,41 +579,22 @@ let rewarm t (p : Mcf.problem) =
     else if t.state.(a) = state_lower then t.flow.(a) <- 0
   done;
   (* node excess once nonbasic flows are pinned *)
-  let need = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    need.(v) <- p.supply.(v)
-  done;
+  let need = t.dirty in
+  Array.blit p.supply 0 need 0 n;
   for a = 0 to t.m - 1 do
     if t.state.(a) <> state_tree && t.flow.(a) > 0 then begin
       need.(t.src.(a)) <- need.(t.src.(a)) - t.flow.(a);
       need.(t.dst.(a)) <- need.(t.dst.(a)) + t.flow.(a)
     end
   done;
-  (* children-before-parents order = reverse of a root-first preorder *)
-  let order = Array.make n 0 in
-  let len = ref 0 in
-  let stack = ref [ root ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      if v <> root then begin
-        order.(!len) <- v;
-        incr len
-      end;
-      let c = ref t.first_child.(v) in
-      while !c <> -1 do
-        stack := !c :: !stack;
-        c := t.next_sib.(!c)
-      done
-  done;
-  for k = !len - 1 downto 0 do
-    let v = order.(k) in
-    let a = t.parc.(v) in
-    let par = t.parent.(v) in
-    let e = need.(v) in
-    let upward = t.src.(a) = v in
+  let v = ref t.rev_thread.(root) in
+  while !v <> root do
+    let x = !v in
+    v := t.rev_thread.(x);
+    let a = t.parc.(x) in
+    let par = t.parent.(x) in
+    let e = need.(x) in
+    let upward = t.src.(a) = x in
     let f = if upward then e else -e in
     let strongly_feasible =
       f >= 0 && f <= t.cap.(a)
@@ -519,36 +606,32 @@ let rewarm t (p : Mcf.problem) =
       need.(par) <- need.(par) + e
     end
     else begin
-      (* cut [a]; re-hang v on its own artificial arc, which (unlike real
+      (* cut [a]; re-hang x on its own artificial arc, which (unlike real
          arcs) we may freely re-orient: it is internal bookkeeping and never
          part of the returned solution *)
-      let aa = m_real + v in
+      let aa = m_real + x in
       if a <> aa then begin
         t.state.(a) <- state_lower;
         t.flow.(a) <- 0;
         t.state.(aa) <- state_tree;
-        detach t v;
-        attach t v root;
-        t.parc.(v) <- aa
+        t.parent.(x) <- root;
+        t.parc.(x) <- aa
       end;
       if e >= 0 then begin
-        t.src.(aa) <- v;
+        t.src.(aa) <- x;
         t.dst.(aa) <- root;
         t.flow.(aa) <- e
       end
       else begin
         t.src.(aa) <- root;
-        t.dst.(aa) <- v;
+        t.dst.(aa) <- x;
         t.flow.(aa) <- -e
       end
     end
   done;
-  (* depths and potentials from scratch: subtrees moved and costs changed *)
-  let c = ref t.first_child.(root) in
-  while !c <> -1 do
-    refresh_subtree t !c;
-    c := t.next_sib.(!c)
-  done;
+  (* thread index and potentials from scratch: subtrees moved and costs
+     changed *)
+  rebuild_tree t;
   t.scan_pos <- 0
 
 let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
@@ -570,8 +653,8 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
     in
     let sol = run ?budget t p in
     (* only an optimal basis is worth keeping: after Aborted the tree is
-       mid-pivot but consistent — still reusable — whereas Infeasible and
-       Unbounded leave nothing to warm-start from *)
+       between pivots and consistent — still reusable — whereas Infeasible
+       and Unbounded leave nothing to warm-start from *)
     st.basis <- (match sol.status with Optimal | Aborted -> Some t | _ -> None);
     sol
   end

@@ -408,6 +408,220 @@ let prop_dinic_matches_mcf_feasibility =
       let s = Simplex.solve p in
       feasible = (s.status = Optimal))
 
+(* ---------- simplex trajectory ---------- *)
+
+module Budget = Minflo_robust.Budget
+module Perf = Minflo_robust.Perf
+
+(* A layered difference-constraint network, the shape of a D-phase dual:
+   [layers] x [width] nodes, forward arcs (some capacitated) and backward
+   arcs between adjacent layers, plus an uncapacitated ring through every
+   node so any balanced supply is routable. Arc costs are
+   [phi src - phi dst + slack] with [slack >= 0], so no cycle is negative
+   and every solve is bounded. Deep enough that pivots re-hang subtrees
+   holding more than half of the spanning tree. *)
+type layered = {
+  n : int;
+  ends : (int * int * int) array; (* src, dst, cap *)
+  phi : int array;
+  slack : int array;
+  supply : int array;
+}
+
+let layered_problem l =
+  { Mcf.num_nodes = l.n;
+    arcs =
+      Array.mapi
+        (fun i (src, dst, cap) ->
+          arc src dst cap (l.phi.(src) - l.phi.(dst) + l.slack.(i)))
+        l.ends;
+    supply = Array.copy l.supply }
+
+let add_pairs rng l pairs =
+  for _ = 1 to pairs do
+    let s = Rng.int rng l.n and t = Rng.int rng l.n in
+    let amount = 1 + Rng.int rng 9 in
+    l.supply.(s) <- l.supply.(s) + amount;
+    l.supply.(t) <- l.supply.(t) - amount
+  done
+
+let make_layered rng =
+  let n = 200 + Rng.int rng 1801 in
+  let width = 4 + Rng.int rng 12 in
+  let layer v = v / width in
+  let layer_start i = min n (i * width) in
+  let pick_in i =
+    let lo = layer_start i in
+    lo + Rng.int rng (layer_start (i + 1) - lo)
+  in
+  let ends = ref [] in
+  for v = width to n - 1 do
+    let i = layer v - 1 in
+    for _ = 1 to 1 + Rng.int rng 3 do
+      let cap =
+        if Rng.int rng 10 = 0 then 1 + Rng.int rng 20
+        else Mcf.infinite_capacity
+      in
+      ends := (pick_in i, v, cap) :: !ends
+    done;
+    ends := (v, pick_in i, Mcf.infinite_capacity) :: !ends
+  done;
+  for v = 0 to n - 1 do
+    ends := (v, (v + 1) mod n, Mcf.infinite_capacity) :: !ends
+  done;
+  let ends = Array.of_list (List.rev !ends) in
+  let l =
+    { n;
+      ends;
+      phi = Array.init n (fun v -> (10 * layer v) + Rng.int rng 10);
+      slack = Array.init (Array.length ends) (fun _ -> Rng.int rng 8);
+      supply = Array.make n 0 }
+  in
+  add_pairs rng l (n / 4);
+  l
+
+(* one warm-chain step: re-draw some slacks, move some potentials, add
+   some supply pairs — the shape stays, so the basis is reused *)
+let perturb rng l =
+  let m = Array.length l.ends in
+  for _ = 1 to 1 + (m / 20) do
+    l.slack.(Rng.int rng m) <- Rng.int rng 8
+  done;
+  for _ = 1 to 1 + (l.n / 50) do
+    let v = Rng.int rng l.n in
+    l.phi.(v) <- l.phi.(v) + Rng.int rng 7 - 3
+  done;
+  add_pairs rng l (1 + (l.n / 40))
+
+let status_code = function
+  | Mcf.Optimal -> 0
+  | Mcf.Infeasible -> 1
+  | Mcf.Unbounded -> 2
+  | Mcf.Aborted -> 3
+
+(* FNV-1a over whole ints: status, pivots spent, flow and raw potentials *)
+let solve_digest h (sol : Mcf.solution) pivots =
+  let mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001b3L in
+  let h = mix (mix h (status_code sol.status)) pivots in
+  let h = Array.fold_left mix h sol.flow in
+  Array.fold_left mix h sol.potential
+
+let counted_solve f =
+  let before = Perf.snapshot () in
+  let sol = f () in
+  (sol, (Perf.diff before (Perf.snapshot ())).pivots)
+
+let expect_certified name p (sol : Mcf.solution) =
+  check Alcotest.string (name ^ " status") "Optimal" (status_str sol.status);
+  match Mcf.check_optimality p sol with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (name ^ ": " ^ Minflo_robust.Diag.to_string e)
+
+(* Every seed: one cold solve, then a 5-step warm chain under cost and
+   supply perturbations. The digest pins each solve's status, pivot count,
+   flow and potentials, so any change to the pricing order, the cycle
+   orientation, the leaving-arc choice or the warm repair moves it. *)
+let trajectory_digest seed =
+  let rng = Rng.create ((seed * 7919) + 5) in
+  let l = make_layered rng in
+  let st = Simplex.make_state () in
+  let h = ref 0xcbf29ce484222325L in
+  for step = 0 to 5 do
+    if step > 0 then perturb rng l;
+    let p = layered_problem l in
+    let sol, pivots = counted_solve (fun () -> Simplex.solve_warm st p) in
+    expect_certified (Printf.sprintf "seed %d step %d" seed step) p sol;
+    if step > 0 then
+      check int
+        (Printf.sprintf "seed %d step %d warm = cold objective" seed step)
+        (Simplex.solve p).objective sol.objective;
+    h := solve_digest !h sol pivots
+  done;
+  Printf.sprintf "%016Lx" !h
+
+let test_trajectory_pin () =
+  let pins =
+    [ (0, "455fde56c3f6a34f");
+      (1, "282441400061704d");
+      (2, "615d135d646c5df2");
+      (3, "48a11c62f9544e37") ]
+  in
+  List.iter
+    (fun (seed, expect) ->
+      check Alcotest.string
+        (Printf.sprintf "seed %d trajectory digest" seed)
+        expect (trajectory_digest seed))
+    pins
+
+(* A budget-aborted solve leaves the basis mid-run but consistent: the
+   state stays warm, and an unbudgeted resume reaches the cold optimum
+   with a valid certificate. Checked from an empty state and from a warm
+   basis repairing a perturbed problem. *)
+let test_abort_then_resume () =
+  let rng = Rng.create 4242 in
+  let l = make_layered rng in
+  let p0 = layered_problem l in
+  perturb rng l;
+  let p1 = layered_problem l in
+  let cold1 = Simplex.solve p1 in
+  expect_certified "cold" p1 cold1;
+  let warm_pivots =
+    let st = Simplex.make_state () in
+    ignore (Simplex.solve_warm st p0);
+    snd (counted_solve (fun () -> Simplex.solve_warm st p1))
+  in
+  List.iter
+    (fun (from_warm, k) ->
+      let name =
+        Printf.sprintf "%s, budget %d" (if from_warm then "warm" else "empty") k
+      in
+      let st = Simplex.make_state () in
+      if from_warm then
+        expect_certified (name ^ " seed solve") p0 (Simplex.solve_warm st p0);
+      let budget = Budget.start (Budget.limits ~max_pivots:k ()) in
+      let aborted = Simplex.solve_warm ~budget st p1 in
+      check Alcotest.string (name ^ " aborts") "Aborted"
+        (status_str aborted.status);
+      check bool (name ^ " keeps the basis") true (Simplex.is_warm st);
+      let resumed = Simplex.solve_warm st p1 in
+      expect_certified (name ^ " resume") p1 resumed;
+      check int (name ^ " resume = cold objective") cold1.objective
+        resumed.objective)
+    [ (false, 0); (false, 1); (false, 37); (false, 400);
+      (true, 0); (true, 1); (true, warm_pivots / 3); (true, warm_pivots - 1) ]
+
+(* The degenerate sizes: no nodes, one node, no arcs — through both the
+   cold and the warm entry point, twice so the second warm call reuses. *)
+let test_degenerate_sizes () =
+  let cases =
+    [ ("0 nodes", { Mcf.num_nodes = 0; arcs = [||]; supply = [||] }, "Optimal");
+      ("1 node", { Mcf.num_nodes = 1; arcs = [||]; supply = [| 0 |] }, "Optimal");
+      ("1 node, self loop",
+       { Mcf.num_nodes = 1; arcs = [| arc 0 0 5 (-2) |]; supply = [| 0 |] },
+       "Optimal");
+      ("no arcs, zero supply",
+       { Mcf.num_nodes = 3; arcs = [||]; supply = [| 0; 0; 0 |] },
+       "Optimal");
+      ("no arcs, supply",
+       { Mcf.num_nodes = 2; arcs = [||]; supply = [| 3; -3 |] },
+       "Infeasible") ]
+  in
+  List.iter
+    (fun (name, p, expect) ->
+      let cold = Simplex.solve p in
+      check Alcotest.string (name ^ " cold") expect (status_str cold.status);
+      let st = Simplex.make_state () in
+      for round = 1 to 2 do
+        let warm = Simplex.solve_warm st p in
+        let tag = Printf.sprintf "%s warm %d" name round in
+        check Alcotest.string tag expect (status_str warm.status);
+        check int (tag ^ " objective") cold.objective warm.objective;
+        check bool (tag ^ " state kept iff optimal") (expect = "Optimal")
+          (Simplex.is_warm st);
+        if expect = "Optimal" then expect_certified tag p warm
+      done)
+    cases
+
 (* ---------- Diff_lp ---------- *)
 
 let test_diff_lp_basic () =
@@ -567,6 +781,10 @@ let () =
           tc "differential sweep, 50 fixed seeds" `Quick
             test_differential_fixed_seeds;
           QCheck_alcotest.to_alcotest prop_simplex_certificate ] );
+      ( "simplex",
+        [ tc "trajectory pin, warm chains" `Quick test_trajectory_pin;
+          tc "abort then resume" `Quick test_abort_then_resume;
+          tc "degenerate sizes" `Quick test_degenerate_sizes ] );
       ( "decompose",
         [ tc "zero flow" `Quick test_decompose_zero_flow;
           QCheck_alcotest.to_alcotest prop_decompose_recomposes;
