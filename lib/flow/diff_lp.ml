@@ -1,24 +1,33 @@
-module Vec = Minflo_util.Vec
-
 type var = int
 
+(* Flat storage: [obj.(v)] is the objective coefficient of variable [v]
+   (the supply of its flow node), and constraint [i] is
+   [con_x.(i) - con_y.(i) <= con_w.(i)]. The arrays are sized from the
+   hints and double when outgrown; only the first [nvars]/[ncons] slots are
+   live. *)
 type t = {
   mutable nvars : int;
-  con_x : int Vec.t;
-  con_y : int Vec.t;
-  con_w : int Vec.t;
-  obj : (int, int) Hashtbl.t; (* var -> coefficient *)
+  mutable obj : int array;
+  mutable ncons : int;
+  mutable con_x : int array;
+  mutable con_y : int array;
+  mutable con_w : int array;
 }
 
 let create ?(vars_hint = 16) ?(cons_hint = 64) () =
+  let cons = max 1 cons_hint in
   { nvars = 0;
-    con_x = Vec.create ~capacity:cons_hint ~dummy:0 ();
-    con_y = Vec.create ~capacity:cons_hint ~dummy:0 ();
-    con_w = Vec.create ~capacity:cons_hint ~dummy:0 ();
-    obj = Hashtbl.create (max 64 vars_hint) }
+    obj = Array.make (max 1 vars_hint) 0;
+    ncons = 0;
+    con_x = Array.make cons 0;
+    con_y = Array.make cons 0;
+    con_w = Array.make cons 0 }
+
+let grow a = Array.append a (Array.make (Array.length a) 0)
 
 let var t =
   let v = t.nvars in
+  if v = Array.length t.obj then t.obj <- grow t.obj;
   t.nvars <- v + 1;
   v
 
@@ -30,14 +39,20 @@ let check_var t v =
 let add_le t x y w =
   check_var t x;
   check_var t y;
-  ignore (Vec.push t.con_x x);
-  ignore (Vec.push t.con_y y);
-  ignore (Vec.push t.con_w w)
+  let i = t.ncons in
+  if i = Array.length t.con_x then begin
+    t.con_x <- grow t.con_x;
+    t.con_y <- grow t.con_y;
+    t.con_w <- grow t.con_w
+  end;
+  t.con_x.(i) <- x;
+  t.con_y.(i) <- y;
+  t.con_w.(i) <- w;
+  t.ncons <- i + 1
 
 let add_objective t x c =
   check_var t x;
-  let cur = Option.value ~default:0 (Hashtbl.find_opt t.obj x) in
-  Hashtbl.replace t.obj x (cur + c)
+  t.obj.(x) <- t.obj.(x) + c
 
 type outcome =
   | Solution of { values : int array; objective : int }
@@ -46,14 +61,18 @@ type outcome =
   | Aborted_lp
 
 let objective_value t values =
-  Hashtbl.fold (fun v c acc -> acc + (c * values.(v))) t.obj 0
+  let total = ref 0 in
+  for v = 0 to t.nvars - 1 do
+    total := !total + (t.obj.(v) * values.(v))
+  done;
+  !total
 
 let check_assignment t values =
   if Array.length values <> t.nvars then Error "wrong assignment length"
   else begin
     let bad = ref None in
-    for i = 0 to Vec.length t.con_x - 1 do
-      let x = Vec.get t.con_x i and y = Vec.get t.con_y i and w = Vec.get t.con_w i in
+    for i = 0 to t.ncons - 1 do
+      let x = t.con_x.(i) and y = t.con_y.(i) and w = t.con_w.(i) in
       if values.(x) - values.(y) > w then
         bad :=
           Some
@@ -65,17 +84,14 @@ let check_assignment t values =
   end
 
 let to_problem t : Mcf.problem =
-  let m = Vec.length t.con_x in
   let arcs =
-    Array.init m (fun i ->
-        { Mcf.src = Vec.get t.con_x i;
-          dst = Vec.get t.con_y i;
+    Array.init t.ncons (fun i ->
+        { Mcf.src = t.con_x.(i);
+          dst = t.con_y.(i);
           cap = Mcf.infinite_capacity;
-          cost = Vec.get t.con_w i })
+          cost = t.con_w.(i) })
   in
-  let supply = Array.make t.nvars 0 in
-  Hashtbl.iter (fun v c -> supply.(v) <- supply.(v) + c) t.obj;
-  { num_nodes = t.nvars; arcs; supply }
+  { num_nodes = t.nvars; arcs; supply = Array.sub t.obj 0 t.nvars }
 
 (* Feasibility repair: [x - y <= w] is satisfied by shortest-path distances
    over the reversed arc [y -> x] with weight [w] (then dist(x) <= dist(y) + w
@@ -84,12 +100,12 @@ let to_problem t : Mcf.problem =
    last rung of the solver fallback chain, not a replacement for the flow
    solvers. *)
 let solve_by_feasibility t =
-  let m = Vec.length t.con_x in
+  let m = t.ncons in
   let g =
     { Bellman_ford.num_nodes = t.nvars;
-      arc_src = Array.init m (fun i -> Vec.get t.con_y i);
-      arc_dst = Array.init m (fun i -> Vec.get t.con_x i);
-      arc_weight = Array.init m (fun i -> Vec.get t.con_w i) }
+      arc_src = Array.sub t.con_y 0 m;
+      arc_dst = Array.sub t.con_x 0 m;
+      arc_weight = Array.sub t.con_w 0 m }
   in
   match Bellman_ford.run_all g with
   | Negative_cycle _ -> Infeasible_lp
@@ -111,7 +127,11 @@ let solve ?(solver = `Simplex) ?budget ?warm ?(canonical = false) ?on_solution t
   (* The dual LP [max b.pi : pi(u) - pi(v) <= w] is bounded iff the flow
      problem is feasible, and feasible iff the constraint graph has no
      negative cycle; MCF statuses map accordingly. *)
-  if Hashtbl.fold (fun _ c acc -> acc + c) t.obj 0 <> 0 then
+  let balance = ref 0 in
+  for v = 0 to t.nvars - 1 do
+    balance := !balance + t.obj.(v)
+  done;
+  if !balance <> 0 then
     (* supplies would not balance; the LP is unbounded along the all-ones
        direction unless the coefficients cancel *)
     Unbounded_lp

@@ -19,10 +19,11 @@ type t
 type var = int
 
 val create : ?vars_hint:int -> ?cons_hint:int -> unit -> t
-(** The hints pre-size the constraint vectors and the objective table —
-    the D-phase rebuilds this LP every refinement iteration for a network
-    whose shape it already knows, so sizing up front keeps per-iteration
-    allocation at O(problem) with no growth doublings. *)
+(** The hints pre-size the flat constraint and objective arrays (which
+    double when outgrown) — the D-phase rebuilds this LP every refinement
+    iteration for a network whose shape it already knows, so sizing up
+    front keeps per-iteration allocation at O(problem) with no growth
+    doublings. *)
 
 val var : t -> var
 (** A fresh variable, initially with objective coefficient 0. *)

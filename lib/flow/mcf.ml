@@ -180,6 +180,54 @@ let decompose p flow =
   done;
   { paths = List.rev !paths; cycles = List.rev !cycles }
 
+(* Indexed 4-ary min-heap over node ids: slot [i] holds node [heap.(i)]
+   with key [hkey.(i)], and [pos.(v)] is the slot of node [v] (-1 once
+   removed). Keeping the keys in heap order makes a sift compare adjacent
+   slots instead of chasing node ids. *)
+let arity = 4
+
+let place (hkey : int array) heap pos i k v =
+  hkey.(i) <- k;
+  heap.(i) <- v;
+  pos.(v) <- i
+
+(* fill the hole at slot [i] with node [v] of key [k], moving up *)
+let rec sift_up hkey heap pos i k v =
+  let parent = (i - 1) / arity in
+  if i > 0 && hkey.(parent) > k then begin
+    place hkey heap pos i hkey.(parent) heap.(parent);
+    sift_up hkey heap pos parent k v
+  end
+  else place hkey heap pos i k v
+
+(* fill the hole at slot [i] of a [size]-slot heap, moving down *)
+let rec sift_down hkey heap pos size i k v =
+  let first = (arity * i) + 1 in
+  if first >= size then place hkey heap pos i k v
+  else begin
+    let best = ref first in
+    for c = first + 1 to min (first + arity) size - 1 do
+      if hkey.(c) < hkey.(!best) then best := c
+    done;
+    let b = !best in
+    if hkey.(b) < k then begin
+      place hkey heap pos i hkey.(b) heap.(b);
+      sift_down hkey heap pos size b k v
+    end
+    else place hkey heap pos i k v
+  end
+
+(* remove the node at slot [i] of a [size]-slot heap; most slots are
+   near the leaves, so this is cheap on average *)
+let delete hkey heap pos size i =
+  let last = size - 1 in
+  pos.(heap.(i)) <- -1;
+  if i < last then begin
+    let k = hkey.(last) and v = heap.(last) in
+    if i > 0 && hkey.((i - 1) / arity) > k then sift_up hkey heap pos i k v
+    else sift_down hkey heap pos last i k v
+  end
+
 (* The optimal dual face of the LP is { pi : pi feasible, complementary
    slack with f } for ANY optimal flow f — complementary slackness with one
    optimal primal plus dual feasibility already forces optimality, and every
@@ -187,88 +235,113 @@ let decompose p flow =
    of a difference-constraint system are closed under componentwise max, so
    capping every potential at 0 leaves a unique componentwise-maximal
    element of that face. Computing it is a shortest-path problem from a
-   virtual source s with a 0-weight arc to every node:
+   virtual source s with a 0-weight arc to every node, over every residual
+   arc:
 
      f(a) < cap(a):  pi(u) - pi(v) <= cost(a)   => edge v -> u, weight cost
      f(a) > 0:       pi(v) - pi(u) <= -cost(a)  => edge u -> v, weight -cost
 
-   The input potentials are themselves a valid Johnson reweighting (reduced
-   weights are exactly +-reduced-cost, non-negative at optimality), so one
-   Dijkstra suffices. The point: the result does not depend on which optimal
-   basis the solver happened to end on, so warm- and cold-started solves
-   return bit-identical duals. *)
+   The input potentials are themselves a valid Johnson reweighting: the
+   reduced weights are exactly +-reduced-cost, non-negative at optimality,
+   and the CSR stores them directly, so one Dijkstra suffices. Its
+   distances are unique whatever order ties pop in. The point: the result
+   does not depend on which optimal basis the solver happened to end on, so
+   warm- and cold-started solves return bit-identical duals. *)
 let canonical_potentials p (sol : solution) =
   let n = p.num_nodes in
   if n = 0 || sol.status <> Optimal then Array.copy sol.potential
   else begin
-    let h = sol.potential in
-    let hs = Array.fold_left max h.(0) h in
-    (* adjacency in CSR form; up to 2 entries per arc *)
-    let deg = Array.make n 0 in
+    let h = sol.potential and flow = sol.flow and arcs = p.arcs in
+    let m = Array.length arcs in
+    (* [start.(v + 1)] counts v's out-edges, then becomes v's end offset *)
+    let start = Array.make (n + 1) 0 in
     let live = ref true in
-    Array.iteri
-      (fun i (a : arc) ->
-        let rc = a.cost - h.(a.src) + h.(a.dst) in
-        if sol.flow.(i) < a.cap then begin
-          deg.(a.dst) <- deg.(a.dst) + 1;
-          if rc < 0 then live := false
-        end;
-        if sol.flow.(i) > 0 then begin
-          deg.(a.src) <- deg.(a.src) + 1;
-          if rc > 0 then live := false
-        end)
-      p.arcs;
+    for i = 0 to m - 1 do
+      let a = arcs.(i) in
+      let rc = a.cost - h.(a.src) + h.(a.dst) in
+      if flow.(i) < a.cap then begin
+        start.(a.dst + 1) <- start.(a.dst + 1) + 1;
+        if rc < 0 then live := false
+      end;
+      if flow.(i) > 0 then begin
+        start.(a.src + 1) <- start.(a.src + 1) + 1;
+        if rc > 0 then live := false
+      end
+    done;
     if not !live then
       (* the certificate is not actually optimal (possible only under fault
          injection / a solver bug): canonicalization would silently repair
          it, so hand the raw potentials to the downstream detectors *)
       Array.copy sol.potential
     else begin
-      let start = Array.make (n + 1) 0 in
       for v = 1 to n do
-        start.(v) <- start.(v - 1) + deg.(v - 1)
+        start.(v) <- start.(v) + start.(v - 1)
       done;
-      let cursor = Array.copy start in
+      (* [first.(v)] starts at v's end offset; filling from the back leaves
+         it at v's first edge, with every list in arc order *)
       let m2 = start.(n) in
       let eto = Array.make m2 0 and ew = Array.make m2 0 in
-      Array.iteri
-        (fun i (a : arc) ->
-          if sol.flow.(i) < a.cap then begin
-            eto.(cursor.(a.dst)) <- a.src;
-            ew.(cursor.(a.dst)) <- a.cost;
-            cursor.(a.dst) <- cursor.(a.dst) + 1
-          end;
-          if sol.flow.(i) > 0 then begin
-            eto.(cursor.(a.src)) <- a.dst;
-            ew.(cursor.(a.src)) <- -a.cost;
-            cursor.(a.src) <- cursor.(a.src) + 1
-          end)
-        p.arcs;
-      (* Dijkstra over reduced weights w'(x,y) = w + h(x) - h(y), every node
-         seeded through the virtual source's 0-weight arc *)
-      let dist = Array.make n max_int in
-      let final = Array.make n false in
-      let heap = Minflo_util.Heap.create () in
-      for v = 0 to n - 1 do
-        dist.(v) <- hs - h.(v);
-        Minflo_util.Heap.push heap ~key:dist.(v) v
+      let first = Array.sub start 1 n in
+      for i = m - 1 downto 0 do
+        let a = arcs.(i) in
+        let rc = a.cost - h.(a.src) + h.(a.dst) in
+        if flow.(i) > 0 then begin
+          let k = first.(a.src) - 1 in
+          first.(a.src) <- k;
+          eto.(k) <- a.dst;
+          ew.(k) <- -rc
+        end;
+        if flow.(i) < a.cap then begin
+          let k = first.(a.dst) - 1 in
+          first.(a.dst) <- k;
+          eto.(k) <- a.src;
+          ew.(k) <- rc
+        end
       done;
-      let continue = ref true in
-      while !continue do
-        match Minflo_util.Heap.pop_min heap with
-        | None -> continue := false
-        | Some (d, u) ->
-          if not final.(u) then begin
-            final.(u) <- true;
-            for k = start.(u) to start.(u + 1) - 1 do
-              let v = eto.(k) in
-              let nd = d + ew.(k) + h.(u) - h.(v) in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Minflo_util.Heap.push heap ~key:nd v
+      (* Dijkstra over the reduced weights, every node seeded through the
+         virtual source's 0-weight arc (reduced: hs - h(v) >= 0) *)
+      let hs = ref h.(0) in
+      for v = 1 to n - 1 do
+        if h.(v) > !hs then hs := h.(v)
+      done;
+      let hs = !hs in
+      let dist = Array.init n (fun v -> hs - h.(v)) in
+      let hkey = Array.copy dist in
+      let heap = Array.init n Fun.id and pos = Array.init n Fun.id in
+      let stack = Array.make n 0 in
+      for i = (n - 2) / arity downto 0 do
+        sift_down hkey heap pos n i hkey.(i) heap.(i)
+      done;
+      (* Pop the minimum [d] and scan it. A node that an edge of reduced
+         weight 0 reaches at [d] is final at once: it leaves the heap
+         (usually from near the leaves, so cheaply) and waits on [stack]
+         to be scanned at the same [d]. *)
+      let size = ref n and top = ref 0 in
+      while !size > 0 do
+        let d = hkey.(0) in
+        stack.(0) <- heap.(0);
+        top := 1;
+        delete hkey heap pos !size 0;
+        decr size;
+        while !top > 0 do
+          decr top;
+          let x = stack.(!top) in
+          for k = first.(x) to start.(x + 1) - 1 do
+            let v = eto.(k) in
+            let nd = d + ew.(k) in
+            (* weights are >= 0, so a removed node never improves again *)
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              if nd = d then begin
+                delete hkey heap pos !size pos.(v);
+                decr size;
+                stack.(!top) <- v;
+                incr top
               end
-            done
-          end
+              else sift_up hkey heap pos pos.(v) nd v
+            end
+          done
+        done
       done;
       Array.init n (fun v -> dist.(v) - hs + h.(v))
     end

@@ -63,16 +63,26 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
     let weights = Sensitivity.weights model ~sizes ~delays in
     (* integerization *)
     let s = options.scale in
+    (* the loops below spell out [max]/[min] as float and int compares:
+       the polymorphic ones cost a C call and a boxed float each *)
     let iw =
-      let wmax = Array.fold_left max 1e-30 weights in
+      let wmax = ref 1e-30 in
+      for i = 0 to Array.length weights - 1 do
+        if not (!wmax >= weights.(i)) then wmax := weights.(i)
+      done;
       (* supplies are kept small so cost*flow stays far from overflow *)
-      let ws = 1.0e3 /. wmax in
-      Array.map (fun c -> max 1 (int_of_float (Float.round (c *. ws)))) weights
+      let ws = 1.0e3 /. !wmax in
+      Array.init (Array.length weights) (fun i ->
+          let v = int_of_float (Float.round (weights.(i) *. ws)) in
+          if 1 >= v then 1 else v)
     in
     (* constraint right-hand sides round DOWN (and never below 0): the
        feasible region only shrinks, so integerization can make the step
        smaller but never lets a budget exceed the true slack *)
-    let q x = max 0 (int_of_float (floor (x *. s))) in
+    let[@inline] q x =
+      let v = int_of_float (floor (x *. s)) in
+      if v > 0 then v else 0
+    in
     let lp =
       Diff_lp.create ~vars_hint:((2 * n) + 1)
         ~cons_hint:((2 * n) + model.m + n)
@@ -85,7 +95,9 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
     for i = 0 to n - 1 do
       let max_dd = options.eta *. delays.(i) in
       let head_room = delays.(i) -. (1.02 *. model.Delay_model.a_self.(i)) -. 1e-9 in
-      let min_dd = -.min (options.eta *. delays.(i)) (max 0.0 head_room) in
+      (* min max_dd (max 0.0 head_room) *)
+      let head_room = if 0.0 >= head_room then 0.0 else head_room in
+      let min_dd = -.(if max_dd <= head_room then max_dd else head_room) in
       (* r(Dmy i) - r(i) <= MAXdD  and  r(i) - r(Dmy i) <= -MINdD *)
       Diff_lp.add_le lp rdmy.(i) r.(i) (q max_dd);
       Diff_lp.add_le lp r.(i) rdmy.(i) (q (-.min_dd));

@@ -1,7 +1,8 @@
 (** Binary min-heap keyed by integer priorities, with support for
     decrease-key via lazy deletion.
 
-    Used by Dijkstra in the flow library and by the TILOS candidate queue.
+    Used by the successive-shortest-path solver's Dijkstra, where the order
+    ties pop in picks the augmenting paths.
     Elements are integers (node/gate ids); priorities are [int] keys. *)
 
 type t

@@ -622,6 +622,144 @@ let test_degenerate_sizes () =
       done)
     cases
 
+(* ---------- canonical duals ---------- *)
+
+(* small feasible problems with heavily tied costs: an uncapacitated ring
+   keeps every supply routable, and random finite arcs with costs in
+   [-1, 2] make the optimal basis (and so the raw duals) degenerate *)
+let tied_problem seed =
+  let rng = Rng.create ((seed * 31337) + 17) in
+  let n = 2 + Rng.int rng 11 in
+  let ring = Array.init n (fun v -> arc v ((v + 1) mod n) Mcf.infinite_capacity 2) in
+  let extra =
+    Array.init (Rng.int rng (3 * n)) (fun _ ->
+        arc (Rng.int rng n) (Rng.int rng n) (Rng.int rng 6) (Rng.int rng 4 - 1))
+  in
+  let supply = Array.make n 0 in
+  for _ = 1 to 1 + Rng.int rng 3 do
+    let s = Rng.int rng n and t = Rng.int rng n in
+    let amount = 1 + Rng.int rng 5 in
+    supply.(s) <- supply.(s) + amount;
+    supply.(t) <- supply.(t) - amount
+  done;
+  { Mcf.num_nodes = n; arcs = Array.append ring extra; supply }
+
+(* The reference canonical dual: the largest pi <= 0 that is slack-
+   complementary with [flow], by plain Bellman-Ford relaxation from an
+   all-zero start (a virtual source with a 0-weight arc to every node) *)
+let reference_canonical (p : Mcf.problem) flow =
+  let pi = Array.make p.num_nodes 0 in
+  let relax u v w =
+    if pi.(u) + w < pi.(v) then begin
+      pi.(v) <- pi.(u) + w;
+      true
+    end
+    else false
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun i (a : Mcf.arc) ->
+        (* f < cap: pi(src) - pi(dst) <= cost; f > 0: pi(dst) - pi(src) <= -cost *)
+        if flow.(i) < a.cap && relax a.dst a.src a.cost then changed := true;
+        if flow.(i) > 0 && relax a.src a.dst (-a.cost) then changed := true)
+      p.arcs
+  done;
+  pi
+
+let int_array = Alcotest.(array int)
+
+(* the reference runs on SSP's flow and the Dijkstra on the simplex's, so
+   this also checks that the face does not depend on the optimal flow *)
+let test_canonical_matches_reference () =
+  let solved = ref 0 and degenerate = ref 0 in
+  for seed = 0 to 249 do
+    let p = tied_problem seed in
+    let simplex = Simplex.solve p and ssp = Ssp.solve p in
+    expect_certified (Printf.sprintf "seed %d simplex" seed) p simplex;
+    expect_certified (Printf.sprintf "seed %d ssp" seed) p ssp;
+    incr solved;
+    if simplex.potential <> ssp.potential then incr degenerate;
+    check int_array
+      (Printf.sprintf "seed %d canonical = reference" seed)
+      (reference_canonical p ssp.flow)
+      (Mcf.canonical_potentials p simplex)
+  done;
+  check bool "at least 200 problems solved" true (!solved >= 200);
+  check bool "some raw duals disagree" true (!degenerate > 0)
+
+(* cold simplex, a warm simplex chain ending on the same problem, and SSP
+   land on the same canonical duals *)
+let test_canonical_solver_independent () =
+  for seed = 0 to 3 do
+    let rng = Rng.create ((seed * 104729) + 3) in
+    let l = make_layered rng in
+    let st = Simplex.make_state () in
+    for _ = 1 to 3 do
+      ignore (Simplex.solve_warm st (layered_problem l));
+      perturb rng l
+    done;
+    let p = layered_problem l in
+    let cold = Simplex.solve p and warm = Simplex.solve_warm st p in
+    let ssp = Ssp.solve p in
+    List.iter
+      (fun (name, sol) -> expect_certified (Printf.sprintf "seed %d %s" seed name) p sol)
+      [ ("cold", cold); ("warm", warm); ("ssp", ssp) ];
+    let canon = Mcf.canonical_potentials p cold in
+    check int_array (Printf.sprintf "seed %d warm = cold" seed) canon
+      (Mcf.canonical_potentials p warm);
+    check int_array (Printf.sprintf "seed %d ssp = cold" seed) canon
+      (Mcf.canonical_potentials p ssp);
+    check bool (Printf.sprintf "seed %d capped at 0" seed) true
+      (Array.for_all (fun x -> x <= 0) canon)
+  done
+
+(* a certificate whose potentials violate complementary slackness is not
+   repaired: the raw potentials come back, as a fresh copy. Two hand-made
+   certificates trip one side of the reduced-cost check each, and a solved
+   one is perturbed. *)
+let test_canonical_non_optimal_passthrough () =
+  let expect_raw name p (sol : Mcf.solution) =
+    check bool (name ^ " fails the check") true
+      (Result.is_error (Mcf.check_optimality p sol));
+    let out = Mcf.canonical_potentials p sol in
+    check int_array (name ^ " returns the raw potentials") sol.potential out;
+    check bool (name ^ " as a copy") false (out == sol.potential)
+  in
+  let below_cap =
+    { Mcf.num_nodes = 2; arcs = [| arc 0 1 5 1 |]; supply = [| 0; 0 |] }
+  in
+  expect_raw "f < cap, reduced cost < 0" below_cap
+    { status = Optimal; flow = [| 0 |]; potential = [| 0; -5 |]; objective = 0 };
+  let at_cap =
+    { Mcf.num_nodes = 2; arcs = [| arc 0 1 2 1 |]; supply = [| 2; -2 |] }
+  in
+  expect_raw "f > 0, reduced cost > 0" at_cap
+    { status = Optimal; flow = [| 2 |]; potential = [| 0; 5 |]; objective = 2 };
+  let p = tied_problem 7 in
+  let sol = Simplex.solve p in
+  expect_certified "seed 7" p sol;
+  (* ring arc 0 -> 1 is uncapacitated, so f < cap; sinking pi(1) makes its
+     reduced cost negative *)
+  let potential = Array.copy sol.potential in
+  potential.(1) <- potential.(1) - 1_000_000;
+  expect_raw "perturbed seed 7" p { sol with potential }
+
+let test_canonical_trivial_passthrough () =
+  let empty = { Mcf.num_nodes = 0; arcs = [||]; supply = [||] } in
+  check int_array "n = 0" [||]
+    (Mcf.canonical_potentials empty (Simplex.solve empty));
+  let p = { Mcf.num_nodes = 3; arcs = [| arc 0 1 5 1 |]; supply = [| 2; 0; -2 |] } in
+  List.iter
+    (fun status ->
+      let potential = [| 7; -3; 11 |] in
+      let sol = { Mcf.status; flow = [| 0 |]; potential; objective = 0 } in
+      let out = Mcf.canonical_potentials p sol in
+      check int_array (status_str status ^ " passes through") potential out;
+      check bool (status_str status ^ " as a copy") false (out == potential))
+    [ Mcf.Infeasible; Mcf.Unbounded; Mcf.Aborted ]
+
 (* ---------- Diff_lp ---------- *)
 
 let test_diff_lp_basic () =
@@ -785,6 +923,14 @@ let () =
         [ tc "trajectory pin, warm chains" `Quick test_trajectory_pin;
           tc "abort then resume" `Quick test_abort_then_resume;
           tc "degenerate sizes" `Quick test_degenerate_sizes ] );
+      ( "canonical",
+        [ tc "matches Bellman-Ford, 250 tied problems" `Quick
+            test_canonical_matches_reference;
+          tc "cold = warm chain = SSP" `Quick test_canonical_solver_independent;
+          tc "non-optimal certificate passes through" `Quick
+            test_canonical_non_optimal_passthrough;
+          tc "n = 0 and non-Optimal pass through" `Quick
+            test_canonical_trivial_passthrough ] );
       ( "decompose",
         [ tc "zero flow" `Quick test_decompose_zero_flow;
           QCheck_alcotest.to_alcotest prop_decompose_recomposes;

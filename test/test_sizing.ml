@@ -315,6 +315,43 @@ let prop_dphase_solver_agreement =
         | Ok a, Ok b -> a.lp_objective = b.lp_objective
         | _ -> false))
 
+(* The displacement LP at fixed sizes, digested in arc order: FNV-1a over
+   the node count, every arc's endpoints, capacity and cost, then the
+   supplies. A change to the builder that reorders arcs or moves a supply
+   fails here instead of only on the ISCAS grid. *)
+let displacement_digest model =
+  let sizes =
+    Array.init (DM.num_vertices model) (fun i ->
+        Float.min model.DM.max_size
+          (model.DM.min_size +. (0.5 *. float_of_int (i mod 5))))
+  in
+  let delays = DM.delays model sizes in
+  let deadline = 1.05 *. Sta.critical_path_only model ~delays in
+  match Dphase.displacement_problem model ~sizes ~delays ~deadline with
+  | Error e -> Alcotest.fail (Minflo_robust.Diag.to_string e)
+  | Ok p ->
+    let mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001b3L in
+    let h = mix 0xcbf29ce484222325L p.num_nodes in
+    let h =
+      Array.fold_left
+        (fun h (a : Minflo_flow.Mcf.arc) ->
+          mix (mix (mix (mix h a.src) a.dst) a.cap) a.cost)
+        h p.arcs
+    in
+    Printf.sprintf "%016Lx" (Array.fold_left mix h p.supply)
+
+let test_displacement_problem_pin () =
+  List.iter
+    (fun (name, build, expect) ->
+      check Alcotest.string (name ^ " LP digest") expect
+        (displacement_digest (build ())))
+    [ ("c432", (fun () -> model_of (Iscas85.circuit "c432")), "aa1463f877116268");
+      ( "c432-transistor",
+        (fun () ->
+          Transistor.of_netlist tech
+            (Transform.to_nand_inv (Iscas85.circuit "c432"))),
+        "9f74a62804a7501f" ) ]
+
 (* ---------- MINFLOTRANSIT ---------- *)
 
 let prop_minflo_improves_and_meets =
@@ -518,7 +555,8 @@ let () =
       ( "dphase",
         [ QCheck_alcotest.to_alcotest prop_dphase_budgets_feasible;
           QCheck_alcotest.to_alcotest prop_dphase_nonnegative_objective;
-          QCheck_alcotest.to_alcotest prop_dphase_solver_agreement ] );
+          QCheck_alcotest.to_alcotest prop_dphase_solver_agreement;
+          tc "displacement LP pin, c432" `Quick test_displacement_problem_pin ] );
       ( "minflotransit",
         [ QCheck_alcotest.to_alcotest prop_minflo_improves_and_meets;
           QCheck_alcotest.to_alcotest prop_minflo_area_trace_monotone;
