@@ -413,43 +413,26 @@ let verify_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"CIRCUIT2"
          ~doc:"Second circuit to compare against.")
   in
-  let engine =
-    Arg.(value & opt (enum [ ("bdd", `Bdd); ("sat", `Sat) ]) `Bdd
-         & info [ "engine" ]
-             ~doc:"Proof engine: canonical BDDs (fast on moderate circuits) \
-                   or a SAT miter (better on large, structurally similar \
-                   pairs).")
-  in
-  let run a b engine =
+  let run a b =
     let nla = circuit a and nlb = circuit b in
-    let fail_cex output_index counterexample =
+    match Cnf.equivalent nla nlb with
+    | Cnf.Equivalent -> Fmt.pr "EQUIVALENT: %s == %s (SAT miter)@." a b
+    | Cnf.Interface_mismatch ->
+      let shape nl =
+        Printf.sprintf "%d inputs / %d outputs" (Netlist.input_count nl)
+          (List.length (Netlist.outputs nl))
+      in
+      Fmt.pr "MISMATCH: %s has %s, %s has %s@." a (shape nla) b (shape nlb);
+      exit 1
+    | Cnf.Differ { output_index; counterexample } ->
       Fmt.pr "DIFFER at output #%d; counterexample:@." output_index;
       List.iter (fun (n, v) -> Fmt.pr "  %s = %b@." n v) counterexample;
       exit 1
-    in
-    match engine with
-    | `Bdd -> (
-      match Check.equivalent nla nlb with
-      | Check.Equivalent -> Fmt.pr "EQUIVALENT: %s == %s (BDD proof)@." a b
-      | Check.Inputs_mismatch (x, y) ->
-        Fmt.pr "MISMATCH: %d vs %d primary inputs@." x y;
-        exit 1
-      | Check.Outputs_mismatch (x, y) ->
-        Fmt.pr "MISMATCH: %d vs %d primary outputs@." x y;
-        exit 1
-      | Check.Differ { output_index; counterexample } ->
-        fail_cex output_index counterexample)
-    | `Sat -> (
-      match Cnf.equivalent nla nlb with
-      | Cnf.Equivalent -> Fmt.pr "EQUIVALENT: %s == %s (SAT miter)@." a b
-      | Cnf.Interface_mismatch ->
-        Fmt.pr "MISMATCH: different interfaces@.";
-        exit 1
-      | Cnf.Differ counterexample -> fail_cex 0 counterexample)
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Formally check two circuits for equivalence.")
-    Term.(const run $ circuit_arg $ second $ engine)
+    (Cmd.info "verify"
+       ~doc:"Formally check two circuits for equivalence (SAT miter).")
+    Term.(const run $ circuit_arg $ second)
 
 (* ---------- convert ---------- *)
 
@@ -470,57 +453,6 @@ let convert_cmd =
   Cmd.v
     (Cmd.info "convert" ~doc:"Convert between netlist formats.")
     Term.(const run $ circuit_arg $ out)
-
-(* ---------- strash ---------- *)
-
-let strash_cmd =
-  let out =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-         ~doc:"Write the optimized netlist (format from extension).")
-  in
-  let formal =
-    Arg.(value & flag & info [ "formal" ]
-         ~doc:"Discharge a SAT equivalence miter instead of the default \
-               4096-vector simulation check (can be slow on large, \
-               XOR-heavy circuits).")
-  in
-  let run name out formal =
-    let nl = circuit name in
-    let nl2 = Aig.strash_netlist nl in
-    Fmt.pr "%s: %d gates -> %d AND/NOT nodes (structural hashing)@."
-      (Netlist.name nl) (Netlist.gate_count nl) (Netlist.gate_count nl2);
-    if formal then begin
-      match Cnf.equivalent nl nl2 with
-      | Cnf.Equivalent -> Fmt.pr "formally verified equivalent (SAT miter)@."
-      | _ -> Diag.fail (Diag.Internal "strash changed the function")
-    end
-    else begin
-      (* quick check; the AIG round trip is equivalence-preserving by
-         construction and property-tested formally in the test-suite *)
-      let rng = Rng.create 1 in
-      let nin = Netlist.input_count nl in
-      for _ = 1 to 4096 do
-        let bits = Array.init nin (fun _ -> Rng.bool rng) in
-        let va = Netlist.simulate nl bits and vb = Netlist.simulate nl2 bits in
-        List.iter2
-          (fun oa ob ->
-            if va.(oa) <> vb.(ob) then
-              Diag.fail (Diag.Internal "strash changed the function"))
-          (Netlist.outputs nl) (Netlist.outputs nl2)
-      done;
-      Fmt.pr "simulation check passed (4096 vectors; use --formal for a proof)@."
-    end;
-    match out with
-    | Some path ->
-      if Filename.check_suffix path ".v" then Verilog_format.write_file path nl2
-      else Bench_format.write_file path nl2;
-      Fmt.pr "wrote %s@." path
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "strash"
-       ~doc:"Structurally hash a netlist through an AIG (and verify).")
-    Term.(const run $ circuit_arg $ out $ formal)
 
 (* ---------- batch ---------- *)
 
@@ -2171,7 +2103,7 @@ let main_cmd =
   let doc = "MINFLOTRANSIT: min-cost-flow based transistor sizing" in
   Cmd.group (Cmd.info "minflo" ~version:"1.0.0" ~doc)
     [ gen_cmd; stats_cmd; sta_cmd; size_cmd; sweep_cmd; batch_cmd; bench_cmd;
-      verify_cmd; convert_cmd; strash_cmd; power_cmd; lint_cmd; audit_cert_cmd;
+      verify_cmd; convert_cmd; power_cmd; lint_cmd; audit_cert_cmd;
       audit_run_cmd; fuzz_cmd; replay_cmd; serve_cmd; client_cmd; loadgen_cmd;
       chaosproxy_cmd; torture_cmd ]
 

@@ -2,7 +2,7 @@
 
    1. emit a circuit as ISCAS85 .bench and as structural Verilog,
    2. read both back,
-   3. *formally* verify (BDD equivalence) that nothing changed,
+   3. *formally* verify (SAT miter) that nothing changed,
    4. size the circuit loaded from the file.
 
    Drop a real ISCAS85 .bench or gate-level .v next to this file and point
@@ -27,20 +27,17 @@ let () =
   let from_bench = Bench_format.parse_file_exn bench_path in
   let from_verilog = Verilog_format.parse_file_exn verilog_path in
 
-  (* 3. formal equivalence via BDDs — not just simulation *)
+  (* 3. formal equivalence via a SAT miter — not just simulation *)
   let verdict name other =
-    match Check.equivalent nl other with
-    | Check.Equivalent -> Printf.printf "%s: formally equivalent\n" name
-    | Check.Differ { output_index; counterexample } ->
+    match Cnf.equivalent nl other with
+    | Cnf.Equivalent -> Printf.printf "%s: formally equivalent\n" name
+    | Cnf.Differ { output_index; counterexample } ->
       Printf.printf "%s: DIFFERS at output %d under {%s}\n" name output_index
         (String.concat "; "
            (List.map (fun (n, b) -> Printf.sprintf "%s=%b" n b) counterexample));
       exit 1
-    | Check.Inputs_mismatch (a, b) ->
-      Printf.printf "%s: input arity %d vs %d\n" name a b;
-      exit 1
-    | Check.Outputs_mismatch (a, b) ->
-      Printf.printf "%s: output arity %d vs %d\n" name a b;
+    | Cnf.Interface_mismatch ->
+      Printf.printf "%s: input/output arity differs\n" name;
       exit 1
   in
   verdict "bench round-trip" from_bench;

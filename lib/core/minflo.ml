@@ -27,8 +27,8 @@
     - {!Gate}, {!Netlist}, {!Raw}, {!Bench_format}, {!Verilog_format},
       {!Generators}, {!Compose}, {!Transform}, {!Iscas85}, {!Mutate} —
       gate-level circuits ([minflo_netlist]);
-    - {!Bdd}, {!Check}, {!Aig}, {!Sat}, {!Cnf} — equivalence checking
-      ([minflo_bdd], [minflo_aig], [minflo_sat]);
+    - {!Sat}, {!Cnf} — CDCL SAT and the miter equivalence checker
+      ([minflo_sat]);
     - {!Tech}, {!Gate_model}, {!Delay_model}, {!Elmore}, {!Transistor},
       {!Model_cache} — electrical models at gate or transistor granularity
       ([minflo_tech]). {!Delay_model.make} builds the one timing
@@ -102,13 +102,6 @@ module Generators = Minflo_netlist.Generators
 module Compose = Minflo_netlist.Compose
 module Transform = Minflo_netlist.Transform
 module Iscas85 = Minflo_netlist.Iscas85
-
-(* bdd *)
-module Bdd = Minflo_bdd.Bdd
-module Check = Minflo_bdd.Check
-
-(* aig *)
-module Aig = Minflo_aig.Aig
 
 (* sat *)
 module Sat = Minflo_sat.Sat

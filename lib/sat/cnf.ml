@@ -76,7 +76,7 @@ let encode solver nl ~inputs =
 
 type verdict =
   | Equivalent
-  | Differ of (string * bool) list
+  | Differ of { output_index : int; counterexample : (string * bool) list }
   | Interface_mismatch
 
 let equivalent a b =
@@ -107,23 +107,15 @@ let equivalent a b =
     match Sat.solve solver with
     | Sat.Unsat -> Equivalent
     | Sat.Sat model ->
-      let names = List.map (Netlist.node_name a) ins_a in
-      Differ (List.mapi (fun i n -> (n, model.(inputs.(i)))) names)
+      let bits = Array.map (fun v -> model.(v)) inputs in
+      let va = Netlist.simulate a bits and vb = Netlist.simulate b bits in
+      let counterexample =
+        List.mapi (fun i v -> (Netlist.node_name a v, bits.(i))) ins_a
+      in
+      match
+        List.find_index Fun.id
+          (List.map2 (fun oa ob -> va.(oa) <> vb.(ob)) outs_a outs_b)
+      with
+      | Some output_index -> Differ { output_index; counterexample }
+      | None -> failwith "Cnf.equivalent: counterexample distinguishes no output"
   end
-
-let output_satisfiable nl ~output =
-  let outs = Netlist.outputs nl in
-  if output < 0 || output >= List.length outs then
-    invalid_arg "Cnf.output_satisfiable: bad output index";
-  let solver = Sat.create () in
-  let inputs =
-    Array.init (Netlist.input_count nl) (fun _ -> Sat.new_var solver)
-  in
-  let lits = encode solver nl ~inputs in
-  let target = List.nth outs output in
-  Sat.add_clause solver [ lits.(target) ];
-  match Sat.solve solver with
-  | Sat.Unsat -> None
-  | Sat.Sat model ->
-    let names = List.map (Netlist.node_name nl) (Netlist.inputs nl) in
-    Some (List.mapi (fun i n -> (n, model.(inputs.(i)))) names)

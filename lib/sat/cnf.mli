@@ -3,29 +3,19 @@
     The classic miter construction: encode both circuits over shared input
     variables, XOR each output pair, OR the XORs, and ask the SAT solver
     whether the result can be 1 — UNSAT means the circuits agree on every
-    input. Together with {!Minflo_bdd.Check} this gives two fully
-    independent equivalence oracles; the test-suite plays them against each
-    other. *)
-
-val encode :
-  Sat.t -> Minflo_netlist.Netlist.t -> inputs:int array -> int array
-(** [encode solver nl ~inputs] adds Tseitin clauses for every gate, using
-    the given variables (positive literals) for the primary inputs in
-    {!Minflo_netlist.Netlist.inputs} order; returns one literal per node of
-    the netlist (indexable by node id). @raise Invalid_argument if
-    [inputs] has the wrong length. *)
+    input. This is the repository's one equivalence checker ([minflo
+    verify]); the test-suite checks its verdicts against exhaustive
+    simulation with {!Minflo_netlist.Netlist.simulate}. *)
 
 type verdict =
   | Equivalent
-  | Differ of (string * bool) list
-      (** counterexample assignment, named after the first netlist's
-          inputs. *)
+  | Differ of { output_index : int; counterexample : (string * bool) list }
+      (** [counterexample] assigns the first netlist's inputs, by name;
+          [output_index] is the position of the first primary output the
+          two netlists disagree on under it. *)
   | Interface_mismatch
+      (** different numbers of primary inputs or of primary outputs. *)
 
 val equivalent :
   Minflo_netlist.Netlist.t -> Minflo_netlist.Netlist.t -> verdict
-
-val output_satisfiable :
-  Minflo_netlist.Netlist.t -> output:int -> (string * bool) list option
-(** Can the given primary output (by position) be driven to 1? Returns a
-    witness assignment if so — a tiny ATPG-flavored utility. *)
+(** Inputs and outputs are paired by position. *)

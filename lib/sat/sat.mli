@@ -3,8 +3,7 @@
     DPLL search with two-watched-literal unit propagation, first-UIP
     conflict learning, and activity-ordered decisions — enough machinery to
     discharge the combinational-equivalence miters this repository builds
-    (see {!Cnf}), and a second, entirely independent oracle against the BDD
-    checker in the property tests.
+    (see {!Cnf}).
 
     Literals are non-zero integers in the DIMACS convention: variable [v]
     (from {!new_var}, numbered from 1) appears positively as [v] and

@@ -508,6 +508,33 @@ let prop_transform_preserves_function =
       done;
       !ok)
 
+(* exhaustive: every input vector, read as a little-endian bit array in
+   {!Netlist.inputs} order, must produce [spec]'s outputs *)
+let check_exhaustive nl ~spec =
+  let n = Netlist.input_count nl in
+  for v = 0 to (1 lsl n) - 1 do
+    let bits = Array.init n (fun i -> (v lsr i) land 1 = 1) in
+    check (Alcotest.list bool) (Printf.sprintf "vector %d" v) (spec bits)
+      (out_values nl (Netlist.simulate nl bits))
+  done
+
+let test_adder_exhaustive () =
+  (* 4 + 4 + 1 inputs: all 512 vectors, outputs s0..s3, cout *)
+  let bits = 4 in
+  let field input off = to_int (Array.to_list (Array.sub input off bits)) in
+  let spec input =
+    let sum = field input 0 + field input bits + if input.(2 * bits) then 1 else 0 in
+    List.init (bits + 1) (fun i -> (sum lsr i) land 1 = 1)
+  in
+  List.iter
+    (fun style -> check_exhaustive (Gen.ripple_carry_adder ~style ~bits ()) ~spec)
+    [ `Compact; `Nand ]
+
+let test_mux_exhaustive () =
+  (* 4 data + 2 select inputs: all 64 vectors *)
+  let spec input = [ input.(to_int [ input.(4); input.(5) ]) ] in
+  check_exhaustive (Gen.mux_tree ~select_bits:2 ()) ~spec
+
 let prop_random_dag_valid =
   QCheck.Test.make ~name:"random DAGs validate and are acyclic" ~count:60
     QCheck.small_nat (fun seed ->
@@ -643,7 +670,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_mux_tree;
           QCheck_alcotest.to_alcotest prop_alu;
           QCheck_alcotest.to_alcotest prop_transform_preserves_function;
-          QCheck_alcotest.to_alcotest prop_random_dag_valid ] );
+          QCheck_alcotest.to_alcotest prop_random_dag_valid;
+          tc "adder vs integer add" `Quick test_adder_exhaustive;
+          tc "mux vs select" `Quick test_mux_exhaustive ] );
       ( "sweep-dead",
         [ tc "drops exactly the linter's set" `Quick
             test_sweep_dead_drops_linter_set;

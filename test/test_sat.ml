@@ -2,11 +2,11 @@
 
 module Sat = Minflo_sat.Sat
 module Cnf = Minflo_sat.Cnf
-module BddCheck = Minflo_bdd.Check
 module Netlist = Minflo_netlist.Netlist
 module Gate = Minflo_netlist.Gate
 module Gen = Minflo_netlist.Generators
 module Transform = Minflo_netlist.Transform
+module Mutate = Minflo_netlist.Mutate
 module Rng = Minflo_util.Rng
 
 let check = Alcotest.check
@@ -108,35 +108,105 @@ let prop_matches_brute_force =
 
 (* ---------- miter equivalence ---------- *)
 
-let test_miter_self () =
-  check bool "c17 = c17" true (Cnf.equivalent (Gen.c17 ()) (Gen.c17 ()) = Cnf.Equivalent)
+let proved what a b = check bool what true (Cnf.equivalent a b = Cnf.Equivalent)
+
+let test_miter_self () = proved "c17 = c17" (Gen.c17 ()) (Gen.c17 ())
+
+(* the linter's dead set: [d1] and [d2] reach no output *)
+let deadish () =
+  let nl = Netlist.create ~name:"deadish" () in
+  let a = Netlist.add_input nl "a" in
+  let b = Netlist.add_input nl "b" in
+  Netlist.mark_output nl (Netlist.add_gate nl "g" Gate.Nand [ a; b ]);
+  let d1 = Netlist.add_gate nl "d1" Gate.Or [ a; b ] in
+  ignore (Netlist.add_gate nl "d2" Gate.Not [ d1 ]);
+  nl
+
+(* a copy of [nl] plus [k] NAND gates that read random earlier signals
+   (dead ones included) and drive no output; left unvalidated, since
+   {!Netlist.validate} rejects dead logic *)
+let with_dead_gates ~seed ~k nl =
+  let rng = Rng.create seed in
+  let copy = Netlist.create ~name:(Netlist.name nl) () in
+  Netlist.iter_nodes nl (fun v ->
+      let name = Netlist.node_name nl v in
+      ignore
+        (match Netlist.kind nl v with
+        | Netlist.Input -> Netlist.add_input copy name
+        | Netlist.Gate kind -> Netlist.add_gate copy name kind (Netlist.fanins nl v)));
+  List.iter (Netlist.mark_output copy) (Netlist.outputs nl);
+  for i = 1 to k do
+    let n = Netlist.node_count copy in
+    ignore
+      (Netlist.add_gate copy (Printf.sprintf "dead%d" i) Gate.Nand
+         [ Rng.int rng n; Rng.int rng n ])
+  done;
+  copy
 
 let test_miter_transforms () =
   List.iter
+    (fun nl -> proved "nand mapping" nl (Transform.to_nand_inv nl))
+    [ Gen.parity_tree ~width:5 (); Gen.comparator ~width:3 (); Gen.alu ~width:2 () ];
+  (* sweep_dead on netlists that do contain dead gates *)
+  let mutants =
+    List.map
+      (fun seed ->
+        let base = Gen.random_dag ~gates:20 ~inputs:5 ~outputs:3 ~seed () in
+        with_dead_gates ~seed ~k:4 (Mutate.mutate ~seed ~rounds:6 base))
+      [ 1; 2; 3; 4 ]
+  in
+  List.iter
     (fun nl ->
-      check bool "nand mapping" true
-        (Cnf.equivalent nl (Transform.to_nand_inv nl) = Cnf.Equivalent))
-    [ Gen.parity_tree ~width:5 (); Gen.comparator ~width:3 (); Gen.alu ~width:2 () ]
+      let swept = Transform.sweep_dead nl in
+      check bool "dead gates present" true
+        (Netlist.gate_count swept < Netlist.gate_count nl);
+      proved "sweep_dead" nl swept)
+    (deadish () :: mutants)
+
+(* one [kind] gate over inputs a, b per entry of [kinds], each an output *)
+let gates kinds =
+  let nl = Netlist.create () in
+  let a = Netlist.add_input nl "a" in
+  let b = Netlist.add_input nl "b" in
+  List.iteri
+    (fun i kind ->
+      Netlist.mark_output nl
+        (Netlist.add_gate nl (Printf.sprintf "y%d" i) kind [ a; b ]))
+    kinds;
+  Netlist.validate nl;
+  nl
 
 let test_miter_counterexample () =
-  let make kind =
-    let nl = Netlist.create () in
-    let a = Netlist.add_input nl "a" in
-    let b = Netlist.add_input nl "b" in
-    let g = Netlist.add_gate nl "g" kind [ a; b ] in
-    Netlist.mark_output nl g;
-    Netlist.validate nl;
-    nl
-  in
-  match Cnf.equivalent (make Gate.And) (make Gate.Or) with
-  | Cnf.Differ cex ->
-    let v n = List.assoc n cex in
+  match Cnf.equivalent (gates [ Gate.And ]) (gates [ Gate.Or ]) with
+  | Cnf.Differ { output_index; counterexample } ->
+    check Alcotest.int "output 0" 0 output_index;
+    (* the counterexample must actually distinguish AND from OR *)
+    let v n = List.assoc n counterexample in
     check bool "valid cex" true ((v "a" && v "b") <> (v "a" || v "b"))
   | _ -> Alcotest.fail "expected Differ"
 
-let prop_sat_agrees_with_bdd =
+let test_miter_names_output () =
+  (* equal y0, different y1: the differing output is #1, not #0 *)
+  match Cnf.equivalent (gates [ Gate.Nand; Gate.And ]) (gates [ Gate.Nand; Gate.Or ]) with
+  | Cnf.Differ { output_index; counterexample } ->
+    check Alcotest.int "output 1" 1 output_index;
+    let v n = List.assoc n counterexample in
+    check bool "valid cex" true (v "a" <> v "b")
+  | _ -> Alcotest.fail "expected Differ"
+
+let outputs_at nl bits =
+  let values = Netlist.simulate nl bits in
+  List.map (fun o -> values.(o)) (Netlist.outputs nl)
+
+(* all 2^n output rows of [nl], by exhaustive simulation *)
+let truth_table nl =
+  let n = Netlist.input_count nl in
+  List.init (1 lsl n) (fun v ->
+      outputs_at nl (Array.init n (fun i -> (v lsr i) land 1 = 1)))
+
+let prop_sat_agrees_with_simulation =
   QCheck.Test.make
-    ~name:"SAT miter and BDD checker give the same equivalence verdicts"
+    ~name:"SAT miter agrees with exhaustive simulation"
     ~count:60 QCheck.small_nat (fun seed ->
       let nl = Gen.random_dag ~gates:25 ~inputs:5 ~outputs:3 ~seed:(seed + 71) () in
       (* compare against a mutated copy half the time *)
@@ -145,33 +215,16 @@ let prop_sat_agrees_with_bdd =
         else
           Gen.random_dag ~gates:25 ~inputs:5 ~outputs:3 ~seed:(seed + 72) ()
       in
-      let sat_v =
-        match Cnf.equivalent nl other with
-        | Cnf.Equivalent -> true
-        | Cnf.Differ _ -> false
-        | Cnf.Interface_mismatch -> false
-      in
-      let bdd_v =
-        match BddCheck.equivalent nl other with
-        | BddCheck.Equivalent -> true
-        | _ -> false
-      in
-      sat_v = bdd_v)
-
-let test_output_satisfiable () =
-  (* an AND output is satisfiable; a contradictory one is not *)
-  let nl = Netlist.create () in
-  let a = Netlist.add_input nl "a" in
-  let g = Netlist.add_gate nl "g" Gate.And [ a; a ] in
-  let never = Netlist.add_gate nl "n" Gate.Not [ a ] in
-  let contradiction = Netlist.add_gate nl "z" Gate.And [ g; never ] in
-  Netlist.mark_output nl g;
-  Netlist.mark_output nl contradiction;
-  Netlist.validate nl;
-  (match Cnf.output_satisfiable nl ~output:0 with
-  | Some cex -> check bool "witness" true (List.assoc "a" cex)
-  | None -> Alcotest.fail "expected witness");
-  check bool "a and not a" true (Cnf.output_satisfiable nl ~output:1 = None)
+      match Cnf.equivalent nl other with
+      | Cnf.Equivalent -> truth_table nl = truth_table other
+      | Cnf.Differ { output_index; counterexample } ->
+        (* output_index is the first output the counterexample splits *)
+        let bits = Array.of_list (List.map snd counterexample) in
+        let diff = List.map2 ( <> ) (outputs_at nl bits) (outputs_at other bits) in
+        List.find_index Fun.id diff = Some output_index
+      | Cnf.Interface_mismatch ->
+        Netlist.input_count nl <> Netlist.input_count other
+        || List.length (Netlist.outputs nl) <> List.length (Netlist.outputs other))
 
 let () =
   let tc = Alcotest.test_case in
@@ -187,5 +240,5 @@ let () =
         [ tc "reflexive" `Quick test_miter_self;
           tc "transforms" `Quick test_miter_transforms;
           tc "counterexample" `Quick test_miter_counterexample;
-          tc "output satisfiable" `Quick test_output_satisfiable;
-          QCheck_alcotest.to_alcotest prop_sat_agrees_with_bdd ] ) ]
+          tc "names the differing output" `Quick test_miter_names_output;
+          QCheck_alcotest.to_alcotest prop_sat_agrees_with_simulation ] ) ]

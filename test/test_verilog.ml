@@ -3,7 +3,7 @@
 module V = Minflo_netlist.Verilog_format
 module Netlist = Minflo_netlist.Netlist
 module Gen = Minflo_netlist.Generators
-module Check = Minflo_bdd.Check
+module Cnf = Minflo_sat.Cnf
 module Rng = Minflo_util.Rng
 
 let check = Alcotest.check
@@ -32,7 +32,7 @@ let test_parse_c17 () =
   check int "outputs" 2 (List.length (Netlist.outputs nl));
   (* and it is formally the same circuit as the built-in generator *)
   check bool "matches builtin c17" true
-    (Check.equivalent nl (Gen.c17 ()) = Check.Equivalent)
+    (Cnf.equivalent nl (Gen.c17 ()) = Cnf.Equivalent)
 
 let test_parse_without_instance_names () =
   let nl =
@@ -77,7 +77,7 @@ let test_roundtrip_generators () =
     (fun nl ->
       let nl2 = V.parse_string_exn (V.to_string nl) in
       check int "gates" (Netlist.gate_count nl) (Netlist.gate_count nl2);
-      check bool "formally equivalent" true (Check.equivalent nl nl2 = Check.Equivalent))
+      check bool "formally equivalent" true (Cnf.equivalent nl nl2 = Cnf.Equivalent))
     [ Gen.c17 ();
       Gen.ripple_carry_adder ~bits:4 ();
       Gen.parity_tree ~width:5 ();
@@ -107,14 +107,14 @@ let test_sanitization () =
   Netlist.validate nl;
   let text = V.to_string nl in
   let nl2 = V.parse_string_exn text in
-  check bool "roundtrips" true (Check.equivalent nl nl2 = Check.Equivalent)
+  check bool "roundtrips" true (Cnf.equivalent nl nl2 = Cnf.Equivalent)
 
 let prop_verilog_roundtrip_random =
   QCheck.Test.make ~name:"verilog round-trips random netlists (formally)"
     ~count:30 QCheck.small_nat (fun seed ->
       let nl = Gen.random_dag ~gates:25 ~inputs:5 ~outputs:3 ~seed:(seed + 555) () in
       let nl2 = V.parse_string_exn (V.to_string nl) in
-      Check.equivalent nl nl2 = Check.Equivalent)
+      Cnf.equivalent nl nl2 = Cnf.Equivalent)
 
 let prop_lexer_never_crashes =
   (* random byte soup must become a typed Parse_error (or parse), never an
