@@ -384,23 +384,7 @@ let sweep_cmd =
   let run name granularity factors =
     let nl = circuit name in
     let model = build_model granularity nl in
-    let table =
-      Table.create
-        ~columns:
-          [ ("factor", Table.Right); ("TILOS area", Table.Right);
-            ("MINFLO area", Table.Right); ("saving %", Table.Right);
-            ("iters", Table.Right) ]
-    in
-    List.iter
-      (fun (p : Sweep.point) ->
-        Table.add_row table
-          [ Printf.sprintf "%.2f" p.factor;
-            (if p.tilos_met then Printf.sprintf "%.3f" p.tilos_area_ratio else "unmet");
-            (if p.tilos_met then Printf.sprintf "%.3f" p.minflo_area_ratio else "-");
-            (if p.tilos_met then Printf.sprintf "%.1f" p.saving_pct else "-");
-            string_of_int p.iterations ])
-      (Sweep.curve model ~factors);
-    Table.print table
+    Sweep.print_curve (Sweep.curve model ~factors)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Area-delay trade-off curve (Figure 7 style).")
@@ -677,8 +661,18 @@ let bench_cmd =
                    and every perf counter — wall time is excluded, it is \
                    the only non-deterministic field. Any divergence exits 3.")
   in
-  let run quick scale json out check =
-    Logs.set_level (Some Logs.Error);
+  let paper =
+    Arg.(value & flag
+         & info [ "paper" ]
+             ~doc:"Print the paper's evaluation instead: Table 1 (12 \
+                   rows), the Figure 7 area-delay curves (c432, c6288) and \
+                   the ablations that compare engines or models. With \
+                   --quick, only the c432 and c880 rows and the c432 \
+                   curve. Exits 3 if MINFLOTRANSIT ends above TILOS on \
+                   any row or point. Cannot be combined with --json, -o, \
+                   --check or --scale.")
+  in
+  let grid quick scale json out check =
     let experiments =
       Benchmarks.suite ~quick ()
       @ (if scale then Benchmarks.scale_suite ~quick () else [])
@@ -741,6 +735,16 @@ let bench_cmd =
                  Printf.sprintf "%d experiment(s) diverge from %s"
                    (List.length diffs) baseline }))
   in
+  let run quick scale json out check paper =
+    if paper && (scale || json || out <> None || check <> None) then
+      `Error
+        (true, "--paper cannot be combined with --json, -o, --check or --scale")
+    else begin
+      Logs.set_level (Some Logs.Error);
+      if paper then Paper.run ~quick else grid quick scale json out check;
+      `Ok ()
+    end
+  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:"Run the deterministic benchmark suite: the full engine, cold \
@@ -748,8 +752,9 @@ let bench_cmd =
              deterministic perf counters (pivots, relabels, sweeps, bumps). \
              With --scale, adds the synthetic scaling grid (up to 50k \
              gates). With --check, a counter drifting from the checked-in \
-             baseline exits 3 — the CI bench-smoke gate.")
-    Term.(const run $ quick $ scale $ json $ out $ check)
+             baseline exits 3 — the CI bench-smoke gate. With --paper, \
+             prints the paper's Table 1, Figure 7 and ablations instead.")
+    Term.(ret (const run $ quick $ scale $ json $ out $ check $ paper))
 
 (* ---------- power ---------- *)
 

@@ -1,0 +1,177 @@
+(* minflo bench --paper: the paper's evaluation (Section 3) — Table 1, the
+   Figure 7 area-delay curves and the ablations that compare engines or
+   models.
+
+   Absolute numbers differ from the paper (different technology calibration,
+   synthetic ISCAS85 stand-ins, 2026 hardware vs an UltraSparc 10); the
+   claims under reproduction are the *shapes*: who wins, by roughly what
+   factor, and where. EXPERIMENTS.md records paper-vs-measured per row. *)
+
+open Minflo
+
+let tech = Tech.default_130nm
+
+(* content-keyed and shared with the batch runner / CLI sweep *)
+let model_of name = Model_cache.model ~tech (Iscas85.circuit name)
+
+(* The adders run at their spec verbatim; every ISCAS row goes through
+   Table 1's selection rule, which tightens a spec that barely stresses our
+   stand-in (the padding-heavy stand-ins have slacker off-path logic than
+   the originals) until the TILOS penalty enters the paper's band. *)
+let table1 ~quick =
+  print_endline "== Table 1: area savings of MINFLOTRANSIT over TILOS ==";
+  print_endline
+    "   (paper columns shown for reference; CPU seconds are this machine)";
+  let t =
+    Table.create
+      ~columns:
+        [ ("circuit", Table.Left); ("gates", Table.Right);
+          ("gates(paper)", Table.Right); ("factor", Table.Right);
+          ("spec(paper)", Table.Right); ("TILOS area", Table.Right);
+          ("saving %", Table.Right); ("saving(paper)", Table.Right);
+          ("iters", Table.Right); ("t TILOS s", Table.Right);
+          ("t MINFLO s", Table.Right); ("ratio(paper)", Table.Right) ]
+  in
+  let rows =
+    List.filter
+      (fun (info : Iscas85.info) ->
+        (not quick) || info.name = "c432" || info.name = "c880")
+      Iscas85.suite
+  in
+  let points =
+    List.map
+      (fun (info : Iscas85.info) ->
+        let model = model_of info.name in
+        let spec = info.delay_spec in
+        let factor =
+          if String.starts_with ~prefix:"adder" info.name then spec
+          else Sweep.table1_factor model ~spec
+        in
+        let p = Sweep.at_factor model ~factor in
+        Table.add_row t
+          [ info.name;
+            string_of_int (Delay_model.num_vertices model);
+            string_of_int info.gates_published;
+            Printf.sprintf "%.2f" p.factor;
+            Printf.sprintf "%.2f" spec;
+            (if p.tilos_met then Printf.sprintf "%.2fx" p.tilos_area_ratio
+             else "unmet");
+            (if p.tilos_met then Printf.sprintf "%.1f" p.saving_pct else "-");
+            Printf.sprintf "%.1f" info.paper_area_saving_pct;
+            string_of_int p.iterations;
+            Printf.sprintf "%.2f" p.tilos_seconds;
+            Printf.sprintf "%.2f" (p.tilos_seconds +. p.minflo_extra_seconds);
+            Printf.sprintf "%.1fx"
+              (info.paper_cpu_ours_s /. info.paper_cpu_tilos_s) ];
+        (info.name, p))
+      rows
+  in
+  Table.print t;
+  print_newline ();
+  points
+
+let fig7 ~quick =
+  print_endline "== Figure 7: area-delay curves, TILOS vs MINFLOTRANSIT ==";
+  let series name factors =
+    Printf.printf
+      "-- %s (area and delay normalized to the minimum-size circuit)\n" name;
+    let points = Sweep.curve (model_of name) ~factors in
+    Sweep.print_curve points;
+    List.map (fun p -> (name, p)) points
+  in
+  (* paper sweeps 0.2..1.0; our floors sit near 0.27 (c432) / 0.29 (c6288) *)
+  let c432 = series "c432" [ 0.3; 0.35; 0.4; 0.5; 0.6; 0.8; 1.0 ] in
+  let c6288 = if quick then [] else series "c6288" [ 0.4; 0.5; 0.65; 0.8; 1.0 ] in
+  print_endline
+    "   Expected shape: MINFLOTRANSIT everywhere at or below TILOS, gap\n\
+    \   widening at tight targets, largest on the multiplier.";
+  print_newline ();
+  c432 @ c6288
+
+let ablations () =
+  print_endline "== Ablations (engines and models compared) ==";
+  let model = model_of "c432" in
+  let a0 = Sweep.min_area model in
+  let target = 0.4 *. Sweep.dmin model in
+  let tilos = Tilos.size model ~target in
+  let refine model ~target (tilos : Tilos.result) =
+    Minflotransit.refine_from model ~target ~init:tilos.sizes ~tilos
+  in
+  (* 1. D-phase solver: network simplex vs SSP *)
+  let delays = Delay_model.delays model tilos.sizes in
+  let time_solver solver =
+    let t0 = Unix.gettimeofday () in
+    match
+      Dphase.solve
+        ~options:{ Dphase.default_options with solver }
+        model ~sizes:tilos.sizes ~delays ~deadline:target
+    with
+    | Ok o -> (Unix.gettimeofday () -. t0, o.objective)
+    | Error e -> Diag.fail e
+  in
+  let ts, os_ = time_solver `Simplex in
+  let tp, op = time_solver `Ssp in
+  Printf.printf "D-phase solver on c432 (same optimum expected):\n";
+  Printf.printf "  network simplex: %.4fs  objective %.4g\n" ts os_;
+  Printf.printf "  SSP (oracle):    %.4fs  objective %.4g\n" tp op;
+  (* 2. the Lagrangian-relaxation comparator [8] *)
+  print_endline "vs Lagrangian relaxation [8] (area ratios, target 0.4 Dmin):";
+  List.iter
+    (fun name ->
+      let model = model_of name in
+      let target = 0.4 *. Sweep.dmin model in
+      let a0 = Sweep.min_area model in
+      let tilos = Tilos.size model ~target in
+      let lr = Lagrangian.size model ~target in
+      let mf = refine model ~target tilos in
+      Printf.printf "  %-6s TILOS %.3f | LR %.3f | MINFLOTRANSIT %.3f\n" name
+        (tilos.area /. a0) (lr.area /. a0) (mf.area /. a0))
+    [ "c432"; "c880" ];
+  (* 3. simultaneous wire sizing (Section 2.1 capability) *)
+  let mw = Elmore.with_wires tech (Iscas85.circuit "c432") in
+  let pw = Sweep.at_factor mw ~factor:0.4 in
+  Printf.printf
+    "wire sizing on c432 @ 0.4 (gates+wires, %d variables): saving %.1f%% \
+     over TILOS in %d iterations\n"
+    (Delay_model.num_vertices mw) pw.saving_pct pw.iterations;
+  (* 4. Theorem 3 probe: random feasible perturbations should not improve a
+     converged MINFLOTRANSIT solution, but do improve TILOS *)
+  let probe_point label sizes =
+    let r = Optimality.probe ~trials:150 ~seed:17 model ~target ~sizes in
+    Printf.printf "  %-14s %3d/%d perturbations improved; best gain %.3f%%\n"
+      label r.improved r.trials r.best_gain_pct
+  in
+  print_endline "local-optimality probe on c432 @ 0.4 (Theorem 3):";
+  probe_point "TILOS" tilos.sizes;
+  probe_point "MINFLOTRANSIT" (refine model ~target tilos).sizes;
+  (* 5. TILOS bump factor sensitivity of the seed *)
+  print_endline "TILOS bump factor (seed quality, c432 @ 0.4):";
+  List.iter
+    (fun bump ->
+      let r = Tilos.size ~bump model ~target in
+      Printf.printf "  bump %.2f -> area ratio %.3f, %d bumps\n" bump
+        (r.area /. a0) r.bumps)
+    [ 1.05; 1.1; 1.3 ];
+  print_newline ()
+
+let run ~quick =
+  let rows = table1 ~quick in
+  let curves = fig7 ~quick in
+  ablations ();
+  let above =
+    List.filter
+      (fun (_, (p : Sweep.point)) ->
+        p.tilos_met && p.minflo_area_ratio > p.tilos_area_ratio)
+      (rows @ curves)
+  in
+  if above <> [] then
+    Diag.fail
+      (Diag.Invariant
+         { what = "bench --paper";
+           detail =
+             "MINFLOTRANSIT area above TILOS at "
+             ^ String.concat ", "
+                 (List.map
+                    (fun (name, (p : Sweep.point)) ->
+                      Printf.sprintf "%s@%.2f" name p.factor)
+                    above) })

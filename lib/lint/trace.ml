@@ -483,7 +483,7 @@ let audit (model : Delay_model.t) ~target content =
                         :: !flow_findings)
                     (Audit.check problem solution);
                   let eta =
-                    Option.value ~default:0.5 (Json.num_field "eta" j)
+                    Option.value ~default:Engine.eta0 (Json.num_field "eta" j)
                   in
                   let dopts = { Dphase.default_options with eta } in
                   (match

@@ -19,7 +19,6 @@ type options = {
   eta : float;
   scale : float;
   solver : solver;
-  balance_mode : [ `Alap | `Asap ];
   canonical_duals : bool;
 }
 
@@ -27,7 +26,6 @@ let default_options =
   { eta = 0.5;
     scale = 1.0e4;
     solver = `Simplex;
-    balance_mode = `Alap;
     canonical_duals = false }
 
 type outcome = {
@@ -57,9 +55,7 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
   else begin
     (* the safety probe IS the analysis the balancer needs — hand it over
        instead of paying a second full sweep per D-phase *)
-    let bal =
-      Balance.balance ~mode:options.balance_mode ~sta model ~delays ~deadline
-    in
+    let bal = Balance.balance ~mode:`Alap ~sta model ~delays ~deadline in
     let weights = Sensitivity.weights model ~sizes ~delays in
     (* integerization *)
     let s = options.scale in

@@ -1,6 +1,7 @@
 (** The D-phase: delay-budget redistribution by min-cost flow (Eq. 10).
 
-    Sizes are held fixed. Slack is materialized as FSDUs by delay balancing,
+    Sizes are held fixed. Slack is materialized as FSDUs by ALAP delay
+    balancing (by Theorem 1 any balanced configuration has the same optimum),
     then redistributed by an FSDU displacement [r] chosen to maximize
     [sum_i C_i (r(Dmy(i)) - r(i))] — the first-order area decrease — subject
     to per-vertex bounds on the delay change and non-negativity of every
@@ -25,9 +26,6 @@ type options = {
           requirement). *)
   scale : float;  (** delay integerization factor (units per time unit). *)
   solver : solver;
-  balance_mode : [ `Alap | `Asap ];
-      (** which balanced configuration seeds the displacement; Theorem 1
-          says the optimum is the same, making this a pure ablation knob. *)
   canonical_duals : bool;
       (** replace the solver's optimal duals with
           {!Minflo_flow.Mcf.canonical_potentials} so the step taken is

@@ -12,8 +12,8 @@
     infeasible iterate with a short TILOS resume.
 
     It is intentionally independent of the D/W machinery: a second
-    optimizer whose results bracket MINFLOTRANSIT's in the ablation bench
-    (see `bench/main.exe -- ablate`). *)
+    optimizer whose results bracket MINFLOTRANSIT's in the ablations of
+    [minflo bench --paper]. *)
 
 type options = {
   iterations : int;     (** outer multiplier updates (default 30). *)

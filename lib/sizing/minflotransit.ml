@@ -11,33 +11,36 @@ let log_src = Logs.Src.create "minflotransit" ~doc:"MINFLOTRANSIT driver"
 module Log = (val Logs.src_log log_src)
 
 type options = {
-  eta0 : float;
-  eta_shrink : float;
-  eta_min : float;
   max_iterations : int;
-  rel_tol : float;
   solver : [ `Auto | `Simplex | `Ssp | `Bellman_ford ];
   tilos_bump : float;
   limits : Budget.limits;
-  osc_tol : float;
-  osc_window : int;
   warm_start : bool;
   canonical_duals : bool;
 }
 
 let default_options =
-  { eta0 = 0.5;
-    eta_shrink = 0.5;
-    eta_min = 1e-3;
-    max_iterations = 100;
-    rel_tol = 1e-4;
+  { max_iterations = 100;
     solver = `Simplex;
     tilos_bump = 1.1;
     limits = Budget.no_limits;
-    osc_tol = 1e-9;
-    osc_window = 3;
     warm_start = false;
     canonical_duals = false }
+
+(* trust region: start at [eta0], shrink by [eta_shrink] on every stalled
+   pass, give up below [eta_min] *)
+let eta0 = 0.5
+let eta_shrink = 0.5
+let eta_min = 1e-3
+
+(* an accepted pass that gains less than [rel_tol] of the area also
+   shrinks the trust region *)
+let rel_tol = 1e-4
+
+(* [osc_window] consecutive rejected candidates whose areas agree within
+   [osc_tol] (relative) stop the run with [Stop_oscillation] *)
+let osc_tol = 1e-9
+let osc_window = 3
 
 type iteration = {
   iter : int;
@@ -148,7 +151,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
       | Some s -> s.snap_area
       | None -> Delay_model.area model !x)
   in
-  let eta = ref (match resume with Some s -> s.snap_eta | None -> options.eta0) in
+  let eta = ref (match resume with Some s -> s.snap_eta | None -> eta0) in
   let trace = ref [] in
   let iters = ref (match resume with Some s -> s.snap_iter | None -> 0) in
   let continue = ref true in
@@ -170,7 +173,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
      trajectories would drift apart. *)
   let warm = if options.warm_start then Some (Minflo_flow.Diff_lp.make_warm ()) else None in
   let canonical = options.canonical_duals || options.warm_start in
-  while !continue && !eta >= options.eta_min do
+  while !continue && !eta >= eta_min do
     if !iters >= options.max_iterations then begin
       stop := Stop_max_iterations;
       continue := false
@@ -283,9 +286,9 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
           | _ ->
             dlog log Diag.Warning "iteration failed: %s" (Diag.to_string e);
             Log.warn (fun m -> m "iteration failed: %s" (Diag.to_string e));
-            eta := !eta *. options.eta_shrink)
+            eta := !eta *. eta_shrink)
         | Ok (Some (x', area', cp', predicted, rung, budgets'))
-          when area' < !area *. (1.0 -. options.rel_tol) ->
+          when area' < !area *. (1.0 -. rel_tol) ->
           incr iters;
           x := x';
           area := area';
@@ -313,7 +316,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
           area := area';
           osc_repeats := 0;
           solver_used := Some rung;
-          eta := !eta *. options.eta_shrink;
+          eta := !eta *. eta_shrink;
           trace :=
             { iter = !iters;
               area = area';
@@ -324,7 +327,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
             :: !trace;
           emit_step on_step ~iter:!iters ~rung ~eta:eta_used ~area:area'
             ~cp:cp' ~predicted ~sizes:x' ~budgets:budgets' ~cert:!cert;
-          if !eta < options.eta_min then continue := false
+          if !eta < eta_min then continue := false
         | Ok rejected ->
           (* no improvement at this trust region *)
           (match rejected with
@@ -332,13 +335,13 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
             if
               Float.is_finite !osc_area
               && abs_float (area' -. !osc_area)
-                 <= options.osc_tol *. max 1.0 (abs_float area')
+                 <= osc_tol *. max 1.0 (abs_float area')
             then incr osc_repeats
             else begin
               osc_area := area';
               osc_repeats := 1
             end;
-            if !osc_repeats >= options.osc_window then begin
+            if !osc_repeats >= osc_window then begin
               dlog log Diag.Warning
                 "oscillation: rejected area %g seen %d consecutive times"
                 area' !osc_repeats;
@@ -346,7 +349,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
               continue := false
             end
           | None -> ());
-          if !continue then eta := !eta *. options.eta_shrink);
+          if !continue then eta := !eta *. eta_shrink);
         (* checkpoint hook: the loop state at the bottom of this pass is a
            valid resume point — replaying from it is bit-identical. Skipped
            once the run has decided to stop (the final state is the result,
@@ -411,15 +414,3 @@ let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
       budget_exhausted = Budget.exhausted budget }
   else refine_with ?fault ?log ?checks ?on_iteration ?on_step ~budget ~options
       model ~target ~init:tilos.sizes ~tilos
-
-let refine ?(options = default_options) ?fault ?log ?checks model ~target ~init =
-  let delays = Delay_model.delays model init in
-  let cp = Sta.critical_path_only model ~delays in
-  let pseudo_tilos =
-    { Tilos.sizes = init;
-      met = cp <= target *. (1.0 +. 1e-9);
-      bumps = 0;
-      final_cp = cp;
-      area = Delay_model.area model init }
-  in
-  refine_from ~options ?fault ?log ?checks model ~target ~init ~tilos:pseudo_tilos

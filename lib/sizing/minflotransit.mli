@@ -21,23 +21,13 @@
     recording make every one of these paths testable. *)
 
 type options = {
-  eta0 : float;          (** initial trust region (default 0.5). *)
-  eta_shrink : float;    (** multiplicative shrink on stall (default 0.5). *)
-  eta_min : float;       (** stop once eta falls below this (default 1e-3). *)
   max_iterations : int;  (** hard cap (default 100; paper: "a few tens"). *)
-  rel_tol : float;       (** relative area improvement considered negligible. *)
   solver : [ `Auto | `Simplex | `Ssp | `Bellman_ford ];
       (** [`Auto] = fallback chain simplex → ssp → bellman-ford; a concrete
           solver pins a 1-rung chain (default [`Simplex]). *)
   tilos_bump : float;
   limits : Minflo_robust.Budget.limits;
       (** run budget for the whole optimization (default {!Minflo_robust.Budget.no_limits}). *)
-  osc_tol : float;
-      (** areas of rejected candidates within this relative tolerance count
-          as "the same" for oscillation detection. *)
-  osc_window : int;
-      (** consecutive same-area rejections that trigger
-          {!Stop_oscillation} (default 3). *)
   warm_start : bool;
       (** reuse flow-solver state (spanning-tree basis for the simplex,
           Johnson potentials for SSP) across D-phase solves, so iteration
@@ -55,6 +45,14 @@ type options = {
 }
 
 val default_options : options
+
+val eta0 : float
+(** The initial trust region (0.5). It shrinks by half on every pass that
+    stalls, and the run stops once it falls below 1e-3. *)
+
+val osc_window : int
+(** Consecutive rejected candidates on the same area (within a relative
+    1e-9) that stop the run with {!Stop_oscillation} (3). *)
 
 type iteration = {
   iter : int;
@@ -152,17 +150,6 @@ val optimize :
     instrumented sites, the log collects a severity-tagged event trail, and
     checks accumulate post-phase invariant findings ([--check] in the CLI). *)
 
-val refine :
-  ?options:options ->
-  ?fault:Minflo_robust.Fault.t ->
-  ?log:Minflo_robust.Diag.log ->
-  ?checks:Minflo_robust.Check.t ->
-  Minflo_tech.Delay_model.t ->
-  target:float ->
-  init:float array ->
-  result
-(** The D/W iteration from a caller-supplied feasible sizing. *)
-
 val refine_from :
   ?options:options ->
   ?fault:Minflo_robust.Fault.t ->
@@ -175,8 +162,9 @@ val refine_from :
   init:float array ->
   tilos:Tilos.result ->
   result
-(** Like {!refine} but records the given TILOS result as the baseline that
-    [area_saving_pct] is measured against. *)
+(** The D/W iteration from a caller-supplied feasible sizing [init]; the
+    given TILOS result is the baseline that [area_saving_pct] is measured
+    against. *)
 
 val refine_with :
   ?fault:Minflo_robust.Fault.t ->

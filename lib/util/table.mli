@@ -1,7 +1,8 @@
 (** ASCII table rendering for the experiment harness.
 
-    The bench executable prints paper-style tables (Table 1, Figure 7 series)
-    with this module so outputs are diffable and readable in a terminal. *)
+    [minflo bench --paper] prints paper-style tables (Table 1, Figure 7
+    series) with this module so outputs are diffable and readable in a
+    terminal. *)
 
 type align = Left | Right
 

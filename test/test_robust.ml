@@ -359,7 +359,7 @@ let test_engine_fallback_to_bellman_ford () =
   match r.stop with
   | Minflotransit.Stop_oscillation { repeats; _ } ->
     check bool "window reached" true
-      (repeats >= Minflotransit.default_options.osc_window)
+      (repeats >= Minflotransit.osc_window)
   | Minflotransit.Stop_converged -> ()
   | s -> Alcotest.fail ("unexpected stop: " ^ Minflotransit.stop_reason_to_string s)
 
@@ -427,7 +427,7 @@ let test_engine_oscillation_cutoff () =
   match r.stop with
   | Minflotransit.Stop_oscillation { repeats; area } ->
     check bool "repeats reach the window" true
-      (repeats >= Minflotransit.default_options.osc_window);
+      (repeats >= Minflotransit.osc_window);
     check bool "oscillating area is finite" true (Float.is_finite area)
   | s -> Alcotest.fail ("expected oscillation, got " ^ Minflotransit.stop_reason_to_string s)
 

@@ -425,9 +425,12 @@ let test_refine_equals_optimize_tail () =
   let d0 = Sweep.dmin model in
   let target = 0.6 *. d0 in
   let t = Tilos.size model ~target in
-  let r = Minflotransit.refine model ~target ~init:t.sizes in
+  let r = Minflotransit.refine_from model ~target ~init:t.sizes ~tilos:t in
   check bool "met" true r.met;
-  check bool "no worse" true (r.area <= t.area +. 1e-9)
+  check bool "no worse" true (r.area <= t.area +. 1e-9);
+  let o = Minflotransit.optimize model ~target in
+  check (Alcotest.float 0.0) "same area as optimize" o.area r.area;
+  check Alcotest.int "same iterations as optimize" o.iterations r.iterations
 
 (* ---------- optimality probe ---------- *)
 
@@ -535,6 +538,16 @@ let test_iscas_row_shape () =
   check bool "positive saving" true (p.saving_pct > 0.0);
   check bool "few tens of iterations" true (p.iterations <= 100)
 
+let test_table1_factor () =
+  (* c432's spec already puts TILOS above the band and is kept; c880's
+     barely stresses it, so the rule tightens twice by 7 % *)
+  let factor name =
+    Sweep.table1_factor (model_of (Iscas85.circuit name)) ~spec:0.4
+  in
+  check (Alcotest.float 0.0) "c432 keeps its spec" 0.4 (factor "c432");
+  check (Alcotest.float 0.0) "c880 tightens twice" (0.4 *. 0.93 *. 0.93)
+    (factor "c880")
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "sizing"
@@ -574,4 +587,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_lagrangian_always_feasible ] );
       ( "sweep",
         [ tc "curve monotone" `Slow test_sweep_curve_monotone;
-          tc "table row shape" `Slow test_iscas_row_shape ] ) ]
+          tc "table row shape" `Slow test_iscas_row_shape;
+          tc "table1 row selection" `Quick test_table1_factor ] ) ]
