@@ -107,15 +107,6 @@ let max_pivots_arg =
        & info [ "max-pivots" ] ~docv:"N"
            ~doc:"Budget on cumulative flow-solver pivots.")
 
-let warm_start_arg =
-  Arg.(value & flag
-       & info [ "warm-start" ]
-           ~doc:"Reuse flow-solver state (the simplex spanning-tree basis, \
-                 the SSP potentials) across D-phase solves instead of \
-                 rebuilding it each iteration. The trajectory — every \
-                 iterate, the final sizing — is bit-identical to a cold \
-                 run; only the pivot counts drop (see $(b,minflo bench)).")
-
 (* every --inject-fault argument, on every subcommand, is validated against
    the catalog of instrumented sites at parse time *)
 let fault_site_conv =
@@ -268,8 +259,7 @@ let size_cmd =
                    $(b,minflo audit-run).")
   in
   let run name granularity factor tool dump solver do_check max_seconds
-      max_iterations max_pivots fault_sites fault_count fault_after warm_start
-      trace_out =
+      max_iterations max_pivots fault_sites fault_count fault_after trace_out =
     let nl = circuit name in
     let model = build_model granularity nl in
     let d0 = Sweep.dmin model in
@@ -298,7 +288,7 @@ let size_cmd =
           Budget.limits ?wall_seconds:max_seconds ?max_iterations ?max_pivots ()
         in
         let options =
-          { Minflotransit.default_options with solver; limits; warm_start }
+          { Minflotransit.default_options with solver; limits }
         in
         let fault =
           make_fault_plan ?count:fault_count ~after:fault_after fault_sites
@@ -372,7 +362,7 @@ let size_cmd =
     Term.(const run $ circuit_arg $ model_arg $ factor_arg $ tool $ dump
           $ solver_arg $ check_arg $ max_seconds_arg $ max_iterations_arg
           $ max_pivots_arg $ fault_arg $ fault_count_arg $ fault_after_arg
-          $ warm_start_arg $ trace_arg)
+          $ trace_arg)
 
 (* ---------- sweep ---------- *)
 
@@ -528,8 +518,7 @@ let batch_cmd =
   in
   let run circuits factors solvers checkpoint_dir resume jobs retries timeout
       differential diff_tolerance no_isolate max_seconds max_iterations
-      max_pivots fault_sites fault_count fault_after fault_seed no_preflight
-      warm_start =
+      max_pivots fault_sites fault_count fault_after fault_seed no_preflight =
     let grid = Job.cross ~circuits ~factors ~solvers in
     let limits =
       Budget.limits ?wall_seconds:max_seconds ?max_iterations ?max_pivots ()
@@ -550,7 +539,7 @@ let batch_cmd =
             isolate = not no_isolate };
         differential;
         diff_tolerance;
-        engine = { Minflotransit.default_options with limits; warm_start };
+        engine = { Minflotransit.default_options with limits };
         fault_seed = (if fault_sites = [] then None else Some fault_seed);
         make_fault =
           (fun _ ->
@@ -620,7 +609,7 @@ let batch_cmd =
           $ jobs $ retries $ timeout $ differential $ diff_tolerance
           $ no_isolate $ max_seconds_arg $ max_iterations_arg $ max_pivots_arg
           $ fault_arg $ fault_count_arg $ fault_after_arg $ fault_seed
-          $ no_preflight $ warm_start_arg)
+          $ no_preflight)
 
 (* ---------- bench ---------- *)
 

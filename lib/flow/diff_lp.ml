@@ -119,10 +119,6 @@ type warm = {
 let make_warm () =
   { ws_simplex = Network_simplex.make_state (); ws_ssp = Ssp.make_state () }
 
-let drop_warm w =
-  Network_simplex.drop w.ws_simplex;
-  Ssp.drop w.ws_ssp
-
 let solve ?(solver = `Simplex) ?budget ?warm ?(canonical = false) ?on_solution t =
   (* The dual LP [max b.pi : pi(u) - pi(v) <= w] is bounded iff the flow
      problem is feasible, and feasible iff the constraint graph has no

@@ -65,9 +65,6 @@ type warm
 val make_warm : unit -> warm
 (** Fresh warm state; the first solve through it is a cold start. *)
 
-val drop_warm : warm -> unit
-(** Forget all retained solver state. *)
-
 val solve :
   ?solver:[ `Simplex | `Ssp | `Bellman_ford ] ->
   ?budget:Minflo_robust.Budget.t ->

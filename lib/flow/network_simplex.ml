@@ -24,9 +24,11 @@
      (same nodes, same arc endpoints) the optimal spanning-tree basis of the
      previous solve seeds the next one, so a solve after a small cost/supply
      change needs only the pivots that repair optimality, not the full climb
-     out of the artificial basis. The repair re-hangs nodes by their parent
-     pointers alone and then rebuilds the thread index and the potentials
-     from the parents in one O(n) pass.
+     out of the artificial basis. The state keeps only the basis (arc
+     endpoints, arc states, parent links); a warm solve allocates the other
+     working arrays afresh, re-hangs nodes by their parent pointers alone
+     and rebuilds the thread index and the potentials from the parents in
+     O(n) passes.
 
    All arithmetic is on OCaml ints; capacities are clamped to
    Mcf.infinite_capacity so sums cannot overflow 63-bit ints. *)
@@ -121,26 +123,45 @@ let rebuild_tree t =
   t.rev_thread.(root) <- !prev;
   close root
 
+(* A solver over the given basis arrays, with every other working array
+   fresh: costs, capacities, flows, potentials, the thread index and the
+   pivot scratch. *)
+let alloc ~n ~m_real ~src ~dst ~state ~parent ~parc =
+  let m = m_real + n in
+  let arcs () = Array.make m 0 and nodes () = Array.make (n + 1) 0 in
+  { n; m_real; m; src; dst; cap = arcs (); cost = arcs (); flow = arcs ();
+    state; parent; parc;
+    pi = nodes (); thread = nodes (); rev_thread = nodes ();
+    succ_num = nodes (); last_succ = nodes (); scan_pos = 0;
+    block_size = max 64 (1 + int_of_float (sqrt (float_of_int m)));
+    ts_arc = nodes ();
+    ts_inc = Array.make (n + 1) false;
+    ts_below = nodes ();
+    hs_arc = nodes ();
+    hs_inc = Array.make (n + 1) false;
+    hs_below = nodes ();
+    dirty = nodes () }
+
 let create (p : Mcf.problem) =
   let n = p.num_nodes in
   let m_real = Array.length p.arcs in
   let m = m_real + n in
-  let src = Array.make m 0 and dst = Array.make m 0 in
-  let cap = Array.make m 0 and cost = Array.make m 0 in
-  let flow = Array.make m 0 and state = Array.make m state_lower in
+  let t =
+    alloc ~n ~m_real ~src:(Array.make m 0) ~dst:(Array.make m 0)
+      ~state:(Array.make m state_lower) ~parent:(Array.make (n + 1) (-1))
+      ~parc:(Array.make (n + 1) (-1))
+  in
   let max_cost = ref 1 in
   Array.iteri
     (fun i (a : Mcf.arc) ->
-      src.(i) <- a.src;
-      dst.(i) <- a.dst;
-      cap.(i) <- min a.cap Mcf.infinite_capacity;
-      cost.(i) <- a.cost;
+      t.src.(i) <- a.src;
+      t.dst.(i) <- a.dst;
+      t.cap.(i) <- min a.cap Mcf.infinite_capacity;
+      t.cost.(i) <- a.cost;
       if abs a.cost > !max_cost then max_cost := abs a.cost)
     p.arcs;
   (* big-M: strictly dominates any simple-path cost through real arcs *)
   let big_m = ((n + 1) * !max_cost) + 1 in
-  let parent = Array.make (n + 1) (-1) in
-  let parc = Array.make (n + 1) (-1) in
   let root = n in
   for v = 0 to n - 1 do
     let a = m_real + v in
@@ -150,35 +171,21 @@ let create (p : Mcf.problem) =
        artificial arc gets reduced cost 0 from [rebuild_tree]'s potentials
        (pi v = +-big_m). *)
     if b >= 0 then begin
-      src.(a) <- v;
-      dst.(a) <- root;
-      flow.(a) <- b
+      t.src.(a) <- v;
+      t.dst.(a) <- root;
+      t.flow.(a) <- b
     end
     else begin
-      src.(a) <- root;
-      dst.(a) <- v;
-      flow.(a) <- -b
+      t.src.(a) <- root;
+      t.dst.(a) <- v;
+      t.flow.(a) <- -b
     end;
-    cap.(a) <- Mcf.infinite_capacity;
-    cost.(a) <- big_m;
-    state.(a) <- state_tree;
-    parent.(v) <- root;
-    parc.(v) <- a
+    t.cap.(a) <- Mcf.infinite_capacity;
+    t.cost.(a) <- big_m;
+    t.state.(a) <- state_tree;
+    t.parent.(v) <- root;
+    t.parc.(v) <- a
   done;
-  let nodes () = Array.make (n + 1) 0 in
-  let t =
-    { n; m_real; m; src; dst; cap; cost; flow; state; parent; parc;
-      pi = nodes (); thread = nodes (); rev_thread = nodes ();
-      succ_num = nodes (); last_succ = nodes (); scan_pos = 0;
-      block_size = max 64 (1 + int_of_float (sqrt (float_of_int m)));
-      ts_arc = nodes ();
-      ts_inc = Array.make (n + 1) false;
-      ts_below = nodes ();
-      hs_arc = nodes ();
-      hs_inc = Array.make (n + 1) false;
-      hs_below = nodes ();
-      dirty = nodes () }
-  in
   rebuild_tree t;
   t
 
@@ -511,7 +518,23 @@ let solve ?budget (p : Mcf.problem) : Mcf.solution =
 
 (* ---------- warm starts ---------- *)
 
-type state = { mutable basis : t option }
+(* What a state retains between solves: the basis alone. Arc endpoints
+   (with the artificial arcs' orientation), arc states and the tree's
+   parent links determine everything else, because [rewarm] re-derives the
+   flows and potentials from them and the new problem. Keeping only these
+   five arrays, not the whole solver, keeps the memory that lives between
+   solves at 3(m+n) + 2(n+1) words. *)
+type basis = {
+  b_n : int;
+  b_m_real : int;
+  b_src : int array;
+  b_dst : int array;
+  b_state : int array;
+  b_parent : int array;
+  b_parc : int array;
+}
+
+type state = { mutable basis : basis option }
 
 let make_state () = { basis = None }
 let drop st = st.basis <- None
@@ -520,23 +543,23 @@ let is_warm st = st.basis <> None
 (* The basis can be reused iff the network shape is unchanged: same node
    count, same arc count, same endpoints arc by arc. Costs, capacities and
    supplies are free to change. *)
-let compatible t (p : Mcf.problem) =
-  t.n = p.num_nodes
-  && t.m_real = Array.length p.arcs
+let compatible b (p : Mcf.problem) =
+  b.b_n = p.num_nodes
+  && b.b_m_real = Array.length p.arcs
   &&
   let ok = ref true in
   Array.iteri
     (fun i (a : Mcf.arc) ->
-      if t.src.(i) <> a.src || t.dst.(i) <> a.dst then ok := false)
+      if b.b_src.(i) <> a.src || b.b_dst.(i) <> a.dst then ok := false)
     p.arcs;
   !ok
 
 (* Re-seed the retained spanning tree with new costs/capacities/supplies.
 
    Invariants restored here (see DESIGN §8):
-   - cost change: the tree and all flows stay primal feasible as they are;
-     only the potentials are stale, so they are recomputed from the root
-     over the (re-costed) tree arcs.
+   - cost change: the tree stays primal feasible; only the potentials
+     depend on the costs, so they are recomputed from the root over the
+     (re-costed) tree arcs.
    - supply/capacity change: nonbasic arcs stay pinned at their bounds, so
      the tree flows are uniquely determined by leaf-to-root accumulation of
      node excess. A tree arc whose required flow would leave [0, cap] — or
@@ -547,11 +570,15 @@ let compatible t (p : Mcf.problem) =
      excess it must carry. The result is a strongly feasible basis whatever
      the new data; big-M pivots then drive any artificial flow back out.
 
-   The accumulation walks the old thread backwards (children before
-   parents). A cut only rewrites the node's parent pointers, which the
-   backward walk never reads again; [rebuild_tree] then derives the new
-   thread index and potentials from the parents. Node excess lives in the
-   idle [dirty] scratch, so a warm solve allocates no per-node arrays. *)
+   The accumulation walks the thread backwards (children before parents);
+   the caller has built that thread from the parent links. A cut only
+   rewrites the node's parent pointers, which the backward walk never
+   reads again; [rebuild_tree] then derives the new thread index and
+   potentials from the parents. Every tree arc's flow is set here and
+   every nonbasic one is pinned, so the result depends on the parent
+   links, arc states and endpoints alone, not on the flows or the thread
+   order the solver held before. Node excess lives in the idle [dirty]
+   scratch. *)
 let rewarm t (p : Mcf.problem) =
   let n = t.n and m_real = t.m_real in
   let root = n in
@@ -565,6 +592,7 @@ let rewarm t (p : Mcf.problem) =
   (* refresh big-M against the new cost range *)
   let big_m = ((n + 1) * !max_cost) + 1 in
   for a = m_real to t.m - 1 do
+    t.cap.(a) <- Mcf.infinite_capacity;
     t.cost.(a) <- big_m
   done;
   (* pin nonbasic arcs to their bounds under the new capacities *)
@@ -643,8 +671,14 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
   else begin
     let t =
       match st.basis with
-      | Some t when compatible t p ->
+      | Some b when compatible b p ->
         Perf.tick_warm_start ();
+        let t =
+          alloc ~n:b.b_n ~m_real:b.b_m_real ~src:b.b_src ~dst:b.b_dst
+            ~state:b.b_state ~parent:b.b_parent ~parc:b.b_parc
+        in
+        (* a children-before-parents order for [rewarm]'s walk *)
+        rebuild_tree t;
         rewarm t p;
         t
       | _ ->
@@ -655,6 +689,12 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
     (* only an optimal basis is worth keeping: after Aborted the tree is
        between pivots and consistent — still reusable — whereas Infeasible
        and Unbounded leave nothing to warm-start from *)
-    st.basis <- (match sol.status with Optimal | Aborted -> Some t | _ -> None);
+    st.basis <-
+      (match sol.status with
+       | Optimal | Aborted ->
+         Some
+           { b_n = t.n; b_m_real = t.m_real; b_src = t.src; b_dst = t.dst;
+             b_state = t.state; b_parent = t.parent; b_parc = t.parc }
+       | _ -> None);
     sol
   end

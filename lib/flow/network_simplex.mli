@@ -34,8 +34,12 @@ val solve : ?budget:Minflo_robust.Budget.t -> Mcf.problem -> Mcf.solution
     when bit-identical duals matter). *)
 
 type state
-(** Reusable solver state. Never shared across concurrently running
-    solves. *)
+(** Reusable solver state. Between solves it holds the basis alone: arc
+    endpoints (with the artificial arcs' orientation), arc states and the
+    tree's parent links, 3(m+n) + 2(n+1) words for [m] arcs and [n]
+    nodes. A warm solve allocates its other working arrays afresh and
+    re-derives flows and potentials from that basis. Never shared across
+    concurrently running solves. *)
 
 val make_state : unit -> state
 (** A fresh, empty state: the first solve through it is a cold start. *)

@@ -257,8 +257,6 @@ let solve ?budget (p : Mcf.problem) : Mcf.solution =
 type state = { mutable cache : t option }
 
 let make_state () = { cache = None }
-let drop st = st.cache <- None
-let is_warm st = st.cache <> None
 
 let compatible t (p : Mcf.problem) =
   t.p.num_nodes = p.num_nodes

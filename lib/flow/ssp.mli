@@ -32,8 +32,6 @@ type state
     solves. *)
 
 val make_state : unit -> state
-val drop : state -> unit
-val is_warm : state -> bool
 
 val solve_warm :
   ?budget:Minflo_robust.Budget.t -> state -> Mcf.problem -> Mcf.solution

@@ -284,14 +284,7 @@ let worker_thunk cfg (spec : Protocol.submit) (emit : Supervisor.emit) =
       Batch.checkpoint_dir = Some ckpt_dir;
       resume = true;
       preflight = false (* gated at admission, in the parent *);
-      engine =
-        { Minflotransit.default_options with
-          Minflotransit.limits;
-          (* warm bases across D-phase solves; the warm trajectory is
-             bit-identical to the cold one, so checkpoint resume (which
-             replays cold from the snapshot) stays exact *)
-          warm_start = true;
-          canonical_duals = true } }
+      engine = { Minflotransit.default_options with Minflotransit.limits } }
   in
   Batch.run_job ~emit ~exhausted_ok:true bcfg
     { Job.circuit = spec.circuit; factor = spec.factor; solver = spec.solver }

@@ -24,8 +24,8 @@ let default_options =
     solver = `Simplex;
     tilos_bump = 1.1;
     limits = Budget.no_limits;
-    warm_start = false;
-    canonical_duals = false }
+    warm_start = true;
+    canonical_duals = true }
 
 (* trust region: start at [eta0], shrink by [eta_shrink] on every stalled
    pass, give up below [eta_min] *)

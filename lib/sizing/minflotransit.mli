@@ -35,13 +35,14 @@ type options = {
           all-artificial one. Implies [canonical_duals], which is what makes
           the warm trajectory — every iterate, every area, the final sizing
           — bit-identical to the cold one (verified by the test-suite and
-          the fuzz oracle). Default [false]: the historical single-solve
-          behavior, and the mode used whenever checkpoints may be resumed
-          (warm state is in-memory only and not part of a {!snapshot}). *)
+          the fuzz oracle). Default [true]. Warm state is in-memory only and
+          not part of a {!snapshot}: a resumed run's first D-phase is a cold
+          solve, and it lands on the same iterate as the uninterrupted warm
+          run because the canonical duals are unique. *)
   canonical_duals : bool;
       (** make every D-phase step independent of solver/basis by
           canonicalizing the LP duals ({!Minflo_flow.Mcf.canonical_potentials});
-          forced on by [warm_start]. Default [false]. *)
+          forced on by [warm_start]. Default [true]. *)
 }
 
 val default_options : options

@@ -590,6 +590,30 @@ let test_abort_then_resume () =
     [ (false, 0); (false, 1); (false, 37); (false, 400);
       (true, 0); (true, 1); (true, warm_pivots / 3); (true, warm_pivots - 1) ]
 
+(* A state retains the basis alone — arc endpoints, arc states, parent
+   links: 3 words per arc (artificial arcs included) and 2 per tree node,
+   plus headers. The working arrays of the last solve must not stay
+   reachable from it between solves. *)
+let test_state_keeps_only_basis () =
+  for seed = 0 to 2 do
+    let rng = Rng.create ((seed * 6007) + 11) in
+    let l = make_layered rng in
+    let st = Simplex.make_state () in
+    ignore (Simplex.solve_warm st (layered_problem l));
+    perturb rng l;
+    let p = layered_problem l in
+    let before = Perf.snapshot () in
+    expect_certified "warm solve" p (Simplex.solve_warm st p);
+    check int "the solve reused the basis" 1
+      (Perf.diff before (Perf.snapshot ())).warm_starts;
+    let n = l.n and m = Array.length l.ends in
+    let bound = (3 * (m + n)) + (2 * (n + 1)) + 64 in
+    let words = Obj.reachable_words (Obj.repr st) in
+    if words > bound then
+      Alcotest.failf "seed %d: state holds %d words, bound %d (n %d, m %d)"
+        seed words bound n m
+  done
+
 (* The degenerate sizes: no nodes, one node, no arcs — through both the
    cold and the warm entry point, twice so the second warm call reuses. *)
 let test_degenerate_sizes () =
@@ -922,6 +946,7 @@ let () =
       ( "simplex",
         [ tc "trajectory pin, warm chains" `Quick test_trajectory_pin;
           tc "abort then resume" `Quick test_abort_then_resume;
+          tc "state keeps only the basis" `Quick test_state_keeps_only_basis;
           tc "degenerate sizes" `Quick test_degenerate_sizes ] );
       ( "canonical",
         [ tc "matches Bellman-Ford, 250 tied problems" `Quick

@@ -432,6 +432,34 @@ let test_refine_equals_optimize_tail () =
   check (Alcotest.float 0.0) "same area as optimize" o.area r.area;
   check Alcotest.int "same iterations as optimize" o.iterations r.iterations
 
+(* The default engine reuses the simplex basis across D-phases, and its
+   canonical duals put it on the cold raw-dual trajectory: the same area
+   and iteration count on each of these Table 1 rows at its delay spec. *)
+let test_default_engine_is_warm_and_matches_cold () =
+  let cold =
+    { Minflotransit.default_options with
+      warm_start = false;
+      canonical_duals = false }
+  in
+  List.iter
+    (fun name ->
+      let info = List.find (fun i -> i.Iscas85.name = name) Iscas85.suite in
+      let model = model_of (Iscas85.circuit name) in
+      let target = info.delay_spec *. Sweep.dmin model in
+      let before = Minflo_robust.Perf.snapshot () in
+      let w = Minflotransit.optimize model ~target in
+      let perf =
+        Minflo_robust.Perf.diff before (Minflo_robust.Perf.snapshot ())
+      in
+      if name = "c432" then
+        check bool "c432: the default reuses a basis" true (perf.warm_starts > 0);
+      let c = Minflotransit.optimize ~options:cold model ~target in
+      check Alcotest.string (name ^ " area")
+        (Printf.sprintf "%.9f" c.area)
+        (Printf.sprintf "%.9f" w.area);
+      check Alcotest.int (name ^ " iterations") c.iterations w.iterations)
+    [ "c432"; "c499"; "c880"; "c1908" ]
+
 (* ---------- optimality probe ---------- *)
 
 let test_optimality_probe_converged () =
@@ -577,7 +605,9 @@ let () =
           tc "figure 6 intuition" `Quick test_minflo_figure6_intuition;
           tc "transistor level" `Slow test_minflo_transistor_level;
           tc "wire sizing" `Quick test_minflo_wire_sizing;
-          tc "refine" `Quick test_refine_equals_optimize_tail ] );
+          tc "refine" `Quick test_refine_equals_optimize_tail;
+          tc "default engine is warm, = cold raw duals" `Quick
+            test_default_engine_is_warm_and_matches_cold ] );
       ( "optimality",
         [ tc "converged solution stable" `Quick test_optimality_probe_converged;
           QCheck_alcotest.to_alcotest prop_probe_never_breaks_timing ] );

@@ -68,8 +68,8 @@ let fixture =
 
 (* ---------- byte-identity pins ---------- *)
 
-(* The exact bytes of [minflo size c432 --factor 0.6 --warm-start --trace
-   FILE], at gate granularity (file sha256 81aaa5d7298f6890...) and with
+(* The exact bytes of [minflo size c432 --factor 0.6 --trace FILE], at
+   gate granularity (file sha256 81aaa5d7298f6890...) and with
    [--granularity transistor] (bc3cb4388538b951...). Every float sum and
    tie-break of the engine feeds these files, so any change in an
    iteration order moves the digest. *)
@@ -82,9 +82,7 @@ let test_trace_bytes_pinned granularity expect () =
     | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
   in
   let target = 0.6 *. Sweep.dmin model in
-  let options =
-    { Minflotransit.default_options with solver = `Auto; warm_start = true }
-  in
+  let options = { Minflotransit.default_options with solver = `Auto } in
   let content = traced_run ~options model ~circuit:(Netlist.name nl) ~target in
   check Alcotest.string "trace md5" expect (Digest.to_hex (Digest.string content))
 
