@@ -24,27 +24,10 @@ let exit_code_of_error (e : Diag.error) =
   | Diag.Fault_injected _ | Diag.Differential_mismatch _ | Diag.Job_crashed _
   | Diag.Torn_response _ | Diag.Internal _ -> 3
 
-let load_circuit spec : (Netlist.t, Diag.error) result =
-  if Sys.file_exists spec then begin
-    if Filename.check_suffix spec ".v" then Verilog_format.parse_file spec
-    else Bench_format.parse_file spec
-  end
-  else if spec = "c17" then Ok (Generators.c17 ())
-  else
-    match Iscas85.find_info spec with
-    | Some _ -> Ok (Iscas85.circuit spec)
-    | None ->
-      Error
-        (Diag.Unknown_circuit
-           { name = spec;
-             known =
-               "c17"
-               :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
-
 (* raising variant for command bodies; the typed error is rendered and
    mapped to an exit code at the top level. *)
 let circuit spec =
-  match load_circuit spec with Ok nl -> nl | Error e -> Diag.fail e
+  match Job.load_circuit spec with Ok nl -> nl | Error e -> Diag.fail e
 
 let circuit_arg =
   let doc =
@@ -837,7 +820,7 @@ let lint_cmd =
                 when not
                        (Lint_finding.exceeds ~fail_on:Lint_rule.Error
                           structural) -> (
-                match load_circuit spec with
+                match Job.load_circuit spec with
                 | Ok nl ->
                   let model = build_model `Gate nl in
                   Bounds.check model ~target:(f *. Sweep.dmin model)
@@ -1818,11 +1801,8 @@ let torture_cmd =
         (try Unix.rmdir path with Unix.Unix_error _ -> ())
       | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     in
-    let rec mkdirs d =
-      if not (Sys.file_exists d) then begin
-        mkdirs (Filename.dirname d);
-        try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-      end
+    let mkdirs d =
+      match Io.mkdirs d with Ok () -> () | Error e -> Diag.fail e
     in
     let nl = circuit circuit_spec in
     let model = build_model `Gate nl in
@@ -1865,22 +1845,22 @@ let torture_cmd =
           (fun key ->
             Journal.event jr ~job:key
               ~fields:
-                [ Journal.field_str "circuit" circuit_spec;
-                  Journal.field_float "factor" trace_factor;
-                  Journal.field_str "solver" "simplex" ]
+                [ ("circuit", Json.Str circuit_spec);
+                  ("factor", Diag.json_float trace_factor);
+                  ("solver", Json.Str "simplex") ]
               "serve-accepted")
           serve_keys;
         Journal.event jr ~job:"torture-done"
           ~fields:
-            [ Journal.field_float "area" 42.0;
-              Journal.field_float "area_ratio" 1.5;
-              Journal.field_float "cp" trace_target;
-              Journal.field_float "target" trace_target;
-              Journal.field_bool "met" true;
-              Journal.field_int "iterations" 3;
-              Journal.field_float "saving_pct" 7.5;
-              Journal.field_str "stop" "converged";
-              Journal.field_bool "resumed" false ]
+            [ ("area", Json.Num 42.0);
+              ("area_ratio", Json.Num 1.5);
+              ("cp", Diag.json_float trace_target);
+              ("target", Diag.json_float trace_target);
+              ("met", Json.Bool true);
+              ("iterations", Json.Num 3.0);
+              ("saving_pct", Json.Num 7.5);
+              ("stop", Json.Str "converged");
+              ("resumed", Json.Bool false) ]
           "job-result";
         Journal.close jr
     in
@@ -1944,18 +1924,28 @@ let torture_cmd =
       let add fmt =
         Printf.ksprintf (fun s -> violations := s :: !violations) fmt
       in
-      (* every surviving journal line is a complete JSON record: a line
-         torn by the crash must never parse as a (wrong) event *)
+      (* every newline-terminated journal line is one complete event
+         record; only the crash's own write may be torn, and it never got
+         its newline. Read the raw bytes: [Journal.scan] drops what does
+         not parse, so it would hide exactly the lines this checks. *)
       List.iter
         (fun journal ->
-          List.iter
-            (fun (_event, line) ->
-              match Json.parse line with
-              | Ok _ -> ()
-              | Error msg ->
-                add "%s: surviving line does not parse (%s): %s" journal msg
-                  line)
-            (Journal.scan journal))
+          match In_channel.with_open_bin journal In_channel.input_all with
+          | exception Sys_error _ -> ()
+          | content ->
+            let lines = String.split_on_char '\n' content in
+            let complete = List.length lines - 1 in
+            List.iteri
+              (fun i line ->
+                if i < complete then
+                  match Json.parse line with
+                  | Ok j when Json.str_field "event" j <> None -> ()
+                  | Ok _ ->
+                    add "%s: line is not an event record: %s" journal line
+                  | Error msg ->
+                    add "%s: surviving line does not parse (%s): %s" journal
+                      msg line)
+              lines)
         [ batch_journal; serve_journal ];
       (* checkpoints load or are rejected typed — never an exception, never
          a half-parse *)

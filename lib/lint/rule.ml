@@ -5,12 +5,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
 
 let sarif_level = function

@@ -14,8 +14,6 @@ type severity = Error | Warning | Info
 val severity_to_string : severity -> string
 (** ["error" | "warning" | "info"]. *)
 
-val severity_of_string : string -> severity option
-
 val severity_rank : severity -> int
 (** [Error] = 2, [Warning] = 1, [Info] = 0; higher is worse. *)
 

@@ -1,60 +1,8 @@
 module Raw = Minflo_netlist.Raw
+module Json = Minflo_util.Json
 
-(* minimal JSON document builder; enough for SARIF, no external deps *)
-type json =
-  | Str of string
-  | Int of int
-  | Arr of json list
-  | Obj of (string * json) list
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_buffer buf json =
-  let pad n = Buffer.add_string buf (String.make n ' ') in
-  let rec go indent = function
-    | Str s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (escape s))
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
-          go (indent + 2) item)
-        items;
-      Buffer.add_char buf '\n';
-      pad indent;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (indent + 2);
-          Buffer.add_string buf (Printf.sprintf "\"%s\": " (escape k));
-          go (indent + 2) v)
-        fields;
-      Buffer.add_char buf '\n';
-      pad indent;
-      Buffer.add_char buf '}'
-  in
-  go 0 json
+let str s = Json.Str s
+let int i = Json.Num (float_of_int i)
 
 let schema_uri =
   "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -65,12 +13,12 @@ let rule_index =
   fun (r : Rule.t) -> Hashtbl.find tbl r.id
 
 let rule_json (r : Rule.t) =
-  Obj
-    [ ("id", Str r.id);
-      ("name", Str r.name);
-      ("shortDescription", Obj [ ("text", Str r.summary) ]);
+  Json.Obj
+    [ ("id", str r.id);
+      ("name", str r.name);
+      ("shortDescription", Json.Obj [ ("text", str r.summary) ]);
       ( "defaultConfiguration",
-        Obj [ ("level", Str (Rule.sarif_level r.severity)) ] ) ]
+        Json.Obj [ ("level", str (Rule.sarif_level r.severity)) ] ) ]
 
 let result_json (f : Finding.t) =
   let location =
@@ -78,54 +26,51 @@ let result_json (f : Finding.t) =
     | None -> []
     | Some file ->
       let physical =
-        ("artifactLocation", Obj [ ("uri", Str file) ])
+        ("artifactLocation", Json.Obj [ ("uri", str file) ])
         ::
         (if f.loc.Raw.line > 0 then
            [ ( "region",
-               Obj
-                 (("startLine", Int f.loc.Raw.line)
+               Json.Obj
+                 (("startLine", int f.loc.Raw.line)
                  ::
                  (if f.loc.Raw.col > 0 then
-                    [ ("startColumn", Int f.loc.Raw.col) ]
+                    [ ("startColumn", int f.loc.Raw.col) ]
                   else [])) ) ]
          else [])
       in
-      [ ("locations", Arr [ Obj [ ("physicalLocation", Obj physical) ] ]) ]
+      [ ( "locations",
+          Json.List [ Json.Obj [ ("physicalLocation", Json.Obj physical) ] ] )
+      ]
   in
   let properties =
     if f.related = [] then []
     else
       [ ( "properties",
-          Obj [ ("related", Arr (List.map (fun s -> Str s) f.related)) ] ) ]
+          Json.Obj [ ("related", Json.List (List.map str f.related)) ] ) ]
   in
-  Obj
-    ([ ("ruleId", Str f.rule.id);
-       ("ruleIndex", Int (rule_index f.rule));
-       ("level", Str (Rule.sarif_level f.rule.severity));
-       ("message", Obj [ ("text", Str f.message) ]) ]
+  Json.Obj
+    ([ ("ruleId", str f.rule.id);
+       ("ruleIndex", int (rule_index f.rule));
+       ("level", str (Rule.sarif_level f.rule.severity));
+       ("message", Json.Obj [ ("text", str f.message) ]) ]
     @ location @ properties)
 
 let render ?(tool_version = "0.1.0") findings =
-  let doc =
-    Obj
-      [ ("$schema", Str schema_uri);
-        ("version", Str "2.1.0");
-        ( "runs",
-          Arr
-            [ Obj
-                [ ( "tool",
-                    Obj
-                      [ ( "driver",
-                          Obj
-                            [ ("name", Str "minflo-lint");
-                              ("version", Str tool_version);
-                              ( "informationUri",
-                                Str "https://github.com/minflo/minflo" );
-                              ("rules", Arr (List.map rule_json Rule.all)) ] )
-                      ] );
-                  ("results", Arr (List.map result_json findings)) ] ] ) ]
+  let driver =
+    Json.Obj
+      [ ("name", str "minflo-lint");
+        ("version", str tool_version);
+        ("informationUri", str "https://github.com/minflo/minflo");
+        ("rules", Json.List (List.map rule_json Rule.all)) ]
   in
-  let buf = Buffer.create 4096 in
-  to_buffer buf doc;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let run =
+    Json.Obj
+      [ ("tool", Json.Obj [ ("driver", driver) ]);
+        ("results", Json.List (List.map result_json findings)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("$schema", str schema_uri);
+         ("version", str "2.1.0");
+         ("runs", Json.List [ run ]) ])
+  ^ "\n"

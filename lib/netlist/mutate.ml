@@ -4,14 +4,6 @@ type op = Splice | Swap_kind | Rewire | Deep_chain | Widen | Dup_output
 
 let all_ops = [ Splice; Swap_kind; Rewire; Deep_chain; Widen; Dup_output ]
 
-let op_name = function
-  | Splice -> "splice"
-  | Swap_kind -> "swap-kind"
-  | Rewire -> "rewire"
-  | Deep_chain -> "deep-chain"
-  | Widen -> "widen"
-  | Dup_output -> "dup-output"
-
 (* ---------- editable view ---------- *)
 
 (* Mutations edit the raw declaration list and re-elaborate. [Raw.of_netlist]

@@ -22,8 +22,6 @@ type op =
 
 val all_ops : op list
 
-val op_name : op -> string
-
 val apply : Minflo_util.Rng.t -> op -> Netlist.t -> Netlist.t option
 (** One mutation. [None] when the operation does not apply to this netlist
     (e.g. {!Swap_kind} on a netlist with no gates) or the edited netlist

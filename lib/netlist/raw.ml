@@ -4,10 +4,6 @@ type loc = { line : int; col : int }
 
 let no_loc = { line = 0; col = 0 }
 
-let pp_loc fmt l =
-  if l.col > 0 then Format.fprintf fmt "%d:%d" l.line l.col
-  else Format.fprintf fmt "%d" l.line
-
 type gate_decl = {
   g_name : string;
   g_kind : Gate.kind;

@@ -21,8 +21,6 @@ type loc = { line : int; col : int }
 
 val no_loc : loc
 
-val pp_loc : Format.formatter -> loc -> unit
-
 type gate_decl = {
   g_name : string;    (** the driven signal *)
   g_kind : Gate.kind;

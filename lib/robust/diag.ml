@@ -1,4 +1,5 @@
 module Vec = Minflo_util.Vec
+module Json = Minflo_util.Json
 
 type severity = Debug | Info | Warning | Error
 
@@ -172,114 +173,77 @@ let to_string = function
 
 let pp ppf e = Format.pp_print_string ppf (to_string e)
 
-(* ---------- hand-rolled JSON (no external dependency) ---------- *)
+(* ---------- JSON ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let jfloat v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else jstr (Printf.sprintf "%h" v)
-
-let obj fields =
-  let fields = List.map (fun (k, v) -> Printf.sprintf "%s: %s" (jstr k) v) fields in
-  Printf.sprintf "{%s}" (String.concat ", " fields)
+let json_float v =
+  if Float.is_finite v then Json.Num v else Json.Str (Printf.sprintf "%h" v)
 
 let to_json e =
-  let code = ("code", jstr (error_code e)) in
+  let str s = Json.Str s and int i = Json.Num (float_of_int i) in
+  let num = json_float and strs l = Json.List (List.map str l) in
+  let opt_str = function Some s -> Json.Str s | None -> Json.Null in
+  let obj fields = Json.Obj (("code", str (error_code e)) :: fields) in
   match e with
   | Parse_error { file; line; col; msg } ->
     obj
-      [ code;
-        ("file", match file with Some f -> jstr f | None -> "null");
-        ("line", string_of_int line);
-        ("col", string_of_int col);
-        ("msg", jstr msg) ]
+      [ ("file", opt_str file); ("line", int line); ("col", int col);
+        ("msg", str msg) ]
   | Lint_error { rule; file; line; msg } ->
     obj
-      [ code;
-        ("rule", jstr rule);
-        ("file", match file with Some f -> jstr f | None -> "null");
-        ("line", string_of_int line);
-        ("msg", jstr msg) ]
+      [ ("rule", str rule); ("file", opt_str file); ("line", int line);
+        ("msg", str msg) ]
   | Unknown_circuit { name; known } ->
-    obj
-      [ code;
-        ("name", jstr name);
-        ("known", Printf.sprintf "[%s]" (String.concat ", " (List.map jstr known)))
-      ]
-  | Io_error { file; msg } -> obj [ code; ("file", jstr file); ("msg", jstr msg) ]
-  | Disk_full { file } -> obj [ code; ("file", jstr file) ]
+    obj [ ("name", str name); ("known", strs known) ]
+  | Io_error { file; msg } -> obj [ ("file", str file); ("msg", str msg) ]
+  | Disk_full { file } -> obj [ ("file", str file) ]
   | Storage_corrupt { file; detail } ->
-    obj [ code; ("file", jstr file); ("detail", jstr detail) ]
+    obj [ ("file", str file); ("detail", str detail) ]
   | Infeasible_budget { vertex; label; budget; intrinsic } ->
     obj
-      [ code;
-        ("vertex", string_of_int vertex);
-        ("label", jstr label);
-        ("budget", jfloat budget);
-        ("intrinsic", jfloat intrinsic) ]
+      [ ("vertex", int vertex); ("label", str label); ("budget", num budget);
+        ("intrinsic", num intrinsic) ]
   | Unsafe_timing { cp; deadline } ->
-    obj [ code; ("cp", jfloat cp); ("deadline", jfloat deadline) ]
+    obj [ ("cp", num cp); ("deadline", num deadline) ]
   | Solver_diverged { solver; iters } ->
-    obj [ code; ("solver", jstr solver); ("iters", string_of_int iters) ]
-  | Numeric { what; value } -> obj [ code; ("what", jstr what); ("value", jfloat value) ]
+    obj [ ("solver", str solver); ("iters", int iters) ]
+  | Numeric { what; value } -> obj [ ("what", str what); ("value", num value) ]
   | Budget_exhausted { resource; spent; limit } ->
     obj
-      [ code; ("resource", jstr resource); ("spent", jfloat spent);
-        ("limit", jfloat limit) ]
+      [ ("resource", str resource); ("spent", num spent); ("limit", num limit) ]
   | Oscillation { area; repeats } ->
-    obj [ code; ("area", jfloat area); ("repeats", string_of_int repeats) ]
+    obj [ ("area", num area); ("repeats", int repeats) ]
   | Unmet_target { target; achieved } ->
-    obj [ code; ("target", jfloat target); ("achieved", jfloat achieved) ]
+    obj [ ("target", num target); ("achieved", num achieved) ]
   | Infeasible_target { target; lower_bound; witness } ->
     obj
-      [ code; ("target", jfloat target); ("lower_bound", jfloat lower_bound);
-        ( "witness",
-          Printf.sprintf "[%s]" (String.concat ", " (List.map jstr witness)) )
-      ]
+      [ ("target", num target); ("lower_bound", num lower_bound);
+        ("witness", strs witness) ]
   | Invariant { what; detail } ->
-    obj [ code; ("what", jstr what); ("detail", jstr detail) ]
-  | Fault_injected { site } -> obj [ code; ("site", jstr site) ]
+    obj [ ("what", str what); ("detail", str detail) ]
+  | Fault_injected { site } -> obj [ ("site", str site) ]
   | Checkpoint_invalid { file; reason } ->
-    obj [ code; ("file", jstr file); ("reason", jstr reason) ]
+    obj [ ("file", str file); ("reason", str reason) ]
   | Differential_mismatch { job; solver_a; solver_b; value_a; value_b; tolerance }
     ->
     obj
-      [ code; ("job", jstr job); ("solver_a", jstr solver_a);
-        ("solver_b", jstr solver_b); ("value_a", jfloat value_a);
-        ("value_b", jfloat value_b); ("tolerance", jfloat tolerance) ]
+      [ ("job", str job); ("solver_a", str solver_a);
+        ("solver_b", str solver_b); ("value_a", num value_a);
+        ("value_b", num value_b); ("tolerance", num tolerance) ]
   | Job_timeout { job; seconds } ->
-    obj [ code; ("job", jstr job); ("seconds", jfloat seconds) ]
+    obj [ ("job", str job); ("seconds", num seconds) ]
   | Job_crashed { job; detail } ->
-    obj [ code; ("job", jstr job); ("detail", jstr detail) ]
+    obj [ ("job", str job); ("detail", str detail) ]
   | Overloaded { depth; limit } ->
-    obj [ code; ("depth", string_of_int depth); ("limit", string_of_int limit) ]
-  | Draining -> obj [ code ]
-  | Journal_locked { file } -> obj [ code; ("file", jstr file) ]
+    obj [ ("depth", int depth); ("limit", int limit) ]
+  | Draining -> obj []
+  | Journal_locked { file } -> obj [ ("file", str file) ]
   | Connect_refused { endpoint; attempts } ->
-    obj [ code; ("endpoint", jstr endpoint); ("attempts", string_of_int attempts) ]
+    obj [ ("endpoint", str endpoint); ("attempts", int attempts) ]
   | Net_timeout { endpoint; op; seconds } ->
-    obj
-      [ code; ("endpoint", jstr endpoint); ("op", jstr op);
-        ("seconds", jfloat seconds) ]
+    obj [ ("endpoint", str endpoint); ("op", str op); ("seconds", num seconds) ]
   | Torn_response { endpoint; bytes } ->
-    obj [ code; ("endpoint", jstr endpoint); ("bytes", string_of_int bytes) ]
-  | Internal msg -> obj [ code; ("msg", jstr msg) ]
+    obj [ ("endpoint", str endpoint); ("bytes", int bytes) ]
+  | Internal msg -> obj [ ("msg", str msg) ]
 
 (* ---------- event log ---------- *)
 
@@ -312,12 +276,3 @@ let max_severity t =
 
 let event_to_string e =
   Printf.sprintf "[%s] %s: %s" (severity_to_string e.severity) e.source e.message
-
-let log_to_json t =
-  let one e =
-    obj
-      [ ("severity", jstr (severity_to_string e.severity));
-        ("source", jstr e.source);
-        ("message", jstr e.message) ]
-  in
-  Printf.sprintf "[%s]" (String.concat ", " (List.map one (events t)))

@@ -9,7 +9,7 @@
 
     A {!log} is a severity-tagged event trail the engine threads through a
     run; it is cheap (a vector of records), deterministic, and renderable as
-    text or JSON for post-mortem analysis. *)
+    text for post-mortem analysis. *)
 
 type severity = Debug | Info | Warning | Error
 
@@ -140,8 +140,17 @@ val to_string : error -> string
 
 val pp : Format.formatter -> error -> unit
 
-val to_json : error -> string
-(** One-line JSON object [{"code": …, …}] with the constructor's fields. *)
+val to_json : error -> Minflo_util.Json.t
+(** The JSON object [{"code": …, …}] with the constructor's fields — what
+    the batch journal, serve responses and the serve journal embed as
+    their ["error"] member. Floats go through {!json_float}. *)
+
+val json_float : float -> Minflo_util.Json.t
+(** How a float is written into a journal or error record: a finite float
+    is a JSON number (which round-trips bit-exactly through
+    {!Minflo_util.Json}); a non-finite one, which JSON cannot spell, is
+    its ["%h"] string (["infinity"], ["nan"]) so it never degrades to
+    [null]. *)
 
 (** {1 Event log} *)
 
@@ -165,6 +174,3 @@ val max_severity : log -> severity option
 (** [None] when the log is empty. *)
 
 val event_to_string : event -> string
-
-val log_to_json : log -> string
-(** JSON array of event objects. *)

@@ -151,6 +151,22 @@ let unlink path =
   | Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
   | Unix.Unix_error (e, _, _) -> Error (of_unix_error path "unlink" e)
 
+let rec mkdirs dir =
+  if Sys.file_exists dir then
+    if Sys.is_directory dir then Ok ()
+    else Error (io_error dir "exists and is not a directory")
+  else
+    match mkdirs (Filename.dirname dir) with
+    | Error _ as e -> e
+    | Ok () -> (
+      try
+        Unix.mkdir dir 0o755;
+        Ok ()
+      with
+      | Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
+      | Unix.Unix_error (e, _, _) ->
+        Error (io_error dir (Unix.error_message e)))
+
 let fsync_dir_best_effort dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
@@ -240,8 +256,6 @@ let create_sink ?(append = false) path =
   match open_for_write ~append path with
   | Error e -> Error e
   | Ok fd -> Ok { s_path = path; s_fd = fd; s_closed = false }
-
-let sink_path s = s.s_path
 
 let sink_write_line s line =
   if s.s_closed then Error (io_error s.s_path "write: sink is closed")

@@ -112,6 +112,11 @@ val atomic_replace : ?fsync_dir:bool -> string -> string -> (unit, Diag.error) r
 val unlink : string -> (unit, Diag.error) result
 (** [Unix.unlink], typed; unlinking a missing file is [Ok ()]. *)
 
+val mkdirs : string -> (unit, Diag.error) result
+(** [mkdir -p], typed: creates [dir] and any missing parents. A path
+    component that exists but is not a directory, or any OS refusal, is a
+    {!Diag.Io_error}. No injection. *)
+
 val sweep_tmp : ?recurse:bool -> string -> string list
 (** Unlink every [*.tmp] file directly in the directory (and below it, with
     [~recurse:true]) — the orphans a crash mid-{!atomic_replace} leaves
@@ -128,8 +133,6 @@ type sink
 
 val create_sink : ?append:bool -> string -> (sink, Diag.error) result
 (** Open (create/truncate, or append with [~append:true]) [path]. *)
-
-val sink_path : sink -> string
 
 val sink_write_line : sink -> string -> (unit, Diag.error) result
 (** Write [line ^ "\n"] via {!write_all}. *)

@@ -1,5 +1,7 @@
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
+module Io = Minflo_robust.Io
+module Json = Minflo_util.Json
 module Tech = Minflo_tech.Tech
 module Tilos = Minflo_sizing.Tilos
 module Minflotransit = Minflo_sizing.Minflotransit
@@ -44,22 +46,6 @@ type summary = {
   mismatches : int;
 }
 
-let rec mkdirs dir =
-  if Sys.file_exists dir then
-    if Sys.is_directory dir then Ok ()
-    else Error (Diag.Io_error { file = dir; msg = "exists and is not a directory" })
-  else
-    match mkdirs (Filename.dirname dir) with
-    | Error _ as e -> e
-    | Ok () -> (
-      try
-        Unix.mkdir dir 0o755;
-        Ok ()
-      with
-      | Unix.Unix_error (Unix.EEXIST, _, _) -> Ok ()
-      | Unix.Unix_error (e, _, _) ->
-        Error (Diag.Io_error { file = dir; msg = Unix.error_message e }))
-
 let checkpoint_path cfg job =
   Option.map
     (fun dir -> Filename.concat dir (Job.file_slug job ^ ".ckpt"))
@@ -78,7 +64,7 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
     emit_event
       ~fields:
         (List.map
-           (fun (k, v) -> Journal.field_int k v)
+           (fun (k, v) -> (k, Json.Num (float_of_int v)))
            (Minflo_robust.Perf.to_fields spent))
       "job-perf"
   in
@@ -98,9 +84,9 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
     let save_checkpoint budget tilos snap =
       emit_event
         ~fields:
-          [ Journal.field_int "iter" snap.Minflotransit.snap_iter;
-            Journal.field_float "area" snap.Minflotransit.snap_area;
-            Journal.field_float "eta" snap.Minflotransit.snap_eta ]
+          [ ("iter", Json.Num (float_of_int snap.Minflotransit.snap_iter));
+            ("area", Diag.json_float snap.Minflotransit.snap_area);
+            ("eta", Diag.json_float snap.Minflotransit.snap_eta) ]
         "job-checkpoint";
       match ckpt with
       | None -> ()
@@ -126,8 +112,8 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
         | Error e ->
           emit_event
             ~fields:
-              [ Journal.field_str "code" (Diag.error_code e);
-                Journal.field_str "detail" (Diag.to_string e) ]
+              [ ("code", Json.Str (Diag.error_code e));
+                ("detail", Json.Str (Diag.to_string e)) ]
             "job-checkpoint-failed")
     in
     let finish ~resumed (r : Minflotransit.result) =
@@ -216,7 +202,7 @@ let run ?(config = default_config) jobs =
     match config.checkpoint_dir with
     | None -> Ok None
     | Some dir -> (
-      match mkdirs dir with
+      match Io.mkdirs dir with
       | Error _ as e -> e
       | Ok () -> (
         match Journal.open_append (journal_path dir) with
@@ -239,7 +225,7 @@ let run ?(config = default_config) jobs =
       | Some jr ->
         let seal name code _ =
           Journal.event jr
-            ~fields:[ Journal.field_str "signal" name ]
+            ~fields:[ ("signal", Json.Str name) ]
             "run-interrupted";
           Journal.close jr;
           exit code
@@ -271,10 +257,11 @@ let run ?(config = default_config) jobs =
     | Some jr ->
       Journal.event jr
         ~fields:
-          [ Journal.field_int "jobs" (List.length jobs);
-            Journal.field_int "skipped" (List.length jobs - List.length to_run);
-            Journal.field_bool "resume" config.resume;
-            Journal.field_bool "differential" config.differential ]
+          [ ("jobs", Json.Num (float_of_int (List.length jobs)));
+            ( "skipped",
+              Json.Num (float_of_int (List.length jobs - List.length to_run)) );
+            ("resume", Json.Bool config.resume);
+            ("differential", Json.Bool config.differential) ]
         "batch-start"
     | None -> ());
     (* pre-flight lint gate: a parse or lint error is structural — the
@@ -370,11 +357,11 @@ let run ?(config = default_config) jobs =
       | Ok oc, Some jr ->
         Journal.event jr ~job:id
           ~fields:
-            [ Journal.field_float "area" oc.Job.area;
-              Journal.field_float "area_ratio" oc.Job.area_ratio;
-              Journal.field_bool "met" oc.Job.met;
-              Journal.field_int "iterations" oc.Job.iterations;
-              Journal.field_bool "resumed" oc.Job.resumed ]
+            [ ("area", Diag.json_float oc.Job.area);
+              ("area_ratio", Diag.json_float oc.Job.area_ratio);
+              ("met", Json.Bool oc.Job.met);
+              ("iterations", Json.Num (float_of_int oc.Job.iterations));
+              ("resumed", Json.Bool oc.Job.resumed) ]
           "job-ok"
       | _ -> ()
     in
@@ -461,10 +448,10 @@ let run ?(config = default_config) jobs =
     | Some jr ->
       Journal.event jr
         ~fields:
-          [ Journal.field_int "ok" summary.ok;
-            Journal.field_int "failed" summary.failed;
-            Journal.field_int "skipped" summary.skipped;
-            Journal.field_int "mismatches" summary.mismatches ]
+          [ ("ok", Json.Num (float_of_int summary.ok));
+            ("failed", Json.Num (float_of_int summary.failed));
+            ("skipped", Json.Num (float_of_int summary.skipped));
+            ("mismatches", Json.Num (float_of_int summary.mismatches)) ]
         "batch-end";
       Journal.close jr
     | None -> ());

@@ -1,6 +1,7 @@
 module Diag = Minflo_robust.Diag
 module Io = Minflo_robust.Io
 module Mono = Minflo_robust.Mono
+module Json = Minflo_util.Json
 
 type t = {
   path : string;
@@ -10,32 +11,11 @@ type t = {
   mutable last_error : Diag.error option;
 }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let jfloat v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v
-  else jstr (Printf.sprintf "%h" v)
-
-let field_str k v = (k, jstr v)
-let field_float k v = (k, jfloat v)
-let field_int k v = (k, string_of_int v)
-let field_bool k v = (k, string_of_bool v)
+let float_field key j =
+  match Json.member key j with
+  | Some (Json.Num v) -> Some v
+  | Some (Json.Str s) -> float_of_string_opt s
+  | _ -> None
 
 let path t = t.path
 
@@ -43,22 +23,19 @@ let last_error t = t.last_error
 
 let event_checked t ?job ?error ?(fields = []) name =
   t.seq <- t.seq + 1;
+  let dt = Mono.now () -. t.t0 in
   let parts =
-    [ ("event", jstr name);
-      ("seq", string_of_int t.seq);
-      ("t", Printf.sprintf "%.3f" (Mono.now () -. t.t0)) ]
-    @ (match job with Some j -> [ ("job", jstr j) ] | None -> [])
+    [ ("event", Json.Str name);
+      ("seq", Json.Num (float_of_int t.seq));
+      ("t", Json.Num (Float.round (dt *. 1000.0) /. 1000.0)) ]
+    @ (match job with Some j -> [ ("job", Json.Str j) ] | None -> [])
     @ fields
     @ (match error with
       | Some e ->
-        [ ("code", jstr (Diag.error_code e)); ("error", Diag.to_json e) ]
+        [ ("code", Json.Str (Diag.error_code e)); ("error", Diag.to_json e) ]
       | None -> [])
   in
-  let line =
-    Printf.sprintf "{%s}"
-      (String.concat ", "
-         (List.map (fun (k, v) -> Printf.sprintf "%s: %s" (jstr k) v) parts))
-  in
+  let line = Json.to_string (Json.Obj parts) in
   let r =
     match Io.write_all t.fd ~path:t.path (line ^ "\n") with
     | Ok () -> Io.fsync t.fd ~path:t.path
@@ -104,9 +81,8 @@ let open_append path =
     end;
     (* A crash mid-write can leave the file without a final newline. If we
        appended straight after such a torn line, the next event would glue
-       onto it and the scanner would drop both (worse, [find_field] would
-       read the torn line's fields). Terminate the torn line first; the
-       scanner already skips lines without a closing brace. *)
+       onto it and the reader would drop both. Terminate the torn line
+       first; the reader already drops a line that does not parse. *)
     (try
        let len = Unix.lseek fd 0 Unix.SEEK_END in
        if len > 0 then begin
@@ -125,10 +101,8 @@ let open_append path =
     if swept <> [] then
       event t
         ~fields:
-          [ field_int "count" (List.length swept);
-            ( "files",
-              Printf.sprintf "[%s]"
-                (String.concat ", " (List.map jstr swept)) ) ]
+          [ ("count", Json.Num (float_of_int (List.length swept)));
+            ("files", Json.List (List.map (fun f -> Json.Str f) swept)) ]
         "tmp-swept";
     Ok t
   with
@@ -138,150 +112,46 @@ let open_append path =
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
-(* ---------- scanning (our own lines only; tolerant of truncation) ---------- *)
+(* ---------- reading ---------- *)
 
-(* Minimal field extraction from a line this module wrote: find ["key": and
-   read either a quoted string or a bare token. Not a general JSON parser —
-   it only needs to read back the writer above. *)
-let find_field line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  let ll = String.length line and lp = String.length pat in
-  let rec search i =
-    if i + lp > ll then None
-    else if String.sub line i lp = pat then Some (i + lp)
-    else search (i + 1)
-  in
-  match search 0 with
-  | None -> None
-  | Some start ->
-    if start >= ll then None
-    else if line.[start] = '"' then begin
-      let buf = Buffer.create 16 in
-      let rec go i =
-        if i >= ll then None
-        else
-          match line.[i] with
-          | '\\' when i + 1 < ll ->
-            Buffer.add_char buf line.[i + 1];
-            go (i + 2)
-          | '"' -> Some (Buffer.contents buf)
-          | c ->
-            Buffer.add_char buf c;
-            go (i + 1)
-      in
-      go (start + 1)
-    end
-    else begin
-      let stop = ref start in
-      while
-        !stop < ll && (match line.[!stop] with ',' | '}' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      Some (String.trim (String.sub line start (!stop - start)))
-    end
-
-(* ---------- canonicalization ---------- *)
-
-(* Split the inside of one written object into its top-level "key": value
-   segments. Values can nest objects/arrays (embedded Diag errors) and
-   contain commas inside strings, so track string state and bracket depth.
-   Only needs to read back what [event] above wrote. *)
-let top_level_parts inner =
-  let parts = ref [] and buf = Buffer.create 64 in
-  let depth = ref 0 and in_str = ref false and esc = ref false in
-  String.iter
-    (fun c ->
-      if !esc then begin
-        esc := false;
-        Buffer.add_char buf c
-      end
-      else
-        match c with
-        | '\\' when !in_str ->
-          esc := true;
-          Buffer.add_char buf c
-        | '"' ->
-          in_str := not !in_str;
-          Buffer.add_char buf c
-        | ('{' | '[') when not !in_str ->
-          incr depth;
-          Buffer.add_char buf c
-        | ('}' | ']') when not !in_str ->
-          decr depth;
-          Buffer.add_char buf c
-        | ',' when (not !in_str) && !depth = 0 ->
-          parts := Buffer.contents buf :: !parts;
-          Buffer.clear buf
-        | c -> Buffer.add_char buf c)
-    inner;
-  if Buffer.length buf > 0 then parts := Buffer.contents buf :: !parts;
-  List.rev_map String.trim !parts
-
-(* A line is structurally complete iff it is one balanced JSON object:
-   starts '{', ends '}', every brace/bracket closed, no string left open.
-   A crash can tear a line anywhere — including right after an embedded
-   error object's '}' — so the trailing-brace test alone is not enough. *)
-let complete_line line =
-  let n = String.length line in
-  if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then false
-  else begin
-    let depth = ref 0 and in_str = ref false and esc = ref false in
-    let ok = ref true in
-    String.iter
-      (fun c ->
-        if !esc then esc := false
-        else
-          match c with
-          | '\\' when !in_str -> esc := true
-          | '"' -> in_str := not !in_str
-          | ('{' | '[') when not !in_str -> incr depth
-          | ('}' | ']') when not !in_str ->
-            decr depth;
-            if !depth < 0 then ok := false
-          | _ -> ())
-      line;
-    !ok && !depth = 0 && not !in_str
-  end
-
-let volatile_keys =
-  [ "\"seq\":"; "\"t\":"; "\"backoff_seconds\":"; "\"pid\":" ]
-
-let strip_volatile line =
-  let n = String.length line in
-  if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then line
-  else begin
-    let keep part =
-      not
-        (List.exists
-           (fun k ->
-             String.length part >= String.length k
-             && String.sub part 0 (String.length k) = k)
-           volatile_keys)
+(* the members of every line that parses as a JSON object, in journal
+   order. A line torn by a crash mid-write is a strict prefix of an
+   object, which never parses, so it is dropped. *)
+let read path =
+  match In_channel.open_bin path with
+  | exception Sys_error _ -> []
+  | ic ->
+    let rec go acc =
+      match In_channel.input_line ic with
+      | None -> List.rev acc
+      | Some line -> (
+        match Json.parse line with
+        | Ok (Json.Obj fields) -> go (fields :: acc)
+        | Ok _ | Error _ -> go acc)
     in
-    let parts =
-      List.filter keep (top_level_parts (String.sub line 1 (n - 2)))
-    in
-    "{" ^ String.concat ", " parts ^ "}"
-  end
+    Fun.protect ~finally:(fun () -> In_channel.close ic) (fun () -> go [])
+
+let scan path =
+  List.filter_map
+    (fun fields ->
+      match List.assoc_opt "event" fields with
+      | Some (Json.Str ev) -> Some (ev, Json.Obj fields)
+      | _ -> None)
+    (read path)
+
+let volatile_keys = [ "seq"; "t"; "backoff_seconds"; "pid" ]
 
 let canonical path =
-  let lines = ref [] in
-  (match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    (try
-       while true do
-         let line = input_line ic in
-         if complete_line line then lines := strip_volatile line :: !lines
-       done
-     with End_of_file -> ());
-    close_in_noerr ic);
   let keyed =
-    List.rev_map
-      (fun line ->
-        (Option.value ~default:"" (find_field line "job"), line))
-      !lines
+    List.map
+      (fun fields ->
+        ( Option.value ~default:"" (Json.str_field "job" (Json.Obj fields)),
+          Json.to_string
+            (Json.Obj
+               (List.filter
+                  (fun (k, _) -> not (List.mem k volatile_keys))
+                  fields)) ))
+      (read path)
   in
   (* stable sort on the job id: within one job the order events were
      journaled in is preserved (and is deterministic — see Supervisor's
@@ -290,44 +160,11 @@ let canonical path =
 
 let completed path =
   let table = Hashtbl.create 64 in
-  (match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    (try
-       while true do
-         let line = input_line ic in
-         (* a line truncated by a crash mid-write is never complete *)
-         if complete_line line then
-           match find_field line "event" with
-           | Some "job-ok" -> (
-             match (find_field line "job", find_field line "area") with
-             | Some job, Some area -> (
-               match float_of_string_opt area with
-               | Some a -> Hashtbl.replace table job a
-               | None -> ())
-             | _ -> ())
-           | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in_noerr ic);
+  List.iter
+    (fun (event, j) ->
+      if event = "job-ok" then
+        match (Json.str_field "job" j, float_field "area" j) with
+        | Some job, Some area -> Hashtbl.replace table job area
+        | _ -> ())
+    (scan path);
   table
-
-(* ---------- generic scan (the serve daemon's recovery hook) ---------- *)
-
-let scan path =
-  let lines = ref [] in
-  (match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    (try
-       while true do
-         let line = input_line ic in
-         (* a line truncated by a crash mid-write is never complete *)
-         if complete_line line then
-           match find_field line "event" with
-           | Some ev -> lines := (ev, line) :: !lines
-           | None -> ()
-       done
-     with End_of_file -> ());
-    close_in_noerr ic);
-  List.rev !lines

@@ -4,14 +4,16 @@
     success, quarantine, timeout, differential verdict — is one JSON
     object per line, appended, flushed and fsynced before the runner
     proceeds, so the journal is a faithful prefix of the run even after a
-    SIGKILL. Typed errors are embedded verbatim with
-    {!Minflo_robust.Diag.to_json}, so scripts can key on the same stable
-    [code] fields the CLI exit codes are derived from.
+    SIGKILL. Lines are written and read with {!Minflo_util.Json}; typed
+    errors are embedded as {!Minflo_robust.Diag.to_json} objects, so
+    scripts can key on the same stable [code] fields the CLI exit codes are
+    derived from.
 
     The journal doubles as the batch's completion record: on [--resume],
     {!completed} scans an existing journal and returns the jobs that
-    already finished, which the runner then skips. A line truncated by a
-    crash mid-write is ignored by the scanner. *)
+    already finished, which the runner then skips. Every reader below
+    parses each line strictly and drops one that does not parse — which is
+    what a line torn by a crash mid-write is. *)
 
 type t
 
@@ -27,13 +29,14 @@ val event :
   t ->
   ?job:string ->
   ?error:Minflo_robust.Diag.error ->
-  ?fields:(string * string) list ->
+  ?fields:(string * Minflo_util.Json.t) list ->
   string ->
   unit
 (** [event t ~job ~error ~fields name] appends one line
-    [{"event": name, "t": seconds, "job": …, …fields, "error": {…}}] and
-    fsyncs it. [fields] values must already be rendered JSON (use
-    {!field_str} / {!field_float} / {!field_int}). Write failures are
+    [{"event": name, "seq": n, "t": seconds, "job": …, …fields, "code": …,
+    "error": {…}}] and fsyncs it. Write float fields with
+    {!Minflo_robust.Diag.json_float}, so a non-finite one survives as its
+    ["%h"] string, and read them back with {!float_field}. Write failures are
     silent — journaling must never kill the run it documents — but the
     typed error is remembered (see {!last_error}). All bytes go through the
     instrumented {!Minflo_robust.Io} layer, so [io.*] fault sites and the
@@ -43,7 +46,7 @@ val event_checked :
   t ->
   ?job:string ->
   ?error:Minflo_robust.Diag.error ->
-  ?fields:(string * string) list ->
+  ?fields:(string * Minflo_util.Json.t) list ->
   string ->
   (unit, Minflo_robust.Diag.error) result
 (** Like {!event}, but reports the write/fsync failure to the caller —
@@ -55,11 +58,6 @@ val last_error : t -> Minflo_robust.Diag.error option
 (** The most recent append failure swallowed by {!event} ([None] when every
     append so far landed). *)
 
-val field_str : string -> string -> string * string
-val field_float : string -> float -> string * string
-val field_int : string -> int -> string * string
-val field_bool : string -> bool -> string * string
-
 val close : t -> unit
 
 val completed : string -> (string, float) Hashtbl.t
@@ -69,23 +67,24 @@ val completed : string -> (string, float) Hashtbl.t
 
 val canonical : string -> string list
 (** The journal's lines in canonical form: volatile fields ([seq], [t],
-    [backoff_seconds], [pid]) removed, truncated lines dropped, and lines stably
-    sorted by their [job] field (lines without one first, in original
-    order). Two runs of the same batch are equivalent iff their canonical
+    [backoff_seconds], [pid]) removed from each parsed object, which is
+    re-rendered with {!Minflo_util.Json.to_string}; torn lines dropped;
+    lines stably sorted by their [job] field (lines without one first, in
+    original order). Two runs of the same batch are equivalent iff their canonical
     journals are equal — in particular, [-j N] reorders events {e between}
     jobs but never within one, so the canonical journal of a parallel run
     is bit-identical to the sequential run's. The test-suite and the batch
     differential rely on exactly this. *)
 
-val scan : string -> (string * string) list
-(** [scan path] returns every complete event line as [(event, line)], in
-    journal order; truncated lines are dropped. Use {!find_field} to pull
-    individual fields back out of a line. Missing file means an empty
-    list. This is the serve daemon's recovery substrate: accepted-but-
+val scan : string -> (string * Minflo_util.Json.t) list
+(** [scan path] returns every complete event line as [(event, object)], in
+    journal order; torn lines are dropped. Read fields with the
+    {!Minflo_util.Json} accessors and {!float_field}. Missing file means an
+    empty list. This is the serve daemon's recovery substrate: accepted-but-
     unfinished jobs are exactly those with an acceptance event and no
     terminal event. *)
 
-val find_field : string -> string -> string option
-(** [find_field line key] extracts [key]'s value from a line this module
-    wrote: quoted strings are unescaped, bare tokens returned verbatim.
-    Not a general JSON parser — it only reads back {!event}'s output. *)
+val float_field : string -> Minflo_util.Json.t -> float option
+(** [float_field key obj] reads a float written with
+    {!Minflo_robust.Diag.json_float}: a JSON number, or the ["%h"] string
+    of a non-finite value. *)

@@ -2,6 +2,7 @@ module Diag = Minflo_robust.Diag
 module Fallback = Minflo_robust.Fallback
 module Io = Minflo_robust.Io
 module Mono = Minflo_robust.Mono
+module Json = Minflo_util.Json
 
 type config = {
   parallel : int;
@@ -60,7 +61,7 @@ let read_result file : ('a, Diag.error) result option =
     close_in_noerr ic;
     r
 
-type emit = ?fields:(string * string) list -> string -> unit
+type emit = ?fields:(string * Json.t) list -> string -> unit
 
 type running = {
   id : string;
@@ -74,41 +75,22 @@ type running = {
      count exactly like real events, so the watchdog only fires on true
      silence (a wedged runtime, a SIGSTOP, a livelock with signals lost) *)
   mutable last_activity : float;
-  (* worker -> parent journal-event pipe: the child writes one
-     US-separated record per event, the parent is the only process that
-     ever touches journal.jsonl (single-writer crash safety) *)
+  (* worker -> parent journal-event pipe: the child writes one JSON record
+     per event, the parent is the only process that ever touches
+     journal.jsonl (single-writer crash safety) *)
   pipe_r : Unix.file_descr;
   pipe_buf : Buffer.t;
 }
 
-(* Pipe protocol: one newline-terminated record per event,
-   name \x1f key1 \x1f value1 \x1f key2 \x1f value2 ...
-   Values are pre-rendered JSON (Journal.field_str etc.), whose escaping already
-   keeps control characters — newline and \x1f included — out of the raw
-   bytes; a record that would still contain either is dropped rather than
-   corrupting the framing. *)
-let render_emit_record name fields =
-  let parts = name :: List.concat_map (fun (k, v) -> [ k; v ]) fields in
-  if
-    List.for_all
-      (fun s -> not (String.exists (fun c -> c = '\n' || c = '\x1f') s))
-      parts
-  then Some (String.concat "\x1f" parts ^ "\n")
-  else None
-
-let parse_emit_record line =
-  match String.split_on_char '\x1f' line with
-  | [] | [ "" ] -> None
-  | name :: rest ->
-    let rec pairs = function
-      | k :: v :: tl -> (k, v) :: pairs tl
-      | _ -> []
-    in
-    Some (name, pairs rest)
+(* Pipe protocol: one newline-terminated JSON object per event,
+   [{"event": name, …fields}]. JSON escaping keeps newlines out of the
+   encoded record, so the newline alone frames it. *)
+let emit_record ?(fields = []) name =
+  Json.to_string (Json.Obj (("event", Json.Str name) :: fields)) ^ "\n"
 
 (* liveness-only pipe record; the parent bumps [last_activity] and drops
    it instead of journaling *)
-let heartbeat_record = "job-heartbeat\n"
+let heartbeat_record = emit_record "job-heartbeat"
 
 let spawn ~timeout ~watchdog id thunk =
   let result_file = Filename.temp_file "minflo-job-" ".result" in
@@ -150,14 +132,11 @@ let spawn ~timeout ~watchdog id thunk =
               { Unix.it_interval = interval; it_value = interval })
        with Invalid_argument _ | Sys_error _ | Unix.Unix_error _ -> ())
     | None -> ());
-    let emit ?(fields = []) name =
-      match render_emit_record name fields with
-      | None -> ()
-      | Some line -> (
-        (* EINTR-retrying: the SIGALRM heartbeat must not tear an event
-           record mid-write *)
-        try Io.really_write_substring pw line
-        with Unix.Unix_error _ -> ())
+    let emit ?fields name =
+      (* EINTR-retrying: the SIGALRM heartbeat must not tear an event
+         record mid-write *)
+      try Io.really_write_substring pw (emit_record ?fields name)
+      with Unix.Unix_error _ -> ()
     in
     let r =
       try thunk emit with
@@ -263,11 +242,12 @@ let flush_pipe_lines journal r =
     Buffer.add_substring r.pipe_buf s (last + 1) (String.length s - last - 1);
     List.iter
       (fun line ->
-        if line <> "" then
-          match parse_emit_record line with
-          | Some ("job-heartbeat", _) -> () (* liveness only, never journaled *)
-          | Some (name, fields) -> journal_event journal ~job:r.id ~fields name
-          | None -> ())
+        match Json.parse line with
+        | Ok (Json.Obj (("event", Json.Str "job-heartbeat") :: _)) ->
+          () (* liveness only, never journaled *)
+        | Ok (Json.Obj (("event", Json.Str name) :: fields)) ->
+          journal_event journal ~job:r.id ~fields name
+        | Ok _ | Error _ -> ())
       (String.split_on_char '\n' (String.sub s 0 last))
 
 (* read whatever the worker has written so far (non-blocking); called on
@@ -322,13 +302,13 @@ let handle_failure p task e =
   in
   if deterministic then begin
     journal_event p.journal ~job:task.t_id ~error:e
-      ~fields:[ Journal.field_int "attempts" task.attempts ]
+      ~fields:[ ("attempts", Json.Num (float_of_int task.attempts)) ]
       "job-quarantined";
     finish p task (Error e) ~quarantined:true
   end
   else if task.attempts > p.cfg.retries then begin
     journal_event p.journal ~job:task.t_id ~error:e
-      ~fields:[ Journal.field_int "attempts" task.attempts ]
+      ~fields:[ ("attempts", Json.Num (float_of_int task.attempts)) ]
       "job-failed";
     finish p task (Error e) ~quarantined:false
   end
@@ -338,8 +318,8 @@ let handle_failure p task e =
     in
     journal_event p.journal ~job:task.t_id ~error:e
       ~fields:
-        [ Journal.field_int "attempt" task.attempts;
-          Journal.field_float "backoff_seconds" delay ]
+        [ ("attempt", Json.Num (float_of_int task.attempts));
+          ("backoff_seconds", Diag.json_float delay) ]
       "job-retry";
     task.last_error <- Some e;
     task.ready_at <- Mono.now () +. delay;
@@ -362,8 +342,8 @@ let spawn_task p task =
      worker; [Journal.canonical] strips it as volatile *)
   journal_event p.journal ~job:task.t_id
     ~fields:
-      [ Journal.field_int "attempt" task.attempts;
-        Journal.field_int "pid" r.pid ]
+      [ ("attempt", Json.Num (float_of_int task.attempts));
+        ("pid", Json.Num (float_of_int r.pid)) ]
     "job-spawn";
   p.running <- (r, task) :: p.running
 
@@ -387,8 +367,9 @@ let poll_running p =
       | Some d when (not r.killed) && (not r.cancelled) && Mono.now () > d ->
         journal_event p.journal ~job:r.id
           ~fields:
-            [ Journal.field_float "timeout_seconds"
-                (Option.value p.cfg.timeout_seconds ~default:0.0) ]
+            [ ( "timeout_seconds",
+                Diag.json_float
+                  (Option.value p.cfg.timeout_seconds ~default:0.0) ) ]
           "job-timeout";
         (try Unix.kill r.pid Sys.sigkill with Unix.Unix_error _ -> ());
         r.killed <- true
@@ -405,8 +386,8 @@ let poll_running p =
              && Mono.now () -. r.last_activity > w ->
         journal_event p.journal ~job:r.id
           ~fields:
-            [ Journal.field_float "silent_seconds"
-                (Mono.now () -. r.last_activity) ]
+            [ ( "silent_seconds",
+                Diag.json_float (Mono.now () -. r.last_activity) ) ]
           "job-watchdog-kill";
         (try Unix.kill r.pid Sys.sigkill with Unix.Unix_error _ -> ());
         r.watchdogged <- true
@@ -504,7 +485,7 @@ let run_all_tasks ?(config = default_config) ?journal ?on_done tasks =
     let run_in_process task =
       task.attempts <- task.attempts + 1;
       journal_event journal ~job:task.t_id
-        ~fields:[ Journal.field_int "attempt" task.attempts ]
+        ~fields:[ ("attempt", Json.Num (float_of_int task.attempts)) ]
         "job-spawn";
       (* no pipe needed: the worker IS the journal owner's process *)
       let emit ?fields name =

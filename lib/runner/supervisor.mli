@@ -49,10 +49,10 @@ type 'a outcome = {
   quarantined : bool;   (** failed deterministically; retries withheld. *)
 }
 
-type emit = ?fields:(string * string) list -> string -> unit
-(** A worker's channel for journal events. Field values must be
-    pre-rendered JSON ({!Journal.field_str} and friends). In isolated mode
-    the event crosses a dedicated worker->parent pipe and the {e parent}
+type emit = ?fields:(string * Minflo_util.Json.t) list -> string -> unit
+(** A worker's channel for journal events, with {!Journal.event}'s fields.
+    In isolated mode the event crosses a dedicated worker->parent pipe as
+    one {!Minflo_util.Json} object per line and the {e parent}
     appends it (the journal stays single-writer, so its crash-safety
     guarantees survive any parallelism level); in-process mode appends
     directly. Events carry the task's id as their [job] field. All events

@@ -1,5 +1,6 @@
 module Diag = Minflo_robust.Diag
 module Fault = Minflo_robust.Fault
+module Json = Minflo_util.Json
 module Mono = Minflo_robust.Mono
 
 type fault_arm = {
@@ -84,13 +85,10 @@ let deliver (p : pending) =
         p.line
 
 let report_json plan =
-  let fields =
-    List.map
-      (fun site ->
-        Printf.sprintf "\"%s\": %d" site (Fault.fired plan ~site))
-      (Fault.sites plan)
-  in
-  "{" ^ String.concat ", " fields ^ "}"
+  Json.Obj
+    (List.map
+       (fun site -> (site, Json.Num (float_of_int (Fault.fired plan ~site))))
+       (Fault.sites plan))
 
 let run ?(config = default_config) () : (unit, Diag.error) result =
   let cfg = config in
@@ -230,7 +228,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
     | Some path -> (
       try
         let oc = open_out path in
-        output_string oc (report_json plan ^ "\n");
+        output_string oc (Json.to_string (report_json plan) ^ "\n");
         close_out oc
       with Sys_error _ -> ())
     | None -> ());

@@ -144,7 +144,7 @@ let error_response ?(fields = []) (e : Diag.error) =
     ([ ("ok", Json.Bool false);
        ("code", Json.Str (Diag.error_code e));
        ("message", Json.Str (Diag.to_string e));
-       ("error", Json.Raw (Diag.to_json e)) ]
+       ("error", Diag.to_json e) ]
     @ fields)
 
 let bad_request msg =

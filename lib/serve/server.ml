@@ -44,7 +44,7 @@ let default_config =
 type failure = {
   f_code : string;
   f_message : string;
-  f_raw : string;  (* pre-rendered JSON error object *)
+  f_raw : Json.t;  (* the error object, as [Diag.to_json] renders it *)
   f_quarantined : bool;
 }
 
@@ -80,13 +80,10 @@ let slug key =
       | _ -> '-')
     key
 
-let rec mkdirs dir =
-  if Sys.file_exists dir then ()
-  else begin
-    mkdirs (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+(* per-key checkpoint directory: jobs that share a circuit but differ in
+   budget must never resume from each other's state *)
+let checkpoint_dir cfg key =
+  Filename.concat (Filename.concat cfg.run_dir "checkpoints") (slug key)
 
 let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
   [ ("id", Json.Str key);
@@ -107,56 +104,39 @@ let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
 let journal_result jr key (o : Job.outcome) =
   Journal.event_checked jr ~job:key
     ~fields:
-      [ Journal.field_float "area" o.area;
-        Journal.field_float "area_ratio" o.area_ratio;
-        Journal.field_float "cp" o.cp;
-        Journal.field_float "target" o.target;
-        Journal.field_bool "met" o.met;
-        Journal.field_int "iterations" o.iterations;
-        Journal.field_float "saving_pct" o.saving_pct;
-        Journal.field_str "stop" o.stop;
-        Journal.field_bool "resumed" o.resumed ]
+      [ ("area", Diag.json_float o.area);
+        ("area_ratio", Diag.json_float o.area_ratio);
+        ("cp", Diag.json_float o.cp);
+        ("target", Diag.json_float o.target);
+        ("met", Json.Bool o.met);
+        ("iterations", Json.Num (float_of_int o.iterations));
+        ("saving_pct", Diag.json_float o.saving_pct);
+        ("stop", Json.Str o.stop);
+        ("resumed", Json.Bool o.resumed) ]
     "job-result"
-
-(* the [error] object is always the last field [Journal.event] writes, so
-   the raw JSON between its key and the line's closing brace is the whole
-   (possibly nested) object *)
-let extract_raw_error line =
-  let pat = "\"error\": " in
-  let ll = String.length line and lp = String.length pat in
-  let rec search i =
-    if i + lp > ll then None
-    else if String.sub line i lp = pat then Some (i + lp)
-    else search (i + 1)
-  in
-  match search 0 with
-  | Some start when ll > start + 1 -> String.sub line start (ll - start - 1)
-  | _ -> "{}"
 
 (* ---------- recovery: rebuild the job table from a previous life ---------- *)
 
-let recover_submit line : Protocol.submit option =
+let recover_submit j : Protocol.submit option =
   match
-    ( Journal.find_field line "circuit",
-      Option.bind (Journal.find_field line "factor") float_of_string_opt,
-      Option.bind (Journal.find_field line "solver") Job.solver_of_string )
+    ( Json.str_field "circuit" j,
+      Journal.float_field "factor" j,
+      Option.bind (Json.str_field "solver" j) Job.solver_of_string )
   with
   | Some circuit, Some factor, Some solver ->
-    let num key = Option.bind (Journal.find_field line key) float_of_string_opt in
-    let int key = Option.bind (Journal.find_field line key) int_of_string_opt in
     Some
       { Protocol.circuit;
         factor;
         solver;
-        max_seconds = num "max_seconds";
-        max_iterations = int "max_iterations";
-        max_pivots = int "max_pivots";
-        sleep_seconds = Option.value (num "sleep_seconds") ~default:0.0 }
+        max_seconds = Journal.float_field "max_seconds" j;
+        max_iterations = Json.int_field "max_iterations" j;
+        max_pivots = Json.int_field "max_pivots" j;
+        sleep_seconds =
+          Option.value (Journal.float_field "sleep_seconds" j) ~default:0.0 }
   | _ -> None
 
-let recover_done_fields key spec line =
-  let num k = Option.bind (Journal.find_field line k) float_of_string_opt in
-  let bool k = Option.bind (Journal.find_field line k) bool_of_string_opt in
+let recover_done_fields key spec j =
+  let num k = Journal.float_field k j and bool k = Json.bool_field k j in
   match
     ( num "area",
       num "area_ratio",
@@ -164,8 +144,8 @@ let recover_done_fields key spec line =
       num "target",
       bool "met",
       num "saving_pct",
-      Option.bind (Journal.find_field line "iterations") int_of_string_opt,
-      Journal.find_field line "stop",
+      Json.int_field "iterations" j,
+      Json.str_field "stop" j,
       bool "resumed" )
   with
   | ( Some area,
@@ -207,13 +187,13 @@ let recover_table journal_path =
   in
   let order = ref [] in
   List.iter
-    (fun (event, line) ->
-      match Journal.find_field line "job" with
+    (fun (event, j) ->
+      match Json.str_field "job" j with
       | None -> ()
       | Some key -> (
         match event with
         | "serve-accepted" -> (
-          match recover_submit line with
+          match recover_submit j with
           | None -> ()
           | Some spec -> (
             match Hashtbl.find_opt table key with
@@ -227,7 +207,7 @@ let recover_table journal_path =
         | "job-result" -> (
           match Hashtbl.find_opt table key with
           | Some e -> (
-            match recover_done_fields key e.spec line with
+            match recover_done_fields key e.spec j with
             | Some fields ->
               e.state <- Done;
               Hashtbl.replace results key fields
@@ -238,13 +218,14 @@ let recover_table journal_path =
           match Hashtbl.find_opt table key with
           | Some e ->
             let code =
-              Option.value (Journal.find_field line "code") ~default:"internal"
+              Option.value (Json.str_field "code" j) ~default:"internal"
             in
             e.state <-
               Failed
                 { f_code = code;
                   f_message = code;
-                  f_raw = extract_raw_error line;
+                  f_raw =
+                    Option.value (Json.member "error" j) ~default:(Json.Obj []);
                   f_quarantined = event <> "job-failed" }
           | None -> ())
         | "job-cancelled" -> (
@@ -269,12 +250,7 @@ let recovery_snapshot journal_path =
 
 let worker_thunk cfg (spec : Protocol.submit) (emit : Supervisor.emit) =
   if spec.sleep_seconds > 0.0 then Unix.sleepf spec.sleep_seconds;
-  let key = Protocol.job_key spec in
-  (* per-key checkpoint directory: jobs that share a circuit but differ in
-     budget must never resume from each other's state *)
-  let ckpt_dir =
-    Filename.concat (Filename.concat cfg.run_dir "checkpoints") (slug key)
-  in
+  let ckpt_dir = checkpoint_dir cfg (Protocol.job_key spec) in
   let limits =
     Budget.limits ?wall_seconds:spec.max_seconds
       ?max_iterations:spec.max_iterations ?max_pivots:spec.max_pivots ()
@@ -351,7 +327,9 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       parallel = max 1 config.parallel;
       cache_bytes = max 0 config.cache_bytes }
   in
-  mkdirs cfg.run_dir;
+  match Io.mkdirs cfg.run_dir with
+  | Error e -> Error e (* e.g. a path component is a regular file *)
+  | Ok () ->
   let journal_path = Filename.concat cfg.run_dir "journal.jsonl" in
   (* replay the previous life's journal BEFORE taking the append lock:
      POSIX record locks die when the process closes *any* descriptor for
@@ -426,17 +404,17 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let t0 = Mono.now () in
       Journal.event jr
         ~fields:
-          ([ Journal.field_str "socket" cfg.socket_path;
-             Journal.field_int "parallel" cfg.parallel;
-             Journal.field_int "queue_capacity" cfg.queue_capacity;
-             Journal.field_int "cache_bytes" cfg.cache_bytes;
-             Journal.field_int "pid" (Unix.getpid ()) ]
+          ([ ("socket", Json.Str cfg.socket_path);
+             ("parallel", Json.Num (float_of_int cfg.parallel));
+             ("queue_capacity", Json.Num (float_of_int cfg.queue_capacity));
+             ("cache_bytes", Json.Num (float_of_int cfg.cache_bytes));
+             ("pid", Json.Num (float_of_int (Unix.getpid ()))) ]
           @
           (* journal the *actual* TCP endpoint: with port 0 this is how
              anyone — tests included — learns which port the kernel gave *)
           match tcp_listen with
           | Some (_, actual) ->
-            [ Journal.field_str "tcp" (Transport.to_string actual) ]
+            [ ("tcp", Json.Str (Transport.to_string actual)) ]
           | None -> [])
         "serve-start";
       let cache : (string * Json.t) list Result_cache.t =
@@ -459,10 +437,13 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         (fun key ->
           match Hashtbl.find_opt table key with
           | Some e when e.state = Queued ->
-            mkdirs
-              (Filename.concat
-                 (Filename.concat cfg.run_dir "checkpoints")
-                 (slug key));
+            (* without its checkpoint directory the job still runs, only
+               without resume points; journal why instead of refusing to
+               start *)
+            (match Io.mkdirs (checkpoint_dir cfg key) with
+            | Ok () -> ()
+            | Error err ->
+              Journal.event jr ~job:key ~error:err "job-checkpoint-failed");
             Bounded_queue.push_force admission key;
             incr requeued
           | Some { state = Done; _ } ->
@@ -475,9 +456,9 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       if order <> [] then
         Journal.event jr
           ~fields:
-            [ Journal.field_int "jobs" (List.length order);
-              Journal.field_int "requeued" !requeued;
-              Journal.field_int "cached" !cached ]
+            [ ("jobs", Json.Num (float_of_int (List.length order)));
+              ("requeued", Json.Num (float_of_int !requeued));
+              ("cached", Json.Num (float_of_int !cached)) ]
           "serve-recovered";
       let pool : Job.outcome Supervisor.pool =
         Supervisor.pool_create
@@ -506,7 +487,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
           [ ("ok", Json.Bool false);
             ("code", Json.Str "storage-error");
             ("message", Json.Str (Diag.to_string e));
-            ("error", Json.Raw (Diag.to_json e)) ]
+            ("error", Diag.to_json e) ]
       in
       let enter_degraded e =
         if !degraded = None then begin
@@ -534,7 +515,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         if not !draining then begin
           draining := true;
           Journal.event jr
-            ~fields:[ Journal.field_str "reason" reason ]
+            ~fields:[ ("reason", Json.Str reason) ]
             "serve-drain-start"
         end
       in
@@ -547,12 +528,12 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         | None ->
           let found = ref None in
           List.iter
-            (fun (event, line) ->
+            (fun (event, j) ->
               if
                 event = "job-result"
-                && Journal.find_field line "job" = Some entry.key
+                && Json.str_field "job" j = Some entry.key
               then
-                match recover_done_fields entry.key entry.spec line with
+                match recover_done_fields entry.key entry.spec j with
                 | Some fields -> found := Some fields
                 | None -> ())
             (Journal.scan journal_path);
@@ -584,7 +565,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               ("state", Json.Str "failed");
               ("code", Json.Str f.f_code);
               ("message", Json.Str f.f_message);
-              ("error", Json.Raw f.f_raw);
+              ("error", f.f_raw);
               ("quarantined", Json.Bool f.f_quarantined) ]
         | Cancelled ->
           Json.Obj
@@ -715,21 +696,21 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let journal_accepted key (s : Protocol.submit) =
         Journal.event_checked jr ~job:key
           ~fields:
-            ([ Journal.field_str "circuit" s.circuit;
-               Journal.field_float "factor" s.factor;
-               Journal.field_str "solver" (Job.solver_name s.solver) ]
+            ([ ("circuit", Json.Str s.circuit);
+               ("factor", Diag.json_float s.factor);
+               ("solver", Json.Str (Job.solver_name s.solver)) ]
             @ (match s.max_seconds with
-              | Some v -> [ Journal.field_float "max_seconds" v ]
+              | Some v -> [ ("max_seconds", Diag.json_float v) ]
               | None -> [])
             @ (match s.max_iterations with
-              | Some v -> [ Journal.field_int "max_iterations" v ]
+              | Some v -> [ ("max_iterations", Json.Num (float_of_int v)) ]
               | None -> [])
             @ (match s.max_pivots with
-              | Some v -> [ Journal.field_int "max_pivots" v ]
+              | Some v -> [ ("max_pivots", Json.Num (float_of_int v)) ]
               | None -> [])
             @
             if s.sleep_seconds > 0.0 then
-              [ Journal.field_float "sleep_seconds" s.sleep_seconds ]
+              [ ("sleep_seconds", Diag.json_float s.sleep_seconds) ]
             else [])
           "serve-accepted"
       in
@@ -828,15 +809,14 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               (* build (or reuse) the delay model in the parent: workers
                  inherit it copy-on-write, and repeats hit the cache *)
               ignore (Minflo_tech.Model_cache.model nl);
-              mkdirs
-                (Filename.concat
-                   (Filename.concat cfg.run_dir "checkpoints")
-                   (slug key));
-              match journal_accepted key s with
+              match
+                Result.bind (Io.mkdirs (checkpoint_dir cfg key)) (fun () ->
+                    journal_accepted key s)
+              with
               | Error se ->
-                (* nothing durable, so nothing is queued: a restart could
-                   not reconstruct this job, and the client was never told
-                   [accepted] *)
+                (* no checkpoint directory, or no durable acceptance line:
+                   nothing is queued, a restart could not reconstruct this
+                   job, and the client was never told [accepted] *)
                 Perf.tick_rejection ();
                 enter_degraded se;
                 storage_error se
@@ -1113,9 +1093,9 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       let _, _, d, f, c = job_counts () in
       Journal.event jr
         ~fields:
-          [ Journal.field_int "done" d;
-            Journal.field_int "failed" f;
-            Journal.field_int "cancelled" c ]
+          [ ("done", Json.Num (float_of_int d));
+            ("failed", Json.Num (float_of_int f));
+            ("cancelled", Json.Num (float_of_int c)) ]
         "serve-drain-complete";
       Journal.close jr;
       List.iter

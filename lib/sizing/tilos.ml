@@ -144,8 +144,3 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
     bumps = !bumps;
     final_cp = Sta.critical_path_only model ~delays:(Inc.all_delays eng);
     area = Delay_model.area model x }
-
-let minimum_delay ?(bump = 1.1) ?(max_bumps = 2_000_000) model =
-  (* drive the target to zero: TILOS stops when no bump helps; the CP
-     reached is (greedily) minimal *)
-  (size ~bump ~max_bumps model ~target:0.0).final_cp

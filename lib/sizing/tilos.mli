@@ -24,7 +24,3 @@ val size :
   Minflo_tech.Delay_model.t ->
   target:float ->
   result
-
-val minimum_delay : ?bump:float -> ?max_bumps:int -> Minflo_tech.Delay_model.t -> float
-(** The smallest circuit delay TILOS can reach (sizes unbounded greedy):
-    used to sanity-check that a delay spec is achievable at all. *)

@@ -67,11 +67,6 @@ let nmos_vertex base nl v pin =
 
 let pmos_vertex base nl v pin = Hashtbl.find base v + arity_of nl v + pin
 
-let vertices_of_gate (_ : Tech.t) nl v =
-  let base, _ = layout nl in
-  let k = arity_of nl v in
-  List.init (2 * k) (fun d -> Hashtbl.find base v + d)
-
 let of_netlist (tech : Tech.t) nl =
   Netlist.validate nl;
   let base, n = layout nl in

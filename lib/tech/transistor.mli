@@ -26,5 +26,3 @@ val of_netlist : Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 (** Transistor-granularity sizing problem. Vertex labels are
     ["<gate>/<N|P><pin>"]. *)
 
-val vertices_of_gate : Tech.t -> Minflo_netlist.Netlist.t -> int -> int list
-(** Timing-vertex ids belonging to a netlist gate node (for reporting). *)

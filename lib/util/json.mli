@@ -1,10 +1,12 @@
 (** Minimal JSON: one value type, parser and printer, no dependencies.
 
-    Originally the serve wire protocol's private JSON; now shared
-    project-wide (the toolchain deliberately has no JSON dependency).
-    Newline-delimited consumers — the serve protocol, the engine trace
-    files audited by [minflo audit-run] — all speak this dialect: objects,
-    arrays, strings, finite numbers, bools and null, one value per line.
+    The one JSON writer and reader of the project (the toolchain
+    deliberately has no JSON dependency). Newline-delimited consumers — the
+    serve protocol, the engine trace files audited by [minflo audit-run],
+    the batch/serve journal and the worker->parent event pipe — all speak
+    this dialect: objects, arrays, strings, finite numbers, bools and null,
+    one value per line. Typed errors ([Diag.to_json]) and SARIF reports are
+    built as values of {!t} too.
 
     Numbers print in the shortest form that parses back to the identical
     float — the daemon's bit-identical replay guarantees ride on values
@@ -19,8 +21,7 @@ type t =
   | Obj of (string * t) list
   | Raw of string
       (** printer-only escape hatch: splices a pre-rendered JSON fragment
-          (e.g. {!Minflo_robust.Diag.to_json} output) verbatim. The parser
-          never produces it. *)
+          verbatim. The parser never produces it. *)
 
 val parse : string -> (t, string) result
 (** Strict parse of one complete value; [Error] carries a message with a
@@ -28,7 +29,8 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** One line, no trailing newline. [Num nan] and infinities render as
-    [null] (the protocol never produces them). *)
+    [null]; records that may carry them (journal fields, error objects)
+    spell floats with [Diag.json_float] instead. *)
 
 (** {1 Accessors} — each returns [None] on a missing key or wrong shape. *)
 

@@ -20,6 +20,7 @@ module Simplex = Minflo_flow.Network_simplex
 module Ssp = Minflo_flow.Ssp
 module Cost_scaling = Minflo_flow.Cost_scaling
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -324,27 +325,52 @@ let test_report_text () =
   check int "exit 0 clean" 0 (Report.exit_code [])
 
 let test_sarif_shape () =
-  let doc = Sarif.render (cycle_findings ()) in
-  List.iter
-    (fun needle -> check bool needle true (contains doc needle))
-    [ "\"version\": \"2.1.0\"";
-      "sarif-schema-2.1.0";
-      "minflo-lint";
-      "\"ruleId\": \"MF001\"";
-      "\"level\": \"error\"";
-      "\"startLine\": 3";
-      "MF105" (* the whole catalog rides along in tool.driver.rules *) ];
-  let empty = Sarif.render [] in
-  check bool "empty run still a document" true
-    (contains empty "\"results\": []");
-  (* crude but effective structural check: braces and brackets balance *)
-  let balance open_c close_c s =
-    String.fold_left
-      (fun n c -> if c = open_c then n + 1 else if c = close_c then n - 1 else n)
-      0 s
+  (* a strict parse is the structural check: the document is one JSON
+     value, braces and brackets balanced *)
+  let parse doc =
+    match Json.parse doc with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "SARIF does not parse: %s" msg
   in
-  check int "braces balance" 0 (balance '{' '}' doc);
-  check int "brackets balance" 0 (balance '[' ']' doc)
+  let rec at j = function
+    | [] -> Some j
+    | k :: rest -> Option.bind (Json.member k j) (fun v -> at v rest)
+  in
+  let items j keys =
+    match at j keys with Some (Json.List l) -> l | _ -> []
+  in
+  let run j = match items j [ "runs" ] with [ r ] -> r | _ -> Json.Null in
+  let doc = parse (Sarif.render (cycle_findings ())) in
+  let results = items (run doc) [ "results" ] in
+  let any_result name keys v =
+    check bool name true (List.exists (fun r -> at r keys = Some v) results)
+  in
+  check bool "version 2.1.0" true (Json.str_field "version" doc = Some "2.1.0");
+  check bool "sarif-schema-2.1.0" true
+    (match Json.str_field "$schema" doc with
+    | Some uri -> contains uri "sarif-schema-2.1.0"
+    | None -> false);
+  check bool "minflo-lint" true
+    (at (run doc) [ "tool"; "driver"; "name" ] = Some (Json.Str "minflo-lint"));
+  any_result "ruleId MF001" [ "ruleId" ] (Json.Str "MF001");
+  any_result "level error" [ "level" ] (Json.Str "error");
+  check bool "startLine 3" true
+    (List.exists
+       (fun r ->
+         List.exists
+           (fun l ->
+             at l [ "physicalLocation"; "region"; "startLine" ]
+             = Some (Json.Num 3.0))
+           (items r [ "locations" ]))
+       results);
+  (* the whole catalog rides along in tool.driver.rules *)
+  check bool "MF105" true
+    (List.exists
+       (fun r -> Json.str_field "id" r = Some "MF105")
+       (items (run doc) [ "tool"; "driver"; "rules" ]));
+  let empty = parse (Sarif.render []) in
+  check bool "empty run still a document" true
+    (at (run empty) [ "results" ] = Some (Json.List []))
 
 let () =
   Alcotest.run "lint"

@@ -4,6 +4,7 @@
    differential verification. *)
 
 module Diag = Minflo_robust.Diag
+module Json = Minflo_util.Json
 module Budget = Minflo_robust.Budget
 module Fault = Minflo_robust.Fault
 module Generators = Minflo_netlist.Generators
@@ -223,12 +224,12 @@ let test_journal_completed_scan () =
   | Error e -> Alcotest.failf "open: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"a@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 12.5 ] "job-ok";
+      ~fields:[ ("area", Json.Num 12.5) ] "job-ok";
     Journal.event j ~job:"b@0.500/simplex"
       ~error:(Diag.Job_timeout { job = "b@0.500/simplex"; seconds = 1.0 })
       "job-failed";
     Journal.event j ~job:"c \"quoted\"@0.500/ssp"
-      ~fields:[ Journal.field_float "area" 99.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 99.0) ] "job-ok";
     Journal.close j);
   (* simulate a crash mid-append: a truncated trailing line *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -254,7 +255,7 @@ let test_journal_torn_line_recovery () =
   | Error e -> Alcotest.failf "open: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"a@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 1.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 1.0) ] "job-ok";
     Journal.close j);
   (* crash mid-append: the final line has no terminating newline *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -266,7 +267,7 @@ let test_journal_torn_line_recovery () =
   | Error e -> Alcotest.failf "reopen: %s" (Diag.to_string e)
   | Ok j ->
     Journal.event j ~job:"b@0.500/simplex"
-      ~fields:[ Journal.field_float "area" 2.0 ] "job-ok";
+      ~fields:[ ("area", Json.Num 2.0) ] "job-ok";
     Journal.close j);
   let table = Journal.completed path in
   check int "both intact jobs completed" 2 (Hashtbl.length table);
@@ -284,6 +285,61 @@ let test_journal_torn_line_recovery () =
   | Error e -> Alcotest.failf "idempotent reopen: %s" (Diag.to_string e)
   | Ok j -> Journal.close j);
   check int "clean reopen writes nothing" before (size_of path);
+  rm_rf dir
+
+(* every value a journal line carries comes back equal, whether the parent
+   wrote it or a forked worker sent it over the event pipe: escapes (a tab
+   is not a "t"), a non-finite float (its "%h" string, never null) and a
+   nested object *)
+let test_journal_round_trip () =
+  let dir = fresh_dir "journal-round-trip" in
+  let path = Filename.concat dir "journal.jsonl" in
+  let awkward = "a\tb \"quoted\" back\\slash unit\x1fsep" in
+  let phases =
+    Json.Obj [ ("dphase", Json.Num 3.0); ("wphase", Json.Num 0.5) ]
+  in
+  let fields =
+    [ ("note", Json.Str awkward);
+      ("area", Diag.json_float infinity);
+      ("eta", Diag.json_float 0.1);
+      ("phases", phases) ]
+  in
+  (match Journal.open_append path with
+  | Error e -> Alcotest.failf "open: %s" (Diag.to_string e)
+  | Ok j ->
+    Journal.event j ~job:"direct" ~fields "job-perf";
+    ignore
+      (Supervisor.run_all_tasks ~journal:j
+         [ ( "piped",
+             fun emit ->
+               emit ~fields "job-perf";
+               Ok () ) ]);
+    Journal.close j);
+  let perf = List.filter (fun (ev, _) -> ev = "job-perf") (Journal.scan path) in
+  check Alcotest.(list string) "direct and piped records" [ "direct"; "piped" ]
+    (List.filter_map (fun (_, j) -> Json.str_field "job" j) perf);
+  List.iter
+    (fun (_, j) ->
+      check Alcotest.(option string) "string with escapes" (Some awkward)
+        (Json.str_field "note" j);
+      (match Journal.float_field "area" j with
+      | Some a -> check_float_bits "infinite float" infinity a
+      | None -> Alcotest.fail "infinite float lost");
+      (match Journal.float_field "eta" j with
+      | Some e -> check_float_bits "finite float" 0.1 e
+      | None -> Alcotest.fail "finite float lost");
+      check bool "nested object" true (Json.member "phases" j = Some phases))
+    perf;
+  (* a complete line in the spaced format older builds wrote, with a
+     non-finite area as its "%h" string *)
+  let oc = open_out_gen [ Open_append ] 0o644 path in
+  output_string oc
+    "{\"event\": \"job-ok\", \"seq\": 9, \"t\": 0.125, \"job\": \
+     \"old@0.500/simplex\", \"area\": \"infinity\", \"met\": true}\n";
+  close_out oc;
+  (match Hashtbl.find_opt (Journal.completed path) "old@0.500/simplex" with
+  | Some a -> check_float_bits "old-format line" infinity a
+  | None -> Alcotest.fail "old-format line not recovered");
   rm_rf dir
 
 let test_checkpoint_special_floats () =
@@ -563,12 +619,12 @@ let test_supervisor_sigkill_between_checkpoints_requeues () =
   in
   let thunk (emit : Supervisor.emit) =
     if Sys.file_exists marker then begin
-      emit ~fields:[ Journal.field_int "iter" 1 ] "job-checkpoint";
+      emit ~fields:[ ("iter", Json.Num 1.0) ] "job-checkpoint";
       Ok 99
     end
     else begin
       close_out (open_out marker);
-      emit ~fields:[ Journal.field_int "iter" 0 ] "job-checkpoint";
+      emit ~fields:[ ("iter", Json.Num 0.0) ] "job-checkpoint";
       (* give the parent's pipe a moment, then die like a crashed host *)
       Unix.sleepf 0.05;
       Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -1031,6 +1087,8 @@ let () =
             test_journal_completed_scan;
           Alcotest.test_case "torn final line sealed on reopen" `Quick
             test_journal_torn_line_recovery;
+          Alcotest.test_case "journal round-trips every value" `Quick
+            test_journal_round_trip;
           Alcotest.test_case "advisory lock excludes a second process" `Quick
             test_journal_lock_excludes_second_process ] );
       ( "supervisor",

@@ -628,8 +628,8 @@ let tcp_endpoint_of_journal cfg =
   let path = Filename.concat cfg.Server.run_dir "journal.jsonl" in
   match
     List.find_map
-      (fun (event, line) ->
-        if event = "serve-start" then Journal.find_field line "tcp" else None)
+      (fun (event, j) ->
+        if event = "serve-start" then Json.str_field "tcp" j else None)
       (Journal.scan path)
   with
   | None -> Alcotest.fail "serve-start journaled no tcp endpoint"
@@ -703,9 +703,9 @@ let worker_pid cfg id =
   let rec go () =
     let hit =
       List.find_map
-        (fun (event, line) ->
-          if event = "job-spawn" && Journal.find_field line "job" = Some id
-          then Option.bind (Journal.find_field line "pid") int_of_string_opt
+        (fun (event, j) ->
+          if event = "job-spawn" && Json.str_field "job" j = Some id then
+            Json.int_field "pid" j
           else None)
         (Journal.scan path)
     in
@@ -837,6 +837,62 @@ let test_e2e_drain_edges () =
   let events = journal_events cfg in
   check Alcotest.bool "accepted jobs resolved during drain" true
     (List.length (List.filter (( = ) "job-result") events) >= 2);
+  rm_rf dir
+
+(* directories the daemon cannot make fail typed: a run dir under a
+   regular file is an [Error] from [Server.run], not an escaping ENOTDIR;
+   a checkpoint directory that cannot be made rejects a submit with
+   [storage-error], and a recovered job still runs (without resume
+   points), instead of either killing the daemon *)
+let test_e2e_unmakeable_dirs () =
+  let dir = fresh_dir "serve-enotdir" in
+  let blocker = Filename.concat dir "blocker" in
+  close_out (open_out blocker);
+  let cfg =
+    { (daemon_cfg dir) with Server.run_dir = Filename.concat blocker "run" }
+  in
+  (match Server.run ~config:cfg () with
+  | Error (Diag.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
+  | Ok () -> Alcotest.fail "daemon ran under a regular file");
+  let cfg = daemon_cfg dir in
+  Unix.mkdir cfg.Server.run_dir 0o755;
+  close_out (open_out (Filename.concat cfg.Server.run_dir "checkpoints"));
+  (* a job accepted by a previous life, for recovery to requeue *)
+  let recovered = submit_spec ~factor:1.31 "c17" in
+  let key = Protocol.job_key recovered in
+  (match
+     Journal.open_append (Filename.concat cfg.Server.run_dir "journal.jsonl")
+   with
+  | Error e -> Alcotest.failf "journal: %s" (Diag.to_string e)
+  | Ok jr ->
+    Journal.event jr ~job:key
+      ~fields:
+        [ ("circuit", Json.Str "c17");
+          ("factor", Json.Num 1.31);
+          ("solver", Json.Str "simplex") ]
+      "serve-accepted";
+    Journal.close jr);
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let r = rpc cfg (Protocol.Submit (submit_spec "c17")) in
+  check (Alcotest.option string) "typed rejection" (Some "storage-error")
+    (Json.str_field "code" r);
+  wait_state cfg key "done";
+  let job_events =
+    List.filter_map
+      (fun (event, j) ->
+        if Json.str_field "job" j = Some key then Some event else None)
+      (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
+  in
+  (* recovery says why before the job's first spawn *)
+  check Alcotest.(list string) "recovered job requeued after a typed event"
+    [ "serve-accepted"; "job-checkpoint-failed"; "job-spawn" ]
+    (List.filteri (fun i _ -> i < 3) job_events);
+  ignore (rpc cfg Protocol.Drain);
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly");
   rm_rf dir
 
 (* the acceptance scenario: a loaded daemon behind a fault-injecting
@@ -999,6 +1055,8 @@ let () =
             test_e2e_watchdog_kills_silent_worker;
           Alcotest.test_case "cache eviction under memory pressure" `Quick
             test_e2e_cache_eviction_under_pressure;
+          Alcotest.test_case "unmakeable directories fail typed" `Quick
+            test_e2e_unmakeable_dirs;
           Alcotest.test_case "drain edges: idle exit, full-queue submit" `Quick
             test_e2e_drain_edges;
           Alcotest.test_case "chaos run is bit-identical to fault-free" `Slow
