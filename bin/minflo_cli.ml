@@ -1846,7 +1846,7 @@ let torture_cmd =
             Journal.event jr ~job:key
               ~fields:
                 [ ("circuit", Json.Str circuit_spec);
-                  ("factor", Diag.json_float trace_factor);
+                  ("factor", Json.of_float trace_factor);
                   ("solver", Json.Str "simplex") ]
               "serve-accepted")
           serve_keys;
@@ -1854,8 +1854,8 @@ let torture_cmd =
           ~fields:
             [ ("area", Json.Num 42.0);
               ("area_ratio", Json.Num 1.5);
-              ("cp", Diag.json_float trace_target);
-              ("target", Diag.json_float trace_target);
+              ("cp", Json.of_float trace_target);
+              ("target", Json.of_float trace_target);
               ("met", Json.Bool true);
               ("iterations", Json.Num 3.0);
               ("saving_pct", Json.Num 7.5);

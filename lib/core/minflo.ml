@@ -12,9 +12,9 @@
     ]}
 
     Layers (each also usable as its own library):
-    - {!Vec}, {!Heap}, {!Rng}, {!Stats}, {!Table}, {!Bitset},
-      {!Union_find}, {!Json} — containers, statistics and the one JSON
-      dialect shared by the serve protocol, traces and bench reports
+    - {!Vec}, {!Heap}, {!Rng}, {!Stats}, {!Table}, {!Bitset}, {!Json} —
+      containers, statistics and the one JSON dialect shared by the serve
+      protocol, traces, journals and the persisted documents
       ([minflo_util]);
     - {!Diag}, {!Budget}, {!Fallback}, {!Invariants}, {!Fault}, {!Io},
       {!Torture}, {!Perf} — typed diagnostics, run budgets, solver
@@ -63,7 +63,6 @@ module Rng = Minflo_util.Rng
 module Stats = Minflo_util.Stats
 module Table = Minflo_util.Table
 module Bitset = Minflo_util.Bitset
-module Union_find = Minflo_util.Union_find
 module Json = Minflo_util.Json
 
 (* resilience: structured diagnostics, run budgets, solver fallback,

@@ -537,7 +537,6 @@ type basis = {
 type state = { mutable basis : basis option }
 
 let make_state () = { basis = None }
-let drop st = st.basis <- None
 let is_warm st = st.basis <> None
 
 (* The basis can be reused iff the network shape is unchanged: same node

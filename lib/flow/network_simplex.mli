@@ -44,9 +44,6 @@ type state
 val make_state : unit -> state
 (** A fresh, empty state: the first solve through it is a cold start. *)
 
-val drop : state -> unit
-(** Forget the retained basis; the next solve is a cold start. *)
-
 val is_warm : state -> bool
 (** Whether a retained basis is present. *)
 

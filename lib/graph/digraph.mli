@@ -32,8 +32,6 @@ val dst : t -> edge -> node
 val out_edges : t -> node -> edge list
 (** Edges leaving a node, in insertion order. *)
 
-val in_edges : t -> node -> edge list
-
 val out_degree : t -> node -> int
 val in_degree : t -> node -> int
 

@@ -11,10 +11,6 @@ val components : Digraph.t -> int array * int
     the condensation (a component's successors have strictly smaller ids).
     [count] is the number of components. *)
 
-val groups : Digraph.t -> Digraph.node list list
-(** The components as node lists (each in discovery order), topologically
-    ordered by the condensation. Singleton components are included. *)
-
 val cyclic_groups : Digraph.t -> Digraph.node list list
 (** Only the components that contain a cycle: size > 1, or a single node
     with a self-loop. *)

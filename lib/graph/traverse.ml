@@ -1,5 +1,4 @@
 module Bitset = Minflo_util.Bitset
-module Union_find = Minflo_util.Union_find
 
 let dfs_post g ~roots =
   let n = Digraph.node_count g in
@@ -55,12 +54,3 @@ let reach step g ~roots =
 
 let reachable g ~roots = reach Digraph.succ g ~roots
 let reachable_rev g ~roots = reach Digraph.pred g ~roots
-
-let weakly_connected_components g =
-  let n = Digraph.node_count g in
-  if n = 0 then 0
-  else begin
-    let uf = Union_find.create n in
-    Digraph.iter_edges g (fun e -> Union_find.union uf (Digraph.src g e) (Digraph.dst g e));
-    Union_find.count uf
-  end

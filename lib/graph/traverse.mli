@@ -8,6 +8,3 @@ val reachable : Digraph.t -> roots:Digraph.node list -> Minflo_util.Bitset.t
 
 val reachable_rev : Digraph.t -> roots:Digraph.node list -> Minflo_util.Bitset.t
 (** Backward reachability (who can reach a root). *)
-
-val weakly_connected_components : Digraph.t -> int
-(** Number of weakly connected components. *)

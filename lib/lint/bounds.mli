@@ -32,12 +32,6 @@ type t = {
 val compute : Minflo_tech.Delay_model.t -> t
 (** Four linear sweeps in topological order. *)
 
-val through_lo : t -> int -> float
-(** [at_lo + d_lo + tail_lo]: lower bound on the longest path through the
-    vertex, over all feasible sizings. *)
-
-val through_hi : t -> int -> float
-
 val witness_path : Minflo_tech.Delay_model.t -> t -> int list
 (** The critical path under best-case ([d_lo]) delays, source to finishing
     vertex — the certificate that [cp_lo] is actually achieved by a path. *)
@@ -58,11 +52,15 @@ val infeasible_target_error :
     preflight journal. *)
 
 val pinned : ?eps:float -> Minflo_tech.Delay_model.t -> t -> target:float -> int list
-(** Vertices with [through_lo >= target * (1 - eps)] (default 1e-6). *)
+(** Vertices whose lower bound on the longest path through them over all
+    feasible sizings, [at_lo + d_lo + tail_lo], is at least
+    [target * (1 - eps)] (default 1e-6). *)
 
 val irrelevant :
   ?margin:float -> Minflo_tech.Delay_model.t -> t -> target:float -> int list
-(** Vertices with [through_hi <= target * (1 - margin)] (default 0.05). *)
+(** Vertices whose upper bound on the longest path through them,
+    [at_hi + d_hi + tail_hi], is at most [target * (1 - margin)] (default
+    0.05). *)
 
 type config = {
   eps : float;           (** MF201 tolerance *)

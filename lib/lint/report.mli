@@ -1,9 +1,5 @@
 (** Human-readable rendering of findings and exit-code policy. *)
 
-val pp_finding : Format.formatter -> Finding.t -> unit
-(** [file:line:col: severity MF001 (slug): message]. Location segments are
-    omitted when unknown. *)
-
 val render : Finding.t list -> string
 (** One finding per line, followed by a [N error(s), M warning(s)] summary
     line. Empty input renders as ["no findings\n"]. *)

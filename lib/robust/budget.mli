@@ -10,7 +10,7 @@
     unbounded or raising.
 
     Checks are designed for hot loops: pivot ticks are counter updates, and
-    the wall clock is consulted only every {!wall_check_period} ticks. *)
+    the wall clock is consulted only every 1024 pivot ticks. *)
 
 type limits = {
   wall_seconds : float option;   (** wall-clock deadline for the whole run. *)
@@ -37,9 +37,6 @@ val resume : limits -> elapsed:float -> iterations:int -> pivots:int -> t
     re-derived from the restored meters on the next {!check}. *)
 
 val unlimited : unit -> t
-
-val wall_check_period : int
-(** Pivot ticks between wall-clock reads (power of two). *)
 
 val tick_pivot : t -> bool
 (** Count one solver pivot. [false] once any resource is exhausted — the

@@ -175,12 +175,9 @@ let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 (* ---------- JSON ---------- *)
 
-let json_float v =
-  if Float.is_finite v then Json.Num v else Json.Str (Printf.sprintf "%h" v)
-
 let to_json e =
   let str s = Json.Str s and int i = Json.Num (float_of_int i) in
-  let num = json_float and strs l = Json.List (List.map str l) in
+  let num = Json.of_float and strs l = Json.List (List.map str l) in
   let opt_str = function Some s -> Json.Str s | None -> Json.Null in
   let obj fields = Json.Obj (("code", str (error_code e)) :: fields) in
   match e with

@@ -143,13 +143,8 @@ val pp : Format.formatter -> error -> unit
 val to_json : error -> Minflo_util.Json.t
 (** The JSON object [{"code": …, …}] with the constructor's fields — what
     the batch journal, serve responses and the serve journal embed as
-    their ["error"] member. Floats go through {!json_float}. *)
-
-val json_float : float -> Minflo_util.Json.t
-(** How a float is written into a journal or error record: a finite float
-    is a JSON number (which round-trips bit-exactly through
-    {!Minflo_util.Json}); a non-finite one, which JSON cannot spell, is
-    its ["%h"] string (["infinity"], ["nan"]) so it never degrades to
+    their ["error"] member. Floats are spelled with
+    {!Minflo_util.Json.of_float}, so a non-finite one never degrades to
     [null]. *)
 
 (** {1 Event log} *)

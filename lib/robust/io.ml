@@ -30,10 +30,6 @@ let rec read_retry fd buf off len =
   try Unix.read fd buf off len
   with Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd buf off len
 
-let rec write_retry fd buf off len =
-  try Unix.write fd buf off len
-  with Unix.Unix_error (Unix.EINTR, _, _) -> write_retry fd buf off len
-
 let rec write_substring_retry fd s off len =
   try Unix.write_substring fd s off len
   with Unix.Unix_error (Unix.EINTR, _, _) -> write_substring_retry fd s off len

@@ -62,7 +62,6 @@ val reset : unit -> unit
     mid-syscall must not tear a record. Not instrumented, no typing. *)
 
 val read_retry : Unix.file_descr -> bytes -> int -> int -> int
-val write_retry : Unix.file_descr -> bytes -> int -> int -> int
 val write_substring_retry : Unix.file_descr -> string -> int -> int -> int
 
 val really_write_substring : Unix.file_descr -> string -> unit

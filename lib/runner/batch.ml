@@ -85,8 +85,8 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
       emit_event
         ~fields:
           [ ("iter", Json.Num (float_of_int snap.Minflotransit.snap_iter));
-            ("area", Diag.json_float snap.Minflotransit.snap_area);
-            ("eta", Diag.json_float snap.Minflotransit.snap_eta) ]
+            ("area", Json.of_float snap.Minflotransit.snap_area);
+            ("eta", Json.of_float snap.Minflotransit.snap_eta) ]
         "job-checkpoint";
       match ckpt with
       | None -> ()
@@ -357,8 +357,8 @@ let run ?(config = default_config) jobs =
       | Ok oc, Some jr ->
         Journal.event jr ~job:id
           ~fields:
-            [ ("area", Diag.json_float oc.Job.area);
-              ("area_ratio", Diag.json_float oc.Job.area_ratio);
+            [ ("area", Json.of_float oc.Job.area);
+              ("area_ratio", Json.of_float oc.Job.area_ratio);
               ("met", Json.Bool oc.Job.met);
               ("iterations", Json.Num (float_of_int oc.Job.iterations));
               ("resumed", Json.Bool oc.Job.resumed) ]

@@ -1,4 +1,6 @@
 module Diag = Minflo_robust.Diag
+module Io = Minflo_robust.Io
+module Json = Minflo_util.Json
 module Perf = Minflo_robust.Perf
 module Tech = Minflo_tech.Tech
 module Delay_model = Minflo_tech.Delay_model
@@ -102,114 +104,79 @@ let scale_suite ?(quick = false) () =
 
 (* ---------- rendering ---------- *)
 
-(* The stable part of one experiment: everything that is a pure function of
-   the inputs. Wall time is appended separately and never compared. *)
-let stable_json e =
-  let counters =
-    String.concat ", "
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-         (Perf.to_fields e.counters))
-  in
-  Printf.sprintf
-    "{\"circuit\": \"%s\", \"mode\": \"%s\", \"target_factor\": %.3f, \
-     \"gates\": %d, \"area\": %.9f, \"met\": %b, \"iterations\": %d, \
-     \"audit_findings\": %d, %s"
-    e.circuit e.mode e.target_factor e.gates e.area e.met e.iterations
-    e.audit_findings counters
-
+(* Every member but [wall_seconds] is a pure function of the inputs. The
+   floats are quantized to the precision the baseline pins: [area] to nine
+   decimals, [target_factor] to three. *)
 let to_json e =
-  Printf.sprintf "%s, \"wall_seconds\": %.3f}" (stable_json e) e.wall_seconds
+  let int i = Json.Num (float_of_int i) in
+  let fixed digits v =
+    Json.Num (float_of_string (Printf.sprintf "%.*f" digits v))
+  in
+  Json.Obj
+    ([ ("circuit", Json.Str e.circuit);
+       ("mode", Json.Str e.mode);
+       ("target_factor", fixed 3 e.target_factor);
+       ("gates", int e.gates);
+       ("area", fixed 9 e.area);
+       ("met", Json.Bool e.met);
+       ("iterations", int e.iterations);
+       ("audit_findings", int e.audit_findings) ]
+    @ List.map (fun (k, v) -> (k, int v)) (Perf.to_fields e.counters)
+    @ [ ("wall_seconds", fixed 3 e.wall_seconds) ])
 
+(* one experiment per line, so baseline diffs stay line-oriented *)
 let render experiments =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "{\"schema\": \"%s\",\n" schema);
-  Buffer.add_string buf " \"experiments\": [\n";
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf "  ";
-      Buffer.add_string buf (to_json e);
-      if i < List.length experiments - 1 then Buffer.add_char buf ',';
-      Buffer.add_char buf '\n')
-    experiments;
-  Buffer.add_string buf " ]}\n";
-  Buffer.contents buf
+  Printf.sprintf "{\"schema\": \"%s\",\n \"experiments\": [\n%s\n ]}\n" schema
+    (String.concat ",\n"
+       (List.map (fun e -> "  " ^ Json.to_string (to_json e)) experiments))
 
 (* ---------- baseline check ---------- *)
 
-(* Reduce a rendered experiment line to its stable prefix: everything up to
-   the volatile ["wall_seconds"] field. Works on both freshly rendered
-   lines and baseline-file lines, so the comparison is string-exact. *)
-let stable_prefix line =
-  let pat = ", \"wall_seconds\":" in
-  let ll = String.length line and lp = String.length pat in
-  let rec search i =
-    if i + lp > ll then line
-    else if String.sub line i lp = pat then String.sub line 0 i
-    else search (i + 1)
-  in
-  search 0
+let stable = function
+  | Json.Obj members -> List.remove_assoc "wall_seconds" members
+  | _ -> []
 
-let baseline_lines path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Diag.Io_error { file = path; msg })
-  | ic ->
-    let lines = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if String.length line > 0 && line.[0] = '{' then begin
-           let line =
-             if line.[String.length line - 1] = ',' then
-               String.sub line 0 (String.length line - 1)
-             else line
-           in
-           (* skip the header object; experiment lines carry "circuit" *)
-           let is_experiment =
-             let pat = "\"circuit\":" in
-             let ll = String.length line and lp = String.length pat in
-             let rec go i =
-               if i + lp > ll then false
-               else String.sub line i lp = pat || go (i + 1)
-             in
-             go 0
-           in
-           if is_experiment then lines := stable_prefix line :: !lines
-         end
-       done
-     with End_of_file -> ());
-    close_in_noerr ic;
-    Ok (List.rev !lines)
+(* one line per member the two sides disagree on, in both directions *)
+let member_diffs ~base ~run =
+  let show = function Some v -> Json.to_string v | None -> "(absent)" in
+  List.filter_map
+    (fun k ->
+      let b = List.assoc_opt k base and r = List.assoc_opt k run in
+      if b = r then None
+      else Some (Printf.sprintf "%s baseline %s, run %s" k (show b) (show r)))
+    (List.sort_uniq String.compare (List.map fst base @ List.map fst run))
 
 let check ~baseline experiments =
-  match baseline_lines baseline with
-  | Error e -> Error [ Diag.to_string e ]
-  | Ok base ->
-    (* Experiments are keyed by (circuit, mode): every experiment this run
-       produced must match its baseline entry exactly. Baseline entries the
-       run did not exercise are fine — that is what lets the CI smoke job
-       run the quick grid against the full checked-in baseline. *)
-    let diffs =
-      List.concat_map
-        (fun e ->
-          let key =
-            Printf.sprintf "{\"circuit\": \"%s\", \"mode\": \"%s\"," e.circuit
-              e.mode
-          in
-          let starts_with p s =
-            String.length s >= String.length p
-            && String.sub s 0 (String.length p) = p
-          in
-          let f = stable_prefix (to_json e) in
-          match List.find_opt (starts_with key) base with
-          | None ->
-            [ Printf.sprintf "no baseline entry for %s/%s" e.circuit e.mode ]
-          | Some b when b <> f ->
-            [ Printf.sprintf "baseline: %s}\n     run: %s}" b f ]
-          | Some _ -> [])
-        experiments
-    in
-    if diffs = [] then Ok () else Error diffs
+  let base =
+    match Result.map Json.parse (Io.read_file baseline) with
+    | Error e -> Error (Diag.to_string e)
+    | Ok (Error msg) -> Error (Printf.sprintf "%s: %s" baseline msg)
+    | Ok (Ok doc) -> (
+      match Json.member "experiments" doc with
+      | Some (Json.List xs) -> Ok xs
+      | _ -> Error (baseline ^ ": no \"experiments\" list"))
+  in
+  (* Experiments are keyed by (circuit, mode): every experiment this run
+     produced must match its baseline entry exactly. Baseline entries the
+     run did not exercise are fine — that is what lets the CI smoke job run
+     the quick grid against the full checked-in baseline. *)
+  let key j = (Json.str_field "circuit" j, Json.str_field "mode" j) in
+  let divergence base e =
+    let name = Printf.sprintf "%s/%s" e.circuit e.mode in
+    let entry = (Some e.circuit, Some e.mode) in
+    match List.find_opt (fun b -> key b = entry) base with
+    | None -> Some ("no baseline entry for " ^ name)
+    | Some b -> (
+      match member_diffs ~base:(stable b) ~run:(stable (to_json e)) with
+      | [] -> None
+      | ds -> Some (name ^ ": " ^ String.concat "; " ds))
+  in
+  match base with
+  | Error msg -> Error [ msg ]
+  | Ok base -> (
+    match List.filter_map (divergence base) experiments with
+    | [] -> Ok ()
+    | ds -> Error ds)
 
 (* ---------- the headline metric ---------- *)
 

@@ -30,8 +30,6 @@ type experiment = {
   wall_seconds : float;  (** volatile; excluded from {!check}. *)
 }
 
-val schema : string
-
 val suite : ?quick:bool -> unit -> experiment list
 (** Runs the ISCAS benchmark grid: cold and warm legs for each circuit —
     [c432, c880] when [quick] (the CI smoke set), plus [c1908, c6288] in
@@ -43,20 +41,20 @@ val scale_suite : ?quick:bool -> unit -> experiment list
     in the full run. All generators are deterministic, so every non-wall
     field is baseline-exact. *)
 
-val to_json : experiment -> string
-(** One experiment as a single-line JSON object. *)
-
 val render : experiment list -> string
-(** The full baseline document: a [schema] header and one experiment per
-    line (so diffs and the baseline check stay line-oriented). *)
+(** The full baseline document, one JSON object: the
+    ["minflo-bench/2"] schema header and one experiment per line (so
+    diffs stay line-oriented). [area] is written to nine decimals and
+    [target_factor] to three — the precision a baseline pins. *)
 
 val check : baseline:string -> experiment list -> (unit, string list) result
-(** [check ~baseline experiments] compares this run against the checked-in
-    baseline file, field-exact on everything {e except} wall time.
+(** [check ~baseline experiments] parses the baseline file and compares
+    this run against it, member-exact in both directions on everything
+    {e except} wall time: a member missing on either side is a divergence.
     Experiments are matched by (circuit, mode), so a [--quick] run checks
     cleanly against the full baseline; an experiment with no baseline entry
     is itself a divergence. [Error] carries one human-readable line per
-    divergence. *)
+    diverging experiment. *)
 
 val pivot_reduction : experiment list -> circuit:string -> float option
 (** Percent reduction in simplex pivots of the warm leg vs the cold leg

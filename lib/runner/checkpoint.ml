@@ -2,7 +2,7 @@ module Diag = Minflo_robust.Diag
 module Io = Minflo_robust.Io
 module Minflotransit = Minflo_sizing.Minflotransit
 module Tilos = Minflo_sizing.Tilos
-module Bench_format = Minflo_netlist.Bench_format
+module Json = Minflo_util.Json
 
 type t = {
   circuit : string;
@@ -17,7 +17,7 @@ type t = {
   budget_elapsed : float;
 }
 
-let version = 1
+let version = 2
 
 let magic = "minflo-checkpoint"
 
@@ -29,191 +29,137 @@ let magic = "minflo-checkpoint"
    checkpoint's circuit binding and the cache key agree by construction. *)
 let hash_netlist = Minflo_tech.Model_cache.hash_netlist
 
-(* ---------- rendering ---------- *)
-
-(* %h renders floats as C99 hex literals: bit-exact through
-   float_of_string, which is what makes resume bit-identical. The one gap
-   is nan: %h collapses every nan to the three bytes "nan", losing sign
-   and payload, so nans are spelled "nan:<bits>" and parsed back
-   bit-for-bit. Infinities round-trip through %h as written. *)
-let hex_float f =
-  if Float.is_nan f then Printf.sprintf "nan:%016Lx" (Int64.bits_of_float f)
-  else Printf.sprintf "%h" f
-
-let parse_hex_float s =
-  if String.length s > 4 && String.sub s 0 4 = "nan:" then
-    Option.map Int64.float_of_bits
-      (Int64.of_string_opt ("0x" ^ String.sub s 4 (String.length s - 4)))
-  else float_of_string_opt s
-
-let render ck =
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  let floats a =
-    String.concat " " (Array.to_list (Array.map hex_float a))
-  in
-  line "%s %d" magic version;
-  line "circuit %s" ck.circuit;
-  line "circuit-hash %016Lx" ck.circuit_hash;
-  line "target %s" (hex_float ck.target);
-  line "solver %s" ck.solver;
-  line "fault-seed %s"
-    (match ck.fault_seed with Some s -> string_of_int s | None -> "-");
-  let s = ck.snapshot in
-  line "iter %d" s.Minflotransit.snap_iter;
-  line "eta %s" (hex_float s.snap_eta);
-  line "area %s" (hex_float s.snap_area);
-  line "osc-area %s" (hex_float s.snap_osc_area);
-  line "osc-repeats %d" s.snap_osc_repeats;
-  line "solver-used %s"
-    (match s.snap_solver with Some name -> name | None -> "-");
-  line "budget-iterations %d" ck.budget_iterations;
-  line "budget-pivots %d" ck.budget_pivots;
-  line "budget-elapsed %s" (hex_float ck.budget_elapsed);
-  line "tilos-met %b" ck.tilos.Tilos.met;
-  line "tilos-bumps %d" ck.tilos.bumps;
-  line "tilos-cp %s" (hex_float ck.tilos.final_cp);
-  line "tilos-area %s" (hex_float ck.tilos.area);
-  line "sizes %d %s" (Array.length s.snap_sizes) (floats s.snap_sizes);
-  line "tilos-sizes %d %s" (Array.length ck.tilos.sizes) (floats ck.tilos.sizes);
-  line "end";
-  Buffer.contents b
-
-(* ---------- atomic save ---------- *)
-
-(* write-tmp + fsync + rename + dir-fsync, via the instrumented layer: a
-   torn checkpoint can never shadow a good one, and the io.* fault sites
-   (ENOSPC, torn rename, crash boundaries) apply to every save *)
-let save path ck = Io.atomic_replace path (render ck)
-
-(* ---------- load ---------- *)
+(* ---------- versioned JSON documents ---------- *)
 
 let invalid file reason = Error (Diag.Checkpoint_invalid { file; reason })
 
+(* The strict parse is the truncation check: a file cut anywhere short of
+   its closing brace is not a JSON value. *)
+let read_document ~format ~version path =
+  let ( let* ) = Result.bind in
+  let* text = Io.read_file path in
+  match Json.parse text with
+  | Error msg -> (
+    (* version 1 was line-oriented, headed "<format> 1" *)
+    let first_line = List.hd (String.split_on_char '\n' text) in
+    match String.split_on_char ' ' first_line with
+    | [ f; v ] when f = format ->
+      invalid path
+        (Printf.sprintf "format version %s (this build reads %d)" v version)
+    | _ -> invalid path ("not a JSON document (truncated?): " ^ msg))
+  | Ok doc -> (
+    match (Json.str_field "format" doc, Json.int_field "version" doc) with
+    | Some f, Some v when f = format && v = version -> Ok doc
+    | Some f, Some v when f = format ->
+      invalid path
+        (Printf.sprintf "format version %d (this build reads %d)" v version)
+    | _ -> invalid path (Printf.sprintf "not a %s (bad magic)" format))
+
+let field path doc read key =
+  match read key doc with
+  | Some v -> Ok v
+  | None when Json.member key doc = None ->
+    invalid path (Printf.sprintf "missing field %S" key)
+  | None -> invalid path (Printf.sprintf "malformed field %S" key)
+
+(* ---------- the checkpoint document ---------- *)
+
+let int i = Json.Num (float_of_int i)
+let nullable f = function Some v -> f v | None -> Json.Null
+let floats a = Json.List (Array.to_list (Array.map Json.of_float a))
+
+let to_json ck =
+  let s = ck.snapshot and t = ck.tilos in
+  Json.Obj
+    [ ("format", Json.Str magic);
+      ("version", int version);
+      ("circuit", Json.Str ck.circuit);
+      ("circuit_hash", Json.Str (Printf.sprintf "%016Lx" ck.circuit_hash));
+      ("target", Json.of_float ck.target);
+      ("solver", Json.Str ck.solver);
+      ("fault_seed", nullable int ck.fault_seed);
+      ("iter", int s.Minflotransit.snap_iter);
+      ("eta", Json.of_float s.snap_eta);
+      ("area", Json.of_float s.snap_area);
+      ("osc_area", Json.of_float s.snap_osc_area);
+      ("osc_repeats", int s.snap_osc_repeats);
+      ("solver_used", nullable (fun n -> Json.Str n) s.snap_solver);
+      ("budget_iterations", int ck.budget_iterations);
+      ("budget_pivots", int ck.budget_pivots);
+      ("budget_elapsed", Json.of_float ck.budget_elapsed);
+      ("tilos_met", Json.Bool t.Tilos.met);
+      ("tilos_bumps", int t.bumps);
+      ("tilos_cp", Json.of_float t.final_cp);
+      ("tilos_area", Json.of_float t.area);
+      ("sizes", floats s.snap_sizes);
+      ("tilos_sizes", floats t.sizes) ]
+
+(* write-tmp + fsync + rename + dir-fsync, via the instrumented layer: a
+   torn checkpoint can never shadow a good one, and the io.* fault sites
+   (ENOSPC, torn rename, crash boundaries) apply to every save. No
+   trailing newline: every proper prefix of the file then fails to parse. *)
+let save path ck = Io.atomic_replace path (Json.to_string (to_json ck))
+
+(* readers for [field]: [None] on a wrong shape *)
+let or_null read key doc =
+  match Json.member key doc with
+  | Some Json.Null -> Some None
+  | _ -> Option.map Option.some (read key doc)
+
+let float_array key doc =
+  match Json.member key doc with
+  | Some (Json.List xs) ->
+    let a = Array.of_list (List.filter_map Json.to_float xs) in
+    if Array.length a = List.length xs then Some a else None
+  | _ -> None
+
+let hex64 key doc =
+  match Json.str_field key doc with
+  | Some h when String.length h = 16 -> Int64.of_string_opt ("0x" ^ h)
+  | _ -> None
+
 let load path =
-  match
-    Result.map
-      (fun content ->
-        (* render terminates every line with '\n'; drop the trailing empty
-           segment so a well-formed file parses to exactly its lines *)
-        match List.rev (String.split_on_char '\n' content) with
-        | "" :: rest -> List.rev rest
-        | lines -> List.rev lines)
-      (Io.read_file path)
-  with
-  | Error e -> Error e
-  | Ok [] -> invalid path "empty file"
-  | Ok (header :: rest) -> (
-    let fields = Hashtbl.create 32 in
-    List.iter
-      (fun l ->
-        match String.index_opt l ' ' with
-        | Some i ->
-          Hashtbl.replace fields (String.sub l 0 i)
-            (String.sub l (i + 1) (String.length l - i - 1))
-        | None -> Hashtbl.replace fields l "")
-      rest;
-    let field k =
-      match Hashtbl.find_opt fields k with
-      | Some v -> Ok v
-      | None -> invalid path (Printf.sprintf "missing field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let num kind conv k =
-      let* v = field k in
-      match conv v with
-      | Some x -> Ok x
-      | None -> invalid path (Printf.sprintf "field %S is not %s: %S" k kind v)
-    in
-    let int_field = num "an integer" int_of_string_opt in
-    let float_field = num "a float" parse_hex_float in
-    let floats_field k =
-      let* v = field k in
-      match String.split_on_char ' ' v |> List.filter (fun s -> s <> "") with
-      | [] -> invalid path (Printf.sprintf "field %S is empty" k)
-      | n :: xs -> (
-        match int_of_string_opt n with
-        | None -> invalid path (Printf.sprintf "field %S has no length" k)
-        | Some n ->
-          let parsed = List.filter_map parse_hex_float xs in
-          if List.length parsed <> n || List.length xs <> n then
-            invalid path
-              (Printf.sprintf "field %S: expected %d values" k n)
-          else Ok (Array.of_list parsed))
-    in
-    match String.split_on_char ' ' header with
-    | [ m; v ] when m = magic -> (
-      match int_of_string_opt v with
-      | Some v when v = version ->
-        if not (Hashtbl.mem fields "end") then
-          invalid path "truncated (no end marker)"
-        else
-          let* circuit = field "circuit" in
-          let* hash_hex = field "circuit-hash" in
-          let* circuit_hash =
-            match Int64.of_string_opt ("0x" ^ hash_hex) with
-            | Some h -> Ok h
-            | None -> invalid path "malformed circuit-hash"
-          in
-          let* target = float_field "target" in
-          let* solver = field "solver" in
-          let* fault_seed_s = field "fault-seed" in
-          let* fault_seed =
-            if fault_seed_s = "-" then Ok None
-            else
-              match int_of_string_opt fault_seed_s with
-              | Some s -> Ok (Some s)
-              | None -> invalid path "malformed fault-seed"
-          in
-          let* snap_iter = int_field "iter" in
-          let* snap_eta = float_field "eta" in
-          let* snap_area = float_field "area" in
-          let* snap_osc_area = float_field "osc-area" in
-          let* snap_osc_repeats = int_field "osc-repeats" in
-          let* solver_used = field "solver-used" in
-          let* budget_iterations = int_field "budget-iterations" in
-          let* budget_pivots = int_field "budget-pivots" in
-          let* budget_elapsed = float_field "budget-elapsed" in
-          let* tilos_met = field "tilos-met" in
-          let* tilos_met =
-            match bool_of_string_opt tilos_met with
-            | Some b -> Ok b
-            | None -> invalid path "malformed tilos-met"
-          in
-          let* tilos_bumps = int_field "tilos-bumps" in
-          let* tilos_cp = float_field "tilos-cp" in
-          let* tilos_area = float_field "tilos-area" in
-          let* snap_sizes = floats_field "sizes" in
-          let* tilos_sizes = floats_field "tilos-sizes" in
-          Ok
-            { circuit;
-              circuit_hash;
-              target;
-              solver;
-              fault_seed;
-              snapshot =
-                { Minflotransit.snap_iter;
-                  snap_sizes;
-                  snap_area;
-                  snap_eta;
-                  snap_osc_area;
-                  snap_osc_repeats;
-                  snap_solver =
-                    (if solver_used = "-" then None else Some solver_used) };
-              tilos =
-                { Tilos.sizes = tilos_sizes;
-                  met = tilos_met;
-                  bumps = tilos_bumps;
-                  final_cp = tilos_cp;
-                  area = tilos_area };
-              budget_iterations;
-              budget_pivots;
-              budget_elapsed }
-      | Some v ->
-        invalid path
-          (Printf.sprintf "format version %d (this build reads %d)" v version)
-      | None -> invalid path "malformed version")
-    | _ -> invalid path "not a minflo checkpoint (bad magic)")
+  let ( let* ) = Result.bind in
+  let* doc = read_document ~format:magic ~version path in
+  let req read key = field path doc read key in
+  let* circuit = req Json.str_field "circuit" in
+  let* circuit_hash = req hex64 "circuit_hash" in
+  let* target = req Json.float_field "target" in
+  let* solver = req Json.str_field "solver" in
+  let* fault_seed = req (or_null Json.int_field) "fault_seed" in
+  let* snap_iter = req Json.int_field "iter" in
+  let* snap_eta = req Json.float_field "eta" in
+  let* snap_area = req Json.float_field "area" in
+  let* snap_osc_area = req Json.float_field "osc_area" in
+  let* snap_osc_repeats = req Json.int_field "osc_repeats" in
+  let* snap_solver = req (or_null Json.str_field) "solver_used" in
+  let* budget_iterations = req Json.int_field "budget_iterations" in
+  let* budget_pivots = req Json.int_field "budget_pivots" in
+  let* budget_elapsed = req Json.float_field "budget_elapsed" in
+  let* met = req Json.bool_field "tilos_met" in
+  let* bumps = req Json.int_field "tilos_bumps" in
+  let* final_cp = req Json.float_field "tilos_cp" in
+  let* area = req Json.float_field "tilos_area" in
+  let* snap_sizes = req float_array "sizes" in
+  let* sizes = req float_array "tilos_sizes" in
+  Ok
+    { circuit;
+      circuit_hash;
+      target;
+      solver;
+      fault_seed;
+      snapshot =
+        { Minflotransit.snap_iter;
+          snap_sizes;
+          snap_area;
+          snap_eta;
+          snap_osc_area;
+          snap_osc_repeats;
+          snap_solver };
+      tilos = { Tilos.sizes; met; bumps; final_cp; area };
+      budget_iterations;
+      budget_pivots;
+      budget_elapsed }
 
 let validate ~file ck ~circuit_hash ~target ~solver =
   if ck.circuit_hash <> circuit_hash then

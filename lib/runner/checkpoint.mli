@@ -5,15 +5,18 @@
     and restart the run: a format version, a structural hash of the
     circuit, the absolute delay target, the solver, the TILOS seed the
     refinement started from, the run-budget meters, and the fault-plan
-    seed. Floats are written as C99 hex literals ([%h]), so a round trip
-    through the file is bit-exact — the foundation of the resume-equals-
-    uninterrupted guarantee.
+    seed. The file is one JSON object,
+    [{"format": "minflo-checkpoint", "version": 2, …}], whose floats are
+    spelled with {!Minflo_util.Json.of_float}, so a round trip through the
+    file is bit-exact — the foundation of the resume-equals-uninterrupted
+    guarantee.
 
     Writes are atomic: the file is written to a [.tmp] sibling, fsynced,
     and renamed over the destination, so a crash mid-checkpoint leaves the
-    previous checkpoint intact. Loads validate magic, version and circuit
-    hash and return a typed {!Minflo_robust.Diag.Checkpoint_invalid} on
-    any mismatch — a stale or foreign checkpoint can never silently seed a
+    previous checkpoint intact. Loads parse strictly (a truncated file is
+    not JSON) and, with {!validate}, check magic, version and circuit hash,
+    returning a typed {!Minflo_robust.Diag.Checkpoint_invalid} on any
+    mismatch — a stale or foreign checkpoint can never silently seed a
     resume. *)
 
 type t = {
@@ -37,22 +40,13 @@ val hash_netlist : Minflo_netlist.Netlist.t -> int64
 (** FNV-1a over the canonical [.bench] rendering: stable across processes
     and builds, sensitive to any structural change. *)
 
-val hex_float : float -> string
-(** Bit-exact float spelling: C99 hex ([%h]) for finite values and
-    infinities, ["nan:<16 hex digits>"] for nans (whose sign and payload
-    [%h] would collapse to the three bytes ["nan"]). Inverse of
-    {!parse_hex_float}. Also used by the fuzz corpus format. *)
-
-val parse_hex_float : string -> float option
-(** Reads everything {!hex_float} writes (plus ordinary decimal floats);
-    the round trip is bit-identical, nan payloads included. *)
-
 val save : string -> t -> (unit, Minflo_robust.Diag.error) result
 (** [save path ck] atomically replaces [path]. [Io_error] on failure. *)
 
 val load : string -> (t, Minflo_robust.Diag.error) result
-(** [Checkpoint_invalid] when the file is missing a field, truncated, has
-    the wrong magic or version; [Io_error] when unreadable. The circuit
+(** [Checkpoint_invalid] when the file is truncated or otherwise not JSON,
+    has the wrong magic or version, or misses a field or has a malformed
+    one (the reason names the key); [Io_error] when unreadable. The circuit
     hash is {e not} checked here — pair with {!validate}. *)
 
 val validate :
@@ -60,3 +54,22 @@ val validate :
   (unit, Minflo_robust.Diag.error) result
 (** Rejects (as [Checkpoint_invalid], carrying [file]) a checkpoint whose
     circuit hash, target or solver does not match the run being resumed. *)
+
+(** {1 Versioned JSON documents}
+
+    The reader checkpoints and fuzz reproducers share. *)
+
+val read_document :
+  format:string -> version:int -> string ->
+  (Minflo_util.Json.t, Minflo_robust.Diag.error) result
+(** [read_document ~format ~version path] reads [path] as one JSON object
+    whose ["format"] and ["version"] members are [format] and [version].
+    [Io_error] when unreadable; otherwise [Checkpoint_invalid] when the
+    file does not parse (truncation included), is a line-oriented version 1
+    file, or carries another format or version. *)
+
+val field :
+  string -> Minflo_util.Json.t -> (string -> Minflo_util.Json.t -> 'a option) ->
+  string -> ('a, Minflo_robust.Diag.error) result
+(** [field path doc read key] is [read key doc], or a [Checkpoint_invalid]
+    on [path] naming [key] as missing or malformed. *)

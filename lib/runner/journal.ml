@@ -11,12 +11,6 @@ type t = {
   mutable last_error : Diag.error option;
 }
 
-let float_field key j =
-  match Json.member key j with
-  | Some (Json.Num v) -> Some v
-  | Some (Json.Str s) -> float_of_string_opt s
-  | _ -> None
-
 let path t = t.path
 
 let last_error t = t.last_error
@@ -163,7 +157,7 @@ let completed path =
   List.iter
     (fun (event, j) ->
       if event = "job-ok" then
-        match (Json.str_field "job" j, float_field "area" j) with
+        match (Json.str_field "job" j, Json.float_field "area" j) with
         | Some job, Some area -> Hashtbl.replace table job area
         | _ -> ())
     (scan path);

@@ -35,8 +35,9 @@ val event :
 (** [event t ~job ~error ~fields name] appends one line
     [{"event": name, "seq": n, "t": seconds, "job": …, …fields, "code": …,
     "error": {…}}] and fsyncs it. Write float fields with
-    {!Minflo_robust.Diag.json_float}, so a non-finite one survives as its
-    ["%h"] string, and read them back with {!float_field}. Write failures are
+    {!Minflo_util.Json.of_float}, so a non-finite one survives as a string,
+    and read them back with {!Minflo_util.Json.float_field}, which also
+    reads the ["%h"] strings older journals wrote. Write failures are
     silent — journaling must never kill the run it documents — but the
     typed error is remembered (see {!last_error}). All bytes go through the
     instrumented {!Minflo_robust.Io} layer, so [io.*] fault sites and the
@@ -79,12 +80,7 @@ val canonical : string -> string list
 val scan : string -> (string * Minflo_util.Json.t) list
 (** [scan path] returns every complete event line as [(event, object)], in
     journal order; torn lines are dropped. Read fields with the
-    {!Minflo_util.Json} accessors and {!float_field}. Missing file means an
+    {!Minflo_util.Json} accessors. Missing file means an
     empty list. This is the serve daemon's recovery substrate: accepted-but-
     unfinished jobs are exactly those with an acceptance event and no
     terminal event. *)
-
-val float_field : string -> Minflo_util.Json.t -> float option
-(** [float_field key obj] reads a float written with
-    {!Minflo_robust.Diag.json_float}: a JSON number, or the ["%h"] string
-    of a non-finite value. *)

@@ -319,7 +319,7 @@ let handle_failure p task e =
     journal_event p.journal ~job:task.t_id ~error:e
       ~fields:
         [ ("attempt", Json.Num (float_of_int task.attempts));
-          ("backoff_seconds", Diag.json_float delay) ]
+          ("backoff_seconds", Json.of_float delay) ]
       "job-retry";
     task.last_error <- Some e;
     task.ready_at <- Mono.now () +. delay;
@@ -368,7 +368,7 @@ let poll_running p =
         journal_event p.journal ~job:r.id
           ~fields:
             [ ( "timeout_seconds",
-                Diag.json_float
+                Json.of_float
                   (Option.value p.cfg.timeout_seconds ~default:0.0) ) ]
           "job-timeout";
         (try Unix.kill r.pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -387,7 +387,7 @@ let poll_running p =
         journal_event p.journal ~job:r.id
           ~fields:
             [ ( "silent_seconds",
-                Diag.json_float (Mono.now () -. r.last_activity) ) ]
+                Json.of_float (Mono.now () -. r.last_activity) ) ]
           "job-watchdog-kill";
         (try Unix.kill r.pid Sys.sigkill with Unix.Unix_error _ -> ());
         r.watchdogged <- true

@@ -132,11 +132,10 @@ val pool_cancel :
     {!pool_step}. *)
 
 val pool_running_count : 'a pool -> int
-val pool_queued_count : 'a pool -> int
-(** Queued = submitted-but-unstarted plus retries awaiting backoff. *)
 
 val pool_load : 'a pool -> int
-(** [pool_running_count + pool_queued_count]. *)
+(** Running plus queued tasks; queued = submitted-but-unstarted plus
+    retries awaiting backoff. *)
 
 val pool_idle : 'a pool -> bool
 (** [pool_load = 0]: every submitted task has reached a final outcome. *)

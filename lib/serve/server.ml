@@ -104,13 +104,13 @@ let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
 let journal_result jr key (o : Job.outcome) =
   Journal.event_checked jr ~job:key
     ~fields:
-      [ ("area", Diag.json_float o.area);
-        ("area_ratio", Diag.json_float o.area_ratio);
-        ("cp", Diag.json_float o.cp);
-        ("target", Diag.json_float o.target);
+      [ ("area", Json.of_float o.area);
+        ("area_ratio", Json.of_float o.area_ratio);
+        ("cp", Json.of_float o.cp);
+        ("target", Json.of_float o.target);
         ("met", Json.Bool o.met);
         ("iterations", Json.Num (float_of_int o.iterations));
-        ("saving_pct", Diag.json_float o.saving_pct);
+        ("saving_pct", Json.of_float o.saving_pct);
         ("stop", Json.Str o.stop);
         ("resumed", Json.Bool o.resumed) ]
     "job-result"
@@ -120,7 +120,7 @@ let journal_result jr key (o : Job.outcome) =
 let recover_submit j : Protocol.submit option =
   match
     ( Json.str_field "circuit" j,
-      Journal.float_field "factor" j,
+      Json.float_field "factor" j,
       Option.bind (Json.str_field "solver" j) Job.solver_of_string )
   with
   | Some circuit, Some factor, Some solver ->
@@ -128,15 +128,15 @@ let recover_submit j : Protocol.submit option =
       { Protocol.circuit;
         factor;
         solver;
-        max_seconds = Journal.float_field "max_seconds" j;
+        max_seconds = Json.float_field "max_seconds" j;
         max_iterations = Json.int_field "max_iterations" j;
         max_pivots = Json.int_field "max_pivots" j;
         sleep_seconds =
-          Option.value (Journal.float_field "sleep_seconds" j) ~default:0.0 }
+          Option.value (Json.float_field "sleep_seconds" j) ~default:0.0 }
   | _ -> None
 
 let recover_done_fields key spec j =
-  let num k = Journal.float_field k j and bool k = Json.bool_field k j in
+  let num k = Json.float_field k j and bool k = Json.bool_field k j in
   match
     ( num "area",
       num "area_ratio",
@@ -697,10 +697,10 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
         Journal.event_checked jr ~job:key
           ~fields:
             ([ ("circuit", Json.Str s.circuit);
-               ("factor", Diag.json_float s.factor);
+               ("factor", Json.of_float s.factor);
                ("solver", Json.Str (Job.solver_name s.solver)) ]
             @ (match s.max_seconds with
-              | Some v -> [ ("max_seconds", Diag.json_float v) ]
+              | Some v -> [ ("max_seconds", Json.of_float v) ]
               | None -> [])
             @ (match s.max_iterations with
               | Some v -> [ ("max_iterations", Json.Num (float_of_int v)) ]
@@ -710,7 +710,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
               | None -> [])
             @
             if s.sleep_seconds > 0.0 then
-              [ ("sleep_seconds", Diag.json_float s.sleep_seconds) ]
+              [ ("sleep_seconds", Json.of_float s.sleep_seconds) ]
             else [])
           "serve-accepted"
       in

@@ -11,26 +11,17 @@ let fnv1a64 s =
 let hash_netlist nl = fnv1a64 (Minflo_netlist.Bench_format.to_string nl)
 
 let table : (string * int64, Delay_model.t) Hashtbl.t = Hashtbl.create 16
-let hits = ref 0
-let misses = ref 0
 
 let model ?(tech = Tech.default_130nm) nl =
   let key = (tech.Tech.name, hash_netlist nl) in
   match Hashtbl.find_opt table key with
   | Some m ->
-    incr hits;
     Minflo_robust.Perf.tick_cache_hit ();
     m
   | None ->
-    incr misses;
     Minflo_robust.Perf.tick_cache_miss ();
     let m = Elmore.of_netlist tech nl in
     Hashtbl.add table key m;
     m
 
-let clear () =
-  Hashtbl.reset table;
-  hits := 0;
-  misses := 0
-
-let stats () = (!hits, !misses)
+let clear () = Hashtbl.reset table

@@ -24,6 +24,3 @@ val model : ?tech:Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 
 val clear : unit -> unit
 (** Drop every cached model (tests; memory-sensitive long runs). *)
-
-val stats : unit -> int * int
-(** [(hits, misses)] since start / last {!clear}. *)

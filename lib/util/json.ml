@@ -81,6 +81,17 @@ let hex_digit = function
   | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
   | _ -> None
 
+(* the value of a string of hex digits; [Int64.of_string] would also take
+   OCaml's [_] digit separator *)
+let hex_value digits =
+  String.fold_left
+    (fun acc c ->
+      match (acc, hex_digit c) with
+      | Some a, Some d ->
+        Some (Int64.logor (Int64.shift_left a 4) (Int64.of_int d))
+      | _ -> None)
+    (Some 0L) digits
+
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
@@ -131,17 +142,8 @@ let parse (s : string) : (t, string) result =
              | 'u' ->
                if !pos + 4 >= n then fail "truncated \\u escape"
                else begin
-                 (* exactly four hex digits: [int_of_string] would also
-                    take OCaml's [_] digit separator *)
-                 let code =
-                   String.fold_left
-                     (fun acc c ->
-                       match (acc, hex_digit c) with
-                       | Some a, Some d -> Some ((a lsl 4) lor d)
-                       | _ -> None)
-                     (Some 0)
-                     (String.sub s (!pos + 1) 4)
-                 in
+                 let digits = String.sub s (!pos + 1) 4 in
+                 let code = Option.map Int64.to_int (hex_value digits) in
                  (match code with
                  | None -> fail "bad \\u escape"
                  | Some code when code < 0x80 ->
@@ -271,7 +273,30 @@ let to_int = function
     Some (int_of_float v)
   | _ -> None
 
+(* ---------- bit-exact floats ---------- *)
+
+(* A finite float is a number: [num_to_string] round-trips it bit for bit.
+   JSON has no spelling for the rest, so they are strings; a nan carries
+   its bits, since sign and payload are part of a bit-identical replay. *)
+let of_float v =
+  if Float.is_finite v then Num v
+  else if Float.is_nan v then
+    Str (Printf.sprintf "nan:%016Lx" (Int64.bits_of_float v))
+  else Str (if v > 0.0 then "infinity" else "-infinity")
+
+let to_float = function
+  | Num v -> Some v
+  | Str "infinity" -> Some Float.infinity
+  | Str "-infinity" -> Some Float.neg_infinity
+  | Str "nan" -> Some Float.nan (* older journals spelled every nan so *)
+  | Str s when String.length s = 20 && String.sub s 0 4 = "nan:" -> (
+    match Option.map Int64.float_of_bits (hex_value (String.sub s 4 16)) with
+    | Some v when Float.is_nan v -> Some v
+    | _ -> None)
+  | _ -> None
+
 let str_field key j = Option.bind (member key j) to_str
 let num_field key j = Option.bind (member key j) to_num
 let int_field key j = Option.bind (member key j) to_int
 let bool_field key j = Option.bind (member key j) to_bool
+let float_field key j = Option.bind (member key j) to_float

@@ -121,17 +121,14 @@ PROXY_PID=$!
 for _ in $(seq 1 100); do [ -S "$PROXY" ] && break; sleep 0.05; done
 [ -S "$PROXY" ] || { echo "error: chaosproxy never listened" >&2; exit 1; }
 
-# the first job sleeps long enough for its worker to be murdered mid-run;
-# sleeps only perturb the job identity, never the sizing result
-IDS=""
-SLEEP=3.0
-for F in $FACTORS; do
-  IDS="$IDS $(field "$("$MINFLO" client submit c17 --socket "$PROXY" \
-    --factor "$F" --sleep "$SLEEP" --retries 6)" id)"
-  SLEEP=0.3
-done
-VICTIM_ID="$(echo "$IDS" | awk '{print $1}')"
-VICTIM_PID="$(python3 - "$RUN/journal.jsonl" "$VICTIM_ID" <<'PY'
+# the victim job sleeps long enough for its worker to be murdered mid-run.
+# It is submitted alone, and its worker is killed before the other three
+# are submitted: were they submitted first, the proxied submits could
+# outlast its sleep and the kill would miss. Sleeps only perturb the job
+# identity, never the sizing result, and the signatures exclude the id,
+# so the submit order is free.
+spawn_pid() { # $1 = job id: the last worker pid journaled for it, or ""
+  python3 - "$RUN/journal.jsonl" "$1" <<'PY'
 import json, sys
 pid = None
 for line in open(sys.argv[1]):
@@ -143,10 +140,23 @@ for line in open(sys.argv[1]):
         pid = ev["pid"]
 print(pid if pid is not None else "")
 PY
-)"
+}
+VICTIM_ID="$(field "$("$MINFLO" client submit c17 --socket "$PROXY" \
+  --factor "${FACTORS%% *}" --sleep 3.0 --retries 6)" id)"
+VICTIM_PID=""
+for _ in $(seq 1 100); do
+  VICTIM_PID="$(spawn_pid "$VICTIM_ID")"
+  [ -n "$VICTIM_PID" ] && break
+  sleep 0.1
+done
 [ -n "$VICTIM_PID" ] || { echo "error: no worker pid journaled" >&2; exit 1; }
 kill -9 "$VICTIM_PID" 2>/dev/null || true
 echo "killed worker $VICTIM_PID of job $VICTIM_ID mid-load"
+IDS="$VICTIM_ID"
+for F in ${FACTORS#* }; do
+  IDS="$IDS $(field "$("$MINFLO" client submit c17 --socket "$PROXY" \
+    --factor "$F" --sleep 0.3 --retries 6)" id)"
+done
 
 : > "$DIR/chaos.sigs"
 for ID in $IDS; do

@@ -279,17 +279,56 @@ let test_corpus_roundtrip () =
     check string "netlist" (bench r.netlist) (bench r'.Corpus.netlist));
   rm_rf dir
 
+(* a version-1 repro of [sample_repro], as older builds wrote it *)
+let v1_repro =
+  "minflo-repro 1\n\
+   fingerprint engine/fault-injected/wphase\n\
+   seed 123456789\n\
+   target-factor 0x1.3333333333334p-2\n\
+   dw-iterations 2\n\
+   budget-iterations 400\n\
+   budget-pivots 200000\n\
+   solvers simplex ssp bellman-ford\n\
+   differential false\n\
+   tolerance 0x1.56e1fc2f8f359p-997\n\
+   fault-site wphase\n\
+   fault-seed 3\n\
+   netlist 15\n\
+   # c17\n\
+   # 5 inputs, 2 outputs, 6 gates\n\
+   INPUT(1)\n\
+   INPUT(2)\n\
+   INPUT(3)\n\
+   INPUT(6)\n\
+   INPUT(7)\n\
+   OUTPUT(22)\n\
+   OUTPUT(23)\n\
+   10 = NAND(1, 3)\n\
+   11 = NAND(3, 6)\n\
+   16 = NAND(2, 11)\n\
+   19 = NAND(11, 7)\n\
+   22 = NAND(10, 16)\n\
+   23 = NAND(16, 19)\n\
+   end\n"
+
 let test_corpus_rejects_garbage () =
   let dir = fresh_dir "corpus-bad" in
   let bad = Filename.concat dir "bad.repro" in
-  let oc = open_out bad in
-  output_string oc "not a repro\n";
-  close_out oc;
-  (match Corpus.load bad with
-  | Error (Diag.Checkpoint_invalid _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "garbage accepted");
-  (* truncation (crash mid-copy) is detected by the end marker *)
+  let rejected what text =
+    let oc = open_out_bin bad in
+    output_string oc text;
+    close_out oc;
+    match Corpus.load bad with
+    | Error (Diag.Checkpoint_invalid _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error: %s" what (Diag.to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception exn ->
+      Alcotest.failf "%s raised %s" what (Printexc.to_string exn)
+  in
+  rejected "garbage" "not a repro\n";
+  rejected "version 1 file" v1_repro;
+  (* truncation (crash mid-copy) is caught by the strict parse, wherever
+     the cut falls *)
   let r = sample_repro () in
   let good =
     match Corpus.save ~dir r with
@@ -303,13 +342,9 @@ let test_corpus_rejects_garbage () =
     close_in ic;
     s
   in
-  let oc = open_out_bin bad in
-  output_string oc (String.sub text 0 (String.length text * 2 / 3));
-  close_out oc;
-  (match Corpus.load bad with
-  | Error (Diag.Checkpoint_invalid _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "truncated repro accepted");
+  for n = 0 to String.length text - 1 do
+    rejected (Printf.sprintf "%d-byte prefix" n) (String.sub text 0 n)
+  done;
   (match Corpus.load (Filename.concat dir "absent.repro") with
   | Error (Diag.Io_error _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)

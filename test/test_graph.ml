@@ -97,13 +97,6 @@ let test_reachable () =
   let rr = Traverse.reachable_rev g ~roots:[ b ] in
   check bool "rev a" true (Minflo_util.Bitset.mem rr a)
 
-let test_components () =
-  let g = Digraph.create () in
-  ignore (Digraph.add_nodes g 4);
-  ignore (Digraph.add_edge g 0 1);
-  ignore (Digraph.add_edge g 2 3);
-  check int "two components" 2 (Traverse.weakly_connected_components g)
-
 let test_dot_output () =
   let g = diamond () in
   let s = Dot.to_dot ~name:"test" ~node_label:string_of_int g in
@@ -170,6 +163,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_levels_monotone ] );
       ( "traverse",
         [ tc "dfs_post" `Quick test_dfs_post;
-          tc "reachable" `Quick test_reachable;
-          tc "components" `Quick test_components ] );
+          tc "reachable" `Quick test_reachable ] );
       ("dot", [ tc "output" `Quick test_dot_output ]) ]

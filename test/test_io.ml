@@ -407,6 +407,13 @@ let test_corpus_enospc () =
   (match Corpus.save ~dir repro with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "clean save: %s" (Diag.to_string e));
+  (* a corpus directory under a regular file cannot be created: typed *)
+  let file = Filename.concat dir "plain-file" in
+  close_out (open_out file);
+  (match Corpus.save ~dir:(Filename.concat file "corpus") repro with
+  | Error (Diag.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
+  | Ok p -> Alcotest.failf "save under a regular file succeeded: %s" p);
   rm_rf dir
 
 (* ---------- EINTR-retrying primitives ---------- *)

@@ -145,17 +145,53 @@ let test_checkpoint_roundtrip () =
     check_float_bits "budget elapsed" ck.budget_elapsed ck'.Checkpoint.budget_elapsed);
   rm_rf dir
 
+(* a version-1 checkpoint of [sample_checkpoint], as older builds wrote it *)
+let v1_checkpoint =
+  "minflo-checkpoint 1\n\
+   circuit c17\n\
+   circuit-hash 677886c4ca1aa755\n\
+   target 0x1.3333333333334p-2\n\
+   solver simplex\n\
+   fault-seed 42\n\
+   iter 7\n\
+   eta 0x1p-3\n\
+   area 0x1.8b0fcd32f707ap+3\n\
+   osc-area 0x1.0000000000001p+0\n\
+   osc-repeats 2\n\
+   solver-used ssp\n\
+   budget-iterations 9\n\
+   budget-pivots 12345\n\
+   budget-elapsed 0x1.8p+0\n\
+   tilos-met true\n\
+   tilos-bumps 31\n\
+   tilos-cp 0x1.9999999999999p-4\n\
+   tilos-area 0x1.18p+4\n\
+   sizes 5 0x1p+0 0x1.921fb54442d18p+1 0x1.56e1fc2f8f359p-997 \
+   0x1.999999999999ap-4 0x1.aaaaaaaaaaaabp+1\n\
+   tilos-sizes 5 0x1.199999999999ap+0 0x1.199999999999ap+1 \
+   0x1.199999999999ap+2 0x1.3333333333334p-2 0x1p+0\n\
+   end\n"
+
 let test_checkpoint_rejects_garbage () =
   let dir = fresh_dir "ckpt-bad" in
   let file = Filename.concat dir "bad.ckpt" in
-  let oc = open_out file in
-  output_string oc "not a checkpoint\n";
-  close_out oc;
-  (match Checkpoint.load file with
-  | Error (Diag.Checkpoint_invalid _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "garbage accepted");
-  (* a truncated file (crash mid-write of a non-atomic copy) is rejected *)
+  let rejected what text =
+    let oc = open_out_bin file in
+    output_string oc text;
+    close_out oc;
+    match Checkpoint.load file with
+    | Error (Diag.Checkpoint_invalid _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error: %s" what (Diag.to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | exception exn ->
+      Alcotest.failf "%s raised %s" what (Printexc.to_string exn)
+  in
+  rejected "garbage" "not a checkpoint\n";
+  rejected "version 1 file" v1_checkpoint;
+  rejected "other version"
+    "{\"format\":\"minflo-checkpoint\",\"version\":3}";
+  (* a truncated file (crash mid-write of a non-atomic copy) is rejected,
+     wherever the cut falls *)
   let good = Filename.concat dir "good.ckpt" in
   (match Checkpoint.save good (sample_checkpoint ()) with
   | Ok () -> ()
@@ -167,13 +203,23 @@ let test_checkpoint_rejects_garbage () =
     close_in ic;
     s
   in
+  for n = 0 to String.length text - 1 do
+    rejected (Printf.sprintf "%d-byte prefix" n) (String.sub text 0 n)
+  done;
+  (* a missing or malformed field is named *)
+  let member_dropped =
+    match Json.parse text with
+    | Ok (Json.Obj members) ->
+      Json.to_string (Json.Obj (List.remove_assoc "tilos_cp" members))
+    | _ -> Alcotest.fail "checkpoint is not a JSON object"
+  in
   let oc = open_out_bin file in
-  output_string oc (String.sub text 0 (String.length text / 2));
+  output_string oc member_dropped;
   close_out oc;
   (match Checkpoint.load file with
-  | Error (Diag.Checkpoint_invalid _) -> ()
-  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "truncated checkpoint accepted");
+  | Error (Diag.Checkpoint_invalid { reason; _ }) ->
+    check string "reason names the key" "missing field \"tilos_cp\"" reason
+  | _ -> Alcotest.fail "checkpoint without tilos_cp accepted");
   (* missing file is an io error, not a crash *)
   (match Checkpoint.load (Filename.concat dir "absent.ckpt") with
   | Error (Diag.Io_error _) -> ()
@@ -289,8 +335,8 @@ let test_journal_torn_line_recovery () =
 
 (* every value a journal line carries comes back equal, whether the parent
    wrote it or a forked worker sent it over the event pipe: escapes (a tab
-   is not a "t"), a non-finite float (its "%h" string, never null) and a
-   nested object *)
+   is not a "t"), a non-finite float (a string, never null) and a nested
+   object *)
 let test_journal_round_trip () =
   let dir = fresh_dir "journal-round-trip" in
   let path = Filename.concat dir "journal.jsonl" in
@@ -300,8 +346,8 @@ let test_journal_round_trip () =
   in
   let fields =
     [ ("note", Json.Str awkward);
-      ("area", Diag.json_float infinity);
-      ("eta", Diag.json_float 0.1);
+      ("area", Json.of_float infinity);
+      ("eta", Json.of_float 0.1);
       ("phases", phases) ]
   in
   (match Journal.open_append path with
@@ -322,10 +368,10 @@ let test_journal_round_trip () =
     (fun (_, j) ->
       check Alcotest.(option string) "string with escapes" (Some awkward)
         (Json.str_field "note" j);
-      (match Journal.float_field "area" j with
+      (match Json.float_field "area" j with
       | Some a -> check_float_bits "infinite float" infinity a
       | None -> Alcotest.fail "infinite float lost");
-      (match Journal.float_field "eta" j with
+      (match Json.float_field "eta" j with
       | Some e -> check_float_bits "finite float" 0.1 e
       | None -> Alcotest.fail "finite float lost");
       check bool "nested object" true (Json.member "phases" j = Some phases))
@@ -343,9 +389,9 @@ let test_journal_round_trip () =
   rm_rf dir
 
 let test_checkpoint_special_floats () =
-  (* the "%h" encoding must round-trip every float bit pattern the engine
-     can produce, including the non-finite ones a diverging run leaves in
-     a snapshot *)
+  (* the one float spelling must round-trip every float bit pattern the
+     engine can produce, including the non-finite ones a diverging run
+     leaves in a snapshot, through print and parse *)
   let payload_nan = Int64.float_of_bits 0x7ff8_0000_dead_beefL in
   let specials =
     [ Float.nan; payload_nan; Float.infinity; Float.neg_infinity; -0.0;
@@ -353,10 +399,10 @@ let test_checkpoint_special_floats () =
   in
   List.iter
     (fun f ->
-      match Checkpoint.parse_hex_float (Checkpoint.hex_float f) with
-      | Some f' -> check_float_bits (Checkpoint.hex_float f) f f'
-      | None ->
-        Alcotest.failf "unparsable own rendering %S" (Checkpoint.hex_float f))
+      let text = Json.to_string (Json.of_float f) in
+      match Result.map Json.to_float (Json.parse text) with
+      | Ok (Some f') -> check_float_bits text f f'
+      | _ -> Alcotest.failf "unparsable own rendering %S" text)
     specials;
   (* and through a whole checkpoint file *)
   let dir = fresh_dir "ckpt-special" in

@@ -5,7 +5,6 @@ module Heap = Minflo_util.Heap
 module Rng = Minflo_util.Rng
 module Stats = Minflo_util.Stats
 module Bitset = Minflo_util.Bitset
-module Union_find = Minflo_util.Union_find
 module Table = Minflo_util.Table
 
 let check = Alcotest.check
@@ -207,19 +206,6 @@ let test_bitset_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of range")
     (fun () -> Bitset.add s 8)
 
-(* ---------- Union_find ---------- *)
-
-let test_union_find () =
-  let uf = Union_find.create 10 in
-  check int "components" 10 (Union_find.count uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 1 2;
-  check bool "same" true (Union_find.same uf 0 2);
-  check bool "diff" false (Union_find.same uf 0 3);
-  check int "components" 8 (Union_find.count uf);
-  Union_find.union uf 0 2;
-  check int "idempotent union" 8 (Union_find.count uf)
-
 (* ---------- Table ---------- *)
 
 let contains hay needle =
@@ -300,6 +286,5 @@ let () =
           tc "empty/singleton" `Quick test_stats_empty_and_singleton ] );
       ( "bitset",
         [ tc "ops" `Quick test_bitset_ops; tc "bounds" `Quick test_bitset_bounds ] );
-      ("union_find", [ tc "basic" `Quick test_union_find ]);
       ( "table",
         [ tc "render" `Quick test_table_render; tc "arity" `Quick test_table_arity ] ) ]
