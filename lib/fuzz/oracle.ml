@@ -155,6 +155,24 @@ let lint_stage sink nl =
                     (Fingerprint.make ~phase:"lint" ~code:f.rule.Rule.id ())
                     "%s" f.message)))
 
+(* the engine's critical set — possibly its reused buffer — against a fresh
+   engine's walk at the same sizes *)
+let check_critical_set sink model eng =
+  let members e =
+    List.init
+      (Incremental.critical_set ~eps_rel:1e-7 e)
+      (Incremental.critical_vertex e)
+  in
+  let mine = members eng
+  and fresh = members (Incremental.create model ~sizes:(Incremental.sizes eng)) in
+  if mine <> fresh then
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-set" ())
+      "incremental critical set differs from a fresh engine's (%d vs %d \
+       members)"
+      (List.length mine) (List.length fresh)
+
 (* Incremental-vs-batch STA differential. The arena-backed incremental
    engine claims bit-identity with a from-scratch batch pass after any
    mutation sequence (the property TILOS and the W-phase hot paths lean
@@ -217,20 +235,7 @@ let check_incremental sink model eng =
       (Incremental.critical_fanin eng v)
       expect
   | None -> ());
-  let members e =
-    List.init
-      (Incremental.critical_set ~eps_rel:1e-7 e)
-      (Incremental.critical_vertex e)
-  in
-  let mine = members eng
-  and fresh = members (Incremental.create model ~sizes:(Incremental.sizes eng)) in
-  if mine <> fresh then
-    flag sink
-      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
-         ~detail:"critical-set" ())
-      "incremental critical set differs from a fresh engine's (%d vs %d \
-       members)"
-      (List.length mine) (List.length fresh)
+  check_critical_set sink model eng
 
 let incremental_stage sink model =
   ignore
@@ -257,9 +262,12 @@ let incremental_stage sink model =
              Incremental.create model
                ~sizes:(Delay_model.uniform_sizes model model.Delay_model.min_size)
            in
+           (* TILOS-shaped: query the critical set after every bump, so
+              the engine reuses its certified buffer between walks *)
            for _ = 1 to 12 do
              let v = Rng.int rng n in
-             Incremental.set_size tied v (Incremental.size tied v *. 1.1)
+             Incremental.set_size tied v (Incremental.size tied v *. 1.1);
+             check_critical_set sink model tied
            done;
            check_incremental sink model tied
          end))

@@ -107,7 +107,6 @@ let tick_cache_hit () = current.cache_hits <- current.cache_hits + 1
 let tick_cache_miss () = current.cache_misses <- current.cache_misses + 1
 let tick_rejection () = current.rejections <- current.rejections + 1
 let tick_eviction () = current.evictions <- current.evictions + 1
-let tick_incr_update () = current.incr_updates <- current.incr_updates + 1
 
 let tick_full_sweep_avoided () =
   current.full_sweeps_avoided <- current.full_sweeps_avoided + 1

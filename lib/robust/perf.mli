@@ -78,7 +78,6 @@ val tick_cache_hit : unit -> unit
 val tick_cache_miss : unit -> unit
 val tick_rejection : unit -> unit
 val tick_eviction : unit -> unit
-val tick_incr_update : unit -> unit
 val tick_full_sweep_avoided : unit -> unit
 
 val to_fields : counters -> (string * int) list

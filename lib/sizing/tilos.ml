@@ -53,6 +53,57 @@ let sensitivity (model : Delay_model.t) eng bump i =
     (own_gain -. fanin_penalty) /. darea
   end
 
+(* Tournament tree over critical-buffer positions: leaf [leaves + k] holds
+   member [k]'s key, an inner node the winner of its two children — the
+   right one only when its key is strictly greater. The root is thus the
+   first position in buffer order with the largest key. Padding leaves
+   past the buffer key [neg_infinity]. *)
+type tree = {
+  mutable leaves : int;
+  mutable key : float array;
+  mutable win : int array;
+}
+
+let play tr j =
+  let l = 2 * j in
+  let w = if tr.key.(l + 1) > tr.key.(l) then l + 1 else l in
+  tr.key.(j) <- tr.key.(w);
+  tr.win.(j) <- tr.win.(w)
+
+(* room for [len] leaves, all [neg_infinity]; [play_all] then settles the
+   inner nodes once the leaves are set *)
+let reset tr len =
+  let p = ref 1 in
+  while !p < len do
+    p := 2 * !p
+  done;
+  tr.leaves <- !p;
+  if Array.length tr.win < 2 * !p then begin
+    tr.key <- Array.make (2 * !p) neg_infinity;
+    tr.win <- Array.make (2 * !p) 0
+  end
+  else Array.fill tr.key 0 (2 * !p) neg_infinity;
+  for k = 0 to !p - 1 do
+    tr.win.(!p + k) <- k
+  done
+
+let play_all tr =
+  for j = tr.leaves - 1 downto 1 do
+    play tr j
+  done
+
+(* key leaf [k] by a merit: itself when positive, else [neg_infinity] *)
+let[@inline] set_leaf tr k s =
+  tr.key.(tr.leaves + k) <- (if s > 0.0 then s else neg_infinity)
+
+(* replay the matches above leaf [k] after its key changed *)
+let replay tr k =
+  let j = ref ((tr.leaves + k) / 2) in
+  while !j >= 1 do
+    play tr !j;
+    j := !j / 2
+  done
+
 let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
   let n = Delay_model.num_vertices model in
   let start =
@@ -68,6 +119,16 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
   (* sensitivity cache: [sens.(i)] is current while [seen.(i)] equals i's
      engine version *)
   let sens = Array.make n 0.0 and seen = Array.make n (-1) in
+  let refresh i =
+    let v = Inc.version eng i in
+    if seen.(i) <> v then begin
+      sens.(i) <- sensitivity model eng bump i;
+      seen.(i) <- v
+    end
+  in
+  (* while the engine reuses its buffer, a tree keyed by the positive
+     merits (others [neg_infinity]): its root is the scan's pick *)
+  let tr = { leaves = 0; key = [||]; win = [||] } and tree_ok = ref false in
   let bumps = ref 0 in
   let finished = ref false in
   let met = ref false in
@@ -89,19 +150,49 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
       (* candidates: vertices on a maximal-finish path, via the incremental
          engine's tight-edge backtrace *)
       let len = Inc.critical_set ~eps_rel:1e-7 eng in
-      let best = ref (-1) and best_s = ref 0.0 in
-      for k = 0 to len - 1 do
-        let i = Inc.critical_vertex eng k in
-        let v = Inc.version eng i in
-        if seen.(i) <> v then begin
-          sens.(i) <- sensitivity model eng bump i;
-          seen.(i) <- v
+      let best = ref (-1) in
+      if not (Inc.critical_reused eng) then begin
+        (* a fresh walk: scan every member for the first in preorder with
+           the largest positive merit *)
+        tree_ok := false;
+        let best_s = ref 0.0 in
+        for k = 0 to len - 1 do
+          let i = Inc.critical_vertex eng k in
+          let v = Inc.version eng i in
+          if seen.(i) <> v then begin
+            sens.(i) <- sensitivity model eng bump i;
+            seen.(i) <- v
+          end;
+          if sens.(i) > !best_s then begin
+            best_s := sens.(i);
+            best := i
+          end
+        done
+      end
+      else begin
+        (* the buffer of the last call, unchanged: the tree picks the same
+           member the scan would, and only members whose version moved
+           can have a new merit *)
+        if !tree_ok then
+          for j = 0 to Inc.touched_count eng - 1 do
+            let i = Inc.touched_member eng j in
+            let k = Inc.critical_pos eng i in
+            refresh i;
+            set_leaf tr k sens.(i);
+            replay tr k
+          done
+        else begin
+          reset tr len;
+          for k = 0 to len - 1 do
+            let i = Inc.critical_vertex eng k in
+            refresh i;
+            set_leaf tr k sens.(i)
+          done;
+          play_all tr;
+          tree_ok := true
         end;
-        if sens.(i) > !best_s then begin
-          best_s := sens.(i);
-          best := i
-        end
-      done;
+        if tr.key.(1) > 0.0 then best := Inc.critical_vertex eng tr.win.(1)
+      end;
       (* The local estimate can be blind when parallel paths tie or loads
          are shared; before giving up, evaluate candidates exactly (trial
          bump, measure total sink violation, roll back) and take the best

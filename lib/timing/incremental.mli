@@ -13,7 +13,7 @@
     order-independent in floats, and the delay sums keep their coefficient
     order). That bit-equivalence is enforced by a 200-seed random-mutation
     differential in the test suite and by the fuzz oracle's
-    [sta/incremental-mismatch] stage. Each worklist pop ticks the
+    [sta/incremental-mismatch] stage. Each worklist pop counts toward the
     [incr_updates] perf counter; each {!set_size} that settles ticks
     [full_sweeps_avoided]. Alongside the arrivals the engine keeps each
     vertex's {!critical_fanin} and a {!version} stamp, which TILOS keys
@@ -70,8 +70,43 @@ val critical_set : ?eps_rel:float -> t -> int
     The walk fills an engine-owned buffer without allocating and returns
     its length; read it with {!critical_vertex}. Members come in
     depth-first preorder — sinks ascending, fanins in CSR order — and the
-    next call overwrites the buffer. *)
+    next call overwrites the buffer.
+
+    Reuse contract: each walk also records a certificate — the worst
+    sinks, the tight bit of every fanin slot it read (a slot into a vertex
+    already reached is skipped unread), the tolerance they were taken
+    under and the slack margins on either side of it. {!set_size}
+    rechecks the read slots of every member it re-propagates. When no
+    read bit flipped, the worst sinks are unchanged and the call's
+    tolerance lies within the margins, the walk would reproduce the buffer
+    exactly, so the call returns it as it stands ({!critical_reused}) at
+    the cost of two sink scans; otherwise it walks. Either way the buffer
+    is the walk's output. *)
 
 val critical_vertex : t -> int -> int
 (** [critical_vertex t k] is the [k]-th member of the last {!critical_set}.
     @raise Invalid_argument unless [0 <= k <] that set's length. *)
+
+(** {2 Reading what moved}
+
+    For a caller that keeps a value per member (TILOS keeps its sensitivity
+    argmax) and wants to update only the members whose {!version} moved
+    when the buffer was reused. *)
+
+val critical_reused : t -> bool
+(** Whether the last {!critical_set} returned the previous call's buffer
+    without walking. Members and positions are then unchanged. *)
+
+val critical_pos : t -> int -> int
+(** The vertex's position in the last {!critical_set}'s buffer, [-1] for a
+    non-member. *)
+
+val touched_count : t -> int
+(** After a {!critical_set} that reused its buffer: the number of members
+    whose {!version} moved between the previous call and that one, each
+    counted once. [0] after a walk, and from the first member {!version}
+    that moves after the call, which starts the next interval's log. *)
+
+val touched_member : t -> int -> int
+(** [touched_member t k] is the [k]-th of those members.
+    @raise Invalid_argument unless [0 <= k <] {!touched_count}. *)

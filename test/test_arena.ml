@@ -179,33 +179,6 @@ let batch_critical_fanin (model : DM.t) ~at ~d v =
   done;
   !best
 
-(* the recursive critical-set backtrace the engine used before its walk
-   became iterative, kept verbatim as the order reference: preorder from
-   the worst sinks (ascending) along tight edges, fanins in CSR order *)
-let reference_critical_set ?(eps_rel = 1e-9) (model : DM.t) eng =
-  let m = model in
-  let cp = Inc.critical_path eng in
-  let eps = eps_rel *. (1.0 +. cp) in
-  let seen = Array.make m.n false in
-  let acc = ref [] in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      acc := v :: !acc;
-      for c = m.fanin_off.(v) to m.fanin_off.(v + 1) - 1 do
-        let u = m.fanin.(c) in
-        (* edge u -> v is tight when u's finish realizes v's arrival *)
-        if abs_float (Inc.finish eng u -. Inc.arrival eng v) <= eps then
-          visit u
-      done
-    end
-  in
-  for k = 0 to Array.length m.sinks - 1 do
-    let v = m.sinks.(k) in
-    if abs_float (Inc.finish eng v -. cp) <= eps then visit v
-  done;
-  List.rev !acc
-
 let buffered_critical_set ?eps_rel eng =
   let len = Inc.critical_set ?eps_rel eng in
   List.init len (Inc.critical_vertex eng)
@@ -231,7 +204,7 @@ let check_derived_state what (model : DM.t) eng ~versions =
     (fun eps_rel ->
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "%s critical set (eps_rel %g)" what eps_rel)
-        (reference_critical_set ~eps_rel model eng)
+        (Critical_reference.critical_set ~eps_rel model eng)
         (buffered_critical_set ~eps_rel eng))
     [ 1e-9; 1e-7 ]
 
@@ -331,6 +304,132 @@ let test_rollback_exact () =
     done
   done
 
+(* ---------- the certified critical set ---------- *)
+
+(* A TILOS-shaped schedule against the reuse certificate: uniform minimum
+   sizes, 1.1 bumps of critical members, sometimes several bumps or
+   trial-bump/rollback pairs between two queries, and the tolerance
+   alternating between TILOS's 1e-7 and the default 1e-9. After every
+   query the buffer must be the reference walk and the positions its
+   index; after a reuse the touched log must name each member whose
+   version moved since the previous query, once. Returns how many queries
+   reused the buffer. A wide tolerance keeps near-tied slots tight, so a
+   member's critical fanin can move while the buffer is reused. *)
+let certificate_schedule ?(tolerances = [| 1e-9; 1e-7 |]) what (model : DM.t)
+    ~seed ~steps =
+  let n = model.n in
+  let rng = Rng.create seed in
+  let eng = Inc.create model ~sizes:(DM.uniform_sizes model model.min_size) in
+  let versions = Array.init n (Inc.version eng) in
+  let reused = ref 0 in
+  for step = 1 to steps do
+    let eps_rel = tolerances.(step mod Array.length tolerances) in
+    let what = Printf.sprintf "%s step %d" what step in
+    let crit = buffered_critical_set ~eps_rel eng in
+    check (Alcotest.list Alcotest.int) (what ^ " critical set")
+      (Critical_reference.critical_set ~eps_rel model eng)
+      crit;
+    let pos = Array.make n (-1) in
+    List.iteri (fun k v -> pos.(v) <- k) crit;
+    for v = 0 to n - 1 do
+      if Inc.critical_pos eng v <> pos.(v) then
+        Alcotest.failf "%s: position of %d is %d, expected %d" what v
+          (Inc.critical_pos eng v) pos.(v)
+    done;
+    let moved = List.filter (fun v -> Inc.version eng v <> versions.(v)) crit in
+    let logged = List.init (Inc.touched_count eng) (Inc.touched_member eng) in
+    if Inc.critical_reused eng then begin
+      incr reused;
+      check (Alcotest.list Alcotest.int) (what ^ " touched log")
+        (List.sort compare moved) (List.sort compare logged)
+    end
+    else check (Alcotest.list Alcotest.int) (what ^ " log after a walk") [] logged;
+    for v = 0 to n - 1 do
+      versions.(v) <- Inc.version eng v
+    done;
+    let crit = Array.of_list crit in
+    let pick () =
+      if Array.length crit = 0 then Rng.int rng n
+      else crit.(Rng.int rng (Array.length crit))
+    in
+    let bump v = Inc.set_size eng v (Inc.size eng v *. 1.1) in
+    match Rng.int rng 4 with
+    | 0 ->
+      for _ = 0 to Rng.int rng 3 do
+        bump (pick ())
+      done
+    | 1 ->
+      for _ = 0 to Rng.int rng 3 do
+        let v = pick () in
+        let old = Inc.size eng v in
+        bump v;
+        Inc.set_size eng v old
+      done;
+      bump (pick ())
+    | _ -> bump (pick ())
+  done;
+  !reused
+
+(* The margins: lift the tolerance exactly onto each of the smallest
+   slacks of the members' loose fanin slots in turn. Each such slot turns
+   tight; where the walk reads it, the set changes and a reuse past the
+   margin would show. *)
+let margin_probe what (model : DM.t) ~seed =
+  let rng = Rng.create seed in
+  let eng = Inc.create model ~sizes:(random_sizes rng model) in
+  let crit = buffered_critical_set eng in
+  let cp = Inc.critical_path eng in
+  let eps = 1e-9 *. (1.0 +. cp) in
+  let loose = ref [] in
+  List.iter
+    (fun v ->
+      for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+        let u = model.fanin.(c) in
+        let s = abs_float (Inc.finish eng u -. Inc.arrival eng v) in
+        if s > eps then loose := s :: !loose
+      done)
+    crit;
+  List.iteri
+    (fun k slack ->
+      if k < 4 then begin
+        let eps_rel = ref (slack /. (1.0 +. cp)) in
+        while !eps_rel *. (1.0 +. cp) < slack do
+          eps_rel := Float.succ !eps_rel
+        done;
+        let eps_rel = !eps_rel in
+        check (Alcotest.list Alcotest.int)
+          (Printf.sprintf "%s critical set on margin %d" what k)
+          (Critical_reference.critical_set ~eps_rel model eng)
+          (buffered_critical_set ~eps_rel eng)
+      end)
+    (List.sort_uniq compare !loose)
+
+let test_certified_critical_set () =
+  for seed = 0 to 199 do
+    margin_probe (Printf.sprintf "seed %d" seed) (random_model seed)
+      ~seed:(seed + 1700)
+  done;
+  let reused = ref 0 in
+  for seed = 0 to 199 do
+    reused :=
+      !reused
+      + certificate_schedule (Printf.sprintf "seed %d" seed) (random_model seed)
+          ~seed:(seed + 900) ~steps:40
+  done;
+  if !reused = 0 then Alcotest.fail "no random-model query reused its buffer";
+  for seed = 0 to 199 do
+    ignore
+      (certificate_schedule ~tolerances:[| 0.5 |]
+         (Printf.sprintf "seed %d (wide)" seed)
+         (random_model seed) ~seed:(seed + 2300) ~steps:20)
+  done;
+  let rca =
+    certificate_schedule "rca64"
+      (Elmore.of_netlist tech (Gen.ripple_carry_adder ~bits:64 ()))
+      ~seed:64 ~steps:400
+  in
+  if rca < 200 then Alcotest.failf "rca64 reused only %d of 400 queries" rca
+
 let suite =
   [ ( "layout-digest-elmore",
       `Quick,
@@ -348,6 +447,7 @@ let suite =
     ("sinks-ascending", `Quick, test_sinks_ascending);
     ("arena-kernels-exact", `Quick, test_arena_kernels_exact);
     ("mutation-differential-200-seeds", `Quick, test_mutation_differential);
-    ("rollback-exact", `Quick, test_rollback_exact) ]
+    ("rollback-exact", `Quick, test_rollback_exact);
+    ("certified-critical-set", `Quick, test_certified_critical_set) ]
 
 let () = Alcotest.run "arena" [ ("arena", suite) ]

@@ -59,9 +59,11 @@ let prop_tilos_monotone_area =
       (not (loose.met && tight.met)) || tight.area >= loose.area -. 1e-9)
 
 (* The TILOS loop as it ran before sensitivities were cached: every bump
-   rescans each critical vertex's fanins for its critical fanin and
-   recomputes every sensitivity, through the public engine API only. The
-   cached [Tilos.size] must retrace it bump for bump. *)
+   walks the critical set with the recursive reference traversal, rescans
+   each critical vertex's fanins for its critical fanin and recomputes
+   every sensitivity, through the public engine API only — never the
+   engine's certified buffer or its touched log. The cached [Tilos.size]
+   must retrace it bump for bump. *)
 let reference_tilos ?(bump = 1.1) (model : DM.t) ~target =
   let module Inc = Minflo_timing.Incremental in
   let sensitivity eng i =
@@ -105,9 +107,7 @@ let reference_tilos ?(bump = 1.1) (model : DM.t) ~target =
   while not !finished do
     if Inc.critical_path eng <= target then finished := true
     else begin
-      let crit =
-        List.init (Inc.critical_set ~eps_rel:1e-7 eng) (Inc.critical_vertex eng)
-      in
+      let crit = Critical_reference.critical_set ~eps_rel:1e-7 model eng in
       let best = ref (-1) and best_s = ref 0.0 in
       List.iter
         (fun i ->
@@ -146,6 +146,13 @@ let reference_tilos ?(bump = 1.1) (model : DM.t) ~target =
 let hex_sizes x = Array.to_list (Array.map (Printf.sprintf "%h") x)
 
 let test_tilos_matches_uncached_loop () =
+  let same what model ~target =
+    let r = Tilos.size model ~target in
+    let bumps, sizes = reference_tilos model ~target in
+    check Alcotest.int (what ^ " bumps") bumps r.bumps;
+    check (Alcotest.list Alcotest.string) (what ^ " sizes") (hex_sizes sizes)
+      (hex_sizes r.sizes)
+  in
   for seed = 0 to 49 do
     let model =
       model_of
@@ -154,13 +161,17 @@ let test_tilos_matches_uncached_loop () =
     in
     let rng = Rng.create (seed + 31) in
     let target = (0.35 +. Rng.float rng 0.6) *. Sweep.dmin model in
-    let r = Tilos.size model ~target in
-    let bumps, sizes = reference_tilos model ~target in
-    check Alcotest.int (Printf.sprintf "seed %d bumps" seed) bumps r.bumps;
-    check (Alcotest.list Alcotest.string)
-      (Printf.sprintf "seed %d sizes" seed)
-      (hex_sizes sizes) (hex_sizes r.sizes)
-  done
+    same (Printf.sprintf "seed %d" seed) model ~target
+  done;
+  (* ripple adders: the critical set persists across most bumps, so the
+     engine reuses its buffer and TILOS picks from its tree, and the
+     identical cells tie sensitivities everywhere *)
+  List.iter
+    (fun bits ->
+      let model = model_of (Gen.ripple_carry_adder ~bits ()) in
+      same (Printf.sprintf "rca%d" bits) model
+        ~target:(0.6 *. Sweep.dmin model))
+    [ 8; 16; 32 ]
 
 (* bump counts and exact areas at 0.6 Dmin, as the uncached loop produced
    them *)
