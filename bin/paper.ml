@@ -101,13 +101,13 @@ let ablations () =
   let delays = Delay_model.delays model tilos.sizes in
   let time_solver solver =
     let t0 = Unix.gettimeofday () in
-    match
-      Dphase.solve
-        ~options:{ Dphase.default_options with solver }
-        model ~sizes:tilos.sizes ~delays ~deadline:target
-    with
-    | Ok o -> (Unix.gettimeofday () -. t0, o.objective)
-    | Error e -> Diag.fail e
+    let o =
+      Cli.or_fail
+        (Dphase.solve
+           ~options:{ Dphase.default_options with solver }
+           model ~sizes:tilos.sizes ~delays ~deadline:target)
+    in
+    (Unix.gettimeofday () -. t0, o.objective)
   in
   let ts, os_ = time_solver `Simplex in
   let tp, op = time_solver `Ssp in
@@ -165,13 +165,9 @@ let run ~quick =
       (rows @ curves)
   in
   if above <> [] then
-    Diag.fail
-      (Diag.Invariant
-         { what = "bench --paper";
-           detail =
-             "MINFLOTRANSIT area above TILOS at "
-             ^ String.concat ", "
-                 (List.map
-                    (fun (name, (p : Sweep.point)) ->
-                      Printf.sprintf "%s@%.2f" name p.factor)
-                    above) })
+    Cli.invariant "bench --paper" "MINFLOTRANSIT area above TILOS at %s"
+      (String.concat ", "
+         (List.map
+            (fun (name, (p : Sweep.point)) ->
+              Printf.sprintf "%s@%.2f" name p.factor)
+            above))

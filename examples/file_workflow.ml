@@ -19,8 +19,11 @@ let () =
   let verilog_path = Filename.concat dir "alu4.v" in
 
   (* 1. write *)
-  Bench_format.write_file bench_path nl;
-  Verilog_format.write_file verilog_path nl;
+  let write path text =
+    match Io.write_file path text with Ok () -> () | Error e -> Diag.fail e
+  in
+  write bench_path (Bench_format.to_string nl);
+  write verilog_path (Verilog_format.to_string nl);
   Printf.printf "wrote %s and %s\n" bench_path verilog_path;
 
   (* 2. read back *)

@@ -25,9 +25,3 @@ let to_dot ?(name = "g") ?node_label ?edge_label g =
         (Printf.sprintf "  n%d -> n%d%s;\n" (Digraph.src g e) (Digraph.dst g e) label));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file ?name ?node_label ?edge_label path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_dot ?name ?node_label ?edge_label g))

@@ -6,11 +6,3 @@ val to_dot :
   ?edge_label:(Digraph.edge -> string) ->
   Digraph.t ->
   string
-
-val write_file :
-  ?name:string ->
-  ?node_label:(Digraph.node -> string) ->
-  ?edge_label:(Digraph.edge -> string) ->
-  string ->
-  Digraph.t ->
-  unit

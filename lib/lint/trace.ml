@@ -127,6 +127,17 @@ let record_result w (r : Engine.result) =
          ("stop", Json.Str (Engine.stop_reason_to_string r.Engine.stop));
          ("sizes", jfloats r.Engine.sizes) ])
 
+let write_run path model ~circuit ~target ~steps (r : Engine.result) =
+  match Io.create_sink path with
+  | Error e -> Error e
+  | Ok sink -> (
+    let w = create sink model ~circuit ~target in
+    record_tilos w r.Engine.tilos;
+    List.iter (record_step w) steps;
+    record_result w r;
+    Io.sink_close sink;
+    match w.w_error with Some e -> Error e | None -> Ok ())
+
 (* ---------- auditor ---------- *)
 
 (* The auditor trusts nothing but the circuit model it was handed: every

@@ -58,6 +58,21 @@ val error : writer -> Minflo_robust.Diag.error option
     [--trace] flag, never the sizing run it documents — the CLI reports
     this error (and exits nonzero) only after printing the run's results. *)
 
+val write_run :
+  string ->
+  Minflo_tech.Delay_model.t ->
+  circuit:string ->
+  target:float ->
+  steps:Minflo_sizing.Minflotransit.step list ->
+  Minflo_sizing.Minflotransit.result ->
+  (unit, Minflo_robust.Diag.error) result
+(** [write_run path model ~circuit ~target ~steps result] writes a whole
+    trace of a finished run to [path]: the header, the [tilos] record of
+    [result.tilos], one [step] record per element of [steps] (in run order,
+    as the engine's [?on_step] hook delivered them) and the [final] record.
+    [Error] is the failure to create [path] or the first storage failure
+    of any record ({!error}). *)
+
 (** {1 Auditing} *)
 
 val audit : Minflo_tech.Delay_model.t -> target:float -> string -> Finding.t list

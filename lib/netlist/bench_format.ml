@@ -177,7 +177,3 @@ let to_string nl =
              (String.concat ", " (List.map (Netlist.node_name nl) (Netlist.fanins nl v))))
       | Input -> ());
   Buffer.contents buf
-
-let write_file path nl =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string nl))

@@ -38,5 +38,3 @@ val parse_file_exn : string -> Netlist.t
 val to_string : Netlist.t -> string
 (** Render in [.bench] syntax; [parse_string (to_string nl)] is structurally
     identical to [nl]. *)
-
-val write_file : string -> Netlist.t -> unit

@@ -289,7 +289,3 @@ let to_string nl =
       | Netlist.Input -> ());
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let write_file path nl =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string nl))

@@ -44,5 +44,3 @@ val parse_file_exn : string -> Netlist.t
 val to_string : Netlist.t -> string
 (** Structural Verilog; identifiers unsuitable for Verilog are escaped with
     a [n_] prefix scheme so the output always re-parses. *)
-
-val write_file : string -> Netlist.t -> unit

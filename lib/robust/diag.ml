@@ -106,7 +106,7 @@ let to_string = function
   | Unknown_circuit { name; known } ->
     Printf.sprintf "unknown circuit %S: not a file, and not one of {%s}" name
       (String.concat ", " known)
-  | Io_error { file; msg } -> Printf.sprintf "cannot read %s: %s" file msg
+  | Io_error { file; msg } -> Printf.sprintf "I/O error on %s: %s" file msg
   | Disk_full { file } ->
     Printf.sprintf "disk full: cannot write %s (ENOSPC)" file
   | Storage_corrupt { file; detail } ->

@@ -1,5 +1,6 @@
 module Diag = Minflo_robust.Diag
 module Fault = Minflo_robust.Fault
+module Io = Minflo_robust.Io
 module Json = Minflo_util.Json
 module Mono = Minflo_robust.Mono
 
@@ -224,14 +225,11 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
     | Transport.Unix_sock path -> (
       try Unix.unlink path with Unix.Unix_error _ -> ())
     | Transport.Tcp _ -> ());
-    (match cfg.report_path with
-    | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc (Json.to_string (report_json plan) ^ "\n");
-        close_out oc
-      with Sys_error _ -> ())
-    | None -> ());
+    let written =
+      match cfg.report_path with
+      | Some path -> Io.write_file path (Json.to_string (report_json plan) ^ "\n")
+      | None -> Ok ()
+    in
     let restore sg old =
       match old with
       | Some b -> (
@@ -241,4 +239,4 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
     restore Sys.sigpipe old_pipe;
     restore Sys.sigterm old_term;
     restore Sys.sigint old_int;
-    Ok ()
+    written

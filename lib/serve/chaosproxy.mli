@@ -47,5 +47,6 @@ val default_config : config
     [seed = 0; delay_seconds = 0.2; connect_timeout = 5.0]. *)
 
 val run : ?config:config -> unit -> (unit, Minflo_robust.Diag.error) result
-(** Blocks until signalled. [Error] only if the listen endpoint cannot be
-    bound. *)
+(** Blocks until signalled. [Error] if the listen endpoint cannot be
+    bound, or if the report cannot be written to [report_path] (the typed
+    {!Minflo_robust.Io.write_file} error; the proxy has already stopped). *)

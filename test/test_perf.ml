@@ -358,7 +358,12 @@ let sup ?(parallel = 1) () =
 
 let write_adder dir bits =
   let file = Filename.concat dir (Printf.sprintf "adder%d.bench" bits) in
-  Bench_format.write_file file (Generators.ripple_carry_adder ~bits ());
+  (match
+     Minflo_robust.Io.write_file file
+       (Bench_format.to_string (Generators.ripple_carry_adder ~bits ()))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write %s: %s" file (Diag.to_string e));
   file
 
 let run_batch ?(make_fault = fun _ -> None) ?engine ~dir ~parallel jobs =

@@ -18,6 +18,11 @@ module Supervisor = Minflo_runner.Supervisor
 module Differential = Minflo_runner.Differential
 module Batch = Minflo_runner.Batch
 
+let write_bench path nl =
+  match Minflo_robust.Io.write_file path (Bench_format.to_string nl) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write %s: %s" path (Diag.to_string e)
+
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
@@ -885,7 +890,7 @@ let test_resume_generated_adder () =
   (* a generated circuit, loaded through the .bench file path route *)
   let dir = fresh_dir "resume-adder-src" in
   let file = Filename.concat dir "adder8.bench" in
-  Bench_format.write_file file (Generators.ripple_carry_adder ~bits:8 ());
+  write_bench file (Generators.ripple_carry_adder ~bits:8 ());
   resume_bit_identical ~name:"resume-adder" ~circuit:file ~factor:0.6
     ~interrupt_after:2 ();
   rm_rf dir
@@ -957,7 +962,7 @@ let test_resume_rejects_foreign_checkpoint () =
   | _ -> Alcotest.fail "expected a budget trip");
   (* swap in a different circuit under the same job id *)
   let evil = Filename.concat dir "evil.bench" in
-  Bench_format.write_file evil (Generators.ripple_carry_adder ~bits:4 ());
+  write_bench evil (Generators.ripple_carry_adder ~bits:4 ());
   let ckpt = Filename.concat dir (Job.file_slug job ^ ".ckpt") in
   (match Checkpoint.load ckpt with
   | Error e -> Alcotest.failf "load: %s" (Diag.to_string e)

@@ -1011,6 +1011,42 @@ let test_e2e_chaos_bit_identical () =
   | Error e -> Alcotest.failf "chaos report unreadable: %s" e);
   rm_rf dir
 
+(* CI asserts on the fired-count report, so a report that cannot be
+   written must fail the proxy typed rather than exit 0 *)
+let test_chaos_report_write_fails_typed () =
+  let dir = fresh_dir "chaos-report" in
+  let proxy_sock = Filename.concat dir "proxy.sock" in
+  let pcfg =
+    { Chaosproxy.default_config with
+      Chaosproxy.listen = Transport.Unix_sock proxy_sock;
+      upstream = Transport.Unix_sock (Filename.concat dir "no-daemon.sock");
+      report_path = Some (Filename.concat dir "missing/report.json") }
+  in
+  let ppid =
+    match Unix.fork () with
+    | 0 ->
+      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Unix.dup2 devnull Unix.stdout;
+      Unix._exit
+        (match Chaosproxy.run ~config:pcfg () with
+        | Error (Diag.Io_error _) -> 2
+        | Error _ -> 3
+        | Ok () -> 0)
+    | p -> p
+  in
+  wait_for_socket proxy_sock;
+  (* with no upstream the proxy drops each client it accepts; the EOF
+     proves its loop, and so its SIGTERM handler, is live *)
+  let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect probe (Unix.ADDR_UNIX proxy_sock);
+  ignore (Unix.read probe (Bytes.create 1) 0 1);
+  Unix.close probe;
+  Unix.kill ppid Sys.sigterm;
+  (match Unix.waitpid [] ppid with
+  | _, Unix.WEXITED code -> check int "typed Io_error from run" 2 code
+  | _ -> Alcotest.fail "proxy killed instead of exiting");
+  rm_rf dir
+
 let () =
   Alcotest.run "serve"
     [ ( "json",
@@ -1060,4 +1096,6 @@ let () =
           Alcotest.test_case "drain edges: idle exit, full-queue submit" `Quick
             test_e2e_drain_edges;
           Alcotest.test_case "chaos run is bit-identical to fault-free" `Slow
-            test_e2e_chaos_bit_identical ] ) ]
+            test_e2e_chaos_bit_identical;
+          Alcotest.test_case "chaos report write fails typed" `Quick
+            test_chaos_report_write_fails_typed ] ) ]

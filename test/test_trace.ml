@@ -41,19 +41,12 @@ let traced_run ?options model ~circuit ~target =
         steps := s :: !steps)
   in
   let path = Filename.temp_file "minflo-trace" ".jsonl" in
-  let sink =
-    match Minflo_robust.Io.create_sink path with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "create_sink: %s" (Minflo_robust.Diag.to_string e)
-  in
-  let w = Trace.create sink model ~circuit ~target in
-  Trace.record_tilos w result.Minflotransit.tilos;
-  List.iter (Trace.record_step w) (List.rev !steps);
-  Trace.record_result w result;
-  (match Trace.error w with
-  | None -> ()
-  | Some e -> Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
-  Minflo_robust.Io.sink_close sink;
+  (match
+     Trace.write_run path model ~circuit ~target ~steps:(List.rev !steps)
+       result
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
   let content = read_file path in
   Sys.remove path;
   content
