@@ -5,6 +5,16 @@ open Cmdliner
 open Minflo
 
 let grid quick scale json out check =
+  (* a bad -o or --check fails before anything is sized; the -o probe
+     opens in append mode, so it creates a missing file and leaves an
+     existing one as it is *)
+  Option.iter
+    (fun path -> Io.sink_close (Cli.or_fail (Io.create_sink ~append:true path)))
+    out;
+  let baseline =
+    Option.map (fun path -> (path, Cli.or_fail (Benchmarks.load_baseline path)))
+      check
+  in
   let experiments =
     Benchmarks.suite ~quick ()
     @ (if scale then Benchmarks.scale_suite ~quick () else [])
@@ -47,15 +57,15 @@ let grid quick scale json out check =
        (List.sort_uniq compare
           (List.map (fun (e : Benchmarks.experiment) -> e.circuit) experiments))
    end);
-  match check with
+  match baseline with
   | None -> ()
-  | Some baseline -> (
+  | Some (path, baseline) -> (
     match Benchmarks.check ~baseline experiments with
-    | Ok () -> Fmt.pr "bench: counters match baseline %s@." baseline
+    | Ok () -> Fmt.pr "bench: counters match baseline %s@." path
     | Error diffs ->
       List.iter (fun d -> Fmt.epr "bench diverges:@.%s@." d) diffs;
       Cli.invariant "bench" "%d experiment(s) diverge from %s"
-        (List.length diffs) baseline)
+        (List.length diffs) path)
 
 let cmd =
   let quick =

@@ -1,6 +1,7 @@
 (* Primal network simplex with:
-   - artificial root node and big-M artificial arcs as the initial (strongly
-     feasible) spanning tree;
+   - an artificial root node and big-M artificial arcs. [solve] starts from
+     the all-artificial spanning tree, a cold [solve_warm] from a crash
+     basis on real arcs ([crash_basis]); both are strongly feasible;
    - block search for the entering arc;
    - Cunningham's rule for the leaving arc (last blocking arc met when the
      cycle is traversed in its own orientation starting at the apex), which
@@ -142,7 +143,108 @@ let alloc ~n ~m_real ~src ~dst ~state ~parent ~parc =
     hs_below = nodes ();
     dirty = nodes () }
 
-let create (p : Mcf.problem) =
+(* The crash basis: a strongly feasible first tree on real arcs, built in
+   O(m) with no pivots, in place of most of the climb out of the
+   all-artificial basis (the start LEMON's network simplex builds before it
+   pivots; Kiraly & Kovacs, arXiv 1207.6381). [t] holds the all-artificial
+   basis on entry; the thread index is not built yet.
+
+   - Pair: in arc index order, an arc [u -> v] with [supply u = b > 0],
+     [supply v = -b], both ends unpaired and [cap > b] pairs them: [v]
+     hangs under [u] by that arc, which carries [b].
+   - Hang: a breadth-first search from the unpaired zero-supply nodes (the
+     seeds, which stay on their zero-flow artificial arcs into the root)
+     walks real arcs backward. A pair whose supply node [x] is still loose
+     and has an arc [x -> y] with [cap > 0] into an attached node [y] hangs
+     under [y] by that arc with zero flow, and both its nodes join the
+     search.
+   - Rest: every other node keeps its artificial arc. An attached node's
+     artificial arc leaves the tree at zero flow, oriented [root -> x]: its
+     reduced cost [big_m + pi x] is positive (an attached [pi x] is a seed's
+     [big_m] plus at most n arc costs), so it never enters.
+
+   Pair arcs point leafward with positive flow below capacity, hang arcs and
+   seed arcs point rootward below capacity, so the tree is strongly
+   feasible. An attached group carries no artificial flow, so a positive
+   artificial flow at the optimum still means infeasible.
+
+   The scratch is the idle pivot arrays: [dirty] holds each node's pair
+   arc, [ts_below] the heads and the real arcs' flow slots (all zero until
+   the pair flows are written) the links of the incoming-arc lists, and
+   [hs_below] the search queue. A loose pair's supply node is the one
+   paired node still parented on the root. *)
+let crash_basis t (p : Mcf.problem) =
+  let n = t.n and m_real = t.m_real and root = t.n in
+  let supply = p.supply in
+  let mate = t.dirty and head = t.ts_below and link = t.flow in
+  let queue = t.hs_below in
+  Array.fill mate 0 n (-1);
+  for a = 0 to m_real - 1 do
+    let u = t.src.(a) and v = t.dst.(a) in
+    let b = supply.(u) in
+    if b > 0 && supply.(v) = -b && mate.(u) < 0 && mate.(v) < 0 && t.cap.(a) > b
+    then begin
+      mate.(u) <- a;
+      mate.(v) <- a
+    end
+  done;
+  (* incoming arcs, each list in ascending arc order *)
+  Array.fill head 0 n (-1);
+  for a = m_real - 1 downto 0 do
+    let y = t.dst.(a) in
+    link.(a) <- head.(y);
+    head.(y) <- a
+  done;
+  let len = ref 0 in
+  for v = 0 to n - 1 do
+    if supply.(v) = 0 && mate.(v) < 0 then begin
+      queue.(!len) <- v;
+      incr len
+    end
+  done;
+  let detach x =
+    let aa = m_real + x in
+    t.src.(aa) <- root;
+    t.dst.(aa) <- x;
+    t.flow.(aa) <- 0;
+    t.state.(aa) <- state_lower
+  in
+  let i = ref 0 in
+  while !i < !len do
+    let y = queue.(!i) in
+    incr i;
+    let a = ref head.(y) in
+    while !a >= 0 do
+      let x = t.src.(!a) in
+      let pa = mate.(x) in
+      if pa >= 0 && t.src.(pa) = x && t.parent.(x) = root && t.cap.(!a) > 0
+      then begin
+        let v = t.dst.(pa) in
+        t.parent.(x) <- y;
+        t.parc.(x) <- !a;
+        t.state.(!a) <- state_tree;
+        t.parent.(v) <- x;
+        t.parc.(v) <- pa;
+        t.state.(pa) <- state_tree;
+        detach x;
+        detach v;
+        queue.(!len) <- x;
+        queue.(!len + 1) <- v;
+        len := !len + 2
+      end;
+      a := link.(!a)
+    done
+  done;
+  (* real flows: zero, except on the attached pair arcs, the only real tree
+     arcs that point leafward *)
+  Array.fill link 0 m_real 0;
+  for v = 0 to n - 1 do
+    let a = t.parc.(v) in
+    if a < m_real && t.dst.(a) = v then t.flow.(a) <- -supply.(v)
+  done
+
+(* The all-artificial basis, or with [~crash:true] the crash basis. *)
+let create ?(crash = false) (p : Mcf.problem) =
   let n = p.num_nodes in
   let m_real = Array.length p.arcs in
   let m = m_real + n in
@@ -186,6 +288,7 @@ let create (p : Mcf.problem) =
     t.parent.(v) <- root;
     t.parc.(v) <- a
   done;
+  if crash then crash_basis t p;
   rebuild_tree t;
   t
 
@@ -682,7 +785,7 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
         t
       | _ ->
         Perf.tick_cold_start ();
-        create p
+        create ~crash:true p
     in
     let sol = run ?budget t p in
     (* only an optimal basis is worth keeping: after Aborted the tree is

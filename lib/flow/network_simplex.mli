@@ -55,4 +55,7 @@ val solve_warm :
     state is kept after [Optimal] and [Aborted] outcomes and dropped after
     [Infeasible] / [Unbounded]. Warm and cold solves return the same
     optimal objective; the flow/potential vectors may differ within the
-    optimal face when the optimum is degenerate. *)
+    optimal face when the optimum is degenerate. A cold start here does
+    not climb out of the all-artificial basis: it starts from a strongly
+    feasible crash basis that already routes each supply node's flow to
+    a matching demand node over a real arc (DESIGN §8). *)

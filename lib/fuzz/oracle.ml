@@ -361,10 +361,12 @@ let engine_differential sink cfg legs =
   | [] -> ()
 
 (* LP-level differential: the displacement problem at the TILOS seed,
-   solved by all three independent MCF solvers, objectives compared
-   exactly, each certificate independently audited. This is also where the
-   audit.* fault sites corrupt a certificate (mirroring the CLI's
-   audit-cert --inject-fault). *)
+   solved by all three independent MCF solvers and by the engine's own
+   entry point (a fresh-state [solve_warm], which pivots from the crash
+   basis rather than the all-artificial one), objectives compared exactly,
+   each certificate independently audited. This is also where the audit.*
+   fault sites corrupt a certificate (mirroring the CLI's audit-cert
+   --inject-fault); the crash leg has no site of its own. *)
 let lp_differential sink cfg ?fault model ~target (tilos : Minflo_sizing.Tilos.result) =
   ignore
     (guard sink ~phase:"audit" (fun () ->
@@ -382,7 +384,10 @@ let lp_differential sink cfg ?fault model ~target (tilos : Minflo_sizing.Tilos.r
            let sols =
              [ solve_with "simplex" Network_simplex.solve;
                solve_with "ssp" Ssp.solve;
-               solve_with "cost-scaling" Cost_scaling.solve ]
+               solve_with "cost-scaling" Cost_scaling.solve;
+               solve_with "simplex-crash" (fun ?budget p ->
+                   Network_simplex.solve_warm ?budget
+                     (Network_simplex.make_state ()) p) ]
            in
            (* objectives of exact optimal solutions agree exactly *)
            (match
@@ -404,14 +409,15 @@ let lp_differential sink cfg ?fault model ~target (tilos : Minflo_sizing.Tilos.r
              (fun (tag, sol) ->
                if sol.Mcf.status <> Mcf.Aborted then begin
                  (* audit.* fault sites corrupt the certificate pre-audit *)
+                 let site = "audit." ^ tag in
                  (match fault with
-                 | Some plan -> (
-                   match Fault.fire plan ~site:("audit." ^ tag) with
+                 | Some plan when List.mem site Fault.all_points -> (
+                   match Fault.fire plan ~site with
                    | Some (Fault.Perturb _) | Some (Fault.Fail _) ->
                      if Array.length sol.Mcf.flow > 0 then
                        sol.Mcf.flow.(0) <- sol.Mcf.flow.(0) + 1
                    | None -> ())
-                 | None -> ());
+                 | _ -> ());
                  Audit.check problem sol
                  |> List.iter (fun (f : Minflo_lint.Finding.t) ->
                         flag sink

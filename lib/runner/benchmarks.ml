@@ -146,16 +146,21 @@ let member_diffs ~base ~run =
       else Some (Printf.sprintf "%s baseline %s, run %s" k (show b) (show r)))
     (List.sort_uniq String.compare (List.map fst base @ List.map fst run))
 
-let check ~baseline experiments =
-  let base =
-    match Result.map Json.parse (Io.read_file baseline) with
-    | Error e -> Error (Diag.to_string e)
-    | Ok (Error msg) -> Error (Printf.sprintf "%s: %s" baseline msg)
-    | Ok (Ok doc) -> (
+type baseline = Json.t list
+
+let load_baseline path =
+  let corrupt detail = Error (Diag.Storage_corrupt { file = path; detail }) in
+  match Io.read_file path with
+  | Error e -> Error e
+  | Ok text -> (
+    match Json.parse text with
+    | Error msg -> corrupt msg
+    | Ok doc -> (
       match Json.member "experiments" doc with
       | Some (Json.List xs) -> Ok xs
-      | _ -> Error (baseline ^ ": no \"experiments\" list"))
-  in
+      | _ -> corrupt "no \"experiments\" list"))
+
+let check ~baseline:base experiments =
   (* Experiments are keyed by (circuit, mode): every experiment this run
      produced must match its baseline entry exactly. Baseline entries the
      run did not exercise are fine — that is what lets the CI smoke job run
@@ -171,12 +176,9 @@ let check ~baseline experiments =
       | [] -> None
       | ds -> Some (name ^ ": " ^ String.concat "; " ds))
   in
-  match base with
-  | Error msg -> Error [ msg ]
-  | Ok base -> (
-    match List.filter_map (divergence base) experiments with
-    | [] -> Ok ()
-    | ds -> Error ds)
+  match List.filter_map (divergence base) experiments with
+  | [] -> Ok ()
+  | ds -> Error ds
 
 (* ---------- the headline metric ---------- *)
 

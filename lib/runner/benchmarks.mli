@@ -47,10 +47,18 @@ val render : experiment list -> string
     diffs stay line-oriented). [area] is written to nine decimals and
     [target_factor] to three — the precision a baseline pins. *)
 
-val check : baseline:string -> experiment list -> (unit, string list) result
-(** [check ~baseline experiments] parses the baseline file and compares
-    this run against it, member-exact in both directions on everything
-    {e except} wall time: a member missing on either side is a divergence.
+type baseline
+(** A parsed baseline document: its experiments. *)
+
+val load_baseline : string -> (baseline, Minflo_robust.Diag.error) result
+(** Read and parse a baseline file. A missing or unreadable file is an
+    [Io_error]; one that is not JSON, or has no ["experiments"] list, is
+    [Storage_corrupt]. *)
+
+val check : baseline:baseline -> experiment list -> (unit, string list) result
+(** [check ~baseline experiments] compares this run against the
+    baseline, member-exact in both directions on everything {e except}
+    wall time: a member missing on either side is a divergence.
     Experiments are matched by (circuit, mode), so a [--quick] run checks
     cleanly against the full baseline; an experiment with no baseline entry
     is itself a divergence. [Error] carries one human-readable line per

@@ -214,11 +214,13 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
           match Fallback.run ?log rungs with
           | Error e -> Error e
           | Ok { value = dres; rung; failures } ->
-            List.iter
-              (fun (name, e) ->
-                Log.warn (fun m ->
-                    m "D-phase solver %s failed: %s" name (Diag.to_string e)))
-              failures;
+            (* with a Diag log, [Fallback.run] has logged each failure *)
+            if Option.is_none log then
+              List.iter
+                (fun (name, e) ->
+                  Log.warn (fun m ->
+                      m "D-phase solver %s failed: %s" name (Diag.to_string e)))
+                failures;
             (match Wphase.solve ?fault model ~budgets:dres.budgets with
             | Error e -> Error e
             | Ok wres ->
@@ -284,8 +286,12 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
             stop := Stop_budget e;
             continue := false
           | _ ->
-            dlog log Diag.Warning "iteration failed: %s" (Diag.to_string e);
-            Log.warn (fun m -> m "iteration failed: %s" (Diag.to_string e));
+            (* one channel, so a caller that replays its Diag log prints
+               the warning once *)
+            let msg = Diag.to_string e in
+            (match log with
+            | Some _ -> dlog log Diag.Warning "iteration failed: %s" msg
+            | None -> Log.warn (fun m -> m "iteration failed: %s" msg));
             eta := !eta *. eta_shrink)
         | Ok (Some (x', area', cp', predicted, rung, budgets'))
           when area' < !area *. (1.0 -. rel_tol) ->

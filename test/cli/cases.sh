@@ -79,6 +79,11 @@ run lint c17 -o /nonexistent/l.txt
 run batch c17 --factors 0.5,0.6 --solvers simplex,bf --no-isolate
 run batch c17 --factors 0.5 --solvers ssp --differential --inject-fault dphase.simplex
 run bench --quick -o /nonexistent/b.json
+# a bad -o or --check fails before the scaling grid is sized
+run bench --scale -o /nonexistent/b.json
+run bench --scale --check nosuch.json
+printf 'not a baseline' >bad.json
+run bench --scale --check bad.json
 run fuzz --list-faults
 run replay nosuch-dir
 run client health --socket nope.sock --retries 1

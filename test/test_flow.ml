@@ -541,10 +541,10 @@ let trajectory_digest seed =
 
 let test_trajectory_pin () =
   let pins =
-    [ (0, "455fde56c3f6a34f");
-      (1, "282441400061704d");
-      (2, "615d135d646c5df2");
-      (3, "48a11c62f9544e37") ]
+    [ (0, "b9cc80e4d4f9ca0e");
+      (1, "c594b6dfb8a777ea");
+      (2, "b0f24ebc44dc5893");
+      (3, "d9cabe00de2a6413") ]
   in
   List.iter
     (fun (seed, expect) ->
@@ -645,6 +645,318 @@ let test_degenerate_sizes () =
         if expect = "Optimal" then expect_certified tag p warm
       done)
     cases
+
+(* ---------- the crash basis ---------- *)
+
+(* [Simplex.state] as the library represents it: one mutable field holding
+   the basis option, the basis being two ints and five int arrays (arc
+   endpoints, arc states, parent links). *)
+type basis_view = {
+  bv_n : int;
+  bv_m_real : int;
+  bv_src : int array;
+  bv_dst : int array;
+  bv_state : int array;
+  bv_parent : int array;
+  bv_parc : int array;
+}
+
+(* The first basis of a fresh-state [solve_warm]: a zero-pivot budget stops
+   the solve before its first pivot (or the crash basis is already
+   optimal), and the state keeps that basis. The state is abstract, so it
+   is read back through [basis_view]; the block shape is checked before
+   the cast, so a changed representation fails here instead of reading
+   garbage. [None] when the solve dropped the basis (Infeasible at once, or
+   unbalanced). *)
+let crash_start (p : Mcf.problem) =
+  let st = Simplex.make_state () in
+  let budget = Budget.start (Budget.limits ~max_pivots:0 ()) in
+  let sol = Simplex.solve_warm ~budget st p in
+  let n = p.num_nodes and m = Array.length p.arcs + p.num_nodes in
+  let r = Obj.repr st in
+  if Obj.size r <> 1 then Alcotest.fail "state: unexpected representation";
+  let o = Obj.field r 0 in
+  if Obj.is_int o then (sol, None)
+  else begin
+    let b = Obj.field o 0 in
+    let int_array i len =
+      let f = Obj.field b i in
+      Obj.is_block f && Obj.tag f = 0 && Obj.size f = len
+    in
+    if not
+         (Obj.size o = 1 && Obj.size b = 7
+         && Obj.is_int (Obj.field b 0)
+         && Obj.is_int (Obj.field b 1)
+         && int_array 2 m && int_array 3 m && int_array 4 m
+         && int_array 5 (n + 1) && int_array 6 (n + 1))
+    then Alcotest.fail "state: unexpected basis representation";
+    (sol, Some (Obj.obj b : basis_view))
+  end
+
+(* The crash basis's invariants, from the basis and the potentials of the
+   zero-pivot solve:
+   - the parent links form a tree on the root, each node joined to its
+     parent by an arc between the two;
+   - every arc starts at its lower bound, so the unique basic flow follows
+     from the supplies by leaf-to-root accumulation; the flows conserve at
+     the root, and every tree arc is strongly feasible (a rootward arc
+     below capacity, a leafward one above zero);
+   - the potentials price every tree arc at reduced cost 0, and no
+     nonbasic artificial arc (oriented root -> x) can ever enter.
+   Artificial arcs cost big-M, mirrored here from [Network_simplex.create].
+   Returns the basic flow. *)
+let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
+  let n = p.num_nodes and m_real = Array.length p.arcs in
+  let root = n and m = m_real + n in
+  if b.bv_n <> n || b.bv_m_real <> m_real then fail "basis of another shape";
+  let max_cost =
+    Array.fold_left (fun acc (a : Mcf.arc) -> max acc (abs a.cost)) 1 p.arcs
+  in
+  let big_m = ((n + 1) * max_cost) + 1 in
+  let cost a = if a < m_real then p.arcs.(a).cost else big_m in
+  let cap a =
+    if a < m_real then min p.arcs.(a).cap Mcf.infinite_capacity
+    else Mcf.infinite_capacity
+  in
+  let pot v = if v = root then 0 else sol.potential.(v) in
+  let rc a = cost a - pot b.bv_src.(a) + pot b.bv_dst.(a) in
+  if b.bv_parent.(root) <> -1 then fail "the root has a parent";
+  let depth = Array.make (n + 1) (-1) in
+  depth.(root) <- 0;
+  let rec depth_of v steps =
+    if steps > n then fail "the parent links cycle at node %d" v;
+    if depth.(v) < 0 then depth.(v) <- 1 + depth_of b.bv_parent.(v) (steps + 1);
+    depth.(v)
+  in
+  let tree = ref 0 in
+  Array.iteri
+    (fun a s ->
+      if s = 0 then incr tree
+      else if s <> 1 then fail "arc %d starts at its upper bound" a)
+    b.bv_state;
+  if !tree <> n then fail "%d tree arcs for %d nodes" !tree n;
+  for v = 0 to n - 1 do
+    ignore (depth_of v 0);
+    let a = b.bv_parc.(v) and par = b.bv_parent.(v) in
+    if b.bv_state.(a) <> 0 then fail "arc to the parent of %d is nonbasic" v;
+    let s = b.bv_src.(a) and d = b.bv_dst.(a) in
+    if not ((s = v && d = par) || (s = par && d = v)) then
+      fail "arc %d does not join %d to its parent %d" a v par;
+    if rc a <> 0 then fail "tree arc %d has reduced cost %d" a (rc a)
+  done;
+  let excess = Array.make (n + 1) 0 in
+  Array.blit p.supply 0 excess 0 n;
+  let flow = Array.make m 0 in
+  let order = List.init n Fun.id in
+  let order = List.sort (fun u v -> compare depth.(v) depth.(u)) order in
+  List.iter
+    (fun v ->
+      let a = b.bv_parc.(v) in
+      let up = b.bv_src.(a) = v in
+      let f = if up then excess.(v) else -excess.(v) in
+      if not (if up then f >= 0 && f < cap a else f > 0 && f <= cap a) then
+        fail "tree arc %d to the parent of %d carries %d (cap %d, %s)" a v f
+          (cap a)
+          (if up then "rootward" else "leafward");
+      flow.(a) <- f;
+      excess.(b.bv_parent.(v)) <- excess.(b.bv_parent.(v)) + excess.(v))
+    order;
+  if excess.(root) <> 0 then fail "the root's excess is %d" excess.(root);
+  for a = m_real to m - 1 do
+    if b.bv_state.(a) <> 0 then begin
+      if b.bv_src.(a) <> root then
+        fail "nonbasic artificial %d leaves a node" a;
+      if rc a <= 0 then
+        fail "nonbasic artificial %d has reduced cost %d" a (rc a)
+    end
+  done;
+  flow
+
+type crash_case = {
+  problem : Mcf.problem;
+  no_pairs : bool;  (** no arc qualifies as a pair arc *)
+  tight : bool;  (** a supply/demand arc with [cap <= b] *)
+  competing : bool;  (** a supply node with two candidate partners *)
+  split : bool;  (** two parts with no arc between them *)
+  unbalanced : bool;
+}
+
+(* Small problems around the crash basis's cases: supply/demand pairs
+   joined by an arc whose capacity is above, at or below the amount (from
+   a narrow range, so partners compete), zero-supply nodes the pairs hang
+   under, optionally two parts with no arc between them, an uncapacitated
+   ring per part in most seeds (the rest are often infeasible), and every
+   ninth seed unbalanced. Uncapacitated arcs cost at least 0, so no solve
+   is unbounded. *)
+let crash_case seed =
+  let rng = Rng.create ((seed * 6151) + 29) in
+  let n = 2 + Rng.int rng 14 in
+  let split = Rng.int rng 4 = 0 in
+  let part v = if split then v mod 2 else 0 in
+  let supply = Array.make n 0 in
+  let arcs = ref [] in
+  let add src dst cap cost = arcs := arc src dst cap cost :: !arcs in
+  let tight = ref false in
+  for _ = 1 to Rng.int rng ((n / 2) + 1) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v && part u = part v && supply.(u) = 0 && supply.(v) = 0 then begin
+      let b = 1 + Rng.int rng 2 in
+      supply.(u) <- b;
+      supply.(v) <- -b;
+      let cap =
+        match Rng.int rng 4 with
+        | 0 -> b
+        | 1 -> Rng.int rng b
+        | 2 -> b + 1 + Rng.int rng 4
+        | _ -> Mcf.infinite_capacity
+      in
+      if cap <= b then tight := true;
+      add u v cap (Rng.int rng 7 - 2)
+    end
+  done;
+  for _ = 0 to Rng.int rng (2 * n) do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if part u = part v then
+      if Rng.bool rng then add u v Mcf.infinite_capacity (Rng.int rng 6)
+      else add u v (Rng.int rng 8) (Rng.int rng 9 - 3)
+  done;
+  if Rng.int rng 5 > 0 then
+    for v = 0 to n - 1 do
+      let w = if split then (v + 2) mod n else (v + 1) mod n in
+      if part w = part v then add v w Mcf.infinite_capacity 4
+    done;
+  let unbalanced = seed mod 9 = 0 in
+  if unbalanced then supply.(Rng.int rng n) <- supply.(Rng.int rng n) + 1;
+  let arcs = Array.of_list (List.rev !arcs) in
+  let candidate (a : Mcf.arc) =
+    supply.(a.src) > 0 && supply.(a.dst) = - supply.(a.src)
+  in
+  let candidates = List.filter candidate (Array.to_list arcs) in
+  let competing =
+    List.exists
+      (fun (a : Mcf.arc) ->
+        List.exists
+          (fun (c : Mcf.arc) ->
+            (c.src = a.src && c.dst <> a.dst)
+            || (c.dst = a.dst && c.src <> a.src))
+          candidates)
+      candidates
+  in
+  { problem = { Mcf.num_nodes = n; arcs; supply };
+    no_pairs =
+      not
+        (List.exists (fun (a : Mcf.arc) -> a.cap > supply.(a.src)) candidates);
+    tight = !tight;
+    competing;
+    split;
+    unbalanced }
+
+(* From an empty state, [solve_warm] starts at the crash basis, which holds
+   its invariants, and ends where the artificial start ([solve]) and SSP
+   end: the same status and objective, with a certified optimum. The family
+   must reach every case the crash distinguishes, and some crash bases must
+   hang pairs. *)
+let test_crash_matches_cold () =
+  let seen = Hashtbl.create 8 in
+  let saw tag = Hashtbl.replace seen tag () in
+  for seed = 0 to 599 do
+    let c = crash_case seed in
+    let p = c.problem in
+    let name = Printf.sprintf "seed %d" seed in
+    List.iter
+      (fun (flag, tag) -> if flag then saw tag)
+      [ (c.no_pairs, "no pairs"); (c.tight, "cap <= b");
+        (c.competing, "competing"); (c.split, "split");
+        (c.unbalanced, "unbalanced") ];
+    (match crash_start p with
+    | _, None -> ()
+    | sol, Some b ->
+      let flow = check_crash_basis name p sol b in
+      let m_real = Array.length p.arcs in
+      for v = 0 to p.num_nodes - 1 do
+        let a = b.bv_parc.(v) in
+        if a < m_real && b.bv_dst.(a) = v && flow.(a) > 0 then saw "hung pair"
+      done);
+    let crash = Simplex.solve_warm (Simplex.make_state ()) p in
+    let cold = Simplex.solve p and ssp = Ssp.solve p in
+    List.iter
+      (fun (other, (s : Mcf.solution)) ->
+        if s.status <> crash.status then
+          Alcotest.failf "%s: crash %s, %s %s on instance:\n%s" name
+            (status_str crash.status) other (status_str s.status)
+            (problem_to_string p);
+        if s.status = Optimal && s.objective <> crash.objective then
+          Alcotest.failf "%s: crash objective %d, %s %d on instance:\n%s" name
+            crash.objective other s.objective (problem_to_string p))
+      [ ("solve", cold); ("ssp", ssp) ];
+    if crash.status = Optimal then expect_certified name p crash
+    else if crash.status = Infeasible then saw "infeasible"
+  done;
+  List.iter
+    (fun tag ->
+      check bool ("family reaches: " ^ tag) true (Hashtbl.mem seen tag))
+    [ "no pairs"; "cap <= b"; "competing"; "split"; "unbalanced"; "infeasible";
+      "hung pair" ]
+
+(* On the engine's displacement LPs the crash leaves only the zero-supply
+   seeds (the LP's ground node) on artificial arcs: every rdmy/r pair is
+   paired by its trust-region arc and hangs, through the edge and sink
+   arcs, under ground. An arc-order change in [Dphase.build_lp] that
+   switched the crash off would show here first. *)
+let test_crash_on_displacement_lps () =
+  let module Iscas85 = Minflo_netlist.Iscas85 in
+  let module Generators = Minflo_netlist.Generators in
+  let module Transform = Minflo_netlist.Transform in
+  let module Tech = Minflo_tech.Tech in
+  let module Elmore = Minflo_tech.Elmore in
+  let module Transistor = Minflo_tech.Transistor in
+  let module Delay_model = Minflo_tech.Delay_model in
+  let module Sweep = Minflo_sizing.Sweep in
+  let module Tilos = Minflo_sizing.Tilos in
+  let module Dphase = Minflo_sizing.Dphase in
+  let tech = Tech.default_130nm in
+  List.iter
+    (fun (circuit, granularity) ->
+      let nl =
+        if circuit = "c17" then Generators.c17 () else Iscas85.circuit circuit
+      in
+      let model =
+        match granularity with
+        | `Gate -> Elmore.of_netlist tech nl
+        | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
+      in
+      let name =
+        Printf.sprintf "%s %s" circuit
+          (match granularity with `Gate -> "gate" | `Transistor -> "transistor")
+      in
+      let target = 0.6 *. Sweep.dmin model in
+      let sizes = (Tilos.size model ~target).Tilos.sizes in
+      let delays = Delay_model.delays model sizes in
+      match
+        Dphase.displacement_problem model ~sizes ~delays ~deadline:target
+      with
+      | Error e -> Alcotest.failf "%s: %s" name (Minflo_robust.Diag.to_string e)
+      | Ok p -> (
+        match crash_start p with
+        | _, None -> Alcotest.failf "%s: no crash basis" name
+        | sol, Some b ->
+          ignore (check_crash_basis name p sol b);
+          let on_artificial = ref 0 and seeds = ref 0 in
+          for v = 0 to p.num_nodes - 1 do
+            if p.supply.(v) = 0 then incr seeds;
+            if b.bv_parent.(v) = p.num_nodes then begin
+              incr on_artificial;
+              if p.supply.(v) <> 0 then
+                Alcotest.failf
+                  "%s: node %d (supply %d) left on its artificial arc" name v
+                  p.supply.(v)
+            end
+          done;
+          check int (name ^ ": only the seeds on artificial arcs") !seeds
+            !on_artificial))
+    [ ("c17", `Gate); ("c17", `Transistor); ("c432", `Gate);
+      ("c432", `Transistor) ]
 
 (* ---------- canonical duals ---------- *)
 
@@ -947,7 +1259,11 @@ let () =
         [ tc "trajectory pin, warm chains" `Quick test_trajectory_pin;
           tc "abort then resume" `Quick test_abort_then_resume;
           tc "state keeps only the basis" `Quick test_state_keeps_only_basis;
-          tc "degenerate sizes" `Quick test_degenerate_sizes ] );
+          tc "degenerate sizes" `Quick test_degenerate_sizes;
+          tc "crash start = cold = SSP, 600 problems" `Quick
+            test_crash_matches_cold;
+          tc "crash hangs every pair of the D-phase LPs" `Quick
+            test_crash_on_displacement_lps ] );
       ( "canonical",
         [ tc "matches Bellman-Ford, 250 tied problems" `Quick
             test_canonical_matches_reference;

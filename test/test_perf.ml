@@ -284,14 +284,20 @@ let test_bench_check_catches_drift () =
   let oc = open_out baseline in
   output_string oc (Benchmarks.render experiments);
   close_out oc;
+  (* the file is rewritten below, so each check loads it afresh *)
+  let check_against path es =
+    match Benchmarks.load_baseline path with
+    | Ok baseline -> Benchmarks.check ~baseline es
+    | Error e -> Error [ Diag.to_string e ]
+  in
   (* same run, wall clock aside, matches its own baseline exactly *)
-  (match Benchmarks.check ~baseline experiments with
+  (match check_against baseline experiments with
   | Ok () -> ()
   | Error ds ->
     Alcotest.failf "self-comparison diverged: %s" (String.concat "; " ds));
   (* a subset run (the --quick grid against the full baseline) checks too *)
   (match
-     Benchmarks.check ~baseline (List.filteri (fun i _ -> i < 2) experiments)
+     check_against baseline (List.filteri (fun i _ -> i < 2) experiments)
    with
   | Ok () -> ()
   | Error ds ->
@@ -308,7 +314,7 @@ let test_bench_check_catches_drift () =
         else e)
       experiments
   in
-  (match Benchmarks.check ~baseline drifted with
+  (match check_against baseline drifted with
   | Ok () -> Alcotest.fail "drifted counter accepted"
   | Error ds -> check int "exactly the drifted experiment flagged" 1
                   (List.length ds));
@@ -337,14 +343,26 @@ let test_bench_check_catches_drift () =
     close_out oc
   in
   write (pr10 ~pivots:10066);
-  (match Benchmarks.check ~baseline c432_cold with
+  (match check_against baseline c432_cold with
   | Ok () -> ()
   | Error ds ->
     Alcotest.failf "BENCH_pr10 spelling diverged: %s" (String.concat "; " ds));
   write (pr10 ~pivots:10067);
-  (match Benchmarks.check ~baseline c432_cold with
+  (match check_against baseline c432_cold with
   | Ok () -> Alcotest.fail "changed counter in BENCH_pr10 spelling accepted"
   | Error ds -> check int "the changed experiment flagged" 1 (List.length ds));
+  (* a baseline that cannot be read, or is not a baseline document, is a
+     typed error at load time *)
+  (match Benchmarks.load_baseline (Filename.concat dir "missing.json") with
+  | Error (Diag.Io_error _) -> ()
+  | _ -> Alcotest.fail "missing baseline: expected an I/O error");
+  List.iter
+    (fun text ->
+      write text;
+      match Benchmarks.load_baseline baseline with
+      | Error (Diag.Storage_corrupt _) -> ()
+      | _ -> Alcotest.failf "baseline %S: expected storage-corrupt" text)
+    [ "not json"; "{\"schema\": \"minflo-bench/2\"}" ];
   rm_rf dir
 
 (* ---------- parallel batch: bit-equality vs -j 1 ---------- *)
