@@ -2,7 +2,10 @@
    - an artificial root node and big-M artificial arcs. [solve] starts from
      the all-artificial spanning tree, a cold [solve_warm] from a crash
      basis on real arcs ([crash_basis]); both are strongly feasible;
-   - block search for the entering arc;
+   - an altering candidate list for the entering arc (LEMON's
+     AlteringList pricing; Kiraly & Kovacs, arXiv 1207.6381): each pivot
+     re-prices the short list of violated arcs the last one kept before it
+     scans any new block of arcs ([find_entering]);
    - Cunningham's rule for the leaving arc (last blocking arc met when the
      cycle is traversed in its own orientation starting at the apex), which
      keeps the tree strongly feasible and prevents cycling;
@@ -36,6 +39,7 @@
 
 module Perf = Minflo_robust.Perf
 
+(* arc states; pricing multiplies by them ([find_entering]) *)
 let state_tree = 0
 let state_lower = 1
 let state_upper = -1
@@ -58,8 +62,14 @@ type t = {
   rev_thread : int array;
   succ_num : int array; (* subtree size *)
   last_succ : int array; (* last node of the subtree in thread order *)
-  mutable scan_pos : int; (* block-search cursor *)
-  block_size : int;
+  mutable scan_pos : int; (* pricing scan cursor *)
+  block : int;         (* B: arcs per pricing block *)
+  head : int;          (* H: candidates kept between pivots *)
+  (* the candidate list: arcs and their violations in slots
+     0..cand_len-1, B+H+1 slots (see [find_entering]) *)
+  cand : int array;
+  cand_viol : int array;
+  mutable cand_len : int;
   (* preallocated pivot scratch: the two tree paths of the current cycle
      (walk order: entering-endpoint first, apex-side last) and the nodes
      whose thread successor a re-root changed. A path or the stem holds at
@@ -130,11 +140,14 @@ let rebuild_tree t =
 let alloc ~n ~m_real ~src ~dst ~state ~parent ~parc =
   let m = m_real + n in
   let arcs () = Array.make m 0 and nodes () = Array.make (n + 1) 0 in
+  let block = max 10 (int_of_float (sqrt (float_of_int m))) in
+  let head = max 10 (block / 5) in
+  let slots () = Array.make (block + head + 1) 0 in
   { n; m_real; m; src; dst; cap = arcs (); cost = arcs (); flow = arcs ();
     state; parent; parc;
     pi = nodes (); thread = nodes (); rev_thread = nodes ();
     succ_num = nodes (); last_succ = nodes (); scan_pos = 0;
-    block_size = max 64 (1 + int_of_float (sqrt (float_of_int m)));
+    block; head; cand = slots (); cand_viol = slots (); cand_len = 0;
     ts_arc = nodes ();
     ts_inc = Array.make (n + 1) false;
     ts_below = nodes ();
@@ -292,36 +305,104 @@ let create ?(crash = false) (p : Mcf.problem) =
   rebuild_tree t;
   t
 
-let reduced_cost t a = t.cost.(a) - t.pi.(t.src.(a)) + t.pi.(t.dst.(a))
-
-(* Entering arc: best violation within a block of arcs, scanning cyclically.
-   [left_in_block] counts down to the block boundary (same boundaries as the
-   historical [checked mod block_size] test, minus the division per arc). *)
-let find_entering t =
-  let best = ref (-1) and best_viol = ref 0 in
-  let checked = ref 0 in
-  let left_in_block = ref t.block_size in
-  let pos = ref t.scan_pos in
-  let continue = ref true in
-  while !continue && !checked < t.m do
-    let a = !pos in
-    let s = t.state.(a) in
-    if s <> state_tree then begin
-      let rc = reduced_cost t a in
-      let viol = if s = state_lower then -rc else rc in
-      if viol > !best_viol then begin
-        best_viol := viol;
-        best := a
+(* Move the [k] largest of [viol.(0..len-1)] into slots 0..k-1, each
+   arc riding with its violation (Hoare's FIND as Wirth writes it: a
+   partition around the middle slot, then only the side holding slot
+   [k-1] again), in place and in expected O(len). *)
+let select_top (cand : int array) (viol : int array) len k =
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo < !hi do
+    let x = viol.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while viol.(!i) > x do incr i done;
+      while x > viol.(!j) do decr j done;
+      if !i <= !j then begin
+        let a = cand.(!i) and v = viol.(!i) in
+        cand.(!i) <- cand.(!j);
+        viol.(!i) <- viol.(!j);
+        cand.(!j) <- a;
+        viol.(!j) <- v;
+        incr i;
+        decr j
       end
+    done;
+    if !j < k - 1 then lo := !i;
+    if k - 1 < !i then hi := !j
+  done
+
+(* Entering arc: the altering candidate list. An arc's violation is
+   [state * (pi src - pi dst - cost)], its reduced cost signed so that a
+   positive value means it can enter (a tree arc, state 0, prices 0).
+
+   1. Re-price the candidates the last call kept; keep those still
+      violated. An arc that entered the tree now prices 0, one that moved
+      bound to bound prices negative, so both drop out.
+   2. Scan cyclically from [scan_pos] in blocks of [block] arcs, appending
+      every violated arc. Stop at the first block boundary where the list
+      holds more than [head] entries, and after the first block as soon as
+      it holds any. Only a full cycle that leaves the list empty means
+      optimal (-1).
+   3. Select the best [head + 1] by violation, enter the best and keep the
+      other [head] for the next call.
+
+   The list holds at most [head] survivors plus one block, or it would
+   have stopped at the boundary before, so [block + head + 1] slots
+   suffice. A scan that wraps onto a survivor appends it twice; the copy
+   left behind drops out at the next re-pricing. *)
+let find_entering t =
+  let state = t.state and cost = t.cost and src = t.src and dst = t.dst in
+  let pi = t.pi and cand = t.cand and viol = t.cand_viol in
+  let len = ref 0 in
+  for i = 0 to t.cand_len - 1 do
+    let a = cand.(i) in
+    let v = state.(a) * (pi.(src.(a)) - pi.(dst.(a)) - cost.(a)) in
+    if v > 0 then begin
+      cand.(!len) <- a;
+      viol.(!len) <- v;
+      incr len
+    end
+  done;
+  let m = t.m and block = t.block in
+  let pos = ref t.scan_pos and left = ref block and limit = ref t.head in
+  let checked = ref 0 and scanning = ref true in
+  while !scanning && !checked < m do
+    let a = !pos in
+    let v = state.(a) * (pi.(src.(a)) - pi.(dst.(a)) - cost.(a)) in
+    if v > 0 then begin
+      cand.(!len) <- a;
+      viol.(!len) <- v;
+      incr len
     end;
     incr checked;
-    pos := if a + 1 = t.m then 0 else a + 1;
-    decr left_in_block;
-    if !left_in_block = 0 then
-      if !best >= 0 then continue := false else left_in_block := t.block_size
+    pos := if a + 1 = m then 0 else a + 1;
+    decr left;
+    if !left = 0 then
+      if !len > !limit then scanning := false
+      else begin
+        limit := 0;
+        left := block
+      end
   done;
   t.scan_pos <- !pos;
-  !best
+  let len = !len in
+  if len = 0 then begin
+    t.cand_len <- 0;
+    -1
+  end
+  else begin
+    let keep = min (t.head + 1) len in
+    if keep < len then select_top cand viol len keep;
+    let best = ref 0 in
+    for i = 1 to keep - 1 do
+      if viol.(i) > viol.(!best) then best := i
+    done;
+    let e = cand.(!best) in
+    cand.(!best) <- cand.(keep - 1);
+    viol.(!best) <- viol.(keep - 1);
+    t.cand_len <- keep - 1;
+    e
+  end
 
 (* Re-root the subtree under [u_out] at [u_in] and hang it from [v_in] via
    the entering arc [e]; [join] is the cycle's apex. LEMON's
@@ -444,6 +525,10 @@ let shift_potentials t q dpi =
     done
   end
 
+(* room left to push along [a] ([inc]) or against it *)
+let[@inline] residual t a inc =
+  if inc then t.cap.(a) - t.flow.(a) else t.flow.(a)
+
 exception Unbounded_exn
 
 exception Aborted_exn
@@ -503,15 +588,14 @@ let run_pivots ?budget t =
         end
       done;
       let join = !u in
-      let residual a inc = if inc then t.cap.(a) - t.flow.(a) else t.flow.(a) in
       let e_inc = s = state_lower in
-      let delta = ref (residual e e_inc) in
+      let delta = ref (residual t e e_inc) in
       for k = 0 to !ts_len - 1 do
-        let r = residual t.ts_arc.(k) t.ts_inc.(k) in
+        let r = residual t t.ts_arc.(k) t.ts_inc.(k) in
         if r < !delta then delta := r
       done;
       for k = 0 to !hs_len - 1 do
-        let r = residual t.hs_arc.(k) t.hs_inc.(k) in
+        let r = residual t t.hs_arc.(k) t.hs_inc.(k) in
         if r < !delta then delta := r
       done;
       let delta = !delta in
@@ -526,14 +610,14 @@ let run_pivots ?budget t =
       let lv_side = ref 1 and lv_arc = ref e and lv_below = ref (-1) in
       for k = !ts_len - 1 downto 0 do
         let a = t.ts_arc.(k) and inc = t.ts_inc.(k) in
-        if residual a inc = delta then begin
+        if residual t a inc = delta then begin
           lv_side := 0;
           lv_arc := a;
           lv_below := t.ts_below.(k)
         end;
         t.flow.(a) <- (if inc then t.flow.(a) + delta else t.flow.(a) - delta)
       done;
-      if residual e e_inc = delta then begin
+      if residual t e e_inc = delta then begin
         lv_side := 1;
         lv_arc := e;
         lv_below := -1
@@ -541,7 +625,7 @@ let run_pivots ?budget t =
       t.flow.(e) <- (if e_inc then t.flow.(e) + delta else t.flow.(e) - delta);
       for k = 0 to !hs_len - 1 do
         let a = t.hs_arc.(k) and inc = t.hs_inc.(k) in
-        if residual a inc = delta then begin
+        if residual t a inc = delta then begin
           lv_side := 2;
           lv_arc := a;
           lv_below := t.hs_below.(k)
@@ -762,7 +846,8 @@ let rewarm t (p : Mcf.problem) =
   (* thread index and potentials from scratch: subtrees moved and costs
      changed *)
   rebuild_tree t;
-  t.scan_pos <- 0
+  t.scan_pos <- 0;
+  t.cand_len <- 0
 
 let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
   Mcf.validate p;

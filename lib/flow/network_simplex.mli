@@ -1,10 +1,13 @@
 (** Network simplex solver for minimum-cost flow.
 
     The primal network simplex method on a strongly feasible spanning tree
-    (Cunningham's leaving-arc rule) with a block pivot-search rule, in the
-    style of Goldberg-Grigoriadis-Tarjan [9] / AMO ch. 11. Integer costs and
-    capacities; artificial big-M arcs provide the initial basis, so the
-    network need not be connected.
+    (Cunningham's leaving-arc rule), in the style of
+    Goldberg-Grigoriadis-Tarjan [9] / AMO ch. 11. The entering arc comes
+    from an altering candidate list (LEMON's rule): each pivot re-prices a
+    short list of arcs found violated before and scans new blocks of arcs
+    only when that list runs low. Both entry points price this way.
+    Integer costs and capacities; artificial big-M arcs provide the
+    initial basis, so the network need not be connected.
 
     This is the production solver used by the D-phase. Complexity is
     polynomial in practice (near-linear on the shallow, sparse constraint

@@ -541,10 +541,10 @@ let trajectory_digest seed =
 
 let test_trajectory_pin () =
   let pins =
-    [ (0, "b9cc80e4d4f9ca0e");
-      (1, "c594b6dfb8a777ea");
-      (2, "b0f24ebc44dc5893");
-      (3, "d9cabe00de2a6413") ]
+    [ (0, "63e895d8cb1049d6");
+      (1, "32ad7e9446d2aee1");
+      (2, "bb54e258dd529713");
+      (3, "b0cfac8ba655d929") ]
   in
   List.iter
     (fun (seed, expect) ->
@@ -661,16 +661,16 @@ type basis_view = {
   bv_parc : int array;
 }
 
-(* The first basis of a fresh-state [solve_warm]: a zero-pivot budget stops
-   the solve before its first pivot (or the crash basis is already
-   optimal), and the state keeps that basis. The state is abstract, so it
+(* The basis of a fresh-state [solve_warm] after [k] pivots: a [k]-pivot
+   budget stops the solve before its next pivot (or it is optimal
+   already), and the state keeps that basis. The state is abstract, so it
    is read back through [basis_view]; the block shape is checked before
    the cast, so a changed representation fails here instead of reading
-   garbage. [None] when the solve dropped the basis (Infeasible at once, or
+   garbage. [None] when the solve dropped the basis (Infeasible, or
    unbalanced). *)
-let crash_start (p : Mcf.problem) =
+let basis_after k (p : Mcf.problem) =
   let st = Simplex.make_state () in
-  let budget = Budget.start (Budget.limits ~max_pivots:0 ()) in
+  let budget = Budget.start (Budget.limits ~max_pivots:k ()) in
   let sol = Simplex.solve_warm ~budget st p in
   let n = p.num_nodes and m = Array.length p.arcs + p.num_nodes in
   let r = Obj.repr st in
@@ -693,6 +693,20 @@ let crash_start (p : Mcf.problem) =
     (sol, Some (Obj.obj b : basis_view))
   end
 
+(* The first basis: the crash basis, or the optimum it already is. *)
+let crash_start = basis_after 0
+
+(* Arc [a]'s cost in the solver's numbering: real arcs first, then one
+   artificial arc per node at big-M, mirrored from
+   [Network_simplex.create]. *)
+let basis_cost (p : Mcf.problem) =
+  let m_real = Array.length p.arcs in
+  let max_cost =
+    Array.fold_left (fun acc (a : Mcf.arc) -> max acc (abs a.cost)) 1 p.arcs
+  in
+  let big_m = ((p.num_nodes + 1) * max_cost) + 1 in
+  fun a -> if a < m_real then p.arcs.(a).cost else big_m
+
 (* The crash basis's invariants, from the basis and the potentials of the
    zero-pivot solve:
    - the parent links form a tree on the root, each node joined to its
@@ -703,18 +717,13 @@ let crash_start (p : Mcf.problem) =
      below capacity, a leafward one above zero);
    - the potentials price every tree arc at reduced cost 0, and no
      nonbasic artificial arc (oriented root -> x) can ever enter.
-   Artificial arcs cost big-M, mirrored here from [Network_simplex.create].
    Returns the basic flow. *)
 let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
   let n = p.num_nodes and m_real = Array.length p.arcs in
   let root = n and m = m_real + n in
   if b.bv_n <> n || b.bv_m_real <> m_real then fail "basis of another shape";
-  let max_cost =
-    Array.fold_left (fun acc (a : Mcf.arc) -> max acc (abs a.cost)) 1 p.arcs
-  in
-  let big_m = ((n + 1) * max_cost) + 1 in
-  let cost a = if a < m_real then p.arcs.(a).cost else big_m in
+  let cost = basis_cost p in
   let cap a =
     if a < m_real then min p.arcs.(a).cap Mcf.infinite_capacity
     else Mcf.infinite_capacity
@@ -957,6 +966,169 @@ let test_crash_on_displacement_lps () =
             !on_artificial))
     [ ("c17", `Gate); ("c17", `Transistor); ("c432", `Gate);
       ("c432", `Transistor) ]
+
+(* ---------- pricing ---------- *)
+
+(* The pricing block size B over m = real plus artificial arcs, mirrored
+   from [Network_simplex.alloc]. *)
+let pricing_block m = max 10 (int_of_float (sqrt (float_of_int m)))
+
+(* Problems around the candidate list's edges, by [seed mod 5]:
+   - 0: one node, with up to three capacitated self loops;
+   - 1: fewer arcs than one block (m < B), so every scan is one partial
+     block that wraps onto the candidates it kept;
+   - 2, 3: many blocks with few violated arcs. From the artificial start
+     only arcs into a demand node can enter, and most arcs cost more than
+     the cheap paths, so the list often empties and the scan crosses
+     blocks with an empty list before it finds the next arc;
+   - 4: degenerate: costs 0 or 1 and capacities 0 to 2 or unbounded, so
+     violations tie and many pivots push no flow.
+   Kinds 2 to 4 add an uncapacitated ring in most seeds (the others are
+   often infeasible), and every eleventh seed is unbalanced. No
+   uncapacitated arc costs below 0, so no solve is unbounded. *)
+let pricing_case seed =
+  let rng = Rng.create ((seed * 7907) + 3) in
+  let kind = seed mod 5 in
+  let n =
+    match kind with
+    | 0 -> 1
+    | 1 -> 2 + Rng.int rng 3
+    | 2 | 3 -> 30 + Rng.int rng 40
+    | _ -> 4 + Rng.int rng 20
+  in
+  let supply = Array.make n 0 in
+  let pairs =
+    match kind with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 | 3 -> 1 + Rng.int rng 3
+    | _ -> 1 + Rng.int rng (n / 2)
+  in
+  for _ = 1 to pairs do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let b = 1 + Rng.int rng 4 in
+    supply.(u) <- supply.(u) + b;
+    supply.(v) <- supply.(v) - b
+  done;
+  let arcs = ref [] in
+  let add src dst cap cost = arcs := arc src dst cap cost :: !arcs in
+  let any () = Rng.int rng n in
+  (match kind with
+  | 0 ->
+    for _ = 1 to Rng.int rng 4 do
+      add 0 0 (Rng.int rng 5) (Rng.int rng 5 - 2)
+    done
+  | 1 ->
+    (* m = n + real arcs <= 9 < 10 <= B *)
+    for _ = 1 to Rng.int rng (10 - n) do
+      add (any ()) (any ()) (Rng.int rng 6) (Rng.int rng 7 - 2)
+    done
+  | 2 | 3 ->
+    for _ = 1 to (5 + Rng.int rng 6) * n do
+      if Rng.int rng 3 = 0 then
+        add (any ()) (any ()) (Rng.int rng 10) (Rng.int rng 5)
+      else add (any ()) (any ()) Mcf.infinite_capacity (10 + Rng.int rng 40)
+    done
+  | _ ->
+    for _ = 1 to 3 * n do
+      let cap =
+        match Rng.int rng 4 with
+        | 3 -> Mcf.infinite_capacity
+        | c -> c
+      in
+      add (any ()) (any ()) cap (Rng.int rng 2)
+    done);
+  if kind >= 2 && Rng.int rng 4 > 0 then
+    for v = 0 to n - 1 do
+      add v ((v + 1) mod n) Mcf.infinite_capacity 60
+    done;
+  if seed mod 11 = 10 then supply.(any ()) <- supply.(any ()) + 1;
+  (kind, { Mcf.num_nodes = n; arcs = Array.of_list (List.rev !arcs); supply })
+
+(* Every pivot enters an arc that was nonbasic and violated. [basis_after]
+   steps a fresh-state [solve_warm] one pivot at a time; the arc a pivot
+   entered is the one nonbasic arc whose state it changed (into the tree,
+   or bound to bound), priced with the potentials from before the pivot.
+   A candidate kept after it entered the tree would enter again as a
+   pivot that changes no state. *)
+let check_pivot_steps name (p : Mcf.problem) =
+  let n = p.num_nodes and m_real = Array.length p.arcs in
+  let cost = basis_cost p in
+  let rec walk k ((sol : Mcf.solution), b) =
+    match (sol.status, b) with
+    | Mcf.Aborted, Some b ->
+      let next = basis_after (k + 1) p in
+      (match next with
+      | _, None -> ()
+      | _, Some b' ->
+        let pot v = if v = n then 0 else sol.potential.(v) in
+        let moved =
+          List.filter
+            (fun a -> b.bv_state.(a) <> 0 && b'.bv_state.(a) <> b.bv_state.(a))
+            (List.init (m_real + n) Fun.id)
+        in
+        (match moved with
+        | [ a ] ->
+          let viol =
+            b.bv_state.(a) * (pot b.bv_src.(a) - pot b.bv_dst.(a) - cost a)
+          in
+          if viol <= 0 then
+            Alcotest.failf "%s: pivot %d enters arc %d at violation %d" name
+              (k + 1) a viol
+        | moved ->
+          Alcotest.failf "%s: pivot %d changes the state of %d nonbasic arcs"
+            name (k + 1) (List.length moved)));
+      walk (k + 1) next
+    | _ -> ()
+  in
+  walk 0 (crash_start p)
+
+(* [solve] and a fresh-state [solve_warm] end where SSP ends: the same
+   status and objective, and a certified optimum. Each solve runs under a
+   pivot budget far above what these problems need, so a pricing rule
+   that pivots forever fails as Aborted instead of hanging. The family
+   must reach each of its shapes. On the small kinds every pivot is
+   checked as well ([check_pivot_steps]). *)
+let test_pricing_matches_ssp () =
+  let seen = Hashtbl.create 8 in
+  let saw tag = Hashtbl.replace seen tag () in
+  for seed = 0 to 999 do
+    let kind, p = pricing_case seed in
+    let name = Printf.sprintf "seed %d" seed in
+    let m = Array.length p.arcs + p.num_nodes in
+    let ssp = Ssp.solve p in
+    let budget () = Budget.start (Budget.limits ~max_pivots:100_000 ()) in
+    List.iter
+      (fun (entry, (s : Mcf.solution)) ->
+        if s.status <> ssp.status then
+          Alcotest.failf "%s: ssp %s, %s %s on instance:\n%s" name
+            (status_str ssp.status) entry (status_str s.status)
+            (problem_to_string p);
+        if s.status = Optimal then begin
+          if s.objective <> ssp.objective then
+            Alcotest.failf "%s: ssp objective %d, %s %d on instance:\n%s" name
+              ssp.objective entry s.objective (problem_to_string p);
+          expect_certified (name ^ " " ^ entry) p s
+        end)
+      [ ("solve", Simplex.solve ~budget:(budget ()) p);
+        ("solve_warm",
+         Simplex.solve_warm ~budget:(budget ()) (Simplex.make_state ()) p) ];
+    if kind <> 2 && kind <> 3 then check_pivot_steps name p;
+    let balanced = Mcf.is_balanced p in
+    List.iter
+      (fun (flag, tag) -> if flag then saw tag)
+      [ (p.num_nodes = 1, "one node");
+        (m < pricing_block m, "m < B");
+        (m >= 10 * pricing_block m && ssp.status = Optimal, "ten blocks");
+        (kind = 4 && ssp.status = Optimal, "degenerate");
+        (not balanced, "unbalanced");
+        (balanced && ssp.status = Infeasible, "infeasible") ]
+  done;
+  List.iter
+    (fun tag ->
+      check bool ("family reaches: " ^ tag) true (Hashtbl.mem seen tag))
+    [ "one node"; "m < B"; "ten blocks"; "degenerate"; "unbalanced";
+      "infeasible" ]
 
 (* ---------- canonical duals ---------- *)
 
@@ -1263,7 +1435,9 @@ let () =
           tc "crash start = cold = SSP, 600 problems" `Quick
             test_crash_matches_cold;
           tc "crash hangs every pair of the D-phase LPs" `Quick
-            test_crash_on_displacement_lps ] );
+            test_crash_on_displacement_lps;
+          tc "candidate list = SSP, 1000 problems" `Quick
+            test_pricing_matches_ssp ] );
       ( "canonical",
         [ tc "matches Bellman-Ford, 250 tied problems" `Quick
             test_canonical_matches_reference;

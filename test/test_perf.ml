@@ -342,12 +342,12 @@ let test_bench_check_catches_drift () =
     output_string oc text;
     close_out oc
   in
-  write (pr10 ~pivots:10066);
+  write (pr10 ~pivots:7054);
   (match check_against baseline c432_cold with
   | Ok () -> ()
   | Error ds ->
     Alcotest.failf "BENCH_pr10 spelling diverged: %s" (String.concat "; " ds));
-  write (pr10 ~pivots:10067);
+  write (pr10 ~pivots:7055);
   (match check_against baseline c432_cold with
   | Ok () -> Alcotest.fail "changed counter in BENCH_pr10 spelling accepted"
   | Error ds -> check int "the changed experiment flagged" 1 (List.length ds));

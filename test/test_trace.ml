@@ -63,7 +63,7 @@ let fixture =
 
 (* The exact bytes of [minflo size c432 --factor 0.6 --trace FILE], at
    gate granularity (file sha256 81aaa5d7298f6890...) and with
-   [--granularity transistor] (e4397a84219923e5...). Every float sum and
+   [--granularity transistor] (3b76879e5b9274ab...). Every float sum and
    tie-break of the engine feeds these files, so any change in an
    iteration order moves the digest. *)
 let test_trace_bytes_pinned granularity expect () =
@@ -269,4 +269,4 @@ let () =
             (test_trace_bytes_pinned `Gate "a2986a32b16c712d51140d817232208c");
           Alcotest.test_case "c432 transistor trace bytes" `Quick
             (test_trace_bytes_pinned `Transistor
-               "2782b402638e90fa260cbd1b040876c5") ] ) ]
+               "f80c060781567d18f5d567f9ff8f5470") ] ) ]
