@@ -6,6 +6,12 @@
      AlteringList pricing; Kiraly & Kovacs, arXiv 1207.6381): each pivot
      re-prices the short list of violated arcs the last one kept before it
      scans any new block of arcs ([find_entering]);
+   - cut seeding of that list: a pivot changes reduced costs only on the
+     arcs that cross the cut around the re-hung subtree, so the walk that
+     shifts one side's potentials also re-prices the incident arcs of that
+     side's first nodes, at most one block of them, through a node ->
+     incident-arc index, and appends the violated ones
+     ([shift_potentials]);
    - Cunningham's rule for the leaving arc (last blocking arc met when the
      cycle is traversed in its own orientation starting at the apex), which
      keeps the tree strongly feasible and prevents cycling;
@@ -29,10 +35,10 @@
      previous solve seeds the next one, so a solve after a small cost/supply
      change needs only the pivots that repair optimality, not the full climb
      out of the artificial basis. The state keeps only the basis (arc
-     endpoints, arc states, parent links); a warm solve allocates the other
-     working arrays afresh, re-hangs nodes by their parent pointers alone
-     and rebuilds the thread index and the potentials from the parents in
-     O(n) passes.
+     endpoints, arc states, parent links) and the shape's incidence index;
+     a warm solve allocates the other working arrays afresh, re-hangs nodes
+     by their parent pointers alone and rebuilds the thread index and the
+     potentials from the parents in O(n) passes.
 
    All arithmetic is on OCaml ints; capacities are clamped to
    Mcf.infinite_capacity so sums cannot overflow 63-bit ints. *)
@@ -43,6 +49,40 @@ module Perf = Minflo_robust.Perf
 let state_tree = 0
 let state_lower = 1
 let state_upper = -1
+
+(* The node -> incident-arc index of a network shape: every one of the
+   m = m_real + n arcs listed under both its endpoints, ascending per node,
+   as CSR offsets over nodes 0..n (n+2 words) and arcs (2m words). The
+   artificial arc [m_real + v] is listed under [v] and the root whichever
+   way it points, so re-orienting it keeps the index valid; the index
+   depends on the arc endpoints alone and lives as long as the shape. *)
+type incidence = { off : int array; arcs : int array }
+
+let incidence (p : Mcf.problem) =
+  let n = p.num_nodes and m_real = Array.length p.arcs in
+  let off = Array.make (n + 2) 0 and arcs = Array.make (2 * (m_real + n)) 0 in
+  (* every (node, arc) pair, arcs descending *)
+  let each f =
+    for v = n - 1 downto 0 do
+      f v (m_real + v);
+      f n (m_real + v)
+    done;
+    for a = m_real - 1 downto 0 do
+      f p.arcs.(a).Mcf.dst a;
+      f p.arcs.(a).Mcf.src a
+    done
+  in
+  each (fun x _ -> off.(x) <- off.(x) + 1);
+  for x = 1 to n do
+    off.(x) <- off.(x) + off.(x - 1)
+  done;
+  off.(n + 1) <- off.(n);
+  (* filled back to front, so each list ends ascending and [off.(x)] ends
+     at the list's start *)
+  each (fun x a ->
+      off.(x) <- off.(x) - 1;
+      arcs.(off.(x)) <- a);
+  { off; arcs }
 
 type t = {
   n : int;             (* real nodes; root is node n *)
@@ -65,8 +105,10 @@ type t = {
   mutable scan_pos : int; (* pricing scan cursor *)
   block : int;         (* B: arcs per pricing block *)
   head : int;          (* H: candidates kept between pivots *)
+  inc : incidence;     (* node -> incident arcs, kept with the shape *)
   (* the candidate list: arcs and their violations in slots
-     0..cand_len-1, B+H+1 slots (see [find_entering]) *)
+     0..cand_len-1, 2B+H+1 slots (see [shift_potentials] and
+     [find_entering]) *)
   cand : int array;
   cand_viol : int array;
   mutable cand_len : int;
@@ -134,20 +176,21 @@ let rebuild_tree t =
   t.rev_thread.(root) <- !prev;
   close root
 
-(* A solver over the given basis arrays, with every other working array
-   fresh: costs, capacities, flows, potentials, the thread index and the
-   pivot scratch. *)
-let alloc ~n ~m_real ~src ~dst ~state ~parent ~parc =
+(* A solver over the given basis arrays and incidence index, with every
+   other working array fresh: costs, capacities, flows, potentials, the
+   thread index and the pivot scratch. *)
+let alloc ~n ~m_real ~src ~dst ~state ~parent ~parc ~inc =
   let m = m_real + n in
   let arcs () = Array.make m 0 and nodes () = Array.make (n + 1) 0 in
   let block = max 10 (int_of_float (sqrt (float_of_int m))) in
   let head = max 10 (block / 5) in
-  let slots () = Array.make (block + head + 1) 0 in
+  let slots () = Array.make ((2 * block) + head + 1) 0 in
   { n; m_real; m; src; dst; cap = arcs (); cost = arcs (); flow = arcs ();
     state; parent; parc;
     pi = nodes (); thread = nodes (); rev_thread = nodes ();
     succ_num = nodes (); last_succ = nodes (); scan_pos = 0;
-    block; head; cand = slots (); cand_viol = slots (); cand_len = 0;
+    block; head; inc;
+    cand = slots (); cand_viol = slots (); cand_len = 0;
     ts_arc = nodes ();
     ts_inc = Array.make (n + 1) false;
     ts_below = nodes ();
@@ -264,7 +307,7 @@ let create ?(crash = false) (p : Mcf.problem) =
   let t =
     alloc ~n ~m_real ~src:(Array.make m 0) ~dst:(Array.make m 0)
       ~state:(Array.make m state_lower) ~parent:(Array.make (n + 1) (-1))
-      ~parc:(Array.make (n + 1) (-1))
+      ~parc:(Array.make (n + 1) (-1)) ~inc:(incidence p)
   in
   let max_cost = ref 1 in
   Array.iteri
@@ -346,10 +389,14 @@ let select_top (cand : int array) (viol : int array) len k =
    3. Select the best [head + 1] by violation, enter the best and keep the
       other [head] for the next call.
 
-   The list holds at most [head] survivors plus one block, or it would
-   have stopped at the boundary before, so [block + head + 1] slots
-   suffice. A scan that wraps onto a survivor appends it twice; the copy
-   left behind drops out at the next re-pricing. *)
+   Step 1 also re-prices the seeds the last pivot appended
+   ([shift_potentials]), so only violated arcs enter. The list holds at
+   most [head] survivors plus one block of seeds plus one block of scan, or
+   the scan would have stopped at the boundary before, so
+   [2 block + head + 1] slots suffice. A seed or a scan that repeats a
+   survivor appends it twice; the copy left behind drops out at the next
+   re-pricing. Every re-pricing and every scanned arc counts in
+   [Perf.arcs_priced], added once per call. *)
 let find_entering t =
   let state = t.state and cost = t.cost and src = t.src and dst = t.dst in
   let pi = t.pi and cand = t.cand and viol = t.cand_viol in
@@ -385,6 +432,7 @@ let find_entering t =
       end
   done;
   t.scan_pos <- !pos;
+  Perf.tick_arcs_priced (t.cand_len + !checked);
   let len = !len in
   if len = 0 then begin
     t.cand_len <- 0;
@@ -507,23 +555,59 @@ let update_tree t ~join ~u_in ~v_in ~u_out ~e =
 
 (* Shift the potentials of the subtree under [q] by [dpi] — or, when it
    holds more than half of the nodes, the complement by [-dpi]: the same
-   potential differences from fewer writes (see the header comment). *)
+   potential differences from fewer writes (see the header comment) — and
+   seed the candidate list from the cut.
+
+   Only arcs with one end on each side change reduced cost, and each of
+   them is incident to a node of the shifted side. The walk goes through
+   that side in thread order from its first node; right after shifting a
+   node it re-prices the node's incident arcs (the root's are all
+   artificial and skipped), until [block] arcs are priced, and appends
+   every violated one. It then shifts the rest of the side without
+   pricing. A node's arcs to side-mates the walk has not shifted yet are
+   priced off by [dpi], so a seed may be no violation at all:
+   [find_entering] re-prices every entry before it selects. The list held
+   at most [head] survivors, so seeding leaves at most [block + head]
+   entries. Each call adds the side's size to [Perf.potential_writes] and
+   its re-pricings to [Perf.arcs_priced]. *)
 let shift_potentials t q dpi =
   let stop = t.thread.(t.last_succ.(q)) in
-  if 2 * t.succ_num.(q) <= t.n + 1 then begin
-    let u = ref q in
-    while !u <> stop do
-      t.pi.(!u) <- t.pi.(!u) + dpi;
-      u := t.thread.(!u)
-    done
-  end
-  else begin
-    let u = ref stop in
-    while !u <> q do
-      t.pi.(!u) <- t.pi.(!u) - dpi;
-      u := t.thread.(!u)
-    done
-  end
+  let small = 2 * t.succ_num.(q) <= t.n + 1 in
+  let first = if small then q else stop and last = if small then stop else q in
+  let dpi = if small then dpi else -dpi in
+  let pi = t.pi and thread = t.thread and root = t.n in
+  let state = t.state and cost = t.cost and src = t.src and dst = t.dst in
+  let off = t.inc.off and inc = t.inc.arcs in
+  let cand = t.cand and viol = t.cand_viol in
+  let len = ref t.cand_len and left = ref t.block in
+  let u = ref first in
+  while !u <> last && !left > 0 do
+    let x = !u in
+    pi.(x) <- pi.(x) + dpi;
+    if x <> root then begin
+      let lo = off.(x) in
+      let hi = if off.(x + 1) - lo < !left then off.(x + 1) else lo + !left in
+      left := !left - (hi - lo);
+      for i = lo to hi - 1 do
+        let a = inc.(i) in
+        let v = state.(a) * (pi.(src.(a)) - pi.(dst.(a)) - cost.(a)) in
+        if v > 0 then begin
+          cand.(!len) <- a;
+          viol.(!len) <- v;
+          incr len
+        end
+      done
+    end;
+    u := thread.(x)
+  done;
+  while !u <> last do
+    pi.(!u) <- pi.(!u) + dpi;
+    u := thread.(!u)
+  done;
+  t.cand_len <- !len;
+  Perf.tick_arcs_priced (t.block - !left);
+  Perf.tick_potential_writes
+    (if small then t.succ_num.(q) else t.n + 1 - t.succ_num.(q))
 
 (* room left to push along [a] ([inc]) or against it *)
 let[@inline] residual t a inc =
@@ -633,7 +717,8 @@ let run_pivots ?budget t =
         t.flow.(a) <- (if inc then t.flow.(a) + delta else t.flow.(a) - delta)
       done;
       if !lv_side = 1 || !lv_arc = e then
-        (* the entering arc itself blocks: it moves bound-to-bound *)
+        (* the entering arc itself blocks: it moves bound-to-bound, no
+           potential moves and nothing is seeded *)
         t.state.(e) <- -s
       else begin
         (* the subtree under [lv_below] is cut; the entering-arc endpoint
@@ -648,7 +733,8 @@ let run_pivots ?budget t =
         t.state.(e) <- state_tree;
         update_tree t ~join ~u_in:q ~v_in:pnode ~u_out:!lv_below ~e;
         (* no cost changed, so the re-hung subtree's potentials shift
-           uniformly by the entering arc's potential discontinuity at q *)
+           uniformly by the entering arc's potential discontinuity at q;
+           the shift seeds the candidate list *)
         let dpi =
           (if t.dst.(e) = q then t.pi.(pnode) - t.cost.(e)
            else t.pi.(pnode) + t.cost.(e))
@@ -710,7 +796,9 @@ let solve ?budget (p : Mcf.problem) : Mcf.solution =
    parent links determine everything else, because [rewarm] re-derives the
    flows and potentials from them and the new problem. Keeping only these
    five arrays, not the whole solver, keeps the memory that lives between
-   solves at 3(m+n) + 2(n+1) words. *)
+   solves at 3(m+n) + 2(n+1) words. The shape's incidence index rides
+   along (2(m+n) + n + 2 words), so a warm solve does not rebuild it;
+   [compatible] guards it like the basis. *)
 type basis = {
   b_n : int;
   b_m_real : int;
@@ -719,6 +807,7 @@ type basis = {
   b_state : int array;
   b_parent : int array;
   b_parc : int array;
+  b_inc : incidence;
 }
 
 type state = { mutable basis : basis option }
@@ -862,7 +951,7 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
         Perf.tick_warm_start ();
         let t =
           alloc ~n:b.b_n ~m_real:b.b_m_real ~src:b.b_src ~dst:b.b_dst
-            ~state:b.b_state ~parent:b.b_parent ~parc:b.b_parc
+            ~state:b.b_state ~parent:b.b_parent ~parc:b.b_parc ~inc:b.b_inc
         in
         (* a children-before-parents order for [rewarm]'s walk *)
         rebuild_tree t;
@@ -881,7 +970,8 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
        | Optimal | Aborted ->
          Some
            { b_n = t.n; b_m_real = t.m_real; b_src = t.src; b_dst = t.dst;
-             b_state = t.state; b_parent = t.parent; b_parc = t.parc }
+             b_state = t.state; b_parent = t.parent; b_parc = t.parc;
+             b_inc = t.inc }
        | _ -> None);
     sol
   end

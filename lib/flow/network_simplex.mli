@@ -5,7 +5,12 @@
     Goldberg-Grigoriadis-Tarjan [9] / AMO ch. 11. The entering arc comes
     from an altering candidate list (LEMON's rule): each pivot re-prices a
     short list of arcs found violated before and scans new blocks of arcs
-    only when that list runs low. Both entry points price this way.
+    only when that list runs low. A pivot changes reduced costs only on the
+    arcs across the cut around the subtree it re-hangs, so after each such
+    pivot the walk that shifts one side's potentials re-prices the incident
+    arcs of that side's first nodes, at most one block of them, and adds
+    the violated ones to the list, in thread order. Both entry points price
+    this way.
     Integer costs and capacities; artificial big-M arcs provide the
     initial basis, so the network need not be connected.
 
@@ -37,12 +42,13 @@ val solve : ?budget:Minflo_robust.Budget.t -> Mcf.problem -> Mcf.solution
     when bit-identical duals matter). *)
 
 type state
-(** Reusable solver state. Between solves it holds the basis alone: arc
+(** Reusable solver state. Between solves it holds the basis: arc
     endpoints (with the artificial arcs' orientation), arc states and the
     tree's parent links, 3(m+n) + 2(n+1) words for [m] arcs and [n]
-    nodes. A warm solve allocates its other working arrays afresh and
-    re-derives flows and potentials from that basis. Never shared across
-    concurrently running solves. *)
+    nodes, plus the network shape's node -> incident-arc index,
+    2(m+n) + n + 2 words. A warm solve allocates its other working arrays
+    afresh and re-derives flows and potentials from that basis. Never
+    shared across concurrently running solves. *)
 
 val make_state : unit -> state
 (** A fresh, empty state: the first solve through it is a cold start. *)

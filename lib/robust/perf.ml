@@ -11,6 +11,8 @@ type counters = {
   mutable evictions : int;
   mutable incr_updates : int;
   mutable full_sweeps_avoided : int;
+  mutable arcs_priced : int;
+  mutable potential_writes : int;
 }
 
 let zero () =
@@ -25,7 +27,9 @@ let zero () =
     rejections = 0;
     evictions = 0;
     incr_updates = 0;
-    full_sweeps_avoided = 0 }
+    full_sweeps_avoided = 0;
+    arcs_priced = 0;
+    potential_writes = 0 }
 
 let current = zero ()
 
@@ -41,7 +45,9 @@ let reset () =
   current.rejections <- 0;
   current.evictions <- 0;
   current.incr_updates <- 0;
-  current.full_sweeps_avoided <- 0
+  current.full_sweeps_avoided <- 0;
+  current.arcs_priced <- 0;
+  current.potential_writes <- 0
 
 let snapshot () =
   { pivots = current.pivots;
@@ -55,7 +61,9 @@ let snapshot () =
     rejections = current.rejections;
     evictions = current.evictions;
     incr_updates = current.incr_updates;
-    full_sweeps_avoided = current.full_sweeps_avoided }
+    full_sweeps_avoided = current.full_sweeps_avoided;
+    arcs_priced = current.arcs_priced;
+    potential_writes = current.potential_writes }
 
 let diff before after =
   { pivots = after.pivots - before.pivots;
@@ -69,7 +77,9 @@ let diff before after =
     rejections = after.rejections - before.rejections;
     evictions = after.evictions - before.evictions;
     incr_updates = after.incr_updates - before.incr_updates;
-    full_sweeps_avoided = after.full_sweeps_avoided - before.full_sweeps_avoided }
+    full_sweeps_avoided = after.full_sweeps_avoided - before.full_sweeps_avoided;
+    arcs_priced = after.arcs_priced - before.arcs_priced;
+    potential_writes = after.potential_writes - before.potential_writes }
 
 let add a b =
   { pivots = a.pivots + b.pivots;
@@ -83,7 +93,9 @@ let add a b =
     rejections = a.rejections + b.rejections;
     evictions = a.evictions + b.evictions;
     incr_updates = a.incr_updates + b.incr_updates;
-    full_sweeps_avoided = a.full_sweeps_avoided + b.full_sweeps_avoided }
+    full_sweeps_avoided = a.full_sweeps_avoided + b.full_sweeps_avoided;
+    arcs_priced = a.arcs_priced + b.arcs_priced;
+    potential_writes = a.potential_writes + b.potential_writes }
 
 let equal a b =
   a.pivots = b.pivots && a.relabels = b.relabels && a.sweeps = b.sweeps
@@ -96,6 +108,8 @@ let equal a b =
   && a.evictions = b.evictions
   && a.incr_updates = b.incr_updates
   && a.full_sweeps_avoided = b.full_sweeps_avoided
+  && a.arcs_priced = b.arcs_priced
+  && a.potential_writes = b.potential_writes
 
 let tick_pivot () = current.pivots <- current.pivots + 1
 let tick_relabel () = current.relabels <- current.relabels + 1
@@ -111,6 +125,11 @@ let tick_eviction () = current.evictions <- current.evictions + 1
 let tick_full_sweep_avoided () =
   current.full_sweeps_avoided <- current.full_sweeps_avoided + 1
 
+let tick_arcs_priced k = current.arcs_priced <- current.arcs_priced + k
+
+let tick_potential_writes k =
+  current.potential_writes <- current.potential_writes + k
+
 let to_fields c =
   [ ("pivots", c.pivots);
     ("relabels", c.relabels);
@@ -123,7 +142,9 @@ let to_fields c =
     ("rejections", c.rejections);
     ("evictions", c.evictions);
     ("incr_updates", c.incr_updates);
-    ("full_sweeps_avoided", c.full_sweeps_avoided) ]
+    ("full_sweeps_avoided", c.full_sweeps_avoided);
+    ("arcs_priced", c.arcs_priced);
+    ("potential_writes", c.potential_writes) ]
 
 let pp fmt c =
   Format.fprintf fmt "@[<h>";

@@ -23,7 +23,15 @@
     - [full_sweeps_avoided]: times a full STA pass was skipped because
       incremental propagation settled the change, or an already-computed
       analysis was reused (the D-phase handing its safety-probe STA to the
-      FSDU balancer).
+      FSDU balancer);
+    - [arcs_priced]: reduced costs the network simplex computed to choose
+      entering arcs (candidate re-pricings, block scans and the cut
+      seeding after each pivot);
+    - [potential_writes]: node potentials the network simplex shifted
+      after its pivots.
+
+    The two simplex counters are added once per pricing call or per shift,
+    with that call's count, so the pivot loop does no per-arc counting.
 
     Unlike wall time, every one of these is a pure function of the inputs,
     so two identical runs produce identical counters — the property the
@@ -48,6 +56,8 @@ type counters = {
   mutable evictions : int;
   mutable incr_updates : int;
   mutable full_sweeps_avoided : int;
+  mutable arcs_priced : int;
+  mutable potential_writes : int;
 }
 
 val zero : unit -> counters
@@ -79,6 +89,12 @@ val tick_cache_miss : unit -> unit
 val tick_rejection : unit -> unit
 val tick_eviction : unit -> unit
 val tick_full_sweep_avoided : unit -> unit
+
+val tick_arcs_priced : int -> unit
+(** [tick_arcs_priced k] adds [k] to [arcs_priced]. *)
+
+val tick_potential_writes : int -> unit
+(** [tick_potential_writes k] adds [k] to [potential_writes]. *)
 
 val to_fields : counters -> (string * int) list
 (** [(name, value)] pairs in a fixed order — the serialization used by the

@@ -541,10 +541,10 @@ let trajectory_digest seed =
 
 let test_trajectory_pin () =
   let pins =
-    [ (0, "63e895d8cb1049d6");
-      (1, "32ad7e9446d2aee1");
-      (2, "bb54e258dd529713");
-      (3, "b0cfac8ba655d929") ]
+    [ (0, "7e0931fc567f64e3");
+      (1, "e1e179729bb52dee");
+      (2, "992e87fec81c805a");
+      (3, "f5331ae56c2d8ba8") ]
   in
   List.iter
     (fun (seed, expect) ->
@@ -591,9 +591,10 @@ let test_abort_then_resume () =
       (true, 0); (true, 1); (true, warm_pivots / 3); (true, warm_pivots - 1) ]
 
 (* A state retains the basis alone — arc endpoints, arc states, parent
-   links: 3 words per arc (artificial arcs included) and 2 per tree node,
-   plus headers. The working arrays of the last solve must not stay
-   reachable from it between solves. *)
+   links: 3 words per arc (artificial arcs included) and 2 per tree node —
+   and the shape's incidence index, 2 words per arc and 1 per node (the
+   root included) plus one, plus headers. The working arrays of the last
+   solve must not stay reachable from it between solves. *)
 let test_state_keeps_only_basis () =
   for seed = 0 to 2 do
     let rng = Rng.create ((seed * 6007) + 11) in
@@ -607,7 +608,9 @@ let test_state_keeps_only_basis () =
     check int "the solve reused the basis" 1
       (Perf.diff before (Perf.snapshot ())).warm_starts;
     let n = l.n and m = Array.length l.ends in
-    let bound = (3 * (m + n)) + (2 * (n + 1)) + 64 in
+    let bound =
+      (3 * (m + n)) + (2 * (n + 1)) + (2 * (m + n)) + (n + 2) + 64
+    in
     let words = Obj.reachable_words (Obj.repr st) in
     if words > bound then
       Alcotest.failf "seed %d: state holds %d words, bound %d (n %d, m %d)"
@@ -649,8 +652,11 @@ let test_degenerate_sizes () =
 (* ---------- the crash basis ---------- *)
 
 (* [Simplex.state] as the library represents it: one mutable field holding
-   the basis option, the basis being two ints and five int arrays (arc
-   endpoints, arc states, parent links). *)
+   the basis option, the basis being two ints, five int arrays (arc
+   endpoints, arc states, parent links) and the shape's incidence index
+   (CSR offsets over nodes 0..n and the arcs, both endpoints of each). *)
+type incidence_view = { iv_off : int array; iv_arcs : int array }
+
 type basis_view = {
   bv_n : int;
   bv_m_real : int;
@@ -659,39 +665,48 @@ type basis_view = {
   bv_state : int array;
   bv_parent : int array;
   bv_parc : int array;
+  bv_inc : incidence_view;
 }
 
 (* The basis of a fresh-state [solve_warm] after [k] pivots: a [k]-pivot
    budget stops the solve before its next pivot (or it is optimal
    already), and the state keeps that basis. The state is abstract, so it
-   is read back through [basis_view]; the block shape is checked before
-   the cast, so a changed representation fails here instead of reading
-   garbage. [None] when the solve dropped the basis (Infeasible, or
-   unbalanced). *)
-let basis_after k (p : Mcf.problem) =
-  let st = Simplex.make_state () in
-  let budget = Budget.start (Budget.limits ~max_pivots:k ()) in
-  let sol = Simplex.solve_warm ~budget st p in
+   is read back through [basis_view] ([view_basis], for a state that
+   last solved [p]); the block shape is checked before the cast, so a
+   changed representation fails here instead of reading garbage. [None]
+   when the solve dropped the basis (Infeasible, or unbalanced). *)
+let view_basis st (p : Mcf.problem) =
   let n = p.num_nodes and m = Array.length p.arcs + p.num_nodes in
   let r = Obj.repr st in
   if Obj.size r <> 1 then Alcotest.fail "state: unexpected representation";
   let o = Obj.field r 0 in
-  if Obj.is_int o then (sol, None)
+  if Obj.is_int o then None
   else begin
     let b = Obj.field o 0 in
-    let int_array i len =
+    let int_array_of b i len =
       let f = Obj.field b i in
       Obj.is_block f && Obj.tag f = 0 && Obj.size f = len
     in
+    let int_array = int_array_of b in
+    let inc = Obj.field b 7 in
     if not
-         (Obj.size o = 1 && Obj.size b = 7
+         (Obj.size o = 1 && Obj.size b = 8
          && Obj.is_int (Obj.field b 0)
          && Obj.is_int (Obj.field b 1)
          && int_array 2 m && int_array 3 m && int_array 4 m
-         && int_array 5 (n + 1) && int_array 6 (n + 1))
+         && int_array 5 (n + 1) && int_array 6 (n + 1)
+         && Obj.is_block inc && Obj.size inc = 2
+         && int_array_of inc 0 (n + 2)
+         && int_array_of inc 1 (2 * m))
     then Alcotest.fail "state: unexpected basis representation";
-    (sol, Some (Obj.obj b : basis_view))
+    Some (Obj.obj b : basis_view)
   end
+
+let basis_after k (p : Mcf.problem) =
+  let st = Simplex.make_state () in
+  let budget = Budget.start (Budget.limits ~max_pivots:k ()) in
+  let sol = Simplex.solve_warm ~budget st p in
+  (sol, view_basis st p)
 
 (* The first basis: the crash basis, or the optimum it already is. *)
 let crash_start = basis_after 0
@@ -1130,6 +1145,218 @@ let test_pricing_matches_ssp () =
     [ "one node"; "m < B"; "ten blocks"; "degenerate"; "unbalanced";
       "infeasible" ]
 
+(* ---------- cut seeding ---------- *)
+
+(* The incidence index a state must hold for [p], built the plain way:
+   every arc under both endpoints, ascending per node (a self loop twice),
+   the artificial arc [m_real + v] under [v] and the root. *)
+let reference_incidence (p : Mcf.problem) =
+  let n = p.num_nodes and m_real = Array.length p.arcs in
+  let lists = Array.make (n + 1) [] in
+  for a = m_real + n - 1 downto 0 do
+    let u, v =
+      if a < m_real then (p.arcs.(a).src, p.arcs.(a).dst) else (a - m_real, n)
+    in
+    lists.(v) <- a :: lists.(v);
+    lists.(u) <- a :: lists.(u)
+  done;
+  let off = Array.make (n + 2) 0 in
+  Array.iteri (fun x l -> off.(x + 1) <- off.(x) + List.length l) lists;
+  (off, Array.concat (Array.to_list (Array.map Array.of_list lists)))
+
+(* Problems for the cut seeding, by [kind]:
+   - 0: dense and degenerate: about half of all ordered node pairs carry
+     one to three parallel arcs, costs 0 to 2 (capacitated arcs down to
+     -1), capacities 0 to 3 or unbounded. A node has more incident arcs
+     than one block B, so
+     seeding is cut short, it often fills all B + H list entries, and
+     many pivots move the entering arc bound to bound;
+   - 1: hubs: nodes 0 and 1 joined to every other node by one to three
+     arcs each way, plus a few random arcs, so a hub alone lists several
+     blocks of arcs;
+   - 2: a chain with skip and back arcs, so the tree is deep and pivots
+     often shift the side that holds the root.
+   Most seeds add an uncapacitated ring (the others are often infeasible).
+   No uncapacitated arc costs below 0, so no solve is unbounded. *)
+let seeding_arcs rng kind n =
+  let arcs = ref [] in
+  let add src dst cap cost = arcs := arc src dst cap cost :: !arcs in
+  let cap () =
+    match Rng.int rng 5 with 4 -> Mcf.infinite_capacity | c -> c
+  in
+  let cost cap =
+    if cap = Mcf.infinite_capacity then Rng.int rng 3 else Rng.int rng 4 - 1
+  in
+  let edge u v =
+    let c = cap () in
+    add u v c (cost c)
+  in
+  (match kind with
+  | 0 ->
+    for u = 0 to n - 1 do
+      for v = 0 to n - 1 do
+        if Rng.int rng 2 = 0 then
+          for _ = 0 to Rng.int rng 3 do
+            edge u v
+          done
+      done
+    done
+  | 1 ->
+    for v = 2 to n - 1 do
+      for h = 0 to 1 do
+        for _ = 0 to Rng.int rng 3 do
+          edge h v;
+          edge v h
+        done
+      done
+    done;
+    for _ = 1 to n do
+      edge (Rng.int rng n) (Rng.int rng n)
+    done
+  | _ ->
+    for v = 0 to n - 2 do
+      edge v (v + 1);
+      if Rng.int rng 3 = 0 then edge (v + 1) v;
+      if v + 3 < n && Rng.int rng 2 = 0 then edge v (v + 3)
+    done);
+  if Rng.int rng 5 > 0 then
+    for v = 0 to n - 1 do
+      add v ((v + 1) mod n) Mcf.infinite_capacity 3
+    done;
+  Array.of_list (List.rev !arcs)
+
+(* random supply pairs, or on half the draws one source feeding many unit
+   demands, which from the all-artificial start leaves most arcs out of a
+   re-hung demand node violated *)
+let seeding_supply rng n =
+  let supply = Array.make n 0 in
+  if Rng.int rng 2 = 0 then
+    for _ = 1 to 1 + Rng.int rng (1 + (n / 2)) do
+      let u = Rng.int rng n and v = Rng.int rng n in
+      let b = 1 + Rng.int rng 4 in
+      supply.(u) <- supply.(u) + b;
+      supply.(v) <- supply.(v) - b
+    done
+  else begin
+    let source = Rng.int rng n in
+    for v = 0 to n - 1 do
+      if v <> source && Rng.int rng 3 > 0 then begin
+        supply.(source) <- supply.(source) + 1;
+        supply.(v) <- supply.(v) - 1
+      end
+    done
+  end;
+  supply
+
+(* a warm-chain step: new costs on some arcs and new supplies, same shape *)
+let seeding_perturb rng (p : Mcf.problem) =
+  let arcs =
+    Array.map
+      (fun (a : Mcf.arc) ->
+        if Rng.int rng 4 > 0 then a
+        else if a.cap = Mcf.infinite_capacity then
+          { a with cost = Rng.int rng 3 }
+        else { a with cost = Rng.int rng 4 - 1 })
+      p.arcs
+  in
+  { p with arcs; supply = seeding_supply rng p.num_nodes }
+
+(* a shape change: one more node joined by a few arcs, and on even seeds
+   the last few arcs dropped, so both the node and the arc count move *)
+let seeding_reshape rng seed (p : Mcf.problem) =
+  let n = p.num_nodes + 1 in
+  let kept =
+    if seed mod 2 = 0 then
+      Array.sub p.arcs 0 (max 0 (Array.length p.arcs - 1 - Rng.int rng 4))
+    else p.arcs
+  in
+  let joins =
+    Array.init (2 + Rng.int rng 3) (fun i ->
+        let v = Rng.int rng (n - 1) in
+        if i mod 2 = 0 then arc (n - 1) v Mcf.infinite_capacity 1
+        else arc v (n - 1) Mcf.infinite_capacity 1)
+  in
+  { Mcf.num_nodes = n;
+    arcs = Array.append kept joins;
+    supply = seeding_supply rng n }
+
+(* Warm chains through the cut seeding: per seed a cold solve, two warm
+   steps on the same shape, a shape change and one more warm step. Every
+   solve runs under a pivot budget and must match SSP in status and
+   objective with a certified optimum. The state must hold the incidence
+   index of the problem it last solved: the same arrays across a warm step
+   (the index is built once per shape), fresh ones after a shape change.
+   On the small problems every pivot of a fresh-state solve is checked to
+   enter a violated nonbasic arc ([check_pivot_steps]), which a seed whose
+   stale price was trusted would break. *)
+let test_seeding_chains () =
+  let cold_after_reshape = ref 0 and warm_reused = ref 0 in
+  for seed = 0 to 299 do
+    let rng = Rng.create ((seed * 7727) + 19) in
+    let kind = seed mod 3 in
+    let n =
+      match kind with
+      | 0 -> 6 + Rng.int rng 15
+      | 1 -> 20 + Rng.int rng 16
+      | _ -> 40 + Rng.int rng 60
+    in
+    let p0 =
+      { Mcf.num_nodes = n; arcs = seeding_arcs rng kind n;
+        supply = seeding_supply rng n }
+    in
+    let p1 = seeding_perturb rng p0 in
+    let p2 = seeding_perturb rng p1 in
+    let p3 = seeding_reshape rng seed p2 in
+    let p4 = seeding_perturb rng p3 in
+    let st = Simplex.make_state () in
+    let last_index = ref None in
+    let budget () = Budget.start (Budget.limits ~max_pivots:100_000 ()) in
+    List.iteri
+      (fun step (p : Mcf.problem) ->
+        let name = Printf.sprintf "seed %d step %d" seed step in
+        let was_warm = Simplex.is_warm st in
+        let before = Perf.snapshot () in
+        let s = Simplex.solve_warm ~budget:(budget ()) st p in
+        let warm = (Perf.diff before (Perf.snapshot ())).warm_starts = 1 in
+        let ssp = Ssp.solve p in
+        List.iter
+          (fun (entry, (s : Mcf.solution)) ->
+            if s.status <> ssp.status then
+              Alcotest.failf "%s: ssp %s, %s %s on instance:\n%s" name
+                (status_str ssp.status) entry (status_str s.status)
+                (problem_to_string p);
+            if s.status = Optimal then begin
+              if s.objective <> ssp.objective then
+                Alcotest.failf "%s: ssp objective %d, %s %d" name
+                  ssp.objective entry s.objective;
+              expect_certified (name ^ " " ^ entry) p s
+            end)
+          [ ("solve_warm", s); ("solve", Simplex.solve ~budget:(budget ()) p) ];
+        check bool (name ^ " warm iff a basis of this shape was kept")
+          (was_warm && step <> 3) warm;
+        if step = 3 && was_warm then incr cold_after_reshape;
+        (match view_basis st p with
+        | None -> last_index := None
+        | Some b ->
+          let off, arcs = reference_incidence p in
+          let ints = Alcotest.array int in
+          check ints (name ^ " index offsets") off b.bv_inc.iv_off;
+          check ints (name ^ " index arcs") arcs b.bv_inc.iv_arcs;
+          (match !last_index with
+          | Some (o, a) when warm ->
+            if not (o == b.bv_inc.iv_off && a == b.bv_inc.iv_arcs) then
+              Alcotest.failf "%s: a warm step rebuilt the index" name;
+            incr warm_reused
+          | _ -> ());
+          last_index := Some (b.bv_inc.iv_off, b.bv_inc.iv_arcs));
+        if kind < 2 && step = 0 then check_pivot_steps name p)
+      [ p0; p1; p2; p3; p4 ]
+  done;
+  check bool "family reaches a warm step that reuses the index" true
+    (!warm_reused > 0);
+  check bool "family reaches a shape change after a kept basis" true
+    (!cold_after_reshape > 0)
+
 (* ---------- canonical duals ---------- *)
 
 (* small feasible problems with heavily tied costs: an uncapacitated ring
@@ -1437,7 +1664,9 @@ let () =
           tc "crash hangs every pair of the D-phase LPs" `Quick
             test_crash_on_displacement_lps;
           tc "candidate list = SSP, 1000 problems" `Quick
-            test_pricing_matches_ssp ] );
+            test_pricing_matches_ssp;
+          tc "cut seeding = SSP, 300 warm chains" `Quick test_seeding_chains ]
+      );
       ( "canonical",
         [ tc "matches Bellman-Ford, 250 tied problems" `Quick
             test_canonical_matches_reference;

@@ -275,7 +275,14 @@ let test_counter_determinism () =
     Alcotest.failf "counters differ between identical runs: %s vs %s"
       (Format.asprintf "%a" Perf.pp a)
       (Format.asprintf "%a" Perf.pp b);
-  check bool "counters are non-trivial" true (a.Perf.pivots > 0)
+  check bool "counters are non-trivial" true (a.Perf.pivots > 0);
+  (* the simplex's pricing counters are counts, not times: they repeat
+     exactly too *)
+  check int "arcs priced repeat" a.Perf.arcs_priced b.Perf.arcs_priced;
+  check int "potential writes repeat" a.Perf.potential_writes
+    b.Perf.potential_writes;
+  check bool "pricing counters are non-trivial" true
+    (a.Perf.arcs_priced > a.Perf.pivots && a.Perf.potential_writes > 0)
 
 let test_bench_check_catches_drift () =
   let dir = fresh_dir "bench-drift" in
@@ -332,6 +339,7 @@ let test_bench_check_catches_drift () =
        \"warm_starts\": 0, \"cold_starts\": 17, \"cache_hits\": 0, \
        \"cache_misses\": 0, \"rejections\": 0, \"evictions\": 0, \
        \"incr_updates\": 20270, \"full_sweeps_avoided\": 334, \
+       \"arcs_priced\": 461853, \"potential_writes\": 66216, \
        \"wall_seconds\": 0.027}\n\
       \ ]}\n"
       pivots
@@ -342,12 +350,12 @@ let test_bench_check_catches_drift () =
     output_string oc text;
     close_out oc
   in
-  write (pr10 ~pivots:7054);
+  write (pr10 ~pivots:6612);
   (match check_against baseline c432_cold with
   | Ok () -> ()
   | Error ds ->
     Alcotest.failf "BENCH_pr10 spelling diverged: %s" (String.concat "; " ds));
-  write (pr10 ~pivots:7055);
+  write (pr10 ~pivots:6613);
   (match check_against baseline c432_cold with
   | Ok () -> Alcotest.fail "changed counter in BENCH_pr10 spelling accepted"
   | Error ds -> check int "the changed experiment flagged" 1 (List.length ds));

@@ -62,8 +62,8 @@ let fixture =
 (* ---------- byte-identity pins ---------- *)
 
 (* The exact bytes of [minflo size c432 --factor 0.6 --trace FILE], at
-   gate granularity (file sha256 81aaa5d7298f6890...) and with
-   [--granularity transistor] (3b76879e5b9274ab...). Every float sum and
+   gate granularity (file sha256 d0dba681cb1898bd...) and with
+   [--granularity transistor] (fc601492b075b02c...). Every float sum and
    tie-break of the engine feeds these files, so any change in an
    iteration order moves the digest. *)
 let test_trace_bytes_pinned granularity expect () =
@@ -266,7 +266,7 @@ let () =
           Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected ] );
       ( "pins",
         [ Alcotest.test_case "c432 gate trace bytes" `Quick
-            (test_trace_bytes_pinned `Gate "a2986a32b16c712d51140d817232208c");
+            (test_trace_bytes_pinned `Gate "052608a9c98c89f1c447a7333a62d060");
           Alcotest.test_case "c432 transistor trace bytes" `Quick
             (test_trace_bytes_pinned `Transistor
-               "f80c060781567d18f5d567f9ff8f5470") ] ) ]
+               "0eb132a56b1821d21218630a22da47b6") ] ) ]
