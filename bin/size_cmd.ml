@@ -13,7 +13,7 @@ let sta =
     Fmt.pr "vertices: %d@." (Delay_model.num_vertices model);
     Fmt.pr "minimum-size critical path: %.4g@." sta.critical_path;
     Fmt.pr "deadline (factor %.2f): %.4g -> %s@." t.factor sta.deadline
-      (if Sta.is_safe sta then "SAFE" else "UNSAFE at minimum size");
+      (if Tolerance.safe sta then "SAFE" else "UNSAFE at minimum size");
     let path = Sta.worst_path model ~delays in
     Fmt.pr "critical path (%d vertices):@." (List.length path);
     List.iter

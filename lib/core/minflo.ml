@@ -35,8 +35,10 @@
       representation: flat CSR adjacency, coefficient and loader rows,
       topological order and elimination blocks, read directly by every
       timing hot loop;
-    - {!Sta}, {!Incremental}, {!Balance} — batch and incremental timing
-      analysis and FSDU delay balancing ([minflo_timing]);
+    - {!Sta}, {!Incremental}, {!Balance}, {!Tolerance} — batch and
+      incremental timing analysis, FSDU delay balancing and the one
+      tolerance contract ("meets the target", "safe", "in the size box",
+      "budget met") every check reads ([minflo_timing]);
     - {!Activity}, {!Power} — switching activity and dynamic power
       ([minflo_power]);
     - {!Tilos}, {!Wphase}, {!Dphase}, {!Sensitivity}, {!Lagrangian},
@@ -118,6 +120,7 @@ module Model_cache = Minflo_tech.Model_cache
 module Sta = Minflo_timing.Sta
 module Incremental = Minflo_timing.Incremental
 module Balance = Minflo_timing.Balance
+module Tolerance = Minflo_timing.Tolerance
 
 (* power estimation (the low-power motivation of [13]) *)
 module Activity = Minflo_power.Activity

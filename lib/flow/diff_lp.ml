@@ -31,8 +31,6 @@ let var t =
   t.nvars <- v + 1;
   v
 
-let num_vars t = t.nvars
-
 let check_var t v =
   if v < 0 || v >= t.nvars then invalid_arg "Diff_lp: unknown variable"
 

@@ -28,8 +28,6 @@ val create : ?vars_hint:int -> ?cons_hint:int -> unit -> t
 val var : t -> var
 (** A fresh variable, initially with objective coefficient 0. *)
 
-val num_vars : t -> int
-
 val add_le : t -> var -> var -> int -> unit
 (** [add_le lp x y w] adds the constraint [x - y <= w]. *)
 

@@ -9,6 +9,7 @@ module Tech = Minflo_tech.Tech
 module Elmore = Minflo_tech.Elmore
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Incremental = Minflo_timing.Incremental
 module Rng = Minflo_util.Rng
 module Dphase = Minflo_sizing.Dphase
@@ -160,7 +161,7 @@ let lint_stage sink nl =
 let check_critical_set sink model eng =
   let members e =
     List.init
-      (Incremental.critical_set ~eps_rel:1e-7 e)
+      (Incremental.critical_set ~eps_rel:Tolerance.critical_rel e)
       (Incremental.critical_vertex e)
   in
   let mine = members eng
@@ -298,21 +299,15 @@ let engine_leg sink cfg ?fault model ~target solver =
         (Check.failures checks);
       (* the result itself must be sane regardless of how the run ended *)
       let n = Array.length result.Minflotransit.sizes in
-      let bad_size = ref None in
-      Array.iteri
-        (fun i x ->
-          if !bad_size = None
-             && (not (Float.is_finite x)
-                || x < model.Delay_model.min_size *. (1. -. 1e-9)
-                || x > model.Delay_model.max_size *. (1. +. 1e-9))
-          then bad_size := Some (i, x))
-        result.sizes;
-      (match !bad_size with
-      | Some (i, x) ->
+      (match
+         Array.find_index (fun x -> not (Tolerance.in_box model x)) result.sizes
+       with
+      | Some i ->
         flag sink
           (Fingerprint.make ~phase:"engine" ~code:"invariant"
              ~detail:"sizes-bounds" ())
-          "[%s] size %d out of bounds: %g" (Job.solver_name solver) i x
+          "[%s] size %d out of bounds: %g" (Job.solver_name solver) i
+          result.sizes.(i)
       | None ->
         let area = Delay_model.area model result.sizes in
         let rel = abs_float (area -. result.area) /. Float.max 1e-12 area in
@@ -325,7 +320,7 @@ let engine_leg sink cfg ?fault model ~target solver =
         if result.met && n > 0 then begin
           let delays = Delay_model.delays model result.sizes in
           let cp = Sta.critical_path_only model ~delays in
-          if cp > target *. (1. +. 1e-9) then
+          if not (Tolerance.meets ~target cp) then
             flag sink
               (Fingerprint.make ~phase:"engine" ~code:"invariant"
                  ~detail:"met-but-late" ())

@@ -3,6 +3,7 @@ module Tech = Minflo_tech.Tech
 module Gate_model = Minflo_tech.Gate_model
 module Gate = Minflo_netlist.Gate
 module Diag = Minflo_robust.Diag
+module Tolerance = Minflo_timing.Tolerance
 
 (* Per-vertex achievable-delay intervals from the componentwise monotonicity
    of the Elmore decomposition: delay_i = a_ii + (b_i + sum a_ij x_j) / x_i
@@ -101,10 +102,12 @@ let witness_path (model : Delay_model.t) t =
   in
   back !finish []
 
-let infeasible ?(eps = 1e-9) t ~target = target < t.cp_lo *. (1.0 -. eps)
+(* the floor itself fails the engine's own acceptance test: a target the
+   engine would accept is never reported as statically infeasible *)
+let infeasible t ~target = not (Tolerance.meets ~target t.cp_lo)
 
-let infeasible_target_error ?eps (model : Delay_model.t) t ~target =
-  if not (infeasible ?eps t ~target) then None
+let infeasible_target_error (model : Delay_model.t) t ~target =
+  if not (infeasible t ~target) then None
   else
     Some
       (Diag.Infeasible_target
@@ -115,25 +118,26 @@ let infeasible_target_error ?eps (model : Delay_model.t) t ~target =
                (fun i -> model.Delay_model.labels.(i))
                (witness_path model t) })
 
-let pinned ?(eps = 1e-6) (model : Delay_model.t) t ~target =
+(* MF202 counts a gate within [pin_eps] (relative) of the target as pinned;
+   MF203 freezes a gate that clears it by [freeze_margin] *)
+let pin_eps = 1e-6
+let freeze_margin = 0.05
+
+let pinned (model : Delay_model.t) t ~target =
   let acc = ref [] in
   for i = Delay_model.num_vertices model - 1 downto 0 do
-    if through_lo t i >= target *. (1.0 -. eps) then acc := i :: !acc
+    if through_lo t i >= target *. (1.0 -. pin_eps) then acc := i :: !acc
   done;
   !acc
 
-let irrelevant ?(margin = 0.05) (model : Delay_model.t) t ~target =
+let irrelevant (model : Delay_model.t) t ~target =
   let acc = ref [] in
   for i = Delay_model.num_vertices model - 1 downto 0 do
-    if through_hi t i <= target *. (1.0 -. margin) then acc := i :: !acc
+    if through_hi t i <= target *. (1.0 -. freeze_margin) then acc := i :: !acc
   done;
   !acc
 
 (* ---------- findings ---------- *)
-
-type config = { eps : float; pin_eps : float; freeze_margin : float }
-
-let default_config = { eps = 1e-9; pin_eps = 1e-6; freeze_margin = 0.05 }
 
 let render_path (model : Delay_model.t) path =
   let labels = List.map (fun i -> model.Delay_model.labels.(i)) path in
@@ -146,9 +150,9 @@ let render_path (model : Delay_model.t) path =
     ^ Printf.sprintf " -> ... (%d more) -> " (k - 7)
     ^ String.concat " -> " back
 
-let check ?(config = default_config) (model : Delay_model.t) ~target =
+let check (model : Delay_model.t) ~target =
   let t = compute model in
-  if infeasible ~eps:config.eps t ~target then begin
+  if infeasible t ~target then begin
     let path = witness_path model t in
     [ Finding.make
         ~related:(List.map (fun i -> model.Delay_model.labels.(i)) path)
@@ -169,7 +173,7 @@ let check ?(config = default_config) (model : Delay_model.t) ~target =
               (label i) (through_lo t i) target
               (target -. through_lo t i),
             [ label i ] ))
-        (pinned ~eps:config.pin_eps model t ~target)
+        (pinned model t ~target)
     in
     let irrelevant_findings =
       List.map
@@ -179,9 +183,9 @@ let check ?(config = default_config) (model : Delay_model.t) ~target =
                %.4g clears the target %.4g by more than %.0f%%; freezing it \
                at minimum size cannot violate timing"
               (label i) (through_hi t i) target
-              (100.0 *. config.freeze_margin),
+              (100.0 *. freeze_margin),
             [ label i ] ))
-        (irrelevant ~margin:config.freeze_margin model t ~target)
+        (irrelevant model t ~target)
     in
     Audit.capped Rule.mf202_pinned_gate pinned_findings
     @ Audit.capped Rule.mf203_slack_irrelevant irrelevant_findings

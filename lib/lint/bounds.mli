@@ -36,13 +36,14 @@ val witness_path : Minflo_tech.Delay_model.t -> t -> int list
 (** The critical path under best-case ([d_lo]) delays, source to finishing
     vertex — the certificate that [cp_lo] is actually achieved by a path. *)
 
-val infeasible : ?eps:float -> t -> target:float -> bool
-(** [target < cp_lo * (1 - eps)] — no sizing whatsoever can meet the
-    target. [eps] (default 1e-9) absorbs float noise so the check has no
-    false positives. *)
+val infeasible : t -> target:float -> bool
+(** [not (meets ~target cp_lo)] ({!Minflo_timing.Tolerance.meets}): even
+    the delay floor fails the engine's acceptance test, so no sizing
+    whatsoever can meet the target. Reading the engine's own test means a
+    target the engine would accept is never reported as statically
+    infeasible. *)
 
 val infeasible_target_error :
-  ?eps:float ->
   Minflo_tech.Delay_model.t ->
   t ->
   target:float ->
@@ -51,27 +52,16 @@ val infeasible_target_error :
     {!infeasible}; the typed form the serve admission gate and the batch
     preflight journal. *)
 
-val pinned : ?eps:float -> Minflo_tech.Delay_model.t -> t -> target:float -> int list
+val pinned : Minflo_tech.Delay_model.t -> t -> target:float -> int list
 (** Vertices whose lower bound on the longest path through them over all
     feasible sizings, [at_lo + d_lo + tail_lo], is at least
-    [target * (1 - eps)] (default 1e-6). *)
+    [target * (1 - 1e-6)]. *)
 
-val irrelevant :
-  ?margin:float -> Minflo_tech.Delay_model.t -> t -> target:float -> int list
+val irrelevant : Minflo_tech.Delay_model.t -> t -> target:float -> int list
 (** Vertices whose upper bound on the longest path through them,
-    [at_hi + d_hi + tail_hi], is at most [target * (1 - margin)] (default
-    0.05). *)
+    [at_hi + d_hi + tail_hi], is at most [target * 0.95]. *)
 
-type config = {
-  eps : float;           (** MF201 tolerance *)
-  pin_eps : float;       (** MF202 tolerance *)
-  freeze_margin : float; (** MF203 margin *)
-}
-
-val default_config : config
-
-val check :
-  ?config:config -> Minflo_tech.Delay_model.t -> target:float -> Finding.t list
+val check : Minflo_tech.Delay_model.t -> target:float -> Finding.t list
 (** The finding-producing entry point. MF201 short-circuits MF202/MF203 — a
     statically infeasible target makes per-gate freedom analysis vacuous.
     Per-gate findings are capped at 32 per rule with a truncation summary. *)

@@ -3,6 +3,7 @@ module Diag = Minflo_robust.Diag
 module Io = Minflo_robust.Io
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Mcf = Minflo_flow.Mcf
 module Dphase = Minflo_sizing.Dphase
 module Tilos = Minflo_sizing.Tilos
@@ -161,8 +162,9 @@ let add acc rule ?(related = []) msg =
   acc.per_rule <-
     (rule, (msg, related) :: cur) :: List.remove_assq rule acc.per_rule
 
-let rel_close ?(tol = 1e-9) a b =
-  Float.abs (a -. b) <= tol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
+let rel_close a b =
+  Float.abs (a -. b)
+  <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
 let floats_field key j =
   match Json.member key j with
@@ -350,16 +352,7 @@ let audit (model : Delay_model.t) ~target content =
              what (Array.length sizes) n);
         None
       | Some sizes ->
-        let oob = ref false in
-        Array.iter
-          (fun v ->
-            if
-              (not (Float.is_finite v))
-              || v < model.Delay_model.min_size -. 1e-9
-              || v > model.Delay_model.max_size +. 1e-9
-            then oob := true)
-          sizes;
-        if !oob then
+        if not (Array.for_all (Tolerance.in_box model) sizes) then
           add acc rule ~related
             (Printf.sprintf "%s: recorded sizes leave the [%g, %g] size box"
                what model.Delay_model.min_size model.Delay_model.max_size);
@@ -391,8 +384,7 @@ let audit (model : Delay_model.t) ~target content =
         (match Json.bool_field "met" j with
         | None -> ()
         | Some m ->
-          let really = cp <= target *. (1.0 +. 1e-9) in
-          if m && not really then
+          if m && not (Tolerance.meets ~target cp) then
             add acc rule ~related
               (Printf.sprintf
                  "%s: claims the target %g is met but the recorded sizes \
@@ -452,7 +444,7 @@ let audit (model : Delay_model.t) ~target content =
               Array.iteri
                 (fun i d ->
                   let b = budgets.(i) in
-                  if d > b +. 1e-6 +. 1e-9 *. Float.abs b then
+                  if not (Tolerance.budget_met ~budget:b d) then
                     add acc Rule.mf212_trace_budget
                       ~related:[ model.Delay_model.labels.(i) ]
                       (Printf.sprintf

@@ -60,8 +60,6 @@ let new_var t =
   ensure_capacity t;
   t.nvars
 
-let num_vars t = t.nvars
-
 let value t l =
   (* 1 true, -1 false, 0 unknown, for a literal *)
   let v = t.assign.(lit_var l) in

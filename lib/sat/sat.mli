@@ -16,8 +16,6 @@ val create : unit -> t
 val new_var : t -> int
 (** A fresh variable, returned as its positive literal. *)
 
-val num_vars : t -> int
-
 val add_clause : t -> int list -> unit
 (** Add a disjunction of literals. The empty clause makes the instance
     trivially unsatisfiable. @raise Invalid_argument on literals naming

@@ -1,6 +1,7 @@
 module Delay_model = Minflo_tech.Delay_model
 module Balance = Minflo_timing.Balance
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Diff_lp = Minflo_flow.Diff_lp
 module Mcf = Minflo_flow.Mcf
 module Diag = Minflo_robust.Diag
@@ -50,7 +51,7 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
     ~delays ~deadline =
   let n = model.n in
   let sta = Sta.analyze model ~delays ~deadline in
-  if not (Sta.is_safe ~eps:1e-6 sta) then
+  if not (Tolerance.safe sta) then
     Error (Diag.Unsafe_timing { cp = sta.critical_path; deadline })
   else begin
     (* the safety probe IS the analysis the balancer needs — hand it over

@@ -1,5 +1,6 @@
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 
 type options = {
   iterations : int;
@@ -167,7 +168,7 @@ let size ?(options = default_options) (model : Delay_model.t) ~target =
           | _ -> trial
         in
         let cp = Sta.critical_path_only model ~delays:(Delay_model.delays model polished) in
-        if cp <= target *. (1.0 +. 1e-9) then begin
+        if Tolerance.meets ~target cp then begin
           let area = Delay_model.area model polished in
           if area < !best_area then begin
             best_area := area;

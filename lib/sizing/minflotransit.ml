@@ -1,5 +1,6 @@
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
 module Fallback = Minflo_robust.Fallback
@@ -115,6 +116,10 @@ let dlog log severity fmt =
       | None -> ())
     fmt
 
+(* a check verdict: the first entry of [a] that [describe] flags *)
+let first_bad a describe =
+  match Array.find_mapi describe a with Some d -> Error d | None -> Ok ()
+
 (* The D-phase as a fallback chain: `Auto degrades simplex -> ssp ->
    bellman-ford on retryable failures; a pinned solver is a 1-rung chain. *)
 let dphase_rungs = function
@@ -224,47 +229,31 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
             (match Wphase.solve ?fault model ~budgets:dres.budgets with
             | Error e -> Error e
             | Ok wres ->
-              (match checks with
-              | Some c ->
-                Check.record c "wphase.sizes-in-bounds"
-                  (let bad = ref None in
-                   Array.iteri
-                     (fun i v ->
-                       if
-                         (not (Float.is_finite v))
-                         || v < model.Delay_model.min_size -. 1e-9
-                         || v > model.Delay_model.max_size +. 1e-9
-                       then
-                         if !bad = None then
-                           bad := Some (Printf.sprintf "size %g at vertex %d" v i))
-                     wres.sizes;
-                   match !bad with Some d -> Error d | None -> Ok ())
-              | None -> ());
+              Option.iter
+                (fun c ->
+                  Check.record c "wphase.sizes-in-bounds"
+                    (first_bad wres.sizes (fun i v ->
+                         if Tolerance.in_box model v then None
+                         else
+                           Some (Printf.sprintf "size %g at vertex %d" v i))))
+                checks;
               if not wres.feasible then Ok None
               else begin
                 let delays' = Delay_model.delays model wres.sizes in
                 let cp' = Sta.critical_path_only model ~delays:delays' in
-                (match checks with
-                | Some c ->
-                  Check.record c "wphase.budgets-met"
-                    (let bad = ref None in
-                     Array.iteri
-                       (fun i d ->
-                         let b = dres.budgets.(i) in
-                         (* tolerance must scale with the budget: delays
-                            run ~1e5 in ps-like units, where a bare 1e-6
-                            absolute slack is below float rounding *)
-                         if d > b +. 1e-6 +. 1e-9 *. Float.abs b
-                            && !bad = None
-                         then
-                           bad :=
+                Option.iter
+                  (fun c ->
+                    Check.record c "wphase.budgets-met"
+                      (first_bad delays' (fun i d ->
+                           let b = dres.budgets.(i) in
+                           if Tolerance.budget_met ~budget:b d then None
+                           else
                              Some
                                (Printf.sprintf
-                                  "vertex %d delay %g exceeds budget %g" i d b))
-                       delays';
-                     match !bad with Some d -> Error d | None -> Ok ())
-                | None -> ());
-                if cp' > target *. (1.0 +. 1e-9) then Ok None
+                                  "vertex %d delay %g exceeds budget %g" i d
+                                  b))))
+                  checks;
+                if not (Tolerance.meets ~target cp') then Ok None
                 else
                   Ok
                     (Some
@@ -294,46 +283,35 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
             | None -> Log.warn (fun m -> m "iteration failed: %s" msg));
             eta := !eta *. eta_shrink)
         | Ok (Some (x', area', cp', predicted, rung, budgets'))
-          when area' < !area *. (1.0 -. rel_tol) ->
-          incr iters;
-          x := x';
-          area := area';
-          osc_repeats := 0;
-          solver_used := Some rung;
-          trace :=
-            { iter = !iters;
-              area = area';
-              cp = cp';
-              eta = !eta;
-              predicted_gain = predicted;
-              solver = rung }
-            :: !trace;
-          emit_step on_step ~iter:!iters ~rung ~eta:eta_used ~area:area'
-            ~cp:cp' ~predicted ~sizes:x' ~budgets:budgets' ~cert:!cert;
-          dlog log Diag.Info "iter %d: area %.1f cp %.4g eta %.3g via %s"
-            !iters area' cp' !eta rung;
-          Log.debug (fun m ->
-              m "iter %d: area %.1f cp %.4g eta %.3g" !iters area' cp' !eta)
-        | Ok (Some (x', area', cp', predicted, rung, budgets'))
           when area' < !area ->
-          (* small improvement: take it, then tighten the trust region *)
+          (* a gain below [rel_tol] is taken too, then tightens the trust
+             region *)
+          let small = not (area' < !area *. (1.0 -. rel_tol)) in
           incr iters;
           x := x';
           area := area';
           osc_repeats := 0;
           solver_used := Some rung;
-          eta := !eta *. eta_shrink;
+          if small then eta := !eta *. eta_shrink;
           trace :=
             { iter = !iters;
               area = area';
               cp = cp';
               eta = !eta;
-              predicted_gain = 0.0;
+              predicted_gain = (if small then 0.0 else predicted);
               solver = rung }
             :: !trace;
           emit_step on_step ~iter:!iters ~rung ~eta:eta_used ~area:area'
             ~cp:cp' ~predicted ~sizes:x' ~budgets:budgets' ~cert:!cert;
-          if !eta < eta_min then continue := false
+          if small then begin
+            if !eta < eta_min then continue := false
+          end
+          else begin
+            dlog log Diag.Info "iter %d: area %.1f cp %.4g eta %.3g via %s"
+              !iters area' cp' !eta rung;
+            Log.debug (fun m ->
+                m "iter %d: area %.1f cp %.4g eta %.3g" !iters area' cp' !eta)
+          end
         | Ok rejected ->
           (* no improvement at this trust region *)
           (match rejected with
@@ -382,7 +360,7 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
   { sizes = !x;
     area = !area;
     cp;
-    met = cp <= target *. (1.0 +. 1e-9);
+    met = Tolerance.meets ~target cp;
     iterations = !iters;
     trace = List.rev !trace;
     tilos;

@@ -1,5 +1,6 @@
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Rng = Minflo_util.Rng
 
 type report = {
@@ -38,7 +39,7 @@ let probe ?(trials = 200) ?(magnitude = 0.05) ~seed model ~target ~sizes =
     let cp =
       Sta.critical_path_only model ~delays:(Delay_model.delays model candidate)
     in
-    if cp <= target *. (1.0 +. 1e-9) then begin
+    if Tolerance.meets ~target cp then begin
       let area = Delay_model.area model candidate in
       if area < base_area -. (1e-9 *. base_area) then begin
         incr improved;

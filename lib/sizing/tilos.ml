@@ -1,5 +1,6 @@
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Inc = Minflo_timing.Incremental
 
 type result = {
@@ -149,7 +150,7 @@ let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
     else begin
       (* candidates: vertices on a maximal-finish path, via the incremental
          engine's tight-edge backtrace *)
-      let len = Inc.critical_set ~eps_rel:1e-7 eng in
+      let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
       let best = ref (-1) in
       if not (Inc.critical_reused eng) then begin
         (* a fresh walk: scan every member for the first in preorder with

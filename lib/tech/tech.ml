@@ -31,14 +31,3 @@ let default_130nm =
     min_size = 1.0;
     max_size = 1024.0;
     max_stack = 32 }
-
-let scaled ?(r = 1.0) ?(c = 1.0) t =
-  { t with
-    name = Printf.sprintf "%s-r%.2f-c%.2f" t.name r c;
-    r_n = t.r_n *. r;
-    r_p = t.r_p *. r;
-    c_gate = t.c_gate *. c;
-    c_drain = t.c_drain *. c;
-    c_wire = t.c_wire *. c;
-    c_load = t.c_load *. c;
-    r_wire = t.r_wire *. r }

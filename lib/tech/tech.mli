@@ -34,6 +34,3 @@ type t = {
 }
 
 val default_130nm : t
-
-val scaled : ?r:float -> ?c:float -> t -> t
-(** Scale resistances by [r] and capacitances by [c] (ablation studies). *)

@@ -34,7 +34,7 @@ let balance ?(mode = `Alap) ?sta model ~delays ~deadline =
       s
     | None -> Sta.analyze model ~delays ~deadline
   in
-  if not (Sta.is_safe ~eps:1e-6 sta) then
+  if not (Tolerance.safe sta) then
     invalid_arg
       (Printf.sprintf "Balance.balance: circuit is not safe (CP %.3f > deadline %.3f)"
          sta.critical_path deadline);
@@ -52,12 +52,15 @@ let balance ?(mode = `Alap) ?sta model ~delays ~deadline =
 
 let check (model : Delay_model.t) ~delays t =
   let bad = ref None in
+  (* tolerance of the potential identities; the sign tests read the
+     contract *)
   let eps = 1e-6 in
   let report fmt = Printf.ksprintf (fun s -> if !bad = None then bad := Some s) fmt in
   Array.iteri
     (fun e f ->
       let i = model.edge_src.(e) and j = model.edge_dst.(e) in
-      if f < -.eps then report "edge %d->%d has negative FSDU %g" i j f;
+      if not (Tolerance.non_negative f) then
+        report "edge %d->%d has negative FSDU %g" i j f;
       (* balance identity: fsdu must match the potential difference *)
       let expect = t.potential.(j) -. t.potential.(i) -. delays.(i) in
       if abs_float (expect -. f) > eps then
@@ -66,7 +69,8 @@ let check (model : Delay_model.t) ~delays t =
   Array.iteri
     (fun i f ->
       if Delay_model.is_source model i then begin
-        if f < -.eps then report "source %d has negative FSDU %g" i f;
+        if not (Tolerance.non_negative f) then
+          report "source %d has negative FSDU %g" i f;
         if abs_float (f -. t.potential.(i)) > eps then
           report "source %d FSDU %g inconsistent with potential %g" i f t.potential.(i)
       end)
@@ -74,7 +78,8 @@ let check (model : Delay_model.t) ~delays t =
   Array.iteri
     (fun i f ->
       if model.is_sink.(i) then begin
-        if f < -.eps then report "sink %d has negative FSDU %g" i f;
+        if not (Tolerance.non_negative f) then
+          report "sink %d has negative FSDU %g" i f;
         let expect = t.deadline -. t.potential.(i) -. delays.(i) in
         if abs_float (f -. expect) > eps then
           report "sink %d FSDU %g inconsistent with potential (%g)" i f expect

@@ -32,10 +32,10 @@ val balance :
   delays:float array ->
   deadline:float ->
   t
-(** Requires a safe circuit ([CP <= deadline]); FSDUs are non-negative then.
-    Default mode [`Alap]. [?sta] supplies an analysis already computed for
-    the same [delays] and [deadline] (the D-phase's safety probe): the
-    balancer then skips its own full sweep and ticks the
+(** Requires a safe circuit ({!Tolerance.safe}); FSDUs are non-negative
+    then. Default mode [`Alap]. [?sta] supplies an analysis already
+    computed for the same [delays] and [deadline] (the D-phase's safety
+    probe): the balancer then skips its own full sweep and ticks the
     [full_sweeps_avoided] perf counter. *)
 
 val check :

@@ -43,8 +43,6 @@ let edge_slack t ~delays (model : Delay_model.t) e =
   let i = model.edge_src.(e) and j = model.edge_dst.(e) in
   t.required.(j) -. t.arrival.(i) -. delays.(i)
 
-let is_safe ?(eps = 1e-9) t = Array.for_all (fun s -> s >= -.eps) t.slack
-
 let critical_vertices ?(eps = 1e-9) t =
   let worst = Array.fold_left min infinity t.slack in
   let acc = ref [] in

@@ -31,11 +31,6 @@ val edge_slack : t -> delays:float array -> Minflo_tech.Delay_model.t ->
   int -> float
 (** Slack of the edge with the given id. *)
 
-val is_safe : ?eps:float -> t -> bool
-(** All vertex slacks non-negative — the paper's "safe circuit". (Vertex
-    slacks bound edge slacks from below here, since
-    [esl(i->j) = RT(j) - AT(j') >= sl] along the max fanin.) *)
-
 val critical_vertices : ?eps:float -> t -> int list
 (** Vertices with slack within [eps] of the minimum slack. *)
 

@@ -52,6 +52,7 @@ run sta c432 -f 0.6
 run size c432
 run size c432 --tool tilos
 run size c17 -g transistor
+run size c432 -g transistor -f 0.6 --check
 run size c17 --solver bf
 run size c17 --solver bellman-ford
 run size c432 -f 0.4 --max-pivots 200

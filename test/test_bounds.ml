@@ -9,6 +9,9 @@ module Tech = Minflo_tech.Tech
 module Elmore = Minflo_tech.Elmore
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
+module Transistor = Minflo_tech.Transistor
+module Transform = Minflo_netlist.Transform
 module Sweep = Minflo_sizing.Sweep
 module Minflotransit = Minflo_sizing.Minflotransit
 module Bounds = Minflo_lint.Bounds
@@ -131,6 +134,58 @@ let test_feasible_target_is_clean () =
   check bool "dmin not infeasible" false (Bounds.infeasible b ~target:dmin);
   check int "no MF201 at 2*dmin" 0 (count "MF201" (Bounds.check m ~target:(2.0 *. dmin)))
 
+(* MF201 reads the engine's acceptance test: whenever the static verdict
+   says infeasible, no critical path at or above the floor meets the
+   target, and a target the floor meets is never called infeasible. The
+   targets straddle the boundary float by float, at gate and at transistor
+   scale. *)
+let test_infeasible_implies_unmet () =
+  let models =
+    List.map (fun (name, nl) -> (name, model_of nl)) (soundness_circuits ())
+    @ [ ( "c17 transistor",
+          Transistor.of_netlist Tech.default_130nm
+            (Transform.to_nand_inv (Gen.c17 ())) ) ]
+  in
+  List.iter
+    (fun (name, m) ->
+      let b = Bounds.compute m in
+      let lo = b.Bounds.cp_lo in
+      let edge = lo /. (1.0 +. 1e-9) in
+      let targets =
+        [ edge; Float.pred edge; Float.succ edge; Float.pred (Float.pred edge);
+          lo; Float.pred lo; 0.5 *. lo; 2.0 *. lo ]
+        @ List.init 21 (fun k ->
+              lo *. (1.0 +. (float_of_int (k - 10) *. 2e-10)))
+      in
+      let cps =
+        [ lo; Float.succ lo; lo *. (1.0 +. 1e-12); lo *. 1.001; b.Bounds.cp_hi ]
+      in
+      let fired = ref 0 and cleared = ref 0 in
+      List.iter
+        (fun target ->
+          if Bounds.infeasible b ~target then begin
+            incr fired;
+            List.iter
+              (fun cp ->
+                if Tolerance.meets ~target cp then
+                  Alcotest.failf
+                    "%s: target %.17g is infeasible yet cp %.17g >= floor \
+                     %.17g meets it"
+                    name target cp lo)
+              cps
+          end
+          else begin
+            incr cleared;
+            check bool
+              (Printf.sprintf "%s: target %.17g not infeasible, floor meets it"
+                 name target)
+              true (Tolerance.meets ~target lo)
+          end)
+        targets;
+      check bool (name ^ " both verdicts exercised") true
+        (!fired > 0 && !cleared > 0))
+    models
+
 let test_pinned_and_irrelevant () =
   let m = model_of (Gen.ripple_carry_adder ~bits:8 ()) in
   let n = Delay_model.num_vertices m in
@@ -203,6 +258,8 @@ let () =
       ( "verdicts",
         [ Alcotest.test_case "MF201 fires and the engine agrees" `Quick
             test_mf201_fires_and_engine_agrees;
+          Alcotest.test_case "infeasible implies unmet" `Quick
+            test_infeasible_implies_unmet;
           Alcotest.test_case "feasible targets stay clean" `Quick
             test_feasible_target_is_clean;
           Alcotest.test_case "pinned and irrelevant gates" `Quick

@@ -296,12 +296,7 @@ let c17_setup () =
   (model, target)
 
 let sizes_in_bounds model sizes =
-  Array.for_all
-    (fun v ->
-      Float.is_finite v
-      && v >= model.DM.min_size -. 1e-9
-      && v <= model.DM.max_size +. 1e-9)
-    sizes
+  Array.for_all (Minflo_timing.Tolerance.in_box model) sizes
 
 let test_engine_budget_best_feasible () =
   let model, target = c17_setup () in

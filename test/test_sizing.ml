@@ -9,6 +9,7 @@ module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
 module Sta = Minflo_timing.Sta
+module Tolerance = Minflo_timing.Tolerance
 module Tilos = Minflo_sizing.Tilos
 module Wphase = Minflo_sizing.Wphase
 module Dphase = Minflo_sizing.Dphase
@@ -33,7 +34,8 @@ let test_tilos_meets_target () =
   let d0 = Sweep.dmin model in
   let r = Tilos.size model ~target:(0.6 *. d0) in
   check bool "met" true r.met;
-  check bool "cp within target" true (r.final_cp <= 0.6 *. d0 *. (1.0 +. 1e-9));
+  check bool "cp within target" true
+    (Tolerance.meets ~target:(0.6 *. d0) r.final_cp);
   check bool "bumped something" true (r.bumps > 0);
   check bool "sizes within bounds" true (Result.is_ok (DM.check_sizes model r.sizes))
 
@@ -107,7 +109,10 @@ let reference_tilos ?(bump = 1.1) (model : DM.t) ~target =
   while not !finished do
     if Inc.critical_path eng <= target then finished := true
     else begin
-      let crit = Critical_reference.critical_set ~eps_rel:1e-7 model eng in
+      let crit =
+        Critical_reference.critical_set ~eps_rel:Tolerance.critical_rel model
+          eng
+      in
       let best = ref (-1) and best_s = ref 0.0 in
       List.iter
         (fun i ->
@@ -295,8 +300,8 @@ let prop_dphase_budgets_feasible =
         | Error _ -> false
         | Ok d ->
           (* treating budgets as vertex delays, the longest path must fit *)
-          Sta.critical_path_only model ~delays:d.budgets
-          <= target *. (1.0 +. 1e-9)))
+          Tolerance.meets ~target
+            (Sta.critical_path_only model ~delays:d.budgets)))
 
 let prop_dphase_nonnegative_objective =
   QCheck.Test.make
@@ -516,7 +521,7 @@ let test_lagrangian_feasible_and_no_worse () =
   let tilos = Tilos.size model ~target in
   let lr = Minflo_sizing.Lagrangian.size model ~target in
   check bool "met" true lr.met;
-  check bool "cp within target" true (lr.cp <= target *. (1.0 +. 1e-9));
+  check bool "cp within target" true (Tolerance.meets ~target lr.cp);
   check bool "never worse than the TILOS seed" true (lr.area <= tilos.area +. 1e-9);
   check bool "sizes in bounds" true (Result.is_ok (DM.check_sizes model lr.sizes))
 

@@ -8,6 +8,7 @@ module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Sta = Minflo_timing.Sta
 module Balance = Minflo_timing.Balance
+module Tolerance = Minflo_timing.Tolerance
 module Rng = Minflo_util.Rng
 
 let check = Alcotest.check
@@ -52,9 +53,9 @@ let test_sta_paper_example () =
   check (Alcotest.float 1e-9) "rt 2" 5.0 sta.required.(2);
   check (Alcotest.float 1e-9) "slack 2" 0.0 sta.slack.(2);
   check (Alcotest.float 1e-9) "slack 0" 1.0 sta.slack.(0);
-  check bool "safe at 9" true (Sta.is_safe sta);
+  check bool "safe at 9" true (Tolerance.safe sta);
   let tight = Sta.analyze model ~delays ~deadline:8.0 in
-  check bool "unsafe at 8" false (Sta.is_safe tight)
+  check bool "unsafe at 8" false (Tolerance.safe tight)
 
 let prop_sta_invariants =
   QCheck.Test.make ~name:"STA: AT/RT/slack invariants on random circuits"
@@ -230,9 +231,11 @@ let prop_incremental_critical_set_matches =
       let delays = DM.delays model x in
       let sta = Sta.analyze model ~delays ~deadline:(2.0 *. Inc.critical_path eng) in
       let batch =
-        List.sort compare (Sta.critical_vertices ~eps:(1e-7 *. sta.critical_path) sta)
+        List.sort compare
+          (Sta.critical_vertices
+             ~eps:(Tolerance.critical_rel *. sta.critical_path) sta)
       in
-      let len = Inc.critical_set ~eps_rel:1e-7 eng in
+      let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
       let inc = List.sort compare (List.init len (Inc.critical_vertex eng)) in
       batch = inc)
 
@@ -261,6 +264,112 @@ let test_balance_unsafe_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of unsafe circuit"
 
+(* ---------- the tolerance contract ---------- *)
+
+(* Each predicate is probed one float step either side of its threshold at
+   the gate scale (1), a wide scale (1e3) and the transistor scale (1e6),
+   where delays reach 1e5-1e7. The thresholds below spell today's values,
+   so a change to the contract shows up here as a deliberate edit. *)
+let magnitudes = [ 1.0; 1e3; 1e6 ]
+
+let probe what pred cases =
+  List.iter
+    (fun (where, v, expect) ->
+      check bool (Printf.sprintf "%s %s (%.17g)" what where v) expect (pred v))
+    cases
+
+let test_tolerance_meets () =
+  List.iter
+    (fun target ->
+      let edge = target *. (1.0 +. 1e-9) in
+      probe
+        (Printf.sprintf "meets ~target:%g" target)
+        (Tolerance.meets ~target)
+        [ ("target", target, true);
+          ("edge", edge, true);
+          ("below edge", Float.pred edge, true);
+          ("above edge", Float.succ edge, false) ])
+    magnitudes
+
+(* a one-vertex analysis whose only slack is [s] *)
+let sta_with_slack ~deadline s =
+  { Sta.arrival = [| 0.0 |];
+    required = [| s |];
+    slack = [| s |];
+    critical_path = deadline -. s;
+    deadline }
+
+let slack_cases =
+  [ ("zero slack", 0.0, true);
+    ("edge", -1e-6, true);
+    ("inside edge", Float.succ (-1e-6), true);
+    ("outside edge", Float.pred (-1e-6), false) ]
+
+let test_tolerance_safe () =
+  List.iter
+    (fun deadline ->
+      probe
+        (Printf.sprintf "safe at deadline %g" deadline)
+        (fun s -> Tolerance.safe (sta_with_slack ~deadline s))
+        slack_cases)
+    magnitudes;
+  probe "non_negative" Tolerance.non_negative slack_cases
+
+(* the transistor defect, pinned: at gate scale a path 2e-6 late fails
+   both tests, but at a deadline of 1e6 it meets the target and still reads
+   unsafe, so the D-phase refuses a sizing the engine accepted. Making
+   [safe] relative to the deadline flips the last check. *)
+let test_tolerance_transistor_disagreement () =
+  let late = 2e-6 in
+  let verdicts deadline =
+    ( Tolerance.meets ~target:deadline (deadline +. late),
+      Tolerance.safe (sta_with_slack ~deadline (-.late)) )
+  in
+  check (Alcotest.pair bool bool) "gate scale: late and unsafe" (false, false)
+    (verdicts 1.0);
+  check (Alcotest.pair bool bool) "transistor scale: met yet unsafe"
+    (true, false) (verdicts 1e6)
+
+let box_model lo =
+  DM.make ~n:1 ~edges:[] ~a_self:[| 0.0 |]
+    ~coeffs:[| Hashtbl.create 1 |]
+    ~b:[| 1.0 |] ~area_weight:[| 1.0 |] ~is_sink:[| true |] ~block:[| 0 |]
+    ~labels:[| "g" |] ~min_size:lo ~max_size:(4.0 *. lo)
+
+let test_tolerance_in_box () =
+  List.iter
+    (fun lo ->
+      let model = box_model lo in
+      let lo_edge = lo -. 1e-9 and hi_edge = (4.0 *. lo) +. 1e-9 in
+      probe
+        (Printf.sprintf "in_box [%g, %g]" lo (4.0 *. lo))
+        (Tolerance.in_box model)
+        [ ("min edge", lo_edge, true);
+          ("inside min edge", Float.succ lo_edge, true);
+          ("outside min edge", Float.pred lo_edge, false);
+          ("max edge", hi_edge, true);
+          ("inside max edge", Float.pred hi_edge, true);
+          ("outside max edge", Float.succ hi_edge, false);
+          ("nan", Float.nan, false);
+          ("infinity", Float.infinity, false) ])
+    magnitudes
+
+let test_tolerance_budget_met () =
+  List.iter
+    (fun budget ->
+      let edge = budget +. 1e-6 +. (1e-9 *. budget) in
+      probe
+        (Printf.sprintf "budget_met ~budget:%g" budget)
+        (Tolerance.budget_met ~budget)
+        [ ("budget", budget, true);
+          ("edge", edge, true);
+          ("below edge", Float.pred edge, true);
+          ("above edge", Float.succ edge, false) ])
+    magnitudes
+
+let test_tolerance_critical_rel () =
+  check (Alcotest.float 0.0) "critical_rel" 1e-7 Tolerance.critical_rel
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "timing"
@@ -276,4 +385,12 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_balance_valid;
           QCheck_alcotest.to_alcotest prop_theorem1_displacement;
           QCheck_alcotest.to_alcotest prop_theorem2_path_invariance;
-          tc "unsafe rejected" `Quick test_balance_unsafe_rejected ] ) ]
+          tc "unsafe rejected" `Quick test_balance_unsafe_rejected ] );
+      ( "tolerance",
+        [ tc "meets" `Quick test_tolerance_meets;
+          tc "safe" `Quick test_tolerance_safe;
+          tc "transistor-scale disagreement" `Quick
+            test_tolerance_transistor_disagreement;
+          tc "in_box" `Quick test_tolerance_in_box;
+          tc "budget_met" `Quick test_tolerance_budget_met;
+          tc "critical_rel" `Quick test_tolerance_critical_rel ] ) ]
