@@ -1,7 +1,10 @@
 (* Primal network simplex with:
    - an artificial root node and big-M artificial arcs. [solve] starts from
      the all-artificial spanning tree, a cold [solve_warm] from a crash
-     basis on real arcs ([crash_basis]); both are strongly feasible;
+     basis on real arcs ([crash_basis]), and a warm [solve_warm] repairs
+     the kept basis, re-hanging a cut subtree on a real arc whenever one
+     can carry its flow and on its node's artificial arc only otherwise
+     ([rewarm]); all three are strongly feasible;
    - an altering candidate list for the entering arc (LEMON's
      AlteringList pricing; Kiraly & Kovacs, arXiv 1207.6381): each pivot
      re-prices the short list of violated arcs the last one kept before it
@@ -646,92 +649,98 @@ let run_pivots ?budget t =
       let s = t.state.(e) in
       let tail = if s = state_lower then t.src.(e) else t.dst.(e) in
       let head = if s = state_lower then t.dst.(e) else t.src.(e) in
-      (* walk up to the apex, collecting both paths *)
+      (* walk up to the apex, collecting both paths; each side also keeps
+         its minimum residual and the slot of its Cunningham candidate:
+         the tail side is traversed in reverse fill order, so its last
+         blocking arc is the first slot that reaches the minimum ([<]);
+         the head side is traversed in fill order, so its last blocking
+         arc is the last such slot ([<=]). Residuals are read before any
+         flow moves, as each distinct arc appears once in the cycle. *)
       let ts_len = ref 0 and hs_len = ref 0 in
+      let ts_min = ref max_int and ts_slot = ref (-1) in
+      let hs_min = ref max_int and hs_slot = ref (-1) in
       let u = ref tail and v = ref head in
       while !u <> !v do
         if t.succ_num.(!u) < t.succ_num.(!v) then begin
           (* cycle orientation crosses a as parent(u) -> u on the tail
              side: increases flow iff the arc points down to u *)
           let a = t.parc.(!u) in
-          t.ts_arc.(!ts_len) <- a;
-          t.ts_inc.(!ts_len) <- t.dst.(a) = !u;
-          t.ts_below.(!ts_len) <- !u;
-          incr ts_len;
+          let inc = t.dst.(a) = !u in
+          let k = !ts_len in
+          t.ts_arc.(k) <- a;
+          t.ts_inc.(k) <- inc;
+          t.ts_below.(k) <- !u;
+          let r = residual t a inc in
+          if r < !ts_min then begin
+            ts_min := r;
+            ts_slot := k
+          end;
+          ts_len := k + 1;
           u := t.parent.(!u)
         end
         else begin
           (* head side is traversed v -> parent(v): increases flow iff the
              arc points up from v *)
           let a = t.parc.(!v) in
-          t.hs_arc.(!hs_len) <- a;
-          t.hs_inc.(!hs_len) <- t.src.(a) = !v;
-          t.hs_below.(!hs_len) <- !v;
-          incr hs_len;
+          let inc = t.src.(a) = !v in
+          let k = !hs_len in
+          t.hs_arc.(k) <- a;
+          t.hs_inc.(k) <- inc;
+          t.hs_below.(k) <- !v;
+          let r = residual t a inc in
+          if r <= !hs_min then begin
+            hs_min := r;
+            hs_slot := k
+          end;
+          hs_len := k + 1;
           v := t.parent.(!v)
         end
       done;
       let join = !u in
       let e_inc = s = state_lower in
-      let delta = ref (residual t e e_inc) in
-      for k = 0 to !ts_len - 1 do
-        let r = residual t t.ts_arc.(k) t.ts_inc.(k) in
-        if r < !delta then delta := r
-      done;
-      for k = 0 to !hs_len - 1 do
-        let r = residual t t.hs_arc.(k) t.hs_inc.(k) in
-        if r < !delta then delta := r
-      done;
-      let delta = !delta in
+      let r_e = residual t e e_inc in
+      let side_min = if !ts_min < !hs_min then !ts_min else !hs_min in
+      let delta = if r_e < side_min then r_e else side_min in
       if delta >= Mcf.infinite_capacity / 2 then raise Unbounded_exn;
-      (* Cunningham: last blocking arc in cycle orientation. Side 0 = tail
-         path, 1 = entering, 2 = head path; one pass in orientation order
-         keeps the last residual = delta match (read before that arc's flow
-         moves — each distinct arc appears once in the cycle) and pushes the
-         flow change in the same visit, reproducing the historical
-         scan-then-apply exactly. Adding [delta = 0] is a no-op, so the
-         update needs no guard. *)
-      let lv_side = ref 1 and lv_arc = ref e and lv_below = ref (-1) in
-      for k = !ts_len - 1 downto 0 do
-        let a = t.ts_arc.(k) and inc = t.ts_inc.(k) in
-        if residual t a inc = delta then begin
-          lv_side := 0;
-          lv_arc := a;
-          lv_below := t.ts_below.(k)
-        end;
-        t.flow.(a) <- (if inc then t.flow.(a) + delta else t.flow.(a) - delta)
-      done;
-      if residual t e e_inc = delta then begin
-        lv_side := 1;
-        lv_arc := e;
-        lv_below := -1
+      (* Cunningham: the last blocking arc in cycle orientation (apex ->
+         tail, entering arc, head -> apex). Side 0 = tail path, 1 =
+         entering, 2 = head path. *)
+      let lv_side = if !hs_min = delta then 2 else if r_e = delta then 1 else 0 in
+      (* a degenerate pivot moves no flow *)
+      if delta <> 0 then begin
+        for k = 0 to !ts_len - 1 do
+          let a = t.ts_arc.(k) in
+          t.flow.(a) <-
+            (if t.ts_inc.(k) then t.flow.(a) + delta else t.flow.(a) - delta)
+        done;
+        t.flow.(e) <- (if e_inc then t.flow.(e) + delta else t.flow.(e) - delta);
+        for k = 0 to !hs_len - 1 do
+          let a = t.hs_arc.(k) in
+          t.flow.(a) <-
+            (if t.hs_inc.(k) then t.flow.(a) + delta else t.flow.(a) - delta)
+        done
       end;
-      t.flow.(e) <- (if e_inc then t.flow.(e) + delta else t.flow.(e) - delta);
-      for k = 0 to !hs_len - 1 do
-        let a = t.hs_arc.(k) and inc = t.hs_inc.(k) in
-        if residual t a inc = delta then begin
-          lv_side := 2;
-          lv_arc := a;
-          lv_below := t.hs_below.(k)
-        end;
-        t.flow.(a) <- (if inc then t.flow.(a) + delta else t.flow.(a) - delta)
-      done;
-      if !lv_side = 1 || !lv_arc = e then
+      if lv_side = 1 then
         (* the entering arc itself blocks: it moves bound-to-bound, no
            potential moves and nothing is seeded *)
         t.state.(e) <- -s
       else begin
         (* the subtree under [lv_below] is cut; the entering-arc endpoint
            inside it is [tail] if the leaving arc is on the tail side *)
-        let on_tail_side = !lv_side = 0 in
-        let lv_arc = !lv_arc in
+        let on_tail_side = lv_side = 0 in
+        let lv_arc =
+          if on_tail_side then t.ts_arc.(!ts_slot) else t.hs_arc.(!hs_slot)
+        in
+        let lv_below =
+          if on_tail_side then t.ts_below.(!ts_slot) else t.hs_below.(!hs_slot)
+        in
         let q = if on_tail_side then tail else head in
         let pnode = if on_tail_side then head else tail in
         (* leaving arc becomes nonbasic *)
         t.state.(lv_arc) <-
           (if t.flow.(lv_arc) = 0 then state_lower else state_upper);
         t.state.(e) <- state_tree;
-        update_tree t ~join ~u_in:q ~v_in:pnode ~u_out:!lv_below ~e;
+        update_tree t ~join ~u_in:q ~v_in:pnode ~u_out:lv_below ~e;
         (* no cost changed, so the re-hung subtree's potentials shift
            uniformly by the entering arc's potential discontinuity at q;
            the shift seeds the candidate list *)
@@ -840,20 +849,31 @@ let compatible b (p : Mcf.problem) =
      node excess. A tree arc whose required flow would leave [0, cap] — or
      would be only weakly feasible (zero flow pointing leafward, at-cap flow
      pointing rootward, either of which would break Cunningham's
-     anti-cycling guarantee) — is cut, and the node below it is re-hung
-     directly on the root via its own artificial arc, re-oriented along the
-     excess it must carry. The result is a strongly feasible basis whatever
-     the new data; big-M pivots then drive any artificial flow back out.
+     anti-cycling guarantee) — is cut, and the node [x] below it carries
+     its excess [e] elsewhere:
+     - re-hung on a real arc: the first arc in [x]'s incidence list that is
+       nonbasic at its lower bound (an at-upper arc's pinned flow is
+       already counted in the excess) and joins [x] to a node [y] before
+       [x] in the preorder, so outside [x]'s subtree and not yet reached
+       by the walk, and that carries [e] strongly feasibly: [x -> y] with
+       [e < cap] when [e >= 0], [y -> x] with [-e <= cap] otherwise. [y]
+       takes on [e] and may be cut in its turn;
+     - otherwise re-hung directly on the root via its own artificial arc,
+       re-oriented along the excess it must carry; big-M pivots then drive
+       that flow back out.
+     The result is a strongly feasible basis whatever the new data.
 
    The accumulation walks the thread backwards (children before parents);
-   the caller has built that thread from the parent links. A cut only
+   the caller has built that thread from the parent links, and the
+   preorder positions of that build are still in [ts_arc]. A cut only
    rewrites the node's parent pointers, which the backward walk never
-   reads again; [rebuild_tree] then derives the new thread index and
-   potentials from the parents. Every tree arc's flow is set here and
-   every nonbasic one is pinned, so the result depends on the parent
-   links, arc states and endpoints alone, not on the flows or the thread
-   order the solver held before. Node excess lives in the idle [dirty]
-   scratch. *)
+   reads again; every node's parent comes before it in that preorder, so
+   the links stay a tree, and [rebuild_tree] then derives the new thread
+   index and potentials from the parents. Every tree arc's flow is set
+   here and every nonbasic one is pinned, so the result depends on the
+   parent links, arc states and endpoints alone, not on the flows or the
+   thread order the solver held before. Node excess lives in the idle
+   [dirty] scratch. *)
 let rewarm t (p : Mcf.problem) =
   let n = t.n and m_real = t.m_real in
   let root = n in
@@ -890,6 +910,9 @@ let rewarm t (p : Mcf.problem) =
       need.(t.dst.(a)) <- need.(t.dst.(a)) + t.flow.(a)
     end
   done;
+  (* preorder positions of the tree [rewarm] starts from, left in
+     [ts_arc] by the [rebuild_tree] that built its thread *)
+  let pos = t.ts_arc and off = t.inc.off and inc = t.inc.arcs in
   let v = ref t.rev_thread.(root) in
   while !v <> root do
     let x = !v in
@@ -909,26 +932,56 @@ let rewarm t (p : Mcf.problem) =
       need.(par) <- need.(par) + e
     end
     else begin
-      (* cut [a]; re-hang x on its own artificial arc, which (unlike real
-         arcs) we may freely re-orient: it is internal bookkeeping and never
-         part of the returned solution *)
-      let aa = m_real + x in
-      if a <> aa then begin
-        t.state.(a) <- state_lower;
-        t.flow.(a) <- 0;
-        t.state.(aa) <- state_tree;
-        t.parent.(x) <- root;
-        t.parc.(x) <- aa
-      end;
-      if e >= 0 then begin
-        t.src.(aa) <- x;
-        t.dst.(aa) <- root;
-        t.flow.(aa) <- e
+      (* cut [a]; re-hang x on the first real arc that qualifies (see
+         above), else on its artificial arc. [a] itself, if real, fails
+         the test as it failed the one above. *)
+      t.state.(a) <- state_lower;
+      t.flow.(a) <- 0;
+      let i = ref off.(x) and hi = off.(x + 1) and hang = ref (-1) in
+      while !hang < 0 && !i < hi do
+        let b = inc.(!i) in
+        if b < m_real && t.state.(b) = state_lower then begin
+          let y = if t.src.(b) = x then t.dst.(b) else t.src.(b) in
+          if pos.(y) < pos.(x)
+             && (if e >= 0 then t.src.(b) = x && e < t.cap.(b)
+                 else t.dst.(b) = x && -e <= t.cap.(b))
+          then hang := b
+        end;
+        incr i
+      done;
+      let b = !hang in
+      if b >= 0 then begin
+        let y = if t.src.(b) = x then t.dst.(b) else t.src.(b) in
+        if a = m_real + x then begin
+          (* a detached artificial arc points root -> x, as in the crash
+             basis *)
+          t.src.(a) <- root;
+          t.dst.(a) <- x
+        end;
+        t.state.(b) <- state_tree;
+        t.flow.(b) <- abs e;
+        t.parent.(x) <- y;
+        t.parc.(x) <- b;
+        need.(y) <- need.(y) + e
       end
       else begin
-        t.src.(aa) <- root;
-        t.dst.(aa) <- x;
-        t.flow.(aa) <- -e
+        (* no such arc: x hangs on the root by its own artificial arc,
+           which (unlike real arcs) we may freely re-orient: it is
+           internal bookkeeping and never part of the returned solution *)
+        let aa = m_real + x in
+        t.state.(aa) <- state_tree;
+        t.parent.(x) <- root;
+        t.parc.(x) <- aa;
+        if e >= 0 then begin
+          t.src.(aa) <- x;
+          t.dst.(aa) <- root;
+          t.flow.(aa) <- e
+        end
+        else begin
+          t.src.(aa) <- root;
+          t.dst.(aa) <- x;
+          t.flow.(aa) <- -e
+        end
       end
     end
   done;

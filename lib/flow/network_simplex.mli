@@ -33,8 +33,9 @@ val solve : ?budget:Minflo_robust.Budget.t -> Mcf.problem -> Mcf.solution
     network shape — only costs, capacities and supplies move between
     iterations. A {!state} retains the optimal spanning-tree basis of the
     previous solve; the next solve re-seeds it with the new data, repairs it
-    back to strong feasibility (cut-and-reattach through the artificial
-    arcs; see DESIGN §8), and resumes pivoting from there instead of
+    back to strong feasibility (cut-and-reattach: a cut subtree re-hangs
+    on a real arc that can carry its flow, or else on its node's
+    artificial arc; see DESIGN §8), and resumes pivoting from there instead of
     climbing out of the all-artificial basis again. Certificates are
     unchanged in kind: the returned potentials are still feasible and
     complementary-slack, they may just sit on a different vertex of the

@@ -541,10 +541,10 @@ let trajectory_digest seed =
 
 let test_trajectory_pin () =
   let pins =
-    [ (0, "7e0931fc567f64e3");
-      (1, "e1e179729bb52dee");
-      (2, "992e87fec81c805a");
-      (3, "f5331ae56c2d8ba8") ]
+    [ (0, "f23ab10fcf78ebef");
+      (1, "41385f49a893c25c");
+      (2, "59b22f4258ea2d69");
+      (3, "5492fb1422bca281") ]
   in
   List.iter
     (fun (seed, expect) ->
@@ -722,18 +722,18 @@ let basis_cost (p : Mcf.problem) =
   let big_m = ((p.num_nodes + 1) * max_cost) + 1 in
   fun a -> if a < m_real then p.arcs.(a).cost else big_m
 
-(* The crash basis's invariants, from the basis and the potentials of the
-   zero-pivot solve:
+(* A strongly feasible basis for [p], from the basis and the potentials
+   of a solve stopped before its first pivot:
    - the parent links form a tree on the root, each node joined to its
      parent by an arc between the two;
-   - every arc starts at its lower bound, so the unique basic flow follows
-     from the supplies by leaf-to-root accumulation; the flows conserve at
-     the root, and every tree arc is strongly feasible (a rootward arc
-     below capacity, a leafward one above zero);
-   - the potentials price every tree arc at reduced cost 0, and no
-     nonbasic artificial arc (oriented root -> x) can ever enter.
-   Returns the basic flow. *)
-let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
+   - every nonbasic arc sits at a bound (an at-upper one carries its
+     capacity), so the unique basic flow follows from the supplies by
+     leaf-to-root accumulation; the flows conserve at the root, and every
+     tree arc is strongly feasible (a rootward arc below capacity, a
+     leafward one above zero);
+   - the potentials price every tree arc at reduced cost 0.
+   Returns the basic flow, with the at-upper arcs' flows filled in. *)
+let check_strong_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
   let n = p.num_nodes and m_real = Array.length p.arcs in
   let root = n and m = m_real + n in
@@ -753,11 +753,21 @@ let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
     if depth.(v) < 0 then depth.(v) <- 1 + depth_of b.bv_parent.(v) (steps + 1);
     depth.(v)
   in
+  let excess = Array.make (n + 1) 0 in
+  Array.blit p.supply 0 excess 0 n;
+  let flow = Array.make m 0 in
   let tree = ref 0 in
   Array.iteri
     (fun a s ->
       if s = 0 then incr tree
-      else if s <> 1 then fail "arc %d starts at its upper bound" a)
+      else if s = -1 then begin
+        if cap a >= Mcf.infinite_capacity then
+          fail "arc %d sits at an unbounded upper bound" a;
+        flow.(a) <- cap a;
+        excess.(b.bv_src.(a)) <- excess.(b.bv_src.(a)) - cap a;
+        excess.(b.bv_dst.(a)) <- excess.(b.bv_dst.(a)) + cap a
+      end
+      else if s <> 1 then fail "arc %d has state %d" a s)
     b.bv_state;
   if !tree <> n then fail "%d tree arcs for %d nodes" !tree n;
   for v = 0 to n - 1 do
@@ -769,9 +779,6 @@ let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
       fail "arc %d does not join %d to its parent %d" a v par;
     if rc a <> 0 then fail "tree arc %d has reduced cost %d" a (rc a)
   done;
-  let excess = Array.make (n + 1) 0 in
-  Array.blit p.supply 0 excess 0 n;
-  let flow = Array.make m 0 in
   let order = List.init n Fun.id in
   let order = List.sort (fun u v -> compare depth.(v) depth.(u)) order in
   List.iter
@@ -787,7 +794,24 @@ let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
       excess.(b.bv_parent.(v)) <- excess.(b.bv_parent.(v)) + excess.(v))
     order;
   if excess.(root) <> 0 then fail "the root's excess is %d" excess.(root);
-  for a = m_real to m - 1 do
+  flow
+
+(* The crash basis's invariants: a strongly feasible basis
+   ([check_strong_basis]) in which every arc starts at its lower bound and
+   no nonbasic artificial arc (oriented root -> x) can ever enter. Returns
+   the basic flow. *)
+let check_crash_basis name (p : Mcf.problem) (sol : Mcf.solution) b =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
+  let n = p.num_nodes and m_real = Array.length p.arcs in
+  let root = n in
+  Array.iteri
+    (fun a s -> if s = -1 then fail "arc %d starts at its upper bound" a)
+    b.bv_state;
+  let flow = check_strong_basis name p sol b in
+  let cost = basis_cost p in
+  let pot v = if v = root then 0 else sol.potential.(v) in
+  let rc a = cost a - pot b.bv_src.(a) + pot b.bv_dst.(a) in
+  for a = m_real to m_real + n - 1 do
     if b.bv_state.(a) <> 0 then begin
       if b.bv_src.(a) <> root then
         fail "nonbasic artificial %d leaves a node" a;
@@ -1357,6 +1381,145 @@ let test_seeding_chains () =
   check bool "family reaches a shape change after a kept basis" true
     (!cold_after_reshape > 0)
 
+(* ---------- warm re-hang ---------- *)
+
+(* A problem for the warm re-hang: random arcs, about half of them with one
+   to three parallel copies, capacities 0 to 4 or unbounded, capacitated
+   arcs costing -3 to 3 (the negative ones end at their upper bound) and
+   uncapacitated ones 0 to 4, so no solve is unbounded; most seeds add an
+   uncapacitated ring at cost 5 (the others are often infeasible). *)
+let rehang_cap_cost rng =
+  let cap = match Rng.int rng 6 with 5 -> Mcf.infinite_capacity | c -> c in
+  (cap, if cap = Mcf.infinite_capacity then Rng.int rng 5 else Rng.int rng 7 - 3)
+
+let rehang_problem rng n =
+  let arcs = ref [] in
+  for _ = 1 to 2 * n do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    for _ = 0 to (if Rng.bool rng then Rng.int rng 3 else 0) do
+      let cap, cost = rehang_cap_cost rng in
+      arcs := arc u v cap cost :: !arcs
+    done
+  done;
+  if Rng.int rng 5 > 0 then
+    for v = 0 to n - 1 do
+      arcs := arc v ((v + 1) mod n) Mcf.infinite_capacity 5 :: !arcs
+    done;
+  { Mcf.num_nodes = n;
+    arcs = Array.of_list (List.rev !arcs);
+    supply = seeding_supply rng n }
+
+(* the next step of a chain: every supply negated, a few moved, and new
+   costs and capacities on some arcs (a capacitated arc may become
+   uncapacitated and back; the ring, the only arcs at cost 5, stays),
+   same shape *)
+let rehang_step rng (p : Mcf.problem) =
+  let n = p.num_nodes in
+  let supply = Array.map (fun b -> -b) p.supply in
+  for _ = 0 to Rng.int rng 3 do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    let b = 1 + Rng.int rng 3 in
+    supply.(u) <- supply.(u) + b;
+    supply.(v) <- supply.(v) - b
+  done;
+  let arcs =
+    Array.map
+      (fun (a : Mcf.arc) ->
+        match Rng.int rng 6 with
+        | 0 when a.cost <> 5 ->
+          let cap, cost = rehang_cap_cost rng in
+          { a with cap; cost }
+        | _ -> a)
+      p.arcs
+  in
+  { p with arcs; supply }
+
+(* a warm solve reuses the kept basis arrays in place *)
+let copy_basis b =
+  { b with
+    bv_src = Array.copy b.bv_src;
+    bv_dst = Array.copy b.bv_dst;
+    bv_state = Array.copy b.bv_state;
+    bv_parent = Array.copy b.bv_parent;
+    bv_parc = Array.copy b.bv_parc }
+
+(* Warm chains whose supplies change sign at every step, so the repair of
+   the kept basis cuts many tree arcs. Per seed a cold solve and five warm
+   steps. Each warm step first runs with a zero-pivot budget, which stops
+   right after the repair and keeps the repaired basis: it must be strongly
+   feasible for the new problem ([check_strong_basis]). The step then
+   resumes from it unbudgeted (the repair of a strongly feasible basis cuts
+   nothing) and must match SSP in status and objective with a certified
+   optimum. Comparing the repaired basis with the one kept before, a node
+   whose arc to its parent changed was cut; the family must reach a cut
+   node re-hung on a real arc that was nonbasic, one that falls back to its
+   artificial arc, a re-hung node whose new parent is cut in its turn, and
+   warm steps that start with arcs at their upper bound. *)
+let test_rehang_chains () =
+  let seen = Hashtbl.create 8 in
+  let saw tag = Hashtbl.replace seen tag () in
+  for seed = 0 to 299 do
+    let rng = Rng.create ((seed * 7841) + 23) in
+    let n = 4 + Rng.int rng 40 in
+    let p = ref (rehang_problem rng n) in
+    let st = Simplex.make_state () in
+    let budget k = Budget.start (Budget.limits ~max_pivots:k ()) in
+    for step = 0 to 5 do
+      if step > 0 then p := rehang_step rng !p;
+      let p = !p in
+      let name = Printf.sprintf "seed %d step %d" seed step in
+      let m_real = Array.length p.arcs in
+      let kept = Option.map copy_basis (view_basis st p) in
+      (match kept with
+      | None -> ()
+      | Some b0 ->
+        if Array.exists (fun s -> s = -1) b0.bv_state then saw "at-upper arcs";
+        let probe = Simplex.solve_warm ~budget:(budget 0) st p in
+        (match view_basis st p with
+        | None -> ()
+        | Some b1 ->
+          ignore (check_strong_basis (name ^ " repaired") p probe b1);
+          let cut x =
+            b1.bv_parc.(x) <> b0.bv_parc.(x)
+            || b1.bv_src.(b1.bv_parc.(x)) <> b0.bv_src.(b0.bv_parc.(x))
+          in
+          for x = 0 to n - 1 do
+            let a = b1.bv_parc.(x) in
+            if cut x then
+              if a < m_real then begin
+                (* at its lower bound once pinned: an at-upper arc whose
+                   capacity became unbounded moves there *)
+                if not
+                     (b0.bv_state.(a) = 1
+                     || (b0.bv_state.(a) = -1
+                        && p.arcs.(a).cap >= Mcf.infinite_capacity))
+                then
+                  Alcotest.failf "%s: node %d re-hung on arc %d of state %d"
+                    name x a b0.bv_state.(a);
+                saw "re-hang";
+                let y = b1.bv_parent.(x) in
+                if y < n && cut y then saw "cascade"
+              end
+              else saw "artificial fallback"
+          done));
+      let s = Simplex.solve_warm ~budget:(budget 100_000) st p in
+      let ssp = Ssp.solve p in
+      if s.status <> ssp.status then
+        Alcotest.failf "%s: ssp %s, solve_warm %s on instance:\n%s" name
+          (status_str ssp.status) (status_str s.status) (problem_to_string p);
+      if s.status = Optimal then begin
+        if s.objective <> ssp.objective then
+          Alcotest.failf "%s: ssp objective %d, solve_warm %d" name
+            ssp.objective s.objective;
+        expect_certified name p s
+      end
+    done
+  done;
+  List.iter
+    (fun tag ->
+      check bool ("family reaches: " ^ tag) true (Hashtbl.mem seen tag))
+    [ "re-hang"; "artificial fallback"; "cascade"; "at-upper arcs" ]
+
 (* ---------- canonical duals ---------- *)
 
 (* small feasible problems with heavily tied costs: an uncapacitated ring
@@ -1665,7 +1828,9 @@ let () =
             test_crash_on_displacement_lps;
           tc "candidate list = SSP, 1000 problems" `Quick
             test_pricing_matches_ssp;
-          tc "cut seeding = SSP, 300 warm chains" `Quick test_seeding_chains ]
+          tc "cut seeding = SSP, 300 warm chains" `Quick test_seeding_chains;
+          tc "warm re-hang = SSP, 300 sign-flipping chains" `Quick
+            test_rehang_chains ]
       );
       ( "canonical",
         [ tc "matches Bellman-Ford, 250 tied problems" `Quick

@@ -62,7 +62,7 @@ let fixture =
 (* ---------- byte-identity pins ---------- *)
 
 (* The exact bytes of [minflo size c432 --factor 0.6 --trace FILE], at
-   gate granularity (file sha256 d0dba681cb1898bd...) and with
+   gate granularity (file sha256 bf56532bdab1a0df...) and with
    [--granularity transistor] (fc601492b075b02c...). Every float sum and
    tie-break of the engine feeds these files, so any change in an
    iteration order moves the digest. *)
@@ -266,7 +266,7 @@ let () =
           Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected ] );
       ( "pins",
         [ Alcotest.test_case "c432 gate trace bytes" `Quick
-            (test_trace_bytes_pinned `Gate "052608a9c98c89f1c447a7333a62d060");
+            (test_trace_bytes_pinned `Gate "528c1fa1787a9a26eb911c3506ffe4c2");
           Alcotest.test_case "c432 transistor trace bytes" `Quick
             (test_trace_bytes_pinned `Transistor
                "0eb132a56b1821d21218630a22da47b6") ] ) ]
