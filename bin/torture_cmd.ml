@@ -111,27 +111,31 @@ let cmd =
        reconstruct one done and one requeued job from any crash prefix *)
     let write_serve_segment () =
       let jr = Cli.or_fail (Journal.open_append serve_journal) in
+      let spec =
+        { Serve_protocol.circuit = circuit_spec;
+          factor = trace_factor;
+          solver = `Simplex;
+          max_seconds = None;
+          max_iterations = None;
+          max_pivots = None;
+          sleep_seconds = 0.0 }
+      in
       List.iter
-        (fun key ->
-          Journal.event jr ~job:key
-            ~fields:
-              [ ("circuit", Json.Str circuit_spec);
-                ("factor", Json.of_float trace_factor);
-                ("solver", Json.Str "simplex") ]
-            "serve-accepted")
+        (fun key -> ignore (Serve.journal_accepted jr key spec))
         serve_keys;
-      Journal.event jr ~job:"torture-done"
-        ~fields:
-          [ ("area", Json.Num 42.0);
-            ("area_ratio", Json.Num 1.5);
-            ("cp", Json.of_float trace_target);
-            ("target", Json.of_float trace_target);
-            ("met", Json.Bool true);
-            ("iterations", Json.Num 3.0);
-            ("saving_pct", Json.Num 7.5);
-            ("stop", Json.Str "converged");
-            ("resumed", Json.Bool false) ]
-        "job-result";
+      ignore
+        (Serve.journal_result jr "torture-done"
+           { Job.job = Serve_protocol.job_of spec;
+             area = 42.0;
+             area_ratio = 1.5;
+             cp = trace_target;
+             target = trace_target;
+             met = true;
+             iterations = 3;
+             saving_pct = 7.5;
+             stop = "converged";
+             resumed = false;
+             perf = Perf.zero () });
       Journal.close jr
     in
     let write_trace () =

@@ -93,21 +93,3 @@ let max_flow t ~source ~sink =
 let flow_on t e =
   (* flow = residual capacity accumulated on the reverse edge *)
   Vec.get t.ecap (e lxor 1)
-
-let min_cut_side t ~source =
-  let seen = Minflo_util.Bitset.create t.n in
-  let q = Queue.create () in
-  Minflo_util.Bitset.add seen source;
-  Queue.add source q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    List.iter
-      (fun e ->
-        let v = Vec.get t.eto e in
-        if Vec.get t.ecap e > 0 && not (Minflo_util.Bitset.mem seen v) then begin
-          Minflo_util.Bitset.add seen v;
-          Queue.add v q
-        end)
-      t.adj.(u)
-  done;
-  seen

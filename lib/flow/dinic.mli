@@ -18,6 +18,3 @@ val max_flow : t -> source:int -> sink:int -> int
 
 val flow_on : t -> int -> int
 (** Flow carried by the given edge after {!max_flow}. *)
-
-val min_cut_side : t -> source:int -> Minflo_util.Bitset.t
-(** After {!max_flow}: the source side of a minimum cut. *)

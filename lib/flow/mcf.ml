@@ -62,124 +62,6 @@ let flow_cost p flow =
   Array.iteri (fun i a -> total := !total + (a.cost * flow.(i))) p.arcs;
   !total
 
-type decomposition = {
-  paths : (int list * int) list;
-  cycles : (int list * int) list;
-}
-
-let decompose p flow =
-  (match feasibility_detail p flow with
-  | Error e -> invalid_arg ("Mcf.decompose: " ^ e)
-  | Ok () -> ());
-  let remaining = Array.copy flow in
-  (* per-node list of outgoing arcs that still carry flow *)
-  let out = Array.make p.num_nodes [] in
-  Array.iteri
-    (fun i (a : arc) -> if remaining.(i) > 0 then out.(a.src) <- i :: out.(a.src))
-    p.arcs;
-  let next_out v =
-    let rec clean = function
-      | [] -> None
-      | a :: rest ->
-        if remaining.(a) > 0 then begin
-          out.(v) <- a :: rest;
-          Some a
-        end
-        else clean rest
-    in
-    clean out.(v)
-  in
-  let paths = ref [] and cycles = ref [] in
-  (* walk forward from [start] until stuck (demand absorbed) or a node
-     repeats (cycle found) *)
-  let rec extract start =
-    let visited_at = Hashtbl.create 16 in
-    let rec walk v acc =
-      match Hashtbl.find_opt visited_at v with
-      | Some k ->
-        (* cycle: the arcs from position k onward *)
-        let arcs = List.rev acc in
-        let cycle = List.filteri (fun i _ -> i >= k) arcs in
-        let amount = List.fold_left (fun m a -> min m remaining.(a)) max_int cycle in
-        List.iter (fun a -> remaining.(a) <- remaining.(a) - amount) cycle;
-        cycles := (cycle, amount) :: !cycles;
-        (* anything before the cycle is re-walked later *)
-        ()
-      | None -> (
-        Hashtbl.add visited_at v (List.length acc);
-        match next_out v with
-        | Some a -> walk p.arcs.(a).dst (a :: acc)
-        | None ->
-          (* stuck: if we travelled, this is a path ending at a demand *)
-          if acc <> [] then begin
-            let arcs = List.rev acc in
-            let amount =
-              List.fold_left (fun m a -> min m remaining.(a)) max_int arcs
-            in
-            let amount = min amount p.supply.(start) in
-            List.iter (fun a -> remaining.(a) <- remaining.(a) - amount) arcs;
-            paths := (arcs, amount) :: !paths
-          end)
-    in
-    walk start [];
-    (* keep pulling from this source while it still has flow to push *)
-    match next_out start with
-    | Some _ when supply_left start > 0 -> extract start
-    | _ -> ()
-  and supply_left v =
-    let used =
-      List.fold_left (fun acc (arcs, amt) ->
-          match arcs with
-          | first :: _ when p.arcs.(first).src = v -> acc + amt
-          | _ -> acc)
-        0 !paths
-    in
-    p.supply.(v) - used
-  in
-  for v = 0 to p.num_nodes - 1 do
-    if p.supply.(v) > 0 then extract v
-  done;
-  (* leftovers are pure circulations *)
-  for v = 0 to p.num_nodes - 1 do
-    let rec drain () =
-      match next_out v with
-      | Some _ -> (
-        let visited_at = Hashtbl.create 16 in
-        let rec walk u acc =
-          match Hashtbl.find_opt visited_at u with
-          | Some k ->
-            let arcs = List.rev acc in
-            let cycle = List.filteri (fun i _ -> i >= k) arcs in
-            let amount =
-              List.fold_left (fun m a -> min m remaining.(a)) max_int cycle
-            in
-            List.iter (fun a -> remaining.(a) <- remaining.(a) - amount) cycle;
-            cycles := (cycle, amount) :: !cycles
-          | None -> (
-            Hashtbl.add visited_at u (List.length acc);
-            match next_out u with
-            | Some a -> walk p.arcs.(a).dst (a :: acc)
-            | None ->
-              (* leftover chain that is not a cycle (can arise when a path
-                 extraction was capped by its source's supply): emit it as a
-                 path so superposition still reproduces the flow *)
-              if acc <> [] then begin
-                let arcs = List.rev acc in
-                let amount =
-                  List.fold_left (fun m a -> min m remaining.(a)) max_int arcs
-                in
-                List.iter (fun a -> remaining.(a) <- remaining.(a) - amount) arcs;
-                paths := (arcs, amount) :: !paths
-              end)
-        in
-        walk v [];
-        drain ())
-      | None -> ()
-    in
-    drain ()
-  done;
-  { paths = List.rev !paths; cycles = List.rev !cycles }
-
 (* Indexed 4-ary min-heap over node ids: slot [i] holds node [heap.(i)]
    with key [hkey.(i)], and [pos.(v)] is the slot of node [v] (-1 once
    removed). Keeping the keys in heap order makes a sift compare adjacent

@@ -70,16 +70,3 @@ val canonical_potentials : problem -> solution -> int array
     the Johnson reweighting. If [solution] is not an [Optimal] certificate
     (fault injection, solver bug), the raw potentials are returned
     unchanged so downstream divergence detectors still see the defect. *)
-
-type decomposition = {
-  paths : (int list * int) list;
-      (** arc-id sequences from a supply node to a demand node, with the
-          amount carried. *)
-  cycles : (int list * int) list;
-}
-
-val decompose : problem -> int array -> decomposition
-(** Flow decomposition: any feasible flow splits into at most [m] paths and
-    cycles whose superposition reproduces it exactly (checked by the
-    test-suite). Useful for explaining a D-phase solution as concrete slack
-    transfers. @raise Invalid_argument if the flow is not feasible. *)

@@ -81,8 +81,8 @@ let run_case cfg nl =
         watchdog_seconds = None }
     in
     match
-      Supervisor.run_all ~config:sup_cfg
-        [ ("fuzz-case", fun () -> Ok (Oracle.run cfg.oracle nl)) ]
+      Supervisor.run_all_tasks ~config:sup_cfg
+        [ ("fuzz-case", fun _ -> Ok (Oracle.run cfg.oracle nl)) ]
     with
     | [ (_, { Supervisor.verdict = Ok outcome; _ }) ] -> outcome
     | [ (_, { Supervisor.verdict = Error e; _ }) ] ->

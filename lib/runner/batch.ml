@@ -2,7 +2,6 @@ module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
 module Io = Minflo_robust.Io
 module Json = Minflo_util.Json
-module Tech = Minflo_tech.Tech
 module Tilos = Minflo_sizing.Tilos
 module Minflotransit = Minflo_sizing.Minflotransit
 module Sweep = Minflo_sizing.Sweep
@@ -72,10 +71,10 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
   match Job.load_circuit job.circuit with
   | Error _ as e -> e
   | Ok nl -> (
-    let model = Minflo_tech.Model_cache.model ~tech:Tech.default_130nm nl in
-    let d0 = Sweep.dmin model in
+    let recipe = Job.recipe nl in
+    let model = recipe.Job.model in
     let a0 = Sweep.min_area model in
-    let target = job.factor *. d0 in
+    let target = Job.target recipe ~factor:job.factor in
     let hash = Checkpoint.hash_netlist nl in
     let solver_name = Job.solver_name job.solver in
     let options = { cfg.engine with Minflotransit.solver = job.solver } in
@@ -264,105 +263,40 @@ let run ?(config = default_config) jobs =
             ("differential", Json.Bool config.differential) ]
         "batch-start"
     | None -> ());
-    (* pre-flight lint gate: a parse or lint error is structural — the
-       circuit will fail identically on every attempt — so such jobs are
-       quarantined here, before any process is forked, with no retries and
-       no backoff. One check per distinct circuit spec, not per job. *)
-    let lint_verdicts = Hashtbl.create 8 in
-    let lint_error spec =
-      match Hashtbl.find_opt lint_verdicts spec with
-      | Some v -> v
-      | None ->
-        let v =
-          if not config.preflight then None
-          else
-            match Job.load_raw spec with
-            | Error e -> Some e
-            | Ok raw -> (
-              let findings = Minflo_lint.Lint.check raw in
-              match
-                List.find_opt
-                  (fun (f : Minflo_lint.Finding.t) ->
-                    f.rule.severity = Minflo_lint.Rule.Error)
-                  findings
-              with
-              | Some f -> Some (Minflo_lint.Finding.to_diag f)
-              | None -> None)
-        in
-        Hashtbl.replace lint_verdicts spec v;
-        v
+    (* pre-flight admission: a job the {!Admission} gate turns away would
+       fail identically on every attempt, so it is quarantined here,
+       before any process is forked, with no retries and no backoff. Lint
+       quarantines are journaled first, then MF201 ones. *)
+    let gate = Admission.create () in
+    let verdicts =
+      List.map
+        (fun j ->
+          (j, if config.preflight then Admission.check gate j else None))
+        to_run
     in
-    let gated, to_run =
-      List.partition (fun j -> lint_error j.Job.circuit <> None) to_run
+    let to_run =
+      List.filter_map (fun (j, v) -> if v = None then Some j else None) verdicts
     in
     let outcome_by_id = Hashtbl.create 16 in
     List.iter
-      (fun j ->
-        let e = Option.get (lint_error j.Job.circuit) in
-        let id = Job.id j in
-        (match journal with
-        | Some jr -> Journal.event jr ~job:id ~error:e "job-lint-quarantined"
-        | None -> ());
-        Hashtbl.replace outcome_by_id id
-          { Supervisor.verdict = Error e; attempts = 0; quarantined = true })
-      gated;
-    (* interval-bound gate: a delay target below the circuit's static
-       floor (MF201) fails identically under every solver, so those jobs
-       are quarantined with a witness path instead of burning attempts.
-       One model build per distinct circuit; one float compare per job.
-       The model/dmin recipe must mirror [run_job]'s exactly, or the gate
-       would judge a different target than the job would run. *)
-    let bounds_by_spec = Hashtbl.create 8 in
-    let bounds_error (j : Job.t) =
-      if not config.preflight then None
-      else begin
-        let per_circuit =
-          match Hashtbl.find_opt bounds_by_spec j.Job.circuit with
-          | Some v -> v
-          | None ->
-            let v =
-              match Job.load_circuit j.Job.circuit with
-              | Error _ -> None (* already quarantined by the lint gate *)
-              | Ok nl ->
-                let model =
-                  Minflo_tech.Model_cache.model ~tech:Tech.default_130nm nl
-                in
-                Some (model, Sweep.dmin model, Minflo_lint.Bounds.compute model)
-            in
-            Hashtbl.replace bounds_by_spec j.Job.circuit v;
-            v
-        in
-        match per_circuit with
-        | None -> None
-        | Some (model, dmin, b) ->
-          Minflo_lint.Bounds.infeasible_target_error model b
-            ~target:(j.Job.factor *. dmin)
-      end
-    in
-    let gated_bounds, to_run =
-      List.partition (fun j -> bounds_error j <> None) to_run
-    in
-    List.iter
-      (fun j ->
-        let e = Option.get (bounds_error j) in
-        let id = Job.id j in
-        (match journal with
-        | Some jr -> Journal.event jr ~job:id ~error:e "job-bounds-quarantined"
-        | None -> ());
-        Hashtbl.replace outcome_by_id id
-          { Supervisor.verdict = Error e; attempts = 0; quarantined = true })
-      gated_bounds;
+      (fun (which, event) ->
+        List.iter
+          (fun (j, v) ->
+            match v with
+            | Some (g, e) when g = which ->
+              let id = Job.id j in
+              (match journal with
+              | Some jr -> Journal.event jr ~job:id ~error:e event
+              | None -> ());
+              Hashtbl.replace outcome_by_id id
+                { Supervisor.verdict = Error e; attempts = 0; quarantined = true }
+            | _ -> ())
+          verdicts)
+      [ (`Lint, "job-lint-quarantined"); (`Bounds, "job-bounds-quarantined") ];
     let on_done id (o : Job.outcome Supervisor.outcome) =
       match (o.Supervisor.verdict, journal) with
       | Ok oc, Some jr ->
-        Journal.event jr ~job:id
-          ~fields:
-            [ ("area", Json.of_float oc.Job.area);
-              ("area_ratio", Json.of_float oc.Job.area_ratio);
-              ("met", Json.Bool oc.Job.met);
-              ("iterations", Json.Num (float_of_int oc.Job.iterations));
-              ("resumed", Json.Bool oc.Job.resumed) ]
-          "job-ok"
+        Journal.event jr ~job:id ~fields:(Job.outcome_fields oc) "job-ok"
       | _ -> ()
     in
     let outcomes =

@@ -38,11 +38,13 @@ type config = {
           the child so each attempt gets fresh fire counts (and may target
           specific jobs). Default: no plan. *)
   preflight : bool;
-      (** lint every distinct circuit before forking anything (default
-          [true]). A parse error or any Error-severity finding is
-          structural — it would fail identically on every attempt — so the
-          job is quarantined immediately: zero attempts, no retries, no
-          backoff, journaled as [job-lint-quarantined]. *)
+      (** run the {!Admission} gate before forking anything (default
+          [true]). A parse error, an Error-severity finding or a target
+          below the circuit's static floor (MF201) is structural — it
+          would fail identically on every attempt — so the job is
+          quarantined immediately: zero attempts, no retries, no backoff,
+          journaled as [job-lint-quarantined] or
+          [job-bounds-quarantined]. *)
 }
 
 val default_config : config

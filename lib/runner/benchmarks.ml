@@ -2,10 +2,8 @@ module Diag = Minflo_robust.Diag
 module Io = Minflo_robust.Io
 module Json = Minflo_util.Json
 module Perf = Minflo_robust.Perf
-module Tech = Minflo_tech.Tech
 module Delay_model = Minflo_tech.Delay_model
 module Generators = Minflo_netlist.Generators
-module Sweep = Minflo_sizing.Sweep
 module Dphase = Minflo_sizing.Dphase
 module Minflotransit = Minflo_sizing.Minflotransit
 
@@ -28,8 +26,9 @@ let full_circuits = [ "c432"; "c880"; "c1908"; "c6288" ]
 let target_factor = 0.6
 
 let run_netlist ~circuit ~nl ~warm =
-  let model = Minflo_tech.Model_cache.model ~tech:Tech.default_130nm nl in
-  let target = target_factor *. Sweep.dmin model in
+  let recipe = Job.recipe nl in
+  let model = recipe.Job.model in
+  let target = Job.target recipe ~factor:target_factor in
   let options =
     { Minflotransit.default_options with
       Minflotransit.warm_start = warm;

@@ -4,6 +4,7 @@ module Bench_format = Minflo_netlist.Bench_format
 module Verilog_format = Minflo_netlist.Verilog_format
 module Generators = Minflo_netlist.Generators
 module Iscas85 = Minflo_netlist.Iscas85
+module Json = Minflo_util.Json
 
 type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
 
@@ -31,6 +32,11 @@ let file_slug j =
       | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '.' | '_' | '-' -> c
       | _ -> '-')
     (id j)
+
+let fields j =
+  [ ("circuit", Json.Str j.circuit);
+    ("factor", Json.of_float j.factor);
+    ("solver", Json.Str (solver_name j.solver)) ]
 
 let cross ~circuits ~factors ~solvers =
   List.concat_map
@@ -86,3 +92,53 @@ type outcome = {
   resumed : bool;
   perf : Minflo_robust.Perf.counters;
 }
+
+(* ---------- the recipe: circuit -> model -> Dmin -> target ---------- *)
+
+type recipe = { model : Minflo_tech.Delay_model.t; dmin : float }
+
+let recipe nl =
+  let model =
+    Minflo_tech.Model_cache.model ~tech:Minflo_tech.Tech.default_130nm nl
+  in
+  { model; dmin = Minflo_sizing.Sweep.dmin model }
+
+let target r ~factor = factor *. r.dmin
+
+(* ---------- outcome <-> JSON fields ---------- *)
+
+let outcome_fields o =
+  [ ("area", Json.of_float o.area);
+    ("area_ratio", Json.of_float o.area_ratio);
+    ("cp", Json.of_float o.cp);
+    ("target", Json.of_float o.target);
+    ("met", Json.Bool o.met);
+    ("iterations", Json.Num (float_of_int o.iterations));
+    ("saving_pct", Json.of_float o.saving_pct);
+    ("stop", Json.Str o.stop);
+    ("resumed", Json.Bool o.resumed) ]
+
+let outcome_of_json job j =
+  let ( let* ) = Option.bind in
+  let num k = Json.float_field k j and bool k = Json.bool_field k j in
+  let* area = num "area" in
+  let* area_ratio = num "area_ratio" in
+  let* cp = num "cp" in
+  let* target = num "target" in
+  let* met = bool "met" in
+  let* iterations = Json.int_field "iterations" j in
+  let* saving_pct = num "saving_pct" in
+  let* stop = Json.str_field "stop" j in
+  let* resumed = bool "resumed" in
+  Some
+    { job;
+      area;
+      area_ratio;
+      cp;
+      target;
+      met;
+      iterations;
+      saving_pct;
+      stop;
+      resumed;
+      perf = Minflo_robust.Perf.zero () }

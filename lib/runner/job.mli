@@ -27,6 +27,10 @@ val solver_of_string : string -> solver option
 (** Accepts the CLI spellings ["auto"], ["simplex"], ["ssp"], ["bf"] /
     ["bellman-ford"]. *)
 
+val fields : t -> (string * Minflo_util.Json.t) list
+(** [circuit], [factor] and [solver], as the serve protocol, its journal
+    and its result responses spell them. *)
+
 val cross :
   circuits:string list -> factors:float list -> solvers:solver list -> t list
 (** The full evaluation grid, circuits-major, in deterministic order. *)
@@ -60,3 +64,37 @@ type outcome = {
       (** solver work this job spent (process-global counters diffed across
           the run) — lets a supervising parent accumulate worker effort. *)
 }
+
+(** {1 The job recipe}
+
+    How every front door — {!Batch.run_job}, the {!Admission} gate, the
+    serve daemon's model prewarm and {!Benchmarks} — turns a circuit and
+    a delay factor into a sizing problem. *)
+
+type recipe = {
+  model : Minflo_tech.Delay_model.t;
+      (** the Elmore model under {!Minflo_tech.Tech.default_130nm}, from
+          {!Minflo_tech.Model_cache}. *)
+  dmin : float;  (** {!Minflo_sizing.Sweep.dmin}: the minimum-size delay. *)
+}
+
+val recipe : Minflo_netlist.Netlist.t -> recipe
+
+val target : recipe -> factor:float -> float
+(** The absolute delay target, [factor *. dmin]. *)
+
+(** {1 The outcome record on disk and on the wire} *)
+
+val outcome_fields : outcome -> (string * Minflo_util.Json.t) list
+(** [area], [area_ratio], [cp], [target], [met], [iterations],
+    [saving_pct], [stop] and [resumed], in that order; floats through
+    {!Minflo_util.Json.of_float}, so every value survives bit for bit.
+    The batch [job-ok] event, the serve [job-result] event and the serve
+    [result] response all carry exactly these fields. [job] and [perf]
+    are not written: the job is the line's key, the counters travel in
+    [job-perf]. *)
+
+val outcome_of_json : t -> Minflo_util.Json.t -> outcome option
+(** Reads what {!outcome_fields} writes from an object that carries them
+    (extra members are ignored), for [job]; [perf] comes back zero.
+    [None] when a field is missing or mistyped. *)

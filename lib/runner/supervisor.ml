@@ -536,7 +536,3 @@ let run_all_tasks ?(config = default_config) ?journal ?on_done tasks =
             attempts = 0;
             quarantined = false } ))
     order
-
-let run_all ?config ?journal ?on_done tasks =
-  run_all_tasks ?config ?journal ?on_done
-    (List.map (fun (id, thunk) -> (id, fun (_ : emit) -> thunk ())) tasks)

@@ -59,29 +59,22 @@ type emit = ?fields:(string * Minflo_util.Json.t) list -> string -> unit
     a worker emitted are journaled before the task's verdict event, so
     within-job event order is deterministic regardless of [parallel]. *)
 
-val run_all :
-  ?config:config ->
-  ?journal:Journal.t ->
-  ?on_done:(string -> 'a outcome -> unit) ->
-  (string * (unit -> ('a, Minflo_robust.Diag.error) result)) list ->
-  (string * 'a outcome) list
-(** [run_all tasks] supervises every [(id, thunk)] and returns the
-    outcomes in submission order. Lifecycle events ([job-spawn],
-    [job-retry], [job-timeout], [job-crashed], [job-quarantined],
-    [job-failed]) are appended to [journal] as they happen. [on_done] runs
-    in the parent the moment a task reaches its final outcome (success,
-    quarantine or retry exhaustion) — the batch layer uses it to journal
-    completions crash-safely as they happen, not when the batch ends. *)
-
 val run_all_tasks :
   ?config:config ->
   ?journal:Journal.t ->
   ?on_done:(string -> 'a outcome -> unit) ->
   (string * (emit -> ('a, Minflo_robust.Diag.error) result)) list ->
   (string * 'a outcome) list
-(** Like {!run_all}, but each thunk receives an {!emit} through which the
-    worker can add its own events (checkpoint progress, perf counters) to
-    the batch journal from inside the child process. *)
+(** [run_all_tasks tasks] supervises every [(id, thunk)] and returns the
+    outcomes in submission order. Each thunk receives an {!emit} through
+    which the worker can add its own events (checkpoint progress, perf
+    counters) to the journal from inside the child process. Lifecycle
+    events ([job-spawn], [job-retry], [job-timeout], [job-crashed],
+    [job-quarantined], [job-failed]) are appended to [journal] as they
+    happen. [on_done] runs in the parent the moment a task reaches its
+    final outcome (success, quarantine or retry exhaustion) — the batch
+    layer uses it to journal completions crash-safely as they happen,
+    not when the batch ends. *)
 
 (** {1 Incremental pool}
 

@@ -21,15 +21,16 @@ type request =
   | Health
   | Drain
 
+let job_of (s : submit) =
+  { Job.circuit = s.circuit; factor = s.factor; solver = s.solver }
+
 (* The job key doubles as the idempotency token: a resubmission of the
    same work (same circuit/target/solver AND same run budget) is answered
    from the daemon's result cache instead of re-solving. A custom budget
    or load-test sleep changes what "the same work" means, so it lands in
    the key as a suffix. *)
 let job_key (s : submit) =
-  let base =
-    Job.id { Job.circuit = s.circuit; factor = s.factor; solver = s.solver }
-  in
+  let base = Job.id (job_of s) in
   let extras =
     List.filter_map
       (fun x -> x)
@@ -42,44 +43,24 @@ let job_key (s : submit) =
   in
   if extras = [] then base else base ^ "#" ^ String.concat "," extras
 
-(* ---------- request encoding (the client side) ---------- *)
+(* ---------- the submit record: one spelling on the wire and in the
+   journal's [serve-accepted] line ---------- *)
 
-let submit_to_json (s : submit) =
-  Json.Obj
-    ([ ("op", Json.Str "submit");
-       ("circuit", Json.Str s.circuit);
-       ("factor", Json.Num s.factor);
-       ("solver", Json.Str (Job.solver_name s.solver)) ]
-    @ (match s.max_seconds with
-      | Some v -> [ ("max_seconds", Json.Num v) ]
-      | None -> [])
-    @ (match s.max_iterations with
-      | Some v -> [ ("max_iterations", Json.Num (float_of_int v)) ]
-      | None -> [])
-    @ (match s.max_pivots with
-      | Some v -> [ ("max_pivots", Json.Num (float_of_int v)) ]
-      | None -> [])
-    @
-    if s.sleep_seconds > 0.0 then
-      [ ("sleep_seconds", Json.Num s.sleep_seconds) ]
-    else [])
+let submit_fields (s : submit) =
+  Job.fields (job_of s)
+  @ List.filter_map Fun.id
+      [ Option.map (fun v -> ("max_seconds", Json.of_float v)) s.max_seconds;
+        Option.map
+          (fun v -> ("max_iterations", Json.Num (float_of_int v)))
+          s.max_iterations;
+        Option.map
+          (fun v -> ("max_pivots", Json.Num (float_of_int v)))
+          s.max_pivots;
+        (if s.sleep_seconds > 0.0 then
+           Some ("sleep_seconds", Json.of_float s.sleep_seconds)
+         else None) ]
 
-let request_to_json = function
-  | Submit s -> submit_to_json s
-  | Status id -> Json.Obj [ ("op", Json.Str "status"); ("id", Json.Str id) ]
-  | Result { id; wait } ->
-    Json.Obj
-      [ ("op", Json.Str "result");
-        ("id", Json.Str id);
-        ("wait", Json.Bool wait) ]
-  | Cancel id -> Json.Obj [ ("op", Json.Str "cancel"); ("id", Json.Str id) ]
-  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
-  | Health -> Json.Obj [ ("op", Json.Str "health") ]
-  | Drain -> Json.Obj [ ("op", Json.Str "drain") ]
-
-(* ---------- request decoding (the server side) ---------- *)
-
-let decode_submit j =
+let submit_of_json j =
   match Json.str_field "circuit" j with
   | None -> Error "submit: missing \"circuit\""
   | Some circuit -> (
@@ -105,15 +86,28 @@ let decode_submit j =
           | _ -> None
         in
         Ok
-          (Submit
-             { circuit;
-               factor;
-               solver;
-               max_seconds = pos_num "max_seconds";
-               max_iterations = pos_int "max_iterations";
-               max_pivots = pos_int "max_pivots";
-               sleep_seconds =
-                 Option.value (pos_num "sleep_seconds") ~default:0.0 })))
+          { circuit;
+            factor;
+            solver;
+            max_seconds = pos_num "max_seconds";
+            max_iterations = pos_int "max_iterations";
+            max_pivots = pos_int "max_pivots";
+            sleep_seconds = Option.value (pos_num "sleep_seconds") ~default:0.0 }))
+
+(* ---------- requests ---------- *)
+
+let request_to_json = function
+  | Submit s -> Json.Obj (("op", Json.Str "submit") :: submit_fields s)
+  | Status id -> Json.Obj [ ("op", Json.Str "status"); ("id", Json.Str id) ]
+  | Result { id; wait } ->
+    Json.Obj
+      [ ("op", Json.Str "result");
+        ("id", Json.Str id);
+        ("wait", Json.Bool wait) ]
+  | Cancel id -> Json.Obj [ ("op", Json.Str "cancel"); ("id", Json.Str id) ]
+  | Stats -> Json.Obj [ ("op", Json.Str "stats") ]
+  | Health -> Json.Obj [ ("op", Json.Str "health") ]
+  | Drain -> Json.Obj [ ("op", Json.Str "drain") ]
 
 let with_id j k =
   match Json.str_field "id" j with
@@ -123,7 +117,7 @@ let with_id j k =
 let request_of_json j =
   match Json.str_field "op" j with
   | None -> Error "missing \"op\""
-  | Some "submit" -> decode_submit j
+  | Some "submit" -> Result.map (fun s -> Submit s) (submit_of_json j)
   | Some "status" -> with_id j (fun id -> Status id)
   | Some "result" ->
     with_id j (fun id ->

@@ -29,10 +29,25 @@ type request =
   | Drain
       (** stop admitting, finish in-flight work, seal the journal, exit. *)
 
+val job_of : submit -> Minflo_runner.Job.t
+(** The sizing job a submission asks for: its circuit, factor and solver. *)
+
 val job_key : submit -> string
 (** The job's identity — {!Minflo_runner.Job.id} plus a suffix for any
     custom budget or sleep. Submitting the same key twice is idempotent:
     the daemon answers the second from its result cache. *)
+
+val submit_fields : submit -> (string * Minflo_util.Json.t) list
+(** The one spelling of a submission: {!Minflo_runner.Job.fields}, then
+    each budget that is set and a positive [sleep_seconds]. The wire
+    request is these fields after [{"op": "submit"}]; the daemon's
+    [serve-accepted] journal line carries the same fields. *)
+
+val submit_of_json : Minflo_util.Json.t -> (submit, string) result
+(** Reads {!submit_fields} back, from a request or a [serve-accepted]
+    line (other members are ignored). A missing [solver] means [auto];
+    a budget that is not positive is dropped. [Error] names the first bad
+    field. *)
 
 val request_to_json : request -> Minflo_util.Json.t
 val request_of_json : Minflo_util.Json.t -> (request, string) result

@@ -6,6 +6,7 @@ module Mono = Minflo_robust.Mono
 module Budget = Minflo_robust.Budget
 module Job = Minflo_runner.Job
 module Batch = Minflo_runner.Batch
+module Admission = Minflo_runner.Admission
 module Journal = Minflo_runner.Journal
 module Supervisor = Minflo_runner.Supervisor
 module Minflotransit = Minflo_sizing.Minflotransit
@@ -85,95 +86,34 @@ let slug key =
 let checkpoint_dir cfg key =
   Filename.concat (Filename.concat cfg.run_dir "checkpoints") (slug key)
 
-let outcome_fields key (spec : Protocol.submit) (o : Job.outcome) =
-  [ ("id", Json.Str key);
-    ("state", Json.Str "done");
-    ("circuit", Json.Str spec.circuit);
-    ("factor", Json.Num spec.factor);
-    ("solver", Json.Str (Job.solver_name spec.solver));
-    ("area", Json.Num o.area);
-    ("area_ratio", Json.Num o.area_ratio);
-    ("cp", Json.Num o.cp);
-    ("target", Json.Num o.target);
-    ("met", Json.Bool o.met);
-    ("iterations", Json.Num (float_of_int o.iterations));
-    ("saving_pct", Json.Num o.saving_pct);
-    ("stop", Json.Str o.stop);
-    ("resumed", Json.Bool o.resumed) ]
+(* a done job's [result] response *)
+let result_fields key (o : Job.outcome) =
+  ("id", Json.Str key) :: ("state", Json.Str "done")
+  :: (Job.fields o.job @ Job.outcome_fields o)
+
+(* "accepted means recoverable": the acceptance line must be durable
+   before the client hears [accepted], so this write is checked and a
+   failure refuses the admission (and flips to degraded mode) *)
+let journal_accepted jr key (s : Protocol.submit) =
+  Journal.event_checked jr ~job:key ~fields:(Protocol.submit_fields s)
+    "serve-accepted"
 
 let journal_result jr key (o : Job.outcome) =
-  Journal.event_checked jr ~job:key
-    ~fields:
-      [ ("area", Json.of_float o.area);
-        ("area_ratio", Json.of_float o.area_ratio);
-        ("cp", Json.of_float o.cp);
-        ("target", Json.of_float o.target);
-        ("met", Json.Bool o.met);
-        ("iterations", Json.Num (float_of_int o.iterations));
-        ("saving_pct", Json.of_float o.saving_pct);
-        ("stop", Json.Str o.stop);
-        ("resumed", Json.Bool o.resumed) ]
+  Journal.event_checked jr ~job:key ~fields:(Job.outcome_fields o)
     "job-result"
 
+let failure ~quarantined e =
+  { f_code = Diag.error_code e;
+    f_message = Diag.to_string e;
+    f_raw = Diag.to_json e;
+    f_quarantined = quarantined }
+
+(* the result fields of a [job-result] line, for the entry it finishes *)
+let recover_result entry j =
+  Option.map (result_fields entry.key)
+    (Job.outcome_of_json (Protocol.job_of entry.spec) j)
+
 (* ---------- recovery: rebuild the job table from a previous life ---------- *)
-
-let recover_submit j : Protocol.submit option =
-  match
-    ( Json.str_field "circuit" j,
-      Json.float_field "factor" j,
-      Option.bind (Json.str_field "solver" j) Job.solver_of_string )
-  with
-  | Some circuit, Some factor, Some solver ->
-    Some
-      { Protocol.circuit;
-        factor;
-        solver;
-        max_seconds = Json.float_field "max_seconds" j;
-        max_iterations = Json.int_field "max_iterations" j;
-        max_pivots = Json.int_field "max_pivots" j;
-        sleep_seconds =
-          Option.value (Json.float_field "sleep_seconds" j) ~default:0.0 }
-  | _ -> None
-
-let recover_done_fields key spec j =
-  let num k = Json.float_field k j and bool k = Json.bool_field k j in
-  match
-    ( num "area",
-      num "area_ratio",
-      num "cp",
-      num "target",
-      bool "met",
-      num "saving_pct",
-      Json.int_field "iterations" j,
-      Json.str_field "stop" j,
-      bool "resumed" )
-  with
-  | ( Some area,
-      Some area_ratio,
-      Some cp,
-      Some target,
-      Some met,
-      Some saving_pct,
-      Some iterations,
-      Some stop,
-      Some resumed ) ->
-    Some
-      (outcome_fields key spec
-         { Job.job =
-             { Job.circuit = spec.Protocol.circuit;
-               factor = spec.Protocol.factor;
-               solver = spec.Protocol.solver };
-           area;
-           area_ratio;
-           cp;
-           target;
-           met;
-           iterations;
-           saving_pct;
-           stop;
-           resumed;
-           perf = Perf.zero () })
-  | _ -> None
 
 (* replay the journal of a previous daemon life: accepted jobs reappear in
    the table, terminal ones with their exact recorded result (numbers
@@ -193,9 +133,9 @@ let recover_table journal_path =
       | Some key -> (
         match event with
         | "serve-accepted" -> (
-          match recover_submit j with
-          | None -> ()
-          | Some spec -> (
+          match Protocol.submit_of_json j with
+          | Error _ -> ()
+          | Ok spec -> (
             match Hashtbl.find_opt table key with
             | Some e ->
               (* resubmission after cancel: back to the queue *)
@@ -207,7 +147,7 @@ let recover_table journal_path =
         | "job-result" -> (
           match Hashtbl.find_opt table key with
           | Some e -> (
-            match recover_done_fields key e.spec j with
+            match recover_result e j with
             | Some fields ->
               e.state <- Done;
               Hashtbl.replace results key fields
@@ -262,8 +202,7 @@ let worker_thunk cfg (spec : Protocol.submit) (emit : Supervisor.emit) =
       preflight = false (* gated at admission, in the parent *);
       engine = { Minflotransit.default_options with Minflotransit.limits } }
   in
-  Batch.run_job ~emit ~exhausted_ok:true bcfg
-    { Job.circuit = spec.circuit; factor = spec.factor; solver = spec.solver }
+  Batch.run_job ~emit ~exhausted_ok:true bcfg (Protocol.job_of spec)
 
 (* ---------- client bookkeeping ---------- *)
 
@@ -533,7 +472,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                 event = "job-result"
                 && Json.str_field "job" j = Some entry.key
               then
-                match recover_done_fields entry.key entry.spec j with
+                match recover_result entry j with
                 | Some fields -> found := Some fields
                 | None -> ())
             (Journal.scan journal_path);
@@ -602,19 +541,14 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                  restart would lose it: stop admitting work we cannot
                  promise to recover *)
               enter_degraded e);
-            cache_put key (outcome_fields key entry.spec oc);
+            cache_put key (result_fields key oc);
             entry.state <- Done
           | Error _ when entry.cancelling ->
             Journal.event jr ~job:key "job-cancelled";
             entry.state <- Cancelled
           | Error e ->
             (* the pool already journaled job-failed / job-quarantined *)
-            entry.state <-
-              Failed
-                { f_code = Diag.error_code e;
-                  f_message = Diag.to_string e;
-                  f_raw = Diag.to_json e;
-                  f_quarantined = o.Supervisor.quarantined });
+            entry.state <- Failed (failure ~quarantined:o.Supervisor.quarantined e));
           notify_waiters entry
       in
       (* a forked worker inherits the listening socket and every client
@@ -644,76 +578,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
             | _ -> () (* cancelled while queued: skip *));
             promote ()
       in
-      let lint_error spec =
-        if not cfg.preflight then None
-        else
-          match Job.load_raw spec with
-          | Error e -> Some e
-          | Ok raw -> (
-            let findings = Minflo_lint.Lint.check raw in
-            match
-              List.find_opt
-                (fun (f : Minflo_lint.Finding.t) ->
-                  f.rule.severity = Minflo_lint.Rule.Error)
-                findings
-            with
-            | Some f -> Some (Minflo_lint.Finding.to_diag f)
-            | None -> None)
-      in
-      (* MF201 admission gate: the interval-bound delay floor of a circuit
-         is a static property, so a factor below it is rejected here with a
-         typed error and a witness path — no worker, no solver. Memoized
-         per circuit spec; the factor check itself is a float compare. *)
-      let bounds_cache = Hashtbl.create 7 in
-      let bounds_error (s : Protocol.submit) =
-        if not cfg.preflight then None
-        else
-          match
-            match Hashtbl.find_opt bounds_cache s.Protocol.circuit with
-            | Some v -> v
-            | None ->
-              let v =
-                match Job.load_circuit s.Protocol.circuit with
-                | Error _ -> None (* load errors surface below, unchanged *)
-                | Ok nl ->
-                  let model = Minflo_tech.Model_cache.model nl in
-                  Some
-                    ( model,
-                      Minflo_sizing.Sweep.dmin model,
-                      Minflo_lint.Bounds.compute model )
-              in
-              Hashtbl.replace bounds_cache s.Protocol.circuit v;
-              v
-          with
-          | None -> None
-          | Some (model, dmin, bounds) ->
-            Minflo_lint.Bounds.infeasible_target_error model bounds
-              ~target:(s.Protocol.factor *. dmin)
-      in
-      (* "accepted means recoverable": the acceptance line must be durable
-         before the client hears [accepted], so this write is checked and a
-         failure refuses the admission (and flips to degraded mode) *)
-      let journal_accepted key (s : Protocol.submit) =
-        Journal.event_checked jr ~job:key
-          ~fields:
-            ([ ("circuit", Json.Str s.circuit);
-               ("factor", Json.of_float s.factor);
-               ("solver", Json.Str (Job.solver_name s.solver)) ]
-            @ (match s.max_seconds with
-              | Some v -> [ ("max_seconds", Json.of_float v) ]
-              | None -> [])
-            @ (match s.max_iterations with
-              | Some v -> [ ("max_iterations", Json.Num (float_of_int v)) ]
-              | None -> [])
-            @ (match s.max_pivots with
-              | Some v -> [ ("max_pivots", Json.Num (float_of_int v)) ]
-              | None -> [])
-            @
-            if s.sleep_seconds > 0.0 then
-              [ ("sleep_seconds", Json.of_float s.sleep_seconds) ]
-            else [])
-          "serve-accepted"
-      in
+      let gate = Admission.create () in
       let handle_submit (s : Protocol.submit) =
         let key = Protocol.job_key s in
         let existing = Hashtbl.find_opt table key in
@@ -748,70 +613,41 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                { depth = Bounded_queue.length admission;
                  limit = Bounded_queue.capacity admission })
         | None | Some { state = Cancelled; _ } -> (
-          match lint_error s.circuit with
-          | Some e ->
+          match
+            if cfg.preflight then Admission.check gate (Protocol.job_of s)
+            else None
+          with
+          | Some (which, e) ->
             (* structural reject, but still an accepted-and-recorded job:
                status/result queries answer from the table, and a restart
                reconstructs the same terminal state *)
             Perf.tick_rejection ();
-            (match journal_accepted key s with
+            (match journal_accepted jr key s with
             | Error se ->
               enter_degraded se;
               storage_error se
             | Ok () ->
-              Journal.event jr ~job:key ~error:e "job-lint-quarantined";
-              let entry =
+              Journal.event jr ~job:key ~error:e
+                (match which with
+                | `Lint -> "job-lint-quarantined"
+                | `Bounds -> "job-infeasible-quarantined");
+              Hashtbl.replace table key
                 { key;
                   spec = s;
-                  state =
-                    Failed
-                      { f_code = Diag.error_code e;
-                        f_message = Diag.to_string e;
-                        f_raw = Diag.to_json e;
-                        f_quarantined = true };
-                  cancelling = false }
-              in
-              Hashtbl.replace table key entry;
+                  state = Failed (failure ~quarantined:true e);
+                  cancelling = false };
               Protocol.error_response ~fields:[ ("id", Json.Str key) ] e)
-          | None ->
-            match bounds_error s with
-            | Some e ->
-              (* statically infeasible target: same accepted-and-recorded
-                 terminal shape as a lint quarantine, so status queries and
-                 restarts behave identically *)
-              Perf.tick_rejection ();
-              (match journal_accepted key s with
-              | Error se ->
-                enter_degraded se;
-                storage_error se
-              | Ok () ->
-                Journal.event jr ~job:key ~error:e
-                  "job-infeasible-quarantined";
-                let entry =
-                  { key;
-                    spec = s;
-                    state =
-                      Failed
-                        { f_code = Diag.error_code e;
-                          f_message = Diag.to_string e;
-                          f_raw = Diag.to_json e;
-                          f_quarantined = true };
-                    cancelling = false }
-                in
-                Hashtbl.replace table key entry;
-                Protocol.error_response ~fields:[ ("id", Json.Str key) ] e)
-            | None -> (
-            match Job.load_circuit s.circuit with
+          | None -> (
+            (* build (or reuse) the delay model in the parent: workers
+               inherit it copy-on-write, and repeats hit the memo *)
+            match Admission.recipe gate s.circuit with
             | Error e ->
               Perf.tick_rejection ();
               Protocol.error_response e
-            | Ok nl ->
-              (* build (or reuse) the delay model in the parent: workers
-                 inherit it copy-on-write, and repeats hit the cache *)
-              ignore (Minflo_tech.Model_cache.model nl);
+            | Ok _ -> (
               match
                 Result.bind (Io.mkdirs (checkpoint_dir cfg key)) (fun () ->
-                    journal_accepted key s)
+                    journal_accepted jr key s)
               with
               | Error se ->
                 (* no checkpoint directory, or no durable acceptance line:
@@ -836,7 +672,7 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
                 Protocol.ok
                   [ ("id", Json.Str key);
                     ("state", Json.Str "queued");
-                    ("position", Json.Num (float_of_int (Bounded_queue.length admission))) ]))
+                    ("position", Json.Num (float_of_int (Bounded_queue.length admission))) ])))
       in
       let handle_cancel id =
         match Hashtbl.find_opt table id with

@@ -76,7 +76,9 @@ type config = {
           results remain answerable from the journal). *)
   retries : int;
   backoff_base : float;
-  preflight : bool;        (** lint gate at admission. *)
+  preflight : bool;
+      (** run the {!Minflo_runner.Admission} gate (lint, then MF201) on
+          each submission. *)
 }
 
 val default_config : config
@@ -85,6 +87,24 @@ val default_config : config
     watchdog_seconds = Some 60.; io_timeout_seconds = 30.;
     cache_bytes = 64 MiB; retries = 2; backoff_base = 0.5;
     preflight = true]. *)
+
+val journal_accepted :
+  Minflo_runner.Journal.t ->
+  string ->
+  Protocol.submit ->
+  (unit, Minflo_robust.Diag.error) result
+(** [journal_accepted jr key spec] appends job [key]'s [serve-accepted]
+    line, {!Protocol.submit_fields} of [spec], and reports whether it
+    became durable. *)
+
+val journal_result :
+  Minflo_runner.Journal.t ->
+  string ->
+  Minflo_runner.Job.outcome ->
+  (unit, Minflo_robust.Diag.error) result
+(** [journal_result jr key o] appends job [key]'s [job-result] line,
+    {!Minflo_runner.Job.outcome_fields} of [o]; recovery reads it back
+    bit for bit. *)
 
 val recovery_snapshot : string -> (string * string) list
 (** [recovery_snapshot journal_path] replays a serve journal exactly as a

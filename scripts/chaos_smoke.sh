@@ -197,7 +197,8 @@ echo "== audit: journal clean, faults actually fired"
 python3 - "$RUN/journal.jsonl" "$REPORT" "$VICTIM_ID" <<'PY'
 import json, sys
 TERMINAL = {"job-result", "job-failed", "job-quarantined",
-            "job-lint-quarantined", "job-cancelled"}
+            "job-lint-quarantined", "job-infeasible-quarantined",
+            "job-cancelled"}
 accepted, terminal, victim_spawns = set(), set(), 0
 for line in open(sys.argv[1]):
     line = line.strip()

@@ -8,7 +8,8 @@
 #   phase 2  SIGTERM mid-load: the drain must finish in-flight work and
 #            exit 0 with a sealed journal;
 #   phase 3  SIGKILL mid-flight, restart on the same run directory: no
-#            accepted job may be lost;
+#            accepted job may be lost, including one the MF201
+#            admission gate refused;
 #   audit    the journal must be clean — every serve-accepted job has a
 #            terminal event.
 #
@@ -91,6 +92,11 @@ ID3="$(field "$("$MINFLO" client submit c432 --socket "$SOCK" \
   --factor 0.5 --sleep 2.0)" id)"
 ID4="$(field "$("$MINFLO" client submit c17 --socket "$SOCK" \
   --factor 1.40 --sleep 2.0)" id)"
+# a factor below c17's static delay floor is refused at admission (MF201)
+# yet journaled like any accepted job, so the restart must recover it
+R5="$("$MINFLO" client submit c17 --socket "$SOCK" --factor 0.05 || true)"
+[ "$(field "$R5" code)" = "infeasible-target" ]
+ID5="$(field "$R5" id)"
 sleep 0.5 # let the first job reach a worker
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2>/dev/null || true
@@ -101,16 +107,20 @@ R3="$("$MINFLO" client result "$ID3" --socket "$SOCK" --wait)"
 R4="$("$MINFLO" client result "$ID4" --socket "$SOCK" --wait)"
 [ "$(field "$R3" state)" = "done" ]
 [ "$(field "$R4" state)" = "done" ]
+R5="$("$MINFLO" client result "$ID5" --socket "$SOCK" || true)"
+[ "$(field "$R5" state)" = "failed" ]
+[ "$(field "$R5" code)" = "infeasible-target" ]
 "$MINFLO" client drain --socket "$SOCK" >/dev/null
 wait "$DAEMON_PID"
 DAEMON_PID=""
-echo "phase 3 ok: both jobs recovered to done after SIGKILL + restart"
+echo "phase 3 ok: after SIGKILL + restart, both jobs done, the infeasible one failed"
 
 echo "== journal audit: every accepted job reached a terminal state"
 python3 - "$RUN/journal.jsonl" <<'PY'
 import json, sys
 TERMINAL = {"job-result", "job-failed", "job-quarantined",
-            "job-lint-quarantined", "job-cancelled"}
+            "job-lint-quarantined", "job-infeasible-quarantined",
+            "job-cancelled"}
 accepted, terminal = set(), set()
 for line in open(sys.argv[1]):
     line = line.strip()

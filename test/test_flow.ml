@@ -260,61 +260,6 @@ let test_self_loop_arc () =
   expect_optimal "ssp" s2 2;
   check int "self loop empty" 0 s1.flow.(0)
 
-let test_decompose_zero_flow () =
-  let p =
-    { Mcf.num_nodes = 2; arcs = [| arc 0 1 5 1 |]; supply = [| 0; 0 |] }
-  in
-  let d = Mcf.decompose p [| 0 |] in
-  check bool "empty decomposition" true (d.paths = [] && d.cycles = [])
-
-(* ---------- decomposition ---------- *)
-
-let prop_decompose_recomposes =
-  QCheck.Test.make
-    ~name:"flow decomposition superposes back to the original flow"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 911) + 77) in
-      let s = Simplex.solve p in
-      match s.status with
-      | Optimal ->
-        let d = Mcf.decompose p s.flow in
-        let rebuilt = Array.make (Array.length p.arcs) 0 in
-        List.iter
-          (fun (arcs, amount) ->
-            List.iter (fun a -> rebuilt.(a) <- rebuilt.(a) + amount) arcs)
-          (d.paths @ d.cycles);
-        rebuilt = s.flow
-      | _ -> true)
-
-let prop_decompose_paths_connect =
-  QCheck.Test.make ~name:"decomposed paths are connected arc sequences"
-    ~count:200 QCheck.small_nat (fun seed ->
-      let p = random_problem ((seed * 337) + 3) in
-      let s = Simplex.solve p in
-      match s.status with
-      | Optimal ->
-        let d = Mcf.decompose p s.flow in
-        List.for_all
-          (fun (arcs, amount) ->
-            amount > 0
-            &&
-            let rec connected = function
-              | a :: (b :: _ as rest) ->
-                p.arcs.(a).dst = p.arcs.(b).src && connected rest
-              | _ -> true
-            in
-            connected arcs)
-          d.paths
-        && List.for_all
-             (fun (arcs, _) ->
-               match arcs with
-               | [] -> false
-               | first :: _ ->
-                 let last = List.nth arcs (List.length arcs - 1) in
-                 p.arcs.(last).dst = p.arcs.(first).src)
-             d.cycles
-      | _ -> true)
-
 (* ---------- Bellman-Ford ---------- *)
 
 let test_bf_distances () =
@@ -373,15 +318,6 @@ let test_dinic_bottleneck () =
   check int "max flow" 4 (Dinic.max_flow d ~source:0 ~sink:2);
   check int "flow e0" 4 (Dinic.flow_on d e0);
   check int "flow e1" 4 (Dinic.flow_on d e1)
-
-let test_dinic_min_cut () =
-  let d = Dinic.create ~num_nodes:3 in
-  ignore (Dinic.add_edge d ~src:0 ~dst:1 ~cap:1);
-  ignore (Dinic.add_edge d ~src:1 ~dst:2 ~cap:9);
-  ignore (Dinic.max_flow d ~source:0 ~sink:2);
-  let side = Dinic.min_cut_side d ~source:0 in
-  check bool "source in cut" true (Minflo_util.Bitset.mem side 0);
-  check bool "sink out of cut" false (Minflo_util.Bitset.mem side 2)
 
 let prop_dinic_matches_mcf_feasibility =
   (* a transportation instance is feasible iff Dinic saturates all supply
@@ -1840,10 +1776,6 @@ let () =
             test_canonical_non_optimal_passthrough;
           tc "n = 0 and non-Optimal pass through" `Quick
             test_canonical_trivial_passthrough ] );
-      ( "decompose",
-        [ tc "zero flow" `Quick test_decompose_zero_flow;
-          QCheck_alcotest.to_alcotest prop_decompose_recomposes;
-          QCheck_alcotest.to_alcotest prop_decompose_paths_connect ] );
       ( "bellman-ford",
         [ tc "distances" `Quick test_bf_distances;
           tc "unreachable" `Quick test_bf_unreachable;
@@ -1851,7 +1783,6 @@ let () =
       ( "dinic",
         [ tc "simple" `Quick test_dinic_simple;
           tc "bottleneck" `Quick test_dinic_bottleneck;
-          tc "min cut" `Quick test_dinic_min_cut;
           QCheck_alcotest.to_alcotest prop_dinic_matches_mcf_feasibility ] );
       ( "diff_lp",
         [ tc "basic" `Quick test_diff_lp_basic;

@@ -88,6 +88,78 @@ let test_job_solver_names () =
       | None -> Alcotest.failf "unparsable solver name %s" (Job.solver_name s))
     [ `Auto; `Simplex; `Ssp; `Bellman_ford ]
 
+(* the outcome record's one codec: the batch [job-ok], serve [job-result]
+   and serve [result] fields *)
+let sample_outcome v =
+  { Job.job = { Job.circuit = "c432"; factor = 0.6; solver = `Auto };
+    area = v;
+    area_ratio = v;
+    cp = v;
+    target = v;
+    met = true;
+    iterations = 9;
+    saving_pct = v;
+    stop = "converged";
+    resumed = false;
+    perf = Minflo_robust.Perf.zero () }
+
+let check_outcome_bits name (a : Job.outcome) (b : Job.outcome) =
+  check string (name ^ ": job") (Job.id a.job) (Job.id b.job);
+  check_float_bits (name ^ ": area") a.area b.area;
+  check_float_bits (name ^ ": area_ratio") a.area_ratio b.area_ratio;
+  check_float_bits (name ^ ": cp") a.cp b.cp;
+  check_float_bits (name ^ ": target") a.target b.target;
+  check_float_bits (name ^ ": saving_pct") a.saving_pct b.saving_pct;
+  check bool (name ^ ": met") a.met b.met;
+  check int (name ^ ": iterations") a.iterations b.iterations;
+  check string (name ^ ": stop") a.stop b.stop;
+  check bool (name ^ ": resumed") a.resumed b.resumed
+
+let test_outcome_codec_round_trip () =
+  List.iter
+    (fun (name, v) ->
+      let o = sample_outcome v in
+      let printed = Json.to_string (Json.Obj (Job.outcome_fields o)) in
+      match Result.map (Job.outcome_of_json o.job) (Json.parse printed) with
+      | Ok (Some o') ->
+        check string (name ^ ": print, parse, print") printed
+          (Json.to_string (Json.Obj (Job.outcome_fields o')));
+        check_outcome_bits name o o'
+      | Ok None -> Alcotest.failf "%s: %s does not decode" name printed
+      | Error e -> Alcotest.failf "%s: %s does not parse: %s" name printed e)
+    [ ("plain", 1244.1374922437403);
+      ("negative zero", -0.0);
+      ("subnormal", Int64.float_of_bits 1L);
+      ("max_float", Float.max_float);
+      ("infinity", Float.infinity);
+      ("nan with payload", Int64.float_of_bits 0x7ff8dead0000beefL);
+      ("negative nan", Int64.float_of_bits 0xfff8000000000001L) ]
+
+(* a [job-result] line as earlier builds wrote it (a budgeted serve job)
+   decodes to its record, so old journals still recover *)
+let test_outcome_codec_reads_old_lines () =
+  let job = { Job.circuit = "c17"; factor = 0.7; solver = `Ssp } in
+  match
+    Result.map (Job.outcome_of_json job)
+      (Json.parse
+         {|{"event":"job-result","seq":12,"t":0.279,"job":"c17@0.700/ssp#s=2.5,it=7,pv=1000,zz=0.25","area":32.838489676355792,"area_ratio":1.3682704031814914,"cp":1152871.9999419653,"target":1152872,"met":true,"iterations":3,"saving_pct":4.7356958990028417,"stop":"budget: run budget exhausted: iterations 7 of 7","resumed":false}|})
+  with
+  | Ok (Some o) ->
+    check_outcome_bits "job-result" o
+      { Job.job;
+        area = 32.838489676355792;
+        area_ratio = 1.3682704031814914;
+        cp = 1152871.9999419653;
+        target = 1152872.0;
+        met = true;
+        iterations = 3;
+        saving_pct = 4.7356958990028417;
+        stop = "budget: run budget exhausted: iterations 7 of 7";
+        resumed = false;
+        perf = Minflo_robust.Perf.zero () }
+  | Ok None -> Alcotest.fail "a job-result line does not decode"
+  | Error e -> Alcotest.failf "literal line does not parse: %s" e
+
 (* ---------- checkpoints ---------- *)
 
 let sample_checkpoint () =
@@ -447,7 +519,7 @@ let sup ?(parallel = 1) ?timeout ?(retries = 2) ?(isolate = true) ?watchdog ()
     backoff_base = 0.01; isolate; watchdog_seconds = watchdog }
 
 let test_supervisor_ok_isolated () =
-  match Supervisor.run_all ~config:(sup ()) [ ("t", fun () -> Ok 42) ] with
+  match Supervisor.run_all_tasks ~config:(sup ()) [ ("t", fun _ -> Ok 42) ] with
   | [ ("t", { Supervisor.verdict = Ok v; attempts = 1; quarantined = false }) ]
     -> check int "marshalled result" 42 v
   | _ -> Alcotest.fail "unexpected outcome"
@@ -458,14 +530,14 @@ let test_supervisor_retries_transient () =
      runs in its own process *)
   let dir = fresh_dir "sup-retry" in
   let marker = Filename.concat dir "attempted" in
-  let thunk () =
+  let thunk _ =
     if Sys.file_exists marker then Ok 1
     else begin
       close_out (open_out marker);
       Error (Diag.Solver_diverged { solver = "simplex"; iters = 3 })
     end
   in
-  (match Supervisor.run_all ~config:(sup ()) [ ("t", thunk) ] with
+  (match Supervisor.run_all_tasks ~config:(sup ()) [ ("t", thunk) ] with
   | [ (_, { Supervisor.verdict = Ok 1; attempts = 2; quarantined = false }) ] -> ()
   | [ (_, o) ] ->
     Alcotest.failf "attempts=%d quarantined=%b ok=%b" o.Supervisor.attempts
@@ -475,8 +547,8 @@ let test_supervisor_retries_transient () =
   rm_rf dir
 
 let test_supervisor_quarantines_structural () =
-  let thunk () = Error (Diag.Unmet_target { target = 1.0; achieved = 2.0 }) in
-  match Supervisor.run_all ~config:(sup ()) [ ("t", thunk) ] with
+  let thunk _ = Error (Diag.Unmet_target { target = 1.0; achieved = 2.0 }) in
+  match Supervisor.run_all_tasks ~config:(sup ()) [ ("t", thunk) ] with
   | [ (_, { Supervisor.verdict = Error (Diag.Unmet_target _); attempts = 1;
             quarantined = true }) ] -> ()
   | _ -> Alcotest.fail "structural failure was not quarantined on sight"
@@ -484,8 +556,8 @@ let test_supervisor_quarantines_structural () =
 let test_supervisor_quarantines_repeat_offender () =
   (* retryable error, but identical on consecutive attempts: one retry to
      observe the repetition, then quarantine without burning the rest *)
-  let thunk () = Error (Diag.Solver_diverged { solver = "simplex"; iters = 3 }) in
-  match Supervisor.run_all ~config:(sup ~retries:5 ()) [ ("t", thunk) ] with
+  let thunk _ = Error (Diag.Solver_diverged { solver = "simplex"; iters = 3 }) in
+  match Supervisor.run_all_tasks ~config:(sup ~retries:5 ()) [ ("t", thunk) ] with
   | [ (_, { Supervisor.verdict = Error (Diag.Solver_diverged _); attempts = 2;
             quarantined = true }) ] -> ()
   | [ (_, o) ] ->
@@ -494,14 +566,14 @@ let test_supervisor_quarantines_repeat_offender () =
   | _ -> Alcotest.fail "unexpected outcome"
 
 let test_supervisor_timeout_kills () =
-  let thunk () =
+  let thunk _ =
     while true do
       ignore (Sys.opaque_identity 0)
     done;
     Ok 0
   in
   match
-    Supervisor.run_all ~config:(sup ~timeout:0.2 ~retries:0 ()) [ ("t", thunk) ]
+    Supervisor.run_all_tasks ~config:(sup ~timeout:0.2 ~retries:0 ()) [ ("t", thunk) ]
   with
   | [ (_, { Supervisor.verdict = Error (Diag.Job_timeout _); quarantined = false;
             _ }) ] -> ()
@@ -513,18 +585,18 @@ let test_supervisor_timeout_kills () =
   | _ -> Alcotest.fail "unexpected outcome"
 
 let test_supervisor_crash_is_contained () =
-  let thunk () = Unix._exit 9 in
+  let thunk _ = Unix._exit 9 in
   match
-    Supervisor.run_all ~config:(sup ~retries:0 ()) [ ("t", thunk) ]
+    Supervisor.run_all_tasks ~config:(sup ~retries:0 ()) [ ("t", thunk) ]
   with
   | [ (_, { Supervisor.verdict = Error (Diag.Job_crashed _); _ }) ] -> ()
   | _ -> Alcotest.fail "abnormal exit not reported as a crash"
 
 let test_supervisor_parallel_order () =
   let tasks =
-    List.init 6 (fun i -> (string_of_int i, fun () -> Ok (i * i)))
+    List.init 6 (fun i -> (string_of_int i, fun _ -> Ok (i * i)))
   in
-  let out = Supervisor.run_all ~config:(sup ~parallel:3 ()) tasks in
+  let out = Supervisor.run_all_tasks ~config:(sup ~parallel:3 ()) tasks in
   check int "all ran" 6 (List.length out);
   List.iteri
     (fun i (id, o) ->
@@ -538,7 +610,7 @@ let test_supervisor_in_process_mode () =
   let calls = ref 0 in
   (* distinct (but retryable) errors on the first two attempts, so the
      repeat-offender quarantine does not kick in *)
-  let thunk () =
+  let thunk _ =
     incr calls;
     match !calls with
     | 1 -> Error (Diag.Numeric { what = "flaky"; value = 1.0 })
@@ -546,7 +618,7 @@ let test_supervisor_in_process_mode () =
     | n -> Ok n
   in
   match
-    Supervisor.run_all ~config:(sup ~isolate:false ~retries:5 ())
+    Supervisor.run_all_tasks ~config:(sup ~isolate:false ~retries:5 ())
       [ ("t", thunk) ]
   with
   | [ (_, { Supervisor.verdict = Ok 3; attempts = 3; _ }) ] -> ()
@@ -558,7 +630,7 @@ let test_supervisor_timeout_then_success () =
      clean: a timeout is environmental, so the retry budget applies *)
   let dir = fresh_dir "sup-timeout-retry" in
   let marker = Filename.concat dir "attempted" in
-  let thunk () =
+  let thunk _ =
     if Sys.file_exists marker then Ok 7
     else begin
       close_out (open_out marker);
@@ -569,7 +641,7 @@ let test_supervisor_timeout_then_success () =
     end
   in
   (match
-     Supervisor.run_all ~config:(sup ~timeout:0.3 ~retries:2 ()) [ ("t", thunk) ]
+     Supervisor.run_all_tasks ~config:(sup ~timeout:0.3 ~retries:2 ()) [ ("t", thunk) ]
    with
   | [ (_, { Supervisor.verdict = Ok 7; attempts = 2; quarantined = false }) ] ->
     ()
@@ -591,7 +663,7 @@ let test_supervisor_watchdog_requeues_wedged_worker () =
     | Ok j -> j
     | Error e -> Alcotest.failf "journal: %s" (Diag.to_string e)
   in
-  let thunk () =
+  let thunk _ =
     if Sys.file_exists marker then Ok 7
     else begin
       close_out (open_out marker);
@@ -603,7 +675,7 @@ let test_supervisor_watchdog_requeues_wedged_worker () =
     end
   in
   (match
-     Supervisor.run_all ~config:(sup ~watchdog:0.3 ~retries:2 ()) ~journal
+     Supervisor.run_all_tasks ~config:(sup ~watchdog:0.3 ~retries:2 ()) ~journal
        [ ("t", thunk) ]
    with
   | [ (_, { Supervisor.verdict = Ok 7; attempts = 2; quarantined = false }) ]
@@ -628,7 +700,7 @@ let test_supervisor_quarantines_when_error_stabilizes () =
      of a large budget *)
   let dir = fresh_dir "sup-stabilize" in
   let counter = Filename.concat dir "n" in
-  let thunk () =
+  let thunk _ =
     let n =
       if Sys.file_exists counter then
         let ic = open_in counter in
@@ -644,7 +716,7 @@ let test_supervisor_quarantines_when_error_stabilizes () =
     else Error (Diag.Solver_diverged { solver = "simplex"; iters = n })
   in
   (match
-     Supervisor.run_all ~config:(sup ~retries:10 ()) [ ("t", thunk) ]
+     Supervisor.run_all_tasks ~config:(sup ~retries:10 ()) [ ("t", thunk) ]
    with
   | [ (_, { Supervisor.verdict = Error (Diag.Solver_diverged _); attempts = 3;
             quarantined = true }) ] -> ()
@@ -1101,6 +1173,48 @@ let test_preflight_can_be_disabled () =
     | _ -> Alcotest.fail "expected one report"));
   rm_rf dir
 
+(* the MF201 half of admission: c17 at 0.05 Dmin is below its static
+   delay floor, so that job is quarantined before any fork while the
+   feasible job on the same circuit runs *)
+let test_preflight_quarantines_infeasible_target () =
+  let dir = fresh_dir "preflight-bounds" in
+  let jobs =
+    [ { Job.circuit = "c17"; factor = 0.05; solver = `Simplex };
+      { Job.circuit = "c17"; factor = 0.6; solver = `Simplex } ]
+  in
+  let cfg =
+    { Batch.default_config with
+      checkpoint_dir = Some dir;
+      supervise = sup ~isolate:false () }
+  in
+  (match Batch.run ~config:cfg jobs with
+  | Error e -> Alcotest.failf "batch: %s" (Diag.to_string e)
+  | Ok s -> (
+    check int "ok" 1 s.Batch.ok;
+    check int "failed" 1 s.Batch.failed;
+    match s.Batch.reports with
+    | [ r1; r2 ] ->
+      check bool "quarantined" true r1.Batch.quarantined;
+      check int "zero attempts: never forked" 0 r1.Batch.attempts;
+      (match r1.Batch.outcome with
+      | Some (Error (Diag.Infeasible_target _)) -> ()
+      | _ -> Alcotest.fail "expected a typed infeasible-target error");
+      check bool "feasible job succeeds" true
+        (match r2.Batch.outcome with Some (Ok _) -> true | _ -> false)
+    | _ -> Alcotest.fail "expected two reports"));
+  let events job =
+    List.filter_map
+      (fun (event, j) ->
+        if Json.str_field "job" j = Some job then Some event else None)
+      (Journal.scan (Filename.concat dir "journal.jsonl"))
+  in
+  let gated = Job.id (List.hd jobs) and ran = Job.id (List.nth jobs 1) in
+  check (Alcotest.list string) "gated job: one quarantine event, no spawn"
+    [ "job-bounds-quarantined" ] (events gated);
+  check bool "feasible job spawned and finished" true
+    (List.mem "job-spawn" (events ran) && List.mem "job-ok" (events ran));
+  rm_rf dir
+
 let test_differential_clean_run_agrees () =
   let job = { Job.circuit = "c17"; factor = 0.6; solver = `Simplex } in
   let cfg =
@@ -1122,7 +1236,11 @@ let () =
         [ Alcotest.test_case "id and slug" `Quick test_job_id_and_slug;
           Alcotest.test_case "cross grid" `Quick test_job_cross;
           Alcotest.test_case "solver names round trip" `Quick
-            test_job_solver_names ] );
+            test_job_solver_names;
+          Alcotest.test_case "outcome codec round trip, bit-exact" `Quick
+            test_outcome_codec_round_trip;
+          Alcotest.test_case "outcome codec reads journal lines" `Quick
+            test_outcome_codec_reads_old_lines ] );
       ( "checkpoint",
         [ Alcotest.test_case "bit-exact round trip" `Quick
             test_checkpoint_roundtrip;
@@ -1182,7 +1300,9 @@ let () =
         [ Alcotest.test_case "lint failure quarantined without a fork" `Quick
             test_preflight_quarantines_lint_failure;
           Alcotest.test_case "gate can be disabled" `Quick
-            test_preflight_can_be_disabled ] );
+            test_preflight_can_be_disabled;
+          Alcotest.test_case "infeasible target quarantined without a fork"
+            `Quick test_preflight_quarantines_infeasible_target ] );
       ( "differential",
         [ Alcotest.test_case "counterpart independence" `Quick
             test_differential_counterpart_is_independent;

@@ -143,6 +143,65 @@ let test_protocol_job_key () =
   check string "same spec, same key" budgeted
     (Protocol.job_key (submit_spec ~max_iterations:3 "c17"))
 
+(* the submit record's one codec: the wire request and the journal's
+   [serve-accepted] line *)
+let test_submit_codec_round_trip () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (name, (s : Protocol.submit)) ->
+      let printed = Json.to_string (Json.Obj (Protocol.submit_fields s)) in
+      match Result.map Protocol.submit_of_json (Json.parse printed) with
+      | Ok (Ok s') ->
+        check string (name ^ ": print, parse, print") printed
+          (Json.to_string (Json.Obj (Protocol.submit_fields s')));
+        check Alcotest.bool (name ^ ": bit-equal record") true
+          (s.circuit = s'.circuit && s.solver = s'.solver
+          && bits s.factor = bits s'.factor
+          && Option.map bits s.max_seconds = Option.map bits s'.max_seconds
+          && s.max_iterations = s'.max_iterations
+          && s.max_pivots = s'.max_pivots
+          && bits s.sleep_seconds = bits s'.sleep_seconds)
+      | Ok (Error e) -> Alcotest.failf "%s: %s does not decode: %s" name printed e
+      | Error e -> Alcotest.failf "%s: %s does not parse: %s" name printed e)
+    [ ("defaults", submit_spec "c17");
+      ( "every field",
+        { (submit_spec ~max_seconds:2.5 ~max_iterations:7 ~max_pivots:1000
+             ~sleep:0.25 ~factor:(0.1 +. 0.2) "c432")
+          with
+          solver = `Bellman_ford } );
+      ( "subnormal",
+        submit_spec ~max_seconds:(Int64.float_of_bits 1L)
+          ~factor:(Int64.float_of_bits 1L) "c17" );
+      ( "max_float",
+        submit_spec ~max_seconds:Float.max_float ~sleep:Float.max_float
+          ~factor:Float.max_float "c17" ) ]
+
+(* [serve-accepted] lines as earlier builds wrote them still recover *)
+let test_submit_codec_reads_old_lines () =
+  let decode line =
+    match Result.map Protocol.submit_of_json (Json.parse line) with
+    | Ok (Ok s) -> s
+    | Ok (Error e) -> Alcotest.failf "literal line does not decode: %s" e
+    | Error e -> Alcotest.failf "literal line does not parse: %s" e
+  in
+  let same what (a : Protocol.submit) (b : Protocol.submit) =
+    check string what
+      (Json.to_string (Json.Obj (Protocol.submit_fields a)))
+      (Json.to_string (Json.Obj (Protocol.submit_fields b)));
+    check string (what ^ ": key") (Protocol.job_key a) (Protocol.job_key b)
+  in
+  same "budgeted"
+    (decode
+       {|{"event":"serve-accepted","seq":2,"t":0.01,"job":"c17@0.700/ssp#s=2.5,it=7,pv=1000,zz=0.25","circuit":"c17","factor":0.7,"solver":"ssp","max_seconds":2.5,"max_iterations":7,"max_pivots":1000,"sleep_seconds":0.25}|})
+    { (submit_spec ~max_seconds:2.5 ~max_iterations:7 ~max_pivots:1000
+         ~sleep:0.25 ~factor:0.7 "c17")
+      with
+      solver = `Ssp };
+  same "plain"
+    (decode
+       {|{"event":"serve-accepted","seq":5,"t":0.02,"job":"c17@0.050/auto","circuit":"c17","factor":0.05,"solver":"auto"}|})
+    { (submit_spec ~factor:0.05 "c17") with solver = `Auto }
+
 (* ---------- bounded queue ---------- *)
 
 let test_bounded_queue () =
@@ -559,6 +618,48 @@ let test_e2e_sigkill_restart_recovers () =
   let count e = List.length (List.filter (( = ) e) events) in
   check Alcotest.bool "no accepted job lost" true
     (count "serve-accepted" = 2 && count "job-result" >= 2);
+  rm_rf dir
+
+(* the MF201 admission gate: a factor below the circuit's static delay
+   floor is answered at once, yet accepted and journaled like any job, so
+   a restarted daemon reports the same terminal failure *)
+let test_e2e_infeasible_target_quarantined () =
+  let dir = fresh_dir "serve-infeasible" in
+  let cfg = daemon_cfg dir in
+  let pid = start_daemon cfg in
+  wait_ready cfg;
+  let spec = submit_spec ~factor:0.05 "c17" in
+  let key = Protocol.job_key spec in
+  let r = rpc cfg (Protocol.Submit spec) in
+  check (Alcotest.option Alcotest.bool) "rejected" (Some false)
+    (Json.bool_field "ok" r);
+  check (Alcotest.option string) "typed code" (Some "infeasible-target")
+    (Json.str_field "code" r);
+  check (Alcotest.option string) "carries its id" (Some key)
+    (Json.str_field "id" r);
+  let error_of j =
+    Option.fold ~none:"<missing>" ~some:Json.to_string (Json.member "error" j)
+  in
+  let job_events () =
+    List.filter_map
+      (fun (event, j) ->
+        if Json.str_field "job" j = Some key then Some event else None)
+      (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
+  in
+  check (Alcotest.list string) "journal: accepted, then quarantined"
+    [ "serve-accepted"; "job-infeasible-quarantined" ] (job_events ());
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  let pid2 = start_daemon cfg in
+  wait_ready cfg;
+  check (Alcotest.option string) "status after restart" (Some "failed")
+    (Json.str_field "state" (rpc cfg (Protocol.Status key)));
+  let res = rpc cfg (Protocol.Result { id = key; wait = false }) in
+  check (Alcotest.option string) "result code after restart"
+    (Some "infeasible-target") (Json.str_field "code" res);
+  check string "same error object after restart" (error_of r) (error_of res);
+  ignore (rpc cfg Protocol.Drain);
+  ignore (Unix.waitpid [] pid2);
   rm_rf dir
 
 let test_e2e_second_daemon_locked () =
@@ -1056,7 +1157,11 @@ let () =
       ( "protocol",
         [ Alcotest.test_case "request round trip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "validation" `Quick test_protocol_validation;
-          Alcotest.test_case "job identity" `Quick test_protocol_job_key ] );
+          Alcotest.test_case "job identity" `Quick test_protocol_job_key;
+          Alcotest.test_case "submit codec round trip, bit-exact" `Quick
+            test_submit_codec_round_trip;
+          Alcotest.test_case "submit codec reads journal lines" `Quick
+            test_submit_codec_reads_old_lines ] );
       ( "queue",
         [ Alcotest.test_case "bounded fifo with high-water mark" `Quick
             test_bounded_queue ] );
@@ -1079,6 +1184,8 @@ let () =
             test_e2e_overload_cancel_sigterm;
           Alcotest.test_case "sigkill + restart recovers bit-identically" `Slow
             test_e2e_sigkill_restart_recovers;
+          Alcotest.test_case "infeasible target quarantined at admission"
+            `Quick test_e2e_infeasible_target_quarantined;
           Alcotest.test_case "second daemon is locked out" `Quick
             test_e2e_second_daemon_locked;
           Alcotest.test_case "loadgen mix reaches terminal states" `Quick
