@@ -4,14 +4,28 @@
 open Cmdliner
 open Minflo
 
+(* Graphviz: one node per netlist node in id order, then one edge per
+   (fanin, gate) pair, grouped by gate in fanin order *)
+let to_dot ~name nl =
+  let buf = Buffer.create 1024 in
+  let escape s = String.concat "\\\"" (String.split_on_char '"' s) in
+  Printf.bprintf buf "digraph %s {\n" name;
+  Netlist.iter_nodes nl (fun v ->
+      Printf.bprintf buf "  n%d [label=\"%s\"];\n" v
+        (escape (Netlist.node_name nl v)));
+  Netlist.iter_gates nl (fun v ->
+      List.iter
+        (fun u -> Printf.bprintf buf "  n%d -> n%d;\n" u v)
+        (Netlist.fanins nl v));
+  Buffer.add_string buf "}\n";
+  Buffer.contents buf
+
 (* [dot_name] is the DOT graph name (default "g") *)
-let render ?dot_name format nl =
+let render ?(dot_name = "g") format nl =
   match format with
   | `Bench -> Bench_format.to_string nl
   | `Verilog -> Verilog_format.to_string nl
-  | `Dot ->
-    Dot.to_dot ?name:dot_name ~node_label:(Netlist.node_name nl)
-      (Netlist.to_digraph nl)
+  | `Dot -> to_dot ~name:dot_name nl
 
 let gen =
   let out =

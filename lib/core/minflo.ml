@@ -12,7 +12,7 @@
     ]}
 
     Layers (each also usable as its own library):
-    - {!Vec}, {!Heap}, {!Rng}, {!Stats}, {!Table}, {!Bitset}, {!Json} —
+    - {!Vec}, {!Heap}, {!Rng}, {!Stats}, {!Table}, {!Json} —
       containers, statistics and the one JSON dialect shared by the serve
       protocol, traces, journals and the persisted documents
       ([minflo_util]);
@@ -20,13 +20,15 @@
       {!Torture}, {!Perf} — typed diagnostics, run budgets, solver
       fallback, fault injection and the instrumented storage layer
       ([minflo_robust]);
-    - {!Digraph}, {!Topo}, {!Traverse}, {!Dot} — graphs ([minflo_graph]);
     - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Cost_scaling}, {!Dinic},
       {!Bellman_ford}, {!Diff_lp} — the network-flow substrate
       ([minflo_flow]);
     - {!Gate}, {!Netlist}, {!Raw}, {!Bench_format}, {!Verilog_format},
       {!Generators}, {!Compose}, {!Transform}, {!Iscas85}, {!Mutate} —
-      gate-level circuits ([minflo_netlist]);
+      gate-level circuits ([minflo_netlist]). There is no separate graph
+      library: node ids are topological, so a netlist walk is a sweep
+      over its fanin arrays, the timing graph is {!Delay_model}'s CSR
+      arrays and the D-phase network is {!Mcf}'s arc arrays;
     - {!Sat}, {!Cnf} — CDCL SAT and the miter equivalence checker
       ([minflo_sat]);
     - {!Tech}, {!Gate_model}, {!Delay_model}, {!Elmore}, {!Transistor},
@@ -64,7 +66,6 @@ module Heap = Minflo_util.Heap
 module Rng = Minflo_util.Rng
 module Stats = Minflo_util.Stats
 module Table = Minflo_util.Table
-module Bitset = Minflo_util.Bitset
 module Json = Minflo_util.Json
 
 (* resilience: structured diagnostics, run budgets, solver fallback,
@@ -77,12 +78,6 @@ module Fault = Minflo_robust.Fault
 module Io = Minflo_robust.Io
 module Torture = Minflo_robust.Torture
 module Perf = Minflo_robust.Perf
-
-(* graph *)
-module Digraph = Minflo_graph.Digraph
-module Topo = Minflo_graph.Topo
-module Traverse = Minflo_graph.Traverse
-module Dot = Minflo_graph.Dot
 
 (* flow *)
 module Mcf = Minflo_flow.Mcf

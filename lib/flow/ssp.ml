@@ -126,7 +126,7 @@ let dijkstra t s dist pred =
   let heap = Heap.create () in
   dist.(s) <- 0;
   Heap.push heap ~key:0 s;
-  let final = Minflo_util.Bitset.create t.p.num_nodes in
+  let final = Array.make t.p.num_nodes false in
   let target = ref (-1) in
   (try
      let continue = ref true in
@@ -134,8 +134,8 @@ let dijkstra t s dist pred =
        match Heap.pop_min heap with
        | None -> continue := false
        | Some (d, u) ->
-         if not (Minflo_util.Bitset.mem final u) then begin
-           Minflo_util.Bitset.add final u;
+         if not final.(u) then begin
+           final.(u) <- true;
            if t.excess.(u) < 0 then raise (Found_deficit u);
            for k = t.adj_start.(u) to t.adj_start.(u + 1) - 1 do
              let e = t.adj_entry.(k) in
@@ -205,7 +205,7 @@ let augment ?budget t : Mcf.solution =
         Perf.tick_relabel ();
         let dt = dist.(target) in
         for v = 0 to p.num_nodes - 1 do
-          if Minflo_util.Bitset.mem final v then t.pot.(v) <- t.pot.(v) + dist.(v)
+          if final.(v) then t.pot.(v) <- t.pot.(v) + dist.(v)
           else if dist.(v) < max_int then
             t.pot.(v) <- t.pot.(v) + min dist.(v) dt
           else t.pot.(v) <- t.pot.(v) + dt

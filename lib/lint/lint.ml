@@ -1,7 +1,5 @@
 module Raw = Minflo_netlist.Raw
 module Gate = Minflo_netlist.Gate
-module Digraph = Minflo_graph.Digraph
-module Scc = Minflo_graph.Scc
 module Tech = Minflo_tech.Tech
 
 type config = { fanout_bound : int option; tech : Tech.t option }
@@ -18,6 +16,9 @@ type view = {
   input_decl : Raw.loc option array;
       (** first INPUT declaration of each signal, if any *)
   fanout : int array;  (** gate-fanin references per signal *)
+  fanins : int list array;
+      (** fanin signals of every gate driving each signal, in reverse
+          declaration order *)
 }
 
 let view_of raw =
@@ -28,6 +29,7 @@ let view_of raw =
   let driver = Array.make n None in
   let input_decl = Array.make n None in
   let fanout = Array.make n 0 in
+  let fanins = Array.make n [] in
   List.iter
     (fun (nm, loc) ->
       let i = Hashtbl.find index nm in
@@ -38,10 +40,13 @@ let view_of raw =
       let i = Hashtbl.find index g.g_name in
       if driver.(i) = None then driver.(i) <- Some g;
       List.iter
-        (fun f -> fanout.(Hashtbl.find index f) <- fanout.(Hashtbl.find index f) + 1)
+        (fun f ->
+          let j = Hashtbl.find index f in
+          fanout.(j) <- fanout.(j) + 1;
+          fanins.(i) <- j :: fanins.(i))
         g.g_fanins)
     raw.Raw.gates;
-  { raw; names; index; driver; input_decl; fanout }
+  { raw; names; index; driver; input_decl; fanout; fanins }
 
 let idx v nm = Hashtbl.find v.index nm
 
@@ -141,14 +146,53 @@ let check_undriven v acc =
 
 (* ---------- cycle pass ---------- *)
 
+(* the strongly connected components of the fanin graph that contain a
+   cycle (two or more members, or a self-loop): Tarjan's algorithm with an
+   explicit call stack, so deep circuits cannot overflow the native one *)
+let cyclic_groups v =
+  let n = Array.length v.names in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let pending = Array.copy v.fanins in
+  let stack = ref [] and calls = ref [] and next = ref 0 and groups = ref [] in
+  let enter u =
+    index.(u) <- !next;
+    low.(u) <- !next;
+    incr next;
+    stack := u :: !stack;
+    on_stack.(u) <- true;
+    calls := u :: !calls
+  in
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then enter root;
+    while !calls <> [] do
+      let u = List.hd !calls in
+      match pending.(u) with
+      | w :: rest ->
+        pending.(u) <- rest;
+        if index.(w) < 0 then enter w
+        else if on_stack.(w) then low.(u) <- Int.min low.(u) index.(w)
+      | [] ->
+        calls := List.tl !calls;
+        (match !calls with
+        | parent :: _ -> low.(parent) <- Int.min low.(parent) low.(u)
+        | [] -> ());
+        if low.(u) = index.(u) then begin
+          let rec pop group =
+            let w = List.hd !stack in
+            stack := List.tl !stack;
+            on_stack.(w) <- false;
+            if w = u then w :: group else pop (w :: group)
+          in
+          match pop [] with
+          | [ w ] when not (List.mem w v.fanins.(w)) -> ()
+          | group -> groups := group :: !groups
+        end
+    done
+  done;
+  !groups
+
 let check_cycles v acc =
-  let g = Digraph.create ~nodes_hint:(Array.length v.names) () in
-  ignore (Digraph.add_nodes g (Array.length v.names));
-  List.iter
-    (fun (gd : Raw.gate_decl) ->
-      let dst = idx v gd.g_name in
-      List.iter (fun f -> ignore (Digraph.add_edge g (idx v f) dst)) gd.g_fanins)
-    v.raw.Raw.gates;
   List.fold_left
     (fun acc cycle ->
       (* name the members by their driver gates, ordered by source line *)
@@ -169,7 +213,7 @@ let check_cycles v acc =
         "combinational cycle through %d gate(s): %s" (List.length names)
         (String.concat " -> " (names @ [ List.hd names ]))
       :: acc)
-    acc (Scc.cyclic_groups g)
+    acc (cyclic_groups v)
 
 (* ---------- liveness pass ---------- *)
 

@@ -148,7 +148,8 @@ let write_run path model ~circuit ~target ~steps (r : Engine.result) =
    Any single tampered field therefore surfaces as a typed finding:
 
    - structural damage (bad JSON, wrong order, wrong lengths)  -> MF210
-   - area / delay / feasibility claims vs. recomputation        -> MF211
+   - area / delay / feasibility claims vs. recomputation, and
+     budgets vs. the ones the step's certificate gives          -> MF211
    - W-phase budgets not met by the recorded sizes              -> MF212
    - area not strictly decreasing across accepted steps         -> MF213
    - final record infeasible or contradicting the run           -> MF214
@@ -489,11 +490,31 @@ let audit (model : Delay_model.t) ~target content =
                     Option.value ~default:Engine.eta0 (Json.num_field "eta" j)
                   in
                   let dopts = { Dphase.default_options with eta } in
+                  let prev_delays = Delay_model.delays model prev_sizes in
+                  (* the recorded budgets must be the ones the certificate's
+                     potentials give at the preceding sizes *)
+                  (match floats_field "budgets" j with
+                  | Some budgets
+                    when Array.length budgets = n
+                         && Array.length solution.Mcf.potential >= 2 * n ->
+                    let expect, _ =
+                      Dphase.budgets_of_potentials ~options:dopts
+                        ~delays:prev_delays solution.Mcf.potential
+                    in
+                    Array.iteri
+                      (fun i b ->
+                        if not (rel_close b expect.(i)) then
+                          add acc Rule.mf211_trace_claim
+                            ~related:[ model.Delay_model.labels.(i) ]
+                            (Printf.sprintf
+                               "%s: vertex %s recorded budget %.17g, the \
+                                certificate's potentials give %.17g"
+                               what model.Delay_model.labels.(i) b expect.(i)))
+                      budgets
+                  | _ -> ());
                   (match
                      Dphase.displacement_problem ~options:dopts model
-                       ~sizes:prev_sizes
-                       ~delays:(Delay_model.delays model prev_sizes)
-                       ~deadline:target
+                       ~sizes:prev_sizes ~delays:prev_delays ~deadline:target
                    with
                   | Error e ->
                     add acc Rule.mf215_trace_lp

@@ -1,6 +1,4 @@
 module Vec = Minflo_util.Vec
-module Digraph = Minflo_graph.Digraph
-module Topo = Minflo_graph.Topo
 
 type node_kind = Input | Gate of Gate.kind
 
@@ -106,14 +104,6 @@ let iter_nodes t f = Vec.iteri (fun v _ -> f v) t.nodes
 let iter_gates t f =
   Vec.iteri (fun v d -> match d.nkind with Gate _ -> f v | Input -> ()) t.nodes
 
-let to_digraph t =
-  let g = Digraph.create ~nodes_hint:(node_count t) () in
-  if node_count t > 0 then ignore (Digraph.add_nodes g (node_count t));
-  Vec.iteri
-    (fun v d -> Array.iter (fun u -> ignore (Digraph.add_edge g u v)) d.nfanins)
-    t.nodes;
-  g
-
 let topo_order t =
   (* fanins precede their gates by construction, so ids are already
      topologically ordered *)
@@ -129,15 +119,24 @@ let levels t =
 
 let depth t = Array.fold_left max 0 (levels t)
 
+let reaches_output t =
+  (* fanins precede their gates, so one sweep down the ids sees every
+     fanout of a node before the node itself *)
+  let live = Array.make (node_count t) false in
+  Hashtbl.iter (fun v () -> live.(v) <- true) t.output_set;
+  for v = node_count t - 1 downto 0 do
+    if live.(v) then
+      Array.iter (fun u -> live.(u) <- true) (Vec.get t.nodes v).nfanins
+  done;
+  live
+
 let validate t =
   if input_count t = 0 then invalid_arg "Netlist.validate: no primary inputs";
   if t.output_list = [] then invalid_arg "Netlist.validate: no primary outputs";
-  (* every gate's value should reach a primary output (no dead logic) and
-     every non-constant gate must sit downstream of an input *)
-  let g = to_digraph t in
-  let reach_out = Minflo_graph.Traverse.reachable_rev g ~roots:(outputs t) in
+  (* every gate's value should reach a primary output (no dead logic) *)
+  let live = reaches_output t in
   iter_gates t (fun v ->
-      if not (Minflo_util.Bitset.mem reach_out v) then
+      if not live.(v) then
         invalid_arg
           (Printf.sprintf "Netlist.validate: gate %S drives no primary output"
              (node_name t v)))

@@ -67,9 +67,9 @@ val levels : t -> int array
 
 val depth : t -> int
 
-val to_digraph : t -> Minflo_graph.Digraph.t
-(** One graph node per netlist node, same ids; one edge per (fanin, gate)
-    pair. *)
+val reaches_output : t -> bool array
+(** Per node: does its value reach a primary output? One reverse sweep over
+    the ids, which are topological. *)
 
 val simulate : t -> bool array -> bool array
 (** [simulate nl input_values] evaluates the circuit; input values are given

@@ -36,14 +36,7 @@ let sweep_dead src =
      netlist [validate] rejects (gates reaching no output), and those gates
      must be dropped, not copied *)
   let n = Netlist.node_count src in
-  let live = Array.make n false in
-  let rec visit v =
-    if not live.(v) then begin
-      live.(v) <- true;
-      List.iter visit (Netlist.fanins src v)
-    end
-  in
-  List.iter visit (Netlist.outputs src);
+  let live = Netlist.reaches_output src in
   let dst = Netlist.create ~name:(Netlist.name src) () in
   let map = Array.make n (-1) in
   Netlist.iter_nodes src (fun v ->

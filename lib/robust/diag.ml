@@ -171,8 +171,6 @@ let to_string = function
       endpoint bytes
   | Internal msg -> Printf.sprintf "internal error: %s" msg
 
-let pp ppf e = Format.pp_print_string ppf (to_string e)
-
 (* ---------- JSON ---------- *)
 
 let to_json e =

@@ -138,8 +138,6 @@ val error_code : error -> string
 
 val to_string : error -> string
 
-val pp : Format.formatter -> error -> unit
-
 val to_json : error -> Minflo_util.Json.t
 (** The JSON object [{"code": …, …}] with the constructor's fields — what
     the batch journal, serve responses and the serve journal embed as

@@ -11,7 +11,6 @@ let boundary = ref 0
 let frozen = ref false
 
 let set_fault p = plan := p
-let fault () = !plan
 let boundaries () = !boundary
 let crashed () = !frozen
 

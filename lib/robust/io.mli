@@ -40,8 +40,6 @@ val set_fault : Fault.t option -> unit
 (** Install (or clear, with [None]) the process-global fault plan consulted
     by every operation below. *)
 
-val fault : unit -> Fault.t option
-
 val boundaries : unit -> int
 (** Write boundaries crossed since the last {!reset}: one per {!write_all}
     (however invoked — directly, via a {!sink}, {!write_file} or

@@ -33,22 +33,6 @@ let zero () =
 
 let current = zero ()
 
-let reset () =
-  current.pivots <- 0;
-  current.relabels <- 0;
-  current.sweeps <- 0;
-  current.bumps <- 0;
-  current.warm_starts <- 0;
-  current.cold_starts <- 0;
-  current.cache_hits <- 0;
-  current.cache_misses <- 0;
-  current.rejections <- 0;
-  current.evictions <- 0;
-  current.incr_updates <- 0;
-  current.full_sweeps_avoided <- 0;
-  current.arcs_priced <- 0;
-  current.potential_writes <- 0
-
 let snapshot () =
   { pivots = current.pivots;
     relabels = current.relabels;

@@ -66,9 +66,6 @@ val zero : unit -> counters
 val current : counters
 (** The ambient process-global counters. Mutated by the [tick_*] family. *)
 
-val reset : unit -> unit
-(** Zeroes {!current}. *)
-
 val snapshot : unit -> counters
 (** A copy of {!current} at this instant. *)
 

@@ -26,7 +26,9 @@ let event_checked t ?job ?error ?(fields = []) name =
     @ fields
     @ (match error with
       | Some e ->
-        [ ("code", Json.Str (Diag.error_code e)); ("error", Diag.to_json e) ]
+        [ ("code", Json.Str (Diag.error_code e));
+          ("message", Json.Str (Diag.to_string e));
+          ("error", Diag.to_json e) ]
       | None -> [])
   in
   let line = Json.to_string (Json.Obj parts) in

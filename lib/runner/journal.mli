@@ -34,7 +34,7 @@ val event :
   unit
 (** [event t ~job ~error ~fields name] appends one line
     [{"event": name, "seq": n, "t": seconds, "job": …, …fields, "code": …,
-    "error": {…}}] and fsyncs it. Write float fields with
+    "message": …, "error": {…}}] and fsyncs it. Write float fields with
     {!Minflo_util.Json.of_float}, so a non-finite one survives as a string,
     and read them back with {!Minflo_util.Json.float_field}, which also
     reads the ["%h"] strings older journals wrote. Write failures are

@@ -163,7 +163,8 @@ let recover_table journal_path =
             e.state <-
               Failed
                 { f_code = code;
-                  f_message = code;
+                  f_message =
+                    Option.value (Json.str_field "message" j) ~default:code;
                   f_raw =
                     Option.value (Json.member "error" j) ~default:(Json.Obj []);
                   f_quarantined = event <> "job-failed" }

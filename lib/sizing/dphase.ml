@@ -38,11 +38,10 @@ type outcome = {
 
 type certificate = { problem : Mcf.problem; solution : Mcf.solution }
 
-(* the displacement LP plus the variable maps needed to read a solution
-   back out of its duals *)
+(* the displacement LP, its Dmy variables (where a Perturb fault lands)
+   and the sensitivity weights of the objective *)
 type lp_build = {
   lp : Diff_lp.t;
-  r : int array;
   rdmy : int array;
   weights : float array;
 }
@@ -115,8 +114,19 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
       if model.Delay_model.is_sink.(i) then
         Diff_lp.add_le lp rdmy.(i) ground (q bal.sink_fsdu.(i))
     done;
-    Ok { lp; r; rdmy; weights }
+    Ok { lp; rdmy; weights }
   end
+
+(* [build_lp] makes the variables r(0..n-1), then Dmy(0..n-1), then
+   ground, so Dmy(i) is variable [n + i]; a solution's values are the
+   first variables of its potential vector *)
+let budgets_of_potentials ?(options = default_options) ~delays potential =
+  let n = Array.length delays in
+  let delta =
+    Array.init n (fun i ->
+        float_of_int (potential.(n + i) - potential.(i)) /. options.scale)
+  in
+  (Array.init n (fun i -> delays.(i) +. delta.(i)), delta)
 
 let displacement_problem ?options model ~sizes ~delays ~deadline =
   Result.map
@@ -127,7 +137,7 @@ let solve ?(options = default_options) ?budget ?warm ?fault ?checks
     ?certificate model ~sizes ~delays ~deadline =
   match build_lp ~options model ~sizes ~delays ~deadline with
   | Error e -> Error e
-  | Ok { lp; r; rdmy; weights } ->
+  | Ok { lp; rdmy; weights } ->
     let n = Delay_model.num_vertices model in
     let s = options.scale in
     let sname = solver_name options.solver in
@@ -204,11 +214,7 @@ let solve ?(options = default_options) ?budget ?warm ?fault ?checks
                  iters =
                    (match budget with Some b -> Budget.pivots b | None -> 0) })
         | Ok () ->
-          let delta =
-            Array.init n (fun i ->
-                float_of_int (values.(rdmy.(i)) - values.(r.(i))) /. s)
-          in
-          let budgets = Array.init n (fun i -> delays.(i) +. delta.(i)) in
+          let budgets, delta = budgets_of_potentials ~options ~delays values in
           let objective =
             Array.fold_left ( +. ) 0.0
               (Array.init n (fun i -> weights.(i) *. delta.(i)))

@@ -56,6 +56,13 @@ type certificate = {
     displacement labels. {!Minflo_lint.Audit.check}-able as is; recorded in
     proof-carrying traces and re-verified by [minflo audit-run]. *)
 
+val budgets_of_potentials :
+  ?options:options -> delays:float array -> int array -> float array * float array
+(** [(budgets, delta)] read off the displacement LP's potential vector
+    (indexed by LP node, as in a {!certificate}'s solution): [delta_i =
+    (pot(Dmy i) - pot(i)) / scale] and [budgets_i = delays_i + delta_i].
+    {!solve} and the trace auditor both go through it. *)
+
 val displacement_problem :
   ?options:options ->
   Minflo_tech.Delay_model.t ->

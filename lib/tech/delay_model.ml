@@ -48,8 +48,8 @@ let csr n src dst =
   (off, adj)
 
 (* FIFO Kahn over CSR rows: sources seeded ascending, rows walked in order.
-   Over rows in edge-id order this is exactly [Topo.sort]'s order. [order]
-   doubles as the queue: [head] pops, [tail] pushes. *)
+   [test/test_arena.ml] pins it against a list-based Kahn over ascending
+   edge ids. [order] doubles as the queue: [head] pops, [tail] pushes. *)
 let kahn n off adj =
   let indeg = Array.make n 0 in
   Array.iter (fun v -> indeg.(v) <- indeg.(v) + 1) adj;

@@ -50,7 +50,7 @@ type t = private {
   loader_a : float array;
   topo : int array;
       (** FIFO Kahn order: sources ascending, fanout rows walked in
-          order (= [Topo.sort] over the same edges). *)
+          order. *)
   pos : int array;  (** [pos.(topo.(k)) = k]. *)
   sinks : int array;
       (** the vertices with [is_sink] set, ascending — the order an

@@ -63,7 +63,3 @@ let rec pop_min h =
       Some (key, x)
     | _ -> pop_min h (* stale entry superseded by a later push *)
   end
-
-let clear h =
-  h.len <- 0;
-  Hashtbl.reset h.latest

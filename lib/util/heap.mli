@@ -20,5 +20,3 @@ val push : t -> key:int -> int -> unit
 val pop_min : t -> (int * int) option
 (** [pop_min h] removes and returns [(key, x)] with minimal [key], or [None]
     if the heap is empty. Stale superseded entries are skipped. *)
-
-val clear : t -> unit

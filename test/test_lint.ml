@@ -74,6 +74,33 @@ let test_mf001_cycle () =
   check bool "names the loop" true
     (contains f.Finding.message "g1 -> g2 -> g3 -> g1")
 
+(* the exact MF001 report for two disjoint cycles, a cycle with a nested
+   inner loop, a self-loop and a cycle closed through a second driver:
+   the members and their order are fixed by the SCCs, not by how they are
+   found *)
+let test_mf001_rendered_pin () =
+  let fs =
+    lint
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\nOUTPUT(z)\n\
+       p1 = AND(p2, a)\np2 = OR(p1, b)\n\
+       q1 = AND(q3, a)\nq2 = AND(q1, q4)\nq3 = OR(q2, b)\nq4 = NOT(q2)\n\
+       s = AND(s, a)\n\
+       m = AND(a, b)\nm = OR(m2, a)\nm2 = NOT(m)\n\
+       y = AND(p1, q1)\nz = OR(s, m)\n"
+  in
+  check string "MF001 report"
+    "line 5: error MF001 (combinational-cycle): combinational cycle through \
+     2 gate(s): p1 -> p2 -> p1\n\
+     line 7: error MF001 (combinational-cycle): combinational cycle through \
+     4 gate(s): q1 -> q2 -> q3 -> q4 -> q1\n\
+     line 11: error MF001 (combinational-cycle): combinational cycle through \
+     1 gate(s): s -> s\n\
+     line 12: error MF001 (combinational-cycle): combinational cycle through \
+     2 gate(s): m -> m2 -> m\n\
+     4 error(s), 0 warning(s), 4 finding(s) total\n"
+    (Report.render
+       (List.filter (fun (f : Finding.t) -> f.rule.Rule.id = "MF001") fs))
+
 let test_mf002_multi_driven () =
   let fs =
     lint "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\ny = OR(a, b)\n"
@@ -378,6 +405,7 @@ let () =
         [ Alcotest.test_case "rule catalog" `Quick test_catalog ] );
       ( "rules",
         [ Alcotest.test_case "MF001 combinational cycle" `Quick test_mf001_cycle;
+          Alcotest.test_case "MF001 report pinned" `Quick test_mf001_rendered_pin;
           Alcotest.test_case "MF002 multi-driven" `Quick test_mf002_multi_driven;
           Alcotest.test_case "MF002 gate drives an input" `Quick
             test_mf002_input_driven;

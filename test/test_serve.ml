@@ -622,7 +622,7 @@ let test_e2e_sigkill_restart_recovers () =
 
 (* the MF201 admission gate: a factor below the circuit's static delay
    floor is answered at once, yet accepted and journaled like any job, so
-   a restarted daemon reports the same terminal failure *)
+   a restarted daemon reports the same terminal failure, message and all *)
 let test_e2e_infeasible_target_quarantined () =
   let dir = fresh_dir "serve-infeasible" in
   let cfg = daemon_cfg dir in
@@ -648,6 +648,9 @@ let test_e2e_infeasible_target_quarantined () =
   in
   check (Alcotest.list string) "journal: accepted, then quarantined"
     [ "serve-accepted"; "job-infeasible-quarantined" ] (job_events ());
+  let before =
+    Json.to_string (rpc cfg (Protocol.Result { id = key; wait = false }))
+  in
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
   let pid2 = start_daemon cfg in
@@ -658,6 +661,7 @@ let test_e2e_infeasible_target_quarantined () =
   check (Alcotest.option string) "result code after restart"
     (Some "infeasible-target") (Json.str_field "code" res);
   check string "same error object after restart" (error_of r) (error_of res);
+  check string "same result bytes after restart" before (Json.to_string res);
   ignore (rpc cfg Protocol.Drain);
   ignore (Unix.waitpid [] pid2);
   rm_rf dir

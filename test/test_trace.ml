@@ -1,7 +1,7 @@
 (* Tests for proof-carrying engine traces (MF210-MF215): an untampered
    c432 trace audits clean, every class of single-field tamper — a
-   claimed area, one flow value, one arc cost, the schema version, a
-   truncated file — surfaces as the right typed finding, and the c432
+   claimed area, loosened budgets, one flow value, one arc cost, the
+   schema version, a truncated file — surfaces as the right typed finding, and the c432
    trace bytes at both granularities are pinned. *)
 
 module Iscas85 = Minflo_netlist.Iscas85
@@ -156,6 +156,32 @@ let test_tamper_claimed_area () =
   in
   check bool "MF211 fired" true (count "MF211" (audit_tampered tampered) > 0)
 
+(* loosened budgets still hold for the recorded sizes (MF212 stays quiet);
+   only recomputing them from the step's certificate exposes the edit *)
+let test_tamper_loosened_budgets () =
+  let _, _, content = Lazy.force fixture in
+  let tampered =
+    tamper_first
+      (fun j -> is_step j && has_lp j)
+      (fun j ->
+        match Json.member "budgets" j with
+        | Some (Json.List bs) ->
+          set_field "budgets"
+            (Json.List
+               (List.map
+                  (fun b ->
+                    match Json.to_num b with
+                    | Some f -> Json.Num (10.0 *. f)
+                    | None -> b)
+                  bs))
+            j
+        | _ -> Alcotest.fail "step without a budgets array")
+      content
+  in
+  let fs = audit_tampered tampered in
+  check int "MF212 quiet" 0 (count "MF212" fs);
+  check bool "MF211 fired" true (count "MF211" fs > 0)
+
 let test_tamper_flow_value () =
   let _, _, content = Lazy.force fixture in
   let tampered =
@@ -255,6 +281,8 @@ let () =
       ( "tamper",
         [ Alcotest.test_case "claimed area -> MF211" `Quick
             test_tamper_claimed_area;
+          Alcotest.test_case "loosened budgets -> MF211" `Quick
+            test_tamper_loosened_budgets;
           Alcotest.test_case "flow value -> MF102" `Quick test_tamper_flow_value;
           Alcotest.test_case "arc cost -> MF215" `Quick test_tamper_arc_cost;
           Alcotest.test_case "schema version -> MF210" `Quick

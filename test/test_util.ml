@@ -4,8 +4,8 @@ module Vec = Minflo_util.Vec
 module Heap = Minflo_util.Heap
 module Rng = Minflo_util.Rng
 module Stats = Minflo_util.Stats
-module Bitset = Minflo_util.Bitset
 module Table = Minflo_util.Table
+module Json = Minflo_util.Json
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -184,27 +184,39 @@ let test_stats_stddev () =
 let test_stats_geomean () =
   check (Alcotest.float 1e-9) "geomean" 4.0 (Stats.geomean [| 2.0; 8.0 |])
 
-(* ---------- Bitset ---------- *)
+(* ---------- Json float spellings ---------- *)
 
-let test_bitset_ops () =
-  let s = Bitset.create 100 in
-  check bool "initially empty" false (Bitset.mem s 5);
-  Bitset.add s 5;
-  Bitset.add s 99;
-  Bitset.add s 0;
-  check bool "mem 5" true (Bitset.mem s 5);
-  check bool "mem 99" true (Bitset.mem s 99);
-  check int "cardinal" 3 (Bitset.cardinal s);
-  Bitset.remove s 5;
-  check bool "removed" false (Bitset.mem s 5);
-  check int "cardinal" 2 (Bitset.cardinal s);
-  Bitset.clear s;
-  check int "cleared" 0 (Bitset.cardinal s)
+let bits = Int64.bits_of_float
 
-let test_bitset_bounds () =
-  let s = Bitset.create 8 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of range")
-    (fun () -> Bitset.add s 8)
+let test_float_spellings () =
+  let spelled f =
+    match Json.of_float f with
+    | Json.Str s -> s
+    | Json.Num _ -> "<num>"
+    | _ -> "<other>"
+  in
+  check Alcotest.string "finite" "<num>" (spelled 1.5);
+  check Alcotest.string "-0.0" "<num>" (spelled (-0.0));
+  check Alcotest.string "inf" "infinity" (spelled Float.infinity);
+  check Alcotest.string "-inf" "-infinity" (spelled Float.neg_infinity);
+  let payload_nan = Int64.float_of_bits 0x7ff8_0000_dead_beefL in
+  check Alcotest.string "nan keeps its bits" "nan:7ff80000deadbeef"
+    (spelled payload_nan)
+
+let test_float_readback () =
+  let read s = Json.to_float (Json.Str s) in
+  let is_nan = function Some v -> Float.is_nan v | None -> false in
+  check bool "legacy bare nan" true (is_nan (read "nan"));
+  (match read "nan:fff0000000000001" with
+  | Some v -> check bool "payload kept" true (bits v = 0xfff0000000000001L)
+  | None -> Alcotest.fail "valid nan spelling rejected");
+  (* the bits must spell a nan, and exactly sixteen hex digits *)
+  check bool "non-nan bits" true (read "nan:3ff0000000000000" = None);
+  check bool "bad hex" true (read "nan:7ff800000000000g" = None);
+  check bool "short" true (read "nan:7ff8" = None);
+  check bool "unknown word" true (read "Infinity" = None);
+  check bool "number" true (Json.to_float (Json.Num 2.0) = Some 2.0);
+  check bool "not a float" true (Json.to_float (Json.Bool true) = None)
 
 (* ---------- Table ---------- *)
 
@@ -284,7 +296,8 @@ let () =
           tc "stddev" `Quick test_stats_stddev;
           tc "geomean" `Quick test_stats_geomean;
           tc "empty/singleton" `Quick test_stats_empty_and_singleton ] );
-      ( "bitset",
-        [ tc "ops" `Quick test_bitset_ops; tc "bounds" `Quick test_bitset_bounds ] );
+      ( "floats",
+        [ tc "spellings" `Quick test_float_spellings;
+          tc "read back" `Quick test_float_readback ] );
       ( "table",
         [ tc "render" `Quick test_table_render; tc "arity" `Quick test_table_arity ] ) ]
