@@ -15,11 +15,9 @@ type graph = {
 type result =
   | Distances of int array
       (** Shortest distance from the (virtual multi-)source; unreachable
-          nodes hold {!unreachable}. *)
+          nodes hold [max_int / 4]. *)
   | Negative_cycle of int list
       (** Arc indices forming a negative-weight cycle. *)
-
-val unreachable : int
 
 val run : graph -> sources:int list -> result
 (** Distances from the given sources (each at distance 0). With

@@ -54,9 +54,6 @@ type state
 val make_state : unit -> state
 (** A fresh, empty state: the first solve through it is a cold start. *)
 
-val is_warm : state -> bool
-(** Whether a retained basis is present. *)
-
 val solve_warm :
   ?budget:Minflo_robust.Budget.t -> state -> Mcf.problem -> Mcf.solution
 (** Like {!solve}, but reuses the basis in [state] when the network shape

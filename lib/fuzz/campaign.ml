@@ -16,18 +16,6 @@ type config = {
   timeout_seconds : float option;
 }
 
-let default_config =
-  { seed = 0;
-    iterations = 100;
-    oracle = Oracle.default_config;
-    profile = Gen_mut.default_profile;
-    corpus_dir = None;
-    known = [];
-    shrink = true;
-    shrink_checks = 400;
-    isolate = false;
-    timeout_seconds = None }
-
 type bucket = {
   fingerprint : Fingerprint.t;
   count : int;

@@ -30,10 +30,6 @@ type config = {
   timeout_seconds : float option;  (** per-case kill when isolated. *)
 }
 
-val default_config : config
-(** seed 0, 100 iterations, default oracle and profile, no corpus, shrink
-    on (400 checks), not isolated, no timeout. *)
-
 type bucket = {
   fingerprint : Fingerprint.t;
   count : int;           (** failing cases in this bucket. *)
@@ -54,10 +50,6 @@ type report = {
   buckets : bucket list;  (** in {!Fingerprint.compare} order. *)
   fresh : int;            (** buckets with [fresh = true]. *)
 }
-
-val case_seeds : seed:int -> n:int -> int array
-(** The derived per-case seeds, exposed so tests (and [--replay-case])
-    can regenerate any single case. *)
 
 val run : ?progress:(int -> unit) -> config -> report
 (** [progress] is called with each completed 0-based case index. *)

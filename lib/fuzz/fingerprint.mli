@@ -11,8 +11,9 @@
     The taxonomy is three-level:
 
     - [phase]: the oracle stage that observed the failure
-      (["parse"], ["lint"], ["model"], ["sta"], ["engine"], ["check"],
-      ["differential"], ["audit"], ["bounds"], ["dphase"], ["runner"]);
+      (["parse"], ["equivalence"], ["lint"], ["model"], ["sta"], ["engine"],
+      ["check"], ["differential"], ["audit"], ["bounds"], ["dphase"],
+      ["runner"]);
     - [code]: the stable machine tag within the phase — a
       {!Minflo_robust.Diag.error_code}, a lint/audit rule id (["MF001"],
       ["MF103"], …), or one of the harness's own tags (["crash"],

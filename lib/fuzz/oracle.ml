@@ -5,6 +5,8 @@ module Fault = Minflo_robust.Fault
 module Netlist = Minflo_netlist.Netlist
 module Raw = Minflo_netlist.Raw
 module Bench_format = Minflo_netlist.Bench_format
+module Transform = Minflo_netlist.Transform
+module Cnf = Minflo_sat.Cnf
 module Tech = Minflo_tech.Tech
 module Elmore = Minflo_tech.Elmore
 module Delay_model = Minflo_tech.Delay_model
@@ -142,6 +144,24 @@ let roundtrip_stage sink nl =
                (List.length (Netlist.outputs nl))
                (Netlist.gate_count nl') (Netlist.input_count nl')
                (List.length (Netlist.outputs nl'))))
+
+(* the two transforms production reaches — transistor granularity maps
+   onto NAND/NOT, and the c1355 stand-in expands XORs — must keep the
+   function: a SAT miter proves each result equivalent to the case *)
+let equivalence_stage sink nl =
+  List.iter
+    (fun (name, transform) ->
+      ignore
+        (guard sink ~phase:"equivalence" (fun () ->
+             let fp code = Fingerprint.make ~phase:"equivalence" ~code ~detail:name () in
+             match Cnf.equivalent nl (transform nl) with
+             | Cnf.Equivalent -> ()
+             | Cnf.Differ { output_index; _ } ->
+               flag sink (fp "differ") "%s changes primary output %d" name
+                 output_index
+             | Cnf.Interface_mismatch ->
+               flag sink (fp "interface") "%s changes the interface" name)))
+    [ ("to_nand_inv", Transform.to_nand_inv); ("expand_xor", Transform.expand_xor) ]
 
 let lint_stage sink nl =
   ignore
@@ -583,6 +603,7 @@ let run cfg nl =
   let sink : sink = ref [] in
   let gates = Netlist.gate_count nl in
   roundtrip_stage sink nl;
+  equivalence_stage sink nl;
   lint_stage sink nl;
   let met, area =
     match

@@ -1,8 +1,11 @@
 (** The differential fuzzing oracle: one netlist through the whole stack.
 
     [run config nl] pushes a valid netlist through every layer the tool
-    chain trusts — print/reparse round-trip, lint, delay-model extraction,
-    a full TILOS + D/W sizing run per configured solver, post-phase
+    chain trusts — print/reparse round-trip, a SAT-miter proof that
+    {!Minflo_netlist.Transform.to_nand_inv} and
+    {!Minflo_netlist.Transform.expand_xor} keep its function, lint,
+    delay-model extraction, a full TILOS + D/W sizing run per configured
+    solver, post-phase
     invariant checks, cross-solver differential comparison of the final
     areas, and an LP-level three-solver differential (network simplex /
     SSP / cost scaling) on the D-phase displacement problem with an

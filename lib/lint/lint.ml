@@ -218,16 +218,14 @@ let check_cycles v acc =
 (* ---------- liveness pass ---------- *)
 
 (* signals from which some primary output is transitively needed: walk
-   backward from the outputs through each signal's driver gate *)
+   backward from the outputs through every gate driving each signal *)
 let live_signals v =
   let n = Array.length v.names in
   let live = Array.make n false in
   let rec visit i =
     if not live.(i) then begin
       live.(i) <- true;
-      match v.driver.(i) with
-      | Some gd -> List.iter (fun f -> visit (idx v f)) gd.Raw.g_fanins
-      | None -> ()
+      List.iter visit v.fanins.(i)
     end
   in
   List.iter
@@ -237,23 +235,19 @@ let live_signals v =
     v.raw.Raw.outputs;
   live
 
-let dead_gates_of v =
-  let live = live_signals v in
-  (* one entry per distinct dead driven signal, first-driver order *)
-  List.filter_map
-    (fun (g : Raw.gate_decl) ->
-      let i = idx v g.g_name in
-      let is_first = match v.driver.(i) with Some d -> d == g | None -> false in
-      if (not live.(i)) && is_first then Some g else None)
-    v.raw.Raw.gates
-
 let check_dead v acc =
+  let live = live_signals v in
+  (* one finding per distinct dead driven signal, at its first driver *)
   List.fold_left
     (fun acc (g : Raw.gate_decl) ->
-      mk v ~loc:g.Raw.g_loc ~related:[ g.Raw.g_name ] Rule.mf005_dead_gate
-        "gate %S reaches no primary output" g.Raw.g_name
-      :: acc)
-    acc (dead_gates_of v)
+      let i = idx v g.g_name in
+      let is_first = match v.driver.(i) with Some d -> d == g | None -> false in
+      if (not live.(i)) && is_first then
+        mk v ~loc:g.Raw.g_loc ~related:[ g.Raw.g_name ] Rule.mf005_dead_gate
+          "gate %S reaches no primary output" g.Raw.g_name
+        :: acc
+      else acc)
+    acc v.raw.Raw.gates
 
 let check_dangling_inputs v acc =
   let live = live_signals v in
@@ -353,6 +347,3 @@ let check ?(config = default_config) raw =
     | None -> acc
   in
   List.sort Finding.compare acc
-
-let dead_gates raw =
-  List.map (fun (g : Raw.gate_decl) -> g.g_name) (dead_gates_of (view_of raw))

@@ -40,8 +40,3 @@ val default_config : config
 val check : ?config:config -> Minflo_netlist.Raw.t -> Finding.t list
 (** All findings, in {!Finding.compare} order. An empty list means the
     netlist is lint-clean. *)
-
-val dead_gates : Minflo_netlist.Raw.t -> string list
-(** The output signals of gates from which no primary output is reachable —
-    exactly the set MF005 reports, and exactly what
-    {!Minflo_netlist.Transform.sweep_dead} removes. *)

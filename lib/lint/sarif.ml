@@ -55,11 +55,11 @@ let result_json (f : Finding.t) =
        ("message", Json.Obj [ ("text", str f.message) ]) ]
     @ location @ properties)
 
-let render ?(tool_version = "0.1.0") findings =
+let render findings =
   let driver =
     Json.Obj
       [ ("name", str "minflo-lint");
-        ("version", str tool_version);
+        ("version", str "0.1.0");
         ("informationUri", str "https://github.com/minflo/minflo");
         ("rules", Json.List (List.map rule_json Rule.all)) ]
   in

@@ -6,6 +6,6 @@
     [ruleId], [ruleIndex], [level], and a [physicalLocation] when the
     finding has a source position. *)
 
-val render : ?tool_version:string -> Finding.t list -> string
+val render : Finding.t list -> string
 (** A complete SARIF 2.1.0 JSON document on one line, printed with
     {!Minflo_util.Json.to_string} (UTF-8, trailing newline). *)

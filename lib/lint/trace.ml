@@ -65,15 +65,13 @@ let jlp (c : Dphase.certificate) =
 
 (* The first storage failure sticks and silences the rest: a trace that
    cannot be completed is worthless to the auditor, so there is no point
-   hammering a full disk once per step — the engine run proceeds, and the
-   caller checks [error] when it finishes. *)
+   hammering a full disk once per record; [write_run] returns it once the
+   trace is done. *)
 let emit w v =
   if w.w_error = None then
     match Io.sink_write_line w.sink (Json.to_string v) with
     | Ok () -> ()
     | Error e -> w.w_error <- Some e
-
-let error w = w.w_error
 
 let create sink (model : Delay_model.t) ~circuit ~target =
   let w = { sink; model; target; w_error = None } in

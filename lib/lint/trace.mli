@@ -32,32 +32,6 @@ val version : int
 
 (** {1 Writing} *)
 
-type writer
-
-val create :
-  Minflo_robust.Io.sink ->
-  Minflo_tech.Delay_model.t ->
-  circuit:string ->
-  target:float ->
-  writer
-(** Emits the header immediately. Records are written line-at-a-time
-    through the instrumented {!Minflo_robust.Io} layer, so an interrupted
-    run leaves a valid (truncated) prefix that the auditor reports as MF210
-    rather than garbage, and the [io.*] fault sites apply to every record. *)
-
-val record_tilos : writer -> Minflo_sizing.Tilos.result -> unit
-
-val record_step : writer -> Minflo_sizing.Minflotransit.step -> unit
-(** Pass as the engine's [?on_step] hook (partially applied). *)
-
-val record_result : writer -> Minflo_sizing.Minflotransit.result -> unit
-
-val error : writer -> Minflo_robust.Diag.error option
-(** The first storage failure any record hit ([None] if all landed). Once
-    set, further records are silently skipped: trace emission fails the
-    [--trace] flag, never the sizing run it documents — the CLI reports
-    this error (and exits nonzero) only after printing the run's results. *)
-
 val write_run :
   string ->
   Minflo_tech.Delay_model.t ->
@@ -70,8 +44,16 @@ val write_run :
     trace of a finished run to [path]: the header, the [tilos] record of
     [result.tilos], one [step] record per element of [steps] (in run order,
     as the engine's [?on_step] hook delivered them) and the [final] record.
-    [Error] is the failure to create [path] or the first storage failure
-    of any record ({!error}). *)
+
+    Records are written line-at-a-time through the instrumented
+    {!Minflo_robust.Io} layer, so an interrupted write leaves a valid
+    (truncated) prefix that the auditor reports as MF210 rather than
+    garbage, and the [io.*] fault sites apply to every record. [Error] is
+    the failure to create [path] or the first storage failure of any
+    record; once one fails, the rest are skipped. Trace emission fails the
+    [--trace] flag, never the sizing run it documents — the CLI reports
+    this error (and exits nonzero) only after printing the run's
+    results. *)
 
 (** {1 Auditing} *)
 

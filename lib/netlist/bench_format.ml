@@ -1,11 +1,5 @@
-module Diag = Minflo_robust.Diag
-
-(* internal located failure; wrapped into [Diag.Parse_error] at the API
-   boundary so the file name can be attached *)
-exception Located of int * int * string
-
 let fail line col fmt =
-  Printf.ksprintf (fun message -> raise (Located (line, col, message))) fmt
+  Printf.ksprintf (fun message -> raise (Raw.Located (line, col, message))) fmt
 
 (* reject pathologically long names before they travel any further *)
 let check_token line col s =
@@ -118,42 +112,9 @@ let parse_raw_internal ?file ?name text : Raw.t =
           Some { Raw.g_name = nm; g_kind = k; g_fanins = args; g_loc = loc }
         | _ -> None) }
 
-let located ?file body =
-  match body () with
-  | v -> Ok v
-  | exception Located (line, col, msg) ->
-    Error (Diag.Parse_error { file; line; col; msg })
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error (Diag.Io_error { file = path; msg })
-  | ic ->
-    Ok
-      (Fun.protect
-         ~finally:(fun () -> close_in ic)
-         (fun () -> really_input_string ic (in_channel_length ic)))
-
-let parse_raw_string ?name text =
-  located (fun () -> parse_raw_internal ?name text)
-
-let parse_raw_file path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok text ->
-    let base = Filename.remove_extension (Filename.basename path) in
-    located ~file:path (fun () -> parse_raw_internal ~file:path ~name:base text)
-
-let parse_string ?name text =
-  Result.join (Result.map Raw.elaborate (parse_raw_string ?name text))
-
-let parse_file path =
-  Result.join (Result.map Raw.elaborate (parse_raw_file path))
-
-let parse_string_exn ?name text =
-  match parse_string ?name text with Ok nl -> nl | Error e -> Diag.fail e
-
-let parse_file_exn path =
-  match parse_file path with Ok nl -> nl | Error e -> Diag.fail e
+include Raw.Reader (struct
+  let parse_raw = parse_raw_internal
+end)
 
 let to_string nl =
   let buf = Buffer.create 4096 in

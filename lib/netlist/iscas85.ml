@@ -109,5 +109,3 @@ let build name =
   | other -> invalid_arg (Printf.sprintf "Iscas85.circuit: unknown circuit %S" other)
 
 let circuit name = build name
-
-let all_circuits () = List.map (fun i -> (i, circuit i.name)) suite

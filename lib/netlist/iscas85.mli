@@ -32,5 +32,3 @@ val circuit : string -> Netlist.t
 (** Builds the synthetic circuit for a Table 1 row name (e.g. ["c432"],
     ["adder32"]). Deterministic. @raise Invalid_argument for unknown
     names. *)
-
-val all_circuits : unit -> (info * Netlist.t) list

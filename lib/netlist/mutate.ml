@@ -2,7 +2,7 @@ module Rng = Minflo_util.Rng
 
 type op = Splice | Swap_kind | Rewire | Deep_chain | Widen | Dup_output
 
-let all_ops = [ Splice; Swap_kind; Rewire; Deep_chain; Widen; Dup_output ]
+let all_ops = [| Splice; Swap_kind; Rewire; Deep_chain; Widen; Dup_output |]
 
 (* ---------- editable view ---------- *)
 
@@ -183,12 +183,11 @@ let apply rng op nl =
   | Widen -> widen rng v
   | Dup_output -> dup_output rng v
 
-let mutate ?(ops = all_ops) ~seed ~rounds nl =
+let mutate ~seed ~rounds nl =
   let rng = Rng.create seed in
-  let ops = Array.of_list ops in
   let cur = ref nl in
   for _ = 1 to rounds do
-    match apply rng (Rng.pick rng ops) !cur with
+    match apply rng (Rng.pick rng all_ops) !cur with
     | Some nl' -> cur := nl'
     | None -> ()
   done;

@@ -20,15 +20,9 @@ type op =
   | Widen        (** add extra fanins to an n-ary gate (stack-depth stress). *)
   | Dup_output   (** mark an internal gate as an additional primary output. *)
 
-val all_ops : op list
-
-val apply : Minflo_util.Rng.t -> op -> Netlist.t -> Netlist.t option
-(** One mutation. [None] when the operation does not apply to this netlist
-    (e.g. {!Swap_kind} on a netlist with no gates) or the edited netlist
-    failed re-elaboration; the input is never modified. *)
-
-val mutate :
-  ?ops:op list -> seed:int -> rounds:int -> Netlist.t -> Netlist.t
-(** [rounds] random operations drawn from [ops] (default {!all_ops}),
-    deterministically from [seed]; inapplicable draws are skipped. The
-    result is always valid; with [rounds = 0] it is the input netlist. *)
+val mutate : seed:int -> rounds:int -> Netlist.t -> Netlist.t
+(** [rounds] random operations drawn uniformly from every {!op},
+    deterministically from [seed]. A draw that does not apply (e.g.
+    {!Swap_kind} on a netlist with no gates) or whose edit fails
+    re-elaboration is skipped; the input is never modified. The result is
+    always valid; with [rounds = 0] it is the input netlist. *)

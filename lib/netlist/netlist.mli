@@ -62,14 +62,8 @@ val iter_gates : t -> (node -> unit) -> unit
 val topo_order : t -> node array
 (** Inputs first, then gates in dependency order. *)
 
-val levels : t -> int array
-(** Logic level per node: 0 for inputs, 1 + max fanin level for gates. *)
-
 val depth : t -> int
-
-val reaches_output : t -> bool array
-(** Per node: does its value reach a primary output? One reverse sweep over
-    the ids, which are topological. *)
+(** The largest logic level: 0 for inputs, 1 + max fanin level for gates. *)
 
 val simulate : t -> bool array -> bool array
 (** [simulate nl input_values] evaluates the circuit; input values are given

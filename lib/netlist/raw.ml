@@ -177,3 +177,50 @@ let elaborate t =
      with Invalid_argument m -> fail { line = 1; col = 0 } "%s" m);
     Ok nl
   with Fail e -> Error e
+
+(* ---------- reader front end ---------- *)
+
+exception Located of int * int * string
+
+module Reader (Grammar : sig
+  val parse_raw : ?file:string -> ?name:string -> string -> t
+end) =
+struct
+  (* the grammar raises [Located]; it becomes a [Parse_error] here, where
+     the file name is known *)
+  let located ?file body =
+    match body () with
+    | v -> Ok v
+    | exception Located (line, col, msg) ->
+      Error (Diag.Parse_error { file; line; col; msg })
+
+  let read_file path =
+    match open_in path with
+    | exception Sys_error msg -> Error (Diag.Io_error { file = path; msg })
+    | ic ->
+      Ok
+        (Fun.protect
+           ~finally:(fun () -> close_in ic)
+           (fun () -> really_input_string ic (in_channel_length ic)))
+
+  let parse_raw_string ?name text =
+    located (fun () -> Grammar.parse_raw ?name text)
+
+  let parse_raw_file path =
+    match read_file path with
+    | Error _ as e -> e
+    | Ok text ->
+      let name = Filename.remove_extension (Filename.basename path) in
+      located ~file:path (fun () -> Grammar.parse_raw ~file:path ~name text)
+
+  let parse_string ?name text =
+    Result.join (Result.map elaborate (parse_raw_string ?name text))
+
+  let parse_file path = Result.join (Result.map elaborate (parse_raw_file path))
+
+  let parse_string_exn ?name text =
+    match parse_string ?name text with Ok nl -> nl | Error e -> Diag.fail e
+
+  let parse_file_exn path =
+    match parse_file path with Ok nl -> nl | Error e -> Diag.fail e
+end

@@ -57,3 +57,40 @@ val elaborate : t -> (Netlist.t, Minflo_robust.Diag.error) result
 val signal_names : t -> string list
 (** Every distinct signal mentioned anywhere (inputs, outputs, gate outputs
     and fanins), in first-mention order. *)
+
+(** {1 Reader front end}
+
+    What both readers share around their grammars: reading the file,
+    locating syntax errors, elaborating. *)
+
+exception Located of int * int * string
+(** [Located (line, col, message)]: a syntax error raised by a format's
+    grammar; {!Reader} reports it as a [Parse_error] carrying the file
+    name. *)
+
+module Reader (Grammar : sig
+  val parse_raw : ?file:string -> ?name:string -> string -> t
+  (** The format's syntactic phase. [name], when given, overrides the
+      circuit name the text declares. Fails only by raising {!Located}. *)
+end) : sig
+  val parse_raw_string :
+    ?name:string -> string -> (t, Minflo_robust.Diag.error) result
+
+  val parse_raw_file : string -> (t, Minflo_robust.Diag.error) result
+  (** The circuit takes the file's basename, without its extension. An
+      unreadable file is an [Io_error]; syntax errors carry the file
+      name. *)
+
+  val parse_string :
+    ?name:string -> string -> (Netlist.t, Minflo_robust.Diag.error) result
+  (** {!parse_raw_string} then {!elaborate}. *)
+
+  val parse_file : string -> (Netlist.t, Minflo_robust.Diag.error) result
+  (** {!parse_raw_file} then {!elaborate}. *)
+
+  val parse_string_exn : ?name:string -> string -> Netlist.t
+  (** @raise Minflo_robust.Diag.Error_exn instead of returning [Error]. *)
+
+  val parse_file_exn : string -> Netlist.t
+  (** @raise Minflo_robust.Diag.Error_exn instead of returning [Error]. *)
+end

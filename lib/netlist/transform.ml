@@ -31,28 +31,6 @@ let rebuild src ~rewrite_gate =
   Netlist.validate dst;
   dst
 
-let sweep_dead src =
-  (* cannot go through [rebuild]: the source may be exactly the kind of
-     netlist [validate] rejects (gates reaching no output), and those gates
-     must be dropped, not copied *)
-  let n = Netlist.node_count src in
-  let live = Netlist.reaches_output src in
-  let dst = Netlist.create ~name:(Netlist.name src) () in
-  let map = Array.make n (-1) in
-  Netlist.iter_nodes src (fun v ->
-      match Netlist.kind src v with
-      | Netlist.Input ->
-        (* primary inputs are interface, not logic: all kept *)
-        map.(v) <- Netlist.add_input dst (Netlist.node_name src v)
-      | Netlist.Gate k ->
-        if live.(v) then
-          map.(v) <-
-            Netlist.add_gate dst (Netlist.node_name src v) k
-              (List.map (fun u -> map.(u)) (Netlist.fanins src v)));
-  List.iter (fun v -> Netlist.mark_output dst map.(v)) (Netlist.outputs src);
-  Netlist.validate dst;
-  dst
-
 let expand_xor src =
   rebuild src ~rewrite_gate:(fun dst nm k fanins ->
       match k with

@@ -1,13 +1,5 @@
 (** Structural netlist transformations. *)
 
-val sweep_dead : Netlist.t -> Netlist.t
-(** Drop every gate from which no primary output is reachable — exactly the
-    set the linter reports as MF005 ([Minflo_lint.Lint.dead_gates]). Primary
-    inputs are interface and are always kept. The result passes
-    {!Netlist.validate}; on an already-valid netlist this is a structural
-    no-op (same gates, names, and connectivity, hence identical area and
-    delay). *)
-
 val expand_xor : Netlist.t -> Netlist.t
 (** Replace every XOR/XNOR gate by a 2-input NAND network (4 NANDs per
     2-input XOR stage, plus an inverter for XNOR). This is precisely the

@@ -27,8 +27,6 @@ let resume limits ~elapsed ~iterations ~pivots =
     pivots = max 0 pivots;
     tripped = None }
 
-let unlimited () = start no_limits
-
 let wall_check_period = 1024
 
 let elapsed t = Mono.now () -. t.t0

@@ -36,8 +36,6 @@ val resume : limits -> elapsed:float -> iterations:int -> pivots:int -> t
     has whatever headroom the interrupted run had left. The trip state is
     re-derived from the restored meters on the next {!check}. *)
 
-val unlimited : unit -> t
-
 val tick_pivot : t -> bool
 (** Count one solver pivot. [false] once any resource is exhausted — the
     solver should abort; the verdict is sticky and repeat calls stay

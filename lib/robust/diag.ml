@@ -261,13 +261,5 @@ let events t = Vec.to_list t.events
 let events_above t sev =
   List.filter (fun e -> severity_rank e.severity >= severity_rank sev) (events t)
 
-let max_severity t =
-  if Vec.length t.events = 0 then None
-  else
-    Some
-      (Vec.fold
-         (fun acc e -> if severity_rank e.severity > severity_rank acc then e.severity else acc)
-         Debug t.events)
-
 let event_to_string e =
   Printf.sprintf "[%s] %s: %s" (severity_to_string e.severity) e.source e.message

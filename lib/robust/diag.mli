@@ -163,7 +163,4 @@ val events : log -> event list
 
 val events_above : log -> severity -> event list
 
-val max_severity : log -> severity option
-(** [None] when the log is empty. *)
-
 val event_to_string : event -> string

@@ -10,7 +10,7 @@ let retryable = function
   | Diag.Solver_diverged _ | Diag.Numeric _ | Diag.Fault_injected _ -> true
   | _ -> false
 
-let run ?log ?(retry_on = retryable) rungs =
+let run ?log rungs =
   if rungs = [] then invalid_arg "Fallback.run: empty chain";
   let note name e =
     match log with
@@ -32,6 +32,6 @@ let run ?log ?(retry_on = retryable) rungs =
       | Ok value -> Ok { value; rung = rung.name; failures = List.rev failures }
       | Error e ->
         note rung.name e;
-        if retry_on e then go ((rung.name, e) :: failures) rest else Error e)
+        if retryable e then go ((rung.name, e) :: failures) rest else Error e)
   in
   go [] rungs

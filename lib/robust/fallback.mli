@@ -23,7 +23,6 @@ val retryable : Diag.error -> bool
 
 val run :
   ?log:Diag.log ->
-  ?retry_on:(Diag.error -> bool) ->
   'a rung list ->
   ('a success, Diag.error) result
 (** [Error] carries the last failure when every rung fails (or the first

@@ -140,12 +140,6 @@ let write_file path content =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     r
 
-let unlink path =
-  try Ok (Unix.unlink path)
-  with
-  | Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-  | Unix.Unix_error (e, _, _) -> Error (of_unix_error path "unlink" e)
-
 let rec mkdirs dir =
   if Sys.file_exists dir then
     if Sys.is_directory dir then Ok ()
@@ -169,7 +163,7 @@ let fsync_dir_best_effort dir =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let atomic_replace ?(fsync_dir = true) path content =
+let atomic_replace path content =
   crash_check ();
   let tmp = path ^ ".tmp" in
   let cleanup_tmp () = try Unix.unlink tmp with Unix.Unix_error _ -> () in
@@ -216,7 +210,7 @@ let atomic_replace ?(fsync_dir = true) path content =
             (Simulated_crash { site = "io.crash-after-write"; boundary = !boundary });
         match Unix.rename tmp path with
         | () ->
-          if fsync_dir then fsync_dir_best_effort (Filename.dirname path);
+          fsync_dir_best_effort (Filename.dirname path);
           Ok ()
         | exception Unix.Unix_error (e, _, _) ->
           cleanup_tmp ();
@@ -255,10 +249,6 @@ let create_sink ?(append = false) path =
 let sink_write_line s line =
   if s.s_closed then Error (io_error s.s_path "write: sink is closed")
   else write_all s.s_fd ~path:s.s_path (line ^ "\n")
-
-let sink_fsync s =
-  if s.s_closed then Error (io_error s.s_path "fsync: sink is closed")
-  else fsync s.s_fd ~path:s.s_path
 
 let sink_close s =
   if not s.s_closed then begin

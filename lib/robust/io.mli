@@ -93,10 +93,10 @@ val write_file : string -> string -> (unit, Diag.error) result
     ([-o] SARIF, audit JSON, bench results) where a torn file on crash is
     acceptable; durable state uses {!atomic_replace}. *)
 
-val atomic_replace : ?fsync_dir:bool -> string -> string -> (unit, Diag.error) result
+val atomic_replace : string -> string -> (unit, Diag.error) result
 (** The full crash-safe replace dance: write [path ^ ".tmp"], fsync it,
     close, rename over [path], then fsync the containing directory
-    (best-effort, on by default). The rename is its own write boundary, so
+    (best-effort). The rename is its own write boundary, so
     the torture harness exercises "crashed between write and rename" (temp
     file left behind; the stale-tmp GC must sweep it, and recovery must
     never load it) and "crashed after rename, before dir fsync". Injection:
@@ -105,9 +105,6 @@ val atomic_replace : ?fsync_dir:bool -> string -> string -> (unit, Diag.error) r
     twin of that crash. On any failure before the rename the temp file is
     removed best-effort (except under [io.torn-rename]/crash, which model a
     process that never got the chance). *)
-
-val unlink : string -> (unit, Diag.error) result
-(** [Unix.unlink], typed; unlinking a missing file is [Ok ()]. *)
 
 val mkdirs : string -> (unit, Diag.error) result
 (** [mkdir -p], typed: creates [dir] and any missing parents. A path
@@ -133,8 +130,6 @@ val create_sink : ?append:bool -> string -> (sink, Diag.error) result
 
 val sink_write_line : sink -> string -> (unit, Diag.error) result
 (** Write [line ^ "\n"] via {!write_all}. *)
-
-val sink_fsync : sink -> (unit, Diag.error) result
 
 val sink_close : sink -> unit
 (** Close (idempotent, best-effort). *)

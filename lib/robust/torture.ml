@@ -47,8 +47,8 @@ let silence_child () =
     (try Unix.dup2 null Unix.stderr with Unix.Unix_error _ -> ());
     (try Unix.close null with Unix.Unix_error _ -> ())
 
-let child_body ~seed ~quiet ~boundary ~mode workload =
-  if quiet then silence_child ();
+let child_body ~seed ~boundary ~mode workload =
+  silence_child ();
   Io.reset ();
   let plan = Fault.create ~seed () in
   let action =
@@ -81,12 +81,14 @@ let classify status =
   | Unix.WSIGNALED s -> Errored (Printf.sprintf "child killed by signal %d" s)
   | Unix.WSTOPPED s -> Errored (Printf.sprintf "child stopped by signal %d" s)
 
-let select_boundaries ~total ~modes ~max_sims =
+let modes = [ Clean; Torn ]
+
+let select_boundaries ~total ~max_sims =
   let all = List.init total (fun i -> i + 1) in
   match max_sims with
   | None -> all
   | Some cap ->
-    let per_mode = max 1 (cap / max 1 (List.length modes)) in
+    let per_mode = max 1 (cap / List.length modes) in
     if total <= per_mode then all
     else begin
       (* stride evenly so early (journal-open, first appends) and late
@@ -97,8 +99,7 @@ let select_boundaries ~total ~modes ~max_sims =
       |> List.sort_uniq compare
     end
 
-let run ?(seed = 0) ?(modes = [ Clean; Torn ]) ?max_sims ?(quiet_child = true)
-    ?progress ~setup ~workload ~verify () =
+let run ?(seed = 0) ?max_sims ?progress ~setup ~workload ~verify () =
   (* phase 1: count the workload's write boundaries, fault-free *)
   Io.set_fault None;
   Io.reset ();
@@ -115,7 +116,7 @@ let run ?(seed = 0) ?(modes = [ Clean; Torn ]) ?max_sims ?(quiet_child = true)
   if total = 0 then
     Error (Diag.Internal "torture: workload crossed no write boundaries")
   else begin
-    let ks = select_boundaries ~total ~modes ~max_sims in
+    let ks = select_boundaries ~total ~max_sims in
     let sims_planned = List.length ks * List.length modes in
     let done_ = ref 0 in
     let sims =
@@ -128,7 +129,7 @@ let run ?(seed = 0) ?(modes = [ Clean; Torn ]) ?max_sims ?(quiet_child = true)
               flush stderr;
               let sim_outcome =
                 match Unix.fork () with
-                | 0 -> child_body ~seed ~quiet:quiet_child ~boundary:k ~mode:m workload
+                | 0 -> child_body ~seed ~boundary:k ~mode:m workload
                 | pid ->
                   let _, status = waitpid_retry pid in
                   classify status
@@ -160,8 +161,6 @@ let run ?(seed = 0) ?(modes = [ Clean; Torn ]) ?max_sims ?(quiet_child = true)
     Ok { total_boundaries = total; sims }
   end
 
-let run ?seed ?modes ?max_sims ?quiet_child ?progress ~setup ~workload ~verify
-    () =
-  try run ?seed ?modes ?max_sims ?quiet_child ?progress ~setup ~workload
-      ~verify ()
+let run ?seed ?max_sims ?progress ~setup ~workload ~verify () =
+  try run ?seed ?max_sims ?progress ~setup ~workload ~verify ()
   with Diag.Error_exn e -> Error e

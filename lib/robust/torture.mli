@@ -62,9 +62,7 @@ val violations : report -> (sim * string) list
 
 val run :
   ?seed:int ->
-  ?modes:mode list ->
   ?max_sims:int ->
-  ?quiet_child:bool ->
   ?progress:(int -> int -> unit) ->
   setup:(unit -> unit) ->
   workload:(unit -> unit) ->
@@ -76,8 +74,8 @@ val run :
     + [setup ()]; run [workload] once fault-free in-process to count its
       write boundaries (a workload that fails or crosses no boundary is an
       error);
-    + for each selected boundary [k] and each mode in [modes] (default
-      [[Clean; Torn]]): [setup ()], fork, arm [io.crash-after-write] at
+    + for each selected boundary [k] and each mode, {!Clean} then
+      {!Torn}: [setup ()], fork, arm [io.crash-after-write] at
       boundary [k] in the child, run [workload] to its death, then run
       [verify ~boundary:k ~mode] in the parent against the on-disk wreckage.
 
@@ -85,6 +83,5 @@ val run :
     every time (the boundary numbering relies on the workload being
     deterministic from that state). [max_sims] caps the total number of
     simulations by striding evenly over the boundary range (default: all).
-    [quiet_child] (default true) redirects the child's stdout/stderr to
-    /dev/null. [progress] is called as [progress done total] after each
+    Each child's stdout/stderr go to /dev/null. [progress] is called as [progress done total] after each
     simulation. [seed] seeds each child's fault plan. *)

@@ -1,5 +1,6 @@
 module Diag = Minflo_robust.Diag
 module Netlist = Minflo_netlist.Netlist
+module Raw = Minflo_netlist.Raw
 module Bench_format = Minflo_netlist.Bench_format
 module Verilog_format = Minflo_netlist.Verilog_format
 module Generators = Minflo_netlist.Generators
@@ -47,14 +48,19 @@ let cross ~circuits ~factors ~solvers =
         factors)
     circuits
 
-let load_raw spec : (Minflo_netlist.Raw.t, Diag.error) result =
+(* where a circuit spec points: a netlist file, with the reader its
+   extension picks, or a built-in circuit, built directly so its areas do
+   not depend on a print/parse round trip *)
+let source spec =
   if Sys.file_exists spec then
-    if Filename.check_suffix spec ".v" then Verilog_format.parse_raw_file spec
-    else Bench_format.parse_raw_file spec
-  else if spec = "c17" then Ok (Minflo_netlist.Raw.of_netlist (Generators.c17 ()))
+    Ok
+      (`File
+        (if Filename.check_suffix spec ".v" then Verilog_format.parse_raw_file
+         else Bench_format.parse_raw_file))
+  else if spec = "c17" then Ok (`Builtin Generators.c17)
   else
     match Iscas85.find_info spec with
-    | Some _ -> Ok (Minflo_netlist.Raw.of_netlist (Iscas85.circuit spec))
+    | Some _ -> Ok (`Builtin (fun () -> Iscas85.circuit spec))
     | None ->
       Error
         (Diag.Unknown_circuit
@@ -63,21 +69,15 @@ let load_raw spec : (Minflo_netlist.Raw.t, Diag.error) result =
                "c17"
                :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
 
-let load_circuit spec : (Netlist.t, Diag.error) result =
-  if Sys.file_exists spec then
-    if Filename.check_suffix spec ".v" then Verilog_format.parse_file spec
-    else Bench_format.parse_file spec
-  else if spec = "c17" then Ok (Generators.c17 ())
-  else
-    match Iscas85.find_info spec with
-    | Some _ -> Ok (Iscas85.circuit spec)
-    | None ->
-      Error
-        (Diag.Unknown_circuit
-           { name = spec;
-             known =
-               "c17"
-               :: List.map (fun (i : Iscas85.info) -> i.name) Iscas85.suite })
+let load_raw spec =
+  Result.bind (source spec) (function
+    | `File parse_raw -> parse_raw spec
+    | `Builtin build -> Ok (Raw.of_netlist (build ())))
+
+let load_circuit spec =
+  Result.bind (source spec) (function
+    | `File parse_raw -> Result.bind (parse_raw spec) Raw.elaborate
+    | `Builtin build -> Ok (build ()))
 
 type outcome = {
   job : t;

@@ -11,8 +11,6 @@ type t = {
   mutable last_error : Diag.error option;
 }
 
-let path t = t.path
-
 let last_error t = t.last_error
 
 let event_checked t ?job ?error ?(fields = []) name =

@@ -23,8 +23,6 @@ val open_append : string -> (t, Minflo_robust.Diag.error) result
     anywhere under the journal's directory (orphans of a crash
     mid-[atomic_replace]) and journals a ["tmp-swept"] event naming them. *)
 
-val path : t -> string
-
 val event :
   t ->
   ?job:string ->

@@ -124,8 +124,6 @@ val pool_cancel :
     with [Error (Job_crashed {detail = "cancelled"})] on a later
     {!pool_step}. *)
 
-val pool_running_count : 'a pool -> int
-
 val pool_load : 'a pool -> int
 (** Running plus queued tasks; queued = submitted-but-unstarted plus
     retries awaiting backoff. *)

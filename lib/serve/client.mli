@@ -13,28 +13,6 @@
     failures are: [connect-refused], [net-timeout], [torn-response], and
     untyped I/O errors. *)
 
-(** {1 One connection} *)
-
-type conn
-
-val connect :
-  ?timeout:float ->
-  Transport.endpoint ->
-  (conn, Minflo_robust.Diag.error) result
-(** Dial; [timeout] bounds the connect {e and} arms kernel read/write
-    deadlines on the connection, so every later {!request} on it is
-    bounded too. *)
-
-val request :
-  conn -> Minflo_util.Json.t -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
-(** Send one request, await its one-line response. Failure modes:
-    [Net_timeout] past the deadline, [Torn_response] when the connection
-    closes mid-line or the line does not parse, [Io_error] otherwise.
-    With [{"op":"result", "wait":true}] this blocks (up to the deadline)
-    while the daemon parks the connection. *)
-
-val close : conn -> unit
-
 (** {1 Retrying sessions} *)
 
 type retry = {
@@ -56,7 +34,13 @@ val session : ?retry:retry -> Transport.endpoint -> session
 
 val rpc :
   session -> Minflo_util.Json.t -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
-(** {!request} with the session's retry policy. Delay before retry [k]
+(** Send one request and await its one-line response, with the session's
+    retry policy. An attempt fails with [Net_timeout] past the deadline
+    (the session's [timeout] bounds the connect and every read and write),
+    [Torn_response] when the connection closes mid-line or the line does
+    not parse, and [Io_error] otherwise. With [{"op":"result",
+    "wait":true}] it blocks (up to the deadline) while the daemon parks
+    the connection. Delay before retry [k]
     is [backoff_base * 2^(k-1)], jittered multiplicatively in
     [\[0.5, 1.5)] from the seeded stream. The final error reports how
     many attempts were made where the type carries it. *)

@@ -75,11 +75,6 @@ let find t key =
     push_front t n;
     Some n.value
 
-let remove t key =
-  match Hashtbl.find_opt t.table key with
-  | Some n -> drop t n
-  | None -> ()
-
 let bytes t = t.bytes
 let entries t = Hashtbl.length t.table
 let budget t = t.budget

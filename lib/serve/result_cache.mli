@@ -24,8 +24,6 @@ val put : 'a t -> string -> 'a -> bytes:int -> unit
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit becomes most-recently-used. *)
 
-val remove : 'a t -> string -> unit
-
 val bytes : 'a t -> int
 (** Resident total; [<= budget] always. *)
 

@@ -51,10 +51,6 @@ val eta0 : float
 (** The initial trust region (0.5). It shrinks by half on every pass that
     stalls, and the run stops once it falls below 1e-3. *)
 
-val osc_window : int
-(** Consecutive rejected candidates on the same area (within a relative
-    1e-9) that stop the run with {!Stop_oscillation} (3). *)
-
 type iteration = {
   iter : int;
   area : float;
@@ -92,7 +88,8 @@ type stop_reason =
   | Stop_budget of Minflo_robust.Diag.error
       (** a run budget tripped; carries the typed [Budget_exhausted]. *)
   | Stop_oscillation of { area : float; repeats : int }
-      (** rejected candidates cycled on the same area. *)
+      (** rejected candidates cycled on the same area: 3 in a row whose
+          areas agree within a relative 1e-9. *)
 
 (** {1 Checkpointable loop state}
 

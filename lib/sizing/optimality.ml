@@ -10,7 +10,10 @@ type report = {
   best_sizes : float array option;
 }
 
-let probe ?(trials = 200) ?(magnitude = 0.05) ~seed model ~target ~sizes =
+(* relative size perturbation *)
+let magnitude = 0.05
+
+let probe ?(trials = 200) ~seed model ~target ~sizes =
   let rng = Rng.create seed in
   let n = Delay_model.num_vertices model in
   let base_area = Delay_model.area model sizes in

@@ -17,13 +17,12 @@ type report = {
 
 val probe :
   ?trials:int ->
-  ?magnitude:float (* relative size perturbation, default 0.05 *) ->
   seed:int ->
   Minflo_tech.Delay_model.t ->
   target:float ->
   sizes:float array ->
   report
 (** Each trial scales a random subset of sizes by factors in
-    [1 +- magnitude], clamps to bounds, rejects timing violations, and
+    [1 +- 0.05], clamps to bounds, rejects timing violations, and
     greedily shrinks whatever slack the move opened (a W-phase pass at the
     perturbed point's own delays). *)

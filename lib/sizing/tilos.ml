@@ -105,7 +105,10 @@ let replay tr k =
     j := !j / 2
   done
 
-let size ?(bump = 1.1) ?(max_bumps = 2_000_000) ?budget ?init model ~target =
+(* a hard stop for a greedy that cannot reach the target *)
+let max_bumps = 2_000_000
+
+let size ?(bump = 1.1) ?budget ?init model ~target =
   let n = Delay_model.num_vertices model in
   let start =
     match init with

@@ -17,10 +17,11 @@ type result = {
 
 val size :
   ?bump:float (* default 1.1, as in Section 3 *) ->
-  ?max_bumps:int ->
   ?budget:Minflo_robust.Budget.t (* each bump ticks it; exhaustion stops the
                                     greedy with the best-so-far sizing *) ->
   ?init:float array (* resume from an existing sizing instead of minimum *) ->
   Minflo_tech.Delay_model.t ->
   target:float ->
   result
+(** Stops once the target is met, no critical vertex helps, the budget
+    trips, or after 2 000 000 bumps, whichever comes first. *)

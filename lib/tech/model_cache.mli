@@ -10,12 +10,10 @@
     to its circuit — so two structurally identical netlists loaded through
     different paths share an entry, and any structural edit misses. *)
 
-val fnv1a64 : string -> int64
-(** FNV-1a 64-bit. Stable across processes (unlike [Hashtbl.hash] on boxed
-    data); the hash used by batch checkpoints and this cache. *)
-
 val hash_netlist : Minflo_netlist.Netlist.t -> int64
-(** [fnv1a64] of the canonical [.bench] rendering. *)
+(** FNV-1a 64 of the canonical [.bench] rendering. Stable across processes
+    (unlike [Hashtbl.hash] on boxed data); the hash used by batch
+    checkpoints and this cache. *)
 
 val model : ?tech:Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 (** The Elmore model of [nl] under [tech] (default {!Tech.default_130nm}),

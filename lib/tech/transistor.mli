@@ -13,15 +13,6 @@
     Supported gate kinds: NOT, BUF, NAND, NOR. Run
     {!Minflo_netlist.Transform.to_nand_inv} first for anything else. *)
 
-type network =
-  | Device of int          (** leaf transistor, labelled by input pin index *)
-  | Series of network list
-  | Parallel of network list
-
-val topology : Minflo_netlist.Gate.kind -> arity:int -> network * network
-(** [(pulldown, pullup)] for the given gate.
-    @raise Invalid_argument for unsupported kinds (AND/OR/XOR/XNOR). *)
-
 val of_netlist : Tech.t -> Minflo_netlist.Netlist.t -> Delay_model.t
 (** Transistor-granularity sizing problem. Vertex labels are
     ["<gate>/<N|P><pin>"]. *)

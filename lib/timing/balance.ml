@@ -89,25 +89,3 @@ let check (model : Delay_model.t) ~delays t =
   | Some detail ->
     Error (Minflo_robust.Diag.Invariant { what = "fsdu-balance"; detail })
   | None -> Ok ()
-
-let displacement_between a b = Array.map2 (fun pb pa -> pb -. pa) b.potential a.potential
-
-let displace (model : Delay_model.t) t r =
-  let n = Array.length t.potential in
-  if Array.length r <> n then invalid_arg "Balance.displace: wrong r length";
-  { t with
-    potential = Array.init n (fun i -> t.potential.(i) +. r.(i));
-    edge_fsdu =
-      Array.mapi
-        (fun e f -> f +. r.(model.edge_dst.(e)) -. r.(model.edge_src.(e)))
-        t.edge_fsdu;
-    (* virtual endpoints (primary inputs and the output dummy O) are pinned
-       at r = 0, per Corollary 1 *)
-    source_fsdu =
-      Array.mapi
-        (fun i f -> if Delay_model.is_source model i then f +. r.(i) else f)
-        t.source_fsdu;
-    sink_fsdu =
-      Array.mapi
-        (fun i f -> if model.is_sink.(i) then f -. r.(i) else f)
-        t.sink_fsdu }

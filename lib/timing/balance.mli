@@ -15,7 +15,8 @@
     (slack pushed toward the inputs), [`Asap] uses arrival times (slack
     pushed toward the outputs). Theorem 1 — all balanced configurations are
     FSDU-displaced versions of each other — shows as the difference of
-    potentials, which {!displacement_between} returns. *)
+    their [potential] fields: displacing (Eq. 9) one configuration by
+    [r = b.potential - a.potential] gives the other. *)
 
 type t = {
   potential : float array;
@@ -45,15 +46,6 @@ val check :
   (unit, Minflo_robust.Diag.error) result
 (** Verifies non-negativity of every FSDU and exact path balance (via the
     potential identity on each edge); failures are typed
-    [Invariant {what = "fsdu-balance"; _}] diagnostics. Test-suite oracle
-    for Theorems 1-2 and the [--check] post-phase invariant. *)
-
-val displacement_between : t -> t -> float array
-(** [displacement_between a b]: the vertex relabeling [r] with
-    [b = displace a r] (Theorem 1). *)
-
-val displace : Minflo_tech.Delay_model.t -> t -> float array -> t
-(** Apply an FSDU displacement [r] (Eq. 9): each edge FSDU becomes
-    [fsdu + r(dst) - r(src)], source edges use [r(src_vertex)], sink edges
-    [-r(sink_vertex)] (the virtual endpoints are pinned at 0). The result
-    may violate non-negativity; {!check} decides legality. *)
+    [Invariant {what = "fsdu-balance"; _}] diagnostics. The test suite's
+    oracle for Theorems 1-2; the engine's [--check] records the D-phase's
+    own ["dphase.fsdu-nonnegative"] instead. *)

@@ -39,16 +39,6 @@ let analyze (model : Delay_model.t) ~delays ~deadline =
   let slack = Array.init n (fun i -> rt.(i) -. at.(i)) in
   { arrival = at; required = rt; slack; critical_path = !cp; deadline }
 
-let edge_slack t ~delays (model : Delay_model.t) e =
-  let i = model.edge_src.(e) and j = model.edge_dst.(e) in
-  t.required.(j) -. t.arrival.(i) -. delays.(i)
-
-let critical_vertices ?(eps = 1e-9) t =
-  let worst = Array.fold_left min infinity t.slack in
-  let acc = ref [] in
-  Array.iteri (fun i s -> if s <= worst +. eps then acc := i :: !acc) t.slack;
-  List.rev !acc
-
 let worst_path (model : Delay_model.t) ~delays =
   let at = arrivals model ~delays in
   (* find the vertex finishing the critical path, then backtrace greedily *)

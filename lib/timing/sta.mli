@@ -27,12 +27,5 @@ val arrivals : Minflo_tech.Delay_model.t -> delays:float array -> float array
 val critical_path_only : Minflo_tech.Delay_model.t -> delays:float array -> float
 (** Just [CP(G)] — cheaper when required times are not needed. *)
 
-val edge_slack : t -> delays:float array -> Minflo_tech.Delay_model.t ->
-  int -> float
-(** Slack of the edge with the given id. *)
-
-val critical_vertices : ?eps:float -> t -> int list
-(** Vertices with slack within [eps] of the minimum slack. *)
-
 val worst_path : Minflo_tech.Delay_model.t -> delays:float array -> int list
 (** One maximal-delay path, source to sink, by greedy backtrace. *)

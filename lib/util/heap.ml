@@ -12,7 +12,6 @@ let create ?(capacity = 16) () =
     latest = Hashtbl.create 64 }
 
 let size h = Hashtbl.length h.latest
-let is_empty h = size h = 0
 
 let grow h =
   let cap = Array.length h.keys in

@@ -8,7 +8,6 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-val is_empty : t -> bool
 val size : t -> int
 (** Number of live (non-superseded) entries. *)
 

@@ -11,9 +11,6 @@ val create : int -> t
 
 val copy : t -> t
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)

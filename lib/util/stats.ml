@@ -4,17 +4,7 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then nan else sum xs /. float_of_int n
 
-let stddev xs =
-  let n = Array.length xs in
-  if n = 0 then nan
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-    sqrt (acc /. float_of_int n)
-  end
-
 let minimum xs = Array.fold_left min infinity xs
-let maximum xs = Array.fold_left max neg_infinity xs
 
 let percentile xs p =
   let n = Array.length xs in
@@ -31,11 +21,3 @@ let percentile xs p =
   end
 
 let median xs = percentile xs 50.0
-
-let geomean xs =
-  let n = Array.length xs in
-  if n = 0 then nan
-  else begin
-    let acc = Array.fold_left (fun a x -> a +. log x) 0.0 xs in
-    exp (acc /. float_of_int n)
-  end

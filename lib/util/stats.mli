@@ -3,19 +3,12 @@
 val mean : float array -> float
 (** Arithmetic mean; [nan] on an empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation; [nan] on an empty array. *)
-
 val minimum : float array -> float
-val maximum : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], linear interpolation between
     order statistics. @raise Invalid_argument on an empty array. *)
 
 val median : float array -> float
-
-val geomean : float array -> float
-(** Geometric mean of strictly positive values. *)
 
 val sum : float array -> float

@@ -5,7 +5,6 @@ let create ?(capacity = 8) ~dummy () =
   { data = Array.make capacity dummy; len = 0; dummy }
 
 let length v = v.len
-let is_empty v = v.len = 0
 
 let check v i =
   if i < 0 || i >= v.len then
@@ -56,13 +55,3 @@ let exists p v =
 let to_list v =
   let rec loop i acc = if i < 0 then acc else loop (i - 1) (v.data.(i) :: acc) in
   loop (v.len - 1) []
-
-let to_array v = Array.sub v.data 0 v.len
-
-let of_array ~dummy a =
-  let n = Array.length a in
-  let v = create ~capacity:(max n 1) ~dummy () in
-  Array.iter (fun x -> ignore (push v x)) a;
-  v
-
-let map_to_array f v = Array.init v.len (fun i -> f v.data.(i))

@@ -10,7 +10,6 @@ val create : ?capacity:int -> dummy:'a -> unit -> 'a t
     never observable through the API. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val get : 'a t -> int -> 'a
 (** [get v i] is the [i]-th element. @raise Invalid_argument if out of range. *)
@@ -30,6 +29,3 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
-val to_array : 'a t -> 'a array
-val of_array : dummy:'a -> 'a array -> 'a t
-val map_to_array : ('a -> 'b) -> 'a t -> 'b array

@@ -16,7 +16,6 @@ module Tech = Minflo_tech.Tech
 module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
-module Model_cache = Minflo_tech.Model_cache
 module Sta = Minflo_timing.Sta
 module Inc = Minflo_timing.Incremental
 module Rng = Minflo_util.Rng
@@ -36,6 +35,14 @@ let random_sizes rng model =
 let row off tbl v = List.init (off.(v + 1) - off.(v)) (fun k -> tbl.(off.(v) + k))
 
 (* ---------- layout ---------- *)
+
+let fnv1a64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
 
 (* FNV-1a over every order-carrying array of the model: CSR adjacency,
    coefficient and loader rows (floats as exact [%h]), topological order,
@@ -69,7 +76,7 @@ let layout_digest (m : DM.t) =
   ints "t" m.topo;
   ints "s" m.sinks;
   Array.iter (ints "b") m.blocks;
-  Printf.sprintf "%016Lx" (Model_cache.fnv1a64 (Buffer.contents b))
+  Printf.sprintf "%016Lx" (fnv1a64 (Buffer.contents b))
 
 (* golden digests of the layouts the list-and-memo representation produced
    for c432; any change to a row order, a coefficient bit or the block

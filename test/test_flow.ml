@@ -284,7 +284,7 @@ let test_bf_unreachable () =
       arc_weight = [| 5 |] }
   in
   match BF.run g ~sources:[ 0 ] with
-  | Distances d -> check int "unreachable" BF.unreachable d.(2)
+  | Distances d -> check int "unreachable" (max_int / 4) d.(2)
   | Negative_cycle _ -> Alcotest.fail "unexpected negative cycle"
 
 let test_bf_negative_cycle () =
@@ -489,6 +489,10 @@ let test_trajectory_pin () =
         expect (trajectory_digest seed))
     pins
 
+(* whether [st] keeps a basis: [Simplex.state] is one mutable field
+   holding the basis option (read in full by [view_basis] below) *)
+let keeps_basis (st : Simplex.state) = Obj.is_block (Obj.field (Obj.repr st) 0)
+
 (* A budget-aborted solve leaves the basis mid-run but consistent: the
    state stays warm, and an unbudgeted resume reaches the cold optimum
    with a valid certificate. Checked from an empty state and from a warm
@@ -518,7 +522,7 @@ let test_abort_then_resume () =
       let aborted = Simplex.solve_warm ~budget st p1 in
       check Alcotest.string (name ^ " aborts") "Aborted"
         (status_str aborted.status);
-      check bool (name ^ " keeps the basis") true (Simplex.is_warm st);
+      check bool (name ^ " keeps the basis") true (keeps_basis st);
       let resumed = Simplex.solve_warm st p1 in
       expect_certified (name ^ " resume") p1 resumed;
       check int (name ^ " resume = cold objective") cold1.objective
@@ -580,7 +584,7 @@ let test_degenerate_sizes () =
         check Alcotest.string tag expect (status_str warm.status);
         check int (tag ^ " objective") cold.objective warm.objective;
         check bool (tag ^ " state kept iff optimal") (expect = "Optimal")
-          (Simplex.is_warm st);
+          (keeps_basis st);
         if expect = "Optimal" then expect_certified tag p warm
       done)
     cases
@@ -1274,7 +1278,7 @@ let test_seeding_chains () =
     List.iteri
       (fun step (p : Mcf.problem) ->
         let name = Printf.sprintf "seed %d step %d" seed step in
-        let was_warm = Simplex.is_warm st in
+        let was_warm = keeps_basis st in
         let before = Perf.snapshot () in
         let s = Simplex.solve_warm ~budget:(budget ()) st p in
         let warm = (Perf.diff before (Perf.snapshot ())).warm_starts = 1 in

@@ -393,12 +393,21 @@ let test_campaign_deterministic () =
   check bool "two runs, same report" true
     (digest (Campaign.run cfg) = digest (Campaign.run cfg))
 
+(* a planted fault fails the first case, so a bucket's first seed is that
+   case's derived seed *)
 let test_campaign_seed_derivation () =
-  let a = Campaign.case_seeds ~seed:42 ~n:10 in
-  let b = Campaign.case_seeds ~seed:42 ~n:10 in
-  let c = Campaign.case_seeds ~seed:43 ~n:10 in
-  check bool "stable" true (a = b);
-  check bool "seed-sensitive" true (a <> c)
+  let first_seeds seed =
+    let cfg =
+      { (campaign_config ~iterations:2 ~fault_site:"wphase" ()) with
+        Campaign.seed;
+        shrink = false }
+    in
+    List.map (fun (b : Campaign.bucket) -> b.first_seed) (Campaign.run cfg).buckets
+  in
+  let a = first_seeds 42 in
+  check bool "a bucket" true (a <> []);
+  check bool "stable" true (a = first_seeds 42);
+  check bool "seed-sensitive" true (a <> first_seeds 43)
 
 let test_campaign_finds_shrinks_and_replays () =
   let dir = fresh_dir "campaign-e2e" in

@@ -21,6 +21,7 @@ module Oracle = Minflo_fuzz.Oracle
 module Generators = Minflo_netlist.Generators
 module Tilos = Minflo_sizing.Tilos
 module Minflotransit = Minflo_sizing.Minflotransit
+module Sweep = Minflo_sizing.Sweep
 module Elmore = Minflo_tech.Elmore
 module Tech = Minflo_tech.Tech
 module Json = Minflo_util.Json
@@ -109,21 +110,14 @@ let test_short_write () =
 
 let test_fsync_lost () =
   let dir = fresh_dir "fsync" in
-  let path = Filename.concat dir "log.jsonl" in
+  let path = Filename.concat dir "state.json" in
   let r, plan =
-    with_fault [ "io.fsync-lost" ] (fun () ->
-        match Io.create_sink path with
-        | Error e -> Alcotest.failf "create_sink: %s" (Diag.to_string e)
-        | Ok sink ->
-          let w = Io.sink_write_line sink "line" in
-          let f = Io.sink_fsync sink in
-          Io.sink_close sink;
-          (w, f))
+    with_fault [ "io.fsync-lost" ] (fun () -> Io.atomic_replace path "line")
   in
-  (* the lie of a lost fsync: the call claims success *)
+  (* the lie of a lost fsync: the replace claims success *)
   (match r with
-  | Ok (), Ok () -> ()
-  | _ -> Alcotest.fail "write/fsync reported failure");
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "replace reported failure: %s" (Diag.to_string e));
   check bool "io.fsync-lost fired" true (fired plan "io.fsync-lost" > 0);
   rm_rf dir
 
@@ -346,31 +340,20 @@ let test_checkpoint_typed_failures () =
 let test_trace_fails_flag_not_run () =
   let nl = Generators.c17 () in
   let model = Elmore.of_netlist Tech.default_130nm nl in
-  let target = 0.5 in
+  let target = 0.6 *. Sweep.dmin model in
+  let result = Minflotransit.optimize model ~target in
   let dir = fresh_dir "trace" in
   let path = Filename.concat dir "trace.jsonl" in
-  let sink =
-    match Io.create_sink path with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "create_sink: %s" (Diag.to_string e)
-  in
-  (* header lands fault-free; then the disk starts tearing writes *)
-  let w = Trace.create sink model ~circuit:"c17" ~target in
-  let (), plan =
-    with_fault [ "io.short-write" ] (fun () ->
-        Trace.record_tilos w
-          { Tilos.sizes = Array.make 3 1.0;
-            met = true;
-            bumps = 0;
-            final_cp = target;
-            area = 3.0 })
+  (* the header lands; then the disk starts tearing writes *)
+  let r, plan =
+    with_fault ~after:1 [ "io.short-write" ] (fun () ->
+        Trace.write_run path model ~circuit:"c17" ~target ~steps:[] result)
   in
   check bool "io.short-write fired" true (fired plan "io.short-write" > 0);
-  (match Trace.error w with
-  | Some (Diag.Io_error _) -> ()
-  | Some e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
-  | None -> Alcotest.fail "writer did not record the failure");
-  Io.sink_close sink;
+  (match r with
+  | Error (Diag.Io_error _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
+  | Ok () -> Alcotest.fail "writer did not report the failure");
   (* the surviving prefix audits as truncation damage (MF210) — the torn
      half-line never parses into a bogus record or claim *)
   (match Trace.audit_file model ~target path with

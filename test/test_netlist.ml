@@ -89,11 +89,16 @@ let test_netlist_validate_dead_gate () =
     (fun () -> Netlist.validate nl)
 
 let test_netlist_levels () =
-  let nl = Gen.c17 () in
-  let levels = Netlist.levels nl in
-  let g22 = Option.get (Netlist.find nl "22") in
-  check int "depth of 22" 3 levels.(g22);
-  check int "circuit depth" 3 (Netlist.depth nl)
+  (* a gate sits one level above its deepest fanin: 22 = NAND(10, 16),
+     16 = NAND(2, 11), 11 = NAND(3, 6) *)
+  check int "circuit depth" 3 (Netlist.depth (Gen.c17 ()));
+  let nl = Netlist.create ~name:"uneven" () in
+  let a = Netlist.add_input nl "a" in
+  let n1 = Netlist.add_gate nl "n1" Gate.Not [ a ] in
+  let n2 = Netlist.add_gate nl "n2" Gate.Not [ n1 ] in
+  Netlist.mark_output nl (Netlist.add_gate nl "y" Gate.Nand [ a; n2 ]);
+  check int "deepest fanin decides" 3 (Netlist.depth nl);
+  check int "inputs only" 0 (Netlist.depth (Netlist.create ~name:"empty" ()))
 
 let test_netlist_stats () =
   let nl = Gen.c17 () in
@@ -546,48 +551,6 @@ let prop_random_dag_valid =
           List.iter (fun u -> if u >= v then ok := false) (Netlist.fanins nl v));
       !ok)
 
-(* ---------- Transform.sweep_dead ---------- *)
-
-let test_sweep_dead_drops_linter_set () =
-  let nl = Netlist.create ~name:"deadish" () in
-  let a = Netlist.add_input nl "a" in
-  let b = Netlist.add_input nl "b" in
-  let g = Netlist.add_gate nl "g" Gate.Nand [ a; b ] in
-  Netlist.mark_output nl g;
-  let d1 = Netlist.add_gate nl "d1" Gate.Or [ a; b ] in
-  ignore (Netlist.add_gate nl "d2" Gate.Not [ d1 ]);
-  let doomed =
-    Minflo_lint.Lint.dead_gates (Minflo_netlist.Raw.of_netlist nl)
-  in
-  check (Alcotest.list Alcotest.string) "linter names the dead set"
-    [ "d1"; "d2" ] (List.sort compare doomed);
-  let swept = Transform.sweep_dead nl in
-  check int "gates" 1 (Netlist.gate_count swept);
-  check int "inputs kept" 2 (Netlist.input_count swept);
-  List.iter
-    (fun nm -> check bool ("dropped " ^ nm) true (Netlist.find swept nm = None))
-    doomed;
-  check bool "live gate kept" true (Netlist.find swept "g" <> None)
-
-(* the suite has no dead logic, so the sweep must be a structural no-op:
-   identical gate/node counts and bit-identical minimum area and Dmin *)
-let test_sweep_dead_invariant_on_suite () =
-  List.iter
-    (fun ((info : Iscas85.info), nl) ->
-      let swept = Transform.sweep_dead nl in
-      check int (info.Iscas85.name ^ " gates") (Netlist.gate_count nl)
-        (Netlist.gate_count swept);
-      check int (info.Iscas85.name ^ " nodes") (Netlist.node_count nl)
-        (Netlist.node_count swept);
-      let tech = Minflo_tech.Tech.default_130nm in
-      let m = Minflo_tech.Elmore.of_netlist tech nl in
-      let m' = Minflo_tech.Elmore.of_netlist tech swept in
-      check (Alcotest.float 1e-9) (info.Iscas85.name ^ " min area")
-        (Minflo_sizing.Sweep.min_area m) (Minflo_sizing.Sweep.min_area m');
-      check (Alcotest.float 1e-9) (info.Iscas85.name ^ " dmin")
-        (Minflo_sizing.Sweep.dmin m) (Minflo_sizing.Sweep.dmin m'))
-    (Iscas85.all_circuits ())
-
 (* ---------- compose / iscas85 ---------- *)
 
 let test_merge () =
@@ -677,11 +640,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_dag_valid;
           tc "adder vs integer add" `Quick test_adder_exhaustive;
           tc "mux vs select" `Quick test_mux_exhaustive ] );
-      ( "sweep-dead",
-        [ tc "drops exactly the linter's set" `Quick
-            test_sweep_dead_drops_linter_set;
-          tc "area and delay invariant on the suite" `Quick
-            test_sweep_dead_invariant_on_suite ] );
       ( "compose",
         [ tc "merge" `Quick test_merge;
           tc "pad exact" `Quick test_pad_random_exact;

@@ -173,7 +173,10 @@ let test_shape_change_falls_back_cold () =
      solve and the second exercises the compatibility check *)
   let p = random_problem 102 in
   ignore (Simplex.solve_warm st p);
-  check bool "state retained" true (Simplex.is_warm st);
+  (* re-solving the same shape starts from the retained basis *)
+  let before = Perf.snapshot () in
+  ignore (Simplex.solve_warm st p);
+  check int "state retained" 1 Perf.(diff before (snapshot ())).Perf.warm_starts;
   (* a different network shape: the basis is incompatible and must be
      rebuilt, not misapplied *)
   let p2 = random_problem 103 in

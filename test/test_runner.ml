@@ -803,7 +803,8 @@ let test_pool_incremental_submit_and_cancel () =
     end
   in
   wait_start ();
-  check int "one running" 1 (Supervisor.pool_running_count pool);
+  (* one running, two queued: the cancels below tell them apart *)
+  check int "load unchanged once running" 3 (Supervisor.pool_load pool);
   (match Supervisor.pool_cancel pool "queued" with
   | `Cancelled_pending -> ()
   | _ -> Alcotest.fail "queued task should cancel from the queue");

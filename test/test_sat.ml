@@ -112,56 +112,16 @@ let proved what a b = check bool what true (Cnf.equivalent a b = Cnf.Equivalent)
 
 let test_miter_self () = proved "c17 = c17" (Gen.c17 ()) (Gen.c17 ())
 
-(* the linter's dead set: [d1] and [d2] reach no output *)
-let deadish () =
-  let nl = Netlist.create ~name:"deadish" () in
-  let a = Netlist.add_input nl "a" in
-  let b = Netlist.add_input nl "b" in
-  Netlist.mark_output nl (Netlist.add_gate nl "g" Gate.Nand [ a; b ]);
-  let d1 = Netlist.add_gate nl "d1" Gate.Or [ a; b ] in
-  ignore (Netlist.add_gate nl "d2" Gate.Not [ d1 ]);
-  nl
-
-(* a copy of [nl] plus [k] NAND gates that read random earlier signals
-   (dead ones included) and drive no output; left unvalidated, since
-   {!Netlist.validate} rejects dead logic *)
-let with_dead_gates ~seed ~k nl =
-  let rng = Rng.create seed in
-  let copy = Netlist.create ~name:(Netlist.name nl) () in
-  Netlist.iter_nodes nl (fun v ->
-      let name = Netlist.node_name nl v in
-      ignore
-        (match Netlist.kind nl v with
-        | Netlist.Input -> Netlist.add_input copy name
-        | Netlist.Gate kind -> Netlist.add_gate copy name kind (Netlist.fanins nl v)));
-  List.iter (Netlist.mark_output copy) (Netlist.outputs nl);
-  for i = 1 to k do
-    let n = Netlist.node_count copy in
-    ignore
-      (Netlist.add_gate copy (Printf.sprintf "dead%d" i) Gate.Nand
-         [ Rng.int rng n; Rng.int rng n ])
-  done;
-  copy
-
 let test_miter_transforms () =
   List.iter
-    (fun nl -> proved "nand mapping" nl (Transform.to_nand_inv nl))
-    [ Gen.parity_tree ~width:5 (); Gen.comparator ~width:3 (); Gen.alu ~width:2 () ];
-  (* sweep_dead on netlists that do contain dead gates *)
-  let mutants =
-    List.map
-      (fun seed ->
-        let base = Gen.random_dag ~gates:20 ~inputs:5 ~outputs:3 ~seed () in
-        with_dead_gates ~seed ~k:4 (Mutate.mutate ~seed ~rounds:6 base))
-      [ 1; 2; 3; 4 ]
-  in
-  List.iter
     (fun nl ->
-      let swept = Transform.sweep_dead nl in
-      check bool "dead gates present" true
-        (Netlist.gate_count swept < Netlist.gate_count nl);
-      proved "sweep_dead" nl swept)
-    (deadish () :: mutants)
+      proved "nand mapping" nl (Transform.to_nand_inv nl);
+      proved "xor expansion" nl (Transform.expand_xor nl))
+    [ Gen.parity_tree ~width:5 ();
+      Gen.comparator ~width:3 ();
+      Gen.alu ~width:2 ();
+      Mutate.mutate ~seed:1 ~rounds:6
+        (Gen.random_dag ~gates:20 ~inputs:5 ~outputs:3 ~seed:1 ()) ]
 
 (* one [kind] gate over inputs a, b per entry of [kinds], each an output *)
 let gates kinds =

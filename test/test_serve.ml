@@ -312,6 +312,24 @@ let start_daemon cfg =
     Unix._exit code
   | pid -> pid
 
+(* Run [f pid] and make sure the child [pid] is gone afterwards: if it
+   still runs when [f] returns or raises, SIGKILL and reap it. A failed
+   assertion then cannot leave an orphan holding the test's stdout open,
+   which hangs the run. [f] may reap [pid] itself. *)
+let reaped pid f =
+  Fun.protect
+    ~finally:(fun () ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] pid)
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ())
+    (fun () -> f pid)
+
+(* [f pid] against a daemon forked on [cfg]; see [reaped] *)
+let with_daemon cfg f = reaped (start_daemon cfg) f
+
 let unix_ep cfg = Transport.Unix_sock cfg.Server.socket_path
 
 (* test helpers talk straight to the daemon: one attempt, no backoff, so
@@ -413,10 +431,6 @@ let wait_for_socket path =
     Unix.sleepf 0.02
   done
 
-let reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid)
-
 let health_json = Protocol.request_to_json Protocol.Health
 
 let test_client_connect_refused () =
@@ -433,68 +447,66 @@ let test_client_connect_refused () =
 let test_client_net_timeout () =
   let dir = fresh_dir "client-timeout" in
   let path = Filename.concat dir "stub.sock" in
-  let pid = stub_server path `Silent in
-  wait_for_socket path;
-  let retry =
-    { Client.attempts = 1; backoff_base = 0.01; timeout = Some 0.3; seed = 0 }
-  in
-  (match Client.one_shot ~retry ~endpoint:(Transport.Unix_sock path) health_json with
-  | Error (Diag.Net_timeout { op; seconds; _ }) ->
-    check string "timed out waiting for" "response" op;
-    check (Alcotest.float 0.001) "deadline reported" 0.3 seconds
-  | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "a silent peer produced a response");
-  reap pid;
+  reaped (stub_server path `Silent) (fun _ ->
+      wait_for_socket path;
+      let retry =
+        { Client.attempts = 1; backoff_base = 0.01; timeout = Some 0.3; seed = 0 }
+      in
+      match Client.one_shot ~retry ~endpoint:(Transport.Unix_sock path) health_json with
+      | Error (Diag.Net_timeout { op; seconds; _ }) ->
+        check string "timed out waiting for" "response" op;
+        check (Alcotest.float 0.001) "deadline reported" 0.3 seconds
+      | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
+      | Ok _ -> Alcotest.fail "a silent peer produced a response");
   rm_rf dir
 
 let test_client_torn_response () =
   let dir = fresh_dir "client-torn" in
   let path = Filename.concat dir "stub.sock" in
-  let pid = stub_server path `Torn in
-  wait_for_socket path;
-  let retry =
-    { Client.attempts = 1; backoff_base = 0.01; timeout = Some 2.0; seed = 0 }
-  in
-  (match Client.one_shot ~retry ~endpoint:(Transport.Unix_sock path) health_json with
-  | Error (Diag.Torn_response { bytes; _ }) ->
-    check int "incomplete line length" 10 bytes
-  | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
-  | Ok _ -> Alcotest.fail "a torn line parsed as a response");
-  reap pid;
+  reaped (stub_server path `Torn) (fun _ ->
+      wait_for_socket path;
+      let retry =
+        { Client.attempts = 1; backoff_base = 0.01; timeout = Some 2.0; seed = 0 }
+      in
+      match Client.one_shot ~retry ~endpoint:(Transport.Unix_sock path) health_json with
+      | Error (Diag.Torn_response { bytes; _ }) ->
+        check int "incomplete line length" 10 bytes
+      | Error e -> Alcotest.failf "wrong diagnostic: %s" (Diag.to_string e)
+      | Ok _ -> Alcotest.fail "a torn line parsed as a response");
   rm_rf dir
 
 let test_e2e_submit_result_cache () =
   let dir = fresh_dir "serve-e2e" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let id, _ = submit_ok cfg (submit_spec "c17") in
-  let res = rpc cfg (Protocol.Result { id; wait = true }) in
-  check (Alcotest.option string) "terminal state" (Some "done")
-    (Json.str_field "state" res);
-  (match Json.num_field "area" res with
-  | Some a when a > 0.0 -> ()
-  | _ -> Alcotest.fail "result carries no positive area");
-  check (Alcotest.option Alcotest.bool) "met" (Some true)
-    (Json.bool_field "met" res);
-  (* idempotent resubmit is answered from the cache, not re-solved *)
-  let again = rpc cfg (Protocol.Submit (submit_spec "c17")) in
-  check (Alcotest.option Alcotest.bool) "resubmitted flag" (Some true)
-    (Json.bool_field "resubmitted" again);
-  check (Alcotest.option string) "served from cache" (Some "done")
-    (Json.str_field "state" again);
-  let stats = rpc cfg (Protocol.Stats) in
-  check Alcotest.bool "cache hit counted" true (counter_of stats "cache_hits" >= 1);
-  (* unknown ids are a typed error, not a hang *)
-  let missing = rpc cfg (Protocol.Status "no-such-id") in
-  check (Alcotest.option Alcotest.bool) "unknown id rejected" (Some false)
-    (Json.bool_field "ok" missing);
-  let bye = rpc cfg Protocol.Drain in
-  check (Alcotest.option Alcotest.bool) "drain acknowledged" (Some true)
-    (Json.bool_field "ok" bye);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not exit cleanly after drain");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let id, _ = submit_ok cfg (submit_spec "c17") in
+    let res = rpc cfg (Protocol.Result { id; wait = true }) in
+    check (Alcotest.option string) "terminal state" (Some "done")
+      (Json.str_field "state" res);
+    (match Json.num_field "area" res with
+    | Some a when a > 0.0 -> ()
+    | _ -> Alcotest.fail "result carries no positive area");
+    check (Alcotest.option Alcotest.bool) "met" (Some true)
+      (Json.bool_field "met" res);
+    (* idempotent resubmit is answered from the cache, not re-solved *)
+    let again = rpc cfg (Protocol.Submit (submit_spec "c17")) in
+    check (Alcotest.option Alcotest.bool) "resubmitted flag" (Some true)
+      (Json.bool_field "resubmitted" again);
+    check (Alcotest.option string) "served from cache" (Some "done")
+      (Json.str_field "state" again);
+    let stats = rpc cfg (Protocol.Stats) in
+    check Alcotest.bool "cache hit counted" true (counter_of stats "cache_hits" >= 1);
+    (* unknown ids are a typed error, not a hang *)
+    let missing = rpc cfg (Protocol.Status "no-such-id") in
+    check (Alcotest.option Alcotest.bool) "unknown id rejected" (Some false)
+      (Json.bool_field "ok" missing);
+    let bye = rpc cfg Protocol.Drain in
+    check (Alcotest.option Alcotest.bool) "drain acknowledged" (Some true)
+      (Json.bool_field "ok" bye);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not exit cleanly after drain"));
   let events = journal_events cfg in
   List.iter
     (fun e ->
@@ -506,38 +518,38 @@ let test_e2e_submit_result_cache () =
 let test_e2e_overload_cancel_sigterm () =
   let dir = fresh_dir "serve-overload" in
   let cfg = daemon_cfg ~parallel:1 ~queue:1 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  (* slot: one slow job running, one parked in the admission queue *)
-  let a, _ = submit_ok cfg (submit_spec ~sleep:5.0 ~factor:1.30 "c17") in
-  wait_state cfg a "running";
-  let b, _ = submit_ok cfg (submit_spec ~sleep:5.0 ~factor:1.31 "c17") in
-  let r3 = rpc cfg (Protocol.Submit (submit_spec ~sleep:5.0 ~factor:1.32 "c17")) in
-  check (Alcotest.option Alcotest.bool) "third submit rejected" (Some false)
-    (Json.bool_field "ok" r3);
-  check (Alcotest.option string) "typed overload" (Some "overloaded")
-    (Json.str_field "code" r3);
-  let stats = rpc cfg (Protocol.Stats) in
-  check Alcotest.bool "rejection counted" true
-    (counter_of stats "rejections" >= 1);
-  (* cancel the queued job, then the running one *)
-  let cb = rpc cfg (Protocol.Cancel b) in
-  check (Alcotest.option Alcotest.bool) "queued cancel ok" (Some true)
-    (Json.bool_field "ok" cb);
-  let ca = rpc cfg (Protocol.Cancel a) in
-  check (Alcotest.option Alcotest.bool) "running cancel ok" (Some true)
-    (Json.bool_field "ok" ca);
-  let ra = rpc cfg (Protocol.Result { id = a; wait = true }) in
-  check (Alcotest.option string) "running job cancelled" (Some "cancelled")
-    (Json.str_field "state" ra);
-  (* cancelling a terminal job is a typed no-op *)
-  let again = rpc cfg (Protocol.Cancel a) in
-  check (Alcotest.option string) "already terminal" (Some "already-terminal")
-    (Json.str_field "code" again);
-  (* SIGTERM drains: nothing is in flight, so the exit is prompt and clean *)
-  (match stop_daemon pid with
-  | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly on SIGTERM");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    (* slot: one slow job running, one parked in the admission queue *)
+    let a, _ = submit_ok cfg (submit_spec ~sleep:5.0 ~factor:1.30 "c17") in
+    wait_state cfg a "running";
+    let b, _ = submit_ok cfg (submit_spec ~sleep:5.0 ~factor:1.31 "c17") in
+    let r3 = rpc cfg (Protocol.Submit (submit_spec ~sleep:5.0 ~factor:1.32 "c17")) in
+    check (Alcotest.option Alcotest.bool) "third submit rejected" (Some false)
+      (Json.bool_field "ok" r3);
+    check (Alcotest.option string) "typed overload" (Some "overloaded")
+      (Json.str_field "code" r3);
+    let stats = rpc cfg (Protocol.Stats) in
+    check Alcotest.bool "rejection counted" true
+      (counter_of stats "rejections" >= 1);
+    (* cancel the queued job, then the running one *)
+    let cb = rpc cfg (Protocol.Cancel b) in
+    check (Alcotest.option Alcotest.bool) "queued cancel ok" (Some true)
+      (Json.bool_field "ok" cb);
+    let ca = rpc cfg (Protocol.Cancel a) in
+    check (Alcotest.option Alcotest.bool) "running cancel ok" (Some true)
+      (Json.bool_field "ok" ca);
+    let ra = rpc cfg (Protocol.Result { id = a; wait = true }) in
+    check (Alcotest.option string) "running job cancelled" (Some "cancelled")
+      (Json.str_field "state" ra);
+    (* cancelling a terminal job is a typed no-op *)
+    let again = rpc cfg (Protocol.Cancel a) in
+    check (Alcotest.option string) "already terminal" (Some "already-terminal")
+      (Json.str_field "code" again);
+    (* SIGTERM drains: nothing is in flight, so the exit is prompt and clean *)
+    (match stop_daemon pid with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly on SIGTERM"));
   let events = journal_events cfg in
   check Alcotest.bool "drain journaled" true
     (List.mem "serve-drain-start" events
@@ -566,53 +578,59 @@ let test_e2e_sigkill_restart_recovers () =
   (* baseline: the same two sizings served by an uninterrupted daemon *)
   let base_dir = fresh_dir "serve-baseline" in
   let base = daemon_cfg base_dir in
-  let bpid = start_daemon base in
-  wait_ready base;
-  let b1, _ = submit_ok base (submit_spec ~factor:1.30 "c17") in
-  let b2, _ = submit_ok base (submit_spec ~factor:1.35 "c17") in
-  let sig1 = result_signature (rpc base (Protocol.Result { id = b1; wait = true })) in
-  let sig2 = result_signature (rpc base (Protocol.Result { id = b2; wait = true })) in
-  ignore (rpc base Protocol.Drain);
-  ignore (Unix.waitpid [] bpid);
+  let sig1, sig2 =
+    with_daemon base (fun bpid ->
+      wait_ready base;
+      let b1, _ = submit_ok base (submit_spec ~factor:1.30 "c17") in
+      let b2, _ = submit_ok base (submit_spec ~factor:1.35 "c17") in
+      let sig1 = result_signature (rpc base (Protocol.Result { id = b1; wait = true })) in
+      let sig2 = result_signature (rpc base (Protocol.Result { id = b2; wait = true })) in
+      ignore (rpc base Protocol.Drain);
+      ignore (Unix.waitpid [] bpid);
+      (sig1, sig2))
+  in
   rm_rf base_dir;
   (* the crash run: one job mid-flight, one queued, daemon SIGKILLed *)
   let dir = fresh_dir "serve-recover" in
   let cfg = daemon_cfg ~parallel:1 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let k1, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.30 "c17") in
-  let k2, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.35 "c17") in
-  wait_state cfg k1 "running";
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
+  let k1, k2 =
+    with_daemon cfg (fun pid ->
+      wait_ready cfg;
+      let k1, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.30 "c17") in
+      let k2, _ = submit_ok cfg (submit_spec ~sleep:2.0 ~factor:1.35 "c17") in
+      wait_state cfg k1 "running";
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      (k1, k2))
+  in
   (* restart on the same run directory: the journal replays, both accepted
      jobs are requeued and must reach terminal states *)
-  let pid2 = start_daemon cfg in
-  wait_ready cfg;
-  let events = journal_events cfg in
-  check Alcotest.bool "recovery journaled" true
-    (List.mem "serve-recovered" events);
-  let r1 = rpc cfg (Protocol.Result { id = k1; wait = true }) in
-  let r2 = rpc cfg (Protocol.Result { id = k2; wait = true }) in
-  check (Alcotest.option string) "k1 terminal" (Some "done")
-    (Json.str_field "state" r1);
-  check (Alcotest.option string) "k2 terminal" (Some "done")
-    (Json.str_field "state" r2);
-  check string "k1 bit-identical to uninterrupted run" sig1 (result_signature r1);
-  check string "k2 bit-identical to uninterrupted run" sig2 (result_signature r2);
-  (* a served key resubmitted after recovery is a pure cache hit *)
-  let again =
-    rpc cfg (Protocol.Submit (submit_spec ~sleep:2.0 ~factor:1.30 "c17"))
-  in
-  check (Alcotest.option Alcotest.bool) "recovered result is cached" (Some true)
-    (Json.bool_field "resubmitted" again);
-  let stats = rpc cfg (Protocol.Stats) in
-  check Alcotest.bool "cache hit counted after recovery" true
-    (counter_of stats "cache_hits" >= 1);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid2 with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "restarted daemon did not drain cleanly");
+  with_daemon cfg (fun pid2 ->
+    wait_ready cfg;
+    let events = journal_events cfg in
+    check Alcotest.bool "recovery journaled" true
+      (List.mem "serve-recovered" events);
+    let r1 = rpc cfg (Protocol.Result { id = k1; wait = true }) in
+    let r2 = rpc cfg (Protocol.Result { id = k2; wait = true }) in
+    check (Alcotest.option string) "k1 terminal" (Some "done")
+      (Json.str_field "state" r1);
+    check (Alcotest.option string) "k2 terminal" (Some "done")
+      (Json.str_field "state" r2);
+    check string "k1 bit-identical to uninterrupted run" sig1 (result_signature r1);
+    check string "k2 bit-identical to uninterrupted run" sig2 (result_signature r2);
+    (* a served key resubmitted after recovery is a pure cache hit *)
+    let again =
+      rpc cfg (Protocol.Submit (submit_spec ~sleep:2.0 ~factor:1.30 "c17"))
+    in
+    check (Alcotest.option Alcotest.bool) "recovered result is cached" (Some true)
+      (Json.bool_field "resubmitted" again);
+    let stats = rpc cfg (Protocol.Stats) in
+    check Alcotest.bool "cache hit counted after recovery" true
+      (counter_of stats "cache_hits" >= 1);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid2 with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "restarted daemon did not drain cleanly"));
   (* audit: every accepted job reached a terminal journal event *)
   let events = journal_events cfg in
   let count e = List.length (List.filter (( = ) e) events) in
@@ -626,106 +644,109 @@ let test_e2e_sigkill_restart_recovers () =
 let test_e2e_infeasible_target_quarantined () =
   let dir = fresh_dir "serve-infeasible" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
   let spec = submit_spec ~factor:0.05 "c17" in
   let key = Protocol.job_key spec in
-  let r = rpc cfg (Protocol.Submit spec) in
-  check (Alcotest.option Alcotest.bool) "rejected" (Some false)
-    (Json.bool_field "ok" r);
-  check (Alcotest.option string) "typed code" (Some "infeasible-target")
-    (Json.str_field "code" r);
-  check (Alcotest.option string) "carries its id" (Some key)
-    (Json.str_field "id" r);
   let error_of j =
     Option.fold ~none:"<missing>" ~some:Json.to_string (Json.member "error" j)
   in
-  let job_events () =
-    List.filter_map
-      (fun (event, j) ->
-        if Json.str_field "job" j = Some key then Some event else None)
-      (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
+  let r, before =
+    with_daemon cfg (fun pid ->
+      wait_ready cfg;
+      let r = rpc cfg (Protocol.Submit spec) in
+      check (Alcotest.option Alcotest.bool) "rejected" (Some false)
+        (Json.bool_field "ok" r);
+      check (Alcotest.option string) "typed code" (Some "infeasible-target")
+        (Json.str_field "code" r);
+      check (Alcotest.option string) "carries its id" (Some key)
+        (Json.str_field "id" r);
+      let job_events () =
+        List.filter_map
+          (fun (event, j) ->
+            if Json.str_field "job" j = Some key then Some event else None)
+          (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
+      in
+      check (Alcotest.list string) "journal: accepted, then quarantined"
+        [ "serve-accepted"; "job-infeasible-quarantined" ] (job_events ());
+      let before =
+        Json.to_string (rpc cfg (Protocol.Result { id = key; wait = false }))
+      in
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      (r, before))
   in
-  check (Alcotest.list string) "journal: accepted, then quarantined"
-    [ "serve-accepted"; "job-infeasible-quarantined" ] (job_events ());
-  let before =
-    Json.to_string (rpc cfg (Protocol.Result { id = key; wait = false }))
-  in
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  let pid2 = start_daemon cfg in
-  wait_ready cfg;
-  check (Alcotest.option string) "status after restart" (Some "failed")
-    (Json.str_field "state" (rpc cfg (Protocol.Status key)));
-  let res = rpc cfg (Protocol.Result { id = key; wait = false }) in
-  check (Alcotest.option string) "result code after restart"
-    (Some "infeasible-target") (Json.str_field "code" res);
-  check string "same error object after restart" (error_of r) (error_of res);
-  check string "same result bytes after restart" before (Json.to_string res);
-  ignore (rpc cfg Protocol.Drain);
-  ignore (Unix.waitpid [] pid2);
+  with_daemon cfg (fun pid2 ->
+    wait_ready cfg;
+    check (Alcotest.option string) "status after restart" (Some "failed")
+      (Json.str_field "state" (rpc cfg (Protocol.Status key)));
+    let res = rpc cfg (Protocol.Result { id = key; wait = false }) in
+    check (Alcotest.option string) "result code after restart"
+      (Some "infeasible-target") (Json.str_field "code" res);
+    check string "same error object after restart" (error_of r) (error_of res);
+    check string "same result bytes after restart" before (Json.to_string res);
+    ignore (rpc cfg Protocol.Drain);
+    ignore (Unix.waitpid [] pid2));
   rm_rf dir
 
 let test_e2e_second_daemon_locked () =
   let dir = fresh_dir "serve-locked" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  (* same run directory, different socket: must fail fast, typed *)
-  let cfg2 =
-    { cfg with Server.socket_path = Filename.concat dir "other.sock" }
-  in
-  let pid2 = start_daemon cfg2 in
-  (match Unix.waitpid [] pid2 with
-  | _, Unix.WEXITED 3 -> ()
-  | _, Unix.WEXITED 0 -> Alcotest.fail "second daemon ran on a locked run dir"
-  | _ -> Alcotest.fail "second daemon died with the wrong diagnostic");
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "first daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    (* same run directory, different socket: must fail fast, typed *)
+    let cfg2 =
+      { cfg with Server.socket_path = Filename.concat dir "other.sock" }
+    in
+    with_daemon cfg2 (fun pid2 ->
+      match Unix.waitpid [] pid2 with
+      | _, Unix.WEXITED 3 -> ()
+      | _, Unix.WEXITED 0 -> Alcotest.fail "second daemon ran on a locked run dir"
+      | _ -> Alcotest.fail "second daemon died with the wrong diagnostic");
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "first daemon did not drain cleanly"));
   rm_rf dir
 
 let test_e2e_loadgen_mix () =
   let dir = fresh_dir "serve-loadgen" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let summary =
-    match
-      Loadgen.run
-        { Loadgen.default_config with
-          Loadgen.endpoint = unix_ep cfg;
-          circuits = [ "c17" ];
-          count = 2;
-          lint_bad = 1;
-          tiny_budget = 1;
-          deadline_seconds = 60.0 }
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "loadgen: %s" (Diag.to_string e)
-  in
-  let field k = Option.value (Json.int_field k summary) ~default:(-1) in
-  check int "submitted" 4 (field "submitted");
-  check int "lint gate rejected the bad circuit" 1 (field "lint_rejected");
-  (* the tiny-budget job still terminates (best-feasible or failed), and
-     every well-formed job reaches "done" *)
-  check Alcotest.bool "all accepted jobs terminal" true
-    (field "accepted" = field "done" + field "failed" + field "cancelled");
-  check Alcotest.bool "well-formed jobs done" true (field "done" >= 2);
-  (* latency percentiles: present, finite, non-negative, ordered *)
-  let fl k =
-    match Json.num_field k summary with
-    | Some v -> v
-    | None -> Alcotest.failf "summary lacks %s" k
-  in
-  let p50 = fl "latency_p50_seconds" and p99 = fl "latency_p99_seconds" in
-  check Alcotest.bool "p50 sane" true (Float.is_finite p50 && p50 >= 0.0);
-  check Alcotest.bool "p99 >= p50" true (Float.is_finite p99 && p99 >= p50);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let summary =
+      match
+        Loadgen.run
+          { Loadgen.default_config with
+            Loadgen.endpoint = unix_ep cfg;
+            circuits = [ "c17" ];
+            count = 2;
+            lint_bad = 1;
+            tiny_budget = 1;
+            deadline_seconds = 60.0 }
+      with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "loadgen: %s" (Diag.to_string e)
+    in
+    let field k = Option.value (Json.int_field k summary) ~default:(-1) in
+    check int "submitted" 4 (field "submitted");
+    check int "lint gate rejected the bad circuit" 1 (field "lint_rejected");
+    (* the tiny-budget job still terminates (best-feasible or failed), and
+       every well-formed job reaches "done" *)
+    check Alcotest.bool "all accepted jobs terminal" true
+      (field "accepted" = field "done" + field "failed" + field "cancelled");
+    check Alcotest.bool "well-formed jobs done" true (field "done" >= 2);
+    (* latency percentiles: present, finite, non-negative, ordered *)
+    let fl k =
+      match Json.num_field k summary with
+      | Some v -> v
+      | None -> Alcotest.failf "summary lacks %s" k
+    in
+    let p50 = fl "latency_p50_seconds" and p99 = fl "latency_p99_seconds" in
+    check Alcotest.bool "p50 sane" true (Float.is_finite p50 && p50 >= 0.0);
+    check Alcotest.bool "p99 >= p50" true (Float.is_finite p99 && p99 >= p50);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"));
   rm_rf dir
 
 (* the actual TCP endpoint (port 0 resolved) from the serve-start line *)
@@ -746,59 +767,59 @@ let tcp_endpoint_of_journal cfg =
 let test_e2e_tcp () =
   let dir = fresh_dir "serve-tcp" in
   let cfg = daemon_cfg ~tcp:"127.0.0.1:0" dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let ep = tcp_endpoint_of_journal cfg in
-  (match ep with
-  | Transport.Tcp (_, port) ->
-    check Alcotest.bool "kernel-assigned port journaled" true (port > 0)
-  | Transport.Unix_sock _ -> Alcotest.fail "journaled endpoint is not TCP");
-  let id =
-    let r = rpc_ep ep (Protocol.Submit (submit_spec "c17")) in
-    match (Json.bool_field "ok" r, Json.str_field "id" r) with
-    | Some true, Some id -> id
-    | _ -> Alcotest.failf "tcp submit rejected: %s" (Json.to_string r)
-  in
-  let res = rpc_ep ep (Protocol.Result { id; wait = true }) in
-  check (Alcotest.option string) "solved over tcp" (Some "done")
-    (Json.str_field "state" res);
-  (* both transports front the same daemon: the unix socket sees the job *)
-  let st = rpc cfg (Protocol.Status id) in
-  check (Alcotest.option string) "same state over unix socket" (Some "done")
-    (Json.str_field "state" st);
-  let bye = rpc_ep ep Protocol.Drain in
-  check (Alcotest.option Alcotest.bool) "drain over tcp" (Some true)
-    (Json.bool_field "ok" bye);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not exit cleanly after tcp drain");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let ep = tcp_endpoint_of_journal cfg in
+    (match ep with
+    | Transport.Tcp (_, port) ->
+      check Alcotest.bool "kernel-assigned port journaled" true (port > 0)
+    | Transport.Unix_sock _ -> Alcotest.fail "journaled endpoint is not TCP");
+    let id =
+      let r = rpc_ep ep (Protocol.Submit (submit_spec "c17")) in
+      match (Json.bool_field "ok" r, Json.str_field "id" r) with
+      | Some true, Some id -> id
+      | _ -> Alcotest.failf "tcp submit rejected: %s" (Json.to_string r)
+    in
+    let res = rpc_ep ep (Protocol.Result { id; wait = true }) in
+    check (Alcotest.option string) "solved over tcp" (Some "done")
+      (Json.str_field "state" res);
+    (* both transports front the same daemon: the unix socket sees the job *)
+    let st = rpc cfg (Protocol.Status id) in
+    check (Alcotest.option string) "same state over unix socket" (Some "done")
+      (Json.str_field "state" st);
+    let bye = rpc_ep ep Protocol.Drain in
+    check (Alcotest.option Alcotest.bool) "drain over tcp" (Some true)
+      (Json.bool_field "ok" bye);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not exit cleanly after tcp drain"));
   rm_rf dir
 
 let test_e2e_io_deadline_reaps_stalled_peer () =
   let dir = fresh_dir "serve-deadline" in
   let cfg = daemon_cfg ~io_timeout:0.4 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  (* half a request, then silence: the daemon must reap us, not wait *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX cfg.Server.socket_path);
-  ignore (Unix.write_substring fd {|{"op":|} 0 6);
-  Transport.set_io_timeout fd 10.0;
-  let buf = Bytes.create 16 in
-  (match Unix.read fd buf 0 16 with
-  | 0 -> ()
-  | n -> Alcotest.failf "expected EOF from the reaper, got %d bytes" n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    Alcotest.fail "daemon never reaped the stalled connection");
-  Unix.close fd;
-  (* the daemon itself is unharmed and still serving *)
-  let h = rpc cfg Protocol.Health in
-  check (Alcotest.option Alcotest.bool) "daemon healthy after reap" (Some true)
-    (Json.bool_field "ok" h);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    (* half a request, then silence: the daemon must reap us, not wait *)
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX cfg.Server.socket_path);
+    ignore (Unix.write_substring fd {|{"op":|} 0 6);
+    Transport.set_io_timeout fd 10.0;
+    let buf = Bytes.create 16 in
+    (match Unix.read fd buf 0 16 with
+    | 0 -> ()
+    | n -> Alcotest.failf "expected EOF from the reaper, got %d bytes" n
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Alcotest.fail "daemon never reaped the stalled connection");
+    Unix.close fd;
+    (* the daemon itself is unharmed and still serving *)
+    let h = rpc cfg Protocol.Health in
+    check (Alcotest.option Alcotest.bool) "daemon healthy after reap" (Some true)
+      (Json.bool_field "ok" h);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"));
   rm_rf dir
 
 (* the worker pid the supervisor journaled for [id]'s latest spawn *)
@@ -827,92 +848,92 @@ let worker_pid cfg id =
 let test_e2e_watchdog_kills_silent_worker () =
   let dir = fresh_dir "serve-watchdog" in
   let cfg = daemon_cfg ~parallel:1 ~watchdog:0.4 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let id, _ = submit_ok cfg (submit_spec ~sleep:2.5 "c17") in
-  wait_state cfg id "running";
-  (* freeze the worker: heartbeats stop, the watchdog must notice *)
-  let victim = worker_pid cfg id in
-  Unix.kill victim Sys.sigstop;
-  let res = rpc cfg (Protocol.Result { id; wait = true }) in
-  check (Alcotest.option string) "requeued job still completes" (Some "done")
-    (Json.str_field "state" res);
-  (match Json.num_field "area" res with
-  | Some a when a > 0.0 -> ()
-  | _ -> Alcotest.fail "retried result carries no positive area");
-  let events = journal_events cfg in
-  check Alcotest.bool "watchdog kill journaled" true
-    (List.mem "job-watchdog-kill" events);
-  check Alcotest.bool "job respawned after the kill" true
-    (List.length (List.filter (( = ) "job-spawn") events) >= 2);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let id, _ = submit_ok cfg (submit_spec ~sleep:2.5 "c17") in
+    wait_state cfg id "running";
+    (* freeze the worker: heartbeats stop, the watchdog must notice *)
+    let victim = worker_pid cfg id in
+    Unix.kill victim Sys.sigstop;
+    let res = rpc cfg (Protocol.Result { id; wait = true }) in
+    check (Alcotest.option string) "requeued job still completes" (Some "done")
+      (Json.str_field "state" res);
+    (match Json.num_field "area" res with
+    | Some a when a > 0.0 -> ()
+    | _ -> Alcotest.fail "retried result carries no positive area");
+    let events = journal_events cfg in
+    check Alcotest.bool "watchdog kill journaled" true
+      (List.mem "job-watchdog-kill" events);
+    check Alcotest.bool "job respawned after the kill" true
+      (List.length (List.filter (( = ) "job-spawn") events) >= 2);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"));
   rm_rf dir
 
 let test_e2e_cache_eviction_under_pressure () =
   let dir = fresh_dir "serve-evict" in
   (* a budget smaller than two rendered results: the third job must evict *)
   let cfg = daemon_cfg ~cache_bytes:400 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let ids =
-    List.map
-      (fun factor ->
-        let id, _ = submit_ok cfg (submit_spec ~factor "c17") in
-        let r = rpc cfg (Protocol.Result { id; wait = true }) in
-        check (Alcotest.option string) "job done" (Some "done")
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let ids =
+      List.map
+        (fun factor ->
+          let id, _ = submit_ok cfg (submit_spec ~factor "c17") in
+          let r = rpc cfg (Protocol.Result { id; wait = true }) in
+          check (Alcotest.option string) "job done" (Some "done")
+            (Json.str_field "state" r);
+          id)
+        [ 1.30; 1.31; 1.32 ]
+    in
+    let stats = rpc cfg Protocol.Stats in
+    (match Json.member "cache" stats with
+    | None -> Alcotest.fail "stats carries no cache block"
+    | Some c ->
+      let get k = Option.value (Json.int_field k c) ~default:(-1) in
+      check Alcotest.bool "evictions under pressure" true (get "evictions" >= 1);
+      check Alcotest.bool "resident bytes within budget" true
+        (get "bytes" >= 0 && get "bytes" <= get "budget");
+      check int "budget echoed" 400 (get "budget"));
+    check Alcotest.bool "evictions perf counter ticked" true
+      (counter_of stats "evictions" >= 1);
+    (* evicted results are re-read from the journal, not lost: every id —
+       at most one can still be resident — answers done, and a resubmit of
+       the first key is still the idempotent cache path *)
+    List.iter
+      (fun id ->
+        let r = rpc cfg (Protocol.Result { id; wait = false }) in
+        check (Alcotest.option string) "evicted result recovered" (Some "done")
           (Json.str_field "state" r);
-        id)
-      [ 1.30; 1.31; 1.32 ]
-  in
-  let stats = rpc cfg Protocol.Stats in
-  (match Json.member "cache" stats with
-  | None -> Alcotest.fail "stats carries no cache block"
-  | Some c ->
-    let get k = Option.value (Json.int_field k c) ~default:(-1) in
-    check Alcotest.bool "evictions under pressure" true (get "evictions" >= 1);
-    check Alcotest.bool "resident bytes within budget" true
-      (get "bytes" >= 0 && get "bytes" <= get "budget");
-    check int "budget echoed" 400 (get "budget"));
-  check Alcotest.bool "evictions perf counter ticked" true
-    (counter_of stats "evictions" >= 1);
-  (* evicted results are re-read from the journal, not lost: every id —
-     at most one can still be resident — answers done, and a resubmit of
-     the first key is still the idempotent cache path *)
-  List.iter
-    (fun id ->
-      let r = rpc cfg (Protocol.Result { id; wait = false }) in
-      check (Alcotest.option string) "evicted result recovered" (Some "done")
-        (Json.str_field "state" r);
-      match Json.num_field "area" r with
-      | Some a when a > 0.0 -> ()
-      | _ -> Alcotest.fail "recovered result carries no positive area")
-    ids;
-  let again = rpc cfg (Protocol.Submit (submit_spec ~factor:1.30 "c17")) in
-  check (Alcotest.option Alcotest.bool) "resubmit of evicted key" (Some true)
-    (Json.bool_field "resubmitted" again);
-  check (Alcotest.option string) "answered terminal" (Some "done")
-    (Json.str_field "state" again);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly");
+        match Json.num_field "area" r with
+        | Some a when a > 0.0 -> ()
+        | _ -> Alcotest.fail "recovered result carries no positive area")
+      ids;
+    let again = rpc cfg (Protocol.Submit (submit_spec ~factor:1.30 "c17")) in
+    check (Alcotest.option Alcotest.bool) "resubmit of evicted key" (Some true)
+      (Json.bool_field "resubmitted" again);
+    check (Alcotest.option string) "answered terminal" (Some "done")
+      (Json.str_field "state" again);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"));
   rm_rf dir
 
 let test_e2e_drain_edges () =
   (* drain with zero in-flight jobs: prompt, clean, fully journaled *)
   let dir = fresh_dir "serve-drain-idle" in
   let cfg = daemon_cfg dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let bye = rpc cfg Protocol.Drain in
-  check (Alcotest.option Alcotest.bool) "idle drain acknowledged" (Some true)
-    (Json.bool_field "ok" bye);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "idle daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let bye = rpc cfg Protocol.Drain in
+    check (Alcotest.option Alcotest.bool) "idle drain acknowledged" (Some true)
+      (Json.bool_field "ok" bye);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "idle daemon did not drain cleanly"));
   let events = journal_events cfg in
   check Alcotest.bool "idle drain journaled" true
     (List.mem "serve-drain-start" events
@@ -922,23 +943,23 @@ let test_e2e_drain_edges () =
      [draining], not [overloaded] — drain outranks the queue bound *)
   let dir = fresh_dir "serve-drain-full" in
   let cfg = daemon_cfg ~parallel:1 ~queue:1 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let a, _ = submit_ok cfg (submit_spec ~sleep:1.0 ~factor:1.30 "c17") in
-  wait_state cfg a "running";
-  let _b, _ = submit_ok cfg (submit_spec ~sleep:1.0 ~factor:1.31 "c17") in
-  ignore (rpc cfg Protocol.Drain);
-  let r3 =
-    rpc cfg (Protocol.Submit (submit_spec ~sleep:1.0 ~factor:1.32 "c17"))
-  in
-  check (Alcotest.option Alcotest.bool) "submit during drain rejected"
-    (Some false) (Json.bool_field "ok" r3);
-  check (Alcotest.option string) "draining outranks overloaded"
-    (Some "draining") (Json.str_field "code" r3);
-  (* both accepted jobs still finish before the daemon exits *)
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "draining daemon did not exit cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let a, _ = submit_ok cfg (submit_spec ~sleep:1.0 ~factor:1.30 "c17") in
+    wait_state cfg a "running";
+    let _b, _ = submit_ok cfg (submit_spec ~sleep:1.0 ~factor:1.31 "c17") in
+    ignore (rpc cfg Protocol.Drain);
+    let r3 =
+      rpc cfg (Protocol.Submit (submit_spec ~sleep:1.0 ~factor:1.32 "c17"))
+    in
+    check (Alcotest.option Alcotest.bool) "submit during drain rejected"
+      (Some false) (Json.bool_field "ok" r3);
+    check (Alcotest.option string) "draining outranks overloaded"
+      (Some "draining") (Json.str_field "code" r3);
+    (* both accepted jobs still finish before the daemon exits *)
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "draining daemon did not exit cleanly"));
   let events = journal_events cfg in
   check Alcotest.bool "accepted jobs resolved during drain" true
     (List.length (List.filter (( = ) "job-result") events) >= 2);
@@ -978,26 +999,26 @@ let test_e2e_unmakeable_dirs () =
           ("solver", Json.Str "simplex") ]
       "serve-accepted";
     Journal.close jr);
-  let pid = start_daemon cfg in
-  wait_ready cfg;
-  let r = rpc cfg (Protocol.Submit (submit_spec "c17")) in
-  check (Alcotest.option string) "typed rejection" (Some "storage-error")
-    (Json.str_field "code" r);
-  wait_state cfg key "done";
-  let job_events =
-    List.filter_map
-      (fun (event, j) ->
-        if Json.str_field "job" j = Some key then Some event else None)
-      (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
-  in
-  (* recovery says why before the job's first spawn *)
-  check Alcotest.(list string) "recovered job requeued after a typed event"
-    [ "serve-accepted"; "job-checkpoint-failed"; "job-spawn" ]
-    (List.filteri (fun i _ -> i < 3) job_events);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon did not drain cleanly");
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    let r = rpc cfg (Protocol.Submit (submit_spec "c17")) in
+    check (Alcotest.option string) "typed rejection" (Some "storage-error")
+      (Json.str_field "code" r);
+    wait_state cfg key "done";
+    let job_events =
+      List.filter_map
+        (fun (event, j) ->
+          if Json.str_field "job" j = Some key then Some event else None)
+        (Journal.scan (Filename.concat cfg.Server.run_dir "journal.jsonl"))
+    in
+    (* recovery says why before the job's first spawn *)
+    check Alcotest.(list string) "recovered job requeued after a typed event"
+      [ "serve-accepted"; "job-checkpoint-failed"; "job-spawn" ]
+      (List.filteri (fun i _ -> i < 3) job_events);
+    ignore (rpc cfg Protocol.Drain);
+    (match Unix.waitpid [] pid with
+    | _, Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly"));
   rm_rf dir
 
 (* the acceptance scenario: a loaded daemon behind a fault-injecting
@@ -1015,23 +1036,24 @@ let test_e2e_chaos_bit_identical () =
   (* baseline: the same sizings from an unmolested daemon *)
   let base_dir = fresh_dir "chaos-base" in
   let base = daemon_cfg base_dir in
-  let bpid = start_daemon base in
-  wait_ready base;
   let sigs_base =
-    List.map
-      (fun spec ->
-        let id, _ = submit_ok base spec in
-        result_signature (rpc base (Protocol.Result { id; wait = true })))
-      (specs ~slow:false)
+    with_daemon base (fun bpid ->
+      wait_ready base;
+      let sigs_base =
+        List.map
+          (fun spec ->
+            let id, _ = submit_ok base spec in
+            result_signature (rpc base (Protocol.Result { id; wait = true })))
+          (specs ~slow:false)
+      in
+      ignore (rpc base Protocol.Drain);
+      ignore (Unix.waitpid [] bpid);
+      sigs_base)
   in
-  ignore (rpc base Protocol.Drain);
-  ignore (Unix.waitpid [] bpid);
   rm_rf base_dir;
   (* the chaos run *)
   let dir = fresh_dir "chaos-run" in
   let cfg = daemon_cfg ~parallel:2 dir in
-  let pid = start_daemon cfg in
-  wait_ready cfg;
   let proxy_sock = Filename.concat dir "proxy.sock" in
   let report = Filename.concat dir "chaos-report.json" in
   let arm ?count site = { Chaosproxy.site; count; prob = None } in
@@ -1048,7 +1070,7 @@ let test_e2e_chaos_bit_identical () =
       delay_seconds = 0.1;
       report_path = Some report }
   in
-  let ppid =
+  let start_proxy () =
     match Unix.fork () with
     | 0 ->
       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -1058,53 +1080,56 @@ let test_e2e_chaos_bit_identical () =
       Unix._exit 0
     | p -> p
   in
-  wait_for_socket proxy_sock;
-  let retry =
-    { Client.attempts = 8; backoff_base = 0.05; timeout = Some 10.0; seed = 1 }
-  in
-  let s = Client.session ~retry (Transport.Unix_sock proxy_sock) in
-  let chaos_rpc req =
-    match Client.rpc s (Protocol.request_to_json req) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "chaos rpc: %s" (Diag.to_string e)
-  in
-  let ids =
-    List.map
-      (fun spec ->
-        let r = chaos_rpc (Protocol.Submit spec) in
-        match (Json.bool_field "ok" r, Json.str_field "id" r) with
-        | Some true, Some id -> id
-        | _ -> Alcotest.failf "chaos submit rejected: %s" (Json.to_string r))
-      (specs ~slow:true)
-  in
-  (* murder the worker on the slow job, mid-load *)
-  Unix.kill (worker_pid cfg (List.hd ids)) Sys.sigkill;
-  let sigs_chaos =
-    List.map
-      (fun id ->
-        let r = chaos_rpc (Protocol.Result { id; wait = true }) in
-        check (Alcotest.option string) "chaos job terminal" (Some "done")
-          (Json.str_field "state" r);
-        result_signature r)
-      ids
-  in
-  Client.close_session s;
-  List.iter2
-    (fun a b -> check string "bit-identical under chaos" a b)
-    sigs_base sigs_chaos;
-  (* audit: nothing accepted was lost, and the kill forced a respawn *)
-  let events = journal_events cfg in
-  let count e = List.length (List.filter (( = ) e) events) in
-  check Alcotest.bool "every accepted job resolved" true
-    (count "serve-accepted" = 4 && count "job-result" >= 4);
-  check Alcotest.bool "killed worker respawned" true (count "job-spawn" >= 5);
-  ignore (rpc cfg Protocol.Drain);
-  (match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "chaos daemon did not drain cleanly");
-  (* the proxy's report proves the faults actually fired *)
-  (try Unix.kill ppid Sys.sigterm with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] ppid);
+  with_daemon cfg (fun pid ->
+    wait_ready cfg;
+    reaped (start_proxy ()) (fun ppid ->
+      wait_for_socket proxy_sock;
+      let retry =
+        { Client.attempts = 8; backoff_base = 0.05; timeout = Some 10.0; seed = 1 }
+      in
+      let s = Client.session ~retry (Transport.Unix_sock proxy_sock) in
+      let chaos_rpc req =
+        match Client.rpc s (Protocol.request_to_json req) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "chaos rpc: %s" (Diag.to_string e)
+      in
+      let ids =
+        List.map
+          (fun spec ->
+            let r = chaos_rpc (Protocol.Submit spec) in
+            match (Json.bool_field "ok" r, Json.str_field "id" r) with
+            | Some true, Some id -> id
+            | _ -> Alcotest.failf "chaos submit rejected: %s" (Json.to_string r))
+          (specs ~slow:true)
+      in
+      (* murder the worker on the slow job, mid-load *)
+      Unix.kill (worker_pid cfg (List.hd ids)) Sys.sigkill;
+      let sigs_chaos =
+        List.map
+          (fun id ->
+            let r = chaos_rpc (Protocol.Result { id; wait = true }) in
+            check (Alcotest.option string) "chaos job terminal" (Some "done")
+              (Json.str_field "state" r);
+            result_signature r)
+          ids
+      in
+      Client.close_session s;
+      List.iter2
+        (fun a b -> check string "bit-identical under chaos" a b)
+        sigs_base sigs_chaos;
+      (* audit: nothing accepted was lost, and the kill forced a respawn *)
+      let events = journal_events cfg in
+      let count e = List.length (List.filter (( = ) e) events) in
+      check Alcotest.bool "every accepted job resolved" true
+        (count "serve-accepted" = 4 && count "job-result" >= 4);
+      check Alcotest.bool "killed worker respawned" true (count "job-spawn" >= 5);
+      ignore (rpc cfg Protocol.Drain);
+      (match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "chaos daemon did not drain cleanly");
+      (* the proxy's report proves the faults actually fired *)
+      (try Unix.kill ppid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] ppid)));
   (match
      Json.parse (In_channel.with_open_text report In_channel.input_all)
    with
@@ -1127,7 +1152,7 @@ let test_chaos_report_write_fails_typed () =
       upstream = Transport.Unix_sock (Filename.concat dir "no-daemon.sock");
       report_path = Some (Filename.concat dir "missing/report.json") }
   in
-  let ppid =
+  let start_proxy () =
     match Unix.fork () with
     | 0 ->
       let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -1139,17 +1164,18 @@ let test_chaos_report_write_fails_typed () =
         | Ok () -> 0)
     | p -> p
   in
-  wait_for_socket proxy_sock;
-  (* with no upstream the proxy drops each client it accepts; the EOF
-     proves its loop, and so its SIGTERM handler, is live *)
-  let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect probe (Unix.ADDR_UNIX proxy_sock);
-  ignore (Unix.read probe (Bytes.create 1) 0 1);
-  Unix.close probe;
-  Unix.kill ppid Sys.sigterm;
-  (match Unix.waitpid [] ppid with
-  | _, Unix.WEXITED code -> check int "typed Io_error from run" 2 code
-  | _ -> Alcotest.fail "proxy killed instead of exiting");
+  reaped (start_proxy ()) (fun ppid ->
+      wait_for_socket proxy_sock;
+      (* with no upstream the proxy drops each client it accepts; the EOF
+         proves its loop, and so its SIGTERM handler, is live *)
+      let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect probe (Unix.ADDR_UNIX proxy_sock);
+      ignore (Unix.read probe (Bytes.create 1) 0 1);
+      Unix.close probe;
+      Unix.kill ppid Sys.sigterm;
+      match Unix.waitpid [] ppid with
+      | _, Unix.WEXITED code -> check int "typed Io_error from run" 2 code
+      | _ -> Alcotest.fail "proxy killed instead of exiting");
   rm_rf dir
 
 let () =

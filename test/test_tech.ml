@@ -160,16 +160,27 @@ let prop_with_wires_validates =
 
 (* ---------- transistor level ---------- *)
 
+(* the transistor model of one [kind] gate over [arity] primary inputs *)
+let one_gate kind arity =
+  let nl = Netlist.create () in
+  let ins = List.init arity (fun i -> Netlist.add_input nl (Printf.sprintf "i%d" i)) in
+  Netlist.mark_output nl (Netlist.add_gate nl "g" kind ins);
+  Netlist.validate nl;
+  Transistor.of_netlist tech nl
+
+(* a series stack of k devices is a chain of k - 1 edges; parallel devices
+   share no edge *)
 let test_topology () =
-  (match Transistor.topology Gate.Nand ~arity:3 with
-  | Transistor.Series l, Transistor.Parallel r ->
-    check int "pd stack" 3 (List.length l);
-    check int "pu par" 3 (List.length r)
-  | _ -> Alcotest.fail "bad nand topology");
-  (match Transistor.topology Gate.Not ~arity:1 with
-  | Transistor.Device 0, Transistor.Device 0 -> ()
-  | _ -> Alcotest.fail "bad inverter topology");
-  match Transistor.topology Gate.Xor ~arity:2 with
+  let nand = one_gate Gate.Nand 3 in
+  check int "nand devices" 6 (DM.num_vertices nand);
+  check int "nand pulldown chain" 2 nand.m;
+  let nor = one_gate Gate.Nor 2 in
+  check int "nor devices" 4 (DM.num_vertices nor);
+  check int "nor pullup chain" 1 nor.m;
+  let inv = one_gate Gate.Not 1 in
+  check int "inverter devices" 2 (DM.num_vertices inv);
+  check int "inverter edges" 0 inv.m;
+  match one_gate Gate.Xor 2 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "xor should be rejected"
 

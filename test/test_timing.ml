@@ -73,7 +73,8 @@ let prop_sta_invariants =
         let i = model.DM.edge_src.(e) and j = model.DM.edge_dst.(e) in
         if sta.arrival.(j) +. 1e-6 < sta.arrival.(i) +. delays.(i) then ok := false;
         if sta.required.(i) > sta.required.(j) -. delays.(i) +. 1e-6 then ok := false;
-        if Sta.edge_slack sta ~delays model e < -1e-6 then ok := false
+        if sta.required.(j) -. sta.arrival.(i) -. delays.(i) < -1e-6 then
+          ok := false
       done;
       (* sources have AT = 0 *)
       for v = 0 to model.DM.n - 1 do
@@ -115,6 +116,24 @@ let prop_balance_valid =
           Result.is_ok (Balance.check model ~delays bal))
         [ `Alap; `Asap ])
 
+(* an FSDU displacement [r] (Eq. 9): each edge FSDU becomes
+   [fsdu + r(dst) - r(src)]; the virtual endpoints are pinned at 0, so
+   source edges gain [r(src)] and sink edges lose [r(sink)] *)
+let displace (model : DM.t) (b : Balance.t) r =
+  { b with
+    potential = Array.mapi (fun i p -> p +. r.(i)) b.potential;
+    edge_fsdu =
+      Array.mapi
+        (fun e f -> f +. r.(model.DM.edge_dst.(e)) -. r.(model.DM.edge_src.(e)))
+        b.edge_fsdu;
+    source_fsdu =
+      Array.mapi
+        (fun i f -> if DM.is_source model i then f +. r.(i) else f)
+        b.source_fsdu;
+    sink_fsdu =
+      Array.mapi (fun i f -> if model.DM.is_sink.(i) then f -. r.(i) else f)
+        b.sink_fsdu }
+
 let prop_theorem1_displacement =
   QCheck.Test.make
     ~name:"Theorem 1: balanced configurations differ by a displacement"
@@ -126,8 +145,8 @@ let prop_theorem1_displacement =
       let deadline = 1.25 *. Sta.critical_path_only model ~delays in
       let a = Balance.balance ~mode:`Asap model ~delays ~deadline in
       let b = Balance.balance ~mode:`Alap model ~delays ~deadline in
-      let r = Balance.displacement_between a b in
-      let moved = Balance.displace model a r in
+      let r = Array.map2 ( -. ) b.potential a.potential in
+      let moved = displace model a r in
       (* the displaced ASAP configuration must equal the ALAP one *)
       let close u v = abs_float (u -. v) < 1e-6 in
       Array.for_all2 close moved.edge_fsdu b.edge_fsdu
@@ -149,7 +168,7 @@ let prop_theorem2_path_invariance =
       let r =
         Array.init (DM.num_vertices model) (fun _ -> Rng.float rng 100.0 -. 50.0)
       in
-      let moved = Balance.displace model bal r in
+      let moved = displace model bal r in
       (* walk a few random source-to-sink paths and compare content *)
       let content (b : Balance.t) path_edges src snk =
         b.source_fsdu.(src) +. b.sink_fsdu.(snk)
@@ -230,10 +249,13 @@ let prop_incremental_critical_set_matches =
       let eng = Inc.create model ~sizes:x in
       let delays = DM.delays model x in
       let sta = Sta.analyze model ~delays ~deadline:(2.0 *. Inc.critical_path eng) in
+      (* the batch reference: every vertex within eps of the worst slack *)
       let batch =
-        List.sort compare
-          (Sta.critical_vertices
-             ~eps:(Tolerance.critical_rel *. sta.critical_path) sta)
+        let eps = Tolerance.critical_rel *. sta.critical_path in
+        let worst = Array.fold_left min infinity sta.slack in
+        List.filter
+          (fun i -> sta.slack.(i) <= worst +. eps)
+          (List.init n Fun.id)
       in
       let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
       let inc = List.sort compare (List.init len (Inc.critical_vertex eng)) in

@@ -31,7 +31,7 @@ let test_vec_pop () =
   check int "pop" 2 (Vec.pop v);
   check int "last" 1 (Vec.last v);
   check int "pop" 1 (Vec.pop v);
-  check bool "empty" true (Vec.is_empty v);
+  check int "empty" 0 (Vec.length v);
   Alcotest.check_raises "pop empty" (Invalid_argument "Vec.pop: empty") (fun () ->
       ignore (Vec.pop v))
 
@@ -42,8 +42,14 @@ let test_vec_bounds () =
     (Invalid_argument "Vec: index 1 out of bounds [0,1)") (fun () ->
       ignore (Vec.get v 1))
 
+(* a vector holding [xs], built by pushes *)
+let vec_of_list xs =
+  let v = Vec.create ~dummy:0 () in
+  List.iter (fun x -> ignore (Vec.push v x)) xs;
+  v
+
 let test_vec_iter_fold () =
-  let v = Vec.of_array ~dummy:0 [| 1; 2; 3; 4 |] in
+  let v = vec_of_list [ 1; 2; 3; 4 ] in
   check int "fold" 10 (Vec.fold ( + ) 0 v);
   let seen = ref [] in
   Vec.iteri (fun i x -> seen := (i, x) :: !seen) v;
@@ -53,7 +59,7 @@ let test_vec_iter_fold () =
   check (Alcotest.list int) "to_list" [ 1; 2; 3; 4 ] (Vec.to_list v)
 
 let test_vec_clear () =
-  let v = Vec.of_array ~dummy:0 [| 5; 6 |] in
+  let v = vec_of_list [ 5; 6 ] in
   Vec.clear v;
   check int "cleared" 0 (Vec.length v);
   ignore (Vec.push v 7);
@@ -92,7 +98,7 @@ let test_heap_decrease_key () =
   (match Heap.pop_min h with
   | Some (10, 1) -> ()
   | _ -> Alcotest.fail "expected (10,1)");
-  check bool "empty" true (Heap.is_empty h)
+  check int "empty" 0 (Heap.size h)
 
 (* Regression for a sift_down bug found during development: interleave
    pushes (with decrease-key semantics) and pops, and check each popped key
@@ -145,7 +151,7 @@ let prop_heap_sorts =
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
-    check bool "same stream" true (Rng.int64 a = Rng.int64 b)
+    check int "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_bounds () =
@@ -172,17 +178,9 @@ let test_stats_basic () =
   check (Alcotest.float 1e-9) "mean" 2.5 (Stats.mean xs);
   check (Alcotest.float 1e-9) "median" 2.5 (Stats.median xs);
   check (Alcotest.float 1e-9) "min" 1.0 (Stats.minimum xs);
-  check (Alcotest.float 1e-9) "max" 4.0 (Stats.maximum xs);
   check (Alcotest.float 1e-9) "sum" 10.0 (Stats.sum xs);
   check (Alcotest.float 1e-9) "p0" 1.0 (Stats.percentile xs 0.0);
   check (Alcotest.float 1e-9) "p100" 4.0 (Stats.percentile xs 100.0)
-
-let test_stats_stddev () =
-  let xs = [| 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 |] in
-  check (Alcotest.float 1e-9) "stddev" 2.0 (Stats.stddev xs)
-
-let test_stats_geomean () =
-  check (Alcotest.float 1e-9) "geomean" 4.0 (Stats.geomean [| 2.0; 8.0 |])
 
 (* ---------- Json float spellings ---------- *)
 
@@ -237,7 +235,6 @@ let test_table_render () =
 
 let test_stats_empty_and_singleton () =
   check bool "mean of empty is nan" true (Float.is_nan (Stats.mean [||]));
-  check bool "stddev of empty is nan" true (Float.is_nan (Stats.stddev [||]));
   check (Alcotest.float 1e-9) "singleton percentile" 7.0
     (Stats.percentile [| 7.0 |] 50.0);
   check (Alcotest.float 1e-9) "interpolated percentile" 1.5
@@ -253,18 +250,11 @@ let test_rng_pick_and_copy () =
     check bool "pick member" true (Array.exists (( = ) (Rng.pick r a)) a)
   done;
   let r1 = Rng.create 4 in
-  ignore (Rng.int64 r1);
+  ignore (Rng.int r1 max_int);
   let r2 = Rng.copy r1 in
-  check bool "copy continues identically" true (Rng.int64 r1 = Rng.int64 r2);
+  check int "copy continues identically" (Rng.int r1 max_int) (Rng.int r2 max_int);
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick r [||]))
-
-let test_vec_conversions () =
-  let v = Vec.of_array ~dummy:0 [| 3; 1; 4 |] in
-  check bool "to_array" true (Vec.to_array v = [| 3; 1; 4 |]);
-  check bool "map_to_array" true (Vec.map_to_array (fun x -> x * 2) v = [| 6; 2; 8 |]);
-  let empty = Vec.of_array ~dummy:0 [||] in
-  check int "empty roundtrip" 0 (Array.length (Vec.to_array empty))
 
 let test_table_arity () =
   let t = Table.create ~columns:[ ("a", Table.Left) ] in
@@ -279,8 +269,7 @@ let () =
           tc "pop/last" `Quick test_vec_pop;
           tc "bounds" `Quick test_vec_bounds;
           tc "iter/fold" `Quick test_vec_iter_fold;
-          tc "clear" `Quick test_vec_clear;
-          tc "conversions" `Quick test_vec_conversions ] );
+          tc "clear" `Quick test_vec_clear ] );
       ( "heap",
         [ tc "ordering" `Quick test_heap_order;
           tc "decrease-key" `Quick test_heap_decrease_key;
@@ -293,8 +282,6 @@ let () =
           tc "pick/copy" `Quick test_rng_pick_and_copy ] );
       ( "stats",
         [ tc "basic" `Quick test_stats_basic;
-          tc "stddev" `Quick test_stats_stddev;
-          tc "geomean" `Quick test_stats_geomean;
           tc "empty/singleton" `Quick test_stats_empty_and_singleton ] );
       ( "floats",
         [ tc "spellings" `Quick test_float_spellings;
