@@ -119,7 +119,6 @@ let cmd =
       `Error
         (true, "--paper cannot be combined with --json, -o, --check or --scale")
     else begin
-      Logs.set_level (Some Logs.Error);
       if paper then Paper.run ~quick else grid quick scale json out check;
       `Ok ()
     end

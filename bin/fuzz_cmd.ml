@@ -98,9 +98,6 @@ let fuzz =
       max_gates known known_from quiet =
     if list_faults then List.iter print_endline Fault.all_points
     else begin
-      (* engine-level warnings are expected noise when the oracle drives
-         thousands of deliberately broken runs *)
-      Logs.set_level (Some Logs.Error);
       let known =
         known
         @ List.concat_map
@@ -187,7 +184,6 @@ let replay =
              ~doc:"Reproducer files, or directories of them.")
   in
   let run paths =
-    Logs.set_level (Some Logs.Error);
     let files =
       List.concat_map
         (fun p ->

@@ -23,8 +23,6 @@ let main_cmd =
       Serve_cmd.chaosproxy; Torture_cmd.cmd ]
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
   match Cmd.eval ~catch:false main_cmd with
   | code -> exit code
   | exception Diag.Error_exn e ->

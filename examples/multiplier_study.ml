@@ -41,9 +41,13 @@ let () =
   let nl = Generators.array_multiplier ~style:`Nand ~bits:8 () in
   let model = Elmore.of_netlist tech nl in
   let target = 0.5 *. Sweep.dmin model in
-  let r = Minflotransit.optimize model ~target in
+  let steps = ref [] in
+  let r =
+    Minflotransit.optimize model ~target ~on_step:(fun s -> steps := s :: !steps)
+  in
   Printf.printf "\n8x8 convergence (%d iterations):\n" r.iterations;
   List.iter
-    (fun (it : Minflotransit.iteration) ->
-      Printf.printf "  iter %2d: area %.0f (eta %.3g)\n" it.iter it.area it.eta)
-    r.trace
+    (fun (s : Minflotransit.step) ->
+      Printf.printf "  iter %2d: area %.0f (eta %.3g)\n" s.step_iter s.step_area
+        s.step_eta)
+    (List.rev !steps)

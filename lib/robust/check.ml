@@ -16,17 +16,7 @@ let record t name verdict =
   in
   ignore (Vec.push t.findings f)
 
-let run t name body =
-  let verdict =
-    match body () with
-    | v -> v
-    | exception e -> Error (Printf.sprintf "check raised: %s" (Printexc.to_string e))
-  in
-  record t name verdict
-
 let findings t = Vec.to_list t.findings
-
-let ok t = not (Vec.exists (fun f -> not f.ok) t.findings)
 
 let failures t = List.filter (fun f -> not f.ok) (findings t)
 

@@ -6,10 +6,7 @@
     and within bounds). A {!t} accumulates the outcome of asserting each of
     them after the phase that establishes it, without aborting the run:
     failures become data — typed {!Diag.Invariant} errors a caller or the
-    [--check] CLI flag can act on.
-
-    {!run} guards the assertion body: an exception inside a check is itself
-    recorded as a failed finding, never propagated. *)
+    [--check] CLI flag can act on. *)
 
 type finding = { name : string; ok : bool; detail : string }
 
@@ -17,18 +14,9 @@ type t
 
 val create : unit -> t
 
-val run : t -> string -> (unit -> (unit, string) result) -> unit
-(** [run t name body] records a finding named [name]; [Error detail] or any
-    exception marks it failed. *)
-
 val record : t -> string -> (unit, string) result -> unit
-(** Like {!run} for an already-computed verdict. *)
-
-val findings : t -> finding list
-(** In execution order. *)
-
-val ok : t -> bool
-(** No failed findings (vacuously true when nothing ran). *)
+(** [record t name verdict] records a finding named [name]; [Error detail]
+    marks it failed. *)
 
 val failures : t -> finding list
 

@@ -81,20 +81,6 @@ let add a b =
     arcs_priced = a.arcs_priced + b.arcs_priced;
     potential_writes = a.potential_writes + b.potential_writes }
 
-let equal a b =
-  a.pivots = b.pivots && a.relabels = b.relabels && a.sweeps = b.sweeps
-  && a.bumps = b.bumps
-  && a.warm_starts = b.warm_starts
-  && a.cold_starts = b.cold_starts
-  && a.cache_hits = b.cache_hits
-  && a.cache_misses = b.cache_misses
-  && a.rejections = b.rejections
-  && a.evictions = b.evictions
-  && a.incr_updates = b.incr_updates
-  && a.full_sweeps_avoided = b.full_sweeps_avoided
-  && a.arcs_priced = b.arcs_priced
-  && a.potential_writes = b.potential_writes
-
 let tick_pivot () = current.pivots <- current.pivots + 1
 let tick_relabel () = current.relabels <- current.relabels + 1
 let tick_sweep () = current.sweeps <- current.sweeps + 1
@@ -129,15 +115,6 @@ let to_fields c =
     ("full_sweeps_avoided", c.full_sweeps_avoided);
     ("arcs_priced", c.arcs_priced);
     ("potential_writes", c.potential_writes) ]
-
-let pp fmt c =
-  Format.fprintf fmt "@[<h>";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Format.fprintf fmt " ";
-      Format.fprintf fmt "%s=%d" k v)
-    (to_fields c);
-  Format.fprintf fmt "@]"
 
 let timed f =
   let t0 = Mono.now () in

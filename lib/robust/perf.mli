@@ -73,7 +73,6 @@ val diff : counters -> counters -> counters
 (** [diff before after] — counters spent between two snapshots. *)
 
 val add : counters -> counters -> counters
-val equal : counters -> counters -> bool
 
 val tick_pivot : unit -> unit
 val tick_relabel : unit -> unit
@@ -96,8 +95,6 @@ val tick_potential_writes : int -> unit
 val to_fields : counters -> (string * int) list
 (** [(name, value)] pairs in a fixed order — the serialization used by the
     journal ([job-perf] events) and the bench JSON. *)
-
-val pp : Format.formatter -> counters -> unit
 
 val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f] and returns its result with the elapsed monotonic

@@ -163,31 +163,39 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
             | Ok () -> Ok (Some ck)))
         | _ -> Ok None
     in
-    match resume_state with
+    let start =
+      match resume_state with
+      | Error e -> Error e
+      | Ok (Some ck) ->
+        (* the checkpointed meters, seed and loop state *)
+        Ok
+          ( Budget.resume options.limits ~elapsed:ck.budget_elapsed
+              ~iterations:ck.budget_iterations ~pivots:ck.budget_pivots,
+            ck.tilos,
+            Some ck.snapshot )
+      | Ok None -> (
+        let budget = Budget.start options.limits in
+        let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
+        match Budget.check budget with
+        | Some e -> Error e (* tripped inside TILOS: nothing to checkpoint *)
+        | None ->
+          if not tilos.met then
+            Error (Diag.Unmet_target { target; achieved = tilos.final_cp })
+          else Ok (budget, tilos, None))
+    in
+    match start with
     | Error _ as e -> e
-    | Ok (Some ck) ->
-      let budget =
-        Budget.resume options.limits ~elapsed:ck.budget_elapsed
-          ~iterations:ck.budget_iterations ~pivots:ck.budget_pivots
+    | Ok (budget, tilos, resume) ->
+      let log = Diag.create_log () in
+      let r =
+        Minflotransit.refine_from ~options ?fault ~log
+          ~on_iteration:(save_checkpoint budget tilos) ?resume ~budget model
+          ~target ~init:tilos.sizes ~tilos
       in
-      finish ~resumed:true
-        (Minflotransit.refine_with ?fault
-           ~on_iteration:(save_checkpoint budget ck.tilos)
-           ~resume:ck.snapshot ~budget ~options model ~target
-           ~init:ck.tilos.sizes ~tilos:ck.tilos)
-    | Ok None -> (
-      let budget = Budget.start options.limits in
-      let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
-      match Budget.check budget with
-      | Some e -> Error e (* tripped inside TILOS: nothing to checkpoint *)
-      | None ->
-        if not tilos.met then
-          Error (Diag.Unmet_target { target; achieved = tilos.final_cp })
-        else
-          finish ~resumed:false
-            (Minflotransit.refine_with ?fault
-               ~on_iteration:(save_checkpoint budget tilos)
-               ~budget ~options model ~target ~init:tilos.sizes ~tilos)))
+      List.iter
+        (fun ev -> prerr_endline (Diag.event_to_string ev))
+        (Diag.events_above log Diag.Warning);
+      finish ~resumed:(Option.is_some resume) r)
   in
   emit_perf ();
   result

@@ -49,16 +49,16 @@ let run_netlist ~circuit ~nl ~warm =
     | None -> ()
   in
   let before = Perf.snapshot () in
-  let result, wall =
+  let (result : Minflotransit.result), wall =
     Perf.timed (fun () -> Minflotransit.optimize ~options ~on_step model ~target)
   in
   { circuit;
     mode = (if warm then "warm" else "cold");
     target_factor;
     gates = Delay_model.num_vertices model;
-    area = result.Minflotransit.area;
-    met = result.Minflotransit.met;
-    iterations = result.Minflotransit.iterations;
+    area = result.area;
+    met = result.met;
+    iterations = result.iterations;
     audit_findings = !audit_findings;
     counters = Perf.(diff before (snapshot ()));
     wall_seconds = wall }

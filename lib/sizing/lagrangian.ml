@@ -2,13 +2,11 @@ module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
 module Tolerance = Minflo_timing.Tolerance
 
-type options = {
-  iterations : int;
-  inner_sweeps : int;
-  temperature : float; (* subgradient step, relative to a mean stage delay *)
-}
-
-let default_options = { iterations = 40; inner_sweeps = 4; temperature = 0.5 }
+(* outer multiplier updates, coordinate sweeps per size subproblem, and the
+   subgradient step relative to a mean stage delay *)
+let iterations = 40
+let inner_sweeps = 4
+let temperature = 0.5
 
 type result = {
   sizes : float array;
@@ -74,8 +72,8 @@ let mu_of (model : Delay_model.t) lam = Array.init model.n (outflow model lam)
 (* Coordinate descent on L(x) = sum_i w_i x_i + mu_i d_i(x): the stationary
    point of x_i balances its own area + the load it presents to its fanins
    against the 1/x_i term it scales. *)
-let size_subproblem options (model : Delay_model.t) ~mu x =
-  for _ = 1 to options.inner_sweeps do
+let size_subproblem (model : Delay_model.t) ~mu x =
+  for _ = 1 to inner_sweeps do
     for i = 0 to model.n - 1 do
       let load = ref model.b.(i) in
       for c = model.coeff_off.(i) to model.coeff_off.(i + 1) - 1 do
@@ -91,7 +89,7 @@ let size_subproblem options (model : Delay_model.t) ~mu x =
     done
   done
 
-let size ?(options = default_options) (model : Delay_model.t) ~target =
+let size (model : Delay_model.t) ~target =
   let seed = Tilos.size model ~target in
   if not seed.met then
     { sizes = seed.sizes;
@@ -110,7 +108,7 @@ let size ?(options = default_options) (model : Delay_model.t) ~target =
     let best = ref (Array.copy seed.sizes) in
     let best_area = ref seed.area in
     let outer = ref 0 in
-    for _ = 1 to options.iterations do
+    for _ = 1 to iterations do
       incr outer;
       conserve model in_slot lam;
       let mu0 = mu_of model lam in
@@ -118,7 +116,7 @@ let size ?(options = default_options) (model : Delay_model.t) ~target =
          at the deadline (CP is monotone decreasing in the scale) *)
       let try_scale s =
         let trial = Array.copy x in
-        size_subproblem options model ~mu:(Array.map (fun m -> m *. s) mu0) trial;
+        size_subproblem model ~mu:(Array.map (fun m -> m *. s) mu0) trial;
         let cp = Sta.critical_path_only model ~delays:(Delay_model.delays model trial) in
         (trial, cp)
       in
@@ -180,10 +178,9 @@ let size ?(options = default_options) (model : Delay_model.t) ~target =
       let delays = Delay_model.delays model x in
       let sta = Sta.analyze model ~delays ~deadline:target in
       let mean_delay = Array.fold_left ( +. ) 0.0 delays /. float_of_int n in
-      let step = options.temperature in
       let bump slack =
         (* negative slack = violated/tight: grow; generous slack: shrink *)
-        exp (step *. (-.slack) /. (mean_delay +. 1e-30))
+        exp (temperature *. (-.slack) /. (mean_delay +. 1e-30))
       in
       for i = 0 to n - 1 do
         for c = model.fanout_off.(i) to model.fanout_off.(i + 1) - 1 do

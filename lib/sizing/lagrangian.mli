@@ -15,14 +15,6 @@
     optimizer whose results bracket MINFLOTRANSIT's in the ablations of
     [minflo bench --paper]. *)
 
-type options = {
-  iterations : int;     (** outer multiplier updates (default 30). *)
-  inner_sweeps : int;   (** coordinate sweeps per size subproblem. *)
-  temperature : float;  (** softmax sharpness for criticality flows. *)
-}
-
-val default_options : options
-
 type result = {
   sizes : float array;
   area : float;
@@ -31,7 +23,7 @@ type result = {
   outer_iterations : int;
 }
 
-val size :
-  ?options:options -> Minflo_tech.Delay_model.t -> target:float -> result
-(** Seeds with TILOS; returns the best feasible iterate found. [met=false]
-    iff even the TILOS seed missed the target. *)
+val size : Minflo_tech.Delay_model.t -> target:float -> result
+(** Seeds with TILOS, then runs 40 outer multiplier updates of 4
+    coordinate sweeps each; returns the best feasible iterate found.
+    [met=false] iff even the TILOS seed missed the target. *)

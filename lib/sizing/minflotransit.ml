@@ -7,10 +7,6 @@ module Fallback = Minflo_robust.Fallback
 module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 
-let log_src = Logs.Src.create "minflotransit" ~doc:"MINFLOTRANSIT driver"
-
-module Log = (val Logs.src_log log_src)
-
 type options = {
   max_iterations : int;
   solver : [ `Auto | `Simplex | `Ssp | `Bellman_ford ];
@@ -42,15 +38,6 @@ let rel_tol = 1e-4
    [osc_tol] (relative) stop the run with [Stop_oscillation] *)
 let osc_tol = 1e-9
 let osc_window = 3
-
-type iteration = {
-  iter : int;
-  area : float;
-  cp : float;
-  eta : float;
-  predicted_gain : float;
-  solver : string;
-}
 
 (* everything the proof-carrying trace records about one accepted D/W pass:
    the claims (area, cp, budgets) plus the evidence (the flow certificate
@@ -93,7 +80,6 @@ type result = {
   cp : float;
   met : bool;
   iterations : int;
-  trace : iteration list;
   tilos : Tilos.result;
   area_saving_pct : float;
   stop : stop_reason;
@@ -126,50 +112,27 @@ let dphase_rungs = function
   | `Auto -> [ `Simplex; `Ssp; `Bellman_ford ]
   | (`Simplex | `Ssp | `Bellman_ford) as s -> [ s ]
 
-let emit_step on_step ~iter ~rung ~eta ~area ~cp ~predicted ~sizes ~budgets
-    ~cert =
-  match on_step with
-  | None -> ()
-  | Some f ->
-    f
-      { step_iter = iter;
-        step_solver = rung;
-        step_eta = eta;
-        step_area = area;
-        step_cp = cp;
-        step_predicted = predicted;
-        step_sizes = Array.copy sizes;
-        step_budgets = Array.copy budgets;
-        step_certificate = cert }
-
-let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
-    ?(options = default_options) model ~target ~init ~tilos =
-  let x =
+let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
+    ?on_step ?resume ?budget model ~target ~init ~tilos =
+  let budget =
+    match budget with Some b -> b | None -> Budget.start options.limits
+  in
+  (* the loop state is a snapshot: every pass reads and replaces it *)
+  let st =
     ref
       (match resume with
-      | Some s -> Array.copy s.snap_sizes
-      | None -> Array.copy init)
+      | Some s -> { s with snap_sizes = Array.copy s.snap_sizes }
+      | None ->
+        { snap_iter = 0;
+          snap_sizes = Array.copy init;
+          snap_area = Delay_model.area model init;
+          snap_eta = eta0;
+          snap_osc_area = nan;
+          snap_osc_repeats = 0;
+          snap_solver = None })
   in
-  let area =
-    ref
-      (match resume with
-      | Some s -> s.snap_area
-      | None -> Delay_model.area model !x)
-  in
-  let eta = ref (match resume with Some s -> s.snap_eta | None -> eta0) in
-  let trace = ref [] in
-  let iters = ref (match resume with Some s -> s.snap_iter | None -> 0) in
-  let continue = ref true in
-  let stop = ref Stop_converged in
-  let solver_used =
-    ref (match resume with Some s -> s.snap_solver | None -> None)
-  in
-  (* oscillation: consecutive REJECTED candidates landing on the same area.
-     Accepted iterations require a strict decrease and cannot cycle. *)
-  let osc_area = ref (match resume with Some s -> s.snap_osc_area | None -> nan) in
-  let osc_repeats =
-    ref (match resume with Some s -> s.snap_osc_repeats | None -> 0)
-  in
+  (* [None] while the loop runs *)
+  let stop = ref None in
   (* one warm context for the whole refinement: the displacement LP keeps
      its constraint-graph shape across iterations (and across trust-region
      retries), which is exactly the reuse condition of the flow solvers.
@@ -178,21 +141,19 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
      trajectories would drift apart. *)
   let warm = if options.warm_start then Some (Minflo_flow.Diff_lp.make_warm ()) else None in
   let canonical = options.canonical_duals || options.warm_start in
-  while !continue && !eta >= eta_min do
-    if !iters >= options.max_iterations then begin
-      stop := Stop_max_iterations;
-      continue := false
-    end
+  while Option.is_none !stop && !st.snap_eta >= eta_min do
+    let s = !st in
+    if s.snap_iter >= options.max_iterations then
+      stop := Some Stop_max_iterations
     else
       match Budget.check budget with
       | Some e ->
         dlog log Diag.Warning "run budget exhausted: %s" (Diag.to_string e);
-        stop := Stop_budget e;
-        continue := false
+        stop := Some (Stop_budget e)
       | None ->
         Budget.tick_iteration budget;
-        let delays = Delay_model.delays model !x in
-        let eta_used = !eta in
+        let x = s.snap_sizes in
+        let delays = Delay_model.delays model x in
         (* one cell per pass, cleared per rung: a rung that wrote a
            certificate and then failed must not leak it into the trace of
            the rung that actually succeeded *)
@@ -200,32 +161,27 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
         let attempt solver () =
           let dopts =
             { Dphase.default_options with
-              eta = !eta;
+              eta = s.snap_eta;
               solver;
               canonical_duals = canonical }
           in
           cert := None;
           Dphase.solve ~options:dopts ~budget ?warm ?fault ?checks
             ?certificate:(if on_step = None then None else Some cert)
-            model ~sizes:!x ~delays ~deadline:target
+            model ~sizes:x ~delays ~deadline:target
         in
         let rungs =
           List.map
-            (fun s ->
-              { Fallback.name = Dphase.solver_name s; attempt = attempt s })
+            (fun solver ->
+              { Fallback.name = Dphase.solver_name solver;
+                attempt = attempt solver })
             (dphase_rungs options.solver)
         in
-        let step =
+        (* the pass's candidate, as the step it becomes if accepted *)
+        let candidate =
           match Fallback.run ?log rungs with
           | Error e -> Error e
-          | Ok { value = dres; rung; failures } ->
-            (* with a Diag log, [Fallback.run] has logged each failure *)
-            if Option.is_none log then
-              List.iter
-                (fun (name, e) ->
-                  Log.warn (fun m ->
-                      m "D-phase solver %s failed: %s" name (Diag.to_string e)))
-                failures;
+          | Ok { value = dres; rung; _ } ->
             (match Wphase.solve ?fault model ~budgets:dres.budgets with
             | Error e -> Error e
             | Ok wres ->
@@ -257,125 +213,106 @@ let refine_with ?fault ?log ?checks ?on_iteration ?on_step ?resume ~budget
                 else
                   Ok
                     (Some
-                       ( wres.sizes,
-                         Delay_model.area model wres.sizes,
-                         cp',
-                         dres.objective,
-                         rung,
-                         dres.budgets ))
+                       { step_iter = s.snap_iter + 1;
+                         step_solver = rung;
+                         step_eta = s.snap_eta;
+                         step_area = Delay_model.area model wres.sizes;
+                         step_cp = cp';
+                         step_predicted = dres.objective;
+                         step_sizes = wres.sizes;
+                         step_budgets = dres.budgets;
+                         step_certificate = !cert })
               end)
         in
-        (match step with
+        (match candidate with
         | Error e ->
           (* typed phase failure: keep the best-so-far sizing. A budget
              failure ends the run with its reason; anything else shrinks
              the trust region and retries, like a rejected candidate. *)
           (match e with
-          | Diag.Budget_exhausted _ ->
-            stop := Stop_budget e;
-            continue := false
+          | Diag.Budget_exhausted _ -> stop := Some (Stop_budget e)
           | _ ->
-            (* one channel, so a caller that replays its Diag log prints
-               the warning once *)
-            let msg = Diag.to_string e in
-            (match log with
-            | Some _ -> dlog log Diag.Warning "iteration failed: %s" msg
-            | None -> Log.warn (fun m -> m "iteration failed: %s" msg));
-            eta := !eta *. eta_shrink)
-        | Ok (Some (x', area', cp', predicted, rung, budgets'))
-          when area' < !area ->
+            dlog log Diag.Warning "iteration failed: %s" (Diag.to_string e);
+            st := { s with snap_eta = s.snap_eta *. eta_shrink })
+        | Ok (Some c) when c.step_area < s.snap_area ->
           (* a gain below [rel_tol] is taken too, then tightens the trust
              region *)
-          let small = not (area' < !area *. (1.0 -. rel_tol)) in
-          incr iters;
-          x := x';
-          area := area';
-          osc_repeats := 0;
-          solver_used := Some rung;
-          if small then eta := !eta *. eta_shrink;
-          trace :=
-            { iter = !iters;
-              area = area';
-              cp = cp';
-              eta = !eta;
-              predicted_gain = (if small then 0.0 else predicted);
-              solver = rung }
-            :: !trace;
-          emit_step on_step ~iter:!iters ~rung ~eta:eta_used ~area:area'
-            ~cp:cp' ~predicted ~sizes:x' ~budgets:budgets' ~cert:!cert;
+          let small = not (c.step_area < s.snap_area *. (1.0 -. rel_tol)) in
+          let eta = if small then s.snap_eta *. eta_shrink else s.snap_eta in
+          st :=
+            { s with
+              snap_iter = c.step_iter;
+              snap_sizes = c.step_sizes;
+              snap_area = c.step_area;
+              snap_eta = eta;
+              snap_osc_repeats = 0;
+              snap_solver = Some c.step_solver };
+          Option.iter
+            (fun f ->
+              f
+                { c with
+                  step_sizes = Array.copy c.step_sizes;
+                  step_budgets = Array.copy c.step_budgets })
+            on_step;
           if small then begin
-            if !eta < eta_min then continue := false
+            if eta < eta_min then stop := Some Stop_converged
           end
-          else begin
+          else
             dlog log Diag.Info "iter %d: area %.1f cp %.4g eta %.3g via %s"
-              !iters area' cp' !eta rung;
-            Log.debug (fun m ->
-                m "iter %d: area %.1f cp %.4g eta %.3g" !iters area' cp' !eta)
-          end
-        | Ok rejected ->
-          (* no improvement at this trust region *)
-          (match rejected with
-          | Some (_, area', _, _, _, _) ->
+              c.step_iter c.step_area c.step_cp eta c.step_solver
+        | Ok None -> st := { s with snap_eta = s.snap_eta *. eta_shrink }
+        | Ok (Some c) ->
+          (* no improvement at this trust region. Oscillation: consecutive
+             REJECTED candidates landing on the same area; accepted
+             iterations require a strict decrease and cannot cycle. *)
+          let area' = c.step_area in
+          let s =
             if
-              Float.is_finite !osc_area
-              && abs_float (area' -. !osc_area)
+              Float.is_finite s.snap_osc_area
+              && abs_float (area' -. s.snap_osc_area)
                  <= osc_tol *. max 1.0 (abs_float area')
-            then incr osc_repeats
-            else begin
-              osc_area := area';
-              osc_repeats := 1
-            end;
-            if !osc_repeats >= osc_window then begin
-              dlog log Diag.Warning
-                "oscillation: rejected area %g seen %d consecutive times"
-                area' !osc_repeats;
-              stop := Stop_oscillation { area = area'; repeats = !osc_repeats };
-              continue := false
-            end
-          | None -> ());
-          if !continue then eta := !eta *. eta_shrink);
+            then { s with snap_osc_repeats = s.snap_osc_repeats + 1 }
+            else { s with snap_osc_area = area'; snap_osc_repeats = 1 }
+          in
+          let repeats = s.snap_osc_repeats in
+          if repeats >= osc_window then begin
+            dlog log Diag.Warning
+              "oscillation: rejected area %g seen %d consecutive times" area'
+              repeats;
+            stop := Some (Stop_oscillation { area = area'; repeats });
+            st := s
+          end
+          else st := { s with snap_eta = s.snap_eta *. eta_shrink });
         (* checkpoint hook: the loop state at the bottom of this pass is a
            valid resume point — replaying from it is bit-identical. Skipped
            once the run has decided to stop (the final state is the result,
            not a resume point). *)
         (match on_iteration with
-        | Some f when !continue ->
-          f
-            { snap_iter = !iters;
-              snap_sizes = Array.copy !x;
-              snap_area = !area;
-              snap_eta = !eta;
-              snap_osc_area = !osc_area;
-              snap_osc_repeats = !osc_repeats;
-              snap_solver = !solver_used }
+        | Some f when Option.is_none !stop ->
+          f { !st with snap_sizes = Array.copy !st.snap_sizes }
         | _ -> ())
   done;
-  let delays = Delay_model.delays model !x in
-  let cp = Sta.critical_path_only model ~delays in
-  let tilos_area = (tilos : Tilos.result).area in
-  let budget_exhausted =
-    (match !stop with Stop_budget _ -> true | _ -> false)
-    || Budget.exhausted budget
+  let s = !st in
+  let stop = Option.value !stop ~default:Stop_converged in
+  let cp =
+    Sta.critical_path_only model ~delays:(Delay_model.delays model s.snap_sizes)
   in
-  { sizes = !x;
-    area = !area;
+  let tilos_area = (tilos : Tilos.result).area in
+  { sizes = s.snap_sizes;
+    area = s.snap_area;
     cp;
     met = Tolerance.meets ~target cp;
-    iterations = !iters;
-    trace = List.rev !trace;
+    iterations = s.snap_iter;
     tilos;
     area_saving_pct =
-      (if tilos_area > 0.0 then 100.0 *. (tilos_area -. !area) /. tilos_area
+      (if tilos_area > 0.0 then
+         100.0 *. (tilos_area -. s.snap_area) /. tilos_area
        else 0.0);
-    stop = !stop;
-    solver_used = !solver_used;
-    budget_exhausted }
-
-let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
-    ?on_step model ~target ~init ~tilos =
-  let budget = Budget.start options.limits in
-  refine_with ?fault ?log ?checks ?on_iteration ?on_step ~budget ~options model
-    ~target ~init ~tilos
+    stop;
+    solver_used = s.snap_solver;
+    budget_exhausted =
+      (match stop with Stop_budget _ -> true | _ -> false)
+      || Budget.exhausted budget }
 
 let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
     ?on_step model ~target =
@@ -387,7 +324,6 @@ let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
       cp = tilos.final_cp;
       met = false;
       iterations = 0;
-      trace = [];
       tilos;
       area_saving_pct = 0.0;
       stop =
@@ -396,5 +332,6 @@ let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
         | None -> Stop_converged);
       solver_used = None;
       budget_exhausted = Budget.exhausted budget }
-  else refine_with ?fault ?log ?checks ?on_iteration ?on_step ~budget ~options
+  else
+    refine_from ~options ?fault ?log ?checks ?on_iteration ?on_step ~budget
       model ~target ~init:tilos.sizes ~tilos

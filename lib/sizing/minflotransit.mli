@@ -51,24 +51,14 @@ val eta0 : float
 (** The initial trust region (0.5). It shrinks by half on every pass that
     stalls, and the run stops once it falls below 1e-3. *)
 
-type iteration = {
-  iter : int;
-  area : float;
-  cp : float;
-  eta : float;
-  predicted_gain : float;  (** D-phase first-order objective. *)
-  solver : string;         (** fallback rung that produced this step. *)
-}
-
 (** One accepted D/W pass as recorded in a proof-carrying trace
     ({!Minflo_lint.Trace}): every claim the engine makes about the step —
     the accepted sizing, its area and critical path, the D-phase delay
     budgets the W-phase met — together with the min-cost-flow certificate
     that justified the displacement. [step_certificate] is [None] exactly
     when the step came from the Bellman-Ford feasibility rung, which
-    produces no flow solution. Delivered through the [?on_step] hook;
-    unlike {!iteration} (a summary for humans), a [step] carries enough to
-    re-verify the pass from scratch. *)
+    produces no flow solution. Delivered through the [?on_step] hook; a
+    [step] carries enough to re-verify the pass from scratch. *)
 type step = {
   step_iter : int;
   step_solver : string;
@@ -95,9 +85,9 @@ type stop_reason =
 
     A {!snapshot} is the complete state of the D/W refinement loop at the
     bottom of one pass: sizes, best area, trust region, iteration counter
-    and the oscillation detector. Because both phases are deterministic
-    functions of that state, restarting from a snapshot (via the [?resume]
-    argument of {!refine_with}) replays the remaining passes exactly — the
+    and the oscillation detector — the loop keeps no other state. Because
+    both phases are deterministic functions of that state, restarting from
+    a snapshot (via the [?resume] argument of {!refine_from}) replays the remaining passes exactly — the
     final sizing is bit-identical to the uninterrupted run. The batch
     runner ([Minflo_runner.Checkpoint]) serializes snapshots to disk after
     every pass, which is what makes [--resume] after a crash, SIGKILL or
@@ -119,8 +109,7 @@ type result = {
   area : float;
   cp : float;
   met : bool;
-  iterations : int;
-  trace : iteration list;        (** per accepted iteration. *)
+  iterations : int;              (** accepted passes. *)
   tilos : Tilos.result;          (** the seed solution. *)
   area_saving_pct : float;       (** area saving over the TILOS seed, %. *)
   stop : stop_reason;
@@ -155,6 +144,8 @@ val refine_from :
   ?checks:Minflo_robust.Check.t ->
   ?on_iteration:(snapshot -> unit) ->
   ?on_step:(step -> unit) ->
+  ?resume:snapshot ->
+  ?budget:Minflo_robust.Budget.t ->
   Minflo_tech.Delay_model.t ->
   target:float ->
   init:float array ->
@@ -162,32 +153,19 @@ val refine_from :
   result
 (** The D/W iteration from a caller-supplied feasible sizing [init]; the
     given TILOS result is the baseline that [area_saving_pct] is measured
-    against. *)
+    against.
 
-val refine_with :
-  ?fault:Minflo_robust.Fault.t ->
-  ?log:Minflo_robust.Diag.log ->
-  ?checks:Minflo_robust.Check.t ->
-  ?on_iteration:(snapshot -> unit) ->
-  ?on_step:(step -> unit) ->
-  ?resume:snapshot ->
-  budget:Minflo_robust.Budget.t ->
-  ?options:options ->
-  Minflo_tech.Delay_model.t ->
-  target:float ->
-  init:float array ->
-  tilos:Tilos.result ->
-  result
-(** The underlying refinement loop with every hook exposed: a
-    caller-supplied [budget] meter (use {!Minflo_robust.Budget.resume} to
-    restore checkpointed meters), [on_iteration] called with a {!snapshot}
-    at the bottom of every pass that will be followed by another, and
-    [resume] to restart the loop from a snapshot instead of [init]
-    (in which case [init] is ignored). Resuming from the last snapshot of
-    an interrupted run and letting it converge produces the same final
+    [budget] is the run's meter (default: a fresh
+    [Budget.start options.limits]; use {!Minflo_robust.Budget.resume} to
+    restore checkpointed meters). [on_iteration] is called with a
+    {!snapshot} at the bottom of every pass that will be followed by
+    another; [resume] restarts the loop from such a snapshot instead of
+    [init] (which is then ignored). Resuming from any snapshot of an
+    interrupted run and letting it converge produces the same final
     sizing, bit for bit, as the uninterrupted run.
 
     [on_step] is the proof-carrying-trace hook: called once per {e
     accepted} iteration with the full {!step} evidence. Certificate capture
     in the D-phase is only enabled while a hook is installed, so runs
-    without one pay nothing. *)
+    without one pay nothing. [log] is the engine's only diagnostics
+    channel: without one, the run reports nothing beyond its result. *)

@@ -11,8 +11,6 @@ let create ?(capacity = 16) () =
     len = 0;
     latest = Hashtbl.create 64 }
 
-let size h = Hashtbl.length h.latest
-
 let grow h =
   let cap = Array.length h.keys in
   let keys = Array.make (2 * cap) 0 and vals = Array.make (2 * cap) 0 in

@@ -8,8 +8,6 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-val size : t -> int
-(** Number of live (non-superseded) entries. *)
 
 val push : t -> key:int -> int -> unit
 (** [push h ~key x] inserts [x] with priority [key]. If [x] is already

@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 (* splitmix64: tiny, fast, passes BigCrush; ideal for reproducible workloads. *)
 let int64 t =

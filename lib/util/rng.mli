@@ -9,8 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
 
-val copy : t -> t
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. @raise Invalid_argument if
     [bound <= 0]. *)

@@ -1,11 +1,5 @@
 let sum xs = Array.fold_left ( +. ) 0.0 xs
 
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then nan else sum xs /. float_of_int n
-
-let minimum xs = Array.fold_left min infinity xs
-
 let percentile xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.percentile: empty";

@@ -1,10 +1,5 @@
 (** Small descriptive-statistics helpers for the benchmark harness. *)
 
-val mean : float array -> float
-(** Arithmetic mean; [nan] on an empty array. *)
-
-val minimum : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], linear interpolation between
     order statistics. @raise Invalid_argument on an empty array. *)

@@ -32,14 +32,6 @@ let pop v =
   v.data.(v.len) <- v.dummy;
   x
 
-let last v =
-  if v.len = 0 then invalid_arg "Vec.last: empty";
-  v.data.(v.len - 1)
-
-let clear v =
-  Array.fill v.data 0 v.len v.dummy;
-  v.len <- 0
-
 let iter f v = for i = 0 to v.len - 1 do f v.data.(i) done
 let iteri f v = for i = 0 to v.len - 1 do f i v.data.(i) done
 

@@ -22,8 +22,6 @@ val push : 'a t -> 'a -> int
 val pop : 'a t -> 'a
 (** Removes and returns the last element. @raise Invalid_argument if empty. *)
 
-val last : 'a t -> 'a
-val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -214,16 +214,16 @@ let test_fault_prob_deterministic () =
 let test_invariants_record () =
   let c = Inv.create () in
   Inv.record c "good" (Ok ());
-  check bool "ok so far" true (Inv.ok c);
+  check bool "ok so far" true (Inv.failures c = []);
   Inv.record c "bad" (Error "broken");
-  Inv.run c "explodes" (fun () -> failwith "boom");
-  check bool "not ok" false (Inv.ok c);
-  check int "findings" 3 (List.length (Inv.findings c));
+  Inv.record c "worse" (Error "also broken");
   check int "failures" 2 (List.length (Inv.failures c));
   (match Inv.first_failure c with
   | Some (Diag.Invariant { what; _ }) -> check string "first" "bad" what
   | _ -> Alcotest.fail "expected an Invariant error");
-  check bool "render marks failures" true (contains (Inv.to_string c) "FAIL")
+  check bool "render marks failures" true (contains (Inv.to_string c) "FAIL");
+  check int "one line per finding" 3
+    (List.length (String.split_on_char '\n' (Inv.to_string c)))
 
 (* ---------- MCF invariants on corrupted solutions ---------- *)
 
@@ -397,7 +397,8 @@ let test_engine_perturb_caught_by_checks () =
   let r = Minflotransit.optimize ~options ~fault ~checks model ~target in
   check int "fired once" 1 (Fault.fired fault ~site:"dphase.simplex");
   check bool "met" true r.met;
-  check bool "corruption recorded as failed invariant" false (Inv.ok checks);
+  check bool "corruption recorded as failed invariant" true
+    (Inv.failures checks <> []);
   check bool "an fsdu or optimality check caught it" true
     (List.exists
        (fun (f : Inv.finding) ->
@@ -411,8 +412,8 @@ let test_engine_clean_run_passes_checks () =
   let checks = Inv.create () in
   let r = Minflotransit.optimize ~checks model ~target in
   check bool "met" true r.met;
-  check bool "ran checks" true (Inv.findings checks <> []);
-  check bool "all invariants hold" true (Inv.ok checks)
+  check bool "ran checks" true (Inv.to_string checks <> "");
+  check bool "all invariants hold" true (Inv.failures checks = [])
 
 let test_engine_oscillation_cutoff () =
   (* pinned Bellman-Ford duals are feasible but never area-improving on

@@ -389,12 +389,16 @@ let prop_minflo_area_trace_monotone =
     ~count:20 QCheck.small_nat (fun seed ->
       let model = random_model (seed + 6001) in
       let d0 = Sweep.dmin model in
-      let r = Minflotransit.optimize model ~target:(0.7 *. d0) in
-      let rec decreasing : Minflotransit.iteration list -> bool = function
-        | a :: (b :: _ as rest) -> a.area >= b.area -. 1e-9 && decreasing rest
+      let areas = ref [] in
+      ignore
+        (Minflotransit.optimize model ~target:(0.7 *. d0) ~on_step:(fun s ->
+             areas := s.step_area :: !areas));
+      (* [!areas] is newest first, so it must not decrease *)
+      let rec increasing = function
+        | a :: (b :: _ as rest) -> a <= b +. 1e-9 && increasing rest
         | _ -> true
       in
-      decreasing r.trace)
+      increasing !areas)
 
 let test_minflo_c17_saves_area () =
   let model = model_of (Gen.c17 ()) in
@@ -447,6 +451,77 @@ let test_refine_equals_optimize_tail () =
   let o = Minflotransit.optimize model ~target in
   check (Alcotest.float 0.0) "same area as optimize" o.area r.area;
   check Alcotest.int "same iterations as optimize" o.iterations r.iterations
+
+(* Resuming the loop from any snapshot it delivered, with the run budget's
+   meters as they stood then, replays the uninterrupted run's remaining
+   passes and ends exactly where it ends. The warm flow state is not part
+   of a snapshot, so each resumed run's first D-phase is a cold solve that
+   must land on the same iterate. *)
+let check_resume_everywhere ?options name model ~factor =
+  let target = factor *. Sweep.dmin model in
+  let tilos = Tilos.size model ~target in
+  check bool (name ^ ": seed met") true tilos.met;
+  let limits = Minflo_robust.Budget.no_limits in
+  let budget = Minflo_robust.Budget.start limits in
+  let points = ref [] in
+  let on_iteration snap =
+    let meters =
+      Minflo_robust.Budget.(elapsed budget, iterations budget, pivots budget)
+    in
+    points := (snap, meters) :: !points
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  (* every field of a snapshot, floats by their bits *)
+  let key (s : Minflotransit.snapshot) =
+    ( (s.snap_iter, s.snap_osc_repeats, s.snap_solver),
+      bits [| s.snap_area; s.snap_eta; s.snap_osc_area |],
+      bits s.snap_sizes )
+  in
+  let full =
+    Minflotransit.refine_from ?options ~on_iteration ~budget model ~target
+      ~init:tilos.sizes ~tilos
+  in
+  let points = List.rev !points in
+  check bool (name ^ ": several resume points") true (List.length points >= 2);
+  let stop (r : Minflotransit.result) =
+    Minflotransit.stop_reason_to_string r.stop
+  in
+  List.iteri
+    (fun k (snap, (elapsed, iterations, pivots)) ->
+      let at = Printf.sprintf "%s, resumed after pass %d" name (k + 1) in
+      let budget =
+        Minflo_robust.Budget.resume limits ~elapsed ~iterations ~pivots
+      in
+      let replayed = ref [] in
+      let r =
+        Minflotransit.refine_from ?options ~resume:snap ~budget
+          ~on_iteration:(fun s -> replayed := key s :: !replayed)
+          model ~target ~init:tilos.sizes ~tilos
+      in
+      check bool (at ^ ": same remaining passes") true
+        (List.rev !replayed
+        = List.filteri (fun i _ -> i > k) (List.map (fun (s, _) -> key s) points));
+      check bool (at ^ ": sizes bitwise") true (bits r.sizes = bits full.sizes);
+      check Alcotest.int64 (at ^ ": area bits")
+        (Int64.bits_of_float full.area)
+        (Int64.bits_of_float r.area);
+      check Alcotest.int (at ^ ": iterations") full.iterations r.iterations;
+      check Alcotest.string (at ^ ": stop") (stop full) (stop r);
+      check
+        Alcotest.(option string)
+        (at ^ ": solver used") full.solver_used r.solver_used)
+    points
+
+let test_resume_from_every_snapshot () =
+  check_resume_everywhere "c432" (model_of (Iscas85.circuit "c432")) ~factor:0.5;
+  check_resume_everywhere "c17 transistor"
+    (Transistor.of_netlist tech (Gen.c17 ()))
+    ~factor:0.5;
+  (* pinned Bellman-Ford duals never improve c17: the run stops on the
+     oscillation detector, whose state the snapshots must carry *)
+  check_resume_everywhere "c17 bellman-ford"
+    ~options:{ Minflotransit.default_options with solver = `Bellman_ford }
+    (model_of (Gen.c17 ())) ~factor:0.5
 
 (* The default engine reuses the simplex basis across D-phases, and its
    canonical duals put it on the cold raw-dual trajectory: the same area
@@ -529,11 +604,7 @@ let test_lagrangian_beats_tilos_on_c432 () =
   let model = model_of (Iscas85.circuit "c432") in
   let target = 0.4 *. Sweep.dmin model in
   let tilos = Tilos.size model ~target in
-  let lr =
-    Minflo_sizing.Lagrangian.size
-      ~options:{ Minflo_sizing.Lagrangian.default_options with iterations = 20 }
-      model ~target
-  in
+  let lr = Minflo_sizing.Lagrangian.size model ~target in
   check bool "lr met" true lr.met;
   check bool "strictly better than TILOS" true (lr.area < tilos.area)
 
@@ -543,11 +614,7 @@ let prop_lagrangian_always_feasible =
       let model = random_model (seed + 7001) in
       let d0 = Sweep.dmin model in
       let target = 0.6 *. d0 in
-      let lr =
-        Minflo_sizing.Lagrangian.size
-          ~options:{ Minflo_sizing.Lagrangian.default_options with iterations = 5 }
-          model ~target
-      in
+      let lr = Minflo_sizing.Lagrangian.size model ~target in
       (not lr.met) || lr.cp <= target *. (1.0 +. 1e-6))
 
 (* ---------- sweep ---------- *)
@@ -622,6 +689,8 @@ let () =
           tc "transistor level" `Slow test_minflo_transistor_level;
           tc "wire sizing" `Quick test_minflo_wire_sizing;
           tc "refine" `Quick test_refine_equals_optimize_tail;
+          tc "resume from every snapshot is bit-identical" `Quick
+            test_resume_from_every_snapshot;
           tc "default engine is warm, = cold raw duals" `Quick
             test_default_engine_is_warm_and_matches_cold ] );
       ( "optimality",
