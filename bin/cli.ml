@@ -13,7 +13,7 @@ let exit_code_of_error (e : Diag.error) =
   | Diag.Checkpoint_invalid _ | Diag.Journal_locked _ -> 2
   | Diag.Unmet_target _ | Diag.Infeasible_target _ | Diag.Unsafe_timing _
   | Diag.Infeasible_budget _
-  | Diag.Budget_exhausted _ | Diag.Oscillation _ | Diag.Job_timeout _
+  | Diag.Budget_exhausted _ | Diag.Job_timeout _
   | Diag.Overloaded _ | Diag.Draining | Diag.Connect_refused _
   | Diag.Net_timeout _ -> 1
   | Diag.Solver_diverged _ | Diag.Numeric _ | Diag.Invariant _
@@ -86,7 +86,7 @@ let factors_arg default =
 (* the spellings of the serve protocol and of batch job ids *)
 let solver_conv =
   let parse s =
-    match Job.solver_of_string s with
+    match Dphase.solver_of_string s with
     | Some solver -> Ok solver
     | None ->
       Error
@@ -96,7 +96,7 @@ let solver_conv =
                bf (bellman-ford)"
               s))
   in
-  Arg.conv (parse, fun ppf s -> Fmt.string ppf (Job.solver_name s))
+  Arg.conv (parse, fun ppf s -> Fmt.string ppf (Dphase.solver_name s))
 
 let solver_arg =
   let doc =

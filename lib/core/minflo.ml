@@ -16,10 +16,11 @@
       containers, statistics and the one JSON dialect shared by the serve
       protocol, traces, journals and the persisted documents
       ([minflo_util]);
-    - {!Diag}, {!Budget}, {!Fallback}, {!Invariants}, {!Fault}, {!Io},
-      {!Torture}, {!Perf} — typed diagnostics, run budgets, solver
-      fallback, fault injection and the instrumented storage layer
-      ([minflo_robust]);
+    - {!Diag}, {!Budget}, {!Invariants}, {!Fault}, {!Io}, {!Torture},
+      {!Perf} — typed diagnostics (and which failures are retryable), run
+      budgets, fault injection and the instrumented storage layer
+      ([minflo_robust]). The D-phase solver chain itself lives in
+      {!Dphase.solve};
     - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Cost_scaling}, {!Dinic},
       {!Bellman_ford}, {!Diff_lp} — the network-flow substrate
       ([minflo_flow]);
@@ -68,11 +69,10 @@ module Stats = Minflo_util.Stats
 module Table = Minflo_util.Table
 module Json = Minflo_util.Json
 
-(* resilience: structured diagnostics, run budgets, solver fallback,
-   post-phase invariant checks, deterministic fault injection *)
+(* resilience: structured diagnostics, run budgets, post-phase invariant
+   checks, deterministic fault injection *)
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Fallback = Minflo_robust.Fallback
 module Invariants = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 module Io = Minflo_robust.Io

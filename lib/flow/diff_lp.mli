@@ -74,7 +74,7 @@ val solve :
 (** [`Simplex] (default) and [`Ssp] solve the dual flow problem exactly.
     [`Bellman_ford] skips the flow solve and returns a merely {e feasible}
     assignment by shortest-path repair over the reversed constraint graph —
-    the last rung of the {!Minflo_robust.Fallback} chain. [budget] is
+    the last rung of the D-phase solver chain. [budget] is
     threaded into the flow solver's pivot loop.
 
     [warm] lets consecutive solves over the same constraint-graph shape

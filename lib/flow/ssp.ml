@@ -237,23 +237,6 @@ let augment ?budget t : Mcf.solution =
       potential = Array.map (fun x -> -x) t.pot;
       objective = Mcf.flow_cost p t.flow }
 
-let solve ?budget (p : Mcf.problem) : Mcf.solution =
-  Mcf.validate p;
-  if not (Mcf.is_balanced p) then fail_solution p Infeasible
-  else begin
-    Perf.tick_cold_start ();
-    try
-      let t = build p in
-      if not (cancel_negative_cycles ?budget t) then fail_solution p Unbounded
-      else begin
-        init_potentials t;
-        augment ?budget t
-      end
-    with Aborted_exn -> fail_solution p Aborted
-  end
-
-(* ---------- warm starts ---------- *)
-
 type state = { mutable cache : t option }
 
 let make_state () = { cache = None }
@@ -324,3 +307,6 @@ let solve_warm ?budget (st : state) (p : Mcf.problem) : Mcf.solution =
     st.cache <- (if sol.status = Optimal then Some t else None);
     sol
   end
+
+(* a cold solve is a warm one with nothing cached *)
+let solve ?budget p = solve_warm ?budget (make_state ()) p

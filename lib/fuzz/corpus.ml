@@ -1,4 +1,5 @@
 module Io = Minflo_robust.Io
+module Dphase = Minflo_sizing.Dphase
 module Bench_format = Minflo_netlist.Bench_format
 module Job = Minflo_runner.Job
 module Checkpoint = Minflo_runner.Checkpoint
@@ -33,7 +34,7 @@ let to_json r =
       ("budget_pivots", int c.budget_pivots);
       ( "solvers",
         Json.List
-          (List.map (fun s -> Json.Str (Job.solver_name s)) c.solvers) );
+          (List.map (fun s -> Json.Str (Dphase.solver_name s)) c.solvers) );
       ("differential", Json.Bool c.differential);
       ("tolerance", Json.of_float c.tolerance);
       ( "fault_site",
@@ -58,7 +59,7 @@ let solvers key doc =
   | Some (Json.List (_ :: _ as names)) ->
     let parsed =
       List.filter_map
-        (function Json.Str n -> Job.solver_of_string n | _ -> None)
+        (function Json.Str n -> Dphase.solver_of_string n | _ -> None)
         names
     in
     if List.length parsed = List.length names then Some parsed else None

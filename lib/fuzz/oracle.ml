@@ -31,7 +31,7 @@ type config = {
   dw_iterations : int;
   budget_iterations : int;
   budget_pivots : int;
-  solvers : Job.solver list;
+  solvers : Dphase.solver list;
   differential : bool;
   tolerance : float;
   fault_site : string option;
@@ -100,14 +100,8 @@ let is_engine_site s = not (String.length s >= 6 && String.sub s 0 6 = "audit.")
 
 (* make sure the leg list actually visits the faulted site *)
 let effective_solvers cfg =
-  let need =
-    match cfg.fault_site with
-    | Some "dphase.simplex" -> Some `Simplex
-    | Some "dphase.ssp" -> Some `Ssp
-    | Some "dphase.bellman-ford" -> Some `Bellman_ford
-    | _ -> None
-  in
-  match need with
+  let faulted s = cfg.fault_site = Some ("dphase." ^ Dphase.solver_name s) in
+  match List.find_opt faulted [ `Simplex; `Ssp; `Bellman_ford ] with
   | Some s when not (List.mem s cfg.solvers) -> cfg.solvers @ [ s ]
   | _ -> cfg.solvers
 
@@ -294,7 +288,7 @@ let incremental_stage sink model =
          end))
 
 type leg = {
-  leg_solver : Job.solver;
+  leg_solver : Dphase.solver;
   leg_result : Minflotransit.result;
 }
 
@@ -315,7 +309,7 @@ let engine_leg sink cfg ?fault model ~target solver =
           flag sink
             (Fingerprint.make ~phase:"check" ~code:"invariant" ~detail:f.name
                ())
-            "[%s] %s: %s" (Job.solver_name solver) f.name f.detail)
+            "[%s] %s: %s" (Dphase.solver_name solver) f.name f.detail)
         (Check.failures checks);
       (* the result itself must be sane regardless of how the run ended *)
       let n = Array.length result.Minflotransit.sizes in
@@ -326,7 +320,7 @@ let engine_leg sink cfg ?fault model ~target solver =
         flag sink
           (Fingerprint.make ~phase:"engine" ~code:"invariant"
              ~detail:"sizes-bounds" ())
-          "[%s] size %d out of bounds: %g" (Job.solver_name solver) i
+          "[%s] size %d out of bounds: %g" (Dphase.solver_name solver) i
           result.sizes.(i)
       | None ->
         let area = Delay_model.area model result.sizes in
@@ -336,7 +330,7 @@ let engine_leg sink cfg ?fault model ~target solver =
             (Fingerprint.make ~phase:"engine" ~code:"invariant"
                ~detail:"area-mismatch" ())
             "[%s] reported area %.17g but sizes give %.17g"
-            (Job.solver_name solver) result.area area;
+            (Dphase.solver_name solver) result.area area;
         if result.met && n > 0 then begin
           let delays = Delay_model.delays model result.sizes in
           let cp = Sta.critical_path_only model ~delays in
@@ -345,7 +339,7 @@ let engine_leg sink cfg ?fault model ~target solver =
               (Fingerprint.make ~phase:"engine" ~code:"invariant"
                  ~detail:"met-but-late" ())
               "[%s] met=true but cp %.17g > target %.17g"
-              (Job.solver_name solver) cp target
+              (Dphase.solver_name solver) cp target
         end);
       { leg_solver = solver; leg_result = result })
 
@@ -366,10 +360,10 @@ let engine_differential sink cfg legs =
             flag sink
               (Fingerprint.make ~phase:"differential"
                  ~code:"differential-mismatch"
-                 ~detail:(Job.solver_name sa ^ "-" ^ Job.solver_name sb)
+                 ~detail:(Dphase.solver_name sa ^ "-" ^ Dphase.solver_name sb)
                  ())
               "final areas diverge: %s=%.17g %s=%.17g (gap %.3g > %.3g)"
-              (Job.solver_name sa) a.area (Job.solver_name sb) b.area gap
+              (Dphase.solver_name sa) a.area (Dphase.solver_name sb) b.area gap
               cfg.tolerance
         end)
       rest
@@ -534,10 +528,11 @@ let bounds_stage sink model ~target legs =
                flag sink
                  (Fingerprint.make ~phase:"bounds"
                     ~code:"solver-feasibility-mismatch"
-                    ~detail:(Job.solver_name leg_solver ^ "-containment") ())
+                    ~detail:(Dphase.solver_name leg_solver ^ "-containment") ())
                  "[%s] final cp %.17g escapes the static interval [%.17g, \
                   %.17g]"
-                 (Job.solver_name leg_solver) cp b.Bounds.cp_lo b.Bounds.cp_hi)
+                 (Dphase.solver_name leg_solver) cp b.Bounds.cp_lo
+                 b.Bounds.cp_hi)
            legs;
          if Bounds.infeasible b ~target then begin
            List.iter
@@ -546,10 +541,10 @@ let bounds_stage sink model ~target legs =
                  flag sink
                    (Fingerprint.make ~phase:"bounds"
                       ~code:"solver-feasibility-mismatch"
-                      ~detail:(Job.solver_name leg_solver) ())
+                      ~detail:(Dphase.solver_name leg_solver) ())
                    "[%s] claims to meet target %.17g below the static floor \
                     %.17g"
-                   (Job.solver_name leg_solver) target b.Bounds.cp_lo)
+                   (Dphase.solver_name leg_solver) target b.Bounds.cp_lo)
              legs;
            let path = Bounds.witness_path model b in
            let edge i j =

@@ -34,7 +34,7 @@ type config = {
   dw_iterations : int;      (** D/W pass cap per engine leg. *)
   budget_iterations : int;  (** run-budget iteration ceiling (TILOS + D/W). *)
   budget_pivots : int;      (** run-budget pivot ceiling per engine leg. *)
-  solvers : Minflo_runner.Job.solver list;  (** engine legs to run. *)
+  solvers : Minflo_sizing.Dphase.solver list;  (** engine legs to run. *)
   differential : bool;      (** enable the LP-level 3-solver stage. *)
   tolerance : float;        (** relative area tolerance between engine legs. *)
   fault_site : string option;

@@ -2,15 +2,6 @@ module Netlist = Minflo_netlist.Netlist
 module Raw = Minflo_netlist.Raw
 module Gate = Minflo_netlist.Gate
 
-let measure nl =
-  let fanins = ref 0 in
-  Netlist.iter_gates nl (fun v ->
-      fanins := !fanins + List.length (Netlist.fanins nl v));
-  ( Netlist.gate_count nl,
-    !fanins,
-    List.length (Netlist.outputs nl),
-    Netlist.input_count nl )
-
 (* ---------- editable view (same idea as Mutate's) ---------- *)
 
 type view = {

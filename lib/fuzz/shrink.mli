@@ -22,10 +22,6 @@
     satisfies [keep] — when nothing smaller does, it is the input
     unchanged. *)
 
-val measure : Minflo_netlist.Netlist.t -> int * int * int * int
-(** (gates, total fanins, outputs, inputs) — the strictly-decreasing
-    termination measure; exposed for the property tests. *)
-
 val shrink :
   ?max_checks:int ->
   keep:(Minflo_netlist.Netlist.t -> bool) ->

@@ -200,5 +200,3 @@ let all =
     mf202_pinned_gate; mf203_slack_irrelevant; mf204_tech_non_monotone;
     mf210_trace_malformed; mf211_trace_claim; mf212_trace_budget;
     mf213_trace_progress; mf214_trace_final; mf215_trace_lp ]
-
-let find id = List.find_opt (fun r -> r.id = id) all

@@ -59,6 +59,3 @@ val mf215_trace_lp : t
 
 val all : t list
 (** The full catalog, in id order. *)
-
-val find : string -> t option
-(** Look a rule up by id (case-sensitive). *)

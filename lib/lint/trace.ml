@@ -13,12 +13,7 @@ let version = 1
 
 (* ---------- writer ---------- *)
 
-type writer = {
-  sink : Io.sink;
-  model : Delay_model.t;
-  target : float;
-  mutable w_error : Diag.error option;
-}
+type writer = { sink : Io.sink; mutable w_error : Diag.error option }
 
 let jfloats a = Json.List (Array.to_list (Array.map (fun f -> Json.Num f) a))
 let jints a = Json.List (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
@@ -74,7 +69,7 @@ let emit w v =
     | Error e -> w.w_error <- Some e
 
 let create sink (model : Delay_model.t) ~circuit ~target =
-  let w = { sink; model; target; w_error = None } in
+  let w = { sink; w_error = None } in
   emit w
     (Json.Obj
        [ ("record", Json.Str "header");
@@ -464,7 +459,7 @@ let audit (model : Delay_model.t) ~target content =
                 Option.value ~default:"?" (Json.str_field "solver" j)
               in
               (match (Json.member "lp" j, solver) with
-              | None, "bellman-ford" ->
+              | None, _ when solver = Dphase.solver_name `Bellman_ford ->
                 (* the feasibility rung has no certificate by design *)
                 ()
               | None, _ ->

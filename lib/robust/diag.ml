@@ -28,7 +28,6 @@ type error =
   | Solver_diverged of { solver : string; iters : int }
   | Numeric of { what : string; value : float }
   | Budget_exhausted of { resource : string; spent : float; limit : float }
-  | Oscillation of { area : float; repeats : int }
   | Unmet_target of { target : float; achieved : float }
   | Infeasible_target of {
       target : float;
@@ -60,6 +59,10 @@ exception Error_exn of error
 
 let fail e = raise (Error_exn e)
 
+let retryable = function
+  | Solver_diverged _ | Numeric _ | Fault_injected _ -> true
+  | _ -> false
+
 let error_code = function
   | Parse_error _ -> "parse-error"
   | Lint_error _ -> "lint-error"
@@ -72,7 +75,6 @@ let error_code = function
   | Solver_diverged _ -> "solver-diverged"
   | Numeric _ -> "numeric"
   | Budget_exhausted _ -> "budget-exhausted"
-  | Oscillation _ -> "oscillation"
   | Unmet_target _ -> "unmet-target"
   | Infeasible_target _ -> "infeasible-target"
   | Invariant _ -> "invariant"
@@ -123,9 +125,6 @@ let to_string = function
   | Numeric { what; value } -> Printf.sprintf "numeric failure: %s = %g" what value
   | Budget_exhausted { resource; spent; limit } ->
     Printf.sprintf "run budget exhausted: %s %g of %g" resource spent limit
-  | Oscillation { area; repeats } ->
-    Printf.sprintf "oscillation: area %.6g revisited %d consecutive times" area
-      repeats
   | Unmet_target { target; achieved } ->
     Printf.sprintf "delay target %.4g not met: best achievable %.4g" target
       achieved
@@ -205,8 +204,6 @@ let to_json e =
   | Budget_exhausted { resource; spent; limit } ->
     obj
       [ ("resource", str resource); ("spent", num spent); ("limit", num limit) ]
-  | Oscillation { area; repeats } ->
-    obj [ ("area", num area); ("repeats", int repeats) ]
   | Unmet_target { target; achieved } ->
     obj [ ("target", num target); ("achieved", num achieved) ]
   | Infeasible_target { target; lower_bound; witness } ->

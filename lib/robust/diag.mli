@@ -62,8 +62,6 @@ type error =
       (** A non-finite or out-of-range number where a sane one was required. *)
   | Budget_exhausted of { resource : string; spent : float; limit : float }
       (** A run budget (wall clock, iterations, pivots) ran out. *)
-  | Oscillation of { area : float; repeats : int }
-      (** The D/W iteration cycled through the same area [repeats] times. *)
   | Unmet_target of { target : float; achieved : float }
       (** Optimization finished but the delay target was not reached. *)
   | Infeasible_target of {
@@ -130,6 +128,12 @@ exception Error_exn of error
 
 val fail : error -> 'a
 (** [raise (Error_exn e)]. *)
+
+val retryable : error -> bool
+(** [Solver_diverged], [Numeric] and [Fault_injected]: what a different
+    solver or a fresh attempt could avoid. The D-phase solver chain moves
+    to its next rung on them and the batch supervisor retries them; any
+    other error is structural and is never masked by a weaker solver. *)
 
 val error_code : error -> string
 (** Stable machine-readable tag, e.g. ["parse-error"], ["budget-exhausted"].

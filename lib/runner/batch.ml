@@ -3,6 +3,7 @@ module Budget = Minflo_robust.Budget
 module Io = Minflo_robust.Io
 module Json = Minflo_util.Json
 module Tilos = Minflo_sizing.Tilos
+module Dphase = Minflo_sizing.Dphase
 module Minflotransit = Minflo_sizing.Minflotransit
 module Sweep = Minflo_sizing.Sweep
 
@@ -76,7 +77,7 @@ let run_job ?(emit : Supervisor.emit option) ?(exhausted_ok = false) cfg
     let a0 = Sweep.min_area model in
     let target = Job.target recipe ~factor:job.factor in
     let hash = Checkpoint.hash_netlist nl in
-    let solver_name = Job.solver_name job.solver in
+    let solver_name = Dphase.solver_name job.solver in
     let options = { cfg.engine with Minflotransit.solver = job.solver } in
     let ckpt = checkpoint_path cfg job in
     let fault = cfg.make_fault job in

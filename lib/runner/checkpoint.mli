@@ -23,7 +23,7 @@ type t = {
   circuit : string;        (** circuit spec the run was started with. *)
   circuit_hash : int64;    (** {!hash_netlist} of that circuit. *)
   target : float;          (** absolute delay target. *)
-  solver : string;         (** solver name ({!Job.solver_name}). *)
+  solver : string;         (** its {!Minflo_sizing.Dphase.solver_name}. *)
   fault_seed : int option; (** seed the run's fault plan was built from. *)
   snapshot : Minflo_sizing.Minflotransit.snapshot;
   tilos : Minflo_sizing.Tilos.result;  (** the seed the loop refines. *)

@@ -1,4 +1,5 @@
 module Diag = Minflo_robust.Diag
+module Dphase = Minflo_sizing.Dphase
 
 let counterpart = function
   | `Simplex | `Auto | `Bellman_ford -> `Ssp
@@ -8,7 +9,8 @@ let default_tolerance = 0.02
 
 let compare_outcomes ~tolerance ~job_id
     ~(a : Job.outcome) ~(b : Job.outcome) =
-  let sa = Job.solver_name a.job.solver and sb = Job.solver_name b.job.solver in
+  let sa = Dphase.solver_name a.job.solver
+  and sb = Dphase.solver_name b.job.solver in
   let gap =
     abs_float (a.area -. b.area) /. max 1e-12 (max (abs_float a.area) (abs_float b.area))
   in

@@ -13,7 +13,7 @@
     exact solvers may pick different optimal bases (degenerate ties), so
     iterates can differ while the converged areas agree tightly. *)
 
-val counterpart : Job.solver -> Job.solver
+val counterpart : Minflo_sizing.Dphase.solver -> Minflo_sizing.Dphase.solver
 (** The independent solver to cross-check against: [`Ssp] for runs whose
     primary path is the network simplex ([`Simplex], [`Auto]) and for
     [`Bellman_ford]; [`Simplex] for [`Ssp]. *)

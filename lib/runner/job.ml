@@ -7,24 +7,12 @@ module Generators = Minflo_netlist.Generators
 module Iscas85 = Minflo_netlist.Iscas85
 module Json = Minflo_util.Json
 
-type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
+module Dphase = Minflo_sizing.Dphase
 
-type t = { circuit : string; factor : float; solver : solver }
+type t = { circuit : string; factor : float; solver : Dphase.solver }
 
-let solver_name = function
-  | `Auto -> "auto"
-  | `Simplex -> "simplex"
-  | `Ssp -> "ssp"
-  | `Bellman_ford -> "bellman-ford"
-
-let solver_of_string = function
-  | "auto" -> Some `Auto
-  | "simplex" -> Some `Simplex
-  | "ssp" -> Some `Ssp
-  | "bf" | "bellman-ford" -> Some `Bellman_ford
-  | _ -> None
-
-let id j = Printf.sprintf "%s@%.3f/%s" j.circuit j.factor (solver_name j.solver)
+let id j =
+  Printf.sprintf "%s@%.3f/%s" j.circuit j.factor (Dphase.solver_name j.solver)
 
 let file_slug j =
   String.map
@@ -37,7 +25,7 @@ let file_slug j =
 let fields j =
   [ ("circuit", Json.Str j.circuit);
     ("factor", Json.of_float j.factor);
-    ("solver", Json.Str (solver_name j.solver)) ]
+    ("solver", Json.Str (Dphase.solver_name j.solver)) ]
 
 let cross ~circuits ~factors ~solvers =
   List.concat_map

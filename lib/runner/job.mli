@@ -6,12 +6,10 @@
     checkpoint file names and journal keys) and a deterministic ordering,
     so a resumed batch enumerates exactly the same work as the original. *)
 
-type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
-
 type t = {
   circuit : string;  (** suite name or path to a [.bench] / [.v] file. *)
   factor : float;    (** delay target as a fraction of Dmin. *)
-  solver : solver;
+  solver : Minflo_sizing.Dphase.solver;
 }
 
 val id : t -> string
@@ -21,18 +19,15 @@ val file_slug : t -> string
 (** {!id} with every character outside [[A-Za-z0-9._-]] replaced by ['-']:
     safe as a file name inside the checkpoint directory. *)
 
-val solver_name : solver -> string
-
-val solver_of_string : string -> solver option
-(** Accepts the CLI spellings ["auto"], ["simplex"], ["ssp"], ["bf"] /
-    ["bellman-ford"]. *)
-
 val fields : t -> (string * Minflo_util.Json.t) list
 (** [circuit], [factor] and [solver], as the serve protocol, its journal
     and its result responses spell them. *)
 
 val cross :
-  circuits:string list -> factors:float list -> solvers:solver list -> t list
+  circuits:string list ->
+  factors:float list ->
+  solvers:Minflo_sizing.Dphase.solver list ->
+  t list
 (** The full evaluation grid, circuits-major, in deterministic order. *)
 
 val load_circuit : string -> (Minflo_netlist.Netlist.t, Minflo_robust.Diag.error) result

@@ -1,5 +1,4 @@
 module Diag = Minflo_robust.Diag
-module Fallback = Minflo_robust.Fallback
 module Io = Minflo_robust.Io
 module Mono = Minflo_robust.Mono
 module Json = Minflo_util.Json
@@ -31,7 +30,7 @@ type 'a outcome = {
    (timeout, crash) and the solver failures a re-run could dodge. *)
 let transient = function
   | Diag.Job_timeout _ | Diag.Job_crashed _ -> true
-  | e -> Fallback.retryable e
+  | e -> Diag.retryable e
 
 (* an identical typed solver error on consecutive attempts is deterministic
    in practice — quarantine instead of burning the remaining retries.

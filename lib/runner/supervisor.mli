@@ -6,7 +6,7 @@
     supervisor classifies failures:
 
     - {e transient} — timeouts, crashes, and the retryable solver errors
-      of {!Minflo_robust.Fallback.retryable} — are retried with
+      of {!Minflo_robust.Diag.retryable} — are retried with
       exponential backoff, up to the configured retry budget;
     - {e deterministic} — structural errors (unmet target, parse errors,
       infeasible budgets, …), or a typed solver error repeating with the

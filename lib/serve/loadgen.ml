@@ -1,6 +1,7 @@
 module Diag = Minflo_robust.Diag
 module Json = Minflo_util.Json
 module Job = Minflo_runner.Job
+module Dphase = Minflo_sizing.Dphase
 module Stats = Minflo_util.Stats
 
 type config = {
@@ -8,7 +9,7 @@ type config = {
   retry : Client.retry;
   circuits : string list;
   factor : float;
-  solver : Job.solver;
+  solver : Dphase.solver;
   count : int;           (* well-formed sizing jobs *)
   sleep_seconds : float; (* artificial latency per job *)
   lint_bad : int;        (* jobs that must be rejected by the lint gate *)

@@ -22,7 +22,7 @@ type config = {
   retry : Client.retry;
   circuits : string list;
   factor : float;
-  solver : Minflo_runner.Job.solver;
+  solver : Minflo_sizing.Dphase.solver;
   count : int;
   sleep_seconds : float;
   lint_bad : int;

@@ -1,11 +1,12 @@
 module Job = Minflo_runner.Job
+module Dphase = Minflo_sizing.Dphase
 module Diag = Minflo_robust.Diag
 module Json = Minflo_util.Json
 
 type submit = {
   circuit : string;
   factor : float;
-  solver : Job.solver;
+  solver : Dphase.solver;
   max_seconds : float option;
   max_iterations : int option;
   max_pivots : int option;
@@ -70,9 +71,10 @@ let submit_of_json j =
       Error "submit: \"factor\" must be a positive finite number"
     | Some factor -> (
       let solver_name =
-        Option.value (Json.str_field "solver" j) ~default:"auto"
+        Option.value (Json.str_field "solver" j)
+          ~default:(Dphase.solver_name `Auto)
       in
-      match Job.solver_of_string solver_name with
+      match Dphase.solver_of_string solver_name with
       | None -> Error (Printf.sprintf "submit: unknown solver %S" solver_name)
       | Some solver ->
         let pos_num key =

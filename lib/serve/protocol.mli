@@ -10,7 +10,7 @@
 type submit = {
   circuit : string;       (** suite name or path, as in {!Minflo_runner.Job}. *)
   factor : float;         (** delay target as a fraction of Dmin. *)
-  solver : Minflo_runner.Job.solver;
+  solver : Minflo_sizing.Dphase.solver;
   max_seconds : float option;    (** per-request run budget: wall clock. *)
   max_iterations : int option;   (** per-request run budget: D/W passes. *)
   max_pivots : int option;       (** per-request run budget: flow pivots. *)

@@ -9,12 +9,23 @@ module Budget = Minflo_robust.Budget
 module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 
-type solver = [ `Simplex | `Ssp | `Bellman_ford ]
+type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
+
+(* one rung of the chain: a solver that runs on its own *)
+type rung = [ `Simplex | `Ssp | `Bellman_ford ]
 
 let solver_name = function
+  | `Auto -> "auto"
   | `Simplex -> "simplex"
   | `Ssp -> "ssp"
   | `Bellman_ford -> "bellman-ford"
+
+let solver_of_string = function
+  | "auto" -> Some `Auto
+  | "simplex" -> Some `Simplex
+  | "ssp" -> Some `Ssp
+  | "bf" | "bellman-ford" -> Some `Bellman_ford
+  | _ -> None
 
 type options = {
   eta : float;
@@ -29,14 +40,16 @@ let default_options =
     solver = `Simplex;
     canonical_duals = false }
 
+type certificate = { problem : Mcf.problem; solution : Mcf.solution }
+
 type outcome = {
   budgets : float array;
   delta : float array;
   objective : float;
   lp_objective : int;
+  rung : string;
+  certificate : certificate option;
 }
-
-type certificate = { problem : Mcf.problem; solution : Mcf.solution }
 
 (* the displacement LP, its Dmy variables (where a Perturb fault lands)
    and the sensitivity weights of the objective *)
@@ -133,92 +146,118 @@ let displacement_problem ?options model ~sizes ~delays ~deadline =
     (fun b -> Diff_lp.to_problem b.lp)
     (build_lp ?options model ~sizes ~delays ~deadline)
 
-let solve ?(options = default_options) ?budget ?warm ?fault ?checks
-    ?certificate model ~sizes ~delays ~deadline =
-  match build_lp ~options model ~sizes ~delays ~deadline with
-  | Error e -> Error e
-  | Ok { lp; rdmy; weights } ->
-    let n = Delay_model.num_vertices model in
-    let s = options.scale in
-    let sname = solver_name options.solver in
-    let site = "dphase." ^ sname in
-    match Option.bind fault (fun f -> Fault.fire f ~site) with
-    | Some (Fault.Fail e) -> Error e
-    | (None | Some (Fault.Perturb _)) as fired ->
-      let perturb =
-        match fired with Some (Fault.Perturb m) -> Some m | _ -> None
+(* One rung on the already-built LP. *)
+let attempt ~options ?budget ?warm ?fault ?checks ~certify
+    { lp; rdmy; weights } ~delays (solver : rung) =
+  let n = Array.length delays in
+  let s = options.scale in
+  let sname = solver_name solver in
+  match Option.bind fault (fun f -> Fault.fire f ~site:("dphase." ^ sname)) with
+  | Some (Fault.Fail e) -> Error e
+  | (None | Some (Fault.Perturb _)) as fired ->
+    let perturb =
+      match fired with Some (Fault.Perturb m) -> Some m | _ -> None
+    in
+    let certificate = ref None in
+    let on_solution p (sol : Mcf.solution) =
+      (* a Perturb fault pushes one dual value past its trust-region bound:
+         exactly the symptom of a solver that stopped short of optimality *)
+      (match perturb with
+      | Some mag when n > 0 && sol.status = Mcf.Optimal ->
+        sol.potential.(rdmy.(0)) <-
+          sol.potential.(rdmy.(0)) + max 1 (int_of_float (mag *. s))
+      | _ -> ());
+      (match checks with
+      | Some c when sol.status = Mcf.Optimal ->
+        Check.record c ("dphase.mcf-optimality." ^ sname)
+          (Result.map_error Diag.to_string (Mcf.check_optimality p sol))
+      | _ -> ());
+      (* snapshot for the proof-carrying trace: exactly the (possibly
+         perturbed) certificate the engine is about to act on. Copied —
+         the solver owns and may reuse these arrays. *)
+      if certify then
+        certificate :=
+          Some
+            { problem = p;
+              solution =
+                { sol with
+                  flow = Array.copy sol.flow;
+                  potential = Array.copy sol.potential } }
+    in
+    (match
+       Diff_lp.solve ~solver ?budget ?warm ~canonical:options.canonical_duals
+         ~on_solution lp
+     with
+    | Diff_lp.Infeasible_lp ->
+      Error
+        (Diag.Internal
+           "Dphase: displacement LP infeasible — balanced FSDUs violated (bug)")
+    | Diff_lp.Unbounded_lp ->
+      Error
+        (Diag.Internal
+           "Dphase: displacement LP unbounded — trust region missing (bug)")
+    | Diff_lp.Aborted_lp ->
+      Error
+        (match budget with
+        | Some b -> (
+          match Budget.check b with
+          | Some e -> e
+          | None ->
+            Diag.Budget_exhausted
+              { resource = "pivots";
+                spent = float_of_int (Budget.pivots b);
+                limit = float_of_int (Budget.pivots b) })
+        | None -> Diag.Internal "Dphase: solver aborted without a budget")
+    | Diff_lp.Solution { values; objective = lp_objective } ->
+      let assignment = Result.map ignore (Diff_lp.check_assignment lp values) in
+      (match checks with
+      | Some c -> Check.record c "dphase.fsdu-nonnegative" assignment
+      | None -> ());
+      (match assignment with
+      | Error _ ->
+        (* the returned duals violate the very constraints the solver was
+           given: it diverged (or was made to look like it did) *)
+        Error
+          (Diag.Solver_diverged
+             { solver = sname;
+               iters =
+                 (match budget with Some b -> Budget.pivots b | None -> 0) })
+      | Ok () ->
+        let budgets, delta = budgets_of_potentials ~options ~delays values in
+        let objective =
+          Array.fold_left ( +. ) 0.0
+            (Array.init n (fun i -> weights.(i) *. delta.(i)))
+        in
+        if not (Float.is_finite objective) then
+          Error (Diag.Numeric { what = "dphase.objective"; value = objective })
+        else
+          Ok
+            { budgets;
+              delta;
+              objective;
+              lp_objective;
+              rung = sname;
+              certificate = !certificate }))
+
+let solve ?(options = default_options) ?budget ?warm ?fault ?checks ?log
+    ?(certify = false) model ~sizes ~delays ~deadline =
+  Result.bind (build_lp ~options model ~sizes ~delays ~deadline) (fun b ->
+      (* [rung], then the rest of the chain while failures are retryable *)
+      let rec run rung rest =
+        match
+          attempt ~options ?budget ?warm ?fault ?checks ~certify b ~delays rung
+        with
+        | Ok o -> Ok o
+        | Error e -> (
+          Option.iter
+            (fun l ->
+              Diag.logf l Diag.Warning ~source:"fallback" "rung %s failed: %s"
+                (solver_name rung) (Diag.to_string e))
+            log;
+          match rest with
+          | next :: rest when Diag.retryable e -> run next rest
+          | _ -> Error e)
       in
-      let on_solution p (sol : Mcf.solution) =
-        (* a Perturb fault pushes one dual value past its trust-region bound:
-           exactly the symptom of a solver that stopped short of optimality *)
-        (match perturb with
-        | Some mag when n > 0 && sol.status = Mcf.Optimal ->
-          sol.potential.(rdmy.(0)) <-
-            sol.potential.(rdmy.(0)) + max 1 (int_of_float (mag *. s))
-        | _ -> ());
-        (match checks with
-        | Some c when sol.status = Mcf.Optimal ->
-          Check.record c ("dphase.mcf-optimality." ^ sname)
-            (Result.map_error Diag.to_string (Mcf.check_optimality p sol))
-        | _ -> ());
-        (* snapshot for the proof-carrying trace: exactly the (possibly
-           perturbed) certificate the engine is about to act on. Copied —
-           the solver owns and may reuse these arrays. *)
-        match certificate with
-        | Some cell ->
-          cell :=
-            Some
-              { problem = p;
-                solution =
-                  { sol with
-                    flow = Array.copy sol.flow;
-                    potential = Array.copy sol.potential } }
-        | None -> ()
-      in
-      (match
-         Diff_lp.solve ~solver:options.solver ?budget ?warm
-           ~canonical:options.canonical_duals ~on_solution lp
-       with
-      | Diff_lp.Infeasible_lp ->
-        Error
-          (Diag.Internal
-             "Dphase: displacement LP infeasible — balanced FSDUs violated (bug)")
-      | Diff_lp.Unbounded_lp ->
-        Error
-          (Diag.Internal
-             "Dphase: displacement LP unbounded — trust region missing (bug)")
-      | Diff_lp.Aborted_lp ->
-        Error
-          (match budget with
-          | Some b -> (
-            match Budget.check b with
-            | Some e -> e
-            | None ->
-              Diag.Budget_exhausted
-                { resource = "pivots";
-                  spent = float_of_int (Budget.pivots b);
-                  limit = float_of_int (Budget.pivots b) })
-          | None -> Diag.Internal "Dphase: solver aborted without a budget")
-      | Diff_lp.Solution { values; objective = lp_objective } ->
-        let assignment = Result.map ignore (Diff_lp.check_assignment lp values) in
-        (match checks with
-        | Some c -> Check.record c "dphase.fsdu-nonnegative" assignment
-        | None -> ());
-        (match assignment with
-        | Error _ ->
-          (* the returned duals violate the very constraints the solver was
-             given: it diverged (or was made to look like it did) *)
-          Error
-            (Diag.Solver_diverged
-               { solver = sname;
-                 iters =
-                   (match budget with Some b -> Budget.pivots b | None -> 0) })
-        | Ok () ->
-          let budgets, delta = budgets_of_potentials ~options ~delays values in
-          let objective =
-            Array.fold_left ( +. ) 0.0
-              (Array.init n (fun i -> weights.(i) *. delta.(i)))
-          in
-          if not (Float.is_finite objective) then
-            Error (Diag.Numeric { what = "dphase.objective"; value = objective })
-          else Ok { budgets; delta; objective; lp_objective }))
+      match options.solver with
+      | `Auto -> run `Simplex [ `Ssp; `Bellman_ford ]
+      | #rung as r -> run r [])

@@ -8,16 +8,27 @@
     displaced FSDU. The LP is a difference-constraint system, i.e. the dual
     of a min-cost network flow; it is integerized by scaling (the paper's
     power-of-10 trick) and solved with the network simplex, whose optimal
-    node potentials are exactly [r]. *)
+    node potentials are exactly [r].
 
-type solver = [ `Simplex | `Ssp | `Bellman_ford ]
-(** [`Simplex] and [`Ssp] are exact; [`Bellman_ford] is the feasibility
-    repair of {!Minflo_flow.Diff_lp.solve} — the last rung of the fallback
-    chain, trading optimality of the step for guaranteed progress. *)
+    Which solver runs, in what order and what a failure does is decided
+    here alone: {!solve} builds the LP once per D/W pass and runs the
+    solver chain on it. *)
+
+type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
+(** The D-phase solver choice of the engine, batch jobs, the serve
+    protocol and the CLI. [`Simplex] and [`Ssp] are exact; [`Bellman_ford]
+    is the feasibility repair of {!Minflo_flow.Diff_lp.solve}, trading
+    optimality of the step for guaranteed progress; [`Auto] is the chain
+    of all three. *)
 
 val solver_name : solver -> string
-(** ["simplex"], ["ssp"], ["bellman-ford"]; also the suffix of the fault
-    site ["dphase.<name>"]. *)
+(** ["auto"], ["simplex"], ["ssp"], ["bellman-ford"]; for a rung, also the
+    suffix of its fault site ["dphase.<name>"] and the [step_solver] a
+    trace records. *)
+
+val solver_of_string : string -> solver option
+(** The inverse of {!solver_name}, also accepting ["bf"] for
+    ["bellman-ford"]. *)
 
 type options = {
   eta : float;
@@ -37,16 +48,6 @@ type options = {
 
 val default_options : options
 
-type outcome = {
-  budgets : float array;   (** new per-vertex delay budgets. *)
-  delta : float array;     (** [dD_i = budgets_i - delays_i]. *)
-  objective : float;       (** predicted first-order area decrease. *)
-  lp_objective : int;
-      (** the exact optimum of the integerized LP — identical across
-          solvers even when integer ties make [objective] differ in the
-          last float digits. *)
-}
-
 type certificate = {
   problem : Minflo_flow.Mcf.problem;
   solution : Minflo_flow.Mcf.solution;
@@ -55,6 +56,22 @@ type certificate = {
     min-cost-flow problem and the solution whose potentials became the
     displacement labels. {!Minflo_lint.Audit.check}-able as is; recorded in
     proof-carrying traces and re-verified by [minflo audit-run]. *)
+
+type outcome = {
+  budgets : float array;   (** new per-vertex delay budgets. *)
+  delta : float array;     (** [dD_i = budgets_i - delays_i]. *)
+  objective : float;       (** predicted first-order area decrease. *)
+  lp_objective : int;
+      (** the exact optimum of the integerized LP — identical across
+          solvers even when integer ties make [objective] differ in the
+          last float digits. *)
+  rung : string;  (** {!solver_name} of the rung that produced the step. *)
+  certificate : certificate option;
+      (** with [~certify:true], the flow problem and solution the winning
+          rung acted on (after canonicalization and any [Perturb] fault);
+          [None] otherwise, and always [None] from [`Bellman_ford], which
+          never constructs a flow solution. *)
+}
 
 val budgets_of_potentials :
   ?options:options -> delays:float array -> int array -> float array * float array
@@ -82,29 +99,31 @@ val solve :
   ?warm:Minflo_flow.Diff_lp.warm ->
   ?fault:Minflo_robust.Fault.t ->
   ?checks:Minflo_robust.Check.t ->
-  ?certificate:certificate option ref ->
+  ?log:Minflo_robust.Diag.log ->
+  ?certify:bool ->
   Minflo_tech.Delay_model.t ->
   sizes:float array ->
   delays:float array ->
   deadline:float ->
   (outcome, Minflo_robust.Diag.error) result
-(** Typed failures: [Unsafe_timing] when the circuit misses the deadline
-    going in; [Budget_exhausted] when [budget] trips inside the flow solver;
-    [Solver_diverged] when the returned duals violate the LP's own
-    constraints (which deterministic solvers only do under fault injection);
-    [Internal] for states the theory rules out.
+(** One D-phase: builds the displacement LP once (timing, FSDU balance,
+    sensitivity weights, integerization), then runs the rungs of
+    [options.solver] on it: one for a pinned solver, simplex → SSP →
+    Bellman-Ford for [`Auto]. Only a {!Minflo_robust.Diag.retryable}
+    failure moves on to the next rung; each failed rung is logged to [log]
+    at [Warning] as ["fallback: rung <name> failed: <error>"].
 
-    [fault] is consulted at site ["dphase.<solver>"]: [Fail e] returns
-    [Error e] without solving, [Perturb mag] corrupts one dual value of the
-    flow solution by [mag * scale] units so the divergence detector (and the
-    [checks] oracle) have something real to catch.
+    Typed failures: [Unsafe_timing] when the circuit misses the deadline
+    going in (before any rung runs); [Budget_exhausted] when [budget]
+    trips inside the flow solver; [Solver_diverged] when the returned
+    duals violate the LP's own constraints (which deterministic solvers
+    only do under fault injection); [Internal] for states the theory rules
+    out.
 
-    [checks] records the ["dphase.mcf-optimality.<solver>"] and
-    ["dphase.fsdu-nonnegative"] invariants instead of trusting the theory
-    silently.
-
-    [certificate], when supplied, receives a copy of the flow problem and
-    solution actually used (after canonicalization and any [Perturb]
-    fault). [`Bellman_ford] produces no certificate — the feasibility
-    repair never constructs a flow solution — so the cell is left
-    untouched on that rung. *)
+    [fault] is consulted once per rung at site ["dphase.<rung>"]: [Fail e]
+    fails the rung with [e] without solving, [Perturb mag] corrupts one
+    dual value of the flow solution by [mag * scale] units so the
+    divergence detector (and the [checks] oracle) have something real to
+    catch. [checks] records the ["dphase.mcf-optimality.<rung>"] and
+    ["dphase.fsdu-nonnegative"] invariants. [certify] (default [false])
+    fills the outcome's [certificate]. *)

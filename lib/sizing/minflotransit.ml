@@ -3,13 +3,12 @@ module Sta = Minflo_timing.Sta
 module Tolerance = Minflo_timing.Tolerance
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Fallback = Minflo_robust.Fallback
 module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 
 type options = {
   max_iterations : int;
-  solver : [ `Auto | `Simplex | `Ssp | `Bellman_ford ];
+  solver : Dphase.solver;
   tilos_bump : float;
   limits : Budget.limits;
   warm_start : bool;
@@ -106,12 +105,6 @@ let dlog log severity fmt =
 let first_bad a describe =
   match Array.find_mapi describe a with Some d -> Error d | None -> Ok ()
 
-(* The D-phase as a fallback chain: `Auto degrades simplex -> ssp ->
-   bellman-ford on retryable failures; a pinned solver is a 1-rung chain. *)
-let dphase_rungs = function
-  | `Auto -> [ `Simplex; `Ssp; `Bellman_ford ]
-  | (`Simplex | `Ssp | `Bellman_ford) as s -> [ s ]
-
 let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
     ?on_step ?resume ?budget model ~target ~init ~tilos =
   let budget =
@@ -154,34 +147,21 @@ let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
         Budget.tick_iteration budget;
         let x = s.snap_sizes in
         let delays = Delay_model.delays model x in
-        (* one cell per pass, cleared per rung: a rung that wrote a
-           certificate and then failed must not leak it into the trace of
-           the rung that actually succeeded *)
-        let cert = ref None in
-        let attempt solver () =
-          let dopts =
-            { Dphase.default_options with
-              eta = s.snap_eta;
-              solver;
-              canonical_duals = canonical }
-          in
-          cert := None;
-          Dphase.solve ~options:dopts ~budget ?warm ?fault ?checks
-            ?certificate:(if on_step = None then None else Some cert)
-            model ~sizes:x ~delays ~deadline:target
-        in
-        let rungs =
-          List.map
-            (fun solver ->
-              { Fallback.name = Dphase.solver_name solver;
-                attempt = attempt solver })
-            (dphase_rungs options.solver)
+        let dopts =
+          { Dphase.default_options with
+            eta = s.snap_eta;
+            solver = options.solver;
+            canonical_duals = canonical }
         in
         (* the pass's candidate, as the step it becomes if accepted *)
         let candidate =
-          match Fallback.run ?log rungs with
+          match
+            Dphase.solve ~options:dopts ~budget ?warm ?fault ?checks ?log
+              ~certify:(on_step <> None) model ~sizes:x ~delays
+              ~deadline:target
+          with
           | Error e -> Error e
-          | Ok { value = dres; rung; _ } ->
+          | Ok dres ->
             (match Wphase.solve ?fault model ~budgets:dres.budgets with
             | Error e -> Error e
             | Ok wres ->
@@ -214,14 +194,14 @@ let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
                   Ok
                     (Some
                        { step_iter = s.snap_iter + 1;
-                         step_solver = rung;
+                         step_solver = dres.rung;
                          step_eta = s.snap_eta;
                          step_area = Delay_model.area model wres.sizes;
                          step_cp = cp';
                          step_predicted = dres.objective;
                          step_sizes = wres.sizes;
                          step_budgets = dres.budgets;
-                         step_certificate = !cert })
+                         step_certificate = dres.certificate })
               end)
         in
         (match candidate with

@@ -14,17 +14,19 @@
     {b Resilience.} The driver is hardened through [minflo_robust]: run
     budgets ({!options.limits}) bound wall clock, D/W iterations and flow
     pivots — on exhaustion the best feasible sizing so far is returned,
-    flagged, never an exception; the [`Auto] solver degrades
-    simplex → SSP → Bellman-Ford feasibility repair on retryable failures
-    ({!Minflo_robust.Fallback}); oscillating rejected candidates terminate
-    the run with a typed reason; and optional fault injection / invariant
-    recording make every one of these paths testable. *)
+    flagged, never an exception; each pass is one {!Dphase.solve} call,
+    which under the [`Auto] solver degrades simplex → SSP → Bellman-Ford
+    feasibility repair on retryable failures; oscillating rejected
+    candidates terminate the run with a typed reason; and optional fault
+    injection / invariant recording make every one of these paths
+    testable. *)
 
 type options = {
   max_iterations : int;  (** hard cap (default 100; paper: "a few tens"). *)
-  solver : [ `Auto | `Simplex | `Ssp | `Bellman_ford ];
-      (** [`Auto] = fallback chain simplex → ssp → bellman-ford; a concrete
-          solver pins a 1-rung chain (default [`Simplex]). *)
+  solver : Dphase.solver;
+      (** the D-phase solver chain {!Dphase.solve} runs each pass: [`Auto]
+          = simplex → ssp → bellman-ford; a concrete solver pins a 1-rung
+          chain (default [`Simplex]). *)
   tilos_bump : float;
   limits : Minflo_robust.Budget.limits;
       (** run budget for the whole optimization (default {!Minflo_robust.Budget.no_limits}). *)

@@ -1,12 +1,12 @@
 (* Tests for the resilience layer: typed diagnostics, run budgets, the
-   solver fallback chain, invariant checking and fault injection — both as
-   units and threaded through the full sizing engine. *)
+   D-phase solver fallback chain, invariant checking and fault injection —
+   both as units and threaded through the full sizing engine. *)
 
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Fallback = Minflo_robust.Fallback
 module Inv = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
+module Perf = Minflo_robust.Perf
 module Json = Minflo_util.Json
 module Mcf = Minflo_flow.Mcf
 module Network_simplex = Minflo_flow.Network_simplex
@@ -64,8 +64,12 @@ let test_diag_json () =
   check str_opt "has code" (Some "parse-error") (Json.str_field "code" j);
   check Alcotest.(option int) "has line" (Some 7) (Json.int_field "line" j);
   check str_opt "has file" (Some "a.bench") (Json.str_field "file" j);
-  let j2 = reparse (Diag.Oscillation { area = 12.5; repeats = 3 }) in
-  check str_opt "osc code" (Some "oscillation") (Json.str_field "code" j2)
+  let j2 =
+    reparse
+      (Diag.Budget_exhausted { resource = "pivots"; spent = 12.5; limit = 3. })
+  in
+  check str_opt "budget code" (Some "budget-exhausted")
+    (Json.str_field "code" j2)
 
 let test_diag_log () =
   let l = Diag.create_log () in
@@ -120,65 +124,6 @@ let test_budget_unlimited () =
   check bool "still fine" true (Budget.check b = None);
   check bool "not exhausted" false (Budget.exhausted b);
   check int "pivot count" 10_000 (Budget.pivots b)
-
-(* ---------- Fallback ---------- *)
-
-let diverged = Diag.Solver_diverged { solver = "x"; iters = 1 }
-
-let test_fallback_first_rung () =
-  match
-    Fallback.run [ { Fallback.name = "a"; attempt = (fun () -> Ok 1) } ]
-  with
-  | Ok { value; rung; failures } ->
-    check int "value" 1 value;
-    check string "rung" "a" rung;
-    check int "no failures" 0 (List.length failures)
-  | Error _ -> Alcotest.fail "expected success"
-
-let test_fallback_retries_retryable () =
-  let r =
-    Fallback.run
-      [ { Fallback.name = "a"; attempt = (fun () -> Error diverged) };
-        { Fallback.name = "b"; attempt = (fun () -> Ok 2) } ]
-  in
-  match r with
-  | Ok { value; rung; failures } ->
-    check int "value" 2 value;
-    check string "winning rung" "b" rung;
-    (match failures with
-    | [ ("a", Diag.Solver_diverged _) ] -> ()
-    | _ -> Alcotest.fail "expected the recorded failure of rung a")
-  | Error _ -> Alcotest.fail "expected fallback success"
-
-let test_fallback_nonretryable_aborts () =
-  let tried_b = ref false in
-  let e =
-    Diag.Infeasible_budget { vertex = 0; label = "g"; budget = 1.; intrinsic = 2. }
-  in
-  let r =
-    Fallback.run
-      [ { Fallback.name = "a"; attempt = (fun () -> Error e) };
-        { Fallback.name = "b"; attempt = (fun () -> tried_b := true; Ok 2) } ]
-  in
-  (match r with
-  | Error (Diag.Infeasible_budget _) -> ()
-  | _ -> Alcotest.fail "expected the structural failure to propagate");
-  check bool "second rung never tried" false !tried_b
-
-let test_fallback_all_fail () =
-  let log = Diag.create_log () in
-  let r =
-    Fallback.run ~log
-      [ { Fallback.name = "a"; attempt = (fun () -> Error diverged) };
-        { Fallback.name = "b";
-          attempt =
-            (fun () -> Error (Diag.Numeric { what = "obj"; value = nan })) } ]
-  in
-  (match r with
-  | Error (Diag.Numeric _) -> ()
-  | _ -> Alcotest.fail "expected the last failure");
-  check int "both failures logged" 2
-    (List.length (Diag.events_above log Diag.Warning))
 
 (* ---------- Fault ---------- *)
 
@@ -298,6 +243,97 @@ let c17_setup () =
 
 let sizes_in_bounds model sizes =
   Array.for_all (Minflo_timing.Tolerance.in_box model) sizes
+
+(* ---------- the D-phase fallback chain, through the engine ---------- *)
+
+let auto = { Minflotransit.default_options with solver = `Auto }
+
+let failing sites error =
+  let fault = Fault.create () in
+  List.iter (fun site -> Fault.arm fault ~site (Fault.Fail (error site))) sites;
+  fault
+
+let injected site = Diag.Fault_injected { site }
+
+(* the rungs named by the chain's warnings, in log order *)
+let failed_rungs log =
+  List.filter_map
+    (fun (e : Diag.event) ->
+      if e.source <> "fallback" then None
+      else Scanf.sscanf_opt e.message "rung %s failed:" Fun.id)
+    (Diag.events_above log Diag.Warning)
+
+let test_fallback_first_rung () =
+  let model, target = c17_setup () in
+  let log = Diag.create_log () in
+  let r = Minflotransit.optimize ~options:auto ~log model ~target in
+  check bool "improved" true (r.iterations > 0);
+  check Alcotest.(option string) "winning rung" (Some "simplex") r.solver_used;
+  check Alcotest.(list string) "no rung failed" [] (failed_rungs log)
+
+let test_fallback_retries_retryable () =
+  let model, target = c17_setup () in
+  let fault =
+    failing [ "dphase.simplex" ] (fun _ ->
+        Diag.Solver_diverged { solver = "simplex"; iters = 1 })
+  in
+  let log = Diag.create_log () in
+  let r = Minflotransit.optimize ~options:auto ~fault ~log model ~target in
+  check bool "improved through the fallback" true (r.iterations > 0);
+  check Alcotest.(option string) "winning rung" (Some "ssp") r.solver_used;
+  let failed = failed_rungs log in
+  check int "one failure per simplex visit"
+    (Fault.fired fault ~site:"dphase.simplex")
+    (List.length failed);
+  check bool "only the simplex rung failed" true
+    (List.for_all (( = ) "simplex") failed)
+
+let test_fallback_nonretryable_aborts () =
+  let model, target = c17_setup () in
+  let fault = failing [ "dphase.ssp"; "dphase.bellman-ford" ] injected in
+  Fault.arm fault ~site:"dphase.simplex"
+    (Fault.Fail
+       (Diag.Infeasible_budget
+          { vertex = 0; label = "g"; budget = 1.; intrinsic = 2. }));
+  let r = Minflotransit.optimize ~options:auto ~fault model ~target in
+  check bool "primary rung was hit" true
+    (Fault.fired fault ~site:"dphase.simplex" > 0);
+  check int "second rung never tried" 0 (Fault.fired fault ~site:"dphase.ssp");
+  check int "no refinement" 0 r.iterations;
+  check bool "TILOS seed survives" true r.met
+
+let test_fallback_all_fail () =
+  let model, target = c17_setup () in
+  let fault =
+    failing [ "dphase.simplex"; "dphase.ssp"; "dphase.bellman-ford" ] injected
+  in
+  let log = Diag.create_log () in
+  let r = Minflotransit.optimize ~options:auto ~fault ~log model ~target in
+  check bool "no winning rung" true (r.solver_used = None);
+  let passes = Fault.fired fault ~site:"dphase.simplex" in
+  check bool "passes ran" true (passes > 0);
+  check Alcotest.(list string) "every rung logged once per pass"
+    (List.concat
+       (List.init passes (fun _ -> [ "simplex"; "ssp"; "bellman-ford" ])))
+    (failed_rungs log)
+
+(* Canonical duals make the SSP step identical to the simplex one, so a
+   run that falls back on every pass does the same timing work as a clean
+   run: the LP is built once per pass, not once per rung. *)
+let test_fallback_builds_lp_once () =
+  let model, target = c17_setup () in
+  let sweeps ?fault options =
+    let before = Perf.snapshot () in
+    let r = Minflotransit.optimize ~options ?fault model ~target in
+    (r, (Perf.diff before (Perf.snapshot ())).sweeps)
+  in
+  let clean, clean_sweeps = sweeps Minflotransit.default_options in
+  let fault = failing [ "dphase.simplex" ] injected in
+  let fell, fell_sweeps = sweeps ~fault auto in
+  check bool "primary rung was hit" true
+    (Fault.fired fault ~site:"dphase.simplex" > 0);
+  check bool "same sizing" true (clean.sizes = fell.sizes);
+  check int "same sweeps" clean_sweeps fell_sweeps
 
 let test_engine_budget_best_feasible () =
   let model, target = c17_setup () in
@@ -449,7 +485,9 @@ let () =
             test_fallback_retries_retryable;
           Alcotest.test_case "structural failure aborts" `Quick
             test_fallback_nonretryable_aborts;
-          Alcotest.test_case "all rungs fail" `Quick test_fallback_all_fail ] );
+          Alcotest.test_case "all rungs fail" `Quick test_fallback_all_fail;
+          Alcotest.test_case "one LP build per pass" `Quick
+            test_fallback_builds_lp_once ] );
       ( "fault",
         [ Alcotest.test_case "unarmed sites are silent" `Quick test_fault_unarmed;
           Alcotest.test_case "count limits firing" `Quick test_fault_count;

@@ -12,6 +12,7 @@ module Bench_format = Minflo_netlist.Bench_format
 module Minflotransit = Minflo_sizing.Minflotransit
 module Tilos = Minflo_sizing.Tilos
 module Job = Minflo_runner.Job
+module Dphase = Minflo_sizing.Dphase
 module Checkpoint = Minflo_runner.Checkpoint
 module Journal = Minflo_runner.Journal
 module Supervisor = Minflo_runner.Supervisor
@@ -83,9 +84,10 @@ let test_job_cross () =
 let test_job_solver_names () =
   List.iter
     (fun s ->
-      match Job.solver_of_string (Job.solver_name s) with
+      match Dphase.solver_of_string (Dphase.solver_name s) with
       | Some s' -> check bool "solver name round trip" true (s = s')
-      | None -> Alcotest.failf "unparsable solver name %s" (Job.solver_name s))
+      | None ->
+        Alcotest.failf "unparsable solver name %s" (Dphase.solver_name s))
     [ `Auto; `Simplex; `Ssp; `Bellman_ford ]
 
 (* the outcome record's one codec: the batch [job-ok], serve [job-result]
@@ -1057,7 +1059,7 @@ let test_differential_counterpart_is_independent () =
   List.iter
     (fun s ->
       check bool
-        (Printf.sprintf "counterpart of %s differs" (Job.solver_name s))
+        (Printf.sprintf "counterpart of %s differs" (Dphase.solver_name s))
         true
         (Differential.counterpart s <> s))
     [ `Auto; `Simplex; `Ssp; `Bellman_ford ]
