@@ -77,20 +77,18 @@ let serve =
     ignore (Cli.arm faults);
     Cli.or_fail
       (Serve.run
-        ~config:
-          { Serve.socket_path = socket;
-            tcp;
-            run_dir = dir;
-            parallel = jobs;
-            queue_capacity = queue;
-            timeout_seconds = timeout;
-            watchdog_seconds = (if watchdog > 0.0 then Some watchdog else None);
-            io_timeout_seconds = io_timeout;
-            cache_bytes;
-            retries;
-            backoff_base = 0.5;
-            preflight = not no_preflight }
-        ())
+         { Serve.socket_path = socket;
+           tcp;
+           run_dir = dir;
+           parallel = jobs;
+           queue_capacity = queue;
+           timeout_seconds = timeout;
+           watchdog_seconds = (if watchdog > 0.0 then Some watchdog else None);
+           io_timeout_seconds = io_timeout;
+           cache_bytes;
+           retries;
+           backoff_base = 0.5;
+           preflight = not no_preflight })
   in
   Cmd.v
     (Cmd.info "serve"

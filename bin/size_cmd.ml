@@ -37,10 +37,12 @@ let size =
   let check =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Verify post-phase invariants (flow conservation, \
-                   reduced-cost optimality, FSDU non-negativity, W-phase \
-                   budgets, size bounds) and report each finding; a failed \
-                   invariant exits with code 3.")
+             ~doc:"Verify the run after it ends: audit the trace of every \
+                   accepted D/W iteration exactly as $(b,minflo audit-run) \
+                   would (flow certificate, budgets recomputed from its \
+                   potentials, W-phase budgets met, size box, monotone \
+                   area, the area and delay claims). Any finding exits with \
+                   code 3.")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -62,10 +64,11 @@ let size =
     (match Bounds.infeasible_target_error model bounds ~target with
     | Some e -> Diag.fail e
     | None -> ());
-    let checks = if do_check then Some (Invariants.create ()) else None in
     (* a storage failure writing the trace must fail the --trace flag, not
        the sizing: the run's results are printed first, then the error *)
     let trace_error = ref None in
+    (* --check: the accepted steps and the audit's findings *)
+    let audit = ref None in
     let sizes, area, cp, met =
       match tool with
       | `Tilos ->
@@ -78,27 +81,31 @@ let size =
         in
         let fault = Cli.arm faults in
         let log = Diag.create_log () in
-        (* steps arrive during the run but the trace file wants them after
-           the tilos record (only available at the end), so buffer *)
+        (* steps arrive during the run but the trace wants them after the
+           tilos record (only available at the end), so buffer *)
         let steps = ref [] in
         let on_step =
-          Option.map (fun _ s -> steps := s :: !steps) trace_out
+          if trace_out <> None || do_check then
+            Some (fun s -> steps := s :: !steps)
+          else None
         in
         let r =
-          Minflotransit.optimize ~options ?fault ~log ?checks ?on_step model
-            ~target
+          Minflotransit.optimize ~options ?fault ~log ?on_step model ~target
         in
+        let steps = List.rev !steps in
         Option.iter
           (fun path ->
             match
               Trace.write_run path model ~circuit:(Netlist.name t.nl) ~target
-                ~steps:(List.rev !steps) r
+                ~steps r
             with
             | Error e -> trace_error := Some e
             | Ok () ->
               Fmt.pr "trace: %d step records written to %s@."
-                (List.length !steps) path)
+                (List.length steps) path)
           trace_out;
+        if do_check then
+          audit := Some (List.length steps, Trace.check_run model ~target ~steps r);
         List.iter
           (fun ev -> Fmt.epr "%s@." (Diag.event_to_string ev))
           (Diag.events_above log Diag.Warning);
@@ -120,12 +127,15 @@ let size =
       Array.iteri
         (fun i x -> Fmt.pr "  %-24s %.3f@." model.Delay_model.labels.(i) x)
         sizes;
-    (match checks with
-    | Some c ->
-      Fmt.pr "invariants:@.%s@." (Invariants.to_string c);
-      (match Invariants.first_failure c with
-      | Some e -> Diag.fail e
-      | None -> ())
+    (match !audit with
+    | Some (n, findings) -> (
+      Fmt.pr "check: %d step records audited@.%s@?" n
+        (Lint_report.render findings);
+      match findings with
+      | f :: _ ->
+        Cli.invariant "trace-audit" "%s %s" f.Lint_finding.rule.Lint_rule.id
+          f.message
+      | [] -> ())
     | None -> ());
     (match !trace_error with
     | Some e ->

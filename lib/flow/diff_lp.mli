@@ -93,4 +93,4 @@ val solve :
 
 val check_assignment : t -> int array -> (int, string) result
 (** Verifies all constraints under the assignment; on success returns the
-    objective value. Test-suite oracle. *)
+    objective value. The D-phase's divergence detector. *)

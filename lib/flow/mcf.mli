@@ -57,7 +57,8 @@ val check_optimality :
   problem -> solution -> (unit, Minflo_robust.Diag.error) result
 (** Verifies complementary slackness of [solution.flow] against
     [solution.potential]: reduced cost >= 0 on arcs below capacity and <= 0
-    on arcs above zero flow. Used heavily by the test-suite. *)
+    on arcs above zero flow. A test-suite checker: production code audits
+    certificates through [Minflo_lint.Audit]. *)
 
 val canonical_potentials : problem -> solution -> int array
 (** The componentwise-maximal optimal dual with every potential capped at 0

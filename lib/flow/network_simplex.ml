@@ -839,7 +839,7 @@ let compatible b (p : Mcf.problem) =
 
 (* Re-seed the retained spanning tree with new costs/capacities/supplies.
 
-   Invariants restored here (see DESIGN §8):
+   What this restores (see DESIGN §8):
    - cost change: the tree stays primal feasible; only the potentials
      depend on the costs, so they are recomputed from the root over the
      (re-costed) tree arcs.

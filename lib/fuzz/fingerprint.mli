@@ -19,7 +19,7 @@
       ["MF103"], …), or one of the harness's own tags (["crash"],
       ["hang"], ["fault-injected"], ["roundtrip-mismatch"]);
     - [detail]: the discriminator that separates distinct bugs sharing a
-      code — the invariant name, the fault site, the solver pair. May be
+      code — the fault site, the solver, the solver pair. May be
       empty. *)
 
 type t = {

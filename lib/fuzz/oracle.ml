@@ -1,6 +1,5 @@
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 module Netlist = Minflo_netlist.Netlist
 module Raw = Minflo_netlist.Raw
@@ -24,6 +23,7 @@ module Cost_scaling = Minflo_flow.Cost_scaling
 module Lint = Minflo_lint.Lint
 module Audit = Minflo_lint.Audit
 module Rule = Minflo_lint.Rule
+module Trace = Minflo_lint.Trace
 module Job = Minflo_runner.Job
 
 type config = {
@@ -294,7 +294,6 @@ type leg = {
 
 let engine_leg sink cfg ?fault model ~target solver =
   guard sink ~phase:"engine" (fun () ->
-      let checks = Check.create () in
       let options =
         { Minflotransit.default_options with
           solver;
@@ -303,44 +302,22 @@ let engine_leg sink cfg ?fault model ~target solver =
             Budget.limits ~max_iterations:cfg.budget_iterations
               ~max_pivots:cfg.budget_pivots () }
       in
-      let result = Minflotransit.optimize ~options ?fault ~checks model ~target in
+      let steps = ref [] in
+      let result =
+        Minflotransit.optimize ~options ?fault
+          ~on_step:(fun s -> steps := s :: !steps)
+          model ~target
+      in
+      (* the run must be sane however it ended: every accepted step and the
+         result, audited the way [minflo size --check] does *)
+      let name = Dphase.solver_name solver in
       List.iter
-        (fun (f : Check.finding) ->
+        (fun (f : Minflo_lint.Finding.t) ->
           flag sink
-            (Fingerprint.make ~phase:"check" ~code:"invariant" ~detail:f.name
+            (Fingerprint.make ~phase:"check" ~code:f.rule.Rule.id ~detail:name
                ())
-            "[%s] %s: %s" (Dphase.solver_name solver) f.name f.detail)
-        (Check.failures checks);
-      (* the result itself must be sane regardless of how the run ended *)
-      let n = Array.length result.Minflotransit.sizes in
-      (match
-         Array.find_index (fun x -> not (Tolerance.in_box model x)) result.sizes
-       with
-      | Some i ->
-        flag sink
-          (Fingerprint.make ~phase:"engine" ~code:"invariant"
-             ~detail:"sizes-bounds" ())
-          "[%s] size %d out of bounds: %g" (Dphase.solver_name solver) i
-          result.sizes.(i)
-      | None ->
-        let area = Delay_model.area model result.sizes in
-        let rel = abs_float (area -. result.area) /. Float.max 1e-12 area in
-        if rel > 1e-6 then
-          flag sink
-            (Fingerprint.make ~phase:"engine" ~code:"invariant"
-               ~detail:"area-mismatch" ())
-            "[%s] reported area %.17g but sizes give %.17g"
-            (Dphase.solver_name solver) result.area area;
-        if result.met && n > 0 then begin
-          let delays = Delay_model.delays model result.sizes in
-          let cp = Sta.critical_path_only model ~delays in
-          if not (Tolerance.meets ~target cp) then
-            flag sink
-              (Fingerprint.make ~phase:"engine" ~code:"invariant"
-                 ~detail:"met-but-late" ())
-              "[%s] met=true but cp %.17g > target %.17g"
-              (Dphase.solver_name solver) cp target
-        end);
+            "[%s] %s" name f.message)
+        (Trace.check_run model ~target ~steps:(List.rev !steps) result);
       { leg_solver = solver; leg_result = result })
 
 let engine_differential sink cfg legs =

@@ -5,9 +5,10 @@
     {!Minflo_netlist.Transform.to_nand_inv} and
     {!Minflo_netlist.Transform.expand_xor} keep its function, lint,
     delay-model extraction, a full TILOS + D/W sizing run per configured
-    solver, post-phase
-    invariant checks, cross-solver differential comparison of the final
-    areas, and an LP-level three-solver differential (network simplex /
+    solver with the trace audit of its accepted steps and result
+    ({!Minflo_lint.Trace.check_run}, fingerprinted
+    [check/<rule>/<solver>]), cross-solver differential comparison of the
+    final areas, and an LP-level three-solver differential (network simplex /
     SSP / cost scaling) on the D-phase displacement problem with an
     independent {!Minflo_lint.Audit} of each certificate — and reports
     every anomaly as a fingerprinted failure.
@@ -17,7 +18,7 @@
     iterations and pivots — never wall-clock seconds — which is what makes
     [minflo replay] exact. An unmet delay target is {e not} a failure
     (tight specs are legitimately infeasible); only structural anomalies
-    (crashes, typed diagnostics, invariant/audit violations, solver
+    (crashes, typed diagnostics, audit findings, solver
     disagreement, fired fault sites) are.
 
     Fault injection: arming [fault_site] (any member of

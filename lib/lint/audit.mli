@@ -16,9 +16,9 @@
     - MF105: the status is not [Optimal] (the other checks are then
       vacuous and are skipped).
 
-    The runtime {!Minflo_flow.Mcf.check_optimality} answers pass/fail for
-    internal assertions; this module produces per-violation {!Finding}s for
-    reporting, with arc and node indices in [related]. *)
+    {!Minflo_flow.Mcf.check_optimality} answers pass/fail for the tests;
+    this module produces per-violation {!Finding}s for reporting, with arc
+    and node indices in [related]. *)
 
 val check : Minflo_flow.Mcf.problem -> Minflo_flow.Mcf.solution -> Finding.t list
 (** Empty list: the certificate is valid. Findings are capped at 32 per rule

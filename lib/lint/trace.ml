@@ -1,5 +1,4 @@
 module Json = Minflo_util.Json
-module Diag = Minflo_robust.Diag
 module Io = Minflo_robust.Io
 module Delay_model = Minflo_tech.Delay_model
 module Sta = Minflo_timing.Sta
@@ -12,8 +11,6 @@ module Engine = Minflo_sizing.Minflotransit
 let version = 1
 
 (* ---------- writer ---------- *)
-
-type writer = { sink : Io.sink; mutable w_error : Diag.error option }
 
 let jfloats a = Json.List (Array.to_list (Array.map (fun f -> Json.Num f) a))
 let jints a = Json.List (Array.to_list (Array.map (fun i -> Json.Num (float_of_int i)) a))
@@ -58,40 +55,26 @@ let jlp (c : Dphase.certificate) =
       ("potential", jints s.Mcf.potential);
       ("objective", Json.Num (float_of_int s.Mcf.objective)) ]
 
-(* The first storage failure sticks and silences the rest: a trace that
-   cannot be completed is worthless to the auditor, so there is no point
-   hammering a full disk once per record; [write_run] returns it once the
-   trace is done. *)
-let emit w v =
-  if w.w_error = None then
-    match Io.sink_write_line w.sink (Json.to_string v) with
-    | Ok () -> ()
-    | Error e -> w.w_error <- Some e
+let header (model : Delay_model.t) ~circuit ~target =
+  Json.Obj
+    [ ("record", Json.Str "header");
+      ("version", Json.Num (float_of_int version));
+      ("circuit", Json.Str circuit);
+      ("n", Json.Num (float_of_int (Delay_model.num_vertices model)));
+      ("target", Json.Num target);
+      ("min_size", Json.Num model.Delay_model.min_size);
+      ("max_size", Json.Num model.Delay_model.max_size) ]
 
-let create sink (model : Delay_model.t) ~circuit ~target =
-  let w = { sink; w_error = None } in
-  emit w
-    (Json.Obj
-       [ ("record", Json.Str "header");
-         ("version", Json.Num (float_of_int version));
-         ("circuit", Json.Str circuit);
-         ("n", Json.Num (float_of_int (Delay_model.num_vertices model)));
-         ("target", Json.Num target);
-         ("min_size", Json.Num model.Delay_model.min_size);
-         ("max_size", Json.Num model.Delay_model.max_size) ]);
-  w
+let tilos_record (t : Tilos.result) =
+  Json.Obj
+    [ ("record", Json.Str "tilos");
+      ("area", Json.Num t.Tilos.area);
+      ("cp", Json.Num t.Tilos.final_cp);
+      ("met", Json.Bool t.Tilos.met);
+      ("bumps", Json.Num (float_of_int t.Tilos.bumps));
+      ("sizes", jfloats t.Tilos.sizes) ]
 
-let record_tilos w (t : Tilos.result) =
-  emit w
-    (Json.Obj
-       [ ("record", Json.Str "tilos");
-         ("area", Json.Num t.Tilos.area);
-         ("cp", Json.Num t.Tilos.final_cp);
-         ("met", Json.Bool t.Tilos.met);
-         ("bumps", Json.Num (float_of_int t.Tilos.bumps));
-         ("sizes", jfloats t.Tilos.sizes) ])
-
-let record_step w (s : Engine.step) =
+let step_record (s : Engine.step) =
   let base =
     [ ("record", Json.Str "step");
       ("iter", Json.Num (float_of_int s.Engine.step_iter));
@@ -108,29 +91,44 @@ let record_step w (s : Engine.step) =
     | Some c -> [ ("lp", jlp c) ]
     | None -> []
   in
-  emit w (Json.Obj (base @ lp))
+  Json.Obj (base @ lp)
 
-let record_result w (r : Engine.result) =
-  emit w
-    (Json.Obj
-       [ ("record", Json.Str "final");
-         ("area", Json.Num r.Engine.area);
-         ("cp", Json.Num r.Engine.cp);
-         ("met", Json.Bool r.Engine.met);
-         ("iterations", Json.Num (float_of_int r.Engine.iterations));
-         ("stop", Json.Str (Engine.stop_reason_to_string r.Engine.stop));
-         ("sizes", jfloats r.Engine.sizes) ])
+let final_record (r : Engine.result) =
+  Json.Obj
+    [ ("record", Json.Str "final");
+      ("area", Json.Num r.Engine.area);
+      ("cp", Json.Num r.Engine.cp);
+      ("met", Json.Bool r.Engine.met);
+      ("iterations", Json.Num (float_of_int r.Engine.iterations));
+      ("stop", Json.Str (Engine.stop_reason_to_string r.Engine.stop));
+      ("sizes", jfloats r.Engine.sizes) ]
 
-let write_run path model ~circuit ~target ~steps (r : Engine.result) =
+(* the trace of a finished run, one line per record. A sequence, not a
+   list: a step record with its LP is several times the size of the step,
+   so each is built only when it is written *)
+let lines model ~circuit ~target ~steps (r : Engine.result) =
+  Seq.map Json.to_string
+    (Seq.append
+       (List.to_seq [ header model ~circuit ~target; tilos_record r.Engine.tilos ])
+       (Seq.append (Seq.map step_record (List.to_seq steps))
+          (Seq.return (final_record r))))
+
+(* The first storage failure ends the write: a trace that cannot be
+   completed is worthless to the auditor, so there is no point hammering a
+   full disk once per record. *)
+let write_run path model ~circuit ~target ~steps r =
   match Io.create_sink path with
   | Error e -> Error e
-  | Ok sink -> (
-    let w = create sink model ~circuit ~target in
-    record_tilos w r.Engine.tilos;
-    List.iter (record_step w) steps;
-    record_result w r;
+  | Ok sink ->
+    let rec write seq =
+      match seq () with
+      | Seq.Nil -> Ok ()
+      | Seq.Cons (l, rest) ->
+        Result.bind (Io.sink_write_line sink l) (fun () -> write rest)
+    in
+    let written = write (lines model ~circuit ~target ~steps r) in
     Io.sink_close sink;
-    match w.w_error with Some e -> Error e | None -> Ok ())
+    written
 
 (* ---------- auditor ---------- *)
 
@@ -567,3 +565,13 @@ let audit (model : Delay_model.t) ~target content =
 
 let audit_file model ~target path =
   Result.map (audit model ~target) (Io.read_file path)
+
+let check_run model ~target ~steps r =
+  let b = Buffer.create 4096 in
+  (* the auditor never reads the circuit name *)
+  Seq.iter
+    (fun l ->
+      Buffer.add_string b l;
+      Buffer.add_char b '\n')
+    (lines model ~circuit:"" ~target ~steps r);
+  audit model ~target (Buffer.contents b)

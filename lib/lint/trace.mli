@@ -27,9 +27,6 @@
     as [-1] on the wire: the sentinel survives the float round trip that
     [max_int / 8] would not. *)
 
-val version : int
-(** Current schema version, written into (and demanded of) the header. *)
-
 (** {1 Writing} *)
 
 val write_run :
@@ -73,3 +70,18 @@ val audit_file :
   (Finding.t list, Minflo_robust.Diag.error) result
 (** {!audit} on a file path; an unreadable file is a typed
     {!Minflo_robust.Diag.Io_error}, not an exception. *)
+
+val check_run :
+  Minflo_tech.Delay_model.t ->
+  target:float ->
+  steps:Minflo_sizing.Minflotransit.step list ->
+  Minflo_sizing.Minflotransit.result ->
+  Finding.t list
+(** [check_run model ~target ~steps result] verifies a finished run in
+    process: {!audit} on the text {!write_run} would write for it (header,
+    seed, [steps], final record). This is [minflo size --check]: exactly
+    [--trace] followed by [minflo audit-run], without the file. Only the
+    accepted steps are checked; a rejected pass never reaches the result.
+    [steps] must carry certificates (the engine's [?on_step] hook turns
+    certificate capture on), except Bellman-Ford steps, which have none by
+    design. *)

@@ -75,7 +75,8 @@ type error =
           path (vertex labels) whose best-case delay already exceeds the
           target. *)
   | Invariant of { what : string; detail : string }
-      (** A post-phase invariant check failed (see {!Check}). *)
+      (** A checked invariant failed: a flow certificate, an FSDU balance,
+          or the audit of a run's trace ([minflo size --check]). *)
   | Fault_injected of { site : string }
       (** A deliberate test fault (see {!Fault}). *)
   | Checkpoint_invalid of { file : string; reason : string }

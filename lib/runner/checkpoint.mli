@@ -32,10 +32,6 @@ type t = {
   budget_elapsed : float;  (** seconds of budgeted wall clock consumed. *)
 }
 
-val version : int
-(** Current format version. Files written by other versions are rejected
-    (see DESIGN.md for the versioning rules). *)
-
 val hash_netlist : Minflo_netlist.Netlist.t -> int64
 (** FNV-1a over the canonical [.bench] rendering: stable across processes
     and builds, sensitive to any structural change. *)

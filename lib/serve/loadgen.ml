@@ -18,19 +18,6 @@ type config = {
   deadline_seconds : float;
 }
 
-let default_config =
-  { endpoint = Transport.Unix_sock "minflo.sock";
-    retry = Client.default_retry;
-    circuits = [ "c17" ];
-    factor = 1.3;
-    solver = `Simplex;
-    count = 4;
-    sleep_seconds = 0.0;
-    lint_bad = 0;
-    tiny_budget = 0;
-    poll_interval = 0.05;
-    deadline_seconds = 300.0 }
-
 let submit_spec cfg i : Protocol.submit =
   let circuit =
     List.nth cfg.circuits (i mod max 1 (List.length cfg.circuits))

@@ -31,8 +31,6 @@ type config = {
   deadline_seconds : float;
 }
 
-val default_config : config
-
 val run : config -> (Minflo_util.Json.t, Minflo_robust.Diag.error) result
 (** [Error] only on transport failure that survived the retry budget, or
     on the polling deadline; rejections by the daemon are data, counted

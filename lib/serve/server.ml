@@ -26,20 +26,6 @@ type config = {
   preflight : bool;
 }
 
-let default_config =
-  { socket_path = "minflo.sock";
-    tcp = None;
-    run_dir = "minflo-serve";
-    parallel = 2;
-    queue_capacity = 16;
-    timeout_seconds = Some 300.0;
-    watchdog_seconds = Some 60.0;
-    io_timeout_seconds = 30.0;
-    cache_bytes = 64 * 1024 * 1024;
-    retries = 2;
-    backoff_base = 0.5;
-    preflight = true }
-
 (* ---------- job table ---------- *)
 
 type failure = {
@@ -261,7 +247,7 @@ let unknown_job id =
       ("code", Json.Str "unknown-job");
       ("id", Json.Str id) ]
 
-let run ?(config = default_config) () : (unit, Diag.error) result =
+let run config : (unit, Diag.error) result =
   let cfg =
     { config with
       parallel = max 1 config.parallel;
@@ -310,9 +296,12 @@ let run ?(config = default_config) () : (unit, Diag.error) result =
       Journal.close jr;
       Error e
     | Ok () -> (
-      let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-      Unix.listen listen_fd 64;
+      match Transport.listen (Transport.Unix_sock cfg.socket_path) with
+      | Error e ->
+        (* e.g. the socket's directory does not exist *)
+        Journal.close jr;
+        Error e
+      | Ok (listen_fd, _) ->
       let tcp_setup =
         match cfg.tcp with
         | None -> Ok None

@@ -81,13 +81,6 @@ type config = {
           each submission. *)
 }
 
-val default_config : config
-(** [socket_path = "minflo.sock"; tcp = None; run_dir = "minflo-serve";
-    parallel = 2; queue_capacity = 16; timeout_seconds = Some 300.;
-    watchdog_seconds = Some 60.; io_timeout_seconds = 30.;
-    cache_bytes = 64 MiB; retries = 2; backoff_base = 0.5;
-    preflight = true]. *)
-
 val journal_accepted :
   Minflo_runner.Journal.t ->
   string ->
@@ -114,8 +107,10 @@ val recovery_snapshot : string -> (string * string) list
     to assert that a journal surviving an injected crash still recovers to
     a coherent table. *)
 
-val run : ?config:config -> unit -> (unit, Minflo_robust.Diag.error) result
+val run : config -> (unit, Minflo_robust.Diag.error) result
 (** Run the daemon until drained. Returns [Error Journal_locked] if
     another live daemon owns the run directory, [Error (Io_error _)] if
-    the socket is in use; otherwise blocks until a drain completes and
-    returns [Ok ()]. *)
+    the run directory cannot be made or the socket is in use or cannot be
+    bound (say, in a directory that does not exist); otherwise blocks
+    until a drain completes and returns [Ok ()]. The [minflo serve] flags
+    state the defaults. *)

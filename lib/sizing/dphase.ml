@@ -6,7 +6,6 @@ module Diff_lp = Minflo_flow.Diff_lp
 module Mcf = Minflo_flow.Mcf
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 
 type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
@@ -147,7 +146,7 @@ let displacement_problem ?options model ~sizes ~delays ~deadline =
     (build_lp ?options model ~sizes ~delays ~deadline)
 
 (* One rung on the already-built LP. *)
-let attempt ~options ?budget ?warm ?fault ?checks ~certify
+let attempt ~options ?budget ?warm ?fault ~certify
     { lp; rdmy; weights } ~delays (solver : rung) =
   let n = Array.length delays in
   let s = options.scale in
@@ -166,11 +165,6 @@ let attempt ~options ?budget ?warm ?fault ?checks ~certify
       | Some mag when n > 0 && sol.status = Mcf.Optimal ->
         sol.potential.(rdmy.(0)) <-
           sol.potential.(rdmy.(0)) + max 1 (int_of_float (mag *. s))
-      | _ -> ());
-      (match checks with
-      | Some c when sol.status = Mcf.Optimal ->
-        Check.record c ("dphase.mcf-optimality." ^ sname)
-          (Result.map_error Diag.to_string (Mcf.check_optimality p sol))
       | _ -> ());
       (* snapshot for the proof-carrying trace: exactly the (possibly
          perturbed) certificate the engine is about to act on. Copied —
@@ -209,11 +203,7 @@ let attempt ~options ?budget ?warm ?fault ?checks ~certify
                 limit = float_of_int (Budget.pivots b) })
         | None -> Diag.Internal "Dphase: solver aborted without a budget")
     | Diff_lp.Solution { values; objective = lp_objective } ->
-      let assignment = Result.map ignore (Diff_lp.check_assignment lp values) in
-      (match checks with
-      | Some c -> Check.record c "dphase.fsdu-nonnegative" assignment
-      | None -> ());
-      (match assignment with
+      (match Diff_lp.check_assignment lp values with
       | Error _ ->
         (* the returned duals violate the very constraints the solver was
            given: it diverged (or was made to look like it did) *)
@@ -222,7 +212,7 @@ let attempt ~options ?budget ?warm ?fault ?checks ~certify
              { solver = sname;
                iters =
                  (match budget with Some b -> Budget.pivots b | None -> 0) })
-      | Ok () ->
+      | Ok _ ->
         let budgets, delta = budgets_of_potentials ~options ~delays values in
         let objective =
           Array.fold_left ( +. ) 0.0
@@ -239,13 +229,13 @@ let attempt ~options ?budget ?warm ?fault ?checks ~certify
               rung = sname;
               certificate = !certificate }))
 
-let solve ?(options = default_options) ?budget ?warm ?fault ?checks ?log
+let solve ?(options = default_options) ?budget ?warm ?fault ?log
     ?(certify = false) model ~sizes ~delays ~deadline =
   Result.bind (build_lp ~options model ~sizes ~delays ~deadline) (fun b ->
       (* [rung], then the rest of the chain while failures are retryable *)
       let rec run rung rest =
         match
-          attempt ~options ?budget ?warm ?fault ?checks ~certify b ~delays rung
+          attempt ~options ?budget ?warm ?fault ~certify b ~delays rung
         with
         | Ok o -> Ok o
         | Error e -> (

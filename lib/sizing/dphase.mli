@@ -98,7 +98,6 @@ val solve :
   ?budget:Minflo_robust.Budget.t ->
   ?warm:Minflo_flow.Diff_lp.warm ->
   ?fault:Minflo_robust.Fault.t ->
-  ?checks:Minflo_robust.Check.t ->
   ?log:Minflo_robust.Diag.log ->
   ?certify:bool ->
   Minflo_tech.Delay_model.t ->
@@ -123,7 +122,7 @@ val solve :
     [fault] is consulted once per rung at site ["dphase.<rung>"]: [Fail e]
     fails the rung with [e] without solving, [Perturb mag] corrupts one
     dual value of the flow solution by [mag * scale] units so the
-    divergence detector (and the [checks] oracle) have something real to
-    catch. [checks] records the ["dphase.mcf-optimality.<rung>"] and
-    ["dphase.fsdu-nonnegative"] invariants. [certify] (default [false])
-    fills the outcome's [certificate]. *)
+    divergence detector has something real to catch. [certify] (default
+    [false]) fills the outcome's [certificate]: the flow and potentials the
+    engine acted on, which the trace auditor re-checks from first
+    principles. *)

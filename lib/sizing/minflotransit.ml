@@ -3,7 +3,6 @@ module Sta = Minflo_timing.Sta
 module Tolerance = Minflo_timing.Tolerance
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Check = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 
 type options = {
@@ -101,11 +100,7 @@ let dlog log severity fmt =
       | None -> ())
     fmt
 
-(* a check verdict: the first entry of [a] that [describe] flags *)
-let first_bad a describe =
-  match Array.find_mapi describe a with Some d -> Error d | None -> Ok ()
-
-let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
+let refine_from ?(options = default_options) ?fault ?log ?on_iteration
     ?on_step ?resume ?budget model ~target ~init ~tilos =
   let budget =
     match budget with Some b -> b | None -> Budget.start options.limits
@@ -156,7 +151,7 @@ let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
         (* the pass's candidate, as the step it becomes if accepted *)
         let candidate =
           match
-            Dphase.solve ~options:dopts ~budget ?warm ?fault ?checks ?log
+            Dphase.solve ~options:dopts ~budget ?warm ?fault ?log
               ~certify:(on_step <> None) model ~sizes:x ~delays
               ~deadline:target
           with
@@ -165,30 +160,10 @@ let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
             (match Wphase.solve ?fault model ~budgets:dres.budgets with
             | Error e -> Error e
             | Ok wres ->
-              Option.iter
-                (fun c ->
-                  Check.record c "wphase.sizes-in-bounds"
-                    (first_bad wres.sizes (fun i v ->
-                         if Tolerance.in_box model v then None
-                         else
-                           Some (Printf.sprintf "size %g at vertex %d" v i))))
-                checks;
               if not wres.feasible then Ok None
               else begin
                 let delays' = Delay_model.delays model wres.sizes in
                 let cp' = Sta.critical_path_only model ~delays:delays' in
-                Option.iter
-                  (fun c ->
-                    Check.record c "wphase.budgets-met"
-                      (first_bad delays' (fun i d ->
-                           let b = dres.budgets.(i) in
-                           if Tolerance.budget_met ~budget:b d then None
-                           else
-                             Some
-                               (Printf.sprintf
-                                  "vertex %d delay %g exceeds budget %g" i d
-                                  b))))
-                  checks;
                 if not (Tolerance.meets ~target cp') then Ok None
                 else
                   Ok
@@ -294,7 +269,7 @@ let refine_from ?(options = default_options) ?fault ?log ?checks ?on_iteration
       (match stop with Stop_budget _ -> true | _ -> false)
       || Budget.exhausted budget }
 
-let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
+let optimize ?(options = default_options) ?fault ?log ?on_iteration
     ?on_step model ~target =
   let budget = Budget.start options.limits in
   let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
@@ -313,5 +288,5 @@ let optimize ?(options = default_options) ?fault ?log ?checks ?on_iteration
       solver_used = None;
       budget_exhausted = Budget.exhausted budget }
   else
-    refine_from ~options ?fault ?log ?checks ?on_iteration ?on_step ~budget
+    refine_from ~options ?fault ?log ?on_iteration ?on_step ~budget
       model ~target ~init:tilos.sizes ~tilos

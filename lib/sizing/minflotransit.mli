@@ -126,7 +126,6 @@ val optimize :
   ?options:options ->
   ?fault:Minflo_robust.Fault.t ->
   ?log:Minflo_robust.Diag.log ->
-  ?checks:Minflo_robust.Check.t ->
   ?on_iteration:(snapshot -> unit) ->
   ?on_step:(step -> unit) ->
   Minflo_tech.Delay_model.t ->
@@ -134,16 +133,16 @@ val optimize :
   result
 (** Runs TILOS then the D/W iteration. [met = false] when even TILOS cannot
     reach the target (the returned sizes are then the TILOS attempt). The
-    run budget covers TILOS bumps and the refinement together. [fault],
-    [log] and [checks] are optional observers: fault plans fire at the
-    instrumented sites, the log collects a severity-tagged event trail, and
-    checks accumulate post-phase invariant findings ([--check] in the CLI). *)
+    run budget covers TILOS bumps and the refinement together. [fault]
+    plans fire at the instrumented sites and [log] collects a
+    severity-tagged event trail. A run is verified after the fact by
+    auditing the steps [on_step] delivered ([Minflo_lint.Trace.check_run],
+    [--check] in the CLI). *)
 
 val refine_from :
   ?options:options ->
   ?fault:Minflo_robust.Fault.t ->
   ?log:Minflo_robust.Diag.log ->
-  ?checks:Minflo_robust.Check.t ->
   ?on_iteration:(snapshot -> unit) ->
   ?on_step:(step -> unit) ->
   ?resume:snapshot ->

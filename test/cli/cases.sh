@@ -88,3 +88,5 @@ run bench --scale --check bad.json
 run fuzz --list-faults
 run replay nosuch-dir
 run client health --socket nope.sock --retries 1
+# a socket in a directory that does not exist: a typed error, not a crash
+run serve --socket /nonexistent/dir/x.sock --dir run

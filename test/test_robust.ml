@@ -1,10 +1,10 @@
 (* Tests for the resilience layer: typed diagnostics, run budgets, the
-   D-phase solver fallback chain, invariant checking and fault injection —
-   both as units and threaded through the full sizing engine. *)
+   D-phase solver fallback chain, the in-process run audit and fault
+   injection — both as units and threaded through the full sizing
+   engine. *)
 
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
-module Inv = Minflo_robust.Check
 module Fault = Minflo_robust.Fault
 module Perf = Minflo_robust.Perf
 module Json = Minflo_util.Json
@@ -18,6 +18,8 @@ module DM = Minflo_tech.Delay_model
 module Elmore = Minflo_tech.Elmore
 module Sweep = Minflo_sizing.Sweep
 module Minflotransit = Minflo_sizing.Minflotransit
+module Trace = Minflo_lint.Trace
+module Report = Minflo_lint.Report
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -153,22 +155,6 @@ let test_fault_prob_deterministic () =
   for _ = 1 to 32 do
     check bool "prob 0 never fires" true (Fault.fire f0 ~site:"s" = None)
   done
-
-(* ---------- Invariant recorder ---------- *)
-
-let test_invariants_record () =
-  let c = Inv.create () in
-  Inv.record c "good" (Ok ());
-  check bool "ok so far" true (Inv.failures c = []);
-  Inv.record c "bad" (Error "broken");
-  Inv.record c "worse" (Error "also broken");
-  check int "failures" 2 (List.length (Inv.failures c));
-  (match Inv.first_failure c with
-  | Some (Diag.Invariant { what; _ }) -> check string "first" "bad" what
-  | _ -> Alcotest.fail "expected an Invariant error");
-  check bool "render marks failures" true (contains (Inv.to_string c) "FAIL");
-  check int "one line per finding" 3
-    (List.length (String.split_on_char '\n' (Inv.to_string c)))
 
 (* ---------- MCF invariants on corrupted solutions ---------- *)
 
@@ -422,34 +408,58 @@ let test_engine_wphase_fault () =
   check bool "run still completes and meets" true r.met;
   check bool "later iterations recover" true (r.iterations > 0)
 
+(* a run with its accepted steps, audited as [minflo size --check] does *)
+let checked_run ?options ?fault ?log model ~target =
+  let steps = ref [] in
+  let r =
+    Minflotransit.optimize ?options ?fault ?log
+      ~on_step:(fun s -> steps := s :: !steps)
+      model ~target
+  in
+  let steps = List.rev !steps in
+  (match Trace.check_run model ~target ~steps r with
+  | [] -> ()
+  | fs -> Alcotest.failf "run audit failed:\n%s" (Report.render fs));
+  (r, steps)
+
 let test_engine_perturb_caught_by_checks () =
   let model, target = c17_setup () in
-  let fault = Fault.create () in
-  (* corrupt the first simplex solution's duals: the post-phase checks must
-     expose it and the auto chain must route around it *)
-  Fault.arm fault ~site:"dphase.simplex" ~count:1 (Fault.Perturb 5.0);
-  let checks = Inv.create () in
   let options = { Minflotransit.default_options with solver = `Auto } in
-  let r = Minflotransit.optimize ~options ~fault ~checks model ~target in
+  (* corrupt simplex duals: the divergence check must fail that rung, the
+     auto chain must route around it, and nothing the run accepted may
+     carry the corruption *)
+  let perturbed ?count () =
+    let fault = Fault.create () in
+    Fault.arm fault ~site:"dphase.simplex" ?count (Fault.Perturb 5.0);
+    let log = Diag.create_log () in
+    let r, steps = checked_run ~options ~fault ~log model ~target in
+    check bool "met" true r.met;
+    check bool "each failure is a divergence" true
+      (List.for_all
+         (fun (e : Diag.event) -> contains e.message "diverged")
+         (Diag.events_above log Diag.Warning));
+    (fault, log, steps)
+  in
+  (* once: the first pass's simplex solve *)
+  let fault, log, _ = perturbed ~count:1 () in
   check int "fired once" 1 (Fault.fired fault ~site:"dphase.simplex");
-  check bool "met" true r.met;
-  check bool "corruption recorded as failed invariant" true
-    (Inv.failures checks <> []);
-  check bool "an fsdu or optimality check caught it" true
-    (List.exists
-       (fun (f : Inv.finding) ->
-         (not f.ok)
-         && (contains f.name "dphase.fsdu-nonnegative"
-            || contains f.name "dphase.mcf-optimality"))
-       (Inv.failures checks))
+  check (Alcotest.list string) "one simplex rung failed" [ "simplex" ]
+    (failed_rungs log);
+  (* always: every accepted step comes from SSP *)
+  let _, log, steps = perturbed () in
+  check bool "only simplex fails" true
+    (failed_rungs log <> [] && List.for_all (( = ) "simplex") (failed_rungs log));
+  check bool "ssp steps only" true
+    (steps <> []
+    && List.for_all
+         (fun (s : Minflotransit.step) -> s.step_solver = "ssp")
+         steps)
 
 let test_engine_clean_run_passes_checks () =
   let model, target = c17_setup () in
-  let checks = Inv.create () in
-  let r = Minflotransit.optimize ~checks model ~target in
+  let r, steps = checked_run model ~target in
   check bool "met" true r.met;
-  check bool "ran checks" true (Inv.to_string checks <> "");
-  check bool "all invariants hold" true (Inv.failures checks = [])
+  check bool "accepted steps audited" true (steps <> [])
 
 let test_engine_oscillation_cutoff () =
   (* pinned Bellman-Ford duals are feasible but never area-improving on
@@ -494,8 +504,7 @@ let () =
           Alcotest.test_case "seeded probability replays" `Quick
             test_fault_prob_deterministic ] );
       ( "invariants",
-        [ Alcotest.test_case "recording and rendering" `Quick test_invariants_record;
-          Alcotest.test_case "corrupted flow is caught" `Quick test_mcf_corrupted_flow;
+        [ Alcotest.test_case "corrupted flow is caught" `Quick test_mcf_corrupted_flow;
           Alcotest.test_case "corrupted potential is caught" `Quick
             test_mcf_corrupted_potential ] );
       ( "parsers",

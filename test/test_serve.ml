@@ -304,7 +304,7 @@ let start_daemon cfg =
     Unix.dup2 devnull Unix.stdout;
     Unix.dup2 devnull Unix.stderr;
     let code =
-      match Server.run ~config:cfg () with
+      match Server.run cfg with
       | Ok () -> 0
       | Error (Diag.Journal_locked _) -> 3
       | Error _ -> 1
@@ -715,12 +715,16 @@ let test_e2e_loadgen_mix () =
     let summary =
       match
         Loadgen.run
-          { Loadgen.default_config with
-            Loadgen.endpoint = unix_ep cfg;
+          { Loadgen.endpoint = unix_ep cfg;
+            retry = Client.default_retry;
             circuits = [ "c17" ];
+            factor = 1.3;
+            solver = `Simplex;
             count = 2;
+            sleep_seconds = 0.0;
             lint_bad = 1;
             tiny_budget = 1;
+            poll_interval = 0.05;
             deadline_seconds = 60.0 }
       with
       | Ok j -> j
@@ -965,6 +969,18 @@ let test_e2e_drain_edges () =
     (List.length (List.filter (( = ) "job-result") events) >= 2);
   rm_rf dir
 
+(* a socket the daemon cannot bind (its directory does not exist) is a
+   typed [Io_error] naming the socket, not an escaping [Unix_error] *)
+let test_e2e_unbindable_socket () =
+  let dir = fresh_dir "serve-nosockdir" in
+  let sock = Filename.concat (Filename.concat dir "missing") "x.sock" in
+  let cfg = { (daemon_cfg dir) with Server.socket_path = sock } in
+  (match Server.run cfg with
+  | Error (Diag.Io_error { file; _ }) -> check string "names the socket" sock file
+  | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
+  | Ok () -> Alcotest.fail "daemon ran without a socket");
+  rm_rf dir
+
 (* directories the daemon cannot make fail typed: a run dir under a
    regular file is an [Error] from [Server.run], not an escaping ENOTDIR;
    a checkpoint directory that cannot be made rejects a submit with
@@ -977,7 +993,7 @@ let test_e2e_unmakeable_dirs () =
   let cfg =
     { (daemon_cfg dir) with Server.run_dir = Filename.concat blocker "run" }
   in
-  (match Server.run ~config:cfg () with
+  (match Server.run cfg with
   | Error (Diag.Io_error _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)
   | Ok () -> Alcotest.fail "daemon ran under a regular file");
@@ -1230,6 +1246,8 @@ let () =
             test_e2e_cache_eviction_under_pressure;
           Alcotest.test_case "unmakeable directories fail typed" `Quick
             test_e2e_unmakeable_dirs;
+          Alcotest.test_case "unbindable socket fails typed" `Quick
+            test_e2e_unbindable_socket;
           Alcotest.test_case "drain edges: idle exit, full-queue submit" `Quick
             test_e2e_drain_edges;
           Alcotest.test_case "chaos run is bit-identical to fault-free" `Slow

@@ -1,8 +1,9 @@
 (* Tests for proof-carrying engine traces (MF210-MF215): an untampered
    c432 trace audits clean, every class of single-field tamper — a
    claimed area, loosened budgets, one flow value, one arc cost, the
-   schema version, a truncated file — surfaces as the right typed finding, and the c432
-   trace bytes at both granularities are pinned. *)
+   schema version, a truncated file — surfaces as the right typed finding,
+   the in-process [check_run] agrees with auditing the written file, and
+   the c432 trace bytes at both granularities are pinned. *)
 
 module Iscas85 = Minflo_netlist.Iscas85
 module Netlist = Minflo_netlist.Netlist
@@ -32,24 +33,32 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* one engine run and the NDJSON bytes of its trace, written the way
-   [minflo size --trace] writes them *)
-let traced_run ?options model ~circuit ~target =
+(* one engine run with the steps its [on_step] hook delivered *)
+let run_with_steps ?options model ~target =
   let steps = ref [] in
   let result =
     Minflotransit.optimize ?options model ~target ~on_step:(fun s ->
         steps := s :: !steps)
   in
+  (List.rev !steps, result)
+
+(* [f path] on the trace of a finished run, written the way
+   [minflo size --trace] writes it *)
+let with_trace model ~circuit ~target ~steps result f =
   let path = Filename.temp_file "minflo-trace" ".jsonl" in
-  (match
-     Trace.write_run path model ~circuit ~target ~steps:(List.rev !steps)
-       result
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
-  let content = read_file path in
-  Sys.remove path;
-  content
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match Trace.write_run path model ~circuit ~target ~steps result with
+      | Ok () -> ()
+      | Error e ->
+        Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
+      f path)
+
+(* one engine run and the NDJSON bytes of its trace *)
+let traced_run ?options model ~circuit ~target =
+  let steps, result = run_with_steps ?options model ~target in
+  with_trace model ~circuit ~target ~steps result read_file
 
 (* one real engine run, traced once and shared by every test *)
 let fixture =
@@ -273,11 +282,47 @@ let test_garbage_rejected () =
   let fs = Trace.audit model ~target "this is not json\n" in
   check bool "MF210 fired" true (count "MF210" fs > 0)
 
+(* [minflo size --check] is [--trace] followed by [audit-run]: the
+   in-process audit of the steps agrees with the audit of the file. c17
+   under Bellman-Ford accepts no step, so its trace is the seed and the
+   final record alone. *)
+let test_check_run_agrees granularity ~factor ~solver circuit () =
+  let nl = circuit () in
+  let tech = Tech.default_130nm in
+  let model =
+    match granularity with
+    | `Gate -> Elmore.of_netlist tech nl
+    | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
+  in
+  let target = factor *. Sweep.dmin model in
+  let options = { Minflotransit.default_options with solver } in
+  let steps, result = run_with_steps ~options model ~target in
+  let from_file =
+    with_trace model ~circuit:(Netlist.name nl) ~target ~steps result (fun path ->
+        match Trace.audit_file model ~target path with
+        | Ok fs -> fs
+        | Error e -> Alcotest.failf "audit: %s" (Minflo_robust.Diag.to_string e))
+  in
+  let in_process = Trace.check_run model ~target ~steps result in
+  check Alcotest.string "same findings" (Report.render from_file)
+    (Report.render in_process);
+  check int "none" 0 (List.length in_process)
+
+let c432 () = Iscas85.circuit "c432"
+
 let () =
   Alcotest.run "trace"
     [ ( "clean",
         [ Alcotest.test_case "untampered c432 trace audits clean" `Quick
-            test_untampered_is_clean ] );
+            test_untampered_is_clean;
+          Alcotest.test_case "check_run agrees with audit-run: c432" `Quick
+            (test_check_run_agrees `Gate ~factor:0.5 ~solver:`Simplex c432);
+          Alcotest.test_case
+            "check_run agrees with audit-run: c432 transistor" `Quick
+            (test_check_run_agrees `Transistor ~factor:0.6 ~solver:`Simplex c432);
+          Alcotest.test_case "check_run agrees with audit-run: c17 bf" `Quick
+            (test_check_run_agrees `Gate ~factor:0.5 ~solver:`Bellman_ford
+               Minflo_netlist.Generators.c17) ] );
       ( "tamper",
         [ Alcotest.test_case "claimed area -> MF211" `Quick
             test_tamper_claimed_area;
