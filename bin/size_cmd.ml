@@ -42,7 +42,7 @@ let size =
                    would (flow certificate, budgets recomputed from its \
                    potentials, W-phase budgets met, size box, monotone \
                    area, the area and delay claims). Any finding exits with \
-                   code 3.")
+                   code 3. Not with $(b,--tool tilos).")
   in
   let trace_arg =
     Arg.(value & opt (some string) None
@@ -51,9 +51,10 @@ let size =
                    to $(docv): the TILOS seed, every accepted D/W iteration \
                    with its sizes, delay budgets and min-cost-flow \
                    certificate, and the final result. Verify it later with \
-                   $(b,minflo audit-run).")
+                   $(b,minflo audit-run). Not with $(b,--tool tilos).")
   in
-  let run tool dump solver do_check limits faults trace_out (t : Cli.target) =
+  let run_size tool dump solver do_check limits faults trace_out
+      (t : Cli.target) =
     let model = t.model and target = t.target and d0 = t.dmin in
     let a0 = Sweep.min_area model in
     Fmt.pr "circuit %s: %d sized vertices, Dmin %.4g, target %.4g@."
@@ -144,10 +145,26 @@ let size =
     | None -> ());
     if not met then Diag.fail (Diag.Unmet_target { target; achieved = cp })
   in
+  (* --check and --trace read the D/W iterations, which a TILOS run has
+     none of *)
+  let run tool dump solver do_check limits faults trace_out t =
+    let flags =
+      (if do_check then [ "--check" ] else [])
+      @ if trace_out <> None then [ "--trace" ] else []
+    in
+    if tool = `Tilos && flags <> [] then
+      `Error
+        ( true,
+          String.concat " and " flags
+          ^ " cannot be combined with --tool tilos: a TILOS run has no D/W \
+             iterations to audit or trace" )
+    else `Ok (run_size tool dump solver do_check limits faults trace_out t)
+  in
   Cmd.v
     (Cmd.info "size" ~doc:"Size a circuit for a delay target.")
-    Term.(const run $ tool $ dump $ Cli.solver_arg $ check $ Cli.limits_term
-          $ Cli.faults_term $ trace_arg $ Cli.target_term)
+    Term.(ret
+            (const run $ tool $ dump $ Cli.solver_arg $ check $ Cli.limits_term
+             $ Cli.faults_term $ trace_arg $ Cli.target_term))
 
 let sweep =
   let run granularity factors name =

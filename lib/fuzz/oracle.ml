@@ -171,22 +171,52 @@ let lint_stage sink nl =
                     "%s" f.message)))
 
 (* the engine's critical set — possibly its reused buffer — against a fresh
-   engine's walk at the same sizes *)
+   engine's walk at the same sizes; returns the engine's members *)
 let check_critical_set sink model eng =
   let members e =
     List.init
       (Incremental.critical_set ~eps_rel:Tolerance.critical_rel e)
       (Incremental.critical_vertex e)
   in
-  let mine = members eng
-  and fresh = members (Incremental.create model ~sizes:(Incremental.sizes eng)) in
+  let mine = members eng in
+  let fresh =
+    members (Incremental.create model ~sizes:(Incremental.sizes eng))
+  in
   if mine <> fresh then
     flag sink
       (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
          ~detail:"critical-set" ())
       "incremental critical set differs from a fresh engine's (%d vs %d \
        members)"
-      (List.length mine) (List.length fresh)
+      (List.length mine) (List.length fresh);
+  mine
+
+(* the engine's critical fanin of each of [vs] against the first-max fanin
+   of the batch arrivals; flags the last mismatch *)
+let check_fanins sink (model : Delay_model.t) eng ~at_ref ~d_ref vs =
+  let bad_fanin = ref None in
+  List.iter
+    (fun v ->
+      let best = ref (-1) and best_f = ref neg_infinity in
+      for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+        let u = model.fanin.(c) in
+        if at_ref.(u) +. d_ref.(u) > !best_f then begin
+          best_f := at_ref.(u) +. d_ref.(u);
+          best := u
+        end
+      done;
+      if Incremental.critical_fanin eng v <> !best then
+        bad_fanin := Some (v, !best))
+    vs;
+  match !bad_fanin with
+  | Some (v, expect) ->
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-fanin" ())
+      "critical fanin of vertex %d is %d, batch arrivals give %d" v
+      (Incremental.critical_fanin eng v)
+      expect
+  | None -> ()
 
 (* Incremental-vs-batch STA differential. The arena-backed incremental
    engine claims bit-identity with a from-scratch batch pass after any
@@ -195,14 +225,27 @@ let check_critical_set sink model eng =
    case itself and compare with exact float [=] — one ulp of drift in any
    delay, arrival or the critical path is a finding. So is a critical
    fanin other than the first-max fanin of the batch arrivals, or a
-   critical set (members and order) other than a fresh engine's. A second
-   schedule of TILOS-style 1.1 bumps from uniform minimum sizes keeps many
-   finishes bitwise tied, where the first-max rule and the set's order
-   matter. *)
+   critical set (members and order) other than a fresh engine's. The
+   decisions TILOS reads — the critical path, the critical set and its
+   members' critical fanins — are checked first: reading an arrival
+   settles every vertex the engine deferred and would hide a deferral
+   bug. A second schedule of TILOS-style 1.1 bumps from uniform minimum
+   sizes keeps many finishes bitwise tied, where the first-max rule and
+   the set's order matter. *)
 let check_incremental sink model eng =
   let n = Delay_model.num_vertices model in
   let d_ref = Delay_model.delays model (Incremental.sizes eng) in
   let at_ref = Sta.arrivals model ~delays:d_ref in
+  let cp = Sta.critical_path_only model ~delays:d_ref in
+  if Incremental.critical_path eng <> cp then
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"critical-path" ())
+      "incremental critical path %h, batch %h"
+      (Incremental.critical_path eng)
+      cp;
+  let members = check_critical_set sink model eng in
+  check_fanins sink model eng ~at_ref ~d_ref members;
   let bad = ref None in
   for v = n - 1 downto 0 do
     if
@@ -220,37 +263,7 @@ let check_incremental sink model eng =
       v (Incremental.delay eng v) d_ref.(v) (Incremental.arrival eng v)
       at_ref.(v)
   | None -> ());
-  let cp = Sta.critical_path_only model ~delays:d_ref in
-  if Incremental.critical_path eng <> cp then
-    flag sink
-      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
-         ~detail:"critical-path" ())
-      "incremental critical path %h, batch %h"
-      (Incremental.critical_path eng)
-      cp;
-  let bad_fanin = ref None in
-  for v = n - 1 downto 0 do
-    let best = ref (-1) and best_f = ref neg_infinity in
-    for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
-      let u = model.fanin.(c) in
-      if at_ref.(u) +. d_ref.(u) > !best_f then begin
-        best_f := at_ref.(u) +. d_ref.(u);
-        best := u
-      end
-    done;
-    if Incremental.critical_fanin eng v <> !best then
-      bad_fanin := Some (v, !best)
-  done;
-  (match !bad_fanin with
-  | Some (v, expect) ->
-    flag sink
-      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
-         ~detail:"critical-fanin" ())
-      "critical fanin of vertex %d is %d, batch arrivals give %d" v
-      (Incremental.critical_fanin eng v)
-      expect
-  | None -> ());
-  check_critical_set sink model eng
+  check_fanins sink model eng ~at_ref ~d_ref (List.init n Fun.id)
 
 let incremental_stage sink model =
   ignore
@@ -282,7 +295,7 @@ let incremental_stage sink model =
            for _ = 1 to 12 do
              let v = Rng.int rng n in
              Incremental.set_size tied v (Incremental.size tied v *. 1.1);
-             check_critical_set sink model tied
+             ignore (check_critical_set sink model tied)
            done;
            check_incremental sink model tied
          end))

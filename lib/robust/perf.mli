@@ -17,9 +17,12 @@
       drain refusals, pre-flight lint gating) by the serve daemon;
     - [evictions]: result-cache entries dropped under the daemon's memory
       byte budget (LRU; the journal still holds every evicted result);
-    - [incr_updates]: vertices re-propagated by the incremental timing
-      engine's worklist ({!Minflo_timing.Incremental}) — the incremental
-      counterpart of a [sweeps] tick, which touches every vertex;
+    - [incr_updates]: vertices the incremental timing engine
+      ({!Minflo_timing.Incremental}) recomputed — worklist pops inside its
+      near-critical cone, plus those that settle its deferred vertices
+      before an exact read or a re-sync of the cone (whose reverse sweep
+      ticks [sweeps]); the incremental counterpart of a [sweeps] tick,
+      which touches every vertex;
     - [full_sweeps_avoided]: times a full STA pass was skipped because
       incremental propagation settled the change, or an already-computed
       analysis was reused (the D-phase handing its safety-probe STA to the
@@ -35,7 +38,7 @@
 
     Unlike wall time, every one of these is a pure function of the inputs,
     so two identical runs produce identical counters — the property the
-    bench baseline ([BENCH_pr28.json]) and the CI bench-smoke job rely on.
+    bench baseline ([BENCH_pr35.json]) and the CI bench-smoke job rely on.
     Wall time is measured separately via {!Mono} and never compared.
 
     The counters are process-global on purpose: threading a record through

@@ -7,7 +7,7 @@
     independent {!Minflo_lint.Audit} raised against the flow certificates
     of the accepted steps (0 on a healthy engine). Counters and audit
     counts are pure functions of the inputs, so a checked-in baseline
-    ([BENCH_pr28.json]) can be compared {e exactly} on every CI run; wall
+    ([BENCH_pr35.json]) can be compared {e exactly} on every CI run; wall
     time is recorded for human eyes and never compared.
 
     Two grids exist: the ISCAS-85 grid ({!suite}, cold + warm legs, the

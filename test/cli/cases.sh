@@ -51,6 +51,8 @@ run sta c17
 run sta c432 -f 0.6
 run size c432
 run size c432 --tool tilos
+run size c17 --tool tilos --check
+run size c17 --tool tilos --check --trace t.jsonl
 run size c17 -g transistor
 run size c432 -g transistor -f 0.6 --check
 run size c17 --solver bf

@@ -341,10 +341,10 @@ let test_bench_check_catches_drift () =
       \  {\"circuit\": \"c432\", \"mode\": \"cold\", \
        \"target_factor\": 0.600, \"gates\": 160, \"area\": 1244.137492244, \
        \"met\": true, \"iterations\": 9, \"audit_findings\": 0, \
-       \"pivots\": %d, \"relabels\": 0, \"sweeps\": 53, \"bumps\": 317, \
+       \"pivots\": %d, \"relabels\": 0, \"sweeps\": 82, \"bumps\": 317, \
        \"warm_starts\": 0, \"cold_starts\": 17, \"cache_hits\": 0, \
        \"cache_misses\": 0, \"rejections\": 0, \"evictions\": 0, \
-       \"incr_updates\": 20270, \"full_sweeps_avoided\": 334, \
+       \"incr_updates\": 10862, \"full_sweeps_avoided\": 334, \
        \"arcs_priced\": 461853, \"potential_writes\": 66216, \
        \"wall_seconds\": 0.027}\n\
       \ ]}\n"

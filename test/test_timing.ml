@@ -277,6 +277,192 @@ let test_incremental_shrink_and_grow () =
     let cp1 = Inc.critical_path eng in
     check bool "restores" true (abs_float (cp1 -. cp0) < 1e-6 *. cp0))
 
+(* ---------- the near-critical cone ---------- *)
+
+module Perf = Minflo_robust.Perf
+
+(* the first fanin in CSR order with the largest batch finish: the batch
+   backtrace's step *)
+let batch_fanin (model : DM.t) ~at ~d v =
+  let best = ref (-1) and best_f = ref neg_infinity in
+  for c = model.fanin_off.(v) to model.fanin_off.(v + 1) - 1 do
+    let u = model.fanin.(c) in
+    if at.(u) +. d.(u) > !best_f then begin
+      best_f := at.(u) +. d.(u);
+      best := u
+    end
+  done;
+  !best
+
+(* The engine's decisions against a batch pass at its sizes, reading no
+   arrival first, so a settle on read cannot hide a deferral bug: the
+   critical path bit-for-bit, the critical set against the batch
+   minimum-slack set at TILOS's tolerance, and each member's critical fanin
+   against the batch backtrace. Returns the batch delays and arrivals. *)
+let check_decisions what (model : DM.t) eng =
+  let d = DM.delays model (Inc.sizes eng) in
+  let at = Sta.arrivals model ~delays:d in
+  let cp =
+    Array.fold_left (fun m s -> max m (at.(s) +. d.(s))) 0.0 model.sinks
+  in
+  if Inc.critical_path eng <> cp then
+    Alcotest.failf "%s: critical path %h, batch %h" what
+      (Inc.critical_path eng) cp;
+  let sta = Sta.analyze model ~delays:d ~deadline:cp in
+  let eps = Tolerance.critical_rel *. (1.0 +. cp) in
+  let worst = Array.fold_left min infinity sta.slack in
+  let batch =
+    List.filter
+      (fun i -> sta.slack.(i) <= worst +. eps)
+      (List.init model.n Fun.id)
+  in
+  let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
+  let members = List.init len (Inc.critical_vertex eng) in
+  check (Alcotest.list Alcotest.int) (what ^ " critical set") batch
+    (List.sort compare members);
+  List.iter
+    (fun v ->
+      let expect = batch_fanin model ~at ~d v in
+      if Inc.critical_fanin eng v <> expect then
+        Alcotest.failf "%s: critical fanin of member %d is %d, batch says %d"
+          what v (Inc.critical_fanin eng v) expect)
+    members;
+  (d, at)
+
+(* every arrival and finish against the batch pass; returns how many
+   vertices the first read settled — the ones the engine had deferred *)
+let check_arrivals what (model : DM.t) eng ~d ~at =
+  let before = Perf.current.incr_updates in
+  for v = 0 to model.n - 1 do
+    if Inc.arrival eng v <> at.(v) then
+      Alcotest.failf "%s: arrival %d is %h, batch %h" what v (Inc.arrival eng v)
+        at.(v);
+    if Inc.finish eng v <> at.(v) +. d.(v) then
+      Alcotest.failf "%s: finish %d drifted" what v
+  done;
+  Perf.current.incr_updates - before
+
+(* a random DAG large enough for the engine to defer most of it *)
+let cone_model seed =
+  Elmore.of_netlist tech
+    (Gen.random_dag ~gates:300 ~inputs:12 ~outputs:10 ~seed ())
+
+(* [set_size], also returning how many re-syncs it made (each ticks one
+   sweep) *)
+let resize eng v x =
+  let before = Perf.current.sweeps in
+  Inc.set_size eng v x;
+  Perf.current.sweeps - before
+
+(* A 300-gate DAG is large enough for the engine to defer most of it and to
+   re-sync every few bumps. TILOS-like 1.1 bumps of critical members, with
+   now and then a random resize anywhere; the decisions are checked after
+   every resize, the arrivals only every fourth, so deferred vertices stay
+   pending across several resizes. *)
+let test_cone_differential () =
+  let deferred = ref 0 and resyncs = ref 0 in
+  for seed = 0 to 19 do
+    let model = cone_model (seed + 77) in
+    let rng = Rng.create (seed + 4001) in
+    let eng = Inc.create model ~sizes:(random_sizes rng model) in
+    for step = 1 to 60 do
+      let what = Printf.sprintf "seed %d step %d" seed step in
+      let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
+      let v, x =
+        if len > 0 && Rng.int rng 5 > 0 then
+          let v = Inc.critical_vertex eng (Rng.int rng len) in
+          (v, Inc.size eng v *. 1.1)
+        else (Rng.int rng model.n, model.min_size +. Rng.float rng 7.0)
+      in
+      resyncs := !resyncs + resize eng v x;
+      let d, at = check_decisions what model eng in
+      if step mod 4 = 0 then
+        deferred := !deferred + check_arrivals what model eng ~d ~at
+    done
+  done;
+  if !deferred = 0 then Alcotest.fail "no vertex was ever deferred";
+  if !resyncs = 0 then Alcotest.fail "the cone never re-synced"
+
+(* Two chains with delay [1 / x] per vertex: A (0-3) critical at length 4,
+   B (4-7) at 3.2, short enough to defer. Upsizing A shortens the critical
+   path while downsizing B lengthens a deferred path, until B's sink is
+   the worst one. *)
+let test_cone_deferred_sink_turns_worst () =
+  let n = 8 in
+  let model =
+    DM.make ~n
+      ~edges:[ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ]
+      ~a_self:(Array.make n 0.0)
+      ~coeffs:(Array.init n (fun _ -> Hashtbl.create 1))
+      ~b:(Array.make n 1.0) ~area_weight:(Array.make n 1.0)
+      ~is_sink:(Array.init n (fun v -> v = 3 || v = 7))
+      ~block:(Array.init n Fun.id)
+      ~labels:(Array.init n string_of_int)
+      ~min_size:1.0 ~max_size:100.0
+  in
+  let x0 = Array.init n (fun v -> if v < 4 then 1.0 else 1.25) in
+  let eng = Inc.create model ~sizes:x0 in
+  (* the first resize of B pushes into deferred vertices only: an exact
+     engine would settle 5, 6 and 7 *)
+  let before = Perf.current.incr_updates in
+  check Alcotest.int "no re-sync" 0 (resize eng 4 1.2);
+  check Alcotest.int "B's fanouts deferred" 0
+    (Perf.current.incr_updates - before);
+  ignore (check_decisions "first resize" model eng);
+  let step = ref 0 in
+  while Inc.critical_vertex eng 0 <> 7 do
+    incr step;
+    if !step > 200 then Alcotest.fail "B's sink never became the worst";
+    let what = Printf.sprintf "step %d" !step in
+    let a = !step mod 4 and b = 4 + (!step mod 4) in
+    ignore (resize eng a (Inc.size eng a *. 1.02));
+    ignore (check_decisions what model eng);
+    ignore (resize eng b (Inc.size eng b /. 1.02));
+    ignore (check_decisions what model eng)
+  done;
+  let d, at = check_decisions "end" model eng in
+  ignore (check_arrivals "end" model eng ~d ~at)
+
+(* TILOS's trial-bump fallback: bump each member, read the total sink
+   violation, roll back. Each read settles the deferred vertices first and
+   must equal the batch sum; the decisions after the rollback must still be
+   the batch ones. *)
+let test_cone_total_violation () =
+  for seed = 0 to 9 do
+    let model = cone_model (seed + 500) in
+    let rng = Rng.create (seed + 77) in
+    let eng = Inc.create model ~sizes:(random_sizes rng model) in
+    let target = 0.8 *. Inc.critical_path eng in
+    let batch_violation () =
+      let d = DM.delays model (Inc.sizes eng) in
+      let at = Sta.arrivals model ~delays:d in
+      Array.fold_left
+        (fun acc s -> acc +. max 0.0 (at.(s) +. d.(s) -. target))
+        0.0 model.sinks
+    in
+    for round = 1 to 8 do
+      let what = Printf.sprintf "seed %d round %d" seed round in
+      let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
+      for k = 0 to len - 1 do
+        let v = Inc.critical_vertex eng k in
+        let old = Inc.size eng v in
+        Inc.set_size eng v (old *. 1.1);
+        let expect = batch_violation () in
+        if Inc.total_violation eng ~target <> expect then
+          Alcotest.failf "%s: violation after bumping %d is %h, batch %h" what v
+            (Inc.total_violation eng ~target) expect;
+        Inc.set_size eng v old
+      done;
+      ignore (check_decisions what model eng);
+      (* one real bump, so the next round starts from a new sizing *)
+      if len > 0 then begin
+        let v = Inc.critical_vertex eng (Rng.int rng len) in
+        Inc.set_size eng v (Inc.size eng v *. 1.1);
+        ignore (check_decisions what model eng)
+      end
+    done
+  done
+
 let test_balance_unsafe_rejected () =
   let model = random_model 99 in
   let x = DM.uniform_sizes model 1.0 in
@@ -402,7 +588,12 @@ let () =
       ( "incremental",
         [ QCheck_alcotest.to_alcotest prop_incremental_matches_batch;
           QCheck_alcotest.to_alcotest prop_incremental_critical_set_matches;
-          tc "shrink and grow" `Quick test_incremental_shrink_and_grow ] );
+          tc "shrink and grow" `Quick test_incremental_shrink_and_grow;
+          tc "cone differential" `Quick test_cone_differential;
+          tc "deferred sink turns worst" `Quick
+            test_cone_deferred_sink_turns_worst;
+          tc "trial bumps read total violation" `Quick
+            test_cone_total_violation ] );
       ( "balance",
         [ QCheck_alcotest.to_alcotest prop_balance_valid;
           QCheck_alcotest.to_alcotest prop_theorem1_displacement;
