@@ -8,6 +8,15 @@ let infinite_capacity = max_int / 8
 
 type status = Optimal | Infeasible | Unbounded | Aborted
 
+let status_names =
+  [ (Optimal, "optimal"); (Infeasible, "infeasible"); (Unbounded, "unbounded");
+    (Aborted, "aborted") ]
+
+let status_to_string s = List.assoc s status_names
+
+let status_of_string name =
+  List.find_map (fun (s, n) -> if n = name then Some s else None) status_names
+
 type solution = {
   status : status;
   flow : int array;

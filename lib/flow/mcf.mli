@@ -32,6 +32,10 @@ type status =
       (** A run budget ({!Minflo_robust.Budget}) was exhausted mid-solve;
           the flow is partial and must not be used. *)
 
+val status_to_string : status -> string
+val status_of_string : string -> status option
+(** The inverse of {!status_to_string}. *)
+
 type solution = {
   status : status;
   flow : int array;      (** per-arc flow; meaningful when [Optimal]. *)

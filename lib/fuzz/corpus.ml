@@ -55,15 +55,13 @@ let fingerprint key doc =
   Option.bind (Json.str_field key doc) Fingerprint.of_string
 
 let solvers key doc =
-  match Json.member key doc with
-  | Some (Json.List (_ :: _ as names)) ->
-    let parsed =
-      List.filter_map
-        (function Json.Str n -> Dphase.solver_of_string n | _ -> None)
-        names
-    in
-    if List.length parsed = List.length names then Some parsed else None
-  | _ -> None
+  match
+    Json.array_field
+      (function Json.Str n -> Dphase.solver_of_string n | _ -> None)
+      key doc
+  with
+  | None | Some [||] -> None
+  | Some names -> Some (Array.to_list names)
 
 let fault_site key doc =
   match Json.member key doc with

@@ -461,19 +461,13 @@ let warm_cold_stage sink cfg model ~target (tilos : Minflo_sizing.Tilos.result) 
              let warm =
                Network_simplex.solve_warm ~budget:(budget ()) st perturbed
              in
-             let status_name = function
-               | Mcf.Optimal -> "optimal"
-               | Mcf.Infeasible -> "infeasible"
-               | Mcf.Unbounded -> "unbounded"
-               | Mcf.Aborted -> "aborted"
-             in
              if cold.Mcf.status <> warm.Mcf.status then
                flag sink
                  (Fingerprint.make ~phase:"dphase" ~code:"warm-cold-mismatch"
                     ~detail:"status" ())
                  "warm/cold status diverge on perturbed LP: cold=%s warm=%s"
-                 (status_name cold.Mcf.status)
-                 (status_name warm.Mcf.status)
+                 (Mcf.status_to_string cold.Mcf.status)
+                 (Mcf.status_to_string warm.Mcf.status)
              else if
                cold.Mcf.status = Mcf.Optimal
                && cold.Mcf.objective <> warm.Mcf.objective

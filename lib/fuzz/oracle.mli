@@ -5,8 +5,9 @@
     {!Minflo_netlist.Transform.to_nand_inv} and
     {!Minflo_netlist.Transform.expand_xor} keep its function, lint,
     delay-model extraction, a full TILOS + D/W sizing run per configured
-    solver with the trace audit of its accepted steps and result
-    ({!Minflo_lint.Trace.check_run}, fingerprinted
+    solver with its seed, accepted steps and result fed to the run
+    auditor of [minflo audit-run] ({!Minflo_lint.Trace.check_run},
+    fingerprinted
     [check/<rule>/<solver>]), cross-solver differential comparison of the
     final areas, and an LP-level three-solver differential (network simplex /
     SSP / cost scaling) on the D-phase displacement problem with an

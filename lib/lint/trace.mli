@@ -12,20 +12,35 @@
       supplies plus the flow, potentials and objective the engine acted on;
     - a closing [final] record mirroring the run's result.
 
-    The auditor replays the whole file against nothing but the circuit
-    model: every claim is recomputed from the recorded sizes, every LP is
-    rebuilt from scratch at the preceding sizing via
-    {!Minflo_sizing.Dphase.displacement_problem}, and every flow
-    certificate goes through the first-principles {!Audit.check}. A single
-    tampered field — one arc cost, one flow value, one claimed area —
-    surfaces as a typed finding: MF210 structural damage, MF211 claim
-    mismatches, MF212 budget violations, MF213 non-monotone progress,
-    MF214 final-record infeasibility, MF215 LP-rebuild mismatches, and
-    MF101–MF105 for invalid flow certificates.
+    One {!Auditor} checks every run, fed a file's lines by [minflo
+    audit-run], a finished run's records by [size --check] and the fuzz
+    oracle, and each step as it is accepted by [minflo bench]. It trusts
+    nothing but the circuit model: every claim is recomputed from the
+    recorded sizes, every LP is rebuilt from scratch at the preceding
+    sizing via {!Minflo_sizing.Dphase.displacement_problem}, and every
+    flow certificate goes through the first-principles {!Audit.check}. A
+    single tampered field — one arc cost, one flow value, one claimed
+    area — surfaces as a typed finding: MF210 structural damage, MF211
+    claim mismatches, MF212 budget violations, MF213 non-monotone
+    progress, MF214 final-record infeasibility, MF215 LP-rebuild
+    mismatches, and MF101–MF105 for invalid flow certificates.
 
     Capacities equal to {!Minflo_flow.Mcf.infinite_capacity} are encoded
     as [-1] on the wire: the sentinel survives the float round trip that
     [max_int / 8] would not. *)
+
+(** {1 Records}
+
+    The one builder of each record kind, for the file and the auditor
+    alike. A non-finite float is built as [Null], as it prints, so
+    [Json.parse (Json.to_string r)] is [r]. *)
+
+val header :
+  Minflo_tech.Delay_model.t -> circuit:string -> target:float -> Minflo_util.Json.t
+
+val tilos_record : Minflo_sizing.Tilos.result -> Minflo_util.Json.t
+val step_record : Minflo_sizing.Minflotransit.step -> Minflo_util.Json.t
+val final_record : Minflo_sizing.Minflotransit.result -> Minflo_util.Json.t
 
 (** {1 Writing} *)
 
@@ -54,14 +69,31 @@ val write_run :
 
 (** {1 Auditing} *)
 
+(** A fold over a run's records in file order: header, [tilos], steps,
+    [final]. It keeps the last waypoint's sizes, delays and area and the step
+    count, so it holds one sizing and one LP at a time. Its STA sweeps
+    and LP rebuilds tick {!Minflo_robust.Perf} counters. *)
+module Auditor : sig
+  type t
+
+  val create : Minflo_tech.Delay_model.t -> target:float -> t
+  (** A header targeting anything but [target] is MF210: auditing someone
+      else's run proves nothing. *)
+
+  val feed : t -> Minflo_util.Json.t -> unit
+
+  val finish : t -> Finding.t list
+  (** Every finding, by rule in order of first appearance, flow
+      certificates last. [[]] means a monotone sequence of feasible
+      sizings with valid flow certificates, ending in a sizing that
+      independently meets (or honestly misses) the target. *)
+end
+
 val audit : Minflo_tech.Delay_model.t -> target:float -> string -> Finding.t list
-(** [audit model ~target content] replays a complete trace (the raw file
-    content) and returns every discrepancy. An empty list means the trace
-    is machine-checked: the run really did produce a monotone sequence of
-    feasible sizings with valid flow certificates, ending in a sizing that
-    independently meets (or honestly misses) the target. [target] is the
-    deadline the auditor expects; a header targeting anything else is
-    rejected as MF210 — auditing someone else's trace proves nothing. *)
+(** [audit model ~target content] feeds each line of a trace (the raw
+    file content) to an {!Auditor} and returns its findings. Lines are
+    numbered as in the file, blank ones included; a line that is not JSON
+    is MF210. *)
 
 val audit_file :
   Minflo_tech.Delay_model.t ->
@@ -77,11 +109,9 @@ val check_run :
   steps:Minflo_sizing.Minflotransit.step list ->
   Minflo_sizing.Minflotransit.result ->
   Finding.t list
-(** [check_run model ~target ~steps result] verifies a finished run in
-    process: {!audit} on the text {!write_run} would write for it (header,
-    seed, [steps], final record). This is [minflo size --check]: exactly
-    [--trace] followed by [minflo audit-run], without the file. Only the
-    accepted steps are checked; a rejected pass never reaches the result.
-    [steps] must carry certificates (the engine's [?on_step] hook turns
-    certificate capture on), except Bellman-Ford steps, which have none by
-    design. *)
+(** [check_run model ~target ~steps result] feeds the {!Auditor} the
+    records {!write_run} would write for a finished run, as built, so it
+    finds what [--trace] followed by [minflo audit-run] finds. This is
+    [minflo size --check]. [steps] must carry certificates (the engine's
+    [?on_step] hook turns certificate capture on), except Bellman-Ford
+    steps, which have none by design. *)

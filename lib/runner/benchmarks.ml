@@ -4,8 +4,10 @@ module Json = Minflo_util.Json
 module Perf = Minflo_robust.Perf
 module Delay_model = Minflo_tech.Delay_model
 module Generators = Minflo_netlist.Generators
-module Dphase = Minflo_sizing.Dphase
+module Budget = Minflo_robust.Budget
+module Tilos = Minflo_sizing.Tilos
 module Minflotransit = Minflo_sizing.Minflotransit
+module Trace = Minflo_lint.Trace
 
 type experiment = {
   circuit : string;
@@ -34,23 +36,33 @@ let run_netlist ~circuit ~nl ~warm =
       Minflotransit.warm_start = warm;
       canonical_duals = true }
   in
-  (* every accepted step's flow certificate is audited from first
-     principles (MF101-MF105) as it is emitted — the observer sees the
-     exact solution the engine acted on, and nothing is retained, so even
-     the 50k-gate scale runs audit in O(arcs) extra memory. The audit does
-     not tick perf counters, so [counters] stay a pure function of the
-     sizing inputs. *)
-  let audit_findings = ref 0 in
-  let on_step (s : Minflotransit.step) =
-    match s.Minflotransit.step_certificate with
-    | Some (c : Dphase.certificate) ->
-      audit_findings :=
-        !audit_findings + List.length (Minflo_lint.Audit.check c.problem c.solution)
-    | None -> ()
+  (* [minflo audit-run]'s auditor checks each record as it is emitted, in
+     one sizing and one LP of memory at any scale; its seed record comes
+     first, hence no [optimize]. Its counter ticks and time are taken out *)
+  let auditor = Trace.Auditor.create model ~target in
+  let audit_counters = ref (Perf.zero ()) and audit_seconds = ref 0.0 in
+  let audit record =
+    let before = Perf.snapshot () in
+    let (), s = Perf.timed (fun () -> Trace.Auditor.feed auditor (record ())) in
+    audit_counters := Perf.add !audit_counters Perf.(diff before (snapshot ()));
+    audit_seconds := !audit_seconds +. s
   in
   let before = Perf.snapshot () in
   let (result : Minflotransit.result), wall =
-    Perf.timed (fun () -> Minflotransit.optimize ~options ~on_step model ~target)
+    Perf.timed (fun () ->
+        audit (fun () -> Trace.header model ~circuit ~target);
+        let budget = Budget.start options.limits in
+        let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
+        audit (fun () -> Trace.tilos_record tilos);
+        let result =
+          if tilos.met then
+            Minflotransit.refine_from ~options
+              ~on_step:(fun s -> audit (fun () -> Trace.step_record s))
+              ~budget model ~target ~init:tilos.sizes ~tilos
+          else Minflotransit.unmet_seed ~budget tilos
+        in
+        audit (fun () -> Trace.final_record result);
+        result)
   in
   { circuit;
     mode = (if warm then "warm" else "cold");
@@ -59,9 +71,9 @@ let run_netlist ~circuit ~nl ~warm =
     area = result.area;
     met = result.met;
     iterations = result.iterations;
-    audit_findings = !audit_findings;
-    counters = Perf.(diff before (snapshot ()));
-    wall_seconds = wall }
+    audit_findings = List.length (Trace.Auditor.finish auditor);
+    counters = Perf.(diff !audit_counters (diff before (snapshot ())));
+    wall_seconds = wall -. !audit_seconds }
 
 let run_one ~circuit ~warm =
   run_netlist ~circuit ~nl:(Minflo_netlist.Iscas85.circuit circuit) ~warm

@@ -4,9 +4,11 @@
     one circuit in one mode — [cold] (fresh flow solve per D-phase) or
     [warm] (basis reuse across D-phases) — and records the final area, the
     {!Minflo_robust.Perf} counters spent, and the number of findings the
-    independent {!Minflo_lint.Audit} raised against the flow certificates
-    of the accepted steps (0 on a healthy engine). Counters and audit
-    counts are pure functions of the inputs, so a checked-in baseline
+    run auditor of [minflo audit-run] ({!Minflo_lint.Trace.Auditor}),
+    fed each record as the engine emits it, raised against the run (0 on a
+    healthy engine). The audit's own counter ticks and time are left out
+    of [counters] and [wall_seconds]. Counters and audit counts are pure
+    functions of the inputs, so a checked-in baseline
     ([BENCH_pr35.json]) can be compared {e exactly} on every CI run; wall
     time is recorded for human eyes and never compared.
 
@@ -24,8 +26,10 @@ type experiment = {
   met : bool;
   iterations : int;
   audit_findings : int;
-      (** total {!Minflo_lint.Audit} findings over every accepted step's
-          flow certificate; 0 means every certificate audited clean. *)
+      (** findings of {!Minflo_lint.Trace.Auditor} over the run's
+          records: MF210–MF215 on the seed, every accepted step and the
+          final result, MF101–MF105 on each step's flow certificate. 0
+          means the run audited clean. *)
   counters : Minflo_robust.Perf.counters;
   wall_seconds : float;  (** volatile; excluded from {!check}. *)
 }

@@ -106,13 +106,6 @@ let or_null read key doc =
   | Some Json.Null -> Some None
   | _ -> Option.map Option.some (read key doc)
 
-let float_array key doc =
-  match Json.member key doc with
-  | Some (Json.List xs) ->
-    let a = Array.of_list (List.filter_map Json.to_float xs) in
-    if Array.length a = List.length xs then Some a else None
-  | _ -> None
-
 let hex64 key doc =
   match Json.str_field key doc with
   | Some h when String.length h = 16 -> Int64.of_string_opt ("0x" ^ h)
@@ -140,8 +133,8 @@ let load path =
   let* bumps = req Json.int_field "tilos_bumps" in
   let* final_cp = req Json.float_field "tilos_cp" in
   let* area = req Json.float_field "tilos_area" in
-  let* snap_sizes = req float_array "sizes" in
-  let* sizes = req float_array "tilos_sizes" in
+  let* snap_sizes = req (Json.array_field Json.to_float) "sizes" in
+  let* sizes = req (Json.array_field Json.to_float) "tilos_sizes" in
   Ok
     { circuit;
       circuit_hash;

@@ -269,24 +269,26 @@ let refine_from ?(options = default_options) ?fault ?log ?on_iteration
       (match stop with Stop_budget _ -> true | _ -> false)
       || Budget.exhausted budget }
 
+let unmet_seed ~budget (tilos : Tilos.result) =
+  { sizes = tilos.sizes;
+    area = tilos.area;
+    cp = tilos.final_cp;
+    met = false;
+    iterations = 0;
+    tilos;
+    area_saving_pct = 0.0;
+    stop =
+      (match Budget.check budget with
+      | Some e -> Stop_budget e
+      | None -> Stop_converged);
+    solver_used = None;
+    budget_exhausted = Budget.exhausted budget }
+
 let optimize ?(options = default_options) ?fault ?log ?on_iteration
     ?on_step model ~target =
   let budget = Budget.start options.limits in
   let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
-  if not tilos.met then
-    { sizes = tilos.sizes;
-      area = tilos.area;
-      cp = tilos.final_cp;
-      met = false;
-      iterations = 0;
-      tilos;
-      area_saving_pct = 0.0;
-      stop =
-        (match Budget.check budget with
-        | Some e -> Stop_budget e
-        | None -> Stop_converged);
-      solver_used = None;
-      budget_exhausted = Budget.exhausted budget }
+  if not tilos.met then unmet_seed ~budget tilos
   else
     refine_from ~options ?fault ?log ?on_iteration ?on_step ~budget
       model ~target ~init:tilos.sizes ~tilos

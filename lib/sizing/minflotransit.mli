@@ -135,9 +135,15 @@ val optimize :
     reach the target (the returned sizes are then the TILOS attempt). The
     run budget covers TILOS bumps and the refinement together. [fault]
     plans fire at the instrumented sites and [log] collects a
-    severity-tagged event trail. A run is verified after the fact by
-    auditing the steps [on_step] delivered ([Minflo_lint.Trace.check_run],
-    [--check] in the CLI). *)
+    severity-tagged event trail. A run is verified by feeding its records
+    to [Minflo_lint.Trace.Auditor]: after it ends, from the steps [on_step]
+    delivered ([Minflo_lint.Trace.check_run], [--check] in the CLI), or as
+    each step is accepted, as [minflo bench] does. *)
+
+val unmet_seed :
+  budget:Minflo_robust.Budget.t -> Tilos.result -> result
+(** What {!optimize} returns when the TILOS seed misses the target: the
+    seed, unrefined, with the budget's stop reason. *)
 
 val refine_from :
   ?options:options ->

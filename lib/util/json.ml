@@ -269,7 +269,7 @@ let to_num = function Num v -> Some v | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_int = function
-  | Num v when Float.is_integer v && Float.abs v < 1e15 ->
+  | Num v when Float.is_integer v && Float.abs v < 0x1p53 ->
     Some (int_of_float v)
   | _ -> None
 
@@ -300,3 +300,10 @@ let num_field key j = Option.bind (member key j) to_num
 let int_field key j = Option.bind (member key j) to_int
 let bool_field key j = Option.bind (member key j) to_bool
 let float_field key j = Option.bind (member key j) to_float
+
+let array_field elt key j =
+  match member key j with
+  | Some (List xs) ->
+    let a = List.filter_map elt xs in
+    if List.compare_lengths a xs = 0 then Some (Array.of_list a) else None
+  | _ -> None

@@ -52,6 +52,10 @@ val to_float : t -> float option
 val member : string -> t -> t option
 val to_num : t -> float option
 val to_int : t -> int option
+(** An integral number below 2{^53} in magnitude, the range in which a
+    float holds every integer exactly (a traced min-cost-flow objective
+    passes 1e15 at 50k gates). *)
+
 val str_field : string -> t -> string option
 val num_field : string -> t -> float option
 val int_field : string -> t -> int option
@@ -59,3 +63,7 @@ val bool_field : string -> t -> bool option
 
 val float_field : string -> t -> float option
 (** [float_field key obj] is {!to_float} of the member [key]. *)
+
+val array_field : (t -> 'a option) -> string -> t -> 'a array option
+(** [array_field elt key obj] is the array member [key], each element
+    read by [elt]; [None] if any element is rejected. *)

@@ -2,8 +2,10 @@
    c432 trace audits clean, every class of single-field tamper — a
    claimed area, loosened budgets, one flow value, one arc cost, the
    schema version, a truncated file — surfaces as the right typed finding,
-   the in-process [check_run] agrees with auditing the written file, and
-   the c432 trace bytes at both granularities are pinned. *)
+   the in-process [check_run] agrees with auditing the written file (also
+   on steps tampered in memory), every record survives the JSON print and
+   parse bit for bit, and the c432 trace bytes at both granularities are
+   pinned. *)
 
 module Iscas85 = Minflo_netlist.Iscas85
 module Netlist = Minflo_netlist.Netlist
@@ -70,6 +72,12 @@ let fixture =
 
 (* ---------- byte-identity pins ---------- *)
 
+let granular_model granularity nl =
+  match granularity with
+  | `Gate -> Elmore.of_netlist Tech.default_130nm nl
+  | `Transistor ->
+    Transistor.of_netlist Tech.default_130nm (Transform.to_nand_inv nl)
+
 (* The exact bytes of [minflo size c432 --factor 0.6 --trace FILE], at
    gate granularity (file sha256 bf56532bdab1a0df...) and with
    [--granularity transistor] (fc601492b075b02c...). Every float sum and
@@ -77,12 +85,7 @@ let fixture =
    iteration order moves the digest. *)
 let test_trace_bytes_pinned granularity expect () =
   let nl = Iscas85.circuit "c432" in
-  let tech = Tech.default_130nm in
-  let model =
-    match granularity with
-    | `Gate -> Elmore.of_netlist tech nl
-    | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
-  in
+  let model = granular_model granularity nl in
   let target = 0.6 *. Sweep.dmin model in
   let options = { Minflotransit.default_options with solver = `Auto } in
   let content = traced_run ~options model ~circuit:(Netlist.name nl) ~target in
@@ -282,21 +285,39 @@ let test_garbage_rejected () =
   let fs = Trace.audit model ~target "this is not json\n" in
   check bool "MF210 fired" true (count "MF210" fs > 0)
 
-(* [minflo size --check] is [--trace] followed by [audit-run]: the
-   in-process audit of the steps agrees with the audit of the file. c17
-   under Bellman-Ford accepts no step, so its trace is the seed and the
-   final record alone. *)
-let test_check_run_agrees granularity ~factor ~solver circuit () =
-  let nl = circuit () in
-  let tech = Tech.default_130nm in
-  let model =
-    match granularity with
-    | `Gate -> Elmore.of_netlist tech nl
-    | `Transistor -> Transistor.of_netlist tech (Transform.to_nand_inv nl)
+(* findings name physical file lines: a blank line still counts *)
+let test_blank_line_numbering () =
+  let _, _, content = Lazy.force fixture in
+  let ls = lines content in
+  let header = List.hd ls in
+  let with_blank =
+    unlines (header :: List.hd (List.tl ls) :: "" :: header :: List.tl (List.tl ls))
   in
+  let fs = audit_tampered with_blank in
+  check (Alcotest.list Alcotest.string) "duplicate header on line 4"
+    [ "line 4: duplicate header" ]
+    (List.filter_map
+       (fun (f : Finding.t) ->
+         if f.rule.Rule.id = "MF210" then Some f.message else None)
+       fs)
+
+(* [minflo size --check] is [--trace] followed by [audit-run]: the
+   in-process audit of the steps agrees with the audit of the file, also
+   when the first step was tampered in memory, before any text exists.
+   c17 under Bellman-Ford accepts no step, so its trace is the seed and
+   the final record alone. *)
+let test_check_run_agrees ?tamper granularity ~factor ~solver circuit () =
+  let nl = circuit () in
+  let model = granular_model granularity nl in
   let target = factor *. Sweep.dmin model in
   let options = { Minflotransit.default_options with solver } in
   let steps, result = run_with_steps ~options model ~target in
+  let steps =
+    match (tamper, steps) with
+    | None, _ -> steps
+    | Some f, s :: rest -> f s :: rest
+    | Some _, [] -> Alcotest.fail "run accepted no step"
+  in
   let from_file =
     with_trace model ~circuit:(Netlist.name nl) ~target ~steps result (fun path ->
         match Trace.audit_file model ~target path with
@@ -306,9 +327,120 @@ let test_check_run_agrees granularity ~factor ~solver circuit () =
   let in_process = Trace.check_run model ~target ~steps result in
   check Alcotest.string "same findings" (Report.render from_file)
     (Report.render in_process);
-  check int "none" 0 (List.length in_process)
+  check bool "findings exactly when tampered" (tamper <> None) (in_process <> [])
 
 let c432 () = Iscas85.circuit "c432"
+
+let tamper_area (s : Minflotransit.step) =
+  { s with step_area = s.step_area *. 1.01 }
+
+let tamper_flow (s : Minflotransit.step) =
+  match s.step_certificate with
+  | Some c ->
+    let flow = Array.copy c.solution.flow in
+    flow.(0) <- flow.(0) + 1;
+    { s with
+      step_certificate = Some { c with solution = { c.solution with flow } } }
+  | None -> Alcotest.fail "first step has no certificate"
+
+let tamper_nan_size (s : Minflotransit.step) =
+  let sizes = Array.copy s.step_sizes in
+  sizes.(0) <- Float.nan;
+  { s with step_sizes = sizes }
+
+(* ---------- codec ---------- *)
+
+(* [Json.parse (Json.to_string r) = r], floats compared bit for bit, and
+   printing is stable across the round trip *)
+let rec json_bits_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Json.List xs, Json.List ys ->
+    List.length xs = List.length ys && List.for_all2 json_bits_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> k = l && json_bits_equal x y) xs ys
+  | _ -> a = b
+
+let check_round_trip r =
+  let text = Json.to_string r in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "record does not parse back: %s" e
+  | Ok back ->
+    if not (json_bits_equal r back) then
+      Alcotest.failf "record changed in the round trip: %s" text;
+    check Alcotest.string "print is stable" text (Json.to_string back)
+
+let run_records granularity ~factor ~solver circuit =
+  let nl = circuit () in
+  let model = granular_model granularity nl in
+  let target = factor *. Sweep.dmin model in
+  let options = { Minflotransit.default_options with solver } in
+  let steps, result = run_with_steps ~options model ~target in
+  Trace.header model ~circuit:(Netlist.name nl) ~target
+  :: Trace.tilos_record result.tilos
+  :: List.map Trace.step_record steps
+  @ [ Trace.final_record result ]
+
+let test_codec_runs () =
+  List.iter
+    (fun (granularity, factor, solver, circuit) ->
+      let rs = run_records granularity ~factor ~solver circuit in
+      check bool "run has steps" true
+        (List.length rs > 3 || solver = `Bellman_ford);
+      List.iter check_round_trip rs)
+    [ (`Gate, 0.6, `Auto, c432);
+      (`Transistor, 0.6, `Auto, c432);
+      (`Gate, 0.5, `Bellman_ford, Minflo_netlist.Generators.c17) ]
+
+(* a certified step whose every float field, a few sizes and one arc and
+   flow hold the values a float codec gets wrong first *)
+let test_codec_edges () =
+  let model = granular_model `Gate (c432 ()) in
+  let target = 0.6 *. Sweep.dmin model in
+  let steps, result = run_with_steps model ~target in
+  let s, c =
+    match
+      List.find_map
+        (fun (s : Minflotransit.step) ->
+          Option.map (fun c -> (s, c)) s.step_certificate)
+        steps
+    with
+    | Some sc -> sc
+    | None -> Alcotest.fail "no step carries a certificate"
+  in
+  let edges =
+    [| -0.0; 4.9e-324; 0x1p53 +. 2.0; 1e15; Float.nan; Float.infinity |]
+  in
+  let sizes = Array.copy s.step_sizes in
+  Array.blit edges 0 sizes 0 (Array.length edges);
+  let arcs = Array.copy c.problem.arcs in
+  arcs.(0) <-
+    { (arcs.(0)) with cost = 1 lsl 60; cap = Minflo_flow.Mcf.infinite_capacity };
+  let flow = Array.copy c.solution.flow in
+  flow.(0) <- (1 lsl 53) + 2;
+  let r =
+    Trace.step_record
+      { s with
+        step_eta = -0.0;
+        step_predicted = 4.9e-324;
+        step_area = 1e15;
+        step_cp = Float.neg_infinity;
+        step_sizes = sizes;
+        step_certificate =
+          Some
+            { problem = { c.problem with arcs };
+              solution = { c.solution with flow; objective = -1 } } }
+  in
+  (match Option.bind (Json.member "lp" r) (Json.member "arcs") with
+  | Some (Json.List (Json.List [ _; _; cap; _ ] :: _)) ->
+    check bool "infinite capacity is the -1 sentinel" true
+      (cap = Json.Num (-1.0))
+  | _ -> Alcotest.fail "lp has no arcs");
+  check bool "a non-finite float is built as null" true
+    (Json.member "cp" r = Some Json.Null);
+  List.iter check_round_trip
+    [ r; Trace.final_record { result with cp = Float.nan; area = -0.0 } ]
 
 let () =
   Alcotest.run "trace"
@@ -322,7 +454,18 @@ let () =
             (test_check_run_agrees `Transistor ~factor:0.6 ~solver:`Simplex c432);
           Alcotest.test_case "check_run agrees with audit-run: c17 bf" `Quick
             (test_check_run_agrees `Gate ~factor:0.5 ~solver:`Bellman_ford
-               Minflo_netlist.Generators.c17) ] );
+               Minflo_netlist.Generators.c17);
+          Alcotest.test_case "check_run agrees with audit-run: claimed area"
+            `Quick
+            (test_check_run_agrees ~tamper:tamper_area `Gate ~factor:0.5
+               ~solver:`Simplex c432);
+          Alcotest.test_case "check_run agrees with audit-run: flow value"
+            `Quick
+            (test_check_run_agrees ~tamper:tamper_flow `Gate ~factor:0.5
+               ~solver:`Simplex c432);
+          Alcotest.test_case "check_run agrees with audit-run: nan size" `Quick
+            (test_check_run_agrees ~tamper:tamper_nan_size `Gate ~factor:0.5
+               ~solver:`Simplex c432) ] );
       ( "tamper",
         [ Alcotest.test_case "claimed area -> MF211" `Quick
             test_tamper_claimed_area;
@@ -336,7 +479,14 @@ let () =
             test_truncated_trace;
           Alcotest.test_case "foreign target -> MF210" `Quick
             test_wrong_target_rejected;
-          Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected ] );
+          Alcotest.test_case "garbage -> MF210" `Quick test_garbage_rejected;
+          Alcotest.test_case "blank line keeps line numbers" `Quick
+            test_blank_line_numbering ] );
+      ( "codec",
+        [ Alcotest.test_case "pinned runs round-trip bit for bit" `Quick
+            test_codec_runs;
+          Alcotest.test_case "edge values round-trip bit for bit" `Quick
+            test_codec_edges ] );
       ( "pins",
         [ Alcotest.test_case "c432 gate trace bytes" `Quick
             (test_trace_bytes_pinned `Gate "528c1fa1787a9a26eb911c3506ffe4c2");
