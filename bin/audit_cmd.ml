@@ -11,12 +11,6 @@ let lint =
              ~doc:"Circuits to lint: .bench/.v file paths or built-in suite \
                    names; repeatable.")
   in
-  let strict =
-    Arg.(value & flag
-         & info [ "strict" ]
-             ~doc:"Fail (exit 2) on warnings too; shorthand for \
-                   --fail-on=warning.")
-  in
   let fail_on =
     Arg.(value
          & opt
@@ -44,7 +38,7 @@ let lint =
                    intervals against a target of $(docv) times its \
                    minimum-size critical path.")
   in
-  let run circuits report strict fail_on max_fanout bounds_factor =
+  let run circuits report fail_on max_fanout bounds_factor =
     let config = { Lint.default_config with fanout_bound = max_fanout } in
     let findings =
       List.concat_map
@@ -77,8 +71,7 @@ let lint =
           | Error e -> Diag.fail e)
         circuits
     in
-    Cli.emit_report report findings
-      ~fail_on:(if strict then Lint_rule.Warning else fail_on)
+    Cli.emit_report report findings ~fail_on
   in
   Cmd.v
     (Cmd.info "lint"
@@ -92,7 +85,7 @@ let lint =
              gates the target pins at their best case (MF202) and gates \
              whose worst case still meets it (MF203). Exit 2 at or above \
              the --fail-on severity.")
-    Term.(const run $ circuits $ Cli.report_term $ strict $ fail_on
+    Term.(const run $ circuits $ Cli.report_term $ fail_on
           $ max_fanout $ bounds_factor)
 
 let audit_cert =

@@ -21,8 +21,10 @@
       injection and the instrumented storage layer ([minflo_robust]). The
       D-phase solver chain itself lives in {!Dphase.solve};
     - {!Mcf}, {!Network_simplex}, {!Ssp}, {!Cost_scaling}, {!Dinic},
-      {!Bellman_ford}, {!Diff_lp} — the network-flow substrate
-      ([minflo_flow]);
+      {!Bellman_ford} — the network-flow substrate ([minflo_flow]). The
+      D-phase's displacement LP is built directly as the {!Mcf.problem}
+      whose optimal potentials are its solution
+      ({!Dphase.displacement_problem});
     - {!Gate}, {!Netlist}, {!Raw}, {!Bench_format}, {!Verilog_format},
       {!Generators}, {!Compose}, {!Transform}, {!Iscas85}, {!Mutate} —
       gate-level circuits ([minflo_netlist]). There is no separate graph
@@ -84,7 +86,6 @@ module Ssp = Minflo_flow.Ssp
 module Cost_scaling = Minflo_flow.Cost_scaling
 module Dinic = Minflo_flow.Dinic
 module Bellman_ford = Minflo_flow.Bellman_ford
-module Diff_lp = Minflo_flow.Diff_lp
 
 (* netlist *)
 module Gate = Minflo_netlist.Gate

@@ -1,33 +1,7 @@
 module Netlist = Minflo_netlist.Netlist
 module Raw = Minflo_netlist.Raw
 module Gate = Minflo_netlist.Gate
-
-(* ---------- editable view (same idea as Mutate's) ---------- *)
-
-type view = {
-  name : string;
-  inputs : string list;
-  outputs : string list;
-  gates : Raw.gate_decl array;  (* creation order = topological *)
-}
-
-let view_of nl =
-  let raw = Raw.of_netlist nl in
-  { name = raw.Raw.circuit;
-    inputs = List.map fst raw.Raw.inputs;
-    outputs = List.map fst raw.Raw.outputs;
-    gates = Array.of_list raw.Raw.gates }
-
-let rebuild v =
-  let sig_list = List.map (fun n -> (n, Raw.no_loc)) in
-  let raw =
-    { Raw.file = None;
-      circuit = v.name;
-      inputs = sig_list v.inputs;
-      outputs = sig_list v.outputs;
-      gates = Array.to_list v.gates }
-  in
-  match Raw.elaborate raw with Ok nl -> Some nl | Error _ -> None
+module Mutate = Minflo_netlist.Mutate
 
 let dedupe xs =
   let seen = Hashtbl.create 16 in
@@ -43,7 +17,7 @@ let dedupe xs =
 (* the view with the gates at [drop] removed; each removed gate's output is
    substituted by its first fanin (chains resolve because fanins always
    point at earlier declarations) *)
-let without v drop =
+let without (v : Mutate.view) drop =
   let n = Array.length v.gates in
   let dropped = Array.make n false in
   List.iter (fun i -> if i >= 0 && i < n then dropped.(i) <- true) drop;
@@ -81,7 +55,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
   let try_view v =
     if !checks >= max_checks then false
     else
-      match rebuild v with
+      match Mutate.rebuild v with
       | None -> false
       | Some cand ->
         incr checks;
@@ -98,7 +72,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
     let chunks = ref 2 in
     let running = ref true in
     while !running && !checks < max_checks do
-      let v = view_of !best in
+      let v = Mutate.view_of !best in
       let n = Array.length v.gates in
       if n <= 1 then running := false
       else begin
@@ -129,7 +103,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
     let again = ref true in
     while !again && !checks < max_checks do
       again := false;
-      let v = view_of !best in
+      let v = Mutate.view_of !best in
       let n = Array.length v.gates in
       let i = ref 0 in
       while (not !again) && !i < n && !checks < max_checks do
@@ -161,7 +135,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
     let again = ref true in
     while !again && !checks < max_checks do
       again := false;
-      let v = view_of !best in
+      let v = Mutate.view_of !best in
       let n = List.length v.outputs in
       if n > 1 then begin
         let i = ref (n - 1) in
@@ -179,7 +153,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
   in
   (* prune primary inputs nothing reads *)
   let input_pass () =
-    let v = view_of !best in
+    let v = Mutate.view_of !best in
     let read = Hashtbl.create 64 in
     Array.iter
       (fun g -> List.iter (fun f -> Hashtbl.replace read f ()) g.Raw.g_fanins)
@@ -195,7 +169,7 @@ let shrink ?(max_checks = 1000) ~keep nl =
         (* all-at-once rejected (or would empty the interface): one by one *)
         List.fold_left
           (fun acc dead ->
-            let v = view_of !best in
+            let v = Mutate.view_of !best in
             let inputs = List.filter (fun i -> i <> dead) v.inputs in
             if inputs <> [] && try_view { v with inputs } then true else acc)
           false unused

@@ -7,4 +7,4 @@ val render : Finding.t list -> string
 val exit_code : ?fail_on:Rule.severity -> Finding.t list -> int
 (** Map findings to the CLI exit-code convention: [0] when nothing reaches
     the [fail_on] threshold (default [Error]), [2] — the "bad input" code —
-    otherwise. [--strict] mode is [~fail_on:Warning]. *)
+    otherwise. *)

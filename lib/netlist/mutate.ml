@@ -14,7 +14,7 @@ let all_ops = [| Splice; Swap_kind; Rewire; Deep_chain; Widen; Dup_output |]
 type view = {
   name : string;
   inputs : string list;
-  mutable outputs : string list;
+  outputs : string list;
   gates : Raw.gate_decl array;  (* edited in place; splices rebuild *)
 }
 
@@ -138,8 +138,7 @@ let deep_chain rng v =
       chain := decl nm Gate.Not [ !prev ] :: !chain;
       prev := nm
     done;
-    v.outputs <- v.outputs @ [ !prev ];
-    rebuild ~extra:(List.rev !chain) v
+    rebuild ~extra:(List.rev !chain) { v with outputs = v.outputs @ [ !prev ] }
   end
 
 let widen rng v =
@@ -170,8 +169,8 @@ let dup_output rng v =
   match internal with
   | [] -> None
   | _ ->
-    v.outputs <- v.outputs @ [ Rng.pick rng (Array.of_list internal) ];
-    rebuild v
+    rebuild
+      { v with outputs = v.outputs @ [ Rng.pick rng (Array.of_list internal) ] }
 
 let apply rng op nl =
   let v = view_of nl in

@@ -26,3 +26,25 @@ val mutate : seed:int -> rounds:int -> Netlist.t -> Netlist.t
     {!Swap_kind} on a netlist with no gates) or whose edit fails
     re-elaboration is skipped; the input is never modified. The result is
     always valid; with [rounds = 0] it is the input netlist. *)
+
+(** {1 Editable view}
+
+    The declarations of a netlist as plain data, edited and then
+    re-elaborated. The mutations above and the fuzz shrinker both work
+    on it. *)
+
+type view = {
+  name : string;
+  inputs : string list;
+  outputs : string list;
+  gates : Raw.gate_decl array;
+      (** in creation order, which is a topological order: a gate at
+          index [i] may read the inputs and the gates before [i]. *)
+}
+
+val view_of : Netlist.t -> view
+
+val rebuild : ?extra:Raw.gate_decl list -> view -> Netlist.t option
+(** The netlist the view declares, with [extra] declared after [gates];
+    [None] when it does not elaborate (arity violation, cycle, undriven
+    signal). *)

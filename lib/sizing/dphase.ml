@@ -2,8 +2,10 @@ module Delay_model = Minflo_tech.Delay_model
 module Balance = Minflo_timing.Balance
 module Sta = Minflo_timing.Sta
 module Tolerance = Minflo_timing.Tolerance
-module Diff_lp = Minflo_flow.Diff_lp
 module Mcf = Minflo_flow.Mcf
+module Network_simplex = Minflo_flow.Network_simplex
+module Ssp = Minflo_flow.Ssp
+module Bellman_ford = Minflo_flow.Bellman_ford
 module Diag = Minflo_robust.Diag
 module Budget = Minflo_robust.Budget
 module Fault = Minflo_robust.Fault
@@ -50,14 +52,20 @@ type outcome = {
   certificate : certificate option;
 }
 
-(* the displacement LP, its Dmy variables (where a Perturb fault lands)
-   and the sensitivity weights of the objective *)
-type lp_build = {
-  lp : Diff_lp.t;
-  rdmy : int array;
-  weights : float array;
-}
+(* the displacement LP as its dual min-cost flow, and the sensitivity
+   weights of the objective *)
+type lp_build = { problem : Mcf.problem; weights : float array }
 
+(* warm-start state of the two exact rungs: a spanning-tree basis for the
+   simplex, Johnson potentials for SSP *)
+type warm = { simplex : Network_simplex.state; ssp : Ssp.state }
+
+let make_warm () =
+  { simplex = Network_simplex.make_state (); ssp = Ssp.make_state () }
+
+(* LP variable r(i) is node [i], Dmy(i) is node [n + i], ground is node
+   [2n]. Each constraint [x - y <= w] is the uncapacitated arc [x -> y] of
+   cost [w], and each objective coefficient the supply of its node. *)
 let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
     ~delays ~deadline =
   let n = model.n in
@@ -91,14 +99,25 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
       let v = int_of_float (floor (x *. s)) in
       if v > 0 then v else 0
     in
-    let lp =
-      Diff_lp.create ~vars_hint:((2 * n) + 1)
-        ~cons_hint:((2 * n) + model.m + n)
-        ()
+    let ground = 2 * n in
+    let num_ground = ref 0 in
+    for i = 0 to n - 1 do
+      if Delay_model.is_source model i then incr num_ground;
+      if model.Delay_model.is_sink.(i) then incr num_ground
+    done;
+    let arcs =
+      Array.make
+        ((2 * n) + model.m + !num_ground)
+        { Mcf.src = 0; dst = 0; cap = Mcf.infinite_capacity; cost = 0 }
     in
-    let r = Array.init n (fun _ -> Diff_lp.var lp) in
-    let rdmy = Array.init n (fun _ -> Diff_lp.var lp) in
-    let ground = Diff_lp.var lp in
+    let next = ref 0 in
+    (* [x - y <= w] *)
+    let add_le x y w =
+      arcs.(!next) <-
+        { Mcf.src = x; dst = y; cap = Mcf.infinite_capacity; cost = w };
+      incr next
+    in
+    let supply = Array.make ((2 * n) + 1) 0 in
     (* trust-region bounds on the per-vertex delay change *)
     for i = 0 to n - 1 do
       let max_dd = options.eta *. delays.(i) in
@@ -107,31 +126,29 @@ let build_lp ?(options = default_options) (model : Delay_model.t) ~sizes
       let head_room = if 0.0 >= head_room then 0.0 else head_room in
       let min_dd = -.(if max_dd <= head_room then max_dd else head_room) in
       (* r(Dmy i) - r(i) <= MAXdD  and  r(i) - r(Dmy i) <= -MINdD *)
-      Diff_lp.add_le lp rdmy.(i) r.(i) (q max_dd);
-      Diff_lp.add_le lp r.(i) rdmy.(i) (q (-.min_dd));
-      Diff_lp.add_objective lp rdmy.(i) iw.(i);
-      Diff_lp.add_objective lp r.(i) (-iw.(i))
+      add_le (n + i) i (q max_dd);
+      add_le i (n + i) (q (-.min_dd));
+      supply.(n + i) <- iw.(i);
+      supply.(i) <- -iw.(i)
     done;
     (* causality: displaced FSDUs on real edges stay non-negative *)
     for e = 0 to model.m - 1 do
       let i = model.edge_src.(e) and j = model.edge_dst.(e) in
       (* FSDU_e + r(j) - r(Dmy i) >= 0 *)
-      Diff_lp.add_le lp rdmy.(i) r.(j) (q bal.edge_fsdu.(e))
+      add_le (n + i) j (q bal.edge_fsdu.(e))
     done;
     (* virtual input edges (ground -> source) and output edges
        (sink -> ground), with ground pinned: Corollary 1 *)
     for i = 0 to n - 1 do
       if Delay_model.is_source model i then
-        Diff_lp.add_le lp ground r.(i) (q bal.source_fsdu.(i));
+        add_le ground i (q bal.source_fsdu.(i));
       if model.Delay_model.is_sink.(i) then
-        Diff_lp.add_le lp rdmy.(i) ground (q bal.sink_fsdu.(i))
+        add_le (n + i) ground (q bal.sink_fsdu.(i))
     done;
-    Ok { lp; rdmy; weights }
+    Ok { problem = { num_nodes = (2 * n) + 1; arcs; supply }; weights }
   end
 
-(* [build_lp] makes the variables r(0..n-1), then Dmy(0..n-1), then
-   ground, so Dmy(i) is variable [n + i]; a solution's values are the
-   first variables of its potential vector *)
+(* Dmy(i) is node [n + i] of the displacement LP *)
 let budgets_of_potentials ?(options = default_options) ~delays potential =
   let n = Array.length delays in
   let delta =
@@ -142,55 +159,87 @@ let budgets_of_potentials ?(options = default_options) ~delays potential =
 
 let displacement_problem ?options model ~sizes ~delays ~deadline =
   Result.map
-    (fun b -> Diff_lp.to_problem b.lp)
+    (fun b -> b.problem)
     (build_lp ?options model ~sizes ~delays ~deadline)
 
+(* Feasibility repair, the last rung: [x - y <= w] holds under the
+   shortest-path distances over the reversed arc [y -> x] of weight [w]
+   (then dist(x) <= dist(y) + w by the relaxation invariant). Running from
+   all sources keeps every value finite. The assignment is feasible but
+   generally suboptimal; it comes back as potentials with no flow, and a
+   negative cycle (an infeasible LP) as the flow's [Unbounded]. *)
+let solve_by_feasibility (p : Mcf.problem) : Mcf.solution =
+  let g =
+    { Bellman_ford.num_nodes = p.num_nodes;
+      arc_src = Array.map (fun (a : Mcf.arc) -> a.dst) p.arcs;
+      arc_dst = Array.map (fun (a : Mcf.arc) -> a.src) p.arcs;
+      arc_weight = Array.map (fun (a : Mcf.arc) -> a.cost) p.arcs }
+  in
+  match Bellman_ford.run_all g with
+  | Negative_cycle _ ->
+    { status = Unbounded; flow = [||]; potential = [||]; objective = 0 }
+  | Distances potential ->
+    { status = Optimal; flow = [||]; potential; objective = 0 }
+
+(* the LP's optimal value is the flow's dual objective, Σ supply·π *)
+let dual_objective (p : Mcf.problem) potential =
+  let total = ref 0 in
+  for v = 0 to p.num_nodes - 1 do
+    total := !total + (p.supply.(v) * potential.(v))
+  done;
+  !total
+
+(* whether [potential] violates a constraint of the LP: the solver's
+   divergence detector *)
+let violates (p : Mcf.problem) potential =
+  Array.exists
+    (fun (a : Mcf.arc) -> potential.(a.src) - potential.(a.dst) > a.cost)
+    p.arcs
+
 (* One rung on the already-built LP. *)
-let attempt ~options ?budget ?warm ?fault ~certify
-    { lp; rdmy; weights } ~delays (solver : rung) =
+let attempt ~options ?budget ?warm ?fault ~certify { problem = p; weights }
+    ~delays (solver : rung) =
   let n = Array.length delays in
-  let s = options.scale in
   let sname = solver_name solver in
   match Option.bind fault (fun f -> Fault.fire f ~site:("dphase." ^ sname)) with
   | Some (Fault.Fail e) -> Error e
   | (None | Some (Fault.Perturb _)) as fired ->
-    let perturb =
-      match fired with Some (Fault.Perturb m) -> Some m | _ -> None
+    let sol =
+      match (solver, warm) with
+      | `Simplex, Some w -> Network_simplex.solve_warm ?budget w.simplex p
+      | `Simplex, None -> Network_simplex.solve ?budget p
+      | `Ssp, Some w -> Ssp.solve_warm ?budget w.ssp p
+      | `Ssp, None -> Ssp.solve ?budget p
+      | `Bellman_ford, _ -> solve_by_feasibility p
     in
-    let certificate = ref None in
-    let on_solution p (sol : Mcf.solution) =
-      (* a Perturb fault pushes one dual value past its trust-region bound:
-         exactly the symptom of a solver that stopped short of optimality *)
-      (match perturb with
-      | Some mag when n > 0 && sol.status = Mcf.Optimal ->
-        sol.potential.(rdmy.(0)) <-
-          sol.potential.(rdmy.(0)) + max 1 (int_of_float (mag *. s))
-      | _ -> ());
-      (* snapshot for the proof-carrying trace: exactly the (possibly
-         perturbed) certificate the engine is about to act on. Copied —
-         the solver owns and may reuse these arrays. *)
-      if certify then
-        certificate :=
-          Some
-            { problem = p;
-              solution =
-                { sol with
-                  flow = Array.copy sol.flow;
-                  potential = Array.copy sol.potential } }
+    let exact = solver <> `Bellman_ford in
+    (* canonicalize BEFORE the fault so its perturbation lands on the final
+       values and the divergence check still bites *)
+    let sol =
+      if exact && options.canonical_duals && sol.status = Mcf.Optimal then
+        { sol with potential = Mcf.canonical_potentials p sol }
+      else sol
     in
-    (match
-       Diff_lp.solve ~solver ?budget ?warm ~canonical:options.canonical_duals
-         ~on_solution lp
-     with
-    | Diff_lp.Infeasible_lp ->
+    (* a Perturb fault pushes one dual value past its trust-region bound:
+       exactly the symptom of a solver that stopped short of optimality *)
+    (match fired with
+    | Some (Fault.Perturb mag) when exact && n > 0 && sol.status = Mcf.Optimal ->
+      sol.potential.(n) <-
+        sol.potential.(n) + max 1 (int_of_float (mag *. options.scale))
+    | _ -> ());
+    (* the LP [max b.pi : pi(u) - pi(v) <= w] is unbounded iff the flow is
+       infeasible, and infeasible iff the flow is unbounded (a negative
+       cycle of constraints) *)
+    (match sol.status with
+    | Mcf.Unbounded ->
       Error
         (Diag.Internal
            "Dphase: displacement LP infeasible — balanced FSDUs violated (bug)")
-    | Diff_lp.Unbounded_lp ->
+    | Mcf.Infeasible ->
       Error
         (Diag.Internal
            "Dphase: displacement LP unbounded — trust region missing (bug)")
-    | Diff_lp.Aborted_lp ->
+    | Mcf.Aborted ->
       Error
         (match budget with
         | Some b -> (
@@ -202,32 +251,39 @@ let attempt ~options ?budget ?warm ?fault ~certify
                 spent = float_of_int (Budget.pivots b);
                 limit = float_of_int (Budget.pivots b) })
         | None -> Diag.Internal "Dphase: solver aborted without a budget")
-    | Diff_lp.Solution { values; objective = lp_objective } ->
-      (match Diff_lp.check_assignment lp values with
-      | Error _ ->
-        (* the returned duals violate the very constraints the solver was
-           given: it diverged (or was made to look like it did) *)
-        Error
-          (Diag.Solver_diverged
-             { solver = sname;
-               iters =
-                 (match budget with Some b -> Budget.pivots b | None -> 0) })
-      | Ok _ ->
-        let budgets, delta = budgets_of_potentials ~options ~delays values in
-        let objective =
-          Array.fold_left ( +. ) 0.0
-            (Array.init n (fun i -> weights.(i) *. delta.(i)))
-        in
-        if not (Float.is_finite objective) then
-          Error (Diag.Numeric { what = "dphase.objective"; value = objective })
-        else
-          Ok
-            { budgets;
-              delta;
-              objective;
-              lp_objective;
-              rung = sname;
-              certificate = !certificate }))
+    | Mcf.Optimal when violates p sol.potential ->
+      (* the returned duals violate the very constraints the solver was
+         given: it diverged (or was made to look like it did) *)
+      Error
+        (Diag.Solver_diverged
+           { solver = sname;
+             iters = (match budget with Some b -> Budget.pivots b | None -> 0) })
+    | Mcf.Optimal ->
+      let budgets, delta = budgets_of_potentials ~options ~delays sol.potential in
+      let objective =
+        Array.fold_left ( +. ) 0.0
+          (Array.init n (fun i -> weights.(i) *. delta.(i)))
+      in
+      if not (Float.is_finite objective) then
+        Error (Diag.Numeric { what = "dphase.objective"; value = objective })
+      else
+        Ok
+          { budgets;
+            delta;
+            objective;
+            lp_objective = dual_objective p sol.potential;
+            rung = sname;
+            (* exactly the (possibly perturbed) certificate the engine acts
+               on, copied: the solver owns and may reuse these arrays *)
+            certificate =
+              (if certify && exact then
+                 Some
+                   { problem = p;
+                     solution =
+                       { sol with
+                         flow = Array.copy sol.flow;
+                         potential = Array.copy sol.potential } }
+               else None) })
 
 let solve ?(options = default_options) ?budget ?warm ?fault ?log
     ?(certify = false) model ~sizes ~delays ~deadline =

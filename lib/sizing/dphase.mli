@@ -17,8 +17,9 @@
 type solver = [ `Auto | `Simplex | `Ssp | `Bellman_ford ]
 (** The D-phase solver choice of the engine, batch jobs, the serve
     protocol and the CLI. [`Simplex] and [`Ssp] are exact; [`Bellman_ford]
-    is the feasibility repair of {!Minflo_flow.Diff_lp.solve}, trading
-    optimality of the step for guaranteed progress; [`Auto] is the chain
+    is a feasibility repair by Bellman-Ford shortest paths over the
+    reversed constraint graph, trading optimality of the step for
+    guaranteed progress; [`Auto] is the chain
     of all three. *)
 
 val solver_name : solver -> string
@@ -73,6 +74,17 @@ type outcome = {
           never constructs a flow solution. *)
 }
 
+type warm
+(** Reusable warm-start state of the two exact rungs (a spanning-tree
+    basis for [`Simplex], Johnson potentials for [`Ssp]), threaded through
+    consecutive {!solve}s whose LPs keep the same shape; see
+    {!Minflo_flow.Network_simplex.solve_warm} and
+    {!Minflo_flow.Ssp.solve_warm}. Never share one across concurrently
+    running solves. *)
+
+val make_warm : unit -> warm
+(** Fresh warm state; the first solve through it is a cold start. *)
+
 val budgets_of_potentials :
   ?options:options -> delays:float array -> int array -> float array * float array
 (** [(budgets, delta)] read off the displacement LP's potential vector
@@ -91,12 +103,19 @@ val displacement_problem :
     solving it. This is the real-workload substrate for [minflo audit-cert]:
     solve it with any {!Minflo_flow.Mcf} solver and hand problem + solution
     to the certificate auditor. Fails like {!solve} does on an unsafe
-    starting point ([Unsafe_timing]). *)
+    starting point ([Unsafe_timing]).
+
+    Node [i] is r(i), node [n + i] is Dmy(i) and node [2n] is ground; each
+    constraint [x - y <= w] is an uncapacitated arc [x -> y] of cost [w],
+    and each node's supply is its objective coefficient. The arcs come per
+    vertex the two trust-region arcs, then one arc per edge in edge-id
+    order, then the ground arcs (source arc before sink arc) — the order
+    the simplex's pivots and every warm basis depend on. *)
 
 val solve :
   ?options:options ->
   ?budget:Minflo_robust.Budget.t ->
-  ?warm:Minflo_flow.Diff_lp.warm ->
+  ?warm:warm ->
   ?fault:Minflo_robust.Fault.t ->
   ?log:Minflo_robust.Diag.log ->
   ?certify:bool ->

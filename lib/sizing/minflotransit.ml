@@ -127,7 +127,7 @@ let refine_from ?(options = default_options) ?fault ?log ?on_iteration
      Warm starts force canonical duals — without them a warm solve may pick
      a different vertex of the optimal dual face than a cold one and the
      trajectories would drift apart. *)
-  let warm = if options.warm_start then Some (Minflo_flow.Diff_lp.make_warm ()) else None in
+  let warm = if options.warm_start then Some (Dphase.make_warm ()) else None in
   let canonical = options.canonical_duals || options.warm_start in
   while Option.is_none !stop && !st.snap_eta >= eta_min do
     let s = !st in

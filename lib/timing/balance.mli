@@ -38,14 +38,3 @@ val balance :
     computed for the same [delays] and [deadline] (the D-phase's safety
     probe): the balancer then skips its own full sweep and ticks the
     [full_sweeps_avoided] perf counter. *)
-
-val check :
-  Minflo_tech.Delay_model.t ->
-  delays:float array ->
-  t ->
-  (unit, Minflo_robust.Diag.error) result
-(** Verifies non-negativity of every FSDU and exact path balance (via the
-    potential identity on each edge); failures are typed
-    [Invariant {what = "fsdu-balance"; _}] diagnostics. The test suite's
-    oracle for Theorems 1-2; the engine's [--check] records the D-phase's
-    own ["dphase.fsdu-nonnegative"] instead. *)

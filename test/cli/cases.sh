@@ -77,6 +77,12 @@ run lint c17
 run lint c17 --format sarif
 run lint c17 -o lint.txt
 run lint c17 -o /nonexistent/l.txt
+# --fail-on is the one threshold flag: a warning passes by default, fails
+# at --fail-on warning, and --strict is no option
+printf 'INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOT(a)\n' >dangling.bench
+run lint dangling.bench
+run lint dangling.bench --fail-on warning
+run lint dangling.bench --strict
 
 # batch, bench, fuzz, replay, client
 run batch c17 --factors 0.5,0.6 --solvers simplex,bf --no-isolate

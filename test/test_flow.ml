@@ -8,7 +8,6 @@ module Ssp = Minflo_flow.Ssp
 module Cost_scaling = Minflo_flow.Cost_scaling
 module Dinic = Minflo_flow.Dinic
 module BF = Minflo_flow.Bellman_ford
-module Diff_lp = Minflo_flow.Diff_lp
 module Rng = Minflo_util.Rng
 
 let check = Alcotest.check
@@ -1598,79 +1597,83 @@ let test_canonical_trivial_passthrough () =
       check bool (status_str status ^ " as a copy") false (out == potential))
     [ Mcf.Infeasible; Mcf.Unbounded; Mcf.Aborted ]
 
-(* ---------- Diff_lp ---------- *)
+(* ---------- difference-constraint LPs ---------- *)
 
-let test_diff_lp_basic () =
-  let lp = Diff_lp.create () in
-  let x = Diff_lp.var lp and y = Diff_lp.var lp in
+(* The LP [max sum obj(v) * pi(v) : pi(x) - pi(y) <= w] as its dual flow
+   problem, the form the D-phase builds: one node per variable, one
+   uncapacitated arc [x -> y] of cost [w] per constraint, the objective as
+   supplies. An Optimal flow's potentials are an optimal assignment; an
+   Unbounded flow (negative cycle) means an infeasible LP, and an
+   Infeasible flow an unbounded one. *)
+let difference_lp nvars cons obj =
+  let supply = Array.make nvars 0 in
+  List.iter (fun (v, c) -> supply.(v) <- supply.(v) + c) obj;
+  { Mcf.num_nodes = nvars;
+    arcs =
+      Array.of_list
+        (List.map (fun (x, y, w) -> arc x y Mcf.infinite_capacity w) cons);
+    supply }
+
+(* Σ obj·π if [values] meets every constraint *)
+let lp_value (p : Mcf.problem) values =
+  if
+    Array.exists
+      (fun (a : Mcf.arc) -> values.(a.src) - values.(a.dst) > a.cost)
+      p.arcs
+  then None
+  else begin
+    let total = ref 0 in
+    Array.iteri (fun v c -> total := !total + (c * values.(v))) p.supply;
+    Some !total
+  end
+
+let test_lp_basic () =
   (* maximize x - y subject to x - y <= 3, y - x <= 1 *)
-  Diff_lp.add_le lp x y 3;
-  Diff_lp.add_le lp y x 1;
-  Diff_lp.add_objective lp x 1;
-  Diff_lp.add_objective lp y (-1);
-  match Diff_lp.solve lp with
-  | Solution { values; objective } ->
-    check int "objective" 3 objective;
-    check int "difference" 3 (values.(x) - values.(y))
-  | Infeasible_lp -> Alcotest.fail "infeasible"
-  | Unbounded_lp -> Alcotest.fail "unbounded"
-  | Aborted_lp -> Alcotest.fail "aborted"
+  let p = difference_lp 2 [ (0, 1, 3); (1, 0, 1) ] [ (0, 1); (1, -1) ] in
+  let sol = Simplex.solve p in
+  check Alcotest.string "status" "Optimal" (status_str sol.status);
+  check (Alcotest.option int) "objective" (Some 3) (lp_value p sol.potential);
+  check int "difference" 3 (sol.potential.(0) - sol.potential.(1))
 
-let test_diff_lp_chain () =
+let test_lp_chain () =
   (* chain x0 <= x1 <= x2 (i.e. x_i - x_{i+1} <= 0) with x2 - x0 <= 5;
      maximize (x2 - x0) *)
-  let lp = Diff_lp.create () in
-  let v = Array.init 3 (fun _ -> Diff_lp.var lp) in
-  Diff_lp.add_le lp v.(0) v.(1) 0;
-  Diff_lp.add_le lp v.(1) v.(2) 0;
-  Diff_lp.add_le lp v.(2) v.(0) 5;
-  Diff_lp.add_objective lp v.(2) 1;
-  Diff_lp.add_objective lp v.(0) (-1);
-  match Diff_lp.solve lp with
-  | Solution { objective; values } ->
-    check int "objective" 5 objective;
-    check int "spread" 5 (values.(2) - values.(0))
-  | _ -> Alcotest.fail "expected solution"
+  let p =
+    difference_lp 3 [ (0, 1, 0); (1, 2, 0); (2, 0, 5) ] [ (2, 1); (0, -1) ]
+  in
+  let sol = Simplex.solve p in
+  check Alcotest.string "status" "Optimal" (status_str sol.status);
+  check (Alcotest.option int) "objective" (Some 5) (lp_value p sol.potential);
+  check int "spread" 5 (sol.potential.(2) - sol.potential.(0))
 
-let test_diff_lp_infeasible () =
-  (* x - y <= -1 and y - x <= -1: negative cycle *)
-  let lp = Diff_lp.create () in
-  let x = Diff_lp.var lp and y = Diff_lp.var lp in
-  Diff_lp.add_le lp x y (-1);
-  Diff_lp.add_le lp y x (-1);
-  Diff_lp.add_objective lp x 1;
-  Diff_lp.add_objective lp y (-1);
-  match Diff_lp.solve lp with
-  | Infeasible_lp -> ()
-  | Solution _ -> Alcotest.fail "expected infeasible, got solution"
-  | Unbounded_lp -> Alcotest.fail "expected infeasible, got unbounded"
-  | Aborted_lp -> Alcotest.fail "expected infeasible, got aborted"
+let test_lp_infeasible () =
+  (* x - y <= -1 and y - x <= -1: a negative cycle, so the flow is
+     unbounded *)
+  let p = difference_lp 2 [ (0, 1, -1); (1, 0, -1) ] [ (0, 1); (1, -1) ] in
+  let s1, s2 = solve_both p in
+  check Alcotest.string "simplex" "Unbounded" (status_str s1.status);
+  check Alcotest.string "ssp" "Unbounded" (status_str s2.status)
 
-let test_diff_lp_unbounded () =
-  (* maximize x - y with only x - y >= constraint missing: no upper bound *)
-  let lp = Diff_lp.create () in
-  let x = Diff_lp.var lp and y = Diff_lp.var lp in
-  Diff_lp.add_le lp y x 0;
-  Diff_lp.add_objective lp x 1;
-  Diff_lp.add_objective lp y (-1);
-  match Diff_lp.solve lp with
-  | Unbounded_lp -> ()
-  | Solution _ -> Alcotest.fail "expected unbounded, got solution"
-  | Infeasible_lp -> Alcotest.fail "expected unbounded, got infeasible"
-  | Aborted_lp -> Alcotest.fail "expected unbounded, got aborted"
+let test_lp_unbounded () =
+  (* maximize x - y with no upper bound on x - y: the supply at x cannot
+     reach y, so the flow is infeasible *)
+  let p = difference_lp 2 [ (1, 0, 0) ] [ (0, 1); (1, -1) ] in
+  let s1, s2 = solve_both p in
+  check Alcotest.string "simplex" "Infeasible" (status_str s1.status);
+  check Alcotest.string "ssp" "Infeasible" (status_str s2.status)
 
 (* brute force oracle for tiny LPs: enumerate assignments in [-bound, bound] *)
-let brute_force_lp lp nvars bound =
+let brute_force_lp p nvars bound =
   let best = ref None in
   let values = Array.make nvars 0 in
   let rec enumerate i =
     if i = nvars then begin
-      match Diff_lp.check_assignment lp values with
-      | Ok obj -> (
+      match lp_value p values with
+      | Some obj -> (
         match !best with
         | Some b when b >= obj -> ()
         | _ -> best := Some obj)
-      | Error _ -> ()
+      | None -> ()
     end
     else
       for v = -bound to bound do
@@ -1681,61 +1684,61 @@ let brute_force_lp lp nvars bound =
   enumerate 0;
   !best
 
-let prop_diff_lp_matches_brute_force =
-  QCheck.Test.make ~name:"Diff_lp optimum matches brute force on tiny LPs"
-    ~count:100 QCheck.small_nat (fun seed ->
+let prop_lp_matches_brute_force =
+  QCheck.Test.make ~name:"brute-force optimum, tiny LPs" ~count:100 QCheck.small_nat (fun seed ->
       let rng = Rng.create ((seed * 6151) + 3) in
       let nvars = 2 + Rng.int rng 3 in
-      let lp = Diff_lp.create () in
-      let vars = Array.init nvars (fun _ -> Diff_lp.var lp) in
       (* feasible by construction: weights from a random potential plus
          non-negative slack, all small so the optimum is within the box *)
       let phi = Array.init nvars (fun _ -> Rng.int rng 5) in
       let ncons = 2 + Rng.int rng 6 in
+      let cons = ref [] in
       for _ = 1 to ncons do
         let x = Rng.int rng nvars and y = Rng.int rng nvars in
         if x <> y then
-          Diff_lp.add_le lp vars.(x) vars.(y) (phi.(x) - phi.(y) + Rng.int rng 3)
+          cons := (x, y, phi.(x) - phi.(y) + Rng.int rng 3) :: !cons
       done;
-      (* balanced objective pairs *)
+      (* balanced objective pair *)
       let x = Rng.int rng nvars and y = Rng.int rng nvars in
       let c = 1 + Rng.int rng 3 in
-      Diff_lp.add_objective lp vars.(x) c;
-      Diff_lp.add_objective lp vars.(y) (-c);
-      match (Diff_lp.solve lp, brute_force_lp lp nvars 8) with
-      | Solution { objective; values }, Some best ->
+      let p = difference_lp nvars (List.rev !cons) [ (x, c); (y, -c) ] in
+      let sol = Simplex.solve p in
+      match (sol.status, brute_force_lp p nvars 8) with
+      | Optimal, Some best -> (
         (* brute force searches a box; the LP optimum can only exceed it if
-           unconstrained spread allows, in which case skip *)
-        Result.is_ok (Diff_lp.check_assignment lp values) && objective >= best
-      | Unbounded_lp, _ -> true (* objective direction unconstrained *)
-      | Solution _, None -> false (* solver found a solution, brute force none *)
-      | Infeasible_lp, _ -> false (* our construction is always feasible *)
-      | Aborted_lp, _ -> false (* no budget is installed here *))
+           unconstrained spread allows *)
+        match lp_value p sol.potential with
+        | Some objective -> objective >= best
+        | None -> false)
+      | Infeasible, _ -> true (* objective direction unconstrained *)
+      | Optimal, None -> false (* solver found a solution, brute force none *)
+      | Unbounded, _ -> false (* our construction is always feasible *)
+      | Aborted, _ -> false (* no budget is installed here *))
 
-let prop_diff_lp_solvers_agree =
-  QCheck.Test.make ~name:"Diff_lp via simplex and via SSP agree" ~count:100
-    QCheck.small_nat (fun seed ->
+let prop_lp_solvers_agree =
+  QCheck.Test.make ~name:"simplex = SSP objective" ~count:100 QCheck.small_nat (fun seed ->
       let rng = Rng.create ((seed * 523) + 11) in
       let nvars = 2 + Rng.int rng 5 in
-      let lp = Diff_lp.create () in
-      let vars = Array.init nvars (fun _ -> Diff_lp.var lp) in
       let phi = Array.init nvars (fun _ -> Rng.int rng 7) in
+      let cons = ref [] and obj = ref [] in
       for _ = 1 to 2 + Rng.int rng 8 do
         let x = Rng.int rng nvars and y = Rng.int rng nvars in
         if x <> y then
-          Diff_lp.add_le lp vars.(x) vars.(y) (phi.(x) - phi.(y) + Rng.int rng 4)
+          cons := (x, y, phi.(x) - phi.(y) + Rng.int rng 4) :: !cons
       done;
       for _ = 1 to 1 + Rng.int rng 2 do
         let x = Rng.int rng nvars and y = Rng.int rng nvars in
         let c = 1 + Rng.int rng 3 in
-        Diff_lp.add_objective lp vars.(x) c;
-        Diff_lp.add_objective lp vars.(y) (-c)
+        obj := (y, -c) :: (x, c) :: !obj
       done;
-      match (Diff_lp.solve ~solver:`Simplex lp, Diff_lp.solve ~solver:`Ssp lp) with
-      | Solution a, Solution b -> a.objective = b.objective
-      | Unbounded_lp, Unbounded_lp -> true
-      | Infeasible_lp, Infeasible_lp -> true
-      | _ -> false)
+      let p = difference_lp nvars (List.rev !cons) (List.rev !obj) in
+      let a, b = solve_both p in
+      a.status = b.status
+      &&
+      match (a.status, lp_value p a.potential) with
+      | Optimal, None -> false
+      | Optimal, value -> value = lp_value p b.potential
+      | _ -> true)
 
 let () =
   let tc = Alcotest.test_case in
@@ -1788,10 +1791,10 @@ let () =
         [ tc "simple" `Quick test_dinic_simple;
           tc "bottleneck" `Quick test_dinic_bottleneck;
           QCheck_alcotest.to_alcotest prop_dinic_matches_mcf_feasibility ] );
-      ( "diff_lp",
-        [ tc "basic" `Quick test_diff_lp_basic;
-          tc "chain" `Quick test_diff_lp_chain;
-          tc "infeasible" `Quick test_diff_lp_infeasible;
-          tc "unbounded" `Quick test_diff_lp_unbounded;
-          QCheck_alcotest.to_alcotest prop_diff_lp_matches_brute_force;
-          QCheck_alcotest.to_alcotest prop_diff_lp_solvers_agree ] ) ]
+      ( "dual LP",
+        [ tc "basic" `Quick test_lp_basic;
+          tc "chain" `Quick test_lp_chain;
+          tc "infeasible" `Quick test_lp_infeasible;
+          tc "unbounded" `Quick test_lp_unbounded;
+          QCheck_alcotest.to_alcotest prop_lp_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_lp_solvers_agree ] ) ]
