@@ -218,6 +218,24 @@ let check_fanins sink (model : Delay_model.t) eng ~at_ref ~d_ref vs =
       expect
   | None -> ()
 
+(* The stop test at [target], the critical set and its members' critical
+   fanins against a batch pass, reading nothing that settles first;
+   returns the engine's members *)
+let check_decisions sink model eng ~target =
+  let d_ref = Delay_model.delays model (Incremental.sizes eng) in
+  let at_ref = Sta.arrivals model ~delays:d_ref in
+  let cp = Sta.critical_path_only model ~delays:d_ref in
+  let above = Incremental.above eng ~target in
+  if above <> not (cp <= target) then
+    flag sink
+      (Fingerprint.make ~phase:"sta" ~code:"incremental-mismatch"
+         ~detail:"stop-test" ())
+      "incremental stop test says %b at target %h, batch critical path %h"
+      above target cp;
+  let members = check_critical_set sink model eng in
+  check_fanins sink model eng ~at_ref ~d_ref members;
+  members
+
 (* Incremental-vs-batch STA differential. The arena-backed incremental
    engine claims bit-identity with a from-scratch batch pass after any
    mutation sequence (the property TILOS and the W-phase hot paths lean
@@ -290,12 +308,25 @@ let incremental_stage sink model =
              Incremental.create model
                ~sizes:(Delay_model.uniform_sizes model model.Delay_model.min_size)
            in
-           (* TILOS-shaped: query the critical set after every bump, so
-              the engine reuses its certified buffer between walks *)
+           (* TILOS-shaped: bump a member of the last critical set (a
+              random vertex one time in five, so an anchor also sees
+              resizes of non-members and deferred vertices) and query the
+              stop test, the critical set and its members' critical fanins
+              after every bump, before any arrival read, so the engine
+              reuses its certified buffer between walks and decides from a
+              deferred chain anchor where it can *)
+           let target = 0.6 *. Incremental.critical_path tied in
+           let members = ref [] in
            for _ = 1 to 12 do
-             let v = Rng.int rng n in
+             let r = Rng.int rng n in
+             let v =
+               match !members with
+               | ms when ms <> [] && r mod 5 > 0 ->
+                 List.nth ms (r / 5 mod List.length ms)
+               | _ -> r
+             in
              Incremental.set_size tied v (Incremental.size tied v *. 1.1);
-             ignore (check_critical_set sink model tied)
+             members := check_decisions sink model tied ~target
            done;
            check_incremental sink model tied
          end))

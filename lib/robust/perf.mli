@@ -38,7 +38,7 @@
 
     Unlike wall time, every one of these is a pure function of the inputs,
     so two identical runs produce identical counters — the property the
-    bench baseline ([BENCH_pr35.json]) and the CI bench-smoke job rely on.
+    bench baseline ([BENCH_pr38.json]) and the CI bench-smoke job rely on.
     Wall time is measured separately via {!Mono} and never compared.
 
     The counters are process-global on purpose: threading a record through

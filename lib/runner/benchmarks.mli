@@ -9,7 +9,7 @@
     healthy engine). The audit's own counter ticks and time are left out
     of [counters] and [wall_seconds]. Counters and audit counts are pure
     functions of the inputs, so a checked-in baseline
-    ([BENCH_pr35.json]) can be compared {e exactly} on every CI run; wall
+    ([BENCH_pr38.json]) can be compared {e exactly} on every CI run; wall
     time is recorded for human eyes and never compared.
 
     Two grids exist: the ISCAS-85 grid ({!suite}, cold + warm legs, the

@@ -137,7 +137,7 @@ let size ?(bump = 1.1) ?budget ?init model ~target =
   let finished = ref false in
   let met = ref false in
   while not !finished do
-    if Inc.critical_path eng <= target then begin
+    if not (Inc.above eng ~target) then begin
       met := true;
       finished := true
     end

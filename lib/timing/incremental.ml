@@ -1,6 +1,22 @@
 module Delay_model = Minflo_tech.Delay_model
 module Perf = Minflo_robust.Perf
 
+(* A constraint of a chain anchor (see [certify]): a margin that must stay
+   positive, [base] plus the members' delay changes over buffer positions
+   [[first, past)], less the current delays of [a], [b] and [c], less the
+   sum [P] of the delay increases when [grown] may have moved (-1 for no
+   vertex). [margin0] is its value at the anchor. *)
+type con = {
+  base : float;
+  first : int;
+  past : int;
+  a : int;
+  b : int;
+  c : int;
+  grown : int;
+  margin0 : float;
+}
+
 type t = {
   model : Delay_model.t;
   x : float array;
@@ -69,6 +85,33 @@ type t = {
   mutable flushing : bool;
   mutable depth : int;
   mutable cone : bool;
+  (* deferred settling (see [certify]): [anchored] while a chain anchor
+     stands, when a resize only updates the delays and marks the dirty
+     window; [chain], the anchor chain's length; [fen], a Fenwick tree
+     over its buffer positions of the members' delay changes since the
+     anchor; [dacc], the float scalars at the [d_*] indices; [plo], the
+     lowest topological position made pending since the anchor, taken
+     from the pending list past [pend_seen] (the dirty window's [lo]
+     holds the lowest one marked); [updates], the [fen] additions since
+     it; [near], the anchor's [near_len] constraints of smallest margin,
+     ascending, in an array made at the first anchor; [cached]
+     while [dacc]'s certificate is the current state's; [lifetime], the
+     critical sets the anchor certified; [backoff] and [skip], how many chain
+     picks to let pass without anchoring after anchors that certified
+     nothing *)
+  mutable anchored : bool;
+  mutable chain : int;
+  mutable fen : float array;
+  mutable dacc : float array;
+  mutable plo : int;
+  mutable pend_seen : int;
+  mutable updates : int;
+  mutable near : con array;
+  mutable near_len : int;
+  mutable cached : bool;
+  mutable lifetime : int;
+  mutable backoff : int;
+  mutable skip : int;
 }
 
 (* indices into [cert] *)
@@ -91,6 +134,36 @@ let pending = '\002'
    settled the fewest vertices on a 10k-gate random DAG and on c1908 at
    transistor granularity. *)
 let margin = 0.025
+
+(* indices into [dacc]: the sums of the delay increases and of the
+   decreases since the anchor; the anchor's critical path; the smallest
+   anchor margin of a far constraint; and, cached by [certify], the
+   smallest certified margin, the estimate of the exact critical path and
+   the rounding allowance *)
+let d_inc = 0
+let d_dec = 1
+let d_cp = 2
+let d_far = 3
+let d_min = 4
+let d_cpe = 5
+let d_rnd = 6
+
+(* the near constraints evaluated on every decision; the others share one
+   bound. On rca4096, 16, 32, 64 and 128 settle 71.0, 37.3, 21.7 and 13.5
+   vertices per bump for a TILOS wall of 0.42-0.44, 0.37-0.50, 0.21-0.41
+   and 0.23-0.24 s: 64 and 128 read alike, and the smaller stays *)
+let near_cap = 64
+
+(* the longest run of chain picks, [2^max_backoff], that an anchor which
+   certified nothing makes the next one wait. Random DAGs have chain-shaped
+   critical sets whose anchors almost never certify: without the wait
+   dag10k anchors 2 349 times and its TILOS takes 0.42-0.48 s against
+   0.25-0.31 s, dag50k 6 239 times for 5.0-5.3 s against 3.1-4.1 s (three
+   alternating calls each). With a cap of 4, 8 and 12 dag10k anchors 144,
+   16 and 11 times, dag50k 374, 36 and 17 times.
+   On rca1024 the waits cost 3 % more vertex updates (159 729 against
+   154 504) at the same wall. *)
+let max_backoff = 8
 
 let clear_log t =
   for k = 0 to t.tlog_len - 1 do
@@ -172,7 +245,20 @@ let make (model : Delay_model.t) ~sizes =
       theta = [| neg_infinity |];
       flushing = false;
       depth = 0;
-      cone = false }
+      cone = false;
+      anchored = false;
+      chain = 0;
+      fen = [||];
+      dacc = [||];
+      plo = n;
+      pend_seen = 0;
+      updates = 0;
+      near = [||];
+      near_len = 0;
+      cached = false;
+      lifetime = 0;
+      backoff = 0;
+      skip = 0 }
   in
   for v = 0 to n - 1 do
     ignore (remax t v)
@@ -266,9 +352,53 @@ let settle t =
   t.lo <- m.n;
   t.hi <- -1
 
-(* Settle the pending vertices and everything their arrivals reach: the
-   whole state is then exact. They stay deferred. *)
-let flush t =
+(* the stored critical path: the largest stored sink finish, from 0 *)
+let stored_cp t =
+  let m = t.model in
+  let best = ref 0.0 in
+  for k = 0 to Array.length m.sinks - 1 do
+    let f = fin t m.sinks.(k) in
+    if f > !best then best := f
+  done;
+  !best
+
+(* [theta] plus [slop] still falls short of the stored critical path [cp] *)
+let[@inline] within_cone t ~cp ~slop = t.theta.(0) +. slop < cp
+
+(* End a deferral: settle the dirty window as one batch, which gives the
+   same state as settling after every resize (the settled state is a pure
+   function of the delays), then make [set_size]'s cone test, which the
+   deferred resizes skipped: they grew [theta] even when they marked
+   nothing. An anchor that certified no decision doubles the number of
+   chain picks the next anchor waits for. *)
+let rec undefer t =
+  if t.anchored then begin
+    t.anchored <- false;
+    if t.lifetime = 0 then begin
+      if t.backoff < max_backoff then t.backoff <- t.backoff + 1;
+      t.skip <- 1 lsl t.backoff
+    end
+    else t.backoff <- 0;
+    if t.lo <= t.hi then begin
+      Perf.tick_full_sweep_avoided ();
+      settle t
+    end;
+    recone t
+  end
+
+(* After a settle: re-sync once [theta + (h + 3) eps] reaches the stored
+   critical path. The slop is [critical_set]'s at the TILOS tolerance, so
+   that call seldom finds the cone too thin to trust (see [resync]). *)
+and recone t =
+  let cp = stored_cp t in
+  let eps = Tolerance.critical_rel *. (1.0 +. cp) in
+  if not (within_cone t ~cp ~slop:(float (t.depth + 3) *. eps)) then resync t
+
+(* Settle the deferred window, then the pending vertices and everything
+   their arrivals reach: the whole state is then exact. They stay
+   deferred. *)
+and flush t =
+  undefer t;
   if t.pend_len > 0 then begin
     t.flushing <- true;
     for k = 0 to t.pend_len - 1 do
@@ -280,15 +410,6 @@ let flush t =
     settle t;
     t.flushing <- false
   end
-
-let critical_path t =
-  let m = t.model in
-  let best = ref 0.0 in
-  for k = 0 to Array.length m.sinks - 1 do
-    let f = fin t m.sinks.(k) in
-    if f > !best then best := f
-  done;
-  !best
 
 (* Re-sync the near-critical cone. After [flush] the state is exact; one
    reverse sweep then takes each vertex's tail [R(v) = d(v) + max (0, R of
@@ -309,18 +430,18 @@ let critical_path t =
    exact arrival, or has both its stored and its exact arrival plus tail
    below [theta]. A vertex whose longest path reaches [theta] is therefore
    exact, with its exact critical fanin: a stale fanin finish lies strictly
-   below its arrival. [set_size] re-syncs as soon as [theta + (h + 3)
-   eps] reaches the stored critical path ([eps] at the TILOS tolerance,
-   [h] the depth of the last walk); until then the sinks within [2 eps]
-   of it, and so the critical path, are exact. [critical_set] makes the
-   same test at its own tolerance (see [cone_exact]). The slop also
-   covers the rounding of the tail sums, which is many orders of
-   magnitude smaller. *)
-let resync t =
+   below its arrival. [recone] re-syncs as soon as [theta + (h + 3) eps]
+   reaches the stored critical path ([eps] at the TILOS tolerance, [h]
+   the depth of the last walk); until then the sinks within [2 eps] of it,
+   and so the critical path, are exact. [critical_set] makes the same test
+   at its own tolerance (see [cone_exact]). The slop also covers the
+   rounding of the tail sums, which is many orders of magnitude
+   smaller. *)
+and resync t =
   flush t;
   Perf.tick_sweep ();
   let m = t.model in
-  let cut = (1.0 -. margin) *. critical_path t in
+  let cut = (1.0 -. margin) *. stored_cp t in
   let longest = ref neg_infinity in
   for p = m.n - 1 downto 0 do
     let v = m.topo.(p) in
@@ -340,14 +461,37 @@ let resync t =
   done;
   t.theta.(0) <- !longest
 
-(* [theta] plus [slop] still falls short of the stored critical path [cp] *)
-let[@inline] within_cone t ~cp ~slop = t.theta.(0) +. slop < cp
+(* the sum of the members' delay changes since the anchor over buffer
+   positions [[0, k)] *)
+let[@inline] prefix t k =
+  let s = ref 0.0 and i = ref k in
+  while !i > 0 do
+    s := !s +. t.fen.(!i);
+    i := !i - (!i land - !i)
+  done;
+  !s
+
+(* a delay change of [dd] at [v] while anchored: into the sums, and into
+   [fen] at a member's buffer position *)
+let note t v dd =
+  if dd > 0.0 then t.dacc.(d_inc) <- t.dacc.(d_inc) +. dd
+  else t.dacc.(d_dec) <- t.dacc.(d_dec) -. dd;
+  let k = t.cpos.(v) in
+  if k >= 0 then begin
+    let i = ref (k + 1) in
+    while !i <= t.chain do
+      t.fen.(!i) <- t.fen.(!i) +. dd;
+      i := !i + (!i land - !i)
+    done;
+    t.updates <- t.updates + 1
+  end
 
 let set_size t i nx =
   let nx = min t.model.max_size (max t.model.min_size nx) in
   if nx <> t.x.(i) then begin
     t.x.(i) <- nx;
     t.cone <- false;
+    t.cached <- false;
     let m = t.model in
     let refresh v =
       touch t v;
@@ -356,6 +500,7 @@ let set_size t i nx =
       if d <> old then begin
         t.delays.(v) <- d;
         if d > old then t.theta.(0) <- t.theta.(0) +. (d -. old);
+        if t.anchored then note t v (d -. old);
         (* the vertex's own finish moved: its arrival is unchanged but its
            fanouts must re-max *)
         for c = m.fanout_off.(v) to m.fanout_off.(v + 1) - 1 do
@@ -371,14 +516,11 @@ let set_size t i nx =
     for c = m.fanout_off.(i) to m.fanout_off.(i + 1) - 1 do
       touch t m.fanout.(c)
     done;
-    Perf.tick_full_sweep_avoided ();
-    settle t;
-    (* the slop is [critical_set]'s at the TILOS tolerance, so that call
-       seldom finds the cone too thin to trust (see [resync]) *)
-    let cp = critical_path t in
-    let eps = Tolerance.critical_rel *. (1.0 +. cp) in
-    if not (within_cone t ~cp ~slop:(float (t.depth + 3) *. eps)) then
-      resync t
+    if not t.anchored then begin
+      Perf.tick_full_sweep_avoided ();
+      settle t;
+      recone t
+    end
   end
 
 let create model ~sizes =
@@ -407,6 +549,10 @@ let version t i =
   settle_unless_member t i;
   t.version.(i)
 
+let critical_path t =
+  undefer t;
+  stored_cp t
+
 let total_violation t ~target =
   flush t;
   let m = t.model in
@@ -415,6 +561,104 @@ let total_violation t ~target =
     acc := !acc +. max 0.0 (fin t m.sinks.(k) -. target)
   done;
   !acc
+
+(* the current delay of [v], 0 for no vertex (-1) *)
+let[@inline] delay_of t v = if v >= 0 then t.delays.(v) else 0.0
+
+(* Certified deferred settling. While anchored, the stored arrivals are
+   those of the anchor: a settled state at which the last critical set is
+   one path [m_0 .. m_(L-1)] from the one worst sink [m_0] to a source,
+   each member's critical fanin the next member. Write [E] for the exact
+   arrivals now (a pure function of the delays), [A] for the stored ones,
+   [s_k] for the sum of the delay changes of members [m_(k+1) .. m_(L-1)]
+   since the anchor, [P] and [N] for the sums of all delay increases and
+   decreases since it.
+
+   Chain. If every other fanin [w] of each [m_k] finishes more than
+   [eps] below [C_k = E(m_(k+1)) + d(m_(k+1))], then by induction from
+   the source (whose arrival is 0) every [m_k]'s critical fanin is still
+   [m_(k+1)], [E(m_k) = C_k = A(m_k) + s_k], and the critical path runs
+   along the chain: [cp = A(m_0) + d(m_0) + s_(-1)].
+
+   Bounds on a fanin [w]. A member's finish is known the same way. For a
+   non-member, either [A(w)] was exact at the anchor, and then
+   [E(w) <= A(w) + P], with [E(w) = A(w)] when no push since the anchor
+   reached a topological position at or below [w]'s ([plo]); or it was
+   not, and then (see [resync]) every path through [w] is shorter than
+   [theta], so [w]'s finish lies more than [cp - theta] below [C_k] (the
+   chain from [m_k] on completes a path through [w]) and below [cp] if
+   [w] feeds a sink. (A push into a vertex already pending records no
+   position; that vertex is deferred, so a longer path to [w] through it
+   is covered by the same [cp - theta] bound.)
+
+   Sinks. Every other sink [s] must finish more than [eps] below [cp]:
+   its arrival is the max of 0 and its fanins' finishes, each bounded as
+   above, so each pair (sink, fanin) and (sink, 0) is a constraint.
+
+   Each constraint is a base taken at the anchor, plus the members' delay
+   changes over a range of buffer positions (the members between its two
+   ends: both ends of a constraint shift together with every change
+   outside that range, which therefore cancels), minus the current delay
+   of a non-member fanin and of a sink, minus [P] for a non-member fanin
+   that may have moved. The [near_cap] smallest at the anchor are
+   evaluated so; any other one has lost at most [N + P] since the anchor,
+   so one bound covers them. With the cone bound [cp - theta], the
+   smallest of all is the certified margin. When it exceeds [eps] plus a
+   rounding allowance (every sum here has at most [4 L + 64 + 32 u
+   (log L + 2)] roundings, [u] the [fen] updates, each below
+   [2^-52] of the largest magnitude), a walk at the exact state would
+   reproduce the buffer and the worst sink, every member's critical fanin
+   is the stored one, and the critical path lies within the allowance of
+   its estimate. *)
+let certify t =
+  if not t.cached then begin
+    t.cached <- true;
+    let l = t.chain and pos = t.model.pos in
+    for k = t.pend_seen to t.pend_len - 1 do
+      let q = pos.(t.pend.(k)) in
+      if q < t.plo then t.plo <- q
+    done;
+    t.pend_seen <- t.pend_len;
+    let plo = if t.lo < t.plo then t.lo else t.plo in
+    let p = t.dacc.(d_inc) and nn = t.dacc.(d_dec) in
+    let cp = t.dacc.(d_cp) +. prefix t l in
+    let low = ref (t.dacc.(d_far) -. nn -. p) in
+    for c = 0 to t.near_len - 1 do
+      let k = t.near.(c) in
+      let v = ref (k.base +. (prefix t k.past -. prefix t k.first)) in
+      v := !v -. delay_of t k.a -. delay_of t k.b -. delay_of t k.c;
+      if k.grown >= 0 && pos.(k.grown) >= plo then v := !v -. p;
+      if not (!v >= !low) then low := !v
+    done;
+    let cone = cp -. t.theta.(0) in
+    if not (cone >= !low) then low := cone;
+    let bits = ref 2 in
+    while 1 lsl !bits <= l do
+      incr bits
+    done;
+    let roundings = (4 * l) + 64 + (32 * (t.updates + 1) * !bits) in
+    t.dacc.(d_min) <- !low;
+    t.dacc.(d_cpe) <- cp;
+    t.dacc.(d_rnd) <-
+      float roundings *. epsilon_float *. (1.0 +. abs_float cp +. p +. nn)
+  end
+
+(* the certificate holds at the relative tolerance [eps_rel] *)
+let certified t ~eps_rel =
+  certify t;
+  let cp = t.dacc.(d_cpe) and rnd = t.dacc.(d_rnd) in
+  let eps = eps_rel *. (1.0 +. cp +. rnd) *. (1.0 +. (4.0 *. epsilon_float)) in
+  t.dacc.(d_min) > eps +. rnd
+
+let above t ~target =
+  if t.anchored then begin
+    certify t;
+    let cp = t.dacc.(d_cpe) and rnd = t.dacc.(d_rnd) in
+    if t.dacc.(d_min) > rnd && cp -. rnd > target then true
+    else if t.dacc.(d_min) > rnd && cp +. rnd <= target then false
+    else not (critical_path t <= target)
+  end
+  else not (stored_cp t <= target)
 
 (* the worst sinks ([finish] within [eps] of [cp]), ascending, are the
    recorded ones *)
@@ -520,7 +764,7 @@ let cone_exact t ~cp ~eps =
    also unchanged under [eps] and the buffer is the walk's output as it
    stands. *)
 let rec pick t ~eps_rel ~retry =
-  let cp = critical_path t in
+  let cp = stored_cp t in
   let eps = eps_rel *. (1.0 +. cp) in
   let reused =
     (not t.stale)
@@ -536,17 +780,163 @@ let rec pick t ~eps_rel ~retry =
     t.stale <- true;
     pick t ~eps_rel ~retry:false
   end
+  else publish t ~reused
+
+(* [reused] is the call's answer *)
+and publish t ~reused =
+  t.reused <- reused;
+  (* keep the log only when it holds this interval's touches of members
+     that stay members *)
+  if t.published || not reused then clear_log t;
+  t.published <- true;
+  t.cone <- true;
+  t.crit_len
+
+let[@inline] lower_far t x =
+  if not (x >= t.dacc.(d_far)) then t.dacc.(d_far) <- x
+
+(* Offer a constraint while anchoring: [near] keeps the [near_cap] of
+   smallest anchor margin, ascending; one that drops out or does not get
+   in lowers the far bound. Inlined, so that only a kept constraint
+   allocates. *)
+let[@inline] keep t ~base ~first ~past ~grown a b c =
+  let margin0 = base -. delay_of t a -. delay_of t b -. delay_of t c in
+  let near = t.near and n = t.near_len in
+  let full = n = near_cap in
+  if full && not (margin0 < near.(n - 1).margin0) then lower_far t margin0
   else begin
-    t.reused <- reused;
-    (* keep the log only when it holds this interval's touches of members
-       that stay members *)
-    if t.published || not reused then clear_log t;
-    t.published <- true;
-    t.cone <- true;
-    t.crit_len
+    if full then lower_far t near.(n - 1).margin0 else t.near_len <- n + 1;
+    let j = ref (if full then n - 1 else n) in
+    while !j > 0 && margin0 < near.(!j - 1).margin0 do
+      near.(!j) <- near.(!j - 1);
+      decr j
+    done;
+    near.(!j) <- { base; first; past; a; b; c; grown; margin0 }
   end
 
-let critical_set ?(eps_rel = 1e-9) t = pick t ~eps_rel ~retry:true
+(* The constraints that [w]'s finish, plus the delay of the sink [s] (-1
+   for none), stays below a side which moves with the members' delay
+   changes over buffer positions [[first, chain)] and whose anchor value
+   is the arrival of the member [side], or the critical path for -1 (a
+   vertex, not a float, so that the call boxes nothing). A member's finish is that side's less a range of
+   changes; a non-member's arrival is the max of 0 and its fanins'
+   finishes, one constraint each. A deferred non-member needs none: every
+   path through it is shorter than [theta], which the cone bound covers.
+   False when a member sits downstream of the side, which a chain cannot
+   have. *)
+let offer t ~side ~first ~s w =
+  let m = t.model and at = t.at and d = t.delays and l = t.chain in
+  let top = if side >= 0 then at.(side) else t.dacc.(d_cp) in
+  let j = t.cpos.(w) in
+  if j >= 0 then begin
+    keep t ~base:(top -. at.(w) -. d.(w)) ~first ~past:j ~grown:(-1) s (-1)
+      (-1);
+    j >= first
+  end
+  else if Bytes.unsafe_get t.state w <> live then true
+  else begin
+    keep t ~base:top ~first ~past:l ~grown:(-1) w s (-1);
+    let ok = ref true in
+    for c = m.fanin_off.(w) to m.fanin_off.(w + 1) - 1 do
+      let u = m.fanin.(c) in
+      let j = t.cpos.(u) in
+      if j >= 0 then begin
+        keep t ~base:(top -. at.(u) -. d.(u)) ~first ~past:j ~grown:(-1) w s
+          (-1);
+        if j < first then ok := false
+      end
+      else if Bytes.unsafe_get t.state u = live then
+        keep t ~base:(top -. at.(u)) ~first ~past:l ~grown:u u w s
+    done;
+    !ok
+  end
+
+(* each member's critical fanin is the next one, and the last member is a
+   source *)
+let linked t =
+  let m = t.model and l = t.crit_len in
+  let last = t.crit.(l - 1) in
+  let ok = ref (m.fanin_off.(last) = m.fanin_off.(last + 1)) in
+  for k = 0 to l - 2 do
+    if t.cfanin.(t.crit.(k)) <> t.crit.(k + 1) then ok := false
+  done;
+  !ok
+
+(* Anchor the state just settled and walked (see [certify]) when the last
+   critical set is a chain: one worst sink, a walk as deep as the set is
+   long, and [linked]. *)
+let anchor t =
+  let m = t.model and l = t.crit_len in
+  if t.worst_len = 1 && t.depth = l - 1 && t.lo > t.hi then
+    if t.skip > 0 then t.skip <- t.skip - 1
+    else if linked t then begin
+      t.chain <- l;
+      (* made at the first anchor, so that an engine that never anchors
+         allocates nothing more *)
+      if Array.length t.dacc = 0 then begin
+        t.dacc <- Array.make 7 0.0;
+        let none =
+          { base = 0.0; first = 0; past = 0; a = -1; b = -1; c = -1;
+            grown = -1; margin0 = 0.0 }
+        in
+        t.near <- Array.make near_cap none
+      end;
+      if Array.length t.fen <= l then t.fen <- Array.make (l + 1) 0.0
+      else Array.fill t.fen 0 (l + 1) 0.0;
+      let dacc = t.dacc in
+      dacc.(d_inc) <- 0.0;
+      dacc.(d_dec) <- 0.0;
+      dacc.(d_far) <- infinity;
+      t.near_len <- 0;
+      t.plo <- m.n;
+      t.pend_seen <- t.pend_len;
+      t.updates <- 0;
+      let m0 = t.crit.(0) in
+      let cp = t.at.(m0) +. t.delays.(m0) in
+      dacc.(d_cp) <- cp;
+      let chain = ref true in
+      (* each member's other fanins stay below the next member's finish *)
+      for k = 0 to l - 2 do
+        let v = t.crit.(k) and next = t.crit.(k + 1) in
+        for c = m.fanin_off.(v) to m.fanin_off.(v + 1) - 1 do
+          let w = m.fanin.(c) in
+          if w <> next
+             && not (offer t ~side:v ~first:(k + 1) ~s:(-1) w)
+          then chain := false
+        done
+      done;
+      (* every other sink finishes below the worst one (a deferred one
+         below [theta]) *)
+      Array.iter
+        (fun s ->
+          if s <> m0 then
+            if t.cpos.(s) >= 0 then
+              ignore (offer t ~side:(-1) ~first:0 ~s:(-1) s)
+            else if Bytes.unsafe_get t.state s = live then begin
+              keep t ~base:cp ~first:0 ~past:l ~grown:(-1) s (-1) (-1);
+              for c = m.fanin_off.(s) to m.fanin_off.(s + 1) - 1 do
+                ignore (offer t ~side:(-1) ~first:0 ~s m.fanin.(c))
+              done
+            end)
+        m.sinks;
+      t.anchored <- !chain;
+      t.cached <- false;
+      t.lifetime <- 0
+    end
+
+(* Anchored, a certified call returns the buffer as it stands; any other
+   call ends the deferral and picks as before, then tries to anchor. *)
+let critical_set ?(eps_rel = 1e-9) t =
+  if t.anchored && certified t ~eps_rel then begin
+    t.lifetime <- t.lifetime + 1;
+    publish t ~reused:true
+  end
+  else begin
+    undefer t;
+    let len = pick t ~eps_rel ~retry:true in
+    anchor t;
+    len
+  end
 
 let critical_vertex t k =
   if k < 0 || k >= t.crit_len then invalid_arg "Incremental.critical_vertex";

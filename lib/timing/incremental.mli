@@ -16,26 +16,44 @@
     critical path; propagation then records, rather than settles, a change
     that reaches a deferred vertex. Every size change adds its delay
     increases to a bound on how far any deferred path can have grown, and
-    the engine re-syncs before that bound comes within the critical-set
-    tolerance of the critical path. The contract:
+    the engine re-syncs before that bound comes within the
+    critical-set tolerance of the critical path.
 
-    - {!delay}, {!all_delays}, {!size} and {!sizes} are always exact;
-    - {!critical_path}, {!critical_set}, and the {!critical_fanin} and
-      {!version} of each member of the last {!critical_set} (until the next
-      {!set_size}) are bit-identical to a from-scratch batch {!Sta} pass,
-      read without settling anything: they lie inside the cone, where every
+    A resize does not always settle either. When the last critical set is
+    one path from a single worst sink to a source (a carry chain), the
+    engine anchors: until a decision cannot be certified, {!set_size}
+    updates the delays exactly and marks the vertices to re-propagate, and
+    {!above} and {!critical_set} decide from the anchor's arrivals plus
+    bounds on how far the members' delay changes can have moved each
+    comparison they make. When a bound does not hold, or any other value
+    is read, the marked vertices settle in one batch, which gives exactly
+    the state a settle after every resize would have: the settled state is
+    a pure function of the delays. The contract:
+
+    - {!delay}, {!all_delays}, {!size} and {!sizes} are always exact and
+      never settle, and neither do {!critical_vertex}, {!critical_reused},
+      {!critical_pos}, {!touched_count} and {!touched_member}, which read
+      the last {!critical_set}'s buffer and log;
+    - {!above}, {!critical_set}, and the {!critical_fanin} and {!version}
+      of each member of the last {!critical_set} (until the next
+      {!set_size}) are bit-identical to a from-scratch batch {!Sta} pass.
+      They settle nothing when a certificate covers them (see DESIGN
+      §13); otherwise they settle the marked vertices first, but never the
+      vertices outside the cone: members lie in the cone, where every
       value is exact;
+    - {!critical_path} settles the marked vertices, and re-syncs the
+      cone only when a resize would have;
     - {!arrival}, {!finish}, {!total_violation}, and {!critical_fanin} and
-      {!version} of any other vertex settle the deferred vertices first, so
-      they too read exactly what a batch pass gives.
+      {!version} of any other vertex settle everything first, so they too
+      read exactly what a batch pass gives.
 
     That bit-equivalence is enforced by random-mutation differentials in
     the test suite, which check the decisions before any settling read,
     and by the fuzz oracle's [sta/incremental-mismatch] stage. Each
     worklist pop, in propagation or in settling deferred vertices, counts
     toward the [incr_updates] perf counter; each re-sync's reverse sweep
-    ticks [sweeps]; each {!set_size} that settles ticks
-    [full_sweeps_avoided]. Alongside the arrivals the engine keeps each
+    ticks [sweeps]; each settle of a resize, or of the batch of resizes an
+    anchor deferred, ticks [full_sweeps_avoided]. Alongside the arrivals the engine keeps each
     vertex's {!critical_fanin} and a {!version} stamp, which TILOS keys its
     sensitivity cache on. *)
 
@@ -77,12 +95,20 @@ val version : t -> int -> int
     {!critical_fanin}. *)
 
 val set_size : t -> int -> float -> unit
-(** Clamped to the model's bounds. Propagates inside the cone and re-syncs
-    it when the deferred paths may have grown too close to the critical
-    path. *)
+(** Clamped to the model's bounds. Updates the delays; while anchored it
+    only marks the vertices to re-propagate, otherwise it propagates
+    inside the cone and re-syncs it when the deferred paths may have grown
+    too close to the critical path. *)
 
 val critical_path : t -> float
-(** Maximum finish time over sink vertices. Exact without settling. *)
+(** Maximum finish time over sink vertices. Settles the marked vertices
+    and, as {!set_size} does, re-syncs the cone when the deferred paths
+    may have grown too close to the critical path. *)
+
+val above : t -> target:float -> bool
+(** [not (critical_path t <= target)], TILOS's stop test. Decided without
+    settling while a certificate bounds the critical path away from
+    [target]; settles as {!critical_path} otherwise. *)
 
 val total_violation : t -> target:float -> float
 (** Sum over sinks of [max 0 (finish - target)]; settles first. *)
@@ -108,9 +134,11 @@ val critical_set : ?eps_rel:float -> t -> int
     the cost of two sink scans; otherwise it walks. Either way the buffer
     is the walk's output.
 
-    The call settles nothing: its members lie in the cone. When the
-    tolerance and the walk's depth reach past what the cone certifies, it
-    re-syncs the cone and walks afresh. *)
+    While anchored, a certified call returns the buffer as it stands
+    ({!critical_reused}) without settling or scanning a sink. Otherwise
+    the call settles the marked vertices, not the cone: its members lie in
+    the cone. When the tolerance and the walk's depth reach past what the
+    cone certifies, it re-syncs the cone and walks afresh. *)
 
 val critical_vertex : t -> int -> int
 (** [critical_vertex t k] is the [k]-th member of the last {!critical_set}.

@@ -344,7 +344,7 @@ let test_bench_check_catches_drift () =
        \"pivots\": %d, \"relabels\": 0, \"sweeps\": 82, \"bumps\": 317, \
        \"warm_starts\": 0, \"cold_starts\": 17, \"cache_hits\": 0, \
        \"cache_misses\": 0, \"rejections\": 0, \"evictions\": 0, \
-       \"incr_updates\": 10862, \"full_sweeps_avoided\": 334, \
+       \"incr_updates\": 10552, \"full_sweeps_avoided\": 318, \
        \"arcs_priced\": 461853, \"potential_writes\": 66216, \
        \"wall_seconds\": 0.027}\n\
       \ ]}\n"
@@ -377,6 +377,68 @@ let test_bench_check_catches_drift () =
       | Error (Diag.Storage_corrupt _) -> ()
       | _ -> Alcotest.failf "baseline %S: expected storage-corrupt" text)
     [ "not json"; "{\"schema\": \"minflo-bench/2\"}" ];
+  rm_rf dir
+
+(* A hand-written baseline at the counters' extremes — 0 and 2^53 - 1,
+   the largest integer a JSON number carries exactly — is what [render]
+   writes for the same row, byte for byte; it loads back, checks clean
+   against that row, and a change of one in the largest counter is
+   caught. (The quick suite's live rows round-trip through
+   [test_bench_check_catches_drift].) *)
+let test_bench_baseline_extremes () =
+  let big = (1 lsl 53) - 1 in
+  let counters =
+    { (Perf.zero ()) with
+      Perf.pivots = big;
+      incr_updates = big;
+      arcs_priced = 1;
+      potential_writes = big }
+  in
+  let row =
+    { Benchmarks.circuit = "edge";
+      mode = "warm";
+      target_factor = 0.5;
+      gates = 0;
+      area = 0.0;
+      met = false;
+      iterations = 0;
+      audit_findings = 0;
+      counters;
+      wall_seconds = 0.0 }
+  in
+  let text =
+    "{\"schema\": \"minflo-bench/2\",\n\
+    \ \"experiments\": [\n\
+    \  {\"circuit\":\"edge\",\"mode\":\"warm\",\"target_factor\":0.5,\
+     \"gates\":0,\"area\":0,\"met\":false,\"iterations\":0,\
+     \"audit_findings\":0,\"pivots\":9007199254740991,\"relabels\":0,\
+     \"sweeps\":0,\"bumps\":0,\"warm_starts\":0,\"cold_starts\":0,\
+     \"cache_hits\":0,\"cache_misses\":0,\"rejections\":0,\"evictions\":0,\
+     \"incr_updates\":9007199254740991,\"full_sweeps_avoided\":0,\
+     \"arcs_priced\":1,\"potential_writes\":9007199254740991,\
+     \"wall_seconds\":0}\n\
+    \ ]}\n"
+  in
+  check Alcotest.string "render writes the hand-written document" text
+    (Benchmarks.render [ row ]);
+  let dir = fresh_dir "bench-extremes" in
+  let file = Filename.concat dir "baseline.json" in
+  let oc = open_out_bin file in
+  output_string oc text;
+  close_out oc;
+  (match Benchmarks.load_baseline file with
+  | Error e -> Alcotest.failf "load: %s" (Diag.to_string e)
+  | Ok baseline -> (
+    (match Benchmarks.check ~baseline [ row ] with
+    | Ok () -> ()
+    | Error ds -> Alcotest.failf "round trip diverged: %s" (String.concat "; " ds));
+    let off_by_one =
+      { row with
+        Benchmarks.counters = { counters with Perf.potential_writes = big - 1 } }
+    in
+    match Benchmarks.check ~baseline [ off_by_one ] with
+    | Ok () -> Alcotest.fail "2^53 - 2 checked clean against 2^53 - 1"
+    | Error ds -> check int "one diverging row" 1 (List.length ds)));
   rm_rf dir
 
 (* ---------- parallel batch: bit-equality vs -j 1 ---------- *)
@@ -605,6 +667,8 @@ let () =
       ( "counters",
         [ Alcotest.test_case "identical runs, identical counters" `Quick
             test_counter_determinism;
+          Alcotest.test_case "bench baseline round trip at 0 and 2^53 - 1"
+            `Quick test_bench_baseline_extremes;
           Alcotest.test_case "bench --check catches a drifted counter" `Quick
             test_bench_check_catches_drift ] );
       ( "parallel",

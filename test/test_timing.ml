@@ -416,23 +416,29 @@ let test_cone_differential () =
   if !deferred = 0 then Alcotest.fail "no vertex was ever deferred";
   if !resyncs = 0 then Alcotest.fail "the cone never re-synced"
 
-(* Two chains with delay [1 / x] per vertex: A (0-3) critical at length 4,
-   B (4-7) at 3.2, short enough to defer. Upsizing A shortens the critical
-   path while downsizing B lengthens a deferred path, until B's sink is
-   the worst one. *)
+(* Two chains of [len] vertices with delay [1 / x] per vertex: A
+   ([0, len)) and B ([len, 2 len)), each ending in a sink *)
+let two_chains len =
+  let n = 2 * len in
+  DM.make ~n
+    ~edges:
+      (List.concat_map
+         (fun v -> if v mod len = len - 1 then [] else [ (v, v + 1) ])
+         (List.init n Fun.id))
+    ~a_self:(Array.make n 0.0)
+    ~coeffs:(Array.init n (fun _ -> Hashtbl.create 1))
+    ~b:(Array.make n 1.0) ~area_weight:(Array.make n 1.0)
+    ~is_sink:(Array.init n (fun v -> v mod len = len - 1))
+    ~block:(Array.init n Fun.id)
+    ~labels:(Array.init n string_of_int)
+    ~min_size:1.0 ~max_size:100.0
+
+(* Two chains of 4: A critical at length 4, B at 3.2, short enough to
+   defer. Upsizing A shortens the critical path while downsizing B
+   lengthens a deferred path, until B's sink is the worst one. *)
 let test_cone_deferred_sink_turns_worst () =
   let n = 8 in
-  let model =
-    DM.make ~n
-      ~edges:[ (0, 1); (1, 2); (2, 3); (4, 5); (5, 6); (6, 7) ]
-      ~a_self:(Array.make n 0.0)
-      ~coeffs:(Array.init n (fun _ -> Hashtbl.create 1))
-      ~b:(Array.make n 1.0) ~area_weight:(Array.make n 1.0)
-      ~is_sink:(Array.init n (fun v -> v = 3 || v = 7))
-      ~block:(Array.init n Fun.id)
-      ~labels:(Array.init n string_of_int)
-      ~min_size:1.0 ~max_size:100.0
-  in
+  let model = two_chains 4 in
   let x0 = Array.init n (fun v -> if v < 4 then 1.0 else 1.25) in
   let eng = Inc.create model ~sizes:x0 in
   (* the first resize of B pushes into deferred vertices only: an exact
@@ -455,6 +461,48 @@ let test_cone_deferred_sink_turns_worst () =
   done;
   let d, at = check_decisions "end" model eng in
   ignore (check_arrivals "end" model eng ~d ~at)
+
+(* Two chains of 16: A at length 12.8 anchors, B at 11.9 is deferred.
+   Only B is resized, so every resize while anchored marks nothing to
+   settle and only grows the bound on B's deferred path. Each step anchors
+   (a critical set on A), downsizes one vertex of B, and checks the stop
+   test at A's length and the critical path against a batch pass before
+   anything else is read; the step on which B overtakes A is the one that
+   ends the anchor. *)
+let test_cone_deferred_sink_overtakes_anchor () =
+  let len = 16 in
+  let n = 2 * len in
+  let model = two_chains len in
+  let eng =
+    Inc.create model
+      ~sizes:(Array.init n (fun v -> if v < len then 1.25 else 1.35))
+  in
+  let target = Inc.critical_path eng in
+  ignore (Inc.critical_set ~eps_rel:Tolerance.critical_rel eng);
+  let anchored = ref 0 and step = ref 0 in
+  while Inc.critical_vertex eng 0 <> n - 1 do
+    incr step;
+    if !step > 400 then Alcotest.fail "B's sink never became the worst";
+    let what = Printf.sprintf "step %d" !step in
+    ignore (Inc.critical_set ~eps_rel:Tolerance.critical_rel eng);
+    let b = len + (!step mod len) in
+    let before = Perf.current.full_sweeps_avoided in
+    Inc.set_size eng b (Inc.size eng b /. 1.02);
+    if Perf.current.full_sweeps_avoided = before then incr anchored;
+    let d = DM.delays model (Inc.sizes eng) in
+    let at = Sta.arrivals model ~delays:d in
+    let cp =
+      Array.fold_left (fun m s -> max m (at.(s) +. d.(s))) 0.0 model.sinks
+    in
+    if Inc.above eng ~target <> not (cp <= target) then
+      Alcotest.failf "%s: stop test at %h says %b, batch critical path %h" what
+        target (Inc.above eng ~target) cp;
+    if Inc.critical_path eng <> cp then
+      Alcotest.failf "%s: critical path %h, batch %h" what
+        (Inc.critical_path eng) cp;
+    ignore (check_decisions what model eng)
+  done;
+  if !anchored = 0 then Alcotest.fail "no resize of B was deferred"
 
 (* TILOS's trial-bump fallback: bump each member, read the total sink
    violation, roll back. Each read settles the deferred vertices first and
@@ -495,6 +543,84 @@ let test_cone_total_violation () =
       end
     done
   done
+
+(* ---------- deferred settling on carry chains ---------- *)
+
+(* Adders at 16-64 bits and a 4-bit array multiplier under TILOS-shaped
+   1.1 bumps of critical members, with one resize in five to a random size
+   anywhere, so that anchors also see resizes of non-members and of
+   deferred vertices. After every resize, before anything is
+   read that settles, the stop test at a TILOS target, the critical set
+   (members and order, against a fresh engine's walk, and its members
+   against the batch minimum-slack set) and each member's critical fanin
+   must equal what a batch pass at the engine's sizes gives. On a carry
+   chain the engine anchors and decides without settling, which the
+   vertex-update counter shows; every eighth bump the arrivals are read
+   too, which settles the deferred batch and must match the batch pass. *)
+let test_chain_differential () =
+  let undeferred = ref 0 in
+  List.iter
+    (fun (name, nl, adder) ->
+      let model = Elmore.of_netlist tech nl in
+      let rng = Rng.create (Hashtbl.hash name) in
+      let eng =
+        Inc.create model ~sizes:(DM.uniform_sizes model model.DM.min_size)
+      in
+      let target = 0.6 *. Inc.critical_path eng in
+      for step = 1 to 150 do
+        let what = Printf.sprintf "%s step %d" name step in
+        let d = DM.delays model (Inc.sizes eng) in
+        let at = Sta.arrivals model ~delays:d in
+        let cp =
+          Array.fold_left (fun m s -> max m (at.(s) +. d.(s))) 0.0 model.sinks
+        in
+        let fresh = Inc.create model ~sizes:(Inc.sizes eng) in
+        let walk =
+          List.init
+            (Inc.critical_set ~eps_rel:Tolerance.critical_rel fresh)
+            (Inc.critical_vertex fresh)
+        in
+        let before = Perf.current.incr_updates in
+        let above = Inc.above eng ~target in
+        let len = Inc.critical_set ~eps_rel:Tolerance.critical_rel eng in
+        let members = List.init len (Inc.critical_vertex eng) in
+        let fanins = List.map (Inc.critical_fanin eng) members in
+        let settled = Perf.current.incr_updates - before in
+        if above <> not (cp <= target) then
+          Alcotest.failf "%s: above %b at critical path %h, target %h" what
+            above cp target;
+        check (Alcotest.list Alcotest.int) (what ^ " walk") walk members;
+        let sta = Sta.analyze model ~delays:d ~deadline:cp in
+        let eps = Tolerance.critical_rel *. (1.0 +. cp) in
+        let worst = Array.fold_left min infinity sta.slack in
+        check (Alcotest.list Alcotest.int) (what ^ " critical set")
+          (List.filter
+             (fun i -> sta.slack.(i) <= worst +. eps)
+             (List.init model.n Fun.id))
+          (List.sort compare members);
+        List.iter2
+          (fun v f ->
+            let expect = batch_fanin model ~at ~d v in
+            if f <> expect then
+              Alcotest.failf "%s: critical fanin of member %d is %d, batch %d"
+                what v f expect)
+          members fanins;
+        if adder && step > 1 && settled = 0 then incr undeferred;
+        if step mod 8 = 0 then ignore (check_arrivals what model eng ~d ~at);
+        if len = 0 then Alcotest.failf "%s: empty critical set" what;
+        if Rng.int rng 5 > 0 then
+          let v = Inc.critical_vertex eng (Rng.int rng len) in
+          Inc.set_size eng v (Inc.size eng v *. 1.1)
+        else
+          Inc.set_size eng (Rng.int rng model.n)
+            (model.min_size +. Rng.float rng 7.0)
+      done)
+    [ ("rca16", Gen.ripple_carry_adder ~bits:16 (), true);
+      ("rca32", Gen.ripple_carry_adder ~bits:32 (), true);
+      ("rca64", Gen.ripple_carry_adder ~bits:64 (), true);
+      ("mul4", Gen.array_multiplier ~bits:4 (), false) ];
+  if !undeferred = 0 then
+    Alcotest.fail "no adder bump was decided without settling"
 
 let test_balance_unsafe_rejected () =
   let model = random_model 99 in
@@ -625,8 +751,11 @@ let () =
           tc "cone differential" `Quick test_cone_differential;
           tc "deferred sink turns worst" `Quick
             test_cone_deferred_sink_turns_worst;
+          tc "deferred sink overtakes an anchor" `Quick
+            test_cone_deferred_sink_overtakes_anchor;
           tc "trial bumps read total violation" `Quick
-            test_cone_total_violation ] );
+            test_cone_total_violation;
+          tc "chain differential" `Quick test_chain_differential ] );
       ( "balance",
         [ QCheck_alcotest.to_alcotest prop_balance_valid;
           QCheck_alcotest.to_alcotest prop_theorem1_displacement;
