@@ -41,13 +41,10 @@ let cmd =
     Arg.(value & flag
          & info [ "differential" ]
              ~doc:"Re-run every successful job under an independent D-phase \
-                   solver and flag area disagreement beyond the tolerance \
-                   as a differential-mismatch diagnostic (exit code 3).")
-  in
-  let diff_tolerance =
-    Arg.(value & opt float Differential.default_tolerance
-         & info [ "diff-tolerance" ] ~docv:"T"
-             ~doc:"Relative area tolerance for --differential.")
+                   solver and flag any disagreement as a \
+                   differential-mismatch diagnostic (exit code 3): exact \
+                   solvers must agree bit for bit on met, area and \
+                   iterations; against bellman-ford only met is compared.")
   in
   let no_isolate =
     Arg.(value & flag
@@ -64,7 +61,7 @@ let cmd =
                    immediately, with zero attempts.")
   in
   let run circuits factors solvers checkpoint_dir resume jobs retries timeout
-      differential diff_tolerance no_isolate limits faults fault_seed
+      differential no_isolate limits faults fault_seed
       no_preflight =
     let grid = Job.cross ~circuits ~factors ~solvers in
     (* arm io.* sites ambiently in the parent too, so the journal and
@@ -80,7 +77,6 @@ let cmd =
             timeout_seconds = timeout;
             isolate = not no_isolate };
         differential;
-        diff_tolerance;
         engine = { Minflotransit.default_options with limits };
         fault_seed = (if faults.Cli.sites = [] then None else Some fault_seed);
         make_fault = (fun _ -> Cli.arm ~seed:fault_seed faults);
@@ -145,5 +141,5 @@ let cmd =
     Term.(const run $ circuits $ Cli.factors_arg [ 0.5 ]
           $ Cli.solvers_arg ~doc:"Comma-separated D-phase solvers." [ `Auto ]
           $ checkpoint_dir $ resume $ jobs $ Cli.job_retries_arg $ timeout
-          $ differential $ diff_tolerance $ no_isolate $ Cli.limits_term
+          $ differential $ no_isolate $ Cli.limits_term
           $ Cli.faults_term $ Cli.fault_seed_arg $ no_preflight)

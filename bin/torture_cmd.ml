@@ -98,7 +98,6 @@ let cmd =
             watchdog_seconds = None;
             isolate = false };
         differential = false;
-        diff_tolerance = Differential.default_tolerance;
         engine = { Minflotransit.default_options with limits };
         fault_seed = None;
         make_fault = (fun _ -> None);

@@ -36,7 +36,6 @@ let to_json r =
         Json.List
           (List.map (fun s -> Json.Str (Dphase.solver_name s)) c.solvers) );
       ("differential", Json.Bool c.differential);
-      ("tolerance", Json.of_float c.tolerance);
       ( "fault_site",
         match c.fault_site with Some s -> Json.Str s | None -> Json.Null );
       ("fault_seed", int c.fault_seed);
@@ -80,7 +79,6 @@ let load path =
   let* budget_pivots = req Json.int_field "budget_pivots" in
   let* solvers = req solvers "solvers" in
   let* differential = req Json.bool_field "differential" in
-  let* tolerance = req Json.float_field "tolerance" in
   let* fault_site = req fault_site "fault_site" in
   let* fault_seed = req Json.int_field "fault_seed" in
   let* bench = req Json.str_field "netlist" in
@@ -95,7 +93,6 @@ let load path =
           budget_pivots;
           solvers;
           differential;
-          tolerance;
           fault_site;
           fault_seed };
       netlist }

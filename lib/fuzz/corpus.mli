@@ -13,13 +13,15 @@
      "fingerprint":"engine/fault-injected/dphase.simplex","seed":1042,
      "target_factor":0.6,"dw_iterations":12,"budget_iterations":4000,
      "budget_pivots":2000000,"solvers":["simplex","ssp"],
-     "differential":true,"tolerance":0.02,"fault_site":"dphase.simplex",
+     "differential":true,"fault_site":"dphase.simplex",
      "fault_seed":0,"netlist":"# fz_...\nINPUT(a)\n..."}
     v}
 
     The file name is ["<fingerprint-slug>-<seed>.repro"] — stable and
     collision-free within a campaign (one repro per fresh fingerprint).
-    Writes are atomic (tmp + rename), like checkpoints. *)
+    Writes are atomic (tmp + rename), like checkpoints. Files written
+    before the engine differential became exact also carry a
+    ["tolerance"] key; {!load} ignores it. *)
 
 type repro = {
   fingerprint : Fingerprint.t;

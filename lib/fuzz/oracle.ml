@@ -25,6 +25,7 @@ module Audit = Minflo_lint.Audit
 module Rule = Minflo_lint.Rule
 module Trace = Minflo_lint.Trace
 module Job = Minflo_runner.Job
+module Differential = Minflo_runner.Differential
 
 type config = {
   target_factor : float;
@@ -33,7 +34,6 @@ type config = {
   budget_pivots : int;
   solvers : Dphase.solver list;
   differential : bool;
-  tolerance : float;
   fault_site : string option;
   fault_seed : int;
 }
@@ -45,7 +45,6 @@ let default_config =
     budget_pivots = 2_000_000;
     solvers = [ `Simplex; `Ssp ];
     differential = true;
-    tolerance = 0.02;
     fault_site = None;
     fault_seed = 0 }
 
@@ -364,31 +363,20 @@ let engine_leg sink cfg ?fault model ~target solver =
         (Trace.check_run model ~target ~steps:(List.rev !steps) result);
       { leg_solver = solver; leg_result = result })
 
-let engine_differential sink cfg legs =
+let engine_differential sink legs =
+  let leg { leg_solver; leg_result = r } =
+    (leg_solver, r.Minflotransit.met, r.area, r.iterations)
+  in
   match legs with
-  | ({ leg_result = a; leg_solver = sa } as _la) :: rest ->
+  | a :: rest when not a.leg_result.Minflotransit.budget_exhausted ->
     List.iter
-      (fun { leg_result = b; leg_solver = sb } ->
-        if
-          a.Minflotransit.met && b.Minflotransit.met
-          && (not a.budget_exhausted) && not b.budget_exhausted
-        then begin
-          let gap =
-            abs_float (a.area -. b.area)
-            /. Float.max 1e-12 (Float.max a.area b.area)
-          in
-          if gap > cfg.tolerance then
-            flag sink
-              (Fingerprint.make ~phase:"differential"
-                 ~code:"differential-mismatch"
-                 ~detail:(Dphase.solver_name sa ^ "-" ^ Dphase.solver_name sb)
-                 ())
-              "final areas diverge: %s=%.17g %s=%.17g (gap %.3g > %.3g)"
-              (Dphase.solver_name sa) a.area (Dphase.solver_name sb) b.area gap
-              cfg.tolerance
-        end)
+      (fun b ->
+        if not b.leg_result.Minflotransit.budget_exhausted then
+          Result.iter_error
+            (flag_error sink ~phase:"differential")
+            (Differential.compare ~job:"engine legs" (leg a) (leg b)))
       rest
-  | [] -> ()
+  | _ -> ()
 
 (* LP-level differential: the displacement problem at the TILOS seed,
    solved by all three independent MCF solvers and by the engine's own
@@ -639,7 +627,7 @@ let run cfg nl =
         | None -> false
       in
       if not engine_faulted then begin
-        engine_differential sink cfg legs;
+        engine_differential sink legs;
         bounds_stage sink model ~target legs
       end;
       (if cfg.differential then

@@ -8,8 +8,10 @@
     solver with its seed, accepted steps and result fed to the run
     auditor of [minflo audit-run] ({!Minflo_lint.Trace.check_run},
     fingerprinted
-    [check/<rule>/<solver>]), cross-solver differential comparison of the
-    final areas, and an LP-level three-solver differential (network simplex /
+    [check/<rule>/<solver>]), the cross-solver differential of
+    {!Minflo_runner.Differential.compare} between the first engine leg and
+    each other one (bit for bit between exact rungs, [met] only against
+    Bellman-Ford), and an LP-level three-solver differential (network simplex /
     SSP / cost scaling) on the D-phase displacement problem with an
     independent {!Minflo_lint.Audit} of each certificate — and reports
     every anomaly as a fingerprinted failure.
@@ -38,15 +40,13 @@ type config = {
   budget_pivots : int;      (** run-budget pivot ceiling per engine leg. *)
   solvers : Minflo_sizing.Dphase.solver list;  (** engine legs to run. *)
   differential : bool;      (** enable the LP-level 3-solver stage. *)
-  tolerance : float;        (** relative area tolerance between engine legs. *)
   fault_site : string option;
   fault_seed : int;
 }
 
 val default_config : config
 (** factor 0.6, 12 D/W passes, 4000 iterations, 2,000,000 pivots,
-    legs [`Simplex] and [`Ssp], differential on, tolerance 0.02,
-    no fault. *)
+    legs [`Simplex] and [`Ssp], differential on, no fault. *)
 
 type failure = {
   fingerprint : Fingerprint.t;

@@ -41,9 +41,9 @@ type error =
       job : string;
       solver_a : string;
       solver_b : string;
+      field : string;
       value_a : float;
       value_b : float;
-      tolerance : float;
     }
   | Job_timeout of { job : string; seconds : float }
   | Job_crashed of { job : string; detail : string }
@@ -139,11 +139,9 @@ let to_string = function
   | Fault_injected { site } -> Printf.sprintf "injected fault at %s" site
   | Checkpoint_invalid { file; reason } ->
     Printf.sprintf "checkpoint %s is unusable: %s" file reason
-  | Differential_mismatch { job; solver_a; solver_b; value_a; value_b; tolerance }
-    ->
-    Printf.sprintf
-      "differential mismatch on %s: %s gives %.6g, %s gives %.6g (tolerance %g)"
-      job solver_a value_a solver_b value_b tolerance
+  | Differential_mismatch { job; solver_a; solver_b; field; value_a; value_b } ->
+    Printf.sprintf "differential mismatch on %s: %s %s %.17g, %s %s %.17g" job
+      solver_a field value_a solver_b field value_b
   | Job_timeout { job; seconds } ->
     Printf.sprintf "job %s timed out after %.3g seconds" job seconds
   | Job_crashed { job; detail } -> Printf.sprintf "job %s crashed: %s" job detail
@@ -215,12 +213,11 @@ let to_json e =
   | Fault_injected { site } -> obj [ ("site", str site) ]
   | Checkpoint_invalid { file; reason } ->
     obj [ ("file", str file); ("reason", str reason) ]
-  | Differential_mismatch { job; solver_a; solver_b; value_a; value_b; tolerance }
-    ->
+  | Differential_mismatch { job; solver_a; solver_b; field; value_a; value_b } ->
     obj
       [ ("job", str job); ("solver_a", str solver_a);
-        ("solver_b", str solver_b); ("value_a", num value_a);
-        ("value_b", num value_b); ("tolerance", num tolerance) ]
+        ("solver_b", str solver_b); ("field", str field);
+        ("value_a", num value_a); ("value_b", num value_b) ]
   | Job_timeout { job; seconds } ->
     obj [ ("job", str job); ("seconds", num seconds) ]
   | Job_crashed { job; detail } ->

@@ -86,12 +86,13 @@ type error =
       job : string;
       solver_a : string;
       solver_b : string;
+      field : string;  (** ["met"] (as 0/1), ["area"] or ["iterations"]. *)
       value_a : float;
       value_b : float;
-      tolerance : float;
     }
-      (** Two independent solvers disagreed on a job's result beyond
-          tolerance — evidence of a solver bug (or an injected fault). *)
+      (** Two independent solvers disagreed on a job's result: the first
+          differing [field] — evidence of a solver bug (or an injected
+          fault). *)
   | Job_timeout of { job : string; seconds : float }
       (** A supervised batch job exceeded its hard wall-clock timeout and
           was killed. Transient: the supervisor retries it. *)

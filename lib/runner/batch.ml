@@ -12,7 +12,6 @@ type config = {
   resume : bool;
   supervise : Supervisor.config;
   differential : bool;
-  diff_tolerance : float;
   engine : Minflotransit.options;
   fault_seed : int option;
   make_fault : Job.t -> Minflo_robust.Fault.t option;
@@ -24,7 +23,6 @@ let default_config =
     resume = false;
     supervise = Supervisor.default_config;
     differential = false;
-    diff_tolerance = Differential.default_tolerance;
     engine = Minflotransit.default_options;
     fault_seed = None;
     make_fault = (fun _ -> None);
@@ -341,14 +339,13 @@ let run ?(config = default_config) jobs =
                ("diff:" ^ id, fun emit -> run_job ~emit diff_cfg sj))
              succeeded)
       in
+      let leg (o : Job.outcome) = (o.job.solver, o.met, o.area, o.iterations) in
       List.iter2
         (fun (_, id, primary) (_, so) ->
           let verdict =
             match so.Supervisor.verdict with
             | Error _ as e -> e
-            | Ok b ->
-              Differential.compare_outcomes ~tolerance:config.diff_tolerance
-                ~job_id:id ~a:primary ~b
+            | Ok b -> Differential.compare ~job:id (leg primary) (leg b)
           in
           (match (verdict, journal) with
           | Ok (), Some jr -> Journal.event jr ~job:id "diff-ok"

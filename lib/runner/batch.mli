@@ -18,8 +18,9 @@
     budget continues it instead of starting over.
 
     With [differential] set, every job whose primary leg succeeds is
-    re-run under an independent solver ({!Differential.counterpart});
-    area disagreement beyond [diff_tolerance] is reported as a typed
+    re-run under an independent solver ({!Differential.counterpart}); any
+    disagreement under {!Differential.compare} (bit for bit on exact
+    rungs, [met] only against Bellman-Ford) is reported as a typed
     [Differential_mismatch] and journaled. *)
 
 type config = {
@@ -29,7 +30,6 @@ type config = {
   resume : bool;
   supervise : Supervisor.config;
   differential : bool;
-  diff_tolerance : float;
   engine : Minflo_sizing.Minflotransit.options;
       (** base engine options; [solver] is overridden per job. *)
   fault_seed : int option;  (** recorded in checkpoints for bookkeeping. *)

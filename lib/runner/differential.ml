@@ -5,22 +5,28 @@ let counterpart = function
   | `Simplex | `Auto | `Bellman_ford -> `Ssp
   | `Ssp -> `Simplex
 
-let default_tolerance = 0.02
+type leg = Dphase.solver * bool * float * int
 
-let compare_outcomes ~tolerance ~job_id
-    ~(a : Job.outcome) ~(b : Job.outcome) =
-  let sa = Dphase.solver_name a.job.solver
-  and sb = Dphase.solver_name b.job.solver in
-  let gap =
-    abs_float (a.area -. b.area) /. max 1e-12 (max (abs_float a.area) (abs_float b.area))
+let compare ~job (sa, met_a, area_a, it_a) (sb, met_b, area_b, it_b) =
+  let fields =
+    ("met", Bool.to_float met_a, Bool.to_float met_b)
+    :: (if sa = `Bellman_ford || sb = `Bellman_ford then []
+        else
+          [ ("area", area_a, area_b);
+            ("iterations", float_of_int it_a, float_of_int it_b) ])
   in
-  if a.met <> b.met || gap > tolerance then
+  match
+    List.find_opt
+      (fun (_, a, b) -> Int64.bits_of_float a <> Int64.bits_of_float b)
+      fields
+  with
+  | None -> Ok ()
+  | Some (field, value_a, value_b) ->
     Error
       (Diag.Differential_mismatch
-         { job = job_id;
-           solver_a = sa;
-           solver_b = sb;
-           value_a = a.area;
-           value_b = b.area;
-           tolerance })
-  else Ok ()
+         { job;
+           solver_a = Dphase.solver_name sa;
+           solver_b = Dphase.solver_name sb;
+           field;
+           value_a;
+           value_b })

@@ -1,33 +1,27 @@
-(** Cross-solver differential verification of sizing jobs.
+(** Cross-solver differential verification: the one engine-level agreement
+    check, run by [minflo batch --differential] ({!Batch.run}) and the fuzz
+    oracle alike.
 
-    The flow substrate ships three structurally independent MCF solvers;
-    the paper's evaluation only ever exercises one at a time. Differential
-    mode runs a job twice — once with its own solver, once with an
-    independent counterpart — and compares the final areas: agreement
-    within tolerance is strong evidence neither solver silently corrupted
-    the run, and disagreement beyond it becomes a typed
-    {!Minflo_robust.Diag.Differential_mismatch} diagnostic with a stable
-    code that tests, scripts and the journal can key on.
-
-    The comparison is on {e final area}, not intermediate LP objectives:
-    exact solvers may pick different optimal bases (degenerate ties), so
-    iterates can differ while the converged areas agree tightly. *)
+    A job runs twice, once with its own D-phase solver and once with an
+    independent counterpart, and the two legs are compared with no
+    tolerance. The engine canonicalizes the D-phase duals, so the step is
+    independent of which exact solver found the optimum: two legs on exact
+    rungs ([`Simplex], [`Ssp], [`Auto]) land on the same iterates and must
+    agree bit for bit on met, area and iterations. [`Bellman_ford] is a
+    feasibility repair whose area is no optimum, so a pair with a
+    Bellman-Ford leg compares met only. A disagreement is a typed
+    {!Minflo_robust.Diag.Differential_mismatch} with a stable code that
+    tests, scripts and the journal key on. *)
 
 val counterpart : Minflo_sizing.Dphase.solver -> Minflo_sizing.Dphase.solver
 (** The independent solver to cross-check against: [`Ssp] for runs whose
     primary path is the network simplex ([`Simplex], [`Auto]) and for
     [`Bellman_ford]; [`Simplex] for [`Ssp]. *)
 
-val default_tolerance : float
-(** Relative area tolerance (0.02): generous enough for tie-breaking
-    divergence between exact solvers, tight enough to flag a corrupted
-    run (a poisoned solver typically degrades the area by far more). *)
+type leg = Minflo_sizing.Dphase.solver * bool * float * int
+(** One run's [(solver, met, area, iterations)]. *)
 
-val compare_outcomes :
-  tolerance:float ->
-  job_id:string ->
-  a:Job.outcome ->
-  b:Job.outcome ->
-  (unit, Minflo_robust.Diag.error) result
-(** [Error (Differential_mismatch _)] when the relative area gap exceeds
-    [tolerance] or the two legs disagree on whether the target was met. *)
+val compare : job:string -> leg -> leg -> (unit, Minflo_robust.Diag.error) result
+(** [Error (Differential_mismatch _)] naming the first of met, area and
+    iterations on which the legs differ (by {!Int64.bits_of_float}); only
+    met is compared when either leg is [`Bellman_ford]. *)

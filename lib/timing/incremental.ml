@@ -926,7 +926,7 @@ let anchor t =
 
 (* Anchored, a certified call returns the buffer as it stands; any other
    call ends the deferral and picks as before, then tries to anchor. *)
-let critical_set ?(eps_rel = 1e-9) t =
+let critical_set ?(eps_rel = Tolerance.critical_rel) t =
   if t.anchored && certified t ~eps_rel then begin
     t.lifetime <- t.lifetime + 1;
     publish t ~reused:true

@@ -115,8 +115,10 @@ val total_violation : t -> target:float -> float
 
 val critical_set : ?eps_rel:float -> t -> int
 (** Vertices on some maximal-finish path: backward traversal from the
-    worst sinks along tight edges ([arrival j = finish i] within a relative
-    tolerance). Equals the minimum-slack vertex set of the batch STA.
+    worst sinks along tight edges ([arrival j = finish i] within the
+    relative tolerance [eps_rel], default {!Tolerance.critical_rel}, the
+    one TILOS bumps from). Equals the minimum-slack vertex set of the
+    batch STA.
 
     The walk fills an engine-owned buffer without allocating and returns
     its length; read it with {!critical_vertex}. Members come in

@@ -7,8 +7,9 @@
 
 module DM = Minflo_tech.Delay_model
 module Inc = Minflo_timing.Incremental
+module Tolerance = Minflo_timing.Tolerance
 
-let critical_set ?(eps_rel = 1e-9) (model : DM.t) eng =
+let critical_set ?(eps_rel = Tolerance.critical_rel) (model : DM.t) eng =
   let m = model in
   let cp = Inc.critical_path eng in
   let eps = eps_rel *. (1.0 +. cp) in

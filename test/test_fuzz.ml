@@ -258,7 +258,6 @@ let sample_repro () =
     config =
       { (cheap_oracle ~fault_site:"wphase" ()) with
         target_factor = 0.1 +. 0.2;  (* not prettily representable *)
-        tolerance = 1e-300;
         solvers = [ `Simplex; `Ssp; `Bellman_ford ] };
     netlist = Generators.c17 () }
 
@@ -280,8 +279,6 @@ let test_corpus_roundtrip () =
     check bool "target factor bit-exact" true
       (Int64.bits_of_float c.Oracle.target_factor
       = Int64.bits_of_float c'.Oracle.target_factor);
-    check bool "tolerance bit-exact" true
-      (Int64.bits_of_float c.tolerance = Int64.bits_of_float c'.tolerance);
     check int "dw iterations" c.dw_iterations c'.dw_iterations;
     check int "budget pivots" c.budget_pivots c'.budget_pivots;
     check bool "solvers" true (c.solvers = c'.solvers);

@@ -1093,9 +1093,36 @@ let test_differential_catches_seeded_fault () =
       | Diag.Differential_mismatch m ->
         check string "primary solver" "ssp" m.solver_a;
         check string "secondary solver" "simplex" m.solver_b;
+        check string "first differing field" "area" m.field;
         check bool "areas actually differ" true (m.value_a <> m.value_b)
       | _ -> Alcotest.fail "wrong constructor")
     | _ -> Alcotest.fail "expected one report with a differential verdict")
+
+(* the exact rule on hand-made legs: no tolerance between exact rungs,
+   [met] only against Bellman-Ford *)
+let test_differential_exact_rule () =
+  let leg solver area iterations = (solver, true, area, iterations) in
+  let mismatch what a b field =
+    match Differential.compare ~job:"j" a b with
+    | Error (Diag.Differential_mismatch m) ->
+      check string (what ^ ": field") field m.field
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Diag.to_string e)
+    | Ok () -> Alcotest.failf "%s: accepted" what
+  in
+  let area = 1234.5678 in
+  mismatch "one ulp apart" (leg `Simplex area 7)
+    (leg `Ssp (Float.succ area) 7) "area";
+  mismatch "iterations differ" (leg `Auto area 7) (leg `Ssp area 8)
+    "iterations";
+  mismatch "met differs" (leg `Ssp area 7) (`Bellman_ford, false, area, 7)
+    "met";
+  check bool "identical exact legs agree" true
+    (Differential.compare ~job:"j" (leg `Simplex area 7) (leg `Ssp area 7)
+    = Ok ());
+  check bool "ssp vs bellman-ford: areas and iterations free" true
+    (Differential.compare ~job:"j" (leg `Ssp area 7)
+       (leg `Bellman_ford (area *. 1.05) 0)
+    = Ok ())
 
 (* ---------- pre-flight lint gate ---------- *)
 
@@ -1311,5 +1338,6 @@ let () =
             test_differential_counterpart_is_independent;
           Alcotest.test_case "seeded fault is caught" `Quick
             test_differential_catches_seeded_fault;
+          Alcotest.test_case "exact rule" `Quick test_differential_exact_rule;
           Alcotest.test_case "clean run agrees" `Quick
             test_differential_clean_run_agrees ] ) ]
