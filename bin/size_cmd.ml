@@ -37,8 +37,9 @@ let size =
   let check =
     Arg.(value & flag
          & info [ "check" ]
-             ~doc:"Verify the run after it ends: audit the trace of every \
-                   accepted D/W iteration exactly as $(b,minflo audit-run) \
+             ~doc:"Verify the run as it runs: audit each trace record, \
+                   the seed and every accepted D/W iteration, the moment \
+                   the run produces it, exactly as $(b,minflo audit-run) \
                    would (flow certificate, budgets recomputed from its \
                    potentials, W-phase budgets met, size box, monotone \
                    area, the area and delay claims). Any finding exits with \
@@ -65,48 +66,44 @@ let size =
     (match Bounds.infeasible_target_error model bounds ~target with
     | Some e -> Diag.fail e
     | None -> ());
-    (* a storage failure writing the trace must fail the --trace flag, not
-       the sizing: the run's results are printed first, then the error *)
+    (* one run feeds the trace file and the auditor alike, each record as
+       the run produces it. A storage failure writing the trace must fail
+       the --trace flag, not the sizing: the run's results are printed
+       first, then the error *)
+    let file = Option.map (fun path -> (path, Trace.File.create path)) trace_out in
+    let auditor =
+      if do_check then Some (Trace.Auditor.create model ~target) else None
+    in
     let trace_error = ref None in
-    (* --check: the accepted steps and the audit's findings *)
-    let audit = ref None in
-    let sizes, area, cp, met =
+    let sizes, area, cp, met, iterations =
       match tool with
       | `Tilos ->
         let r = Tilos.size model ~target in
         Fmt.pr "TILOS: %d bumps@." r.bumps;
-        (r.sizes, r.area, r.final_cp, r.met)
+        (r.sizes, r.area, r.final_cp, r.met, 0)
       | `Minflo ->
         let options =
           { Minflotransit.default_options with solver; limits }
         in
         let fault = Cli.arm faults in
         let log = Diag.create_log () in
-        (* steps arrive during the run but the trace wants them after the
-           tilos record (only available at the end), so buffer *)
-        let steps = ref [] in
-        let on_step =
-          if trace_out <> None || do_check then
-            Some (fun s -> steps := s :: !steps)
-          else None
-        in
         let r =
-          Minflotransit.optimize ~options ?fault ~log ?on_step model ~target
+          if Option.is_none file && Option.is_none auditor then
+            Minflotransit.optimize ~options ?fault ~log model ~target
+          else
+            Trace.run ~options ?fault ~log model ~circuit:(Netlist.name t.nl)
+              ~target ~emit:(fun j ->
+                Option.iter (fun (_, f) -> Trace.File.emit f j) file;
+                Option.iter (fun a -> Trace.Auditor.feed a j) auditor)
         in
-        let steps = List.rev !steps in
+        (* one step record per accepted pass *)
         Option.iter
-          (fun path ->
-            match
-              Trace.write_run path model ~circuit:(Netlist.name t.nl) ~target
-                ~steps r
-            with
+          (fun (path, f) ->
+            match Trace.File.close f with
             | Error e -> trace_error := Some e
             | Ok () ->
-              Fmt.pr "trace: %d step records written to %s@."
-                (List.length steps) path)
-          trace_out;
-        if do_check then
-          audit := Some (List.length steps, Trace.check_run model ~target ~steps r);
+              Fmt.pr "trace: %d step records written to %s@." r.iterations path)
+          file;
         List.iter
           (fun ev -> Fmt.epr "%s@." (Diag.event_to_string ev))
           (Diag.events_above log Diag.Warning);
@@ -120,7 +117,7 @@ let size =
         | None -> ());
         if r.budget_exhausted then
           Fmt.pr "run budget exhausted: returning best feasible sizing found@.";
-        (r.sizes, r.area, r.cp, r.met)
+        (r.sizes, r.area, r.cp, r.met, r.iterations)
     in
     Fmt.pr "met: %b  delay: %.4g (%.3f x Dmin)  area ratio: %.3f@." met cp
       (cp /. d0) (area /. a0);
@@ -128,21 +125,22 @@ let size =
       Array.iteri
         (fun i x -> Fmt.pr "  %-24s %.3f@." model.Delay_model.labels.(i) x)
         sizes;
-    (match !audit with
-    | Some (n, findings) -> (
-      Fmt.pr "check: %d step records audited@.%s@?" n
-        (Lint_report.render findings);
-      match findings with
-      | f :: _ ->
-        Cli.invariant "trace-audit" "%s %s" f.Lint_finding.rule.Lint_rule.id
-          f.message
-      | [] -> ())
-    | None -> ());
-    (match !trace_error with
-    | Some e ->
-      Fmt.epr "trace: %s@." (Diag.to_string e);
-      if met then Diag.fail e
-    | None -> ());
+    Option.iter
+      (fun a ->
+        let findings = Trace.Auditor.finish a in
+        Fmt.pr "check: %d step records audited@.%s@?" iterations
+          (Lint_report.render findings);
+        match findings with
+        | f :: _ ->
+          Cli.invariant "trace-audit" "%s %s" f.Lint_finding.rule.Lint_rule.id
+            f.message
+        | [] -> ())
+      auditor;
+    Option.iter
+      (fun e ->
+        Fmt.epr "trace: %s@." (Diag.to_string e);
+        if met then Diag.fail e)
+      !trace_error;
     if not met then Diag.fail (Diag.Unmet_target { target; achieved = cp })
   in
   (* --check and --trace read the D/W iterations, which a TILOS run has

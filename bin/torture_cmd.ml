@@ -138,16 +138,13 @@ let cmd =
       Journal.close jr
     in
     let write_trace () =
-      let steps = ref [] in
-      let r =
-        Minflotransit.optimize
-          ~options:{ Minflotransit.default_options with limits }
-          ~on_step:(fun s -> steps := s :: !steps)
-          model ~target:trace_target
-      in
-      Cli.or_fail
-        (Trace.write_run trace_path model ~circuit:(Netlist.name nl)
-           ~target:trace_target ~steps:(List.rev !steps) r)
+      let file = Trace.File.create trace_path in
+      ignore
+        (Trace.run
+           ~options:{ Minflotransit.default_options with limits }
+           ~emit:(Trace.File.emit file) model ~circuit:(Netlist.name nl)
+           ~target:trace_target);
+      Cli.or_fail (Trace.File.close file)
     in
     let setup () =
       rm_rf dir;

@@ -345,14 +345,15 @@ let engine_leg sink cfg ?fault model ~target solver =
             Budget.limits ~max_iterations:cfg.budget_iterations
               ~max_pivots:cfg.budget_pivots () }
       in
-      let steps = ref [] in
+      (* the run must be sane however it ended: its seed, every accepted
+         step and the result, audited as the run emits them, the way
+         [minflo size --check] does (the auditor never reads the circuit
+         name) *)
+      let auditor = Trace.Auditor.create model ~target in
       let result =
-        Minflotransit.optimize ~options ?fault
-          ~on_step:(fun s -> steps := s :: !steps)
-          model ~target
+        Trace.run ~options ?fault ~emit:(Trace.Auditor.feed auditor) model
+          ~circuit:"" ~target
       in
-      (* the run must be sane however it ended: every accepted step and the
-         result, audited the way [minflo size --check] does *)
       let name = Dphase.solver_name solver in
       List.iter
         (fun (f : Minflo_lint.Finding.t) ->
@@ -360,7 +361,7 @@ let engine_leg sink cfg ?fault model ~target solver =
             (Fingerprint.make ~phase:"check" ~code:f.rule.Rule.id ~detail:name
                ())
             "[%s] %s" name f.message)
-        (Trace.check_run model ~target ~steps:(List.rev !steps) result);
+        (Trace.Auditor.finish auditor);
       { leg_solver = solver; leg_result = result })
 
 let engine_differential sink legs =

@@ -6,9 +6,9 @@
     {!Minflo_netlist.Transform.expand_xor} keep its function, lint,
     delay-model extraction, a full TILOS + D/W sizing run per configured
     solver with its seed, accepted steps and result fed to the run
-    auditor of [minflo audit-run] ({!Minflo_lint.Trace.check_run},
-    fingerprinted
-    [check/<rule>/<solver>]), the cross-solver differential of
+    auditor of [minflo audit-run] as the run produces them
+    ({!Minflo_lint.Trace.run}, fingerprinted [check/<rule>/<solver>]),
+    the cross-solver differential of
     {!Minflo_runner.Differential.compare} between the first engine leg and
     each other one (bit for bit between exact rungs, [met] only against
     Bellman-Ford), and an LP-level three-solver differential (network simplex /

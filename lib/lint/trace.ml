@@ -85,32 +85,43 @@ let final_record (r : Engine.result) =
       ("stop", Json.Str (Engine.stop_reason_to_string r.Engine.stop));
       ("sizes", jfloats r.Engine.sizes) ]
 
-(* the records of a finished run, in file order. A sequence, not a list: a
-   step record with its LP is several times the size of the step, so each
-   is built only when it is written or audited *)
-let records model ~circuit ~target ~steps (r : Engine.result) =
-  Seq.append
-    (List.to_seq [ header model ~circuit ~target; tilos_record r.Engine.tilos ])
-    (Seq.append (Seq.map step_record (List.to_seq steps))
-       (Seq.return (final_record r)))
+(* ---------- the traced run ---------- *)
 
-(* The first storage failure ends the write: a trace that cannot be
-   completed is worthless to the auditor, so there is no point hammering a
-   full disk once per record. *)
-let write_run path model ~circuit ~target ~steps r =
-  match Io.create_sink path with
-  | Error e -> Error e
-  | Ok sink ->
-    let rec write seq =
-      match seq () with
-      | Seq.Nil -> Ok ()
-      | Seq.Cons (j, rest) ->
-        Result.bind (Io.sink_write_line sink (Json.to_string j)) (fun () ->
-            write rest)
-    in
-    let written = write (records model ~circuit ~target ~steps r) in
-    Io.sink_close sink;
-    written
+(* Each record is built the moment the run produces its evidence and
+   handed on at once: a step with its LP certificate is garbage as soon as
+   [emit] returns, so no consumer ever holds more than one. *)
+let run ?options ?fault ?log ~emit model ~circuit ~target =
+  emit (header model ~circuit ~target);
+  let r =
+    Engine.optimize ?options ?fault ?log
+      ~on_tilos:(fun t -> emit (tilos_record t))
+      ~on_step:(fun s -> emit (step_record s))
+      model ~target
+  in
+  emit (final_record r);
+  r
+
+module File = struct
+  (* The open sink until the first storage failure, the creation's
+     included, then that failure: a trace that cannot be completed is
+     worthless to the auditor, so there is no point hammering a full disk
+     once per record. *)
+  type t = { mutable state : (Io.sink, Minflo_robust.Diag.error) result }
+
+  let create path = { state = Io.create_sink path }
+
+  let emit t j =
+    match t.state with
+    | Ok sink -> (
+      match Io.sink_write_line sink (Json.to_string j) with
+      | Ok () -> ()
+      | Error e ->
+        Io.sink_close sink;
+        t.state <- Error e)
+    | Error _ -> ()
+
+  let close t = Result.map Io.sink_close t.state
+end
 
 (* ---------- auditor ---------- *)
 
@@ -493,9 +504,3 @@ let audit model ~target content =
 
 let audit_file model ~target path =
   Result.map (audit model ~target) (Io.read_file path)
-
-(* the auditor never reads the circuit name *)
-let check_run model ~target ~steps r =
-  let a = Auditor.create model ~target in
-  Seq.iter (Auditor.feed a) (records model ~circuit:"" ~target ~steps r);
-  Auditor.finish a

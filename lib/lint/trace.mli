@@ -12,13 +12,16 @@
       supplies plus the flow, potentials and objective the engine acted on;
     - a closing [final] record mirroring the run's result.
 
-    One {!Auditor} checks every run, fed a file's lines by [minflo
-    audit-run], a finished run's records by [size --check] and the fuzz
-    oracle, and each step as it is accepted by [minflo bench]. It trusts
-    nothing but the circuit model: every claim is recomputed from the
-    recorded sizes, every LP is rebuilt from scratch at the preceding
-    sizing via {!Minflo_sizing.Dphase.displacement_problem}, and every
-    flow certificate goes through the first-principles {!Audit.check}. A
+    One function, {!run}, produces every trace: it runs the engine and hands
+    each record on as the run produces it, to a {!File}, to an {!Auditor}
+    ([size --check], the fuzz oracle, [minflo bench]) or to both at once,
+    so no consumer holds more than one step. One {!Auditor} checks every
+    run, fed a file's lines by [minflo audit-run] and {!run}'s records
+    by everything else. It trusts nothing but the circuit model: every
+    claim is recomputed from the recorded sizes, every LP is rebuilt from
+    scratch at the preceding sizing via
+    {!Minflo_sizing.Dphase.displacement_problem}, and every flow
+    certificate goes through the first-principles {!Audit.check}. A
     single tampered field — one arc cost, one flow value, one claimed
     area — surfaces as a typed finding: MF210 structural damage, MF211
     claim mismatches, MF212 budget violations, MF213 non-monotone
@@ -32,7 +35,8 @@
 (** {1 Records}
 
     The one builder of each record kind, for the file and the auditor
-    alike. A non-finite float is built as [Null], as it prints, so
+    alike: {!run} calls them, and so does a test that tampers a step in
+    memory. A non-finite float is built as [Null], as it prints, so
     [Json.parse (Json.to_string r)] is [r]. *)
 
 val header :
@@ -42,30 +46,45 @@ val tilos_record : Minflo_sizing.Tilos.result -> Minflo_util.Json.t
 val step_record : Minflo_sizing.Minflotransit.step -> Minflo_util.Json.t
 val final_record : Minflo_sizing.Minflotransit.result -> Minflo_util.Json.t
 
-(** {1 Writing} *)
+(** {1 Driving a traced run} *)
 
-val write_run :
-  string ->
+val run :
+  ?options:Minflo_sizing.Minflotransit.options ->
+  ?fault:Minflo_robust.Fault.t ->
+  ?log:Minflo_robust.Diag.log ->
+  emit:(Minflo_util.Json.t -> unit) ->
   Minflo_tech.Delay_model.t ->
   circuit:string ->
   target:float ->
-  steps:Minflo_sizing.Minflotransit.step list ->
-  Minflo_sizing.Minflotransit.result ->
-  (unit, Minflo_robust.Diag.error) result
-(** [write_run path model ~circuit ~target ~steps result] writes a whole
-    trace of a finished run to [path]: the header, the [tilos] record of
-    [result.tilos], one [step] record per element of [steps] (in run order,
-    as the engine's [?on_step] hook delivered them) and the [final] record.
+  Minflo_sizing.Minflotransit.result
+(** [run ~emit model ~circuit ~target] is
+    {!Minflo_sizing.Minflotransit.optimize} with each of its records passed
+    to [emit] as soon as the run produces it: the header before TILOS
+    starts, the [tilos] record when the seed is ready (before the first
+    D-phase solve), each [step] record when its pass is accepted, and the
+    [final] record last, in the order [minflo audit-run] reads a file. The
+    hooks turn certificate capture on, so an untraced run calls [optimize]
+    directly. [emit]'s time counts against a wall-clock budget. *)
 
-    Records are written line-at-a-time through the instrumented
-    {!Minflo_robust.Io} layer, so an interrupted write leaves a valid
-    (truncated) prefix that the auditor reports as MF210 rather than
-    garbage, and the [io.*] fault sites apply to every record. [Error] is
-    the failure to create [path] or the first storage failure of any
-    record; once one fails, the rest are skipped. Trace emission fails the
-    [--trace] flag, never the sizing run it documents — the CLI reports
-    this error (and exits nonzero) only after printing the run's
-    results. *)
+(** A trace file as an [emit] target. Records are written line-at-a-time
+    through the instrumented {!Minflo_robust.Io} layer, so an interrupted
+    write leaves a valid (truncated) prefix that the auditor reports as
+    MF210 rather than garbage, and the [io.*] fault sites apply to every
+    record. *)
+module File : sig
+  type t
+
+  val create : string -> t
+  (** Never fails: a failure to create the file is kept like any later
+      storage failure, so it fails the [--trace] flag, never the run. *)
+
+  val emit : t -> Minflo_util.Json.t -> unit
+  (** One record, one line; skipped after the first storage failure. *)
+
+  val close : t -> (unit, Minflo_robust.Diag.error) result
+  (** The first storage failure, which the CLI reports (and exits nonzero
+      on) only after printing the run's results. *)
+end
 
 (** {1 Auditing} *)
 
@@ -102,16 +121,3 @@ val audit_file :
   (Finding.t list, Minflo_robust.Diag.error) result
 (** {!audit} on a file path; an unreadable file is a typed
     {!Minflo_robust.Diag.Io_error}, not an exception. *)
-
-val check_run :
-  Minflo_tech.Delay_model.t ->
-  target:float ->
-  steps:Minflo_sizing.Minflotransit.step list ->
-  Minflo_sizing.Minflotransit.result ->
-  Finding.t list
-(** [check_run model ~target ~steps result] feeds the {!Auditor} the
-    records {!write_run} would write for a finished run, as built, so it
-    finds what [--trace] followed by [minflo audit-run] finds. This is
-    [minflo size --check]. [steps] must carry certificates (the engine's
-    [?on_step] hook turns certificate capture on), except Bellman-Ford
-    steps, which have none by design. *)

@@ -4,8 +4,6 @@ module Json = Minflo_util.Json
 module Perf = Minflo_robust.Perf
 module Delay_model = Minflo_tech.Delay_model
 module Generators = Minflo_netlist.Generators
-module Budget = Minflo_robust.Budget
-module Tilos = Minflo_sizing.Tilos
 module Minflotransit = Minflo_sizing.Minflotransit
 module Trace = Minflo_lint.Trace
 
@@ -36,33 +34,20 @@ let run_netlist ~circuit ~nl ~warm =
       Minflotransit.warm_start = warm;
       canonical_duals = true }
   in
-  (* [minflo audit-run]'s auditor checks each record as it is emitted, in
-     one sizing and one LP of memory at any scale; its seed record comes
-     first, hence no [optimize]. Its counter ticks and time are taken out *)
+  (* [minflo audit-run]'s auditor checks each record as the run emits it,
+     in one sizing and one LP of memory at any scale. Its counter ticks
+     and time are taken out *)
   let auditor = Trace.Auditor.create model ~target in
   let audit_counters = ref (Perf.zero ()) and audit_seconds = ref 0.0 in
-  let audit record =
+  let emit record =
     let before = Perf.snapshot () in
-    let (), s = Perf.timed (fun () -> Trace.Auditor.feed auditor (record ())) in
+    let (), s = Perf.timed (fun () -> Trace.Auditor.feed auditor record) in
     audit_counters := Perf.add !audit_counters Perf.(diff before (snapshot ()));
     audit_seconds := !audit_seconds +. s
   in
   let before = Perf.snapshot () in
   let (result : Minflotransit.result), wall =
-    Perf.timed (fun () ->
-        audit (fun () -> Trace.header model ~circuit ~target);
-        let budget = Budget.start options.limits in
-        let tilos = Tilos.size ~bump:options.tilos_bump ~budget model ~target in
-        audit (fun () -> Trace.tilos_record tilos);
-        let result =
-          if tilos.met then
-            Minflotransit.refine_from ~options
-              ~on_step:(fun s -> audit (fun () -> Trace.step_record s))
-              ~budget model ~target ~init:tilos.sizes ~tilos
-          else Minflotransit.unmet_seed ~budget tilos
-        in
-        audit (fun () -> Trace.final_record result);
-        result)
+    Perf.timed (fun () -> Trace.run ~options ~emit model ~circuit ~target)
   in
   { circuit;
     mode = (if warm then "warm" else "cold");

@@ -127,23 +127,22 @@ val optimize :
   ?fault:Minflo_robust.Fault.t ->
   ?log:Minflo_robust.Diag.log ->
   ?on_iteration:(snapshot -> unit) ->
+  ?on_tilos:(Tilos.result -> unit) ->
   ?on_step:(step -> unit) ->
   Minflo_tech.Delay_model.t ->
   target:float ->
   result
 (** Runs TILOS then the D/W iteration. [met = false] when even TILOS cannot
-    reach the target (the returned sizes are then the TILOS attempt). The
-    run budget covers TILOS bumps and the refinement together. [fault]
-    plans fire at the instrumented sites and [log] collects a
-    severity-tagged event trail. A run is verified by feeding its records
-    to [Minflo_lint.Trace.Auditor]: after it ends, from the steps [on_step]
-    delivered ([Minflo_lint.Trace.check_run], [--check] in the CLI), or as
-    each step is accepted, as [minflo bench] does. *)
+    reach the target (the returned sizes are then the TILOS attempt,
+    unrefined). The run budget covers TILOS bumps and the refinement
+    together. [fault] plans fire at the instrumented sites and [log]
+    collects a severity-tagged event trail.
 
-val unmet_seed :
-  budget:Minflo_robust.Budget.t -> Tilos.result -> result
-(** What {!optimize} returns when the TILOS seed misses the target: the
-    seed, unrefined, with the budget's stop reason. *)
+    [on_tilos] is called exactly once, with the seed, as soon as TILOS
+    returns: before the first D/W pass, and also when the seed misses the
+    target. [on_step] then fires once per accepted pass (see
+    {!refine_from}). [Minflo_lint.Trace.run] turns both into trace records
+    as the run produces them. *)
 
 val refine_from :
   ?options:options ->

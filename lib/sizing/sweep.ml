@@ -27,36 +27,26 @@ let at_factor model ~factor =
   let d0 = dmin model in
   let a0 = min_area model in
   let target = factor *. d0 in
+  (* the seed arrives through [on_tilos] the moment TILOS returns, which
+     splits the run's time *)
   let t0 = Mono.now () in
-  let tilos = Tilos.size model ~target in
-  let t1 = Mono.now () in
-  let refined =
-    if tilos.met then
-      Some (Minflotransit.refine_from model ~target ~init:tilos.sizes ~tilos)
-    else None
+  let t1 = ref t0 in
+  let r =
+    Minflotransit.optimize model ~target ~on_tilos:(fun _ -> t1 := Mono.now ())
   in
   let t2 = Mono.now () in
-  match refined with
-  | None ->
-    { factor; target;
-      tilos_area_ratio = nan;
-      minflo_area_ratio = nan;
-      saving_pct = nan;
-      tilos_met = false;
-      minflo_met = false;
-      iterations = 0;
-      tilos_seconds = t1 -. t0;
-      minflo_extra_seconds = 0.0 }
-  | Some r ->
-    { factor; target;
-      tilos_area_ratio = tilos.area /. a0;
-      minflo_area_ratio = r.area /. a0;
-      saving_pct = r.area_saving_pct;
-      tilos_met = true;
-      minflo_met = r.met;
-      iterations = r.iterations;
-      tilos_seconds = t1 -. t0;
-      minflo_extra_seconds = t2 -. t1 }
+  (* a missed seed is returned unrefined: unmet, 0 iterations *)
+  let seeded = r.tilos.met in
+  let if_seeded v = if seeded then v else nan in
+  { factor; target;
+    tilos_area_ratio = if_seeded (r.tilos.area /. a0);
+    minflo_area_ratio = if_seeded (r.area /. a0);
+    saving_pct = if_seeded r.area_saving_pct;
+    tilos_met = seeded;
+    minflo_met = r.met;
+    iterations = r.iterations;
+    tilos_seconds = !t1 -. t0;
+    minflo_extra_seconds = (if seeded then t2 -. !t1 else 0.0) }
 
 let curve model ~factors = List.map (fun factor -> at_factor model ~factor) factors
 

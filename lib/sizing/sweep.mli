@@ -24,8 +24,9 @@ val dmin : Minflo_tech.Delay_model.t -> float
 val min_area : Minflo_tech.Delay_model.t -> float
 
 val at_factor : Minflo_tech.Delay_model.t -> factor:float -> point
-(** One Table 1 row: size with TILOS and MINFLOTRANSIT (default options)
-    at [target = factor * Dmin], with wall-clock timing. *)
+(** One Table 1 row: one {!Minflotransit.optimize} run (default options)
+    at [target = factor * Dmin]. Its [on_tilos] hook splits the wall-clock
+    time between the TILOS seed and the D/W refinement. *)
 
 val curve : Minflo_tech.Delay_model.t -> factors:float list -> point list
 (** The Figure 7 series. Infeasible factors yield points with

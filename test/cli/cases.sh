@@ -69,6 +69,7 @@ run audit-run c17 t.jsonl
 run audit-run c17 t.jsonl -f 0.6
 run audit-run c17 t.jsonl -f 0.6 --format sarif -o /nonexistent/a.sarif
 run size c17 --trace full.jsonl --inject-fault io.enospc
+run size c17 --trace /nonexistent/t.jsonl
 run audit-cert c17
 run audit-cert c17 --inject-fault audit.simplex
 

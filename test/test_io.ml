@@ -341,15 +341,21 @@ let test_trace_fails_flag_not_run () =
   let nl = Generators.c17 () in
   let model = Elmore.of_netlist Tech.default_130nm nl in
   let target = 0.6 *. Sweep.dmin model in
-  let result = Minflotransit.optimize model ~target in
+  let plain = Minflotransit.optimize model ~target in
   let dir = fresh_dir "trace" in
   let path = Filename.concat dir "trace.jsonl" in
   (* the header lands; then the disk starts tearing writes *)
-  let r, plan =
+  let (result, r), plan =
     with_fault ~after:1 [ "io.short-write" ] (fun () ->
-        Trace.write_run path model ~circuit:"c17" ~target ~steps:[] result)
+        let file = Trace.File.create path in
+        let result =
+          Trace.run ~emit:(Trace.File.emit file) model ~circuit:"c17" ~target
+        in
+        (result, Trace.File.close file))
   in
   check bool "io.short-write fired" true (fired plan "io.short-write" > 0);
+  check bool "the run is the plain run" true
+    (result.met && result.sizes = plain.sizes);
   (match r with
   | Error (Diag.Io_error _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Diag.to_string e)

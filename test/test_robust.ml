@@ -408,19 +408,21 @@ let test_engine_wphase_fault () =
   check bool "run still completes and meets" true r.met;
   check bool "later iterations recover" true (r.iterations > 0)
 
-(* a run with its accepted steps, audited as [minflo size --check] does *)
+(* a run audited as [minflo size --check] audits it, with the solver of
+   each accepted step *)
 let checked_run ?options ?fault ?log model ~target =
-  let steps = ref [] in
-  let r =
-    Minflotransit.optimize ?options ?fault ?log
-      ~on_step:(fun s -> steps := s :: !steps)
-      model ~target
+  let auditor = Trace.Auditor.create model ~target in
+  let solvers = ref [] in
+  let emit j =
+    Trace.Auditor.feed auditor j;
+    if Json.str_field "record" j = Some "step" then
+      solvers := Option.get (Json.str_field "solver" j) :: !solvers
   in
-  let steps = List.rev !steps in
-  (match Trace.check_run model ~target ~steps r with
+  let r = Trace.run ?options ?fault ?log ~emit model ~circuit:"c17" ~target in
+  (match Trace.Auditor.finish auditor with
   | [] -> ()
   | fs -> Alcotest.failf "run audit failed:\n%s" (Report.render fs));
-  (r, steps)
+  (r, List.rev !solvers)
 
 let test_engine_perturb_caught_by_checks () =
   let model, target = c17_setup () in
@@ -432,13 +434,13 @@ let test_engine_perturb_caught_by_checks () =
     let fault = Fault.create () in
     Fault.arm fault ~site:"dphase.simplex" ?count (Fault.Perturb 5.0);
     let log = Diag.create_log () in
-    let r, steps = checked_run ~options ~fault ~log model ~target in
+    let r, solvers = checked_run ~options ~fault ~log model ~target in
     check bool "met" true r.met;
     check bool "each failure is a divergence" true
       (List.for_all
          (fun (e : Diag.event) -> contains e.message "diverged")
          (Diag.events_above log Diag.Warning));
-    (fault, log, steps)
+    (fault, log, solvers)
   in
   (* once: the first pass's simplex solve *)
   let fault, log, _ = perturbed ~count:1 () in
@@ -446,20 +448,17 @@ let test_engine_perturb_caught_by_checks () =
   check (Alcotest.list string) "one simplex rung failed" [ "simplex" ]
     (failed_rungs log);
   (* always: every accepted step comes from SSP *)
-  let _, log, steps = perturbed () in
+  let _, log, solvers = perturbed () in
   check bool "only simplex fails" true
     (failed_rungs log <> [] && List.for_all (( = ) "simplex") (failed_rungs log));
   check bool "ssp steps only" true
-    (steps <> []
-    && List.for_all
-         (fun (s : Minflotransit.step) -> s.step_solver = "ssp")
-         steps)
+    (solvers <> [] && List.for_all (( = ) "ssp") solvers)
 
 let test_engine_clean_run_passes_checks () =
   let model, target = c17_setup () in
-  let r, steps = checked_run model ~target in
+  let r, solvers = checked_run model ~target in
   check bool "met" true r.met;
-  check bool "accepted steps audited" true (steps <> [])
+  check bool "accepted steps audited" true (solvers <> [])
 
 let test_engine_oscillation_cutoff () =
   (* pinned Bellman-Ford duals are feasible but never area-improving on

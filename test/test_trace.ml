@@ -2,10 +2,10 @@
    c432 trace audits clean, every class of single-field tamper — a
    claimed area, loosened budgets, one flow value, one arc cost, the
    schema version, a truncated file — surfaces as the right typed finding,
-   the in-process [check_run] agrees with auditing the written file (also
-   on steps tampered in memory), every record survives the JSON print and
-   parse bit for bit, and the c432 trace bytes at both granularities are
-   pinned. *)
+   the auditor fed as the run goes agrees with auditing the written file
+   (also on steps tampered in memory), [Trace.run] hands each record on as
+   the run produces it, every record survives the JSON print and parse bit
+   for bit, and the c432 trace bytes at both granularities are pinned. *)
 
 module Iscas85 = Minflo_netlist.Iscas85
 module Netlist = Minflo_netlist.Netlist
@@ -15,6 +15,8 @@ module Elmore = Minflo_tech.Elmore
 module Transistor = Minflo_tech.Transistor
 module Sweep = Minflo_sizing.Sweep
 module Minflotransit = Minflo_sizing.Minflotransit
+module Tilos = Minflo_sizing.Tilos
+module Perf = Minflo_robust.Perf
 module Trace = Minflo_lint.Trace
 module Finding = Minflo_lint.Finding
 module Rule = Minflo_lint.Rule
@@ -35,7 +37,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* one engine run with the steps its [on_step] hook delivered *)
+(* one engine run with the steps its [on_step] hook delivered, for the
+   tests that tamper a step in memory *)
 let run_with_steps ?options model ~target =
   let steps = ref [] in
   let result =
@@ -44,14 +47,23 @@ let run_with_steps ?options model ~target =
   in
   (List.rev !steps, result)
 
-(* [f path] on the trace of a finished run, written the way
-   [minflo size --trace] writes it *)
-let with_trace model ~circuit ~target ~steps result f =
+(* the records of a run in trace order, built from its steps *)
+let records_of model ~circuit ~target steps (result : Minflotransit.result) =
+  Trace.header model ~circuit ~target
+  :: Trace.tilos_record result.tilos
+  :: List.map Trace.step_record steps
+  @ [ Trace.final_record result ]
+
+(* [f path] on the trace file [write] fills through the [emit] of a
+   [Trace.File], as [minflo size --trace] fills it *)
+let with_trace write f =
   let path = Filename.temp_file "minflo-trace" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (match Trace.write_run path model ~circuit ~target ~steps result with
+      let file = Trace.File.create path in
+      write (Trace.File.emit file);
+      (match Trace.File.close file with
       | Ok () -> ()
       | Error e ->
         Alcotest.failf "trace write: %s" (Minflo_robust.Diag.to_string e));
@@ -59,8 +71,9 @@ let with_trace model ~circuit ~target ~steps result f =
 
 (* one engine run and the NDJSON bytes of its trace *)
 let traced_run ?options model ~circuit ~target =
-  let steps, result = run_with_steps ?options model ~target in
-  with_trace model ~circuit ~target ~steps result read_file
+  with_trace
+    (fun emit -> ignore (Trace.run ?options ~emit model ~circuit ~target))
+    read_file
 
 (* one real engine run, traced once and shared by every test *)
 let fixture =
@@ -302,29 +315,41 @@ let test_blank_line_numbering () =
        fs)
 
 (* [minflo size --check] is [--trace] followed by [audit-run]: the
-   in-process audit of the steps agrees with the audit of the file, also
-   when the first step was tampered in memory, before any text exists.
-   c17 under Bellman-Ford accepts no step, so its trace is the seed and
-   the final record alone. *)
+   auditor fed one run's records as the run produces them agrees with the
+   audit of the file the same run wrote. A step tampered in memory, before
+   any text exists, goes through the record builders to both. c17 under
+   Bellman-Ford accepts no step, so its trace is the seed and the final
+   record alone. *)
 let test_check_run_agrees ?tamper granularity ~factor ~solver circuit () =
   let nl = circuit () in
   let model = granular_model granularity nl in
   let target = factor *. Sweep.dmin model in
   let options = { Minflotransit.default_options with solver } in
-  let steps, result = run_with_steps ~options model ~target in
-  let steps =
-    match (tamper, steps) with
-    | None, _ -> steps
-    | Some f, s :: rest -> f s :: rest
-    | Some _, [] -> Alcotest.fail "run accepted no step"
+  let circuit = Netlist.name nl in
+  let auditor = Trace.Auditor.create model ~target in
+  let write emit =
+    let emit j =
+      emit j;
+      Trace.Auditor.feed auditor j
+    in
+    match tamper with
+    | None -> ignore (Trace.run ~options ~emit model ~circuit ~target)
+    | Some f ->
+      let steps, result = run_with_steps ~options model ~target in
+      let steps =
+        match steps with
+        | s :: rest -> f s :: rest
+        | [] -> Alcotest.fail "run accepted no step"
+      in
+      List.iter emit (records_of model ~circuit ~target steps result)
   in
   let from_file =
-    with_trace model ~circuit:(Netlist.name nl) ~target ~steps result (fun path ->
+    with_trace write (fun path ->
         match Trace.audit_file model ~target path with
         | Ok fs -> fs
         | Error e -> Alcotest.failf "audit: %s" (Minflo_robust.Diag.to_string e))
   in
-  let in_process = Trace.check_run model ~target ~steps result in
+  let in_process = Trace.Auditor.finish auditor in
   check Alcotest.string "same findings" (Report.render from_file)
     (Report.render in_process);
   check bool "findings exactly when tampered" (tamper <> None) (in_process <> [])
@@ -376,11 +401,12 @@ let run_records granularity ~factor ~solver circuit =
   let model = granular_model granularity nl in
   let target = factor *. Sweep.dmin model in
   let options = { Minflotransit.default_options with solver } in
-  let steps, result = run_with_steps ~options model ~target in
-  Trace.header model ~circuit:(Netlist.name nl) ~target
-  :: Trace.tilos_record result.tilos
-  :: List.map Trace.step_record steps
-  @ [ Trace.final_record result ]
+  let records = ref [] in
+  ignore
+    (Trace.run ~options
+       ~emit:(fun j -> records := j :: !records)
+       model ~circuit:(Netlist.name nl) ~target);
+  List.rev !records
 
 let test_codec_runs () =
   List.iter
@@ -442,6 +468,64 @@ let test_codec_edges () =
   List.iter check_round_trip
     [ r; Trace.final_record { result with cp = Float.nan; area = -0.0 } ]
 
+(* ---------- streaming ---------- *)
+
+let dphase_solves () =
+  let c = Perf.snapshot () in
+  c.Perf.warm_starts + c.Perf.cold_starts
+
+(* [Trace.run] hands each record on as the run produces it: the seed
+   before the first D-phase solve, and each step after its own pass's
+   solve and before the next pass's. A [Trace.run] that buffered the run and
+   replayed it would hand every record on at one solve count. *)
+let test_records_stream () =
+  let model = granular_model `Gate (c432 ()) in
+  let target = 0.5 *. Sweep.dmin model in
+  let start = dphase_solves () in
+  let seen = ref [] in
+  let emit j = seen := (kind j, dphase_solves ()) :: !seen in
+  ignore (Trace.run ~emit model ~circuit:"c432" ~target);
+  match List.rev !seen with
+  | ("header", h) :: ("tilos", t) :: rest ->
+    check int "header before any solve" start h;
+    check int "tilos before any solve" start t;
+    let steps = List.filter (fun (k, _) -> k = "step") rest in
+    check bool "several steps" true (List.length steps > 1);
+    check int "steps then final" (List.length steps + 1) (List.length rest);
+    check Alcotest.string "final last" "final" (fst (List.nth rest (List.length steps)));
+    ignore
+      (List.fold_left
+         (fun prev (_, n) ->
+           if n <= prev then
+             Alcotest.failf "a step reached emit at %d solves, after %d" n prev;
+           n)
+         start steps)
+  | _ -> Alcotest.fail "the run does not start with header and tilos"
+
+(* [on_tilos] fires once with the seed, on a target TILOS meets and on
+   one it misses; a missed seed's trace is header, tilos and final *)
+let test_on_tilos_once () =
+  List.iter
+    (fun (circuit, factor, met) ->
+      let model = granular_model `Gate (circuit ()) in
+      let target = factor *. Sweep.dmin model in
+      let calls = ref 0 in
+      let r =
+        Minflotransit.optimize model ~target ~on_tilos:(fun (t : Tilos.result) ->
+            incr calls;
+            check bool "seed met" met t.met)
+      in
+      check int "on_tilos calls" 1 !calls;
+      check bool "run met" met r.met;
+      let kinds = ref [] in
+      ignore
+        (Trace.run ~emit:(fun j -> kinds := kind j :: !kinds) model ~circuit:""
+           ~target);
+      if not met then
+        check (Alcotest.list Alcotest.string) "unmet trace"
+          [ "header"; "tilos"; "final" ] (List.rev !kinds))
+    [ (c432, 0.5, true); (Minflo_netlist.Generators.c17, 0.1, false) ]
+
 let () =
   Alcotest.run "trace"
     [ ( "clean",
@@ -487,6 +571,11 @@ let () =
             test_codec_runs;
           Alcotest.test_case "edge values round-trip bit for bit" `Quick
             test_codec_edges ] );
+      ( "stream",
+        [ Alcotest.test_case "records reach emit as the run produces them"
+            `Quick test_records_stream;
+          Alcotest.test_case "on_tilos fires once, met or missed" `Quick
+            test_on_tilos_once ] );
       ( "pins",
         [ Alcotest.test_case "c432 gate trace bytes" `Quick
             (test_trace_bytes_pinned `Gate "528c1fa1787a9a26eb911c3506ffe4c2");
